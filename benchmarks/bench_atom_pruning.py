@@ -7,7 +7,7 @@ the two acceleration layers of DESIGN.md §7 on two fleet shapes:
 
 * **sparse** — objects spread over ±2000 with a small region and small
   proximity radius, so almost every instantiation is prunable (the
-  regime the R-tree exists for);
+  regime the trajectory-MBR table exists for);
 * **clustered** — the same population packed into ±100, where pruning
   can discard little and the overhead of building the trajectory index
   must stay negligible.

@@ -10,12 +10,16 @@ that make the base case cheap (both on by default, see DESIGN.md §7):
 **Layer 1 — conservative index pruning** (:class:`AtomIndexPruner`).
 Per evaluation window, every FROM-bound object's piecewise-linear
 trajectory is decomposed into per-leg spatial bounding boxes covering
-``[ctx.start, ctx.end]`` and loaded into the existing R-tree
-(:class:`~repro.index.rtree.RTree`).  ``INSIDE``/``OUTSIDE`` atoms probe
-the region's bounding box, ``WITHIN_SPHERE``/``DIST``-comparison atoms
-run an MBR self-join inflated by the radius.  An instantiation outside
-the candidate set is *known* without any solve: the empty set for
-``INSIDE``/``dist <= r``, the full window for ``OUTSIDE``/``dist >= r``.
+``[ctx.start, ctx.end]``, stored as one columnar table per spatial
+dimensionality: ``lo`` / ``hi`` corner arrays plus the owner of each
+row, filled once and frozen.  A context's window never changes, so
+nothing here needs a tree — only an exact overlap filter — and a probe
+is one vectorised closed-interval overlap mask over all rows.
+``INSIDE``/``OUTSIDE`` atoms probe the region's bounding box,
+``WITHIN_SPHERE``/``DIST``-comparison atoms probe the object's own leg
+boxes inflated by the radius.  An instantiation outside the candidate
+set is *known* without any solve: the empty set for ``INSIDE``/
+``dist <= r``, the full window for ``OUTSIDE``/``dist >= r``.
 Soundness follows from MBR over-approximation: satisfaction at any dense
 time implies spatial overlap of the (inflated) boxes, so a non-candidate
 can never satisfy the positive predicate.  Objects whose motion is
@@ -42,16 +46,17 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Callable
 
+import numpy as np
+
 from repro.errors import QueryError, SchemaError
 from repro.ftl.ast import Compare, Dist, Formula, Inside, Outside, WithinSphere
 from repro.ftl.relations import EMPTY_SET
 from repro.geometry import Point
-from repro.index.rtree import RTree
 from repro.motion import batch
 from repro.motion.moving import LinearPiece, MovingPoint
 from repro.spatial.kinetic import paired_legs
 from repro.spatial.polygon import Polygon
-from repro.spatial.regions import Ball, Box
+from repro.spatial.regions import Ball
 from repro.temporal import DISCRETE, IntervalSet
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -366,28 +371,62 @@ def attr_solve_key(
 # ---------------------------------------------------------------------------
 
 
+class _MbrTable:
+    """The frozen leg boxes of one spatial dimensionality, as columns:
+    ``lo[d, N]`` / ``hi[d, N]`` corner arrays (one contiguous row per
+    axis) plus the owning object of each of the ``N`` boxes."""
+
+    __slots__ = ("lo", "hi", "owners", "members")
+
+    def __init__(
+        self,
+        lo: list[list[float]],
+        hi: list[list[float]],
+        owners: list[object],
+    ) -> None:
+        self.lo = np.ascontiguousarray(np.array(lo, dtype=float).T)
+        self.hi = np.ascontiguousarray(np.array(hi, dtype=float).T)
+        self.owners = owners
+        self.members = frozenset(owners)
+
+    def overlapping(
+        self, probe_lo: np.ndarray, probe_hi: np.ndarray
+    ) -> set[object]:
+        """Owners of the boxes that overlap (closed intervals, every
+        axis) any of the ``K`` probe boxes ``probe_lo[d, K]`` /
+        ``probe_hi[d, K]``."""
+        mask = (self.lo[:, None, :] <= probe_hi[:, :, None]) & (
+            probe_lo[:, :, None] <= self.hi[:, None, :]
+        )
+        owners = self.owners
+        hits = np.flatnonzero(mask.all(axis=0).any(axis=0))
+        return {owners[i] for i in hits.tolist()}
+
+
 class AtomIndexPruner:
-    """Per-window trajectory MBR index answering atom candidate queries.
+    """Per-window trajectory MBR table answering atom candidate queries.
 
     Built lazily on first use from the evaluation context: every
     FROM-bound object's :meth:`~repro.motion.moving.MovingPoint.
     linear_pieces` over ``[ctx.start, ctx.end]`` become per-leg spatial
-    bounding boxes in one R-tree per spatial dimensionality (time is not
-    an index axis — :class:`~repro.geometry.Point` caps boxes at three
-    coordinates — so candidate sets are window-wide, a strictly
-    conservative coarsening).  Objects that cannot be indexed — nonlinear motion,
-    no spatial attributes, empty window pieces — are *unprunable*:
-    members of every candidate set, so the exact solve path handles them
-    (and raises on them) exactly as the exhaustive evaluator would.
+    bounding boxes, one row each of a structure-of-arrays table per
+    spatial dimensionality (time is not a table axis, so candidate sets
+    are window-wide, a strictly conservative coarsening).  The table is
+    filled once and never updated — the context it serves is one frozen
+    window — so a probe is a single vectorised closed-interval overlap
+    mask over all rows: exact, and ``O(N)`` at the fleet sizes a window
+    holds.  Objects that cannot be plotted — nonlinear motion, no
+    spatial attributes — are *unprunable*: members of every candidate
+    set, so the exact solve path handles them (and raises on them)
+    exactly as the exhaustive evaluator would.
     """
 
     def __init__(self, ctx: "EvalContext") -> None:
         self.ctx = ctx
         self._built = False
-        self._trees: dict[int, RTree] = {}
-        self._boxes: dict[object, list[Box]] = {}
-        self._by_dim: dict[int, set[object]] = {}
-        self._dim: dict[object, int] = {}
+        self._tables: dict[int, _MbrTable] = {}
+        #: Indexed object -> ``(dim, first row, one past its last row)``.
+        self._rows: dict[object, tuple[int, int, int]] = {}
         self._unprunable: set[object] = set()
         #: Unprunables whose exhaustive solve would *raise* (nonspatial,
         #: unknown id).  Pruning an instantiation containing one would
@@ -399,8 +438,6 @@ class AtomIndexPruner:
         #: the solvers' relative boundary tolerance can never out-reach
         #: the pruning boxes.
         self._scale = 1.0
-        #: Objects plotted into the index (bench instrumentation).
-        self.objects_indexed = 0
 
     # ------------------------------------------------------------------
     # Build
@@ -410,15 +447,25 @@ class AtomIndexPruner:
             return
         self._built = True
         ctx = self.ctx
+        # dim -> (lo rows, hi rows, owners), frozen into tables below.
+        columns: dict[int, tuple[list, list, list]] = {}
         seen: set[object] = set()
         for var in ctx.bindings:
             for oid in ctx.domain(var):
-                if oid in seen:
-                    continue
-                seen.add(oid)
-                self._index_object(oid)
+                if oid not in seen:
+                    seen.add(oid)
+                    self._index_object(oid, columns)
+        for dim, (lo, hi, owners) in columns.items():
+            table = self._tables[dim] = _MbrTable(lo, hi, owners)
+            self._scale = max(
+                self._scale,
+                float(np.abs(table.lo).max()),
+                float(np.abs(table.hi).max()),
+            )
 
-    def _index_object(self, oid: object) -> None:
+    def _index_object(
+        self, oid: object, columns: dict[int, tuple[list, list, list]]
+    ) -> None:
         ctx = self.ctx
         try:
             mover = ctx.moving_point(oid)
@@ -431,26 +478,16 @@ class AtomIndexPruner:
             self._unprunable.add(oid)
             return
         dim = mover.dim
-        tree = self._trees.get(dim)
-        if tree is None:
-            tree = self._trees[dim] = RTree()
-            self._by_dim[dim] = set()
-        boxes = []
+        lo, hi, owners = columns.setdefault(dim, ([], [], []))
+        first = len(owners)
         for piece in pieces:
-            a = piece.origin
-            b = piece.position_at(piece.end)
-            bounds = [
-                (min(x, y), max(x, y)) for x, y in zip(a, b)
-            ]
-            for lo, hi in bounds:
-                self._scale = max(self._scale, abs(lo), abs(hi))
-            box = Box.from_bounds(*bounds)
-            boxes.append(box)
-            tree.insert(box, oid)
-        self._boxes[oid] = boxes
-        self._dim[oid] = dim
-        self._by_dim[dim].add(oid)
-        self.objects_indexed += 1
+            span = piece.end - piece.start
+            a = piece.origin.coords
+            b = [x + v * span for x, v in zip(a, piece.velocity.coords)]
+            lo.append([min(x, y) for x, y in zip(a, b)])
+            hi.append([max(x, y) for x, y in zip(a, b)])
+            owners.append(oid)
+        self._rows[oid] = (dim, first, len(owners))
 
     @property
     def _pad(self) -> float:
@@ -458,16 +495,39 @@ class AtomIndexPruner:
         is relative to coordinate magnitude, see e.g. Ball.contains)."""
         return 1e-6 * (1.0 + self._scale)
 
+    def is_indexed(self, oid: object) -> bool:
+        """Whether ``oid`` has rows in the table — the only objects a
+        gate may prune.  An id the table has never seen (assigned-
+        variable value, unknown object) and every unprunable object must
+        take the solve path, which decides — or raises — exactly as the
+        exhaustive evaluator would."""
+        self._build()
+        return oid in self._rows
+
     def _safe(self, oid: object) -> bool:
         """Whether the exhaustive solve path is guaranteed not to raise
         for this object (indexed, or unprunable for nonlinearity only)."""
-        return oid in self._boxes or (
+        return self.is_indexed(oid) or (
             oid in self._unprunable and oid not in self._raising
         )
 
     # ------------------------------------------------------------------
     # Candidate queries
     # ------------------------------------------------------------------
+    def _candidates(
+        self, dim: int, probe_lo: np.ndarray, probe_hi: np.ndarray
+    ) -> set[object]:
+        """Every unprunable object, every object of another
+        dimensionality (the exact path raises or decides on those), and
+        the ``dim``-dimensional objects a probe box touches."""
+        cands = set(self._unprunable)
+        for d, table in self._tables.items():
+            if d == dim:
+                cands |= table.overlapping(probe_lo, probe_hi)
+            else:
+                cands |= table.members
+        return cands
+
     def region_candidates(self, region: object) -> frozenset | None:
         """Objects that may intersect the region during the window, or
         ``None`` when the region's geometry cannot be boxed."""
@@ -481,25 +541,14 @@ class AtomIndexPruner:
         pad = self._pad
         if isinstance(region, Polygon):
             min_x, min_y, max_x, max_y = region.bounding_box()
-            bounds = [
-                (min_x - pad, max_x + pad),
-                (min_y - pad, max_y + pad),
-            ]
-            dim = 2
+            lo = [min_x - pad, min_y - pad]
+            hi = [max_x + pad, max_y + pad]
         else:  # Ball (region_token already filtered the rest)
-            bounds = [
-                (c - region.radius - pad, c + region.radius + pad)
-                for c in region.center
-            ]
-            dim = region.dim
-        cands = set(self._unprunable)
-        for d, members in self._by_dim.items():
-            if d == dim:
-                cands.update(self._trees[d].search(Box.from_bounds(*bounds)))
-            else:
-                # Dimension mismatch: let the exact path raise/decide.
-                cands.update(members)
-        out = frozenset(cands)
+            lo = [c - region.radius - pad for c in region.center]
+            hi = [c + region.radius + pad for c in region.center]
+        out = frozenset(
+            self._candidates(len(lo), np.array([lo]).T, np.array([hi]).T)
+        )
         self._region_cands[token] = out
         return out
 
@@ -508,27 +557,22 @@ class AtomIndexPruner:
         time of the window (``oid`` itself included), or ``None`` when
         ``oid`` is unprunable (every object is then a candidate)."""
         self._build()
-        boxes = self._boxes.get(oid)
-        if boxes is None:
+        rows = self._rows.get(oid)
+        if rows is None:
             return None
         key = (oid, float(radius))
         hit = self._pair_cands.get(key)
         if hit is not None:
             return hit
-        dim = self._dim[oid]
-        cands = set(self._unprunable)
-        cands.add(oid)
-        for d, members in self._by_dim.items():
-            if d != dim:
-                cands.update(members)
-        tree = self._trees[dim]
+        dim, first, stop = rows
+        table = self._tables[dim]
         inflate = radius + self._pad
-        for box in boxes:
-            bounds = [
-                (l - inflate, h + inflate)
-                for l, h in zip(box.lo, box.hi)
-            ]
-            cands.update(tree.search(Box.from_bounds(*bounds)))
+        cands = self._candidates(
+            dim,
+            table.lo[:, first:stop] - inflate,
+            table.hi[:, first:stop] + inflate,
+        )
+        cands.add(oid)
         out = frozenset(cands)
         self._pair_cands[key] = out
         return out
@@ -564,11 +608,7 @@ class AtomIndexPruner:
 
             def region_gate(env: "Env") -> IntervalSet | None:
                 oid = ctx.eval_term(obj_term, env, ctx.start)
-                # Only indexed objects may be pruned: an id the index has
-                # never seen (assigned-variable value, unknown object)
-                # must take the solve path, which decides — or raises —
-                # exactly as the exhaustive evaluator would.
-                if oid in cands or oid not in self._boxes:
+                if oid in cands or not self.is_indexed(oid):
                     return None
                 return miss
 
@@ -579,11 +619,12 @@ class AtomIndexPruner:
             # within 2r of each other at that moment — a necessary
             # condition, so one far pair kills the instantiation.
             diameter = 2.0 * float(f.radius)
+            if diameter < 0:
+                return None  # let the solve path raise identically
             objs = f.objs
 
             def sphere_gate(env: "Env") -> IntervalSet | None:
                 oids = [ctx.eval_term(o, env, ctx.start) for o in objs]
-                self._build()
                 # Any participant whose exhaustive solve would raise (or
                 # that the index has never seen) forces the solve path.
                 if not all(self._safe(o) for o in oids):
@@ -593,7 +634,7 @@ class AtomIndexPruner:
                     if cands is None:
                         continue
                     for b in oids[i + 1 :]:
-                        if b in self._boxes and b not in cands:
+                        if self.is_indexed(b) and b not in cands:
                             return EMPTY_SET
                 return None
 
@@ -613,7 +654,7 @@ class AtomIndexPruner:
                 a = ctx.eval_term(dist_term.left, env, ctx.start)
                 b = ctx.eval_term(dist_term.right, env, ctx.start)
                 cands = self.pair_candidates(a, float(bound))
-                if cands is None or b in cands or b not in self._boxes:
+                if cands is None or b in cands or not self.is_indexed(b):
                     return None
                 # Both indexed, disjoint after inflation: the pair stays
                 # strictly farther than the bound for the whole window.

@@ -51,10 +51,6 @@ class RTree:
         self._size = 0
         #: Nodes touched by the last query (experiment E3 reads this).
         self.last_nodes_visited = 0
-        #: Cumulative probe instrumentation (atom-pruning benchmarks read
-        #: these; ``last_nodes_visited`` resets per search).
-        self.nodes_visited_total = 0
-        self.search_count = 0
 
     def __len__(self) -> int:
         return self._size
@@ -145,14 +141,12 @@ class RTree:
     def search(self, box: Box) -> list[object]:
         """Payloads whose boxes intersect the probe box."""
         self.last_nodes_visited = 0
-        self.search_count += 1
         out: list[object] = []
         self._search(self._root, box, out)
         return out
 
     def _search(self, node: _Node, box: Box, out: list[object]) -> None:
         self.last_nodes_visited += 1
-        self.nodes_visited_total += 1
         for entry in node.entries:
             if not entry.box.intersects(box):
                 continue

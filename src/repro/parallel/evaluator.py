@@ -206,7 +206,7 @@ class ShardedWorkerEvaluator(IntervalEvaluator):
                 halo = self._halo_for(float(bound))
                 if halo is not None:
                     partner = ctx.eval_term(other_leg, env, ctx.start)
-                    if partner not in halo and partner in pruner._boxes:
+                    if partner not in halo and pruner.is_indexed(partner):
                         # Disjoint from every member's inflated boxes:
                         # the base gate would answer identically.
                         self.halo_prunes += 1

@@ -145,6 +145,9 @@ class CQServer:
         self.metrics = ServerMetrics()
         self.registry = SubscriptionRegistry(db, self.metrics, parallel=parallel)
         self.sessions: dict[tuple[str, str], ClientSession] = {}
+        #: The same sessions by client, so a heartbeat reaches its
+        #: client's sessions without walking everybody else's.
+        self._client_sessions: dict[str, list[ClientSession]] = {}
         #: Queued ``("batch", src, IngestBatch)`` / ``("single", src,
         #: MotionUpdate)`` entries; :attr:`inbox_depth` counts updates.
         self._inbox: deque[tuple[str, str, Any]] = deque()
@@ -269,7 +272,7 @@ class CQServer:
                 now,
             )
         elif session is None:
-            self.sessions[key] = self._build_session(key, now)
+            self._open_session(key, now)
             self.metrics.subscriptions += 1
         self._send(
             src,
@@ -282,9 +285,9 @@ class CQServer:
             CONTROL_SIZE,
         )
 
-    def _build_session(self, key: tuple[str, str], now: int) -> ClientSession:
+    def _open_session(self, key: tuple[str, str], now: int) -> None:
         record = self.registry.records[key]
-        return ClientSession(
+        session = self.sessions[key] = ClientSession(
             record,
             send=self._send,
             metrics=self.metrics,
@@ -295,6 +298,7 @@ class CQServer:
             heartbeat_timeout=self.heartbeat_timeout,
             max_log=self.max_log,
         )
+        self._client_sessions.setdefault(key[0], []).append(session)
 
     def _on_delta_ack(self, ack: DeltaAck) -> None:
         session = self.sessions.get((ack.client_id, ack.query_id))
@@ -308,9 +312,8 @@ class CQServer:
 
     def _on_heartbeat(self, msg: HeartbeatMsg) -> None:
         now = self.clock.now
-        for (client_id, _), session in self.sessions.items():
-            if client_id == msg.client_id:
-                session.on_heartbeat(msg, now)
+        for session in self._client_sessions.get(msg.client_id, ()):
+            session.on_heartbeat(msg, now)
 
     # ------------------------------------------------------------------
     # The epoch loop
@@ -459,6 +462,7 @@ class CQServer:
         self._inbox.clear()
         self.inbox_depth = 0
         self.sessions.clear()
+        self._client_sessions.clear()
         self.registry.crash()
 
     def restart(self) -> None:
@@ -480,7 +484,7 @@ class CQServer:
         now = self.clock.now
         for key, record in self.registry.records.items():
             if record.query_id in self.registry.queries:
-                self.sessions[key] = self._build_session(key, now)
+                self._open_session(key, now)
 
     # ------------------------------------------------------------------
     def drained(self) -> bool:

@@ -10,11 +10,16 @@ proximity bounds) so the pruner actually fires; guard tests assert that
 it does, keeping the suite honest.
 """
 
+import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core import MostDatabase, ObjectClass
+from repro.core.dynamic import DynamicAttribute
 from repro.core.history import FutureHistory
 from repro.core.queries import ContinuousQuery
 from repro.errors import QueryError, SchemaError
@@ -30,11 +35,15 @@ from repro.ftl import (
     Var,
     WithinSphere,
 )
+from repro.ftl.atoms import _MbrTable
 from repro.ftl.context import EvalContext
 from repro.ftl.evaluator import IntervalEvaluator
 from repro.ftl.naive import NaiveEvaluator
 from repro.geometry import Point
+from repro.index.rtree import RTree
+from repro.motion import PiecewiseLinearFunction, SinusoidFunction
 from repro.spatial import Polygon
+from repro.spatial.regions import Ball, Box
 
 from tests.ftl.test_differential import (
     HORIZON,
@@ -319,8 +328,6 @@ def test_pruning_preserves_errors_on_nonspatial_objects():
     db = MostDatabase()
     db.create_class(ObjectClass("tags", dynamic_attributes=("level",)))
     db.define_region("P", Polygon.rectangle(0, 0, 5, 5))
-    from repro.core.dynamic import DynamicAttribute
-
     db.add_object(
         "tags",
         "t0",
@@ -337,3 +344,349 @@ def test_pruning_preserves_errors_on_nonspatial_objects():
         query.evaluate_full(FutureHistory(db), 5)
     assert type(plain_err.value) is type(fast_err.value)
     assert str(plain_err.value) == str(fast_err.value)
+
+
+def test_negative_sphere_radius_raises_like_exhaustive():
+    """A negative WITHIN_SPHERE radius (only reachable below the static
+    analysis) is the solve path's error to raise: the gate must neither
+    prune the instantiation nor fail on a shrunken probe box."""
+    db = MostDatabase()
+    db.create_class(ObjectClass("cars", spatial_dimensions=2))
+    db.add_moving_object("cars", "far", Point(500, 0), Point(0, 0))
+    db.add_moving_object("cars", "long", Point(0, 0), Point(3, 0))
+    where = WithinSphere(-1, (Var("a"), Var("b")))
+    errors = []
+    for kwargs in ({"index_pruning": False}, {}):
+        ctx = EvalContext(
+            FutureHistory(db), HORIZON, {"a": "cars", "b": "cars"}
+        )
+        with pytest.raises(Exception) as err:
+            IntervalEvaluator(ctx, solve_cache=False, **kwargs).evaluate(where)
+        errors.append((type(err.value), str(err.value)))
+    assert errors[0] == errors[1]
+
+
+# ---------------------------------------------------------------------------
+# The MBR table against an R-tree loaded with the same leg boxes
+# ---------------------------------------------------------------------------
+#
+# ``AtomIndexPruner`` answers candidate queries with one vectorised
+# overlap mask over a columnar table of leg boxes.  The reference below
+# is the structure it replaced: the same boxes as ``Box`` objects in a
+# Guttman R-tree per dimensionality, probed with ``RTree.search``.  The
+# two must return *equal* sets — a superset would be sound, but would
+# move ``pruned_instantiations``, cache keys and every golden counter.
+
+
+class RTreeCandidates:
+    """Candidate sets from ``RTree.search`` over a context's leg boxes."""
+
+    def __init__(self, ctx):
+        self.trees = {}
+        self.boxes = {}
+        self.unprunable = set()
+        scale = 1.0
+        for oid in dict.fromkeys(
+            oid for var in ctx.bindings for oid in ctx.domain(var)
+        ):
+            try:
+                mover = ctx.moving_point(oid)
+                pieces = mover.linear_pieces(ctx.start, ctx.end)
+            except (QueryError, SchemaError):
+                pieces = None
+            if pieces is None:
+                self.unprunable.add(oid)
+                continue
+            tree = self.trees.setdefault(mover.dim, RTree())
+            self.boxes[oid] = []
+            for piece in pieces:
+                a, b = piece.origin, piece.position_at(piece.end)
+                bounds = [(min(x, y), max(x, y)) for x, y in zip(a, b)]
+                scale = max(scale, *(abs(c) for pair in bounds for c in pair))
+                self.boxes[oid].append(Box.from_bounds(*bounds))
+                tree.insert(self.boxes[oid][-1], oid)
+        self.pad = 1e-6 * (1.0 + scale)
+
+    def _search(self, dim, probes):
+        cands = set(self.unprunable)
+        for d, tree in self.trees.items():
+            if d == dim:
+                for probe in probes:
+                    cands.update(tree.search(probe))
+            else:
+                cands.update(
+                    oid for oid, bs in self.boxes.items() if bs[0].dim == d
+                )
+        return frozenset(cands)
+
+    def region(self, region):
+        pad = self.pad
+        if isinstance(region, Polygon):
+            x0, y0, x1, y1 = region.bounding_box()
+            bounds = [(x0 - pad, x1 + pad), (y0 - pad, y1 + pad)]
+        else:
+            bounds = [
+                (c - region.radius - pad, c + region.radius + pad)
+                for c in region.center
+            ]
+        return self._search(len(bounds), [Box.from_bounds(*bounds)])
+
+    def pair(self, oid, radius):
+        if oid not in self.boxes:
+            return None
+        grow = radius + self.pad
+        probes = [
+            Box.from_bounds(
+                *((l - grow, h + grow) for l, h in zip(b.lo, b.hi))
+            )
+            for b in self.boxes[oid]
+        ]
+        return self._search(probes[0].dim, probes) | {oid}
+
+
+def assert_table_equals_rtree(ctx, regions, radii):
+    pruner = ctx.atom_pruner()
+    reference = RTreeCandidates(ctx)
+    for region in regions:
+        assert pruner.region_candidates(region) == reference.region(region)
+    for oid in [oid for var in ctx.bindings for oid in ctx.domain(var)]:
+        assert pruner.is_indexed(oid) == (oid in reference.boxes)
+        for radius in radii:
+            assert pruner.pair_candidates(oid, radius) == reference.pair(
+                oid, radius
+            ), (oid, radius)
+
+
+def add_piecewise_car(db, oid, x, y, legs, vy):
+    """A 2-D car whose x axis follows ``legs`` = ``[(start, slope)]``."""
+    db.add_object(
+        "cars",
+        oid,
+        dynamic={
+            "x_position": DynamicAttribute(
+                x, 0.0, PiecewiseLinearFunction(legs)
+            ),
+            "y_position": DynamicAttribute.linear(y, vy),
+        },
+    )
+
+
+def build_mixed_world(rng: random.Random, n: int = 8) -> MostDatabase:
+    """Every shape the table has to plot or refuse, on integer grids so
+    that boxes often touch exactly: linear and piecewise-linear 2-D
+    movers, 3-D movers, one nonlinear (unprunable) and one non-spatial
+    (raising) object."""
+    db = MostDatabase()
+    db.create_class(ObjectClass("cars", spatial_dimensions=2))
+    db.create_class(ObjectClass("drones", spatial_dimensions=3))
+    db.create_class(ObjectClass("tags", dynamic_attributes=("level",)))
+
+    def pos():
+        return rng.randint(-20, 20)
+
+    def vel():
+        return rng.randint(-2, 2)
+
+    for i in range(n):
+        db.add_moving_object(
+            "cars", f"c{i}", Point(pos(), pos()), Point(vel(), vel())
+        )
+    for i in range(n // 2):
+        starts = sorted(rng.sample(range(1, 12), rng.randint(1, 3)))
+        legs = [(0, vel())] + [(start, vel()) for start in starts]
+        add_piecewise_car(db, f"p{i}", pos(), pos(), legs, vel())
+    for i in range(n // 2):
+        db.add_moving_object(
+            "drones",
+            f"d{i}",
+            Point(pos(), pos(), pos()),
+            Point(vel(), vel(), rng.randint(-1, 1)),
+        )
+    db.add_object(
+        "cars",
+        "wobbly",
+        dynamic={
+            "x_position": DynamicAttribute(0.0, 0.0, SinusoidFunction(5.0, 0.7)),
+            "y_position": DynamicAttribute.linear(0.0, 1.0),
+        },
+    )
+    db.add_object(
+        "tags", "t0", dynamic={"level": DynamicAttribute.linear(1.0, 0.5)}
+    )
+    return db
+
+
+MIXED_BINDINGS = {"c": "cars", "d": "drones", "t": "tags"}
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_table_candidates_equal_rtree_candidates(seed):
+    rng = random.Random(4000 + seed)
+    db = build_mixed_world(rng)
+    horizon = rng.choice((0, 1, 6, 14))  # 0: a zero-length window
+    ctx = EvalContext(FutureHistory(db), horizon, MIXED_BINDINGS)
+    regions = [
+        Polygon.rectangle(-5, -5, 5, 5),
+        Polygon.rectangle(rng.randint(-20, 0), -3, rng.randint(1, 20), 30),
+        Ball(Point(rng.randint(-10, 10), rng.randint(-10, 10)), 4.0),
+        Ball(Point(0, 0, 0), float(rng.randint(0, 12))),
+    ]
+    assert_table_equals_rtree(ctx, regions, (0.0, 1.0, 2.5, 7.0, 40.0))
+    pruner = ctx.atom_pruner()
+    for oid in ("wobbly", "t0", "nobody"):  # nonlinear, non-spatial, unknown
+        assert not pruner.is_indexed(oid)
+        assert pruner.pair_candidates(oid, 1.0) is None
+    assert {"wobbly", "t0"} <= pruner.region_candidates(regions[0])
+
+
+coord = st.integers(min_value=-30, max_value=30)
+speed = st.integers(min_value=-3, max_value=3)
+turns = st.lists(
+    st.tuples(st.integers(min_value=1, max_value=10), speed),
+    max_size=3,
+    unique_by=lambda turn: turn[0],
+)
+PROPERTY = settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@PROPERTY
+@given(
+    cars=st.lists(st.tuples(coord, coord, speed, speed, turns), min_size=1, max_size=8),
+    drones=st.lists(st.tuples(coord, coord, coord, speed, speed, speed), max_size=4),
+    horizon=st.integers(min_value=0, max_value=12),
+    rect=st.tuples(coord, coord, coord, coord),
+    ball=st.tuples(coord, coord, coord, st.integers(min_value=0, max_value=20)),
+    radius=st.integers(min_value=0, max_value=40),
+)
+def test_table_candidates_equal_rtree_candidates_property(
+    cars, drones, horizon, rect, ball, radius
+):
+    db = MostDatabase()
+    db.create_class(ObjectClass("cars", spatial_dimensions=2))
+    db.create_class(ObjectClass("drones", spatial_dimensions=3))
+    for i, (x, y, vx, vy, legs) in enumerate(cars):
+        add_piecewise_car(db, f"c{i}", x, y, [(0, vx)] + sorted(legs), vy)
+    for i, (x, y, z, vx, vy, vz) in enumerate(drones):
+        db.add_moving_object(
+            "drones", f"d{i}", Point(x, y, z), Point(vx, vy, vz)
+        )
+    ctx = EvalContext(
+        FutureHistory(db), horizon, {"c": "cars", "d": "drones"}
+    )
+    x0, y0, x1, y1 = rect
+    regions = [
+        Polygon.rectangle(
+            min(x0, x1), min(y0, y1), max(x0, x1) + 1, max(y0, y1) + 1
+        ),
+        Ball(Point(*ball[:3]), float(ball[3])),
+    ]
+    assert_table_equals_rtree(ctx, regions, (float(radius),))
+
+
+box_corners = st.lists(st.tuples(coord, coord), min_size=2, max_size=2)
+
+
+@PROPERTY
+@given(
+    boxes=st.lists(box_corners, min_size=1, max_size=30),
+    probes=st.lists(box_corners, min_size=1, max_size=3),
+)
+def test_table_overlap_equals_rtree_search(boxes, probes):
+    """Integer corners: most examples have boxes meeting a probe exactly
+    on a face or corner, where only a closed test agrees with the tree."""
+
+    def corners(pair):
+        return tuple(map(min, *pair)), tuple(map(max, *pair))
+
+    boxes = [corners(pair) for pair in boxes]
+    probes = [corners(pair) for pair in probes]
+    table = _MbrTable(
+        [list(lo) for lo, _ in boxes],
+        [list(hi) for _, hi in boxes],
+        list(range(len(boxes))),
+    )
+    tree = RTree()
+    for row, (lo, hi) in enumerate(boxes):
+        tree.insert(Box(Point(*lo), Point(*hi)), row)
+    expected = set()
+    for lo, hi in probes:
+        expected.update(tree.search(Box(Point(*lo), Point(*hi))))
+    got = table.overlapping(
+        np.array([lo for lo, _ in probes], dtype=float).T,
+        np.array([hi for _, hi in probes], dtype=float).T,
+    )
+    assert got == expected
+
+
+def test_table_overlap_is_closed_on_the_boundary():
+    """Boxes that share exactly one face, edge or corner with the probe
+    overlap (``Box.intersects`` is closed); one ulp apart they do not."""
+    boxes = {
+        "face": ((2.0, 0.0), (3.0, 1.0)),
+        "corner": ((2.0, 1.0), (3.0, 4.0)),
+        "point": ((0.0, 0.0), (0.0, 0.0)),
+        "inside": ((0.5, 0.5), (0.75, 0.75)),
+        "gap": ((math.nextafter(2.0, 3.0), 0.0), (3.0, 1.0)),
+        "below": ((0.0, -2.0), (1.0, math.nextafter(0.0, -1.0))),
+    }
+    table = _MbrTable(
+        [list(lo) for lo, _ in boxes.values()],
+        [list(hi) for _, hi in boxes.values()],
+        list(boxes),
+    )
+    tree = RTree()
+    for name, (lo, hi) in boxes.items():
+        tree.insert(Box(Point(*lo), Point(*hi)), name)
+    got = table.overlapping(np.array([[0.0], [0.0]]), np.array([[2.0], [1.0]]))
+    assert got == {"face", "corner", "point", "inside"}
+    assert got == set(tree.search(Box(Point(0.0, 0.0), Point(2.0, 1.0))))
+
+
+#: ``[(pruned, solves, hits) of the first run, ... of the warm re-run]``
+#: recorded at the parent commit (R-tree pruner) on the worlds below.
+PINNED_DENSE = [(374, 146, 0), (374, 0, 146)]
+PINNED_SPARSE = [(420, 30, 0), (420, 0, 30)]
+
+
+def test_candidate_counters_pinned_to_the_rtree_build():
+    """``pruned_instantiations`` / ``kinetic_solves`` / ``cache_hits`` of
+    one dense and one sparse world, first run and warm re-run, exactly as
+    the R-tree-backed pruner of the parent commit counted them."""
+    near = Compare("<=", Dist(Var("c"), Var("v")), Const(12))
+    dense_where = AndF(Eventually(Inside(Var("c"), "P")), near)
+    sparse_where = Compare(">=", Dist(Var("c"), Var("v")), Const(60))
+    bindings = {"c": "cars", "v": "vans"}
+
+    def dense(rng):
+        db = MostDatabase()
+        db.create_class(ObjectClass("cars", spatial_dimensions=2))
+        db.create_class(ObjectClass("vans", spatial_dimensions=2))
+        db.define_region("P", Polygon.rectangle(-10, -10, 10, 10))
+        for cls, count in (("cars", 40), ("vans", 12)):
+            for i in range(count):
+                db.add_moving_object(
+                    cls,
+                    f"{cls[0]}{i}",
+                    Point(rng.randint(-40, 40), rng.randint(-40, 40)),
+                    Point(rng.randint(-2, 2), rng.randint(-2, 2)),
+                )
+        return db
+
+    def counters(db, where):
+        out = []
+        for _ in range(2):
+            ctx = EvalContext(FutureHistory(db), HORIZON, bindings)
+            ev = IntervalEvaluator(ctx)
+            ev.evaluate(where)
+            out.append(
+                (ev.pruned_instantiations, ev.kinetic_solves, ev.cache_hits)
+            )
+        return out
+
+    assert counters(dense(random.Random(77)), dense_where) == PINNED_DENSE
+    sparse = build_sparse_world(random.Random(78), n=30)
+    assert counters(sparse, sparse_where) == PINNED_SPARSE

@@ -21,7 +21,14 @@ from repro.server import (
     SubscriberClient,
     SubscribeMsg,
 )
-from repro.server.protocol import INGEST_ACK, INGEST_BATCH, INGEST_BUSY
+from repro.server.protocol import (
+    HEARTBEAT,
+    INGEST_ACK,
+    INGEST_BATCH,
+    INGEST_BUSY,
+    SUBSCRIBE,
+    HeartbeatMsg,
+)
 from repro.server.transport import ProtocolNode
 from repro.temporal import SimulationClock
 
@@ -301,6 +308,29 @@ class TestLiveness:
         assert client.display_at() == rq.cq.current()
         session = next(iter(server.sessions.values()))
         assert session.connected
+
+    def test_heartbeat_reaches_exactly_its_clients_sessions(self):
+        """One client with two subscriptions, a bystander with one: a
+        heartbeat refreshes both of the sender's sessions and nobody
+        else's — before and after a crash rebuilt the sessions."""
+        db, network, server, _ = build_world()
+        wide = QUERY.replace("<= 60", "<= 90")
+        nodes = {cid: ProtocolNode(cid, network) for cid in ("c1", "c2")}
+        for cid, text in (("c1", QUERY), ("c2", QUERY), ("c1", wide)):
+            nodes[cid].send(
+                "cq-server", SUBSCRIBE, SubscribeMsg(cid, text, horizon=100)
+            )
+        drive(server, 3)
+        for _round in range(2):
+            nodes["c1"].send("cq-server", HEARTBEAT, HeartbeatMsg("c1", 0))
+            drive(server, 2)
+            heard = {"c1": [], "c2": []}
+            for (cid, _), session in server.sessions.items():
+                heard[cid].append(session.last_heard)
+            assert len(heard["c1"]) == 2 and len(heard["c2"]) == 1
+            assert min(heard["c1"]) > max(heard["c2"])
+            server.crash()
+            server.restart()
 
 
 class TestShedding:
