@@ -11,10 +11,11 @@ independence.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
 from repro.core import FutureHistory, MostDatabase
 from repro.ftl import parse_query
-from repro.ftl.context import EvalContext
+from repro.ftl.context import DEFAULT, EvalContext
 from repro.ftl.evaluator import IntervalEvaluator
 from repro.spatial import Polygon
 from repro.workloads import random_fleet
@@ -37,7 +38,9 @@ def run(horizon: int, analytic: bool):
     db = build_db()
     query = parse_query(QUERY)
     ctx = EvalContext(FutureHistory(db), horizon, query.bindings)
-    evaluator = IntervalEvaluator(ctx, analytic_atoms=analytic)
+    evaluator = IntervalEvaluator(
+        ctx, options=replace(DEFAULT, analytic_atoms=analytic)
+    )
     start = time.perf_counter()
     relation = evaluator.evaluate(query.where)
     elapsed = time.perf_counter() - start

@@ -30,11 +30,12 @@ import json
 import os
 import random
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from repro.core import FutureHistory, MostDatabase, ObjectClass
 from repro.ftl import parse_query
-from repro.ftl.context import EvalContext
+from repro.ftl.context import DEFAULT, EvalContext
 from repro.ftl.evaluator import IntervalEvaluator
 from repro.geometry import Point
 from repro.spatial import Polygon
@@ -53,9 +54,9 @@ QUERY = (
 RESULT_PATH = Path(__file__).parents[1] / "BENCH_atom_pruning.json"
 
 MODES = {
-    "exhaustive": dict(index_pruning=False, solve_cache=False),
-    "pruned": dict(index_pruning=True, solve_cache=False),
-    "pruned+cached": dict(index_pruning=True, solve_cache=True),
+    "exhaustive": replace(DEFAULT, index_pruning=False, solve_cache=False),
+    "pruned": replace(DEFAULT, solve_cache=False),
+    "pruned+cached": DEFAULT,
 }
 
 
@@ -79,7 +80,7 @@ def build_world(n: int, spread: float) -> MostDatabase:
     return db
 
 
-def run_mode(db, query, plan, **flags) -> dict:
+def run_mode(db, query, plan, options) -> dict:
     """Best-of-REPEATS evaluation through a bare IntervalEvaluator (the
     evaluator owns the counters the table reports).
 
@@ -91,10 +92,10 @@ def run_mode(db, query, plan, **flags) -> dict:
     counters = None
     relation = None
     for i in range(REPEATS):
-        if i == 0 or not flags.get("solve_cache"):
+        if i == 0 or not options.solve_cache:
             db.kinetic_cache.clear()
         ctx = EvalContext(FutureHistory(db), HORIZON, query.bindings)
-        evaluator = IntervalEvaluator(ctx, plan=plan, **flags)
+        evaluator = IntervalEvaluator(ctx, plan=plan, options=options)
         start = time.perf_counter()
         relation = evaluator.evaluate(query.where)
         best = min(best, time.perf_counter() - start)
@@ -112,8 +113,8 @@ def run_scenario(n: int, spread: float) -> dict:
     )
     results = {}
     baseline = None
-    for mode, flags in MODES.items():
-        out = run_mode(db, query, plan, **flags)
+    for mode, options in MODES.items():
+        out = run_mode(db, query, plan, options)
         rows = key(out.pop("relation"))
         if baseline is None:
             baseline = rows

@@ -13,7 +13,7 @@ scenarios scale a ``cars`` fleet to ``n = 100k``:
   crossings per row) while the vectorized sweep grows only its array
   width.
 
-Both modes run with ``index_pruning=False``: E13 isolates the solver
+Both modes run with ``index_pruning`` off: E13 isolates the solver
 layer, and on these dense fleets the R-tree gate prunes almost nothing
 while dominating wall time in *both* modes, which would only mask the
 solver difference being measured.
@@ -36,11 +36,12 @@ import math
 import os
 import random
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from repro.core import FutureHistory, MostDatabase, ObjectClass
 from repro.ftl import parse_query
-from repro.ftl.context import EvalContext
+from repro.ftl.context import DEFAULT, EvalContext
 from repro.ftl.evaluator import IntervalEvaluator
 from repro.geometry import Point
 from repro.spatial import Polygon
@@ -58,8 +59,8 @@ SCENARIOS = {
 RESULT_PATH = Path(__file__).parents[1] / "BENCH_batch_solver.json"
 
 MODES = {
-    "scalar": dict(batch_solver=False, index_pruning=False),
-    "batch": dict(batch_solver=True, index_pruning=False),
+    "scalar": replace(DEFAULT, batch_solver=False, index_pruning=False),
+    "batch": replace(DEFAULT, index_pruning=False),
 }
 
 
@@ -100,7 +101,7 @@ def build_world(n: int) -> MostDatabase:
     return db
 
 
-def run_mode(db, query, repeats: int, **flags) -> dict:
+def run_mode(db, query, repeats: int, options) -> dict:
     """Best-of-``repeats`` cold-cache evaluation (the cache is cleared
     before every repeat: this bench measures solving, not replay)."""
     best = float("inf")
@@ -109,7 +110,7 @@ def run_mode(db, query, repeats: int, **flags) -> dict:
     for _ in range(repeats):
         db.kinetic_cache.clear()
         ctx = EvalContext(FutureHistory(db), HORIZON, query.bindings)
-        evaluator = IntervalEvaluator(ctx, **flags)
+        evaluator = IntervalEvaluator(ctx, options=options)
         start = time.perf_counter()
         relation = evaluator.evaluate(query.where)
         best = min(best, time.perf_counter() - start)
@@ -128,8 +129,8 @@ def run_scenario(name: str, db, n: int) -> dict:
     )
     results = {}
     baseline = None
-    for mode, flags in MODES.items():
-        out = run_mode(db, query, repeats, **flags)
+    for mode, options in MODES.items():
+        out = run_mode(db, query, repeats, options)
         rows = key(out.pop("relation"))
         if baseline is None:
             baseline = rows

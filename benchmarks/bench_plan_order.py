@@ -21,10 +21,12 @@ from __future__ import annotations
 import json
 import random
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from repro.core import FutureHistory, MostDatabase, ObjectClass
 from repro.ftl import parse_query
+from repro.ftl.context import DEFAULT
 from repro.geometry import Point
 
 HORIZON = 60
@@ -72,7 +74,10 @@ def timed_eval(query, history, ordered: bool) -> tuple[float, object]:
     for _ in range(REPEATS):
         start = time.perf_counter()
         relation = query.evaluate_full(
-            history, HORIZON, method="interval", ordered=ordered
+            history,
+            HORIZON,
+            method="interval",
+            options=replace(DEFAULT, ordered=ordered),
         )
         best = min(best, time.perf_counter() - start)
     return best, relation

@@ -11,7 +11,7 @@ This benchmark drives an identical update stream — per-epoch exact
 re-anchor heartbeats for every vehicle, plus a rare genuinely new motion
 vector — through two continuous queries on twin databases: one with the
 horizon gate (the default) and one built with
-``validity_horizons=False``.  All values are dyadic so heartbeat
+``validity_horizons`` off.  All values are dyadic so heartbeat
 re-anchoring is float-exact.  Answers are asserted identical epoch for
 epoch; the table reports evaluations, skips, window-shift cache hits and
 refresh wall time.
@@ -28,10 +28,12 @@ import json
 import os
 import random
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from repro.core import ContinuousQuery, MostDatabase, ObjectClass
 from repro.ftl import parse_query
+from repro.ftl.context import DEFAULT
 from repro.geometry import Point
 from repro.spatial import Polygon
 
@@ -86,7 +88,7 @@ def drive(n: int, validity: bool) -> dict:
         db,
         parse_query(QUERY),
         horizon=EPOCHS + HORIZON_SLACK,
-        validity_horizons=validity,
+        options=replace(DEFAULT, validity_horizons=validity),
     )
     rng = random.Random(7)  # same stream for both runs
     answers = [cq.current()]

@@ -14,7 +14,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from repro.core.database import MostDatabase, MostUpdate
@@ -29,12 +29,8 @@ from repro.ftl.analysis.validity import (
     update_divergence,
 )
 from repro.ftl.analysis.plan import EvalPlan
-from repro.ftl.context import EvalContext
-from repro.ftl.incremental import (
-    PartialIntervalEvaluator,
-    QueryCache,
-    evaluate_with_cache,
-)
+from repro.ftl.context import DEFAULT, EvalContext, EvalOptions
+from repro.ftl.incremental import PartialIntervalEvaluator, QueryCache
 from repro.ftl.query import FtlQuery
 from repro.ftl.relations import AnswerTuple, FtlRelation
 
@@ -254,8 +250,8 @@ class ContinuousQuery:
     both reach the window end are reused
     (:attr:`horizon_subtrees_skipped`); and the kinetic-solve cache
     serves pure time advance by clipping horizon-stamped entries
-    instead of re-solving.  ``validity_horizons=False`` disables all
-    three (the differential twin of the soundness wall).
+    instead of re-solving.  ``options.validity_horizons`` off disables
+    all three (the differential twin of the soundness wall).
     """
 
     _METHODS = ("interval", "naive", "incremental")
@@ -267,11 +263,7 @@ class ContinuousQuery:
         horizon: int,
         method: str = "interval",
         staleness_bound: float | None = None,
-        ordered: bool = True,
-        index_pruning: bool = True,
-        solve_cache: bool = True,
-        batch_solver: bool = True,
-        validity_horizons: bool = True,
+        options: EvalOptions = DEFAULT,
         parallel: object = None,
     ) -> None:
         if horizon < 0:
@@ -299,21 +291,11 @@ class ContinuousQuery:
         self.query = query
         self.horizon = horizon
         self.method = method
-        #: Evaluate through a cost-ordered plan (built once at
-        #: registration from the actual class populations) instead of
-        #: syntactic operand order; answers are identical either way.
-        self.ordered = ordered
-        #: Answer atom instantiations outside the trajectory-MBR candidate
-        #: sets without kinetic solves (DESIGN.md §7); answers are
-        #: identical either way.
-        self.index_pruning = index_pruning
-        #: Reuse kinetic solves across refreshes through the database-wide
-        #: memo table (updates invalidate via attribute updatetimes).
-        self.solve_cache = solve_cache
-        #: Submit each atom's surviving instantiations to the vectorized
-        #: kinetic backend as one batch (DESIGN.md §8); answers are
-        #: identical either way.
-        self.batch_solver = batch_solver
+        #: The acceleration layers every refresh runs with (answers are
+        #: identical whatever is off).  ``ordered`` decides, once at
+        #: registration, whether :attr:`plan` is built;
+        #: ``validity_horizons`` whether the pass-8 analysis is.
+        self.options = options
         #: Suppress tuples depending on objects not heard from within
         #: this many ticks (None = no degradation).
         self.staleness_bound = staleness_bound
@@ -341,7 +323,7 @@ class ContinuousQuery:
         #: formula tree alive, so the ``id``-keyed incremental caches
         #: stay valid across refreshes.
         self.plan: EvalPlan | None = None
-        if ordered:
+        if options.ordered:
             sizes = {
                 cls: db.class_count(cls) for cls in self._bound_classes
             }
@@ -398,9 +380,8 @@ class ContinuousQuery:
         #: Temporal-validity analysis (pass 8, DESIGN.md §11): symbolic
         #: per-node horizons over the same tree ``_deps`` is keyed on.
         #: ``None`` disables horizon skipping and stamped solve reuse.
-        self.validity_horizons = validity_horizons
         self._validity: ValidityAnalysis | None = None
-        if validity_horizons and self._deps is not None:
+        if options.validity_horizons and self._deps is not None:
             try:
                 if self.plan is not None:
                     self._validity = self.plan.validity_analysis(schema=db)
@@ -481,64 +462,25 @@ class ContinuousQuery:
         history = FutureHistory(self.db)
         remaining = max(0, self.expires_at - now)
         self._compute_validity_stamps(now)
-        if self._use_incremental:
-            if self.parallel_workers > 1:
-                # Sharded initial evaluation: the merged per-subformula
-                # trace equals the serial trace bit for bit (keyed union
-                # per node — see repro.parallel.evaluator), so it seeds
-                # the incremental cache exactly like evaluate_with_cache.
-                from repro.parallel.evaluator import (
-                    ShardedIntervalEvaluator,
-                )
-
-                sharded = ShardedIntervalEvaluator(
-                    self.query,
-                    history,
-                    remaining,
-                    self.parallel_workers,
-                    plan=self.plan,
-                    ordered=self.plan is not None,
-                    index_pruning=self.index_pruning,
-                    solve_cache=self.solve_cache,
-                    batch_solver=self.batch_solver,
-                    validity=self._validity_stamps,
-                    want_trace=True,
-                )
-                self._rf = sharded.evaluate()
-                cache = QueryCache()
-                cache.relations = sharded.trace or {}
-                self._cache = cache
-            else:
-                rf, cache, _evaluator = evaluate_with_cache(
-                    self.query,
-                    history,
-                    remaining,
-                    plan=self.plan,
-                    index_pruning=self.index_pruning,
-                    solve_cache=self.solve_cache,
-                    batch_solver=self.batch_solver,
-                    validity=self._validity_stamps,
-                )
-                self._rf = rf
-                self._cache = cache
-        else:
-            # The unprojected relation is the maintained object for every
-            # method: its instantiations name the objects each tuple's
-            # intervals were computed from, which staleness-aware
-            # degradation needs (the projection is built lazily).
-            self._rf = self.query.evaluate_full(
-                history,
-                remaining,
-                method=self._eval_method,
-                ordered=False,
-                plan=self.plan,
-                index_pruning=self.index_pruning,
-                solve_cache=self.solve_cache,
-                batch_solver=self.batch_solver,
-                validity=self._validity_stamps,
-                parallel=self.parallel_workers,
-            )
-            self._cache = None
+        cache = QueryCache() if self._use_incremental else None
+        # The unprojected relation is the maintained object for every
+        # method: its instantiations name the objects each tuple's
+        # intervals were computed from, which staleness-aware
+        # degradation needs (the projection is built lazily).  The
+        # query's own plan — or its absence — fixes the tree the
+        # incremental cache is keyed on, so no second plan is built
+        # here; serial and sharded evaluation fill the same trace keys.
+        self._rf = self.query.evaluate_full(
+            history,
+            remaining,
+            method=self._eval_method,
+            plan=self.plan,
+            options=replace(self.options, ordered=False),
+            validity=self._validity_stamps,
+            parallel=self.parallel_workers,
+            trace=None if cache is None else cache.relations,
+        )
+        self._cache = cache
         self._target_positions = [
             self._rf.variables.index(t) for t in self.query.targets
         ]
@@ -559,9 +501,7 @@ class ContinuousQuery:
             self._cache,
             frozenset(self._dirty_objects),
             plan=self.plan,
-            index_pruning=self.index_pruning,
-            solve_cache=self.solve_cache,
-            batch_solver=self.batch_solver,
+            options=self.options,
             deps=self._deps,
             dirty_deps=(
                 frozenset(self._dirty_deps)
@@ -751,9 +691,6 @@ class ContinuousQuery:
             self.skipped_by_deps += 1
             return False
         return True
-
-    # Backwards-compatible alias (the method predates the public name).
-    _affects = affects
 
     @property
     def needs_refresh(self) -> bool:

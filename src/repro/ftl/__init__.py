@@ -65,12 +65,11 @@ from repro.ftl.analysis import (
     plan_formula,
     plan_query,
 )
-from repro.ftl.context import EvalContext
+from repro.ftl.context import EvalContext, EvalOptions
 from repro.ftl.evaluator import IntervalEvaluator
 from repro.ftl.incremental import (
     PartialIntervalEvaluator,
     QueryCache,
-    evaluate_with_cache,
     supports_incremental,
 )
 from repro.ftl.naive import NaiveEvaluator
@@ -117,11 +116,11 @@ __all__ = [
     "FtlRelation",
     "AnswerTuple",
     "EvalContext",
+    "EvalOptions",
     "IntervalEvaluator",
     "NaiveEvaluator",
     "PartialIntervalEvaluator",
     "QueryCache",
-    "evaluate_with_cache",
     "supports_incremental",
     # AST
     "Formula",

@@ -83,26 +83,6 @@ class CostModel:
     class_sizes: Mapping[str, int] | None = None
     default_class_size: int = DEFAULT_CLASS_SIZE
     horizon: int = DEFAULT_HORIZON
-    #: Whether atom evaluation runs behind the trajectory-MBR index gate
-    #: (the evaluator's default); off, every instantiation solves.
-    index_pruning: bool = True
-    #: Whether surviving instantiations of a kinetic atom are submitted
-    #: to the vectorized backend as one batch (DESIGN.md §8, the
-    #: evaluator's default).  Solve *counts* are identical either way —
-    #: batching changes how many solver invocations amortise them, which
-    #: ``CostEstimate.solve_batches`` tracks.
-    batch_solver: bool = True
-    #: Worker processes of sharded evaluation (DESIGN.md §12).  Atom
-    #: scans enumerate the split variable's domain shard-locally, so
-    #: their *wall-clock* cost divides by the worker count while total
-    #: work (``solves``) is unchanged; 1 (the default) models serial
-    #: evaluation and leaves every estimate byte-identical.
-    parallel_workers: int = 1
-
-    @property
-    def shard_factor(self) -> float:
-        """Wall-clock divisor for work that shards across workers."""
-        return max(1.0, float(self.parallel_workers))
 
     @property
     def ticks(self) -> int:
@@ -227,26 +207,20 @@ def atom_estimate(
     )
     eligible = kinetic_eligible(f)
     per_inst = 1.0 if eligible else float(model.ticks)
-    survival = index_survival(f) if model.index_pruning else 1.0
-    # Both-invariant comparisons evaluate once without a solver call,
-    # so only genuinely kinetic atoms contribute solves.
-    solves = product * survival if eligible and not invariant else 0.0
-    # The batch backend amortises all of an atom's solves into one
-    # solver invocation; scalar solving pays one invocation per solve.
-    if solves > 0.0:
-        batches = 1.0 if model.batch_solver else solves
-    else:
-        batches = 0.0
+    # The estimates model the default evaluation: atoms run behind the
+    # trajectory-MBR index gate, and both-invariant comparisons evaluate
+    # once without a solver call, so only genuinely kinetic atoms
+    # contribute solves.
+    solves = product * index_survival(f) if eligible and not invariant else 0.0
     return CostEstimate(
         tuples=sel * product,
         intervals=1.0 if invariant else 2.0,
-        # Atom scans enumerate shard-locally under sharded evaluation,
-        # so wall-clock cost divides by the worker count; total work
-        # (``solves``) does not — the shards partition it, not shrink it.
-        cost=product * per_inst / model.shard_factor,
+        cost=product * per_inst,
         selectivity=sel,
         solves=solves,
-        solve_batches=batches,
+        # The batch backend amortises all of an atom's solves into one
+        # solver invocation.
+        solve_batches=1.0 if solves > 0.0 else 0.0,
     )
 
 

@@ -73,6 +73,7 @@ from repro.ftl.ast import (
     UntilWithin,
     WithinSphere,
 )
+from repro.ftl.context import DEFAULT
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.ftl.analysis.deps import DepAnalysis
@@ -330,8 +331,9 @@ class EvalPlan:
             "formula": str(self.ordered_where),
             "total": self.total.to_json(),
             "atom_acceleration": {
-                "index_pruning": self.model.index_pruning,
-                "batch_solver": self.model.batch_solver,
+                # The estimates model the default evaluation.
+                "index_pruning": DEFAULT.index_pruning,
+                "batch_solver": DEFAULT.batch_solver,
                 "estimated_solves": round(self.total.solves, 3),
                 "estimated_solve_batches": round(
                     self.total.solve_batches, 3

@@ -1,13 +1,16 @@
-"""Evaluation context shared by the two FTL evaluators.
+"""Evaluation context and options shared by the FTL evaluators.
 
-Carries the history being queried, the evaluation window (the start tick
-and the expiration horizon of section 2.3), the FROM-clause variable
-bindings, and — during evaluation of an assignment quantifier's body — the
-candidate value domains of assigned variables.
+:class:`EvalContext` carries the history being queried, the evaluation
+window (the start tick and the expiration horizon of section 2.3), the
+FROM-clause variable bindings, and — during evaluation of an assignment
+quantifier's body — the candidate value domains of assigned variables.
+:class:`EvalOptions` names the answer-preserving acceleration layers an
+evaluation runs with.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.errors import FtlSemanticsError
@@ -29,6 +32,50 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.motion.moving import MovingPoint
 
 Env = dict[str, object]
+
+
+@dataclass(frozen=True)
+class EvalOptions:
+    """Which answer-preserving acceleration layers an evaluation uses.
+
+    Every field defaults to on and every off-twin is proven identical by
+    a differential wall (DESIGN.md §8.1), so production callers pass
+    nothing; tests and benches select a baseline with
+    ``dataclasses.replace(DEFAULT, batch_solver=False)`` or
+    :data:`ORACLE`.  Frozen and picklable: one instance is shared by
+    every refresh of a continuous query and crosses the shard-worker
+    boundary.
+    """
+
+    #: Evaluate through a cost-ordered plan (built from the history's
+    #: class populations) instead of syntactic operand order.
+    ordered: bool = True
+    #: Answer atom instantiations outside the trajectory-MBR candidate
+    #: sets without kinetic solves (DESIGN.md §7).
+    index_pruning: bool = True
+    #: Reuse kinetic solves through the database-wide memo table.
+    solve_cache: bool = True
+    #: Submit each atom's surviving instantiations to the vectorized
+    #: kinetic backend as one batch (DESIGN.md §8).
+    batch_solver: bool = True
+    #: Continuous queries only: the temporal-validity gate, stamped
+    #: solve reuse and horizon subtree skipping (DESIGN.md §11).
+    validity_horizons: bool = True
+    #: Closed-form kinetic solvers for spatial atoms; off, every atom is
+    #: sampled per tick (the ablation of bench_ablation_kinetic.py).
+    analytic_atoms: bool = True
+
+
+#: Every layer on — what all production callers run.
+DEFAULT = EvalOptions()
+#: Every acceleration layer off; atoms still solve in closed form.
+ORACLE = EvalOptions(
+    ordered=False,
+    index_pruning=False,
+    solve_cache=False,
+    batch_solver=False,
+    validity_horizons=False,
+)
 
 
 class EvalContext:

@@ -55,8 +55,7 @@ from repro.ftl.atoms import (
     region_solve_key,
     sphere_solve_key,
 )
-from repro.motion.batch import available as _batch_available
-from repro.ftl.context import Env, EvalContext
+from repro.ftl.context import DEFAULT, Env, EvalContext, EvalOptions
 from repro.ftl.relations import (
     EMPTY_SET,
     FtlRelation,
@@ -136,19 +135,16 @@ class IntervalEvaluator:
     def __init__(
         self,
         ctx: EvalContext,
-        analytic_atoms: bool = True,
         trace: dict[int, FtlRelation] | None = None,
         plan: "EvalPlan | None" = None,
-        index_pruning: bool = True,
-        solve_cache: bool = True,
-        batch_solver: bool = True,
+        options: EvalOptions = DEFAULT,
         validity: "Mapping[int, float] | None" = None,
     ) -> None:
         self.ctx = ctx
-        #: When False, every atom is evaluated by per-tick sampling instead
-        #: of the closed-form kinetic solvers — the ablation knob of
-        #: benchmarks/bench_ablation_kinetic.py.
-        self.analytic_atoms = analytic_atoms
+        #: The acceleration layers in force.  ``ordered`` and
+        #: ``validity_horizons`` are consumed by whoever builds ``plan``
+        #: and ``validity``; the evaluator reads the other four.
+        self.options = options
         #: When given, every computed ``R_g`` is recorded here keyed by
         #: ``id(subformula)`` — the per-subformula cache that incremental
         #: continuous-query maintenance patches on later updates.
@@ -157,18 +153,9 @@ class IntervalEvaluator:
         #: syntactic formula for the plan's reordered tree, and
         #: subformulas the plan marked shared are evaluated once.
         self.plan = plan
-        #: Layer-1 acceleration (DESIGN.md §7): answer spatial atoms for
-        #: instantiations outside the trajectory-MBR candidate sets with
-        #: zero kinetic solves.  Active only with ``analytic_atoms``.
-        self.index_pruning = index_pruning
-        #: Layer-2 acceleration: reuse kinetic solves via the
-        #: database-wide memo table keyed on frozen motion triples.
-        self._solve_cache = ctx.solve_cache() if solve_cache else None
-        #: Layer-3 acceleration (DESIGN.md §8): submit each atom's
-        #: surviving instantiations to the vectorized kinetic backend as
-        #: one batch instead of solving row-at-a-time.  Requires numpy;
-        #: silently degrades to the scalar path without it.
-        self.batch_solver = batch_solver
+        #: The database-wide kinetic-solve memo table keyed on frozen
+        #: motion triples, or ``None`` with ``options.solve_cache`` off.
+        self._solve_cache = ctx.solve_cache() if options.solve_cache else None
         #: Pass-8 concrete validity stamps, keyed by ``id(subformula)``
         #: over the evaluated (plan-ordered) tree: the absolute time at
         #: which each node's cached answer stops being provably
@@ -291,18 +278,7 @@ class IntervalEvaluator:
         intervals during which the relation is satisfied."""
         free = sorted(f.free_vars())
         domains = [self.ctx.domain(v) for v in free]
-        relation = FtlRelation(tuple(free))
-        gate = self._atom_gate(f)
-        stats = self._stats_for(f)
-        if self._use_batch():
-            return self._batched_rows(
-                f, free, product(*domains), relation, gate, stats
-            )
-        for inst in product(*domains):
-            env = dict(zip(free, inst))
-            iset = self._gated_atom_intervals(f, env, gate, stats)
-            relation.set(inst, iset)
-        return relation
+        return self._batched_rows(f, free, product(*domains))
 
     def _use_batch(self) -> bool:
         """Whether atoms go through the batch kinetic backend.
@@ -311,34 +287,31 @@ class IntervalEvaluator:
         leg is synthesized inside the scalar pairing fallback, which the
         coefficient extraction intentionally does not reproduce."""
         return (
-            self.batch_solver
-            and self.analytic_atoms
+            self.options.batch_solver
+            and self.options.analytic_atoms
             and self.ctx.start < self.ctx.end
-            and _batch_available()
         )
 
     def _batched_rows(
-        self,
-        f: Formula,
-        free: list[str],
-        insts,
-        relation: FtlRelation,
-        gate,
-        stats: dict[str, object],
+        self, f: Formula, free: list[str], insts
     ) -> FtlRelation:
-        """The batch path of the atom base case (DESIGN.md §8).
+        """The row loop of the atom base case (DESIGN.md §8).
 
         Three phases: classify every instantiation in product order
-        (running gates, eager term evaluation, cache lookups, and scalar
-        fallbacks exactly where the row-at-a-time path would), solve the
-        queued rows through the vectorized backend, then fan the results
-        back into the cache and the relation in the original row order —
-        so the relation, the counters, and the cache contents match the
-        scalar path tuple-for-tuple.
+        (index gate, eager term evaluation, cache lookups, inline solves
+        of whatever the batch backend does not take), solve the queued
+        rows through the vectorized backend, then fan the results back
+        into the cache and the relation in the original row order.
+        Without :meth:`_use_batch` nothing is queued and every solve
+        runs inline in phase one — the relation, the counters and the
+        cache contents are tuple-for-tuple the same either way.
         """
+        relation = FtlRelation(tuple(free))
+        gate = self._atom_gate(f)
+        stats = self._stats_for(f)
         cache = self._solve_cache
         stamp = self._stamp_for(f)
-        kbatch = KineticBatch(self.ctx)
+        kbatch = KineticBatch(self.ctx) if self._use_batch() else None
         ordered: list[tuple] = []
         results: list[IntervalSet | None] = []
         queued: list[tuple[int, _SolveRequest, tuple]] = []
@@ -388,8 +361,12 @@ class IntervalEvaluator:
                 self.cache_misses += 1
             self.kinetic_solves += 1
             stats["solves"] += 1
-            handle = kbatch.submit(req.vec) if req.vec is not None else None
-            if handle is None:  # not vectorizable: solve inline, as scalar
+            handle = (
+                kbatch.submit(req.vec)
+                if kbatch is not None and req.vec is not None
+                else None
+            )
+            if handle is None:  # not batched: solve inline
                 value = req.solve()
                 if cacheable:
                     cache.put(key, value, stamp)
@@ -399,12 +376,13 @@ class IntervalEvaluator:
                 pending.add(key)
             queued.append((len(results), req, handle))
             results.append(None)
-        kbatch.solve()
-        for idx, req, handle in queued:
-            value = kbatch.result(handle)
-            if cache is not None and req.key is not None:
-                cache.put(req.key, value, stamp)
-            results[idx] = req.finish(value)
+        if kbatch is not None:
+            kbatch.solve()
+            for idx, req, handle in queued:
+                value = kbatch.result(handle)
+                if cache is not None and req.key is not None:
+                    cache.put(req.key, value, stamp)
+                results[idx] = req.finish(value)
         for idx, req in deferred:
             hit = cache.get(req.key)  # records the hit, as scalar would
             if hit is None:  # evicted mid-batch: re-solve row-at-a-time
@@ -427,9 +405,9 @@ class IntervalEvaluator:
         """The index-pruning gate for one atom, or ``None``.
 
         Pruning is a refinement of the kinetic path, so it obeys the
-        ``analytic_atoms`` ablation knob: with sampling forced, atoms
-        must actually sample."""
-        if not (self.analytic_atoms and self.index_pruning):
+        ``analytic_atoms`` ablation: with sampling forced, atoms must
+        actually sample."""
+        if not (self.options.analytic_atoms and self.options.index_pruning):
             return None
         return self.ctx.atom_pruner().gate(f)
 
@@ -444,25 +422,6 @@ class IntervalEvaluator:
                 "cache_hits": 0,
             }
         return stats
-
-    def _gated_atom_intervals(
-        self, f: Formula, env: Env, gate, stats: dict[str, object]
-    ) -> IntervalSet:
-        """One instantiation of an atom: index gate first, then the exact
-        path, with the per-atom accounting around both."""
-        stats["instantiations"] += 1
-        if gate is not None:
-            known = gate(env)
-            if known is not None:
-                self.pruned_instantiations += 1
-                stats["pruned"] += 1
-                return known
-        solves0 = self.kinetic_solves
-        hits0 = self.cache_hits
-        iset = self._atom_intervals(f, env)
-        stats["solves"] += self.kinetic_solves - solves0
-        stats["cache_hits"] += self.cache_hits - hits0
-        return iset
 
     def _stamp_for(
         self, f: Formula
@@ -483,12 +442,10 @@ class IntervalEvaluator:
         return ((self.ctx.start, self.ctx.end), expire)
 
     def _cached_solve(
-        self,
-        key,
-        solve: "Callable[[], IntervalSet]",
-        stamp: tuple[tuple[float, float], float] | None = None,
+        self, key, solve: "Callable[[], IntervalSet]"
     ) -> IntervalSet:
-        """Run one kinetic solve through the shared memo table."""
+        """Run one unstamped kinetic solve (the attribute fast path)
+        through the shared memo table."""
         cache = self._solve_cache
         if cache is None or key is None:
             self.kinetic_solves += 1
@@ -501,21 +458,13 @@ class IntervalEvaluator:
             shifted = cache.shifted_get(key)
             if shifted is not None:
                 self.cache_shift_hits += 1
-                cache.put(key, shifted, stamp)
+                cache.put(key, shifted)
                 return shifted
         self.cache_misses += 1
         self.kinetic_solves += 1
         result = solve()
-        cache.put(key, result, stamp)
+        cache.put(key, result)
         return result
-
-    def _atom_intervals(self, f: Formula, env: Env) -> IntervalSet:
-        req = self._atom_request(f, env)
-        if isinstance(req, IntervalSet):
-            return req
-        return req.finish(
-            self._cached_solve(req.key, req.solve, self._stamp_for(f))
-        )
 
     def _atom_request(
         self, f: Formula, env: Env
@@ -524,13 +473,13 @@ class IntervalEvaluator:
 
         Immediate answers (sampled atoms, invariant comparisons, the
         attribute fast path, per-tick fallbacks) come back as interval
-        sets; the kinetic atom kinds come back as requests so the batch
-        path can queue them — the scalar path solves them inline.
+        sets; the kinetic atom kinds come back as requests the row loop
+        answers from the cache, queues for the batch or solves inline.
         """
         ctx = self.ctx
         window = ctx.window
 
-        if not self.analytic_atoms and not isinstance(f, Compare):
+        if not self.options.analytic_atoms and not isinstance(f, Compare):
             return self._sampled_atom(f, env)
 
         if isinstance(f, Inside) or isinstance(f, Outside):
@@ -613,7 +562,7 @@ class IntervalEvaluator:
                 return IntervalSet.span(ctx.start, ctx.end, DISCRETE)
             return EMPTY_SET
 
-        if self.analytic_atoms:
+        if self.options.analytic_atoms:
             # Fast path: DIST(o1, o2) <= / >= constant (the airport query).
             req = self._dist_request(f, env, left_inv, right_inv)
             if req is not None:

@@ -72,7 +72,7 @@ from repro.ftl.ast import (
     UntilWithin,
     WithinSphere,
 )
-from repro.ftl.context import EvalContext
+from repro.ftl.context import DEFAULT, EvalContext, EvalOptions
 from repro.ftl.evaluator import IntervalEvaluator
 from repro.ftl.relations import FtlRelation, Instantiation, merge_instantiations
 from repro.temporal import (
@@ -88,9 +88,7 @@ from repro.temporal import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.history import History
     from repro.ftl.analysis.plan import EvalPlan
-    from repro.ftl.query import FtlQuery
 
 _ATOMS = (Compare, Inside, Outside, WithinSphere)
 
@@ -132,42 +130,6 @@ class QueryCache:
         return len(self.relations)
 
 
-def evaluate_with_cache(
-    query: "FtlQuery",
-    history: "History",
-    horizon: int,
-    analytic_atoms: bool = True,
-    plan: "EvalPlan | None" = None,
-    index_pruning: bool = True,
-    solve_cache: bool = True,
-    batch_solver: bool = True,
-    validity: "dict[int, float] | None" = None,
-) -> tuple[FtlRelation, QueryCache, IntervalEvaluator]:
-    """Full appendix evaluation that also captures the subformula cache.
-
-    Returns the *unprojected* ``R_f`` (the continuous query projects onto
-    its targets lazily), the populated :class:`QueryCache`, and the
-    evaluator (for its instrumentation counters).  With a ``plan``, the
-    cost-ordered formula tree is evaluated and cached — later incremental
-    refreshes must then patch the *ordered* tree (the plan owner keeps it
-    alive; see :class:`~repro.core.queries.ContinuousQuery`).
-    """
-    ctx = EvalContext(history, horizon, query.bindings)
-    cache = QueryCache()
-    evaluator = IntervalEvaluator(
-        ctx,
-        analytic_atoms=analytic_atoms,
-        trace=cache.relations,
-        plan=plan,
-        index_pruning=index_pruning,
-        solve_cache=solve_cache,
-        batch_solver=batch_solver,
-        validity=validity,
-    )
-    relation = evaluator.evaluate(query.where)
-    return relation, cache, evaluator
-
-
 class PartialIntervalEvaluator(IntervalEvaluator):
     """Bottom-up recomputation of the dirty rows of each ``R_g``.
 
@@ -183,25 +145,14 @@ class PartialIntervalEvaluator(IntervalEvaluator):
         ctx: EvalContext,
         cache: QueryCache,
         dirty_objects: Iterable[object],
-        analytic_atoms: bool = True,
         plan: "EvalPlan | None" = None,
-        index_pruning: bool = True,
-        solve_cache: bool = True,
-        batch_solver: bool = True,
+        options: EvalOptions = DEFAULT,
         deps: "object | None" = None,
         dirty_deps: "frozenset | None" = None,
         validity: "dict[int, float] | None" = None,
         dirty_divergence: "dict | None" = None,
     ) -> None:
-        super().__init__(
-            ctx,
-            analytic_atoms=analytic_atoms,
-            plan=plan,
-            index_pruning=index_pruning,
-            solve_cache=solve_cache,
-            batch_solver=batch_solver,
-            validity=validity,
-        )
+        super().__init__(ctx, plan=plan, options=options, validity=validity)
         self.cache = cache
         self.dirty_values = frozenset(dirty_objects)
         #: Per-node read-sets from the static update-impact analysis
@@ -433,21 +384,9 @@ class PartialIntervalEvaluator(IntervalEvaluator):
 
     def _delta_atom(self, f: Formula) -> FtlRelation:
         free = sorted(f.free_vars())
-        out = FtlRelation(tuple(free))
-        gate = self._atom_gate(f)
-        stats = self._stats_for(f)
-        if self._use_batch():
-            # Materialize the frontier first: _dirty_product counts
-            # rows_recomputed as it yields.
-            return self._batched_rows(
-                f, free, list(self._dirty_product(free)), out, gate, stats
-            )
-        for inst in self._dirty_product(free):
-            env = dict(zip(free, inst))
-            out.set(
-                tuple(inst), self._gated_atom_intervals(f, env, gate, stats)
-            )
-        return out
+        # Materialize the frontier first: _dirty_product counts
+        # rows_recomputed as it yields.
+        return self._batched_rows(f, free, list(self._dirty_product(free)))
 
     def _delta_disjunction(self, f: OrF) -> FtlRelation:
         r1, r2 = self._full(f.left), self._full(f.right)

@@ -64,13 +64,8 @@ class NaiveEvaluator:
         ctx: EvalContext,
         plan: "EvalPlan | None" = None,
         use_solve_cache: bool = False,
-        batch_solver: bool = False,
     ) -> None:
         self.ctx = ctx
-        #: Accepted for API symmetry with the interval evaluator and
-        #: ignored: per-state evaluation has no kinetic solves to batch,
-        #: which keeps this oracle independent of the numpy backend.
-        self.batch_solver = batch_solver
         #: Cost-ordered plan: the ordered conjunction tree short-circuits
         #: selective conjuncts first under ``and``.
         self.plan = plan

@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, Mapping
 
 from repro.errors import FtlSemanticsError
 from repro.ftl.ast import Formula
-from repro.ftl.context import EvalContext
+from repro.ftl.context import DEFAULT, EvalContext, EvalOptions
 from repro.ftl.lexer import Span
 from repro.ftl.relations import FtlRelation
 
@@ -82,11 +82,8 @@ class FtlQuery:
         history: "History",
         horizon: int,
         method: str = "interval",
-        ordered: bool = True,
         plan: "EvalPlan | None" = None,
-        index_pruning: bool = True,
-        solve_cache: bool = True,
-        batch_solver: bool = True,
+        options: EvalOptions = DEFAULT,
         parallel: object = None,
     ) -> FtlRelation:
         """Compute the full ``R_f`` relation, projected onto the targets.
@@ -96,19 +93,11 @@ class FtlQuery:
             horizon: the expiration horizon (section 2.3) in ticks.
             method: ``"interval"`` for the appendix algorithm,
                 ``"naive"`` for the per-state reference semantics.
-            ordered: evaluate through a cost-ordered plan (built here from
-                the history's class populations) instead of syntactic
-                operand order; answers are identical either way.
             plan: a pre-built :class:`~repro.ftl.analysis.plan.EvalPlan`
-                to reuse (overrides ``ordered``).
-            index_pruning: answer atom instantiations outside the
-                trajectory-MBR candidate sets without kinetic solves
-                (DESIGN.md §7; answers are identical either way).
-            solve_cache: reuse kinetic solves through the database-wide
-                memo table.
-            batch_solver: submit each atom's surviving instantiations to
-                the vectorized kinetic backend as one batch (DESIGN.md
-                §8; answers are identical either way).
+                to reuse (overrides ``options.ordered``).
+            options: the acceleration layers to run with
+                (:class:`~repro.ftl.context.EvalOptions`; answers are
+                identical whatever is switched off).
             parallel: shard the evaluation across worker processes
                 (DESIGN.md §12; answers are identical either way).
                 ``None`` / ``0`` / ``1`` evaluate serially; an integer
@@ -120,11 +109,8 @@ class FtlQuery:
             history,
             horizon,
             method=method,
-            ordered=ordered,
             plan=plan,
-            index_pruning=index_pruning,
-            solve_cache=solve_cache,
-            batch_solver=batch_solver,
+            options=options,
             parallel=parallel,
         ).project(self.targets)
 
@@ -133,13 +119,11 @@ class FtlQuery:
         history: "History",
         horizon: int,
         method: str = "interval",
-        ordered: bool = True,
         plan: "EvalPlan | None" = None,
-        index_pruning: bool = True,
-        solve_cache: bool = True,
-        batch_solver: bool = True,
+        options: EvalOptions = DEFAULT,
         validity: "Mapping[int, float] | None" = None,
         parallel: object = None,
+        trace: dict[int, FtlRelation] | None = None,
     ) -> FtlRelation:
         """The *unprojected* (but target-completed) ``R_f`` relation.
 
@@ -148,6 +132,13 @@ class FtlQuery:
         set of objects whose dynamic attributes the row's satisfaction
         intervals were computed from — the dependency information
         staleness-aware degradation needs.
+
+        With a ``trace`` dict (interval method only), every
+        per-subformula ``R_g`` is recorded in it keyed by
+        ``id(subformula)`` over the evaluated tree — ``plan``'s ordered
+        tree when a plan is handed in, which the caller must then keep
+        alive.  Serial and sharded evaluation fill identical keys; this
+        is how a continuous query seeds its incremental cache.
         """
         workers = 1
         if parallel is not None:
@@ -170,14 +161,15 @@ class FtlQuery:
                 horizon,
                 workers,
                 plan=plan,
-                ordered=ordered,
-                index_pruning=index_pruning,
-                solve_cache=solve_cache,
-                batch_solver=batch_solver,
+                options=options,
                 validity=validity,
+                want_trace=trace is not None,
             )
-            return self._complete(sharded.evaluate(), sharded.ctx)
-        if plan is None and ordered:
+            relation = sharded.evaluate()
+            if trace is not None:
+                trace.update(sharded.trace or {})
+            return self._complete(relation, sharded.ctx)
+        if plan is None and options.ordered:
             try:
                 plan = self.plan_for(history=history, horizon=horizon)
             except FtlSemanticsError:
@@ -187,19 +179,12 @@ class FtlQuery:
             from repro.ftl.evaluator import IntervalEvaluator
 
             relation = IntervalEvaluator(
-                ctx,
-                plan=plan,
-                index_pruning=index_pruning,
-                solve_cache=solve_cache,
-                batch_solver=batch_solver,
-                validity=validity,
+                ctx, trace=trace, plan=plan, options=options, validity=validity
             ).evaluate(self.where)
         elif method == "naive":
             from repro.ftl.naive import NaiveEvaluator
 
-            relation = NaiveEvaluator(
-                ctx, plan=plan, batch_solver=batch_solver
-            ).evaluate(self.where)
+            relation = NaiveEvaluator(ctx, plan=plan).evaluate(self.where)
         else:
             raise FtlSemanticsError(f"unknown method {method!r}")
         return self._complete(relation, ctx)

@@ -21,9 +21,6 @@ returns are equal — via ``IntervalSet.__eq__`` — to the scalar answers,
 not merely close.  The differential wall in
 ``tests/ftl/test_batch_solver.py`` and the hypothesis properties in
 ``tests/motion/test_batch_primitives.py`` enforce this.
-
-numpy is optional: when it is missing :func:`available` returns ``False``
-and the evaluators silently keep the scalar path.
 """
 
 from __future__ import annotations
@@ -31,18 +28,14 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+import numpy as np
+
 from repro.motion.moving import LinearPiece
 from repro.spatial.geometry import Point
 from repro.spatial.polygon import Polygon
 from repro.temporal import DISCRETE, IntervalSet
 
-try:  # pragma: no cover - import guard
-    import numpy as np
-except ImportError:  # pragma: no cover - the backend degrades to scalar
-    np = None  # type: ignore[assignment]
-
 __all__ = [
-    "available",
     "quadratic_at_most_zero_batch",
     "segment_crossings_batch",
     "LinearTable",
@@ -52,11 +45,6 @@ __all__ = [
 
 #: Degeneracy threshold shared with ``kinetic._quadratic_at_most_zero``.
 _EPS = 1e-12
-
-
-def available() -> bool:
-    """Whether the vectorized backend can run (numpy is importable)."""
-    return np is not None
 
 
 # ---------------------------------------------------------------------------
@@ -673,18 +661,12 @@ def _exact_numeric(x: object) -> bool:
 
 
 def export_motion_rows(triples) -> MotionRows:
-    """Flatten dynamic-attribute triples into :class:`MotionRows`.
-
-    Requires numpy (the sharded backend is unavailable without it, unlike
-    the batch solvers which silently degrade to scalar).
-    """
+    """Flatten dynamic-attribute triples into :class:`MotionRows`."""
     from repro.motion.functions import (
         LinearFunction,
         PiecewiseLinearFunction,
     )
 
-    if np is None:  # pragma: no cover - numpy is a hard dep of sharding
-        raise RuntimeError("export_motion_rows requires numpy")
     n = len(triples)
     value = np.zeros(n)
     updatetime = np.zeros(n)

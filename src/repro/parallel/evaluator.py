@@ -25,7 +25,7 @@ Three pieces live here:
 * :class:`ShardedIntervalEvaluator` — the parent orchestrator: splits,
   dispatches to the persistent pool, merges relations / counters /
   traces, and degrades to in-process serial evaluation whenever sharding
-  cannot help (no splittable variable, tiny domain, no numpy).
+  cannot help (no splittable variable, tiny domain).
 """
 
 from __future__ import annotations
@@ -38,14 +38,13 @@ from repro.ftl.ast import (
     Assign,
     Compare,
     Formula,
-    NotF,
     OrF,
     Until,
     UntilWithin,
     Var,
 )
 from repro.ftl.atoms import _DIST_OPS
-from repro.ftl.context import EvalContext
+from repro.ftl.context import DEFAULT, EvalContext, EvalOptions
 from repro.ftl.evaluator import IntervalEvaluator
 from repro.ftl.relations import EMPTY_SET, FtlRelation
 from repro.parallel.partition import ShardPlan, halo_members
@@ -147,7 +146,7 @@ class ShardedWorkerEvaluator(IntervalEvaluator):
     ``other ∉ pair_candidates(member, bound)`` for every member, so the
     fast path fires only on rows the base gate would answer — with the
     identical answer — and falls through to the base gate otherwise:
-    relations *and* counters are bit-identical with the halo on or off.
+    relations *and* counters are bit-identical to the serial evaluator's.
     """
 
     def __init__(
@@ -156,13 +155,11 @@ class ShardedWorkerEvaluator(IntervalEvaluator):
         *,
         split_var: str,
         shard_ids: Sequence[object],
-        halo: bool = True,
         **kwargs: Any,
     ) -> None:
         super().__init__(ctx, **kwargs)
         self.split_var = split_var
         self.shard_ids = tuple(shard_ids)
-        self.halo = halo
         #: Rows answered via the halo probe (instead of a per-row index
         #: probe) — diagnostics only; they are a subset of
         #: ``pruned_instantiations``.
@@ -184,7 +181,7 @@ class ShardedWorkerEvaluator(IntervalEvaluator):
         gate: Callable[[dict[str, object]], IntervalSet | None] | None = (
             super()._atom_gate(f)
         )
-        if gate is None or not self.halo or not isinstance(f, Compare):
+        if gate is None or not isinstance(f, Compare):
             return gate
         pruner = self.ctx.atom_pruner()
         spec = pruner._dist_spec(f)
@@ -237,14 +234,9 @@ class ShardedIntervalEvaluator:
         workers: int,
         *,
         plan: "EvalPlan | None" = None,
-        ordered: bool = True,
-        index_pruning: bool = True,
-        solve_cache: bool = True,
-        batch_solver: bool = True,
-        analytic_atoms: bool = True,
+        options: EvalOptions = DEFAULT,
         validity: "Mapping[int, float] | None" = None,
         want_trace: bool = False,
-        halo: bool = True,
         start_method: str | None = None,
         pool: "ShardWorkerPool | None" = None,
     ) -> None:
@@ -262,19 +254,15 @@ class ShardedIntervalEvaluator:
         self.history = history
         self.horizon = int(horizon)
         self.workers = int(workers)
-        if plan is None and ordered:
+        if plan is None and options.ordered:
             try:
                 plan = query.plan_for(history=history, horizon=horizon)
             except FtlSemanticsError:
                 plan = None
         self.plan = plan
-        self.index_pruning = index_pruning
-        self.solve_cache = solve_cache
-        self.batch_solver = batch_solver
-        self.analytic_atoms = analytic_atoms
+        self.options = options
         self.validity = validity
         self.want_trace = want_trace
-        self.halo = halo
         self.start_method = start_method
         self._pool = pool
         #: Full-domain context — the merge target and ``_complete`` input.
@@ -313,14 +301,11 @@ class ShardedIntervalEvaluator:
     @property
     def viable(self) -> bool:
         """Whether sharding can apply (enough workers, a splittable
-        variable with at least two values, numpy present)."""
-        from repro.motion.batch import available
-
+        variable with at least two values)."""
         return (
             self.workers >= 2
             and self.split_var is not None
             and len(self.ctx.domain(self.split_var)) >= 2
-            and available()
         )
 
     # ------------------------------------------------------------------
@@ -334,12 +319,9 @@ class ShardedIntervalEvaluator:
     def _evaluate_serial(self) -> FtlRelation:
         evaluator = IntervalEvaluator(
             self.ctx,
-            analytic_atoms=self.analytic_atoms,
             trace=self.trace,
             plan=self.plan,
-            index_pruning=self.index_pruning,
-            solve_cache=self.solve_cache,
-            batch_solver=self.batch_solver,
+            options=self.options,
             validity=dict(self.validity) if self.validity else None,
         )
         relation = evaluator.evaluate(self.query.where)
@@ -387,14 +369,10 @@ class ShardedIntervalEvaluator:
             "horizon": self.horizon,
             "split_var": self.split_var,
             "model": None if self.plan is None else self.plan.model,
-            "ordered": True if self.plan is None else self.plan.ordered,
-            "index_pruning": self.index_pruning,
-            "solve_cache": self.solve_cache,
-            "batch_solver": self.batch_solver,
-            "analytic_atoms": self.analytic_atoms,
+            "order": True if self.plan is None else self.plan.ordered,
+            "options": self.options,
             "want_trace": self.want_trace,
             "validity_paths": validity_paths,
-            "halo": self.halo,
         }
         specs = [
             dict(spec_base, shard_ids=shard)

@@ -34,10 +34,7 @@ from dataclasses import dataclass, field
 from multiprocessing import resource_tracker, shared_memory
 from typing import TYPE_CHECKING
 
-try:  # gated: sharded evaluation falls back to serial without numpy
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro.core.database import MostDatabase
 from repro.core.dynamic import DynamicAttribute

@@ -79,7 +79,7 @@ def _evaluate(state: dict[str, Any], spec: dict[str, Any]) -> dict[str, Any]:
     plan = None
     if model is not None:
         try:
-            plan = query.plan_for(model=model, order=spec["ordered"])
+            plan = query.plan_for(model=model, order=spec["order"])
         except FtlSemanticsError:
             plan = None
     root = plan.resolve(query.where) if plan is not None else query.where
@@ -104,13 +104,9 @@ def _evaluate(state: dict[str, Any], spec: dict[str, Any]) -> dict[str, Any]:
         ctx,
         split_var=spec["split_var"],
         shard_ids=tuple(spec["shard_ids"]),
-        halo=spec.get("halo", True),
-        analytic_atoms=spec.get("analytic_atoms", True),
         trace=trace,
         plan=plan,
-        index_pruning=spec["index_pruning"],
-        solve_cache=spec["solve_cache"],
-        batch_solver=spec["batch_solver"],
+        options=spec["options"],
         validity=validity,
     )
     t0 = time.perf_counter()

@@ -12,6 +12,7 @@ it does, keeping the suite honest.
 
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from repro.ftl import (
     WithinSphere,
 )
 from repro.ftl.atoms import _MbrTable
-from repro.ftl.context import EvalContext
+from repro.ftl.context import DEFAULT, EvalContext
 from repro.ftl.evaluator import IntervalEvaluator
 from repro.ftl.naive import NaiveEvaluator
 from repro.geometry import Point
@@ -90,10 +91,16 @@ def build_sparse_world(rng: random.Random, n: int = 6) -> MostDatabase:
     return db
 
 
+#: Pruning on, shared solve cache off: every surviving row really solves.
+UNCACHED = replace(DEFAULT, solve_cache=False)
+#: Neither the index gate nor the cache: one solve per instantiation.
+EXHAUSTIVE = replace(UNCACHED, index_pruning=False)
+
+
 def both_modes(query, db, horizon=HORIZON):
     """(exhaustive rows, accelerated rows) on snapshots of one db."""
     exhaustive = query.evaluate_full(
-        FutureHistory(db), horizon, index_pruning=False, solve_cache=False
+        FutureHistory(db), horizon, options=EXHAUSTIVE
     )
     accelerated = query.evaluate_full(FutureHistory(db), horizon)
     return rows_of(exhaustive), rows_of(accelerated)
@@ -154,7 +161,7 @@ def test_every_prunable_atom_kind(atom):
             plain, fast = both_modes(query, db)
             assert plain == fast, f"seed {seed}: {where}"
             ctx = EvalContext(FutureHistory(db), HORIZON, bindings)
-            ev = IntervalEvaluator(ctx, solve_cache=False)
+            ev = IntervalEvaluator(ctx, options=UNCACHED)
             ev.evaluate(where)
             pruned_total += ev.pruned_instantiations
     assert pruned_total > 0, f"pruner never fired for {atom}"
@@ -184,8 +191,7 @@ def test_continuous_queries_agree_under_updates(method, seed):
         query,
         horizon=HORIZON,
         method=method,
-        index_pruning=False,
-        solve_cache=False,
+        options=EXHAUSTIVE,
     )
     fast = ContinuousQuery(dbs[1], query, horizon=HORIZON, method=method)
     for step in range(STEPS):
@@ -245,14 +251,14 @@ def test_counters_account_for_pruning_and_caching():
         Compare("<=", Dist(Var("c"), Var("v")), Const(4)),
     )
 
-    def run(**kwargs):
+    def run(options):
         ctx = EvalContext(FutureHistory(db), HORIZON, bindings)
-        ev = IntervalEvaluator(ctx, **kwargs)
+        ev = IntervalEvaluator(ctx, options=options)
         ev.evaluate(where)
         return ev
 
-    exhaustive = run(index_pruning=False, solve_cache=False)
-    pruned = run(solve_cache=False)
+    exhaustive = run(EXHAUSTIVE)
+    pruned = run(UNCACHED)
     assert exhaustive.pruned_instantiations == 0
     assert exhaustive.cache_hits == exhaustive.cache_misses == 0
     assert pruned.pruned_instantiations > 0
@@ -268,8 +274,8 @@ def test_counters_account_for_pruning_and_caching():
     }
     # Same evaluation twice through the db-wide cache: the second run's
     # surviving instantiations are all hits, with zero fresh solves.
-    first = run()
-    second = run()
+    first = run(DEFAULT)
+    second = run(DEFAULT)
     assert first.kinetic_solves == pruned.kinetic_solves
     assert second.kinetic_solves == 0
     assert second.cache_hits > 0
@@ -307,7 +313,9 @@ def test_naive_read_through_matches_geometry():
     )
     # Warm the db-wide cache with the interval evaluator's solves.
     warm_ctx = EvalContext(FutureHistory(db), HORIZON, bindings)
-    IntervalEvaluator(warm_ctx, index_pruning=False).evaluate(where)
+    IntervalEvaluator(
+        warm_ctx, options=replace(DEFAULT, index_pruning=False)
+    ).evaluate(where)
     ctx = EvalContext(FutureHistory(db), HORIZON, bindings)
     plain = NaiveEvaluator(ctx).evaluate(where)
     ctx2 = EvalContext(FutureHistory(db), HORIZON, bindings)
@@ -337,9 +345,7 @@ def test_pruning_preserves_errors_on_nonspatial_objects():
         targets=("t",), bindings={"t": "tags"}, where=Inside(Var("t"), "P")
     )
     with pytest.raises((QueryError, SchemaError)) as plain_err:
-        query.evaluate_full(
-            FutureHistory(db), 5, index_pruning=False, solve_cache=False
-        )
+        query.evaluate_full(FutureHistory(db), 5, options=EXHAUSTIVE)
     with pytest.raises((QueryError, SchemaError)) as fast_err:
         query.evaluate_full(FutureHistory(db), 5)
     assert type(plain_err.value) is type(fast_err.value)
@@ -356,12 +362,12 @@ def test_negative_sphere_radius_raises_like_exhaustive():
     db.add_moving_object("cars", "long", Point(0, 0), Point(3, 0))
     where = WithinSphere(-1, (Var("a"), Var("b")))
     errors = []
-    for kwargs in ({"index_pruning": False}, {}):
+    for options in (EXHAUSTIVE, UNCACHED):
         ctx = EvalContext(
             FutureHistory(db), HORIZON, {"a": "cars", "b": "cars"}
         )
         with pytest.raises(Exception) as err:
-            IntervalEvaluator(ctx, solve_cache=False, **kwargs).evaluate(where)
+            IntervalEvaluator(ctx, options=options).evaluate(where)
         errors.append((type(err.value), str(err.value)))
     assert errors[0] == errors[1]
 

@@ -1,7 +1,7 @@
 """Differential wall for the vectorized batch kinetic backend (DESIGN.md §8).
 
 The batch backend must be answer-invisible *and* counter-invisible: for
-every seeded world, query and evaluation method, ``batch_solver=True``
+every seeded world, query and evaluation method, ``batch_solver`` on
 must produce the same relation — tuple for tuple, interval for interval —
 and the same acceleration counters as the scalar per-row solver, while
 filling the shared kinetic-solve cache with the exact same keys.  The
@@ -13,6 +13,7 @@ exercised alongside the numpy paths.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -34,11 +35,10 @@ from repro.ftl import (
     Var,
     WithinSphere,
 )
-from repro.ftl.context import EvalContext
+from repro.ftl.context import DEFAULT, EvalContext
 from repro.ftl.evaluator import IntervalEvaluator
 from repro.geometry import Point
 from repro.motion import SinusoidFunction
-from repro.motion.batch import available as batch_available
 from repro.spatial import Ball
 from repro.temporal import DISCRETE, IntervalSet
 
@@ -52,11 +52,8 @@ from tests.ftl.test_differential import (
 )
 
 
-def test_backend_is_available():
-    """Guard: numpy is baked into the image, so the batch backend must be
-    live — otherwise every differential case below degenerates into
-    scalar-vs-scalar and proves nothing."""
-    assert batch_available()
+#: The scalar twin: every solve inline, nothing queued for the backend.
+SCALAR = replace(DEFAULT, batch_solver=False)
 
 
 def both_solvers(query, db, horizon=HORIZON, **kwargs):
@@ -65,11 +62,11 @@ def both_solvers(query, db, horizon=HORIZON, **kwargs):
     The db-wide solve cache is cleared between the runs so the batched
     run really solves instead of replaying the scalar run's answers."""
     scalar = query.evaluate_full(
-        FutureHistory(db), horizon, batch_solver=False, **kwargs
+        FutureHistory(db), horizon, options=SCALAR, **kwargs
     )
     db.kinetic_cache.clear()
     batched = query.evaluate_full(
-        FutureHistory(db), horizon, batch_solver=True, **kwargs
+        FutureHistory(db), horizon, **kwargs
     )
     db.kinetic_cache.clear()
     return rows_of(scalar), rows_of(batched)
@@ -79,7 +76,7 @@ def run_with_counters(db, bindings, where, batch, horizon=HORIZON):
     """(rows, counters) of one interval evaluation on a cold cache."""
     db.kinetic_cache.clear()
     ctx = EvalContext(FutureHistory(db), horizon, bindings)
-    ev = IntervalEvaluator(ctx, batch_solver=batch)
+    ev = IntervalEvaluator(ctx, options=DEFAULT if batch else SCALAR)
     rel = ev.evaluate(where)
     return rows_of(rel), ev.counters()
 
@@ -233,15 +230,13 @@ def test_nonlinear_movers_chunk_through_the_scalar_fallback():
 
 @pytest.mark.parametrize("seed", range(25))
 def test_naive_oracle_agrees_with_batched_interval(seed):
-    """The per-state oracle (which ignores batch_solver by design) vs the
-    batched interval evaluator on one world."""
+    """The per-state oracle (which has no kinetic solves to batch) vs
+    the batched interval evaluator on one world."""
     rng = random.Random(seed)
     db = build_world(rng)
     query = random_query(rng)
     oracle = rows_of(
-        query.evaluate_full(
-            FutureHistory(db), HORIZON, method="naive", batch_solver=True
-        )
+        query.evaluate_full(FutureHistory(db), HORIZON, method="naive")
     )
     db.kinetic_cache.clear()
     batched = rows_of(query.evaluate_full(FutureHistory(db), HORIZON))
@@ -266,7 +261,7 @@ def test_incremental_continuous_queries_under_updates(seed):
         query,
         horizon=HORIZON,
         method="incremental",
-        batch_solver=False,
+        options=SCALAR,
     )
     batched = ContinuousQuery(
         dbs[1], query, horizon=HORIZON, method="incremental"
@@ -317,7 +312,7 @@ def test_batch_path_actually_used(monkeypatch):
     db.kinetic_cache.clear()
     ctx = EvalContext(FutureHistory(db), HORIZON, bindings)
     IntervalEvaluator(ctx).evaluate(where)
-    assert solves, "batch_solver=True never reached KineticBatch.solve"
+    assert solves, "batch_solver on never reached KineticBatch.solve"
 
 
 def test_zero_length_window_stays_scalar():
@@ -353,7 +348,7 @@ def test_batch_and_scalar_fill_the_same_cache_keys():
 
     def run(batch):
         ctx = EvalContext(FutureHistory(db), HORIZON, bindings)
-        ev = IntervalEvaluator(ctx, batch_solver=batch)
+        ev = IntervalEvaluator(ctx, options=DEFAULT if batch else SCALAR)
         ev.evaluate(where)
         return ev
 
@@ -415,7 +410,7 @@ def test_bounded_cache_serves_the_batch_path():
         db.kinetic_cache_size = 3
         assert db.kinetic_cache.max_entries == 3
         rel = query.evaluate_full(
-            FutureHistory(db), HORIZON, batch_solver=batch
+            FutureHistory(db), HORIZON, options=DEFAULT if batch else SCALAR
         )
         assert len(db.kinetic_cache) <= 3
         rows.append(rows_of(rel))
@@ -445,8 +440,8 @@ def test_batch_preserves_errors_on_nonspatial_objects():
         targets=("t",), bindings={"t": "tags"}, where=Inside(Var("t"), "P")
     )
     with pytest.raises((QueryError, SchemaError)) as scalar_err:
-        query.evaluate_full(FutureHistory(db), 5, batch_solver=False)
+        query.evaluate_full(FutureHistory(db), 5, options=SCALAR)
     with pytest.raises((QueryError, SchemaError)) as batch_err:
-        query.evaluate_full(FutureHistory(db), 5, batch_solver=True)
+        query.evaluate_full(FutureHistory(db), 5)
     assert type(scalar_err.value) is type(batch_err.value)
     assert str(scalar_err.value) == str(batch_err.value)

@@ -19,6 +19,7 @@ Two differential properties over seeded random worlds and formulas
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -26,6 +27,7 @@ from repro.core import FutureHistory
 from repro.core.queries import ContinuousQuery
 from repro.errors import FtlSemanticsError
 from repro.ftl import FtlQuery, expand, quarantined_rules
+from repro.ftl.context import DEFAULT
 from repro.ftl.rewrite import RULE_NAMES
 
 from tests.ftl.test_differential import (
@@ -35,6 +37,9 @@ from tests.ftl.test_differential import (
     random_formula,
     random_query,
 )
+
+#: The unplanned twin: operands evaluated in the order they were written.
+SYNTACTIC = replace(DEFAULT, ordered=False)
 
 
 def relation_key(relation):
@@ -72,11 +77,9 @@ def test_ordered_plan_matches_syntactic_order(seed):
     query = random_query(rng)
     history = FutureHistory(db)
     for method in ("interval", "naive"):
-        ordered = query.evaluate_full(
-            history, HORIZON, method=method, ordered=True
-        )
+        ordered = query.evaluate_full(history, HORIZON, method=method)
         syntactic = query.evaluate_full(
-            history, HORIZON, method=method, ordered=False
+            history, HORIZON, method=method, options=SYNTACTIC
         )
         assert relation_key(ordered) == relation_key(syntactic), (
             f"seed {seed} method {method}: orderer changed the answer "
@@ -99,14 +102,13 @@ def test_ordered_continuous_queries_match_unordered(seed):
     for i, method in enumerate(("naive", "interval", "incremental")):
         cqs.append(
             ContinuousQuery(
-                dbs[2 * i], query, horizon=HORIZON, method=method,
-                ordered=True,
+                dbs[2 * i], query, horizon=HORIZON, method=method
             )
         )
         cqs.append(
             ContinuousQuery(
                 dbs[2 * i + 1], query, horizon=HORIZON, method=method,
-                ordered=False,
+                options=SYNTACTIC,
             )
         )
     for step in range(4):
@@ -167,13 +169,16 @@ def test_rewrites_preserve_answers_through_plans(seed):
     history = FutureHistory(db)
     baseline = clipped_key(
         query.evaluate(
-            history, HORIZON + SLACK, method="interval", ordered=False
+            history, HORIZON + SLACK, method="interval", options=SYNTACTIC
         )
     )
     for ordered in (False, True):
         got = clipped_key(
             expanded.evaluate(
-                history, HORIZON + SLACK, method="interval", ordered=ordered
+                history,
+                HORIZON + SLACK,
+                method="interval",
+                options=DEFAULT if ordered else SYNTACTIC,
             )
         )
         assert got == baseline, (

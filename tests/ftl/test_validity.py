@@ -9,6 +9,7 @@ rejection.
 """
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -37,6 +38,7 @@ from repro.ftl.analysis.validity import (
     class_motion_events,
     update_divergence,
 )
+from repro.ftl.context import DEFAULT
 from repro.geometry import Point
 from repro.motion.functions import (
     LinearFunction,
@@ -46,6 +48,8 @@ from repro.motion.functions import (
 from repro.spatial import Polygon
 
 INF = math.inf
+#: The unstamped twin: no validity analysis, so no gate and no stamps.
+UNSTAMPED = replace(DEFAULT, validity_horizons=False)
 
 
 def build_db() -> MostDatabase:
@@ -403,7 +407,7 @@ class TestHorizonEdgeCases:
         q = "RETRIEVE o FROM cars o WHERE EVENTUALLY WITHIN 3 INSIDE(o, P)"
         a = ContinuousQuery(db, parse_query(q), horizon=20)
         b = ContinuousQuery(
-            db2, parse_query(q), horizon=20, validity_horizons=False
+            db2, parse_query(q), horizon=20, options=UNSTAMPED
         )
         db.clock.tick()
         db2.clock.tick()
@@ -555,7 +559,7 @@ class TestHorizonEdgeCases:
         q = "RETRIEVE o FROM cars o WHERE EVENTUALLY INSIDE(o, P)"
         stamped = ContinuousQuery(db, parse_query(q), horizon=20)
         twin = ContinuousQuery(
-            db2, parse_query(q), horizon=20, validity_horizons=False
+            db2, parse_query(q), horizon=20, options=UNSTAMPED
         )
         db.clock.tick()
         db2.clock.tick()

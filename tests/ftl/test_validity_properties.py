@@ -6,10 +6,12 @@ the query's remaining window can never change ``Answer(CQ)``.  Over
 160+ seeded worlds (random formula, random mixed update stream that
 includes exact re-anchor heartbeats) and all three evaluation methods, a
 horizon-stamped continuous query must stay *bit-identical* to an
-unstamped twin built with ``validity_horizons=False`` — and across the
+unstamped twin built with ``validity_horizons`` off — and across the
 run the stamped side must actually exercise the gate
 (``horizon_skipped`` ≥ 1), otherwise the equivalence is vacuous.
 """
+
+from dataclasses import replace
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -31,10 +33,13 @@ from repro.ftl import (
     Var,
     WithinSphere,
 )
+from repro.ftl.context import DEFAULT
 from repro.geometry import Point
 from repro.spatial import Polygon
 
 HORIZON = 8
+#: The unstamped twin: no validity analysis, so no gate and no stamps.
+UNSTAMPED = replace(DEFAULT, validity_horizons=False)
 METHODS = ("interval", "naive", "incremental")
 
 # Gate activity accumulated across the whole wall; asserted non-vacuous
@@ -192,8 +197,7 @@ def test_stamped_answers_stay_bit_identical(formula, stream, method):
         targets=("o",), bindings={"o": "cars", "n": "cars"}, where=formula
     )
     twin = ContinuousQuery(
-        db, twin_query, horizon=HORIZON, method=method,
-        validity_horizons=False,
+        db, twin_query, horizon=HORIZON, method=method, options=UNSTAMPED
     )
     assert twin.horizon_skipped == 0
     assert twin._validity is None
@@ -247,8 +251,7 @@ def test_pure_heartbeat_streams_never_reevaluate(method, oid, ticks):
         where=Eventually(Inside(Var("o"), "P")),
     )
     twin = ContinuousQuery(
-        db, twin_query, horizon=HORIZON, method=method,
-        validity_horizons=False,
+        db, twin_query, horizon=HORIZON, method=method, options=UNSTAMPED
     )
     stamped.current(), twin.current()
     evals = stamped.evaluations

@@ -12,7 +12,6 @@ exactly through a vertex.
 
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +21,6 @@ from repro.motion.batch import (
     DistanceBatch,
     LinearTable,
     PolygonBatch,
-    available,
     quadratic_at_most_zero_batch,
     segment_crossings_batch,
 )
@@ -37,10 +35,6 @@ from repro.spatial.kinetic import (
     when_inside_polygon,
 )
 from repro.temporal import Interval
-
-pytestmark = pytest.mark.skipif(
-    not available(), reason="numpy backend unavailable"
-)
 
 # ---------------------------------------------------------------------------
 # Quadratic root finding:  a s^2 + b s + c <= 0  on  [0, hi]

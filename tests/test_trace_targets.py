@@ -1,0 +1,82 @@
+"""Guard: every callable the end-to-end benchmark traces still resolves.
+
+``benchmarks/e2e/tracing.py`` gets its per-layer times by replacing the
+callables named in its ``TARGETS`` table by attribute assignment, and
+reads counters off the traced objects in its ``_AFTER`` hooks.  A rename
+under ``src/`` breaks the benchmark's traced run — which only the
+benchmark gate would notice.  This test reads the table (read-only) and
+resolves every entry the way ``Tracer.install`` does, so the rename
+fails in tier-1 instead.
+"""
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+import pytest
+
+_TRACING = Path(__file__).parents[1] / "benchmarks" / "e2e" / "tracing.py"
+_spec = importlib.util.spec_from_file_location("_e2e_tracing", _TRACING)
+tracing = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(tracing)
+
+#: The benchmark's own modules, importable only from its directory.
+_BENCH_OWNERS = {"harness"}
+
+ENTRIES = [
+    (owner, attr)
+    for owner, attr, _layer, _keep in tracing.TARGETS
+    if owner not in _BENCH_OWNERS
+]
+
+
+def test_table_is_read():
+    assert len(ENTRIES) >= 50
+    assert len(ENTRIES) == len(set(ENTRIES)), "duplicate TARGETS entry"
+
+
+@pytest.mark.parametrize("owner,attr", ENTRIES)
+def test_target_resolves(owner, attr):
+    resolved = tracing._resolve(owner)
+    if inspect.isclass(resolved):
+        # install() reads owner.__dict__[attr]: an inherited method
+        # would be patched on the wrong class, so it does not count.
+        assert attr in resolved.__dict__, f"{owner} does not define {attr}"
+        raw = resolved.__dict__[attr]
+        if isinstance(raw, (staticmethod, classmethod)):
+            raw = raw.__func__
+    else:
+        assert hasattr(resolved, attr), f"{owner} has no {attr}"
+        raw = getattr(resolved, attr)
+    assert callable(raw), f"{owner}.{attr} is not callable"
+
+
+def test_after_hooks_attach_to_traced_targets():
+    assert set(tracing._AFTER) <= set(ENTRIES)
+
+
+def test_after_hooks_find_their_counters():
+    """What the ``_after_*`` hooks read off the traced evaluators."""
+    from repro.core import FutureHistory, MostDatabase, ObjectClass
+    from repro.ftl import parse_query
+    from repro.ftl.evaluator import IntervalEvaluator
+    from repro.ftl.incremental import PartialIntervalEvaluator
+    from repro.geometry import Point
+    from repro.parallel.evaluator import ShardedIntervalEvaluator
+    from repro.spatial import Polygon
+
+    assert issubclass(PartialIntervalEvaluator, IntervalEvaluator)
+    db = MostDatabase()
+    db.create_class(ObjectClass("cars", spatial_dimensions=2))
+    db.define_region("P", Polygon.rectangle(0, 0, 5, 5))
+    db.add_moving_object("cars", "c0", Point(1, 1), Point(1, 0))
+    query = parse_query("RETRIEVE c FROM cars c WHERE INSIDE(c, P)")
+    ev = ShardedIntervalEvaluator(query, FutureHistory(db), 5, 1)
+    ev.evaluate()
+    assert ev.sharded is False
+    assert isinstance(ev.shard_times, list)
+    assert set(tracing.EVAL_COUNTERS) <= set(ev.counters)
+    assert set(tracing.EVAL_COUNTERS) <= set(
+        IntervalEvaluator(ev.ctx).counters()
+    )
