@@ -757,8 +757,8 @@ class ContinuousQuery:
         """The current ``Answer(CQ)`` tuples.
 
         With a staleness bound, tuples supported by out-of-date objects
-        are suppressed unless ``include_stale`` is set (the chaos
-        harness's convergence check wants the full answer)."""
+        are suppressed unless ``include_stale`` is set (a convergence
+        check wants the full answer)."""
         self._ensure_fresh()
         if self.staleness_bound is None or include_stale:
             return self.answer.tuples

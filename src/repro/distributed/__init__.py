@@ -16,9 +16,10 @@ The paper's architecture discussion is simulated faithfully:
 * :mod:`repro.distributed.transmission` — immediate / delayed / periodic
   transmission of ``Answer(CQ)`` to a mobile client, with block-wise
   pagination under a memory limit ``B`` and staleness measurement.
-* :mod:`repro.distributed.updates` — the fault-tolerant position-update
-  pipeline: per-object sequence numbers, server acks, and
-  retry-with-backoff (DESIGN.md §4).
+* :mod:`repro.distributed.updates` — the sequence-numbered
+  :class:`MotionUpdate` a mobile computer sends; :mod:`repro.server`
+  carries it (batched, acked, retried with
+  :mod:`repro.distributed.backoff` — DESIGN.md §4).
 """
 
 from repro.distributed.network import (
@@ -42,12 +43,7 @@ from repro.distributed.ftl_processing import (
     process_distributed,
 )
 from repro.distributed.backoff import RetrySchedule
-from repro.distributed.updates import (
-    BUSY_KIND,
-    MotionReporter,
-    MotionUpdate,
-    UpdateServer,
-)
+from repro.distributed.updates import MotionUpdate
 from repro.distributed.transmission import (
     DelayedPolicy,
     ImmediatePolicy,
@@ -62,11 +58,8 @@ __all__ = [
     "NetworkStats",
     "FaultPlan",
     "LinkFaults",
-    "BUSY_KIND",
-    "MotionReporter",
     "MotionUpdate",
     "RetrySchedule",
-    "UpdateServer",
     "MobileNode",
     "MobileClient",
     "QueryKind",

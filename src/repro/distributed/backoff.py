@@ -7,9 +7,9 @@ computes capped exponential retry intervals and, when ``jitter`` is set,
 spreads them with a seeded RNG so schedules stay deterministic per sender
 but decorrelated across senders.
 
-Used by :class:`repro.distributed.updates.MotionReporter` (position
-updates), and by the continuous-query server's delta retransmission and
-batched-ingest reporters (:mod:`repro.server`).
+Used by the continuous-query server's delta retransmission
+(:class:`repro.server.session.ClientSession`) and its batched-ingest
+reporters (:class:`repro.server.client.BatchingReporter`).
 """
 
 from __future__ import annotations
@@ -54,8 +54,8 @@ class RetrySchedule:
     ) -> int:
         """The wait, in whole ticks (>= 1), before retry ``attempts``.
 
-        Without jitter this reproduces the PR 2 reporter schedule
-        exactly: ``min(int(base * factor**attempts), cap)``.  With
+        Without jitter this is exactly
+        ``min(int(base * factor**attempts), cap)``.  With
         jitter, the pre-truncation value is scaled by the seeded draw —
         the cap bounds the *nominal* interval, so the jittered wait never
         exceeds ``cap * (1 + jitter)``.

@@ -11,8 +11,8 @@ With a :class:`FaultPlan` the network becomes asynchronous: every
 tick-driven pump delivers due messages in ``(delivery time, reorder
 rank, send order)`` order.  The plan is seeded and fully deterministic —
 the same plan driven through the same simulation produces the same
-message trace — which is what lets the chaos harness
-(:mod:`repro.workloads.chaos`) run differential experiments.
+message trace — which is what lets the soak harness
+(:mod:`repro.server.soak`) run differential experiments.
 
 Disconnection-window boundary semantics (pinned): windows are **closed**
 intervals ``[start, end]`` of clock ticks.  A node is offline at *both*

@@ -1,49 +1,21 @@
-"""Reliable position-update transmission: sequence numbers, acks, retries.
+"""The position update a mobile computer sends the server.
 
 The paper's mobile objects send motion-vector updates to the server over
 a lossy link (section 1: "due to disconnection, an object cannot
-continuously update its position").  This module adds the transport that
-makes the server's picture *eventually* right anyway:
-
-* every update carries a per-object **sequence number** and the position
-  fix **at measurement time**, so the server can reject stale/duplicate
-  deliveries and extrapolate late ones
-  (:meth:`repro.core.database.MostDatabase.ingest_motion`);
-* the server **acks** every delivery — including rejected duplicates, so
-  a sender whose earlier ack was lost stops retrying;
-* the :class:`MotionReporter` **retries** unacked updates with
-  exponential backoff, and re-announces its current motion when its node
-  comes back from a disconnection or crash window (a restarted computer
-  cannot know which of its pre-crash updates arrived).
+continuously update its position").  Every update carries a per-object
+**sequence number** and the position fix **at measurement time**, so the
+server can reject stale/duplicate deliveries and extrapolate late ones
+(:meth:`repro.core.database.MostDatabase.ingest_motion`).  The transport
+that carries updates — batching, acks, retries, backpressure — is
+:class:`repro.server.client.BatchingReporter` →
+:class:`repro.server.epoch.CQServer` (DESIGN.md §4, §9).
 """
 
 from __future__ import annotations
 
-import random
-import zlib
 from dataclasses import dataclass
 
-from repro.core.database import MostDatabase
-from repro.distributed.backoff import RetrySchedule
-from repro.distributed.network import Message, SimNetwork
-from repro.distributed.node import MobileNode
-from repro.errors import DistributedError
 from repro.geometry import Point
-from repro.motion.moving import linear_moving_point
-
-UPDATE_KIND = "motion-update"
-ACK_KIND = "motion-ack"
-#: Explicit backpressure signal: the receiver's inbox is full, back off.
-#: Payload is ``(object_id, seq, retry_after_ticks)``.
-BUSY_KIND = "motion-busy"
-
-#: Relative message sizes: an update carries a full motion vector, an ack
-#: just an (object, seq) pair.
-UPDATE_SIZE = 6
-ACK_SIZE = 1
-
-#: Conventional server node id.
-SERVER_ID = "server"
 
 
 @dataclass(frozen=True)
@@ -58,206 +30,3 @@ class MotionUpdate:
     measured_at: int
     position: Point
     velocity: Point
-
-
-class UpdateServer:
-    """Server endpoint: ingests updates into the database, acks everything.
-
-    Duplicate and out-of-order deliveries are refused by the database's
-    sequence check but still acked — the sender only needs to learn that
-    the update is *accounted for*, not that it changed anything.
-    """
-
-    def __init__(
-        self,
-        db: MostDatabase,
-        network: SimNetwork,
-        server_id: str = SERVER_ID,
-    ) -> None:
-        self.db = db
-        self.network = network
-        self.server_id = server_id
-        self.applied = 0
-        self.rejected = 0
-        self.acks_sent = 0
-        network.register(server_id, self._on_message)
-
-    def _on_message(self, message: Message) -> None:
-        if message.kind != UPDATE_KIND:
-            return
-        update: MotionUpdate = message.payload
-        if self.db.ingest_motion(
-            update.object_id,
-            update.seq,
-            update.velocity,
-            update.position,
-            update.measured_at,
-        ):
-            self.applied += 1
-        else:
-            self.rejected += 1
-        self.network.send(
-            self.server_id,
-            message.src,
-            ACK_KIND,
-            (update.object_id, update.seq),
-            size=ACK_SIZE,
-        )
-        self.acks_sent += 1
-
-
-class MotionReporter:
-    """Node-side transmitter of motion updates with ack/retry.
-
-    Args:
-        node: the mobile computer whose motion is being reported.
-        server_id: destination node id of the :class:`UpdateServer`.
-        object_id: database object id (defaults to the node id).
-        retry_after: ticks before the first retransmission of an unacked
-            update.
-        backoff: multiplicative backoff factor per retry.
-        max_interval: retry-interval ceiling in ticks (the configurable
-            cap — no retry ever waits longer, jitter aside).
-        jitter: proportional retry-interval spread in ``[0, 1)``; with
-            ``0.3`` each wait is scaled by a seeded uniform draw from
-            ``[0.7, 1.3]``, so reporters that lost the same partition do
-            not retry in lockstep when it heals.
-        seed: RNG seed for the jitter draws.  ``None`` derives a stable
-            per-object seed from ``object_id``, decorrelating reporters
-            by default while keeping every schedule reproducible.
-    """
-
-    def __init__(
-        self,
-        node: MobileNode,
-        server_id: str = SERVER_ID,
-        object_id: object | None = None,
-        retry_after: int = 2,
-        backoff: float = 2.0,
-        max_interval: int = 8,
-        jitter: float = 0.0,
-        seed: int | None = None,
-    ) -> None:
-        if retry_after < 1:
-            raise DistributedError("retry_after must be at least one tick")
-        if backoff < 1.0:
-            raise DistributedError("backoff must be >= 1")
-        self.node = node
-        self.network = node.network
-        self.server_id = server_id
-        self.object_id = object_id if object_id is not None else node.node_id
-        self.retry_after = retry_after
-        self.backoff = backoff
-        self.max_interval = max_interval
-        self.schedule = RetrySchedule(
-            base=retry_after,
-            factor=backoff,
-            cap=max_interval,
-            jitter=jitter,
-        )
-        if seed is None:
-            seed = zlib.crc32(repr(self.object_id).encode())
-        self._rng = random.Random(seed)
-        self.sent = 0
-        self.retransmissions = 0
-        #: Explicit back-off signals received from a congested server.
-        self.busy_signals = 0
-        self.acked_through = -1
-        self._next_seq = 0
-        self._last_velocity: Point | None = None
-        # seq -> [update, next retry tick, attempts so far]
-        self._unacked: dict[int, list] = {}
-        self._was_connected = self.network.is_connected(node.node_id)
-        node.on_kind(ACK_KIND, self._on_ack)
-        node.on_kind(BUSY_KIND, self._on_busy)
-        self.network.clock.on_tick(self._on_tick)
-
-    # ------------------------------------------------------------------
-    @property
-    def in_flight(self) -> int:
-        """Updates sent but not yet acked."""
-        return len(self._unacked)
-
-    def report(
-        self, velocity: Point, position: Point | None = None
-    ) -> MotionUpdate:
-        """Record a motion change locally and transmit it.
-
-        The node's own moving point is re-anchored at the measurement
-        (section 5.3: changes "may only be recorded at the moving object
-        itself" first); the update travels with a fresh sequence number
-        and is retried until acked.
-        """
-        now = self.network.clock.now
-        fix = position if position is not None else self.node.position_now()
-        self.node.update_motion(
-            linear_moving_point(fix, velocity, anchor_time=now)
-        )
-        self._last_velocity = velocity
-        update = MotionUpdate(
-            object_id=self.object_id,
-            seq=self._next_seq,
-            measured_at=now,
-            position=fix,
-            velocity=velocity,
-        )
-        self._next_seq += 1
-        self._unacked[update.seq] = [update, now + self.retry_after, 0]
-        self.sent += 1
-        self._transmit(update)
-        return update
-
-    # ------------------------------------------------------------------
-    def _transmit(self, update: MotionUpdate) -> None:
-        self.network.send(
-            self.node.node_id,
-            self.server_id,
-            UPDATE_KIND,
-            update,
-            size=UPDATE_SIZE,
-        )
-
-    def _on_ack(self, message: Message) -> None:
-        _object_id, seq = message.payload
-        # Cumulative: the server applies in seq order and rejects
-        # stragglers, so an ack for seq settles everything at or below.
-        for settled in [s for s in self._unacked if s <= seq]:
-            del self._unacked[settled]
-        self.acked_through = max(self.acked_through, seq)
-
-    def _on_busy(self, message: Message) -> None:
-        """The server's inbox was full: it tells us when to come back
-        instead of silently dropping the update (explicit backpressure).
-        The hold-off is jittered so the herd does not return at once."""
-        _object_id, seq, retry_after = message.payload
-        entry = self._unacked.get(seq)
-        if entry is None:
-            return
-        self.busy_signals += 1
-        now = self.network.clock.now
-        attempts = entry[2] + 1
-        hint = max(int(retry_after), self.schedule.interval(attempts, self._rng))
-        entry[1] = now + max(1, hint)
-        entry[2] = attempts
-
-    def _on_tick(self, now: int) -> None:
-        connected = self.network.is_connected(self.node.node_id)
-        if not connected:
-            self._was_connected = False
-            return
-        if not self._was_connected:
-            self._was_connected = True
-            # Back from a disconnection or crash window: re-announce the
-            # current motion so the server converges even if every
-            # pre-outage update (and its retries) was lost.
-            if self._last_velocity is not None:
-                self.report(self._last_velocity)
-        for seq, entry in list(self._unacked.items()):
-            update, next_retry, attempts = entry
-            if next_retry > now:
-                continue
-            self._transmit(update)
-            self.retransmissions += 1
-            attempts += 1
-            entry[1] = now + self.schedule.interval(attempts, self._rng)
-            entry[2] = attempts

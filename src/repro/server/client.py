@@ -11,11 +11,11 @@ crash-restart.  Staleness is aged **conservatively** on the client:
 shows *unflagged* is guaranteed within its ``staleness_bound`` no matter
 how long the delta sat in flight.
 
-:class:`BatchingReporter` is the batched counterpart of PR 2's
-:class:`~repro.distributed.updates.MotionReporter`: motion changes
-accumulate locally and travel as one :class:`IngestBatch` per flush,
-gated by the server-granted credit allowance, retried with jittered
-backoff, and held back when the server says busy.
+:class:`BatchingReporter` is the one way a mobile computer's explicit
+updates (section 2.3) reach the server: motion changes accumulate
+locally and travel as one :class:`IngestBatch` per flush, gated by the
+server-granted credit allowance, retried with jittered backoff, and
+held back when the server says busy.
 """
 
 from __future__ import annotations
@@ -161,7 +161,12 @@ class SubscriberClient:
             self.subscribed = False
             return
         self.query_id = msg.query_id
-        self.incarnation = max(self.incarnation, msg.incarnation)
+        if msg.incarnation > self.incarnation:
+            # A restarted server numbers its stream from 1 again; under
+            # the old cursor its resync snapshot would read as a
+            # duplicate and the display would keep pre-crash tuples.
+            self.incarnation = msg.incarnation
+            self.last_seq = 0
         self.subscribed = True
 
     def _on_delta(self, message: Message) -> None:
@@ -311,8 +316,12 @@ class BatchingReporter:
         self.network = node.network
         self.server_id = server_id
         self.object_id = object_id if object_id is not None else node.node_id
+        # An ingest ack cannot be back before two epochs (the batch
+        # lands on the next pump, its ack on the one after): base 3
+        # jittered by 0.3 waits 2 or 3, never retrying a batch whose ack
+        # is merely still in flight.
         self.schedule = schedule if schedule is not None else RetrySchedule(
-            base=2.0, factor=2.0, cap=8.0, jitter=0.3
+            base=3.0, factor=2.0, cap=8.0, jitter=0.3
         )
         if seed is None:
             seed = zlib.crc32(repr(self.object_id).encode())

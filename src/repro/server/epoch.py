@@ -30,7 +30,7 @@ honestly aged staleness flags instead of blocking the loop).
 Crash-restart: :meth:`CQServer.crash` drops every volatile structure
 (inbox, sessions, live query instances); :meth:`CQServer.restart` bumps
 the incarnation, re-evaluates from the durable registry, and resyncs
-every subscriber by snapshot.  Reporters recover by PR 2 retry; clients
+every subscriber by snapshot.  Reporters recover by batch retry; clients
 by resumable cursors.
 """
 
@@ -40,18 +40,11 @@ import asyncio
 import time
 import zlib
 from collections import deque
-from typing import Any
 
 from repro.core.database import MostDatabase
 from repro.distributed.backoff import RetrySchedule
 from repro.distributed.network import SimNetwork
-from repro.distributed.updates import (
-    ACK_KIND,
-    ACK_SIZE,
-    BUSY_KIND,
-    UPDATE_KIND,
-    MotionUpdate,
-)
+from repro.distributed.updates import MotionUpdate
 from repro.errors import DistributedError, ReproError
 from repro.server.metrics import (
     BACKPRESSURE,
@@ -148,9 +141,9 @@ class CQServer:
         #: The same sessions by client, so a heartbeat reaches its
         #: client's sessions without walking everybody else's.
         self._client_sessions: dict[str, list[ClientSession]] = {}
-        #: Queued ``("batch", src, IngestBatch)`` / ``("single", src,
-        #: MotionUpdate)`` entries; :attr:`inbox_depth` counts updates.
-        self._inbox: deque[tuple[str, str, Any]] = deque()
+        #: Queued ``(src, IngestBatch)`` entries; :attr:`inbox_depth`
+        #: counts updates.
+        self._inbox: deque[tuple[str, IngestBatch]] = deque()
         self.inbox_depth = 0
         self._reporters: set[str] = set()
         self.incarnation = 1
@@ -174,8 +167,6 @@ class CQServer:
         # kind, never crashed on.
         if kind == INGEST_BATCH and isinstance(payload, IngestBatch):
             self._on_batch(src, payload)
-        elif kind == UPDATE_KIND and isinstance(payload, MotionUpdate):
-            self._on_single(src, payload)
         elif kind == SUBSCRIBE and isinstance(payload, SubscribeMsg):
             self._on_subscribe(src, payload)
         elif kind == DELTA_ACK and isinstance(payload, DeltaAck):
@@ -184,8 +175,8 @@ class CQServer:
             self._on_resume(payload)
         elif kind == HEARTBEAT and isinstance(payload, HeartbeatMsg):
             self._on_heartbeat(payload)
-        # Unknown kinds are ignored: the server talks several protocol
-        # generations and must not crash on a newer client's extras.
+        # Unknown kinds are ignored: a newer client's extras must not
+        # crash the server.
 
     def _send(self, dst: str, kind: str, payload: object, size: int) -> bool:
         if self.transport is None:
@@ -212,26 +203,9 @@ class CQServer:
                 CONTROL_SIZE,
             )
             return
-        self._inbox.append(("batch", src, batch))
+        self._inbox.append((src, batch))
         self.inbox_depth += len(batch.updates)
         self.metrics.updates_enqueued += len(batch.updates)
-        self.metrics.observe_inbox(self.inbox_depth)
-
-    def _on_single(self, src: str, update: MotionUpdate) -> None:
-        """Legacy single-update ingest (PR 2 :class:`MotionReporter`)."""
-        self._reporters.add(src)
-        if self._headroom < 1:
-            self.metrics.busy_singles += 1
-            self._send(
-                src,
-                BUSY_KIND,
-                (update.object_id, update.seq, self.busy_retry_after),
-                ACK_SIZE,
-            )
-            return
-        self._inbox.append(("single", src, update))
-        self.inbox_depth += 1
-        self.metrics.updates_enqueued += 1
         self.metrics.observe_inbox(self.inbox_depth)
 
     def _on_subscribe(self, src: str, msg: SubscribeMsg) -> None:
@@ -329,12 +303,8 @@ class CQServer:
         applied = 0
         budget = self.batch_limit
         while self._inbox and budget > 0:
-            entry_kind, src, payload = self._inbox[0]
-            if (
-                entry_kind == "batch"
-                and len(payload.updates) > budget
-                and applied > 0
-            ):
+            src, batch = self._inbox[0]
+            if len(batch.updates) > budget and applied > 0:
                 # Whole batches apply atomically within an epoch; an
                 # oversized batch waits for a fresh budget — but at the
                 # head of an untouched epoch it applies anyway, so a
@@ -342,35 +312,25 @@ class CQServer:
                 # queue forever.
                 break
             self._inbox.popleft()
-            if entry_kind == "batch":
-                acked: dict[object, int] = {}
-                for update in payload.updates:
-                    if self._apply(update):
-                        applied += 1
-                    acked[update.object_id] = max(
-                        acked.get(update.object_id, -1), update.seq
-                    )
-                self.inbox_depth -= len(payload.updates)
-                budget -= len(payload.updates)
-                self._send(
-                    src,
-                    INGEST_ACK,
-                    IngestAck(
-                        batch_seq=payload.batch_seq,
-                        acked=tuple(sorted(acked.items(), key=lambda kv: str(kv[0]))),
-                        credits=self._credits(),
-                    ),
-                    ACK_SIZE,
-                )
-            else:
-                if self._apply(payload):
+            acked: dict[object, int] = {}
+            for update in batch.updates:
+                if self._apply(update):
                     applied += 1
-                self.inbox_depth -= 1
-                budget -= 1
-                # PR 2 ack compatibility: (object_id, seq) on ACK_KIND.
-                self._send(
-                    src, ACK_KIND, (payload.object_id, payload.seq), ACK_SIZE
+                acked[update.object_id] = max(
+                    acked.get(update.object_id, -1), update.seq
                 )
+            self.inbox_depth -= len(batch.updates)
+            budget -= len(batch.updates)
+            self._send(
+                src,
+                INGEST_ACK,
+                IngestAck(
+                    batch_seq=batch.batch_seq,
+                    acked=tuple(sorted(acked.items(), key=lambda kv: str(kv[0]))),
+                    credits=self._credits(),
+                ),
+                CONTROL_SIZE,
+            )
         return applied
 
     def _apply(self, update: MotionUpdate) -> bool:

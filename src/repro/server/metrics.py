@@ -77,8 +77,6 @@ class ServerMetrics:
     updates_rejected: int = 0
     #: Batches refused with an explicit busy/back-off signal.
     busy_signals: int = 0
-    #: Single legacy updates refused with a busy signal.
-    busy_singles: int = 0
     #: High-water mark of the epoch inbox depth.
     inbox_high_water: int = 0
     #: Epochs spent at each degradation-ladder level.
@@ -125,7 +123,6 @@ class ServerMetrics:
             "updates_applied": self.updates_applied,
             "updates_rejected": self.updates_rejected,
             "busy_signals": self.busy_signals,
-            "busy_singles": self.busy_singles,
             "inbox_high_water": self.inbox_high_water,
             "epochs_at_level": dict(self.epochs_at_level),
             "refreshes": self.refreshes,

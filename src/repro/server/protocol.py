@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.distributed.updates import MotionUpdate
-from repro.errors import DistributedError
+from repro.errors import DistributedError, SpatialError
 from repro.geometry import Point
 
 #: Conventional node id of the continuous-query server.
@@ -222,8 +222,13 @@ def _update_to_obj(u: MotionUpdate) -> dict[str, Any]:
 
 
 def _update_from_obj(o: dict[str, Any]) -> MotionUpdate:
+    object_id = o["object_id"]
+    if isinstance(object_id, (list, dict)):
+        # Unhashable: it would pass the codec and then take the epoch
+        # loop down at the database lookup.
+        raise TypeError("object_id must be a JSON scalar")
     return MotionUpdate(
-        object_id=o["object_id"],
+        object_id=object_id,
         seq=int(o["seq"]),
         measured_at=int(o["measured_at"]),
         position=Point(*(float(c) for c in o["position"])),
@@ -402,4 +407,11 @@ def decode_line(line: bytes) -> tuple[str, object]:
         raise DistributedError(f"undecodable message line: {exc}") from exc
     if not isinstance(obj, dict):
         raise DistributedError("message line is not a JSON object")
-    return from_wire(obj)
+    try:
+        return from_wire(obj)
+    except (KeyError, TypeError, ValueError, SpatialError) as exc:
+        # Valid JSON, known kind, but a missing or ill-typed field: the
+        # line is as undecodable as garbage and must fail the same way.
+        raise DistributedError(
+            f"malformed {obj.get('kind')!r} message: {exc!r}"
+        ) from exc

@@ -1,8 +1,10 @@
-"""Differential soak harness for the continuous-query server.
+"""Differential soak harness: the one fault wall of the update pipeline.
 
 One seeded world — trackers reporting motion through batching reporters,
-display clients subscribed under all three §5.2 transmission policies —
-is driven twice through the *identical* update schedule:
+display clients subscribed under all three §5.2 transmission policies,
+and a probe :class:`~repro.core.queries.ContinuousQuery` attached
+straight to the database — is driven twice through the *identical*
+update schedule:
 
 * the **faulty** run injects a :class:`~repro.distributed.FaultPlan`
   (drop / delay / duplicate / reorder, a tracker crash window), forces a
@@ -25,11 +27,17 @@ Checked properties (the PR's acceptance criteria):
    displays an *unflagged* tuple whose supporting objects are staler
    than its ``staleness_bound`` on the server (the conservative
    client-side aging rule makes flagging early, never late).
+3. **The ingest half on its own** — the probe sees what the database
+   sees, with no session, policy or client in between.  At every epoch
+   of *both* runs its degraded display is exactly its fresh active
+   tuples and none of those rests on an object staler than the bound;
+   after drain the faulty probe's answer, clipped as above, equals the
+   clean twin's.  A run with ``n_subscribers=0`` checks nothing else.
 
-Positions and velocities are drawn on an integer grid so a late update
-extrapolated to its apply tick reconstructs the trajectory exactly,
-making tuple-for-tuple convergence a fair assertion (see
-:mod:`repro.workloads.chaos`).
+Positions and velocities are drawn on an integer grid so that a late
+update extrapolated to its apply tick reconstructs the sender's
+trajectory *exactly* (float products of small integers are exact), which
+is what makes tuple-for-tuple convergence a fair assertion.
 """
 
 from __future__ import annotations
@@ -41,9 +49,11 @@ from typing import Any, Iterable
 
 from repro.core.database import MostDatabase
 from repro.core.objects import ObjectClass
+from repro.core.queries import ContinuousQuery
 from repro.distributed.network import FaultPlan, LinkFaults, SimNetwork
 from repro.distributed.node import MobileNode
 from repro.errors import SchemaError
+from repro.ftl import parse_query
 from repro.geometry import Point
 from repro.motion import linear_moving_point
 from repro.server.client import BatchingReporter, SubscriberClient
@@ -125,6 +135,18 @@ class SoakResult:
     staleness_violations: int
     #: Clean immediate client vs the server's own answer.
     truth_match: bool
+    #: Epoch checks the probe failed (display != fresh tuples, or a
+    #: fresh tuple on over-age support), per twin.
+    probe_violations: int
+    clean_probe_violations: int
+    #: Faulty probe's drained answer equals the clean twin's.
+    probe_match: bool
+    #: Messages offered to the network, and ingest batches the
+    #: reporters sent more than once, per twin.
+    messages: int
+    clean_messages: int
+    retransmissions: int
+    clean_retransmissions: int
     clients: list[ClientOutcome] = field(default_factory=list)
     metrics: dict[str, Any] = field(default_factory=dict)
     clean_metrics: dict[str, Any] = field(default_factory=dict)
@@ -136,13 +158,17 @@ class SoakResult:
     @property
     def ok(self) -> bool:
         """Drained, converged, truth-matched, and never displayed
-        unflagged data beyond the staleness bound."""
+        unflagged data beyond the staleness bound — at the clients and
+        at the probe."""
         return (
             self.drained
             and self.clean_drained
             and self.converged
             and self.truth_match
+            and self.probe_match
             and self.staleness_violations == 0
+            and self.probe_violations == 0
+            and self.clean_probe_violations == 0
         )
 
     def summary(self) -> str:
@@ -154,7 +180,10 @@ class SoakResult:
         return (
             f"seed={self.config.seed} ok={self.ok} drained={self.drained}/"
             f"{self.clean_drained} truth={self.truth_match} "
-            f"violations={self.staleness_violations} [{per_client}]"
+            f"probe={self.probe_match} "
+            f"violations={self.staleness_violations}+"
+            f"{self.probe_violations}/{self.clean_probe_violations} "
+            f"[{per_client}]"
         )
 
 
@@ -214,7 +243,9 @@ class _World:
     server: CQServer
     reporters: list[BatchingReporter]
     clients: list[SubscriberClient]
+    probe: ContinuousQuery
     violations: int = 0
+    probe_violations: int = 0
 
 
 def _build(config: SoakConfig, plan: FaultPlan) -> _World:
@@ -264,7 +295,14 @@ def _build(config: SoakConfig, plan: FaultPlan) -> _World:
                 staleness_bound=config.staleness_bound,
             )
         )
-    return _World(clock, db, network, server, reporters, clients)
+    probe = ContinuousQuery(
+        db,
+        parse_query(text),
+        horizon=config.horizon,
+        method="incremental",
+        staleness_bound=config.staleness_bound,
+    )
+    return _World(clock, db, network, server, reporters, clients, probe)
 
 
 def _staleness(db: MostDatabase, object_id: object) -> float:
@@ -286,6 +324,25 @@ def _check_epoch(world: _World, config: SoakConfig) -> None:
                 continue
             if any(_staleness(world.db, v) > bound for v in tup.support):
                 world.violations += 1
+
+
+def _check_probe(world: _World, config: SoakConfig) -> None:
+    """The probe's degraded display is exactly its fresh tuples —
+    nothing suppressed that is fresh, nothing emitted that is stale."""
+    now = world.clock.now
+    shown = world.probe.current()
+    fresh: set[tuple[Any, ...]] = set()
+    for stamped in world.probe.stamped_tuples():
+        if not stamped.active_at(now) or stamped.degraded:
+            continue
+        fresh.add(stamped.values)
+        if any(
+            _staleness(world.db, v) > config.staleness_bound
+            for v in stamped.support
+        ):
+            world.probe_violations += 1
+    if shown != fresh:
+        world.probe_violations += 1
 
 
 def _meaningful_in_flight(world: _World) -> int:
@@ -345,6 +402,7 @@ async def _drive(
             ):
                 world.server.restart()
         await world.server.run_epoch()
+        _check_probe(world, config)
         if chaos:
             _check_epoch(world, config)
         if until is None and world.clock.now >= config.run_epochs:
@@ -372,13 +430,17 @@ def _client_tuples(client: SubscriberClient) -> list[tuple[Any, float, float]]:
     ]
 
 
+def _query_tuples(cq: ContinuousQuery) -> list[tuple[Any, float, float]]:
+    """A query's converged answer (degraded tuples included — after
+    drain nothing is stale, so the flag distinction is moot)."""
+    return [(s.values, s.begin, s.end) for s in cq.stamped_tuples()]
+
+
 def _server_tuples(world: _World) -> list[tuple[Any, float, float]]:
-    """The server's own converged answer (degraded tuples included —
-    after drain nothing is stale, so the flag distinction is moot)."""
+    """The server's own converged answer."""
     out: list[tuple[Any, float, float]] = []
     for rq in world.server.registry.queries.values():
-        for s in rq.cq.stamped_tuples():
-            out.append((s.values, s.begin, s.end))
+        out.extend(_query_tuples(rq.cq))
     return out
 
 
@@ -418,7 +480,10 @@ async def _run(config: SoakConfig) -> SoakResult:
             )
         )
     truth = _clip(_server_tuples(clean), lo, hi)
-    truth_match = bool(clean.clients) and (
+    # Without subscribers the server registers no query and there is
+    # nothing to match; the probe comparison is what keeps such a run
+    # from passing vacuously.
+    truth_match = not clean.clients or (
         _clip(_client_tuples(clean.clients[0]), lo, hi) == truth
     )
     return SoakResult(
@@ -428,6 +493,16 @@ async def _run(config: SoakConfig) -> SoakResult:
         clean_drained=clean_drained,
         staleness_violations=faulty.violations,
         truth_match=truth_match,
+        probe_violations=faulty.probe_violations,
+        clean_probe_violations=clean.probe_violations,
+        probe_match=(
+            _clip(_query_tuples(faulty.probe), lo, hi)
+            == _clip(_query_tuples(clean.probe), lo, hi)
+        ),
+        messages=faulty.network.stats.attempted,
+        clean_messages=clean.network.stats.attempted,
+        retransmissions=sum(r.retransmissions for r in faulty.reporters),
+        clean_retransmissions=sum(r.retransmissions for r in clean.reporters),
         clients=clients,
         metrics=faulty.server.metrics.to_dict(),
         clean_metrics=clean.server.metrics.to_dict(),

@@ -2,9 +2,9 @@
 
 Endpoints connect over TCP and speak the newline-delimited JSON codec of
 :mod:`repro.server.protocol`.  The transport learns each endpoint's id
-from its first message (``client_id`` / ``reporter_id`` / ``object_id``)
-and routes the server's outbound sends back down the matching stream; a
-vanished stream makes ``send`` return ``False``, which to the epoch loop
+from its first message (``client_id`` / ``reporter_id``) and routes
+the server's outbound sends back down the matching stream; a vanished
+stream makes ``send`` return ``False``, which to the epoch loop
 looks exactly like a lossy SimNetwork link — all recovery (retries,
 resumes, snapshots) is protocol-level and transport-agnostic.
 
@@ -17,7 +17,6 @@ from __future__ import annotations
 import asyncio
 from typing import TYPE_CHECKING
 
-from repro.distributed.updates import UPDATE_KIND, MotionUpdate
 from repro.errors import DistributedError
 from repro.server.protocol import (
     DELTA_ACK,
@@ -39,8 +38,6 @@ def source_of(kind: str, payload: object) -> str | None:
     """The sender's endpoint id, as carried inside the message itself."""
     if kind == INGEST_BATCH and isinstance(payload, IngestBatch):
         return payload.reporter_id
-    if kind == UPDATE_KIND and isinstance(payload, MotionUpdate):
-        return str(payload.object_id)
     if kind in (SUBSCRIBE, DELTA_ACK, RESUME, HEARTBEAT):
         client_id = getattr(payload, "client_id", None)
         return client_id if isinstance(client_id, str) else None

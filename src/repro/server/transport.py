@@ -3,10 +3,10 @@
 Two implementations share one server:
 
 * :class:`SimTransport` — rides the deterministic, fault-injectable
-  :class:`~repro.distributed.network.SimNetwork` of PR 2.  Every chaos
-  schedule (drop/delay/duplicate/reorder/crash) the update pipeline is
-  tested under applies unchanged to the serving path; the epoch loop
-  pumps in-flight messages by ticking the shared simulation clock.
+  :class:`~repro.distributed.network.SimNetwork`.  One fault schedule
+  (drop/delay/duplicate/reorder/crash) covers update ingest and the
+  serving path alike; the epoch loop pumps in-flight messages by
+  ticking the shared simulation clock.
 * :class:`TcpTransport` (:mod:`repro.server.tcp`) — real asyncio stream
   sockets speaking the newline-JSON codec of
   :mod:`repro.server.protocol`, used by ``python -m repro.server``.

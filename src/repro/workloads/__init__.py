@@ -7,13 +7,6 @@ database as (position, motion-vector, update-time) triples and change
 their vectors over time.
 """
 
-from repro.workloads.chaos import (
-    ChaosConfig,
-    ChaosResult,
-    RunResult,
-    chaos_sweep,
-    run_chaos,
-)
 from repro.workloads.generators import (
     motion_update_process,
     random_attributes,
@@ -27,11 +20,6 @@ from repro.workloads.scenarios import (
 )
 
 __all__ = [
-    "ChaosConfig",
-    "ChaosResult",
-    "RunResult",
-    "chaos_sweep",
-    "run_chaos",
     "random_fleet",
     "random_movers",
     "random_attributes",

@@ -1,4 +1,4 @@
-"""RetrySchedule and jittered MotionReporter backoff (DESIGN.md §4)."""
+"""RetrySchedule and jittered BatchingReporter backoff (DESIGN.md §4)."""
 
 import random
 
@@ -9,14 +9,13 @@ from repro.distributed import (
     FaultPlan,
     LinkFaults,
     MobileNode,
-    MotionReporter,
     RetrySchedule,
     SimNetwork,
-    UpdateServer,
 )
 from repro.errors import DistributedError
 from repro.geometry import Point
 from repro.motion import linear_moving_point
+from repro.server import BatchingReporter, CQServer
 from repro.temporal import SimulationClock
 
 
@@ -73,43 +72,43 @@ class TestRetrySchedule:
             RetrySchedule().interval(-1)
 
 
-def lossy_world(n_nodes, jitter, seeds, drop=1.0):
+def lossy_world(n_nodes, schedule=None, seeds=None):
     """Reporters on an always-dropping link, to observe retry cadence."""
     clock = SimulationClock()
     db = MostDatabase(clock)
     db.create_class(ObjectClass("cars", spatial_dimensions=2))
     net = SimNetwork(
-        clock, faults=FaultPlan(seed=0, default=LinkFaults(drop=drop))
+        clock, faults=FaultPlan(seed=0, default=LinkFaults(drop=1.0))
     )
-    UpdateServer(db, net)
+    CQServer(db, net)
     reporters = []
     for i in range(n_nodes):
         object_id = f"car-{i}"
-        db.add_moving_object("cars", object_id, Point(0.0, 0.0))
-        db.track(object_id)
         node = MobileNode(
             object_id, net, linear_moving_point(Point(0, 0), Point(0, 0))
         )
         reporters.append(
-            MotionReporter(
+            BatchingReporter(
                 node,
                 object_id=object_id,
-                jitter=jitter,
+                schedule=schedule,
                 seed=seeds[i] if seeds else None,
             )
         )
     return clock, reporters
 
 
-def retry_ticks(reporter, clock, horizon=40):
-    """Ticks on which the reporter retransmitted its (never-acked) update."""
-    ticks = []
-    before = reporter.retransmissions
+def retry_ticks(reporters, clock, horizon=40):
+    """Per reporter, the ticks on which it retransmitted its
+    (never-acked) batch."""
+    ticks = [[] for _ in reporters]
+    before = [r.retransmissions for r in reporters]
     for _ in range(horizon):
         clock.tick()
-        if reporter.retransmissions > before:
-            ticks.append(clock.now)
-            before = reporter.retransmissions
+        for i, rep in enumerate(reporters):
+            if rep.retransmissions > before[i]:
+                ticks[i].append(clock.now)
+                before[i] = rep.retransmissions
     return ticks
 
 
@@ -117,43 +116,26 @@ class TestReporterJitter:
     def test_same_seed_same_retry_cadence(self):
         ticks = []
         for _ in range(2):
-            clock, (rep,) = lossy_world(1, jitter=0.4, seeds=[99])
-            rep.report(Point(1.0, 0.0))
-            ticks.append(retry_ticks(rep, clock))
+            clock, reporters = lossy_world(1, seeds=[99])
+            reporters[0].report(Point(1.0, 0.0))
+            ticks.append(retry_ticks(reporters, clock)[0])
         assert ticks[0] == ticks[1]
         assert len(ticks[0]) >= 3
 
     def test_default_seeds_decorrelate_reporters(self):
         # Identical update patterns, per-object default seeds: the herd
         # must not retry in lockstep.
-        clock, reporters = lossy_world(2, jitter=0.4, seeds=None)
+        clock, reporters = lossy_world(2)
         for rep in reporters:
             rep.report(Point(1.0, 0.0))
-        cadences = [
-            [] for _ in reporters
-        ]
-        before = [r.retransmissions for r in reporters]
-        for _ in range(40):
-            clock.tick()
-            for i, rep in enumerate(reporters):
-                if rep.retransmissions > before[i]:
-                    cadences[i].append(clock.now)
-                    before[i] = rep.retransmissions
+        cadences = retry_ticks(reporters, clock)
         assert cadences[0] != cadences[1]
 
-    def test_zero_jitter_keeps_legacy_cadence(self):
-        clock, (rep,) = lossy_world(1, jitter=0.0, seeds=None)
-        rep.report(Point(1.0, 0.0))
-        ticks = retry_ticks(rep, clock, horizon=32)
-        gaps = [b - a for a, b in zip(ticks, ticks[1:])]
-        # PR 2 schedule: waits double from 2 up to the cap of 8.
-        assert gaps[:4] == [4, 8, 8, 8]
-
     def test_configurable_cap_limits_the_wait(self):
-        clock_a, (rep_a,) = lossy_world(1, jitter=0.0, seeds=None)
-        rep_a.max_interval = 4
-        rep_a.schedule = RetrySchedule(base=2, factor=2, cap=4)
-        rep_a.report(Point(1.0, 0.0))
-        ticks = retry_ticks(rep_a, clock_a, horizon=30)
+        clock, reporters = lossy_world(
+            1, schedule=RetrySchedule(base=2, factor=2, cap=4)
+        )
+        reporters[0].report(Point(1.0, 0.0))
+        (ticks,) = retry_ticks(reporters, clock, horizon=30)
         gaps = [b - a for a, b in zip(ticks, ticks[1:])]
         assert gaps and max(gaps) <= 4

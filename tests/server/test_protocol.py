@@ -97,6 +97,36 @@ ROUND_TRIPS = [
 ]
 
 
+def _ingest(updates: str) -> bytes:
+    return (
+        '{"kind": "cq-ingest", "reporter_id": "r0", "batch_seq": 0, '
+        '"updates": %s}\n' % updates
+    ).encode()
+
+
+def _update(object_id='"t0"', position="[0, 0]", velocity="[0, 0]") -> str:
+    return (
+        '[{"object_id": %s, "seq": 0, "measured_at": 0, "position": %s, '
+        '"velocity": %s}]' % (object_id, position, velocity)
+    )
+
+
+#: Lines that parse as JSON objects of a known kind yet cannot be
+#: rebuilt (the TCP transport test sends the same ones down a socket).
+MALFORMED_FRAMES = {
+    "missing-fields": b'{"kind": "cq-ingest"}\n',
+    "non-numeric-int": (
+        b'{"kind": "cq-resume", "client_id": "c1", "query_id": "q0", '
+        b'"incarnation": "x", "have_seq": 1}\n'
+    ),
+    "non-numeric-coordinate": _ingest(_update(velocity='"ab"')),
+    "updates-not-a-list": _ingest("5"),
+    "update-not-an-object": _ingest("[5]"),
+    "empty-point": _ingest(_update(position="[]")),
+    "unhashable-object-id": _ingest(_update(object_id="[1]")),
+}
+
+
 class TestCodec:
     @pytest.mark.parametrize("kind,payload", ROUND_TRIPS)
     def test_round_trip(self, kind, payload):
@@ -113,3 +143,13 @@ class TestCodec:
             decode_line(b"[1, 2]\n")
         with pytest.raises(DistributedError):
             decode_line(b'{"kind": "no-such-kind"}\n')
+
+    @pytest.mark.parametrize(
+        "line", MALFORMED_FRAMES.values(), ids=MALFORMED_FRAMES.keys()
+    )
+    def test_known_kind_with_bad_fields_raises(self, line):
+        # Valid JSON and a known kind, but a missing or ill-typed field:
+        # one error type for every undecodable line, so a transport has
+        # one thing to catch.
+        with pytest.raises(DistributedError):
+            decode_line(line)

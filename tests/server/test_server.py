@@ -8,7 +8,7 @@ from repro.core.database import MostDatabase
 from repro.core.objects import ObjectClass
 from repro.distributed.network import FaultPlan, SimNetwork
 from repro.distributed.node import MobileNode
-from repro.distributed.updates import MotionReporter
+from repro.distributed.updates import MotionUpdate
 from repro.geometry import Point
 from repro.motion import linear_moving_point
 from repro.server import (
@@ -22,12 +22,17 @@ from repro.server import (
     SubscribeMsg,
 )
 from repro.server.protocol import (
+    DELTA,
     HEARTBEAT,
     INGEST_ACK,
     INGEST_BATCH,
     INGEST_BUSY,
     SUBSCRIBE,
+    SUBSCRIBED,
+    DeltaMsg,
     HeartbeatMsg,
+    SubscribedMsg,
+    WireTuple,
 )
 from repro.server.transport import ProtocolNode
 from repro.temporal import SimulationClock
@@ -121,8 +126,6 @@ class TestBackpressure:
         return db, server, sender, replies
 
     def _batch(self, batch_seq, n, start_seq=0):
-        from repro.distributed.updates import MotionUpdate
-
         return IngestBatch(
             "r0",
             batch_seq,
@@ -233,33 +236,38 @@ class TestHorizonAttribution:
         assert server.metrics.deps_skipped_refreshes == 1
 
 
-class TestLegacyIngest:
-    def test_motion_reporter_singles_are_served_and_acked(self):
-        db, network, server, _ = build_world(n_trackers=0)
-        db.add_moving_object("trackers", "m0", Point(5.0, 0.0), Point(0.0, 0.0))
-        db.track("m0")
-        node = MobileNode(
-            "m0", network, linear_moving_point(Point(5.0, 0.0), Point(0.0, 0.0))
-        )
-        reporter = MotionReporter(node, server_id="cq-server", object_id="m0")
-        drive(server, 2)
-        reporter.report(Point(2.0, 0.0))
-        drive(server, 6)
-        assert reporter.in_flight == 0  # acked on the PR 2 ack kind
-        assert server.metrics.updates_applied >= 1
-
+class TestIngest:
     def test_malformed_update_rejected_not_fatal(self):
         db, network, server, _ = build_world(n_trackers=0)
         sender = ProtocolNode("rx", network)
-        from repro.distributed.updates import UPDATE_KIND, MotionUpdate
-
-        sender.send(
-            "cq-server",
-            UPDATE_KIND,
-            MotionUpdate("no-such-object", 0, 0, Point(0.0, 0.0), Point(0.0, 0.0)),
+        acks = []
+        sender.on_kind(INGEST_ACK, lambda m: acks.append(m.payload))
+        ghost = MotionUpdate(
+            "no-such-object", 0, 0, Point(0.0, 0.0), Point(0.0, 0.0)
         )
+        sender.send("cq-server", INGEST_BATCH, IngestBatch("rx", 0, (ghost,)))
         drive(server, 3)  # must not raise
-        assert server.metrics.updates_rejected >= 1
+        assert server.metrics.updates_rejected == 1
+        # Rejected but acked, so the sender stops retrying it.
+        assert [a.batch_seq for a in acks] == [0]
+
+    def test_unknown_and_mispaired_kinds_are_ignored(self):
+        db, network, server, _ = build_world(n_trackers=1)
+        sender = ProtocolNode("rx", network)
+        update = MotionUpdate(
+            "tracker-0", 0, 0, Point(0.0, 0.0), Point(2.0, 0.0)
+        )
+        # A bare update on the retired single-update kind, and an ingest
+        # kind carrying the wrong payload class: neither is served.
+        sender.send("cq-server", "motion-update", update)
+        sender.send("cq-server", INGEST_BATCH, update)
+        drive(server, 3)  # must not raise
+        assert server.inbox_depth == 0
+        assert server.metrics.updates_enqueued == 0
+        assert server.metrics.updates_applied == 0
+        # One refusal counter, the batch one.
+        exported = server.metrics.to_dict()
+        assert [k for k in exported if "busy" in k] == ["busy_signals"]
 
 
 class TestCrashRestart:
@@ -292,6 +300,34 @@ class TestCrashRestart:
         assert server.registry.records  # durable subscription table
         server.restart()
         assert server.sessions  # rebuilt from the table
+
+    def test_new_incarnation_confirmation_resets_the_client_cursor(self):
+        """A restarted server's ``subscribed`` can overtake its resync
+        snapshot; the snapshot (seq 1 again) must still replace the
+        display instead of reading as a duplicate of the old stream."""
+        network = SimNetwork(SimulationClock())  # synchronous delivery
+        server = ProtocolNode("cq-server", network)
+        client = SubscriberClient(network, "c1", QUERY, horizon=200)
+
+        def snapshot(incarnation, *names):
+            adds = tuple(
+                WireTuple((n,), 0.0, 100.0, (n, "beacon")) for n in names
+            )
+            return DeltaMsg("q0", incarnation, 1, 0, adds, (), snapshot=True)
+
+        def delta(seq, name):
+            add = WireTuple((name,), 0.0, 100.0, (name, "beacon"))
+            return DeltaMsg("q0", 1, seq, 0, (add,), ())
+
+        server.send("c1", SUBSCRIBED, SubscribedMsg("c1", "q0", 1))
+        server.send("c1", DELTA, snapshot(1, "old-a"))
+        server.send("c1", DELTA, delta(2, "old-b"))
+        server.send("c1", DELTA, delta(3, "old-c"))
+        assert (client.incarnation, client.last_seq) == (1, 3)
+        server.send("c1", SUBSCRIBED, SubscribedMsg("c1", "q0", 2))
+        server.send("c1", DELTA, snapshot(2, "new"))
+        assert (client.incarnation, client.last_seq) == (2, 1)
+        assert client.display_at() == {("new",)}
 
 
 class TestLiveness:

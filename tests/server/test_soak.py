@@ -43,6 +43,16 @@ class TestSoak:
     def test_both_runs_drained(self, result):
         assert result.drained and result.clean_drained
 
+    def test_probe_holds_in_both_twins_and_converges(self, result):
+        assert result.probe_violations == 0
+        assert result.clean_probe_violations == 0
+        assert result.probe_match
+
+    def test_retries_are_paid_for_by_faults_only(self, result):
+        assert result.retransmissions > 0
+        assert result.clean_retransmissions == 0
+        assert result.clean_metrics["updates_rejected"] == 0
+
 
 def counters(metrics):
     """The deterministic slice of a metrics dict (drop wall-clock timings)."""
@@ -69,3 +79,15 @@ class TestSweep:
     def test_short_sweep_all_ok(self):
         results = soak_sweep(seeds=range(2))
         assert all(r.ok for r in results), [r.summary() for r in results]
+
+    def test_subscriber_less_run_is_checked_by_the_probe(self):
+        # The ingest half alone (bench_fault_recovery.py's shape): no
+        # client to converge, so the probe comparison carries the run.
+        result = run_soak(
+            dataclasses.replace(
+                CONFIG, n_subscribers=0, server_crash_at=None,
+                server_restart_at=None, client_disconnect=None,
+            )
+        )
+        assert result.clients == [] and result.probe_match
+        assert result.ok, result.summary()

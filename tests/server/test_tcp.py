@@ -22,6 +22,7 @@ from repro.server.protocol import (
 )
 from repro.server.tcp import TcpTransport
 from repro.distributed.updates import MotionUpdate
+from tests.server.test_protocol import MALFORMED_FRAMES
 
 QUERY = "RETRIEVE v FROM trackers v, beacons b WHERE DIST(v, b) <= 60"
 
@@ -118,6 +119,8 @@ class TestTcpSmoke:
         assert server.metrics.updates_applied >= 1
 
     def test_malformed_line_drops_connection_not_server(self):
+        lines = [b"this is not json\n", *MALFORMED_FRAMES.values()]
+
         async def run():
             server = make_server()
             transport = TcpTransport(server)
@@ -126,14 +129,31 @@ class TestTcpSmoke:
             except OSError:
                 pytest.skip("cannot bind a loopback socket")
             try:
+                for line in lines:
+                    reader, writer = await asyncio.open_connection(
+                        "127.0.0.1", transport.port
+                    )
+                    writer.write(line)
+                    await writer.drain()
+                    await server.serve(epochs=2, interval=0.01)
+                    # The offending connection is dropped ...
+                    assert await reader.read() == b""
+                    writer.close()
+                # ... and the loop still serves a well-formed one.
                 _, writer = await asyncio.open_connection(
                     "127.0.0.1", transport.port
                 )
-                writer.write(b"this is not json\n")
+                update = MotionUpdate(
+                    "t0", 0, 0, Point(3.0, 0.0), Point(0.0, 0.0)
+                )
+                writer.write(
+                    encode_line(INGEST_BATCH, IngestBatch("r0", 0, (update,)))
+                )
                 await writer.drain()
                 await server.serve(epochs=3, interval=0.01)
-                return transport.bad_lines
+                writer.close()
+                return transport.bad_lines, server.metrics.updates_applied
             finally:
                 await transport.stop()
 
-        assert asyncio.run(run()) == 1
+        assert asyncio.run(run()) == (len(lines), 1)
