@@ -58,11 +58,6 @@ class Relation:
             )
         return self._rows[0][0]
 
-    def as_dicts(self) -> list[dict[str, object]]:
-        """Rows as name→value mappings (presentation convenience)."""
-        names = self._schema.names
-        return [dict(zip(names, r)) for r in self._rows]
-
     def to_set(self) -> set[tuple[object, ...]]:
         """Rows as a set (order-insensitive comparison in tests)."""
         return set(self._rows)

@@ -101,16 +101,6 @@ class LinkFaults:
         if lo < 0 or hi < lo:
             raise DistributedError(f"bad delay range {self.delay}")
 
-    @property
-    def is_clean(self) -> bool:
-        """Whether this spec injects no fault at all."""
-        return (
-            self.drop == 0.0
-            and self.duplicate == 0.0
-            and self.delay == (0, 0)
-            and self.reorder == 0.0
-        )
-
 
 #: The no-fault link spec (used after the plan's heal time).
 CLEAN_LINK = LinkFaults()
@@ -225,10 +215,6 @@ class SimNetwork:
             raise DistributedError(f"node {node_id!r} already registered")
         self._handlers[node_id] = handler
         self._offline.setdefault(node_id, IntervalSet.empty(DENSE))
-
-    def node_ids(self) -> list[str]:
-        """All registered node ids."""
-        return list(self._handlers)
 
     def set_disconnections(
         self, node_id: str, windows: list[tuple[float, float]]

@@ -353,11 +353,6 @@ class ValidityAnalysis:
     root_horizon: Horizon
     diagnostics: tuple[Diagnostic, ...] = ()
 
-    def horizon_for(self, f: Formula) -> Horizon | None:
-        """The horizon of one node of the analyzed tree (``None`` when
-        the node belongs to a different tree)."""
-        return self.horizons.get(id(f))
-
     def dynamic_classes(self) -> frozenset[str]:
         """Every class whose motion events any node's horizon depends
         on — the classes :func:`class_motion_events` must scan."""

@@ -112,17 +112,13 @@ class KineticSolveCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(
-        self, key: object, record: bool = True
-    ) -> IntervalSet | None:
-        """The cached answer, or ``None``.  ``record=False`` probes
-        without touching the hit/miss stats (oracle read-through)."""
+    def get(self, key: object) -> IntervalSet | None:
+        """The cached answer, or ``None``."""
         value = self._entries.get(key)
-        if record:
-            if value is None:
-                self.misses += 1
-            else:
-                self.hits += 1
+        if value is None:
+            self.misses += 1
+        else:
+            self.hits += 1
         return value
 
     def put(

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from itertools import product
-from typing import TYPE_CHECKING, Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from repro.errors import FtlSemanticsError
 from repro.ftl.ast import (
@@ -271,14 +271,26 @@ class IntervalEvaluator:
         raise FtlSemanticsError(f"unsupported formula {type(f).__name__}{at}")
 
     # ------------------------------------------------------------------
+    # Scope: what an enumerating node (atom, disjunction, negation) walks
+    # and reads.  Incremental maintenance overrides these two, not the
+    # algorithms that use them.
+    # ------------------------------------------------------------------
+    def _rows(self, variables: Iterable[str]) -> Iterable[Instantiation]:
+        """The instantiations a node enumerates: the domain product."""
+        return product(*[self.ctx.domain(v) for v in variables])
+
+    def _operand(self, f: Formula) -> FtlRelation:
+        """A child's complete relation, as an enumerating node reads it."""
+        return self._eval(f)
+
+    # ------------------------------------------------------------------
     # Base case: atomic predicates
     # ------------------------------------------------------------------
     def _atom(self, f: Formula) -> FtlRelation:
         """The appendix base case: per relevant instantiation, the
         intervals during which the relation is satisfied."""
         free = sorted(f.free_vars())
-        domains = [self.ctx.domain(v) for v in free]
-        return self._batched_rows(f, free, product(*domains))
+        return self._batched_rows(f, free, self._rows(free))
 
     def _use_batch(self) -> bool:
         """Whether atoms go through the batch kinetic backend.
@@ -768,13 +780,12 @@ class IntervalEvaluator:
 
     def _disjunction(self, f: OrF) -> FtlRelation:
         """Safe disjunction: enumerate the union variable set."""
-        r1, r2 = self._eval(f.left), self._eval(f.right)
+        r1, r2 = self._operand(f.left), self._operand(f.right)
         out_vars = tuple(sorted(set(r1.variables) | set(r2.variables)))
         out = FtlRelation(out_vars)
         idx1 = [out_vars.index(v) for v in r1.variables]
         idx2 = [out_vars.index(v) for v in r2.variables]
-        domains = [self.ctx.domain(v) for v in out_vars]
-        for inst in product(*domains):
+        for inst in self._rows(out_vars):
             s1 = r1.get(tuple(inst[i] for i in idx1))
             s2 = r2.get(tuple(inst[i] for i in idx2))
             combined = s1.union(s2)
@@ -786,11 +797,10 @@ class IntervalEvaluator:
         """Safe negation: complement within the window over the enumerable
         domain product (the paper excludes negation for safety; enumerable
         domains restore it)."""
-        inner = self._eval(f.operand)
+        inner = self._operand(f.operand)
         bound = Interval(self.ctx.start, self.ctx.end)
         out = FtlRelation(inner.variables)
-        domains = [self.ctx.domain(v) for v in inner.variables]
-        for inst in product(*domains):
+        for inst in self._rows(inner.variables):
             out.set(tuple(inst), inner.get(tuple(inst)).complement(bound))
         return out
 

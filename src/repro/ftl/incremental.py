@@ -76,7 +76,6 @@ from repro.ftl.context import DEFAULT, EvalContext, EvalOptions
 from repro.ftl.evaluator import IntervalEvaluator
 from repro.ftl.relations import FtlRelation, Instantiation, merge_instantiations
 from repro.temporal import (
-    Interval,
     always,
     always_for,
     eventually,
@@ -90,7 +89,8 @@ from repro.temporal import (
 if TYPE_CHECKING:  # pragma: no cover
     from repro.ftl.analysis.plan import EvalPlan
 
-_ATOMS = (Compare, Inside, Outside, WithinSphere)
+#: Nodes whose algorithm walks an instantiation product.
+_ENUMERATING = (Compare, Inside, Outside, WithinSphere, OrF, NotF)
 
 
 def supports_incremental(f: Formula) -> bool:
@@ -276,8 +276,10 @@ class PartialIntervalEvaluator(IntervalEvaluator):
         return self.cache.relations[id(f)]
 
     def _delta_node(self, f: Formula) -> FtlRelation:
-        if isinstance(f, _ATOMS):
-            return self._delta_atom(f)
+        if isinstance(f, _ENUMERATING):
+            # The base algorithms, scoped to the dirty frontier by
+            # :meth:`_rows` and :meth:`_operand`.
+            return self._eval_node(f)
         if isinstance(f, AndF):
             d1, d2 = self._delta(f.left), self._delta(f.right)
             out = self._conjunction(d1, self._full(f.right))
@@ -286,13 +288,6 @@ class PartialIntervalEvaluator(IntervalEvaluator):
             for inst, iset in self._conjunction(self._full(f.left), d2).rows():
                 out.add(inst, iset)
             return out
-        if isinstance(f, OrF):
-            self._delta(f.left)
-            self._delta(f.right)
-            return self._delta_disjunction(f)
-        if isinstance(f, NotF):
-            self._delta(f.operand)
-            return self._delta_negation(f)
         if isinstance(f, Until):
             return self._delta_until(f, until)
         if isinstance(f, UntilWithin):
@@ -370,6 +365,16 @@ class PartialIntervalEvaluator(IntervalEvaluator):
     def _touches(self, inst: Instantiation) -> bool:
         return any(value in self.dirty_values for value in inst)
 
+    def _rows(self, variables: Iterable[str]) -> list[Instantiation]:
+        """The dirty frontier — materialised, because
+        :meth:`_dirty_product` counts ``rows_recomputed`` as it yields."""
+        return list(self._dirty_product(variables))
+
+    def _operand(self, f: Formula) -> FtlRelation:
+        """Refresh the child, then read its patched relation."""
+        self._delta(f)
+        return self._full(f)
+
     # ------------------------------------------------------------------
     # Per-connective deltas
     # ------------------------------------------------------------------
@@ -381,34 +386,6 @@ class PartialIntervalEvaluator(IntervalEvaluator):
         save.  Deltas always take the solve path (through the shared
         cache, which is O(1) per row and still applies)."""
         return None
-
-    def _delta_atom(self, f: Formula) -> FtlRelation:
-        free = sorted(f.free_vars())
-        # Materialize the frontier first: _dirty_product counts
-        # rows_recomputed as it yields.
-        return self._batched_rows(f, free, list(self._dirty_product(free)))
-
-    def _delta_disjunction(self, f: OrF) -> FtlRelation:
-        r1, r2 = self._full(f.left), self._full(f.right)
-        out_vars = tuple(sorted(set(r1.variables) | set(r2.variables)))
-        out = FtlRelation(out_vars)
-        idx1 = [out_vars.index(v) for v in r1.variables]
-        idx2 = [out_vars.index(v) for v in r2.variables]
-        for inst in self._dirty_product(out_vars):
-            s1 = r1.get(tuple(inst[i] for i in idx1))
-            s2 = r2.get(tuple(inst[i] for i in idx2))
-            combined = s1.union(s2)
-            if not combined.is_empty:
-                out.set(tuple(inst), combined)
-        return out
-
-    def _delta_negation(self, f: NotF) -> FtlRelation:
-        inner = self._full(f.operand)
-        bound = Interval(self.ctx.start, self.ctx.end)
-        out = FtlRelation(inner.variables)
-        for inst in self._dirty_product(inner.variables):
-            out.set(tuple(inst), inner.get(tuple(inst)).complement(bound))
-        return out
 
     def _delta_until(self, f: Formula, combine) -> FtlRelation:
         self._delta(f.left)

@@ -37,7 +37,6 @@ from repro.ftl.ast import (
     UntilWithin,
     WithinSphere,
 )
-from repro.ftl.atoms import region_solve_key, sphere_solve_key
 from repro.ftl.context import Env, EvalContext
 from repro.ftl.relations import FtlRelation
 from repro.spatial.predicates import within_a_sphere
@@ -63,28 +62,12 @@ class NaiveEvaluator:
         self,
         ctx: EvalContext,
         plan: "EvalPlan | None" = None,
-        use_solve_cache: bool = False,
     ) -> None:
         self.ctx = ctx
         #: Cost-ordered plan: the ordered conjunction tree short-circuits
         #: selective conjuncts first under ``and``.
         self.plan = plan
-        #: Opt-in (default off, preserving this evaluator's independence
-        #: as the differential oracle): spatial atoms read through the
-        #: shared kinetic-solve cache — a hit answers ``contains(t)`` on
-        #: the cached interval set instead of recomputing geometry.
-        #: Read-only: per-state evaluation never *fills* the cache.
-        self._solve_cache = ctx.solve_cache() if use_solve_cache else None
-        self.cache_hits = 0
         self._memo: dict[tuple, bool] = {}
-
-    def _cached_atom(self, key) -> "IntervalSet | None":
-        if self._solve_cache is None or key is None:
-            return None
-        hit = self._solve_cache.get(key, record=False)
-        if hit is not None:
-            self.cache_hits += 1
-        return hit
 
     # ------------------------------------------------------------------
     def evaluate(self, formula: Formula) -> FtlRelation:
@@ -141,24 +124,11 @@ class NaiveEvaluator:
         if isinstance(f, (Inside, Outside)):
             obj_id = ctx.eval_term(f.obj, env, t)
             region = ctx.history.region(f.region)
-            if self._solve_cache is not None:
-                hit = self._cached_atom(
-                    region_solve_key(ctx, region, obj_id)
-                )
-                if hit is not None:
-                    inside = hit.contains(t)
-                    return inside if isinstance(f, Inside) else not inside
             inside = region.contains(ctx.history.position(obj_id, t))
             return inside if isinstance(f, Inside) else not inside
 
         if isinstance(f, WithinSphere):
             obj_ids = [ctx.eval_term(o, env, t) for o in f.objs]
-            if self._solve_cache is not None:
-                hit = self._cached_atom(
-                    sphere_solve_key(ctx, f.radius, obj_ids)
-                )
-                if hit is not None:
-                    return hit.contains(t)
             points = [ctx.history.position(oid, t) for oid in obj_ids]
             return within_a_sphere(f.radius, points)
 

@@ -10,7 +10,7 @@ value lies in the subset; evaluating the query once per subset and taking
 the keyed union of the results reproduces the serial answer bit for bit.
 
 This package exploits that: :func:`repro.parallel.partition.partition_ids`
-cuts the split variable's class into spatially coherent shards,
+cuts the split variable's class into contiguous, balanced chunks,
 :class:`repro.parallel.pool.ShardWorkerPool` keeps a persistent
 ``multiprocessing`` pool whose workers hold a database replica rebuilt
 from shared-memory motion arrays (:mod:`repro.parallel.motion`), and
@@ -36,7 +36,7 @@ from repro.parallel.evaluator import (
     merge_relations,
 )
 from repro.parallel.motion import MotionSnapshot
-from repro.parallel.partition import ShardPlan, halo_members, partition_ids
+from repro.parallel.partition import ShardPlan, partition_ids
 from repro.parallel.pool import ShardWorkerPool, get_pool, shutdown_pools
 
 __all__ = [
@@ -46,7 +46,6 @@ __all__ = [
     "ShardedIntervalEvaluator",
     "enumerate_formula_nodes",
     "get_pool",
-    "halo_members",
     "merge_relations",
     "partition_ids",
     "resolve_workers",

@@ -1,4 +1,4 @@
-"""Sharded interval evaluation: shard-local evaluators plus the merge.
+"""Sharded interval evaluation: the parent orchestrator plus the merge.
 
 Soundness (DESIGN.md §12, proven by ``tests/parallel/``): every row of an
 ``R_g`` relation keys a variable instantiation whose interval content
@@ -11,17 +11,13 @@ union is associative, commutative and idempotent (``IntervalSet.union``
 on normalised sets), so merge order is irrelevant —
 ``tests/parallel/test_merge_laws.py`` property-checks the laws.
 
-Three pieces live here:
+A worker runs the plain :class:`~repro.ftl.evaluator.IntervalEvaluator`
+over a domain-restricted context (:mod:`repro.parallel.worker`); two
+pieces live here:
 
 * :func:`enumerate_formula_nodes` — the deterministic node ordering that
   lets ``id()``-keyed traces, validity stamps and atom stats cross
   process boundaries as tree *paths*;
-* :class:`ShardedWorkerEvaluator` — the in-worker evaluator: a plain
-  :class:`~repro.ftl.evaluator.IntervalEvaluator` over a
-  domain-restricted context, plus the halo fast path for distance atoms
-  (a shard-level candidate superset answers far pairs with one set probe
-  instead of a per-row index probe — returning exactly the rows the
-  base gate would, so counters stay shard-exact);
 * :class:`ShardedIntervalEvaluator` — the parent orchestrator: splits,
   dispatches to the persistent pool, merges relations / counters /
   traces, and degrades to in-process serial evaluation whenever sharding
@@ -30,25 +26,14 @@ Three pieces live here:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 from repro.errors import FtlSemanticsError, QueryError
-from repro.ftl.ast import (
-    AndF,
-    Assign,
-    Compare,
-    Formula,
-    OrF,
-    Until,
-    UntilWithin,
-    Var,
-)
-from repro.ftl.atoms import _DIST_OPS
+from repro.ftl.ast import AndF, Assign, Formula, OrF, Until, UntilWithin
 from repro.ftl.context import DEFAULT, EvalContext, EvalOptions
 from repro.ftl.evaluator import IntervalEvaluator
-from repro.ftl.relations import EMPTY_SET, FtlRelation
-from repro.parallel.partition import ShardPlan, halo_members
-from repro.temporal import DISCRETE, IntervalSet
+from repro.ftl.relations import FtlRelation
+from repro.parallel.partition import ShardPlan
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.history import History
@@ -58,7 +43,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "ShardedIntervalEvaluator",
-    "ShardedWorkerEvaluator",
     "enumerate_formula_nodes",
     "merge_relations",
 ]
@@ -133,86 +117,6 @@ def merge_relations(parts: Iterable[FtlRelation]) -> FtlRelation:
     return out
 
 
-class ShardedWorkerEvaluator(IntervalEvaluator):
-    """The in-worker evaluator: serial semantics + the halo fast path.
-
-    Evaluation itself is exactly :class:`IntervalEvaluator` over a
-    context whose split-variable domain is restricted to the shard.  The
-    only override is the distance-atom gate: when the split variable is
-    the *left* leg of a ``DIST(split, other) op bound`` atom, the shard's
-    radius-inflated halo (the union of every member's trajectory-MBR
-    candidates, :func:`~repro.parallel.partition.halo_members`) answers
-    far partners with one frozenset probe.  ``other ∉ halo`` implies
-    ``other ∉ pair_candidates(member, bound)`` for every member, so the
-    fast path fires only on rows the base gate would answer — with the
-    identical answer — and falls through to the base gate otherwise:
-    relations *and* counters are bit-identical to the serial evaluator's.
-    """
-
-    def __init__(
-        self,
-        ctx: EvalContext,
-        *,
-        split_var: str,
-        shard_ids: Sequence[object],
-        **kwargs: Any,
-    ) -> None:
-        super().__init__(ctx, **kwargs)
-        self.split_var = split_var
-        self.shard_ids = tuple(shard_ids)
-        #: Rows answered via the halo probe (instead of a per-row index
-        #: probe) — diagnostics only; they are a subset of
-        #: ``pruned_instantiations``.
-        self.halo_prunes = 0
-        self._halos: dict[float, frozenset[object] | None] = {}
-
-    def _halo_for(self, radius: float) -> frozenset[object] | None:
-        halo = self._halos.get(radius)
-        if radius not in self._halos:
-            halo = halo_members(
-                self.ctx.atom_pruner(), self.shard_ids, radius
-            )
-            self._halos[radius] = halo
-        return halo
-
-    def _atom_gate(
-        self, f: Formula
-    ) -> "Callable[[dict[str, object]], IntervalSet | None] | None":
-        gate: Callable[[dict[str, object]], IntervalSet | None] | None = (
-            super()._atom_gate(f)
-        )
-        if gate is None or not isinstance(f, Compare):
-            return gate
-        pruner = self.ctx.atom_pruner()
-        spec = pruner._dist_spec(f)
-        if spec is None:
-            return gate
-        dist_term, bound_term, op = spec
-        left = dist_term.left
-        if not (isinstance(left, Var) and left.name == self.split_var):
-            return gate
-        other_leg = dist_term.right
-        holds_when_far = _DIST_OPS[op]
-        base_gate = gate
-        ctx = self.ctx
-        full = IntervalSet.span(ctx.start, ctx.end, DISCRETE)
-
-        def halo_gate(env: dict[str, object]) -> IntervalSet | None:
-            bound = ctx.eval_term(bound_term, env, ctx.start)
-            if isinstance(bound, (int, float)) and bound >= 0:
-                halo = self._halo_for(float(bound))
-                if halo is not None:
-                    partner = ctx.eval_term(other_leg, env, ctx.start)
-                    if partner not in halo and pruner.is_indexed(partner):
-                        # Disjoint from every member's inflated boxes:
-                        # the base gate would answer identically.
-                        self.halo_prunes += 1
-                        return full if holds_when_far else EMPTY_SET
-            return base_gate(env)
-
-        return halo_gate
-
-
 class ShardedIntervalEvaluator:
     """Parent-side orchestration of one sharded evaluation.
 
@@ -281,8 +185,6 @@ class ShardedIntervalEvaluator:
         #: Per-shard in-worker CPU seconds — contention-immune work
         #: measure for critical-path estimates on time-sliced hosts.
         self.shard_cpu_times: list[float] = []
-        #: Rows the workers answered through the halo probe.
-        self.halo_prunes = 0
 
     # ------------------------------------------------------------------
     def _choose_split_var(self) -> str | None:
@@ -342,17 +244,11 @@ class ShardedIntervalEvaluator:
         from repro.parallel.pool import get_pool
 
         assert self.split_var is not None
-        class_name = self.query.bindings[self.split_var]
-        shard_count = min(
-            self.workers, len(self.ctx.domain(self.split_var))
-        )
         shard_plan = ShardPlan.build(
-            self.history,
             self.split_var,
-            class_name,
-            shard_count,
-            self.ctx.start,
-            self.ctx.end,
+            self.query.bindings[self.split_var],
+            self.ctx.domain(self.split_var),
+            self.workers,
         )
         self.shard_plan = shard_plan
         nodes = self._parent_nodes()
@@ -393,7 +289,6 @@ class ShardedIntervalEvaluator:
         self.shard_cpu_times = [
             float(p.get("eval_cpu", p["eval_time"])) for p in payloads
         ]
-        self.halo_prunes = sum(int(p["halo_prunes"]) for p in payloads)
         counters = {key: 0 for key in _COUNTER_KEYS}
         for payload in payloads:
             for key in _COUNTER_KEYS:

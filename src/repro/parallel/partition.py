@@ -1,136 +1,47 @@
-"""Spatial sharding of an object class plus the halo exchange.
+"""Chunking of the split variable's domain into shards.
 
-Partitioning only affects *load balance*, never correctness: the sharded
-evaluator is exact for any partition of the split variable's domain
-(DESIGN.md §12), so the partitioner is free to use a cheap heuristic — a
-row-major grid over each object's mid-window position — rather than the
-full trajectory index.  Objects whose motion cannot be positioned
-(nonlinear without a spatial class, unknown attributes) are appended in
-domain order, which keeps the assignment deterministic.
-
-The *halo* of a shard is the superset of objects that may come within a
-given radius of any shard member during the window.  It reuses
-:meth:`repro.ftl.atoms.AtomIndexPruner.pair_candidates` — the same
-trajectory-MBR probes, with the same ``radius + pad`` inflation — so halo
-soundness reduces to candidate-set soundness, which
-``tests/index/test_candidate_soundness.py`` and the mirror suite in
-``tests/parallel/test_halo_soundness.py`` verify.
+Partitioning only affects *load balance*, never correctness: every row of
+an ``R_g`` relation is computed from the instantiated objects alone, so
+the sharded evaluator is exact for any partition of the split variable's
+domain (DESIGN.md §12; ``tests/parallel/test_partition_invariance.py``
+property-checks it).  The partitioner therefore looks at nothing but the
+domain list: contiguous, ±1-balanced chunks in domain order — no
+history, no window, no trajectory.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
-from repro.errors import MotionError, QueryError, SchemaError
+from repro.errors import QueryError
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.history import History
-    from repro.ftl.atoms import AtomIndexPruner
-
-__all__ = ["ShardPlan", "halo_members", "partition_ids"]
-
-#: Cells per axis of the partitioning grid.  Coarse on purpose: with
-#: contiguous chunking after the row-major sort, anything comfortably
-#: above the worker count preserves spatial locality.
-_GRID = 16
-
-
-def _rep_point(
-    history: "History", oid: object, mid: float
-) -> tuple[float, ...] | None:
-    """The object's mid-window position, or ``None`` when unpositionable."""
-    try:
-        mover = history.moving_point(oid)
-        point = mover.position_at(mid)
-    except (QueryError, SchemaError, MotionError):
-        return None
-    return tuple(float(c) for c in point)
+__all__ = ["ShardPlan", "partition_ids"]
 
 
 def partition_ids(
-    history: "History",
-    ids: Sequence[object],
-    shard_count: int,
-    start: float,
-    end: float,
+    ids: Sequence[object], shard_count: int
 ) -> list[list[object]]:
-    """Split ``ids`` into up to ``shard_count`` spatially coherent shards.
+    """Cut ``ids`` into up to ``shard_count`` contiguous chunks.
 
-    Deterministic: the same history, ids and window always produce the
-    same shards.  Every id appears in exactly one shard; shard sizes
-    differ by at most one; fewer (never empty) shards come back when
-    there are fewer ids than requested shards.
+    Deterministic: the same ids and count always produce the same
+    shards, in domain order.  Every id appears in exactly one shard;
+    shard sizes differ by at most one; fewer (never empty) shards come
+    back when there are fewer ids than requested shards.
     """
     if shard_count < 1:
         raise QueryError(f"shard_count must be >= 1, got {shard_count}")
-    n = len(ids)
-    shard_count = min(shard_count, n)
-    if shard_count <= 1:
-        return [list(ids)] if ids else []
-
-    mid = (float(start) + float(end)) / 2.0
-    reps: list[tuple[object, tuple[float, ...] | None]] = [
-        (oid, _rep_point(history, oid, mid)) for oid in ids
-    ]
-    points = [p for _oid, p in reps if p is not None]
-    los: list[float] = []
-    spans: list[float] = []
-    if points:
-        dims = min(len(p) for p in points)
-        for d in range(dims):
-            coords = [p[d] for p in points]
-            lo, hi = min(coords), max(coords)
-            los.append(lo)
-            spans.append((hi - lo) or 1.0)
-
-    def cell_key(p: tuple[float, ...] | None, seq: int) -> tuple[int, int, int]:
-        if p is None or not los:
-            return (1, 0, seq)  # unpositionable: stable domain order
-        key = 0
-        for d in range(len(los)):
-            frac = (p[d] - los[d]) / spans[d]
-            cell = min(_GRID - 1, max(0, int(frac * _GRID)))
-            key = key * _GRID + cell
-        return (0, key, seq)
-
-    order = sorted(
-        range(n), key=lambda i: cell_key(reps[i][1], i)
-    )
-    base, extra = divmod(n, shard_count)
+    shard_count = min(shard_count, len(ids))
+    if shard_count == 0:
+        return []
+    base, extra = divmod(len(ids), shard_count)
     shards: list[list[object]] = []
     cursor = 0
     for s in range(shard_count):
         size = base + (1 if s < extra else 0)
-        shards.append([ids[i] for i in order[cursor : cursor + size]])
+        shards.append(list(ids[cursor : cursor + size]))
         cursor += size
     return shards
-
-
-def halo_members(
-    pruner: "AtomIndexPruner",
-    members: Sequence[object],
-    radius: float,
-) -> frozenset[object] | None:
-    """Objects that may come within ``radius`` of any shard member during
-    the window, or ``None`` when the halo cannot be bounded (a member is
-    unindexable, so *every* object is a potential partner).
-
-    Superset guarantee, inherited from
-    :meth:`~repro.ftl.atoms.AtomIndexPruner.pair_candidates`: if
-    ``DIST(m, b) <= radius`` holds at any time of the window for a member
-    ``m``, then ``b`` is in the returned set.
-    """
-    if not math.isfinite(radius) or radius < 0:
-        return None
-    halo: set[object] = set()
-    for oid in members:
-        cands = pruner.pair_candidates(oid, float(radius))
-        if cands is None:
-            return None
-        halo.update(cands)
-    return frozenset(halo)
 
 
 @dataclass(frozen=True)
@@ -144,20 +55,17 @@ class ShardPlan:
     @classmethod
     def build(
         cls,
-        history: "History",
         split_var: str,
         class_name: str,
+        ids: Sequence[object],
         shard_count: int,
-        start: float,
-        end: float,
     ) -> "ShardPlan":
-        """Partition the class population as of ``history``."""
-        ids = history.object_ids(class_name)
-        shards = partition_ids(history, ids, shard_count, start, end)
+        """Partition ``ids``, the class population the split variable
+        ranges over."""
         return cls(
             split_var=split_var,
             class_name=class_name,
-            shards=tuple(tuple(s) for s in shards),
+            shards=tuple(tuple(s) for s in partition_ids(ids, shard_count)),
         )
 
     @property
@@ -171,10 +79,3 @@ class ShardPlan:
             if oid in members:
                 return i
         return None
-
-    def halo(
-        self, pruner: "AtomIndexPruner", idx: int, radius: float
-    ) -> frozenset[object] | None:
-        """The radius-inflated halo of shard ``idx`` (see
-        :func:`halo_members`)."""
-        return halo_members(pruner, self.shards[idx], radius)

@@ -28,6 +28,7 @@ from typing import TYPE_CHECKING, Any
 from repro.errors import FtlSemanticsError
 from repro.ftl.atoms import clear_region_tokens
 from repro.ftl.context import EvalContext
+from repro.ftl.evaluator import IntervalEvaluator
 from repro.parallel.motion import MotionSnapshot
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -65,10 +66,7 @@ def _ship_error(exc: BaseException) -> tuple[str, object]:
 
 def _evaluate(state: dict[str, Any], spec: dict[str, Any]) -> dict[str, Any]:
     """Run one shard-restricted evaluation against the replica."""
-    from repro.parallel.evaluator import (
-        ShardedWorkerEvaluator,
-        enumerate_formula_nodes,
-    )
+    from repro.parallel.evaluator import enumerate_formula_nodes
 
     history: "FutureHistory | None" = state.get("history")
     if history is None:
@@ -100,10 +98,8 @@ def _evaluate(state: dict[str, Any], spec: dict[str, Any]) -> dict[str, Any]:
         domain_restrictions={spec["split_var"]: list(spec["shard_ids"])},
     )
     trace: dict[int, Any] | None = {} if spec["want_trace"] else None
-    evaluator = ShardedWorkerEvaluator(
+    evaluator = IntervalEvaluator(
         ctx,
-        split_var=spec["split_var"],
-        shard_ids=tuple(spec["shard_ids"]),
         trace=trace,
         plan=plan,
         options=spec["options"],
@@ -140,7 +136,6 @@ def _evaluate(state: dict[str, Any], spec: dict[str, Any]) -> dict[str, Any]:
         # wall span above stretches with contention, but CPU time is the
         # shard's true work — what a real core would take.
         "eval_cpu": eval_cpu,
-        "halo_prunes": evaluator.halo_prunes,
     }
 
 

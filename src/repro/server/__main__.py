@@ -18,6 +18,7 @@ import argparse
 import asyncio
 import json
 import random
+import sys
 from typing import Any
 
 from repro.core.database import MostDatabase
@@ -43,18 +44,23 @@ from repro.server.protocol import (
 from repro.server.protocol import SUBSCRIBE as SUBSCRIBE_KIND
 from repro.server.tcp import TcpTransport
 from repro.distributed.updates import MotionUpdate
+from repro.temporal.clock import SimulationClock
 
 QUERY = "RETRIEVE v FROM trackers v, beacons b WHERE DIST(v, b) <= 60"
 
 
-async def _reporter(host: str, port: int, db_epochs: int, seed: int) -> None:
+async def _reporter(
+    host: str, port: int, clock: SimulationClock, db_epochs: int, seed: int
+) -> None:
     """Feed seeded integer-grid motion over the socket, one small batch
-    per epoch-ish interval."""
+    per epoch-ish interval.  Fixes are stamped from the server's clock —
+    the demo shares one process with it — so none is "measured in the
+    future" however the two loops' periods relate."""
     rng = random.Random(seed)
     reader, writer = await asyncio.open_connection(host, port)
     seqs = {f"tracker-{i}": 0 for i in range(3)}
     batch_seq = 0
-    for epoch in range(db_epochs):
+    for _ in range(db_epochs):
         updates = []
         for object_id in seqs:
             if rng.random() < 0.3:
@@ -62,7 +68,7 @@ async def _reporter(host: str, port: int, db_epochs: int, seed: int) -> None:
                     MotionUpdate(
                         object_id=object_id,
                         seq=seqs[object_id],
-                        measured_at=epoch,
+                        measured_at=clock.now,
                         position=Point(
                             float(rng.randint(-50, 50)),
                             float(rng.randint(-50, 50)),
@@ -87,8 +93,9 @@ async def _reporter(host: str, port: int, db_epochs: int, seed: int) -> None:
     writer.close()
 
 
-async def _subscriber(host: str, port: int, stop: asyncio.Event) -> None:
-    """A minimal display client: subscribe, apply deltas, ack, print."""
+async def _subscriber(host: str, port: int, stop: asyncio.Event) -> int:
+    """A minimal display client: subscribe, apply deltas, ack, print.
+    Returns how many times a non-empty display was printed."""
     reader, writer = await asyncio.open_connection(host, port)
     writer.write(
         encode_line(
@@ -103,6 +110,7 @@ async def _subscriber(host: str, port: int, stop: asyncio.Event) -> None:
     query_id, incarnation, last_seq = "", 0, 0
     display: dict[tuple[Any, ...], WireTuple] = {}
     shown: set[str] = set()
+    displays = 0
     while not stop.is_set():
         try:
             line = await asyncio.wait_for(reader.readline(), timeout=0.5)
@@ -117,7 +125,7 @@ async def _subscriber(host: str, port: int, stop: asyncio.Event) -> None:
             incarnation = payload.incarnation
             if payload.error:
                 print("subscription refused:", payload.error)
-                return
+                return displays
             continue
         if kind != DELTA:
             continue
@@ -147,8 +155,11 @@ async def _subscriber(host: str, port: int, stop: asyncio.Event) -> None:
         now_shown = {t.values[0] for t in display.values()}
         if now_shown != shown:
             shown = now_shown
+            if shown:
+                displays += 1
             print(f"display -> {sorted(shown)}")
     writer.close()
+    return displays
 
 
 async def main(argv: list[str] | None = None) -> int:
@@ -180,19 +191,27 @@ async def main(argv: list[str] | None = None) -> int:
     print(f"continuous-query server on 127.0.0.1:{transport.port}")
 
     stop = asyncio.Event()
-    tasks = [
-        asyncio.create_task(
-            _reporter("127.0.0.1", transport.port, args.epochs, args.seed)
-        ),
-        asyncio.create_task(
-            _subscriber("127.0.0.1", transport.port, stop)
-        ),
-    ]
+    reporter = asyncio.create_task(
+        _reporter(
+            "127.0.0.1", transport.port, db.clock, args.epochs, args.seed
+        )
+    )
+    subscriber = asyncio.create_task(
+        _subscriber("127.0.0.1", transport.port, stop)
+    )
     await server.serve(epochs=args.epochs, interval=0.02)
     stop.set()
-    await asyncio.gather(*tasks, return_exceptions=True)
+    _, displays = await asyncio.gather(reporter, subscriber)
     await transport.stop()
     print(json.dumps(server.metrics.to_dict(), indent=2))
+    rejected = server.metrics.updates_rejected
+    if rejected or not displays:
+        print(
+            f"demo failed: {rejected} updates rejected, "
+            f"{displays} displays shown",
+            file=sys.stderr,
+        )
+        return 1
     return 0
 
 

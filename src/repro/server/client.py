@@ -28,7 +28,6 @@ from repro.distributed.backoff import RetrySchedule
 from repro.distributed.network import Message, SimNetwork
 from repro.distributed.node import MobileNode
 from repro.distributed.updates import MotionUpdate
-from repro.errors import DistributedError
 from repro.geometry import Point
 from repro.motion.moving import linear_moving_point
 from repro.server.protocol import (
@@ -57,6 +56,11 @@ from repro.server.protocol import (
 )
 from repro.server.transport import ProtocolNode
 
+#: Ticks between a subscriber's liveness heartbeats.
+HEARTBEAT_EVERY = 2
+#: Ticks a subscriber waits for ``SUBSCRIBED`` before asking again.
+RESUBSCRIBE_AFTER = 4
+
 
 class SubscriberClient:
     """One display client of the continuous-query server."""
@@ -73,11 +77,7 @@ class SubscriberClient:
         period: int = 1,
         window: int | None = None,
         staleness_bound: float | None = None,
-        heartbeat_every: int = 2,
-        resubscribe_after: int = 4,
     ) -> None:
-        if heartbeat_every < 1 or resubscribe_after < 1:
-            raise DistributedError("client timers must be at least one tick")
         self.node = ProtocolNode(client_id, network)
         self.network = network
         self.clock = network.clock
@@ -90,8 +90,6 @@ class SubscriberClient:
         self.period = period
         self.window = window
         self.staleness_bound = staleness_bound
-        self.heartbeat_every = heartbeat_every
-        self.resubscribe_after = resubscribe_after
         self.query_id: str | None = None
         self.incarnation = 0
         #: Highest contiguous delta seq applied (the resumable cursor).
@@ -246,13 +244,13 @@ class SubscriberClient:
                         incarnation=self.incarnation,
                     ),
                 )
-                self._next_subscribe = now + self.resubscribe_after
+                self._next_subscribe = now + RESUBSCRIBE_AFTER
             return
         if reconnected:
             # Back online with a live subscription: resume from the
             # cursor instead of resubscribing from scratch.
             self._send_resume()
-        if now % self.heartbeat_every == 0:
+        if now % HEARTBEAT_EVERY == 0:
             self._send(
                 HEARTBEAT,
                 HeartbeatMsg(

@@ -76,6 +76,14 @@ from repro.server.registry import SubscriptionRegistry
 from repro.server.session import ClientSession
 from repro.server.transport import SimTransport, Transport
 
+#: Inbox fill fraction beyond which ingest credits drop to zero (the
+#: ``backpressure`` ladder level).
+HIGH_WATERMARK = 0.75
+#: Query refreshes allowed per epoch while shedding.
+SHED_BUDGET = 4
+#: Hold-off, in epochs, a refused reporter is told.
+BUSY_RETRY_AFTER = 2
+
 
 class CQServer:
     """The epoch-loop continuous-query server.
@@ -86,13 +94,9 @@ class CQServer:
             server (TCP transport attached separately).
         inbox_capacity: bound of the epoch ingest queue, in updates.
         batch_limit: updates applied per epoch (the amortisation knob).
-        high_watermark: inbox fill fraction beyond which ingest credits
-            drop to zero (the ``backpressure`` ladder level).
-        shed_budget: query refreshes allowed per epoch while shedding.
         heartbeat_timeout: epochs of client silence before its sessions
             pause sends.
         retry: backoff schedule for delta retransmission (jittered).
-        busy_retry_after: hold-off, in epochs, a refused reporter is told.
         seed: base RNG seed for per-session jitter decorrelation.
         parallel: sharded-evaluation worker knob forwarded to every
             registered query (``None``/``1`` serial, ``N`` workers,
@@ -106,12 +110,8 @@ class CQServer:
         server_id: str = SERVER_ID,
         inbox_capacity: int = 512,
         batch_limit: int = 128,
-        high_watermark: float = 0.75,
-        shed_budget: int = 4,
         heartbeat_timeout: int = 8,
         retry: RetrySchedule | None = None,
-        busy_retry_after: int = 2,
-        max_log: int = 256,
         seed: int = 0,
         parallel: object = None,
     ) -> None:
@@ -119,21 +119,15 @@ class CQServer:
             raise DistributedError("inbox must hold at least one update")
         if batch_limit < 1:
             raise DistributedError("batch limit must be at least one update")
-        if not 0.0 < high_watermark <= 1.0:
-            raise DistributedError("high watermark must be in (0, 1]")
         self.db = db
         self.clock = db.clock
         self.server_id = server_id
         self.inbox_capacity = inbox_capacity
         self.batch_limit = batch_limit
-        self.high_watermark = high_watermark
-        self.shed_budget = shed_budget
         self.heartbeat_timeout = heartbeat_timeout
         self.retry = retry if retry is not None else RetrySchedule(
             base=2.0, factor=2.0, cap=8.0, jitter=0.3
         )
-        self.busy_retry_after = busy_retry_after
-        self.max_log = max_log
         self.seed = seed
         self.metrics = ServerMetrics()
         self.registry = SubscriptionRegistry(db, self.metrics, parallel=parallel)
@@ -198,7 +192,7 @@ class CQServer:
                 INGEST_BUSY,
                 IngestBusy(
                     batch_seq=batch.batch_seq,
-                    retry_after=self.busy_retry_after,
+                    retry_after=BUSY_RETRY_AFTER,
                 ),
                 CONTROL_SIZE,
             )
@@ -270,7 +264,6 @@ class CQServer:
             schedule=self.retry,
             seed=self.seed ^ zlib.crc32("|".join(key).encode()),
             heartbeat_timeout=self.heartbeat_timeout,
-            max_log=self.max_log,
         )
         self._client_sessions.setdefault(key[0], []).append(session)
 
@@ -294,7 +287,7 @@ class CQServer:
     # ------------------------------------------------------------------
     def _credits(self) -> int:
         """Per-reporter ingest allowance granted with each ack."""
-        if self.inbox_depth >= self.high_watermark * self.inbox_capacity:
+        if self.inbox_depth >= HIGH_WATERMARK * self.inbox_capacity:
             return 0
         return max(1, self._headroom // max(1, len(self._reporters)))
 
@@ -357,7 +350,7 @@ class CQServer:
     def _ladder_level(self, backlog: bool) -> str:
         if backlog:
             return SHEDDING
-        if self.inbox_depth >= self.high_watermark * self.inbox_capacity:
+        if self.inbox_depth >= HIGH_WATERMARK * self.inbox_capacity:
             return BACKPRESSURE
         return NORMAL
 
@@ -377,7 +370,7 @@ class CQServer:
         backlog = bool(self._inbox)
         self.level = self._ladder_level(backlog)
         self.metrics.epochs_at_level[self.level] += 1
-        budget = self.shed_budget if self.level == SHEDDING else None
+        budget = SHED_BUDGET if self.level == SHEDDING else None
         self.registry.refresh_round(now, budget)
         for session in list(self.sessions.values()):
             session.check_liveness(now)

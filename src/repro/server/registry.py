@@ -166,19 +166,6 @@ class SubscriptionRegistry:
             parallel=self.parallel,
         )
 
-    def drop_subscriber(self, client_id: str, query_id: str) -> None:
-        """Remove one subscriber; cancel the query when none remain."""
-        self.records.pop((client_id, query_id), None)
-        rq = self.queries.get(query_id)
-        if rq is None:
-            return
-        rq.subscribers.discard(client_id)
-        if not rq.subscribers:
-            rq.cq.cancel()
-            del self.queries[query_id]
-            self._by_spec.pop((rq.text, rq.horizon, rq.method), None)
-            self._rr = [q for q in self._rr if q != query_id]
-
     # ------------------------------------------------------------------
     def refresh(self, rq: RegisteredQuery, now: int) -> bool:
         """Bring one query's answer state up to date.

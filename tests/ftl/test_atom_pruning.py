@@ -297,32 +297,36 @@ def test_cache_bound_is_enforced():
     assert cache.get(("k", 0)) is None  # FIFO-evicted
     assert cache.get(("k", 9)) is not None
     assert cache.hits == 1 and cache.misses == 1
-    cache.get(("k", 1), record=False)  # oracle probes don't touch stats
-    assert cache.hits == 1 and cache.misses == 1
 
 
 def test_naive_read_through_matches_geometry():
-    """The per-state oracle with ``use_solve_cache=True`` reads interval
-    sets the interval evaluator solved and agrees with its own geometric
-    evaluation — the cache-coherence check of the two representations."""
+    """Cache coherence of the two representations, checked from outside:
+    an interval pass answered entirely from the warm cache (hits, zero
+    solves) returns the rows the per-state oracle derives from geometry.
+    The oracle itself never reads the cache the evaluator under test
+    writes."""
     rng = random.Random(11)
     db = build_world(rng)
     bindings = {"c": "cars", "v": "vans"}
     where = AndF(
         Inside(Var("c"), "P"), WithinSphere(4, (Var("c"), Var("v")))
     )
-    # Warm the db-wide cache with the interval evaluator's solves.
-    warm_ctx = EvalContext(FutureHistory(db), HORIZON, bindings)
-    IntervalEvaluator(
-        warm_ctx, options=replace(DEFAULT, index_pruning=False)
-    ).evaluate(where)
+    unpruned = replace(DEFAULT, index_pruning=False)
+
+    def interval_pass():
+        ctx = EvalContext(FutureHistory(db), HORIZON, bindings)
+        evaluator = IntervalEvaluator(ctx, options=unpruned)
+        return evaluator, evaluator.evaluate(where)
+
+    warm, _ = interval_pass()
+    assert warm.kinetic_solves > 0
+    reread, from_cache = interval_pass()
+    assert reread.cache_hits > 0
+    assert reread.kinetic_solves == 0
     ctx = EvalContext(FutureHistory(db), HORIZON, bindings)
-    plain = NaiveEvaluator(ctx).evaluate(where)
-    ctx2 = EvalContext(FutureHistory(db), HORIZON, bindings)
-    cached = NaiveEvaluator(ctx2, use_solve_cache=True)
-    reread = cached.evaluate(where)
-    assert rows_of(plain) == rows_of(reread)
-    assert cached.cache_hits > 0
+    naive = NaiveEvaluator(ctx)
+    assert not hasattr(naive, "cache_hits")
+    assert rows_of(from_cache) == rows_of(naive.evaluate(where))
 
 
 # ---------------------------------------------------------------------------

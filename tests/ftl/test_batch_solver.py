@@ -382,10 +382,8 @@ def test_database_cache_bound_is_configurable():
         cache.put(("k", i), empty)
     assert len(cache) == 4
     # FIFO: the six oldest are gone, the four newest survive.
-    assert all(cache.get(("k", i), record=False) is None for i in range(6))
-    assert all(
-        cache.get(("k", i), record=False) is not None for i in range(6, 10)
-    )
+    assert all(cache.get(("k", i)) is None for i in range(6))
+    assert all(cache.get(("k", i)) is not None for i in range(6, 10))
     assert MostDatabase().kinetic_cache.max_entries == DEFAULT_CACHE_ENTRIES
 
 

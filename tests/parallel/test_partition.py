@@ -15,8 +15,6 @@ from repro.errors import QueryError
 from repro.geometry import Point
 from repro.parallel import ShardPlan, partition_ids
 
-HORIZON = 12
-
 
 def build_db(n, seed=0):
     rng = random.Random(seed)
@@ -38,7 +36,7 @@ def test_partition_is_exact_and_balanced(n, shard_count):
     db = build_db(n)
     history = FutureHistory(db)
     ids = history.object_ids("cars")
-    shards = partition_ids(history, ids, shard_count, 0.0, HORIZON)
+    shards = partition_ids(ids, shard_count)
     flat = [oid for shard in shards for oid in shard]
     assert sorted(flat, key=str) == sorted(ids, key=str)
     assert len(flat) == len(set(flat)) == n
@@ -53,24 +51,24 @@ def test_partition_is_deterministic():
     db = build_db(25, seed=3)
     history = FutureHistory(db)
     ids = history.object_ids("cars")
-    first = partition_ids(history, ids, 4, 0.0, HORIZON)
+    first = partition_ids(ids, 4)
     for _ in range(5):
-        assert partition_ids(history, ids, 4, 0.0, HORIZON) == first
+        assert partition_ids(ids, 4) == first
     # And across a rebuilt but identical world.
     other = FutureHistory(build_db(25, seed=3))
-    assert partition_ids(other, other.object_ids("cars"), 4, 0.0, HORIZON) == first
+    assert partition_ids(other.object_ids("cars"), 4) == first
 
 
 def test_partition_rejects_bad_shard_count():
     history = FutureHistory(build_db(4))
     with pytest.raises(QueryError):
-        partition_ids(history, history.object_ids("cars"), 0, 0.0, HORIZON)
+        partition_ids(history.object_ids("cars"), 0)
 
 
 def test_shard_plan_lookup():
     db = build_db(9, seed=1)
     history = FutureHistory(db)
-    plan = ShardPlan.build(history, "c", "cars", 3, 0.0, HORIZON)
+    plan = ShardPlan.build("c", "cars", history.object_ids("cars"), 3)
     assert plan.shard_count == 3
     for oid in history.object_ids("cars"):
         idx = plan.shard_of(oid)
@@ -79,24 +77,10 @@ def test_shard_plan_lookup():
     assert plan.shard_of("ghost") is None
 
 
-def test_spatial_locality_for_two_clusters():
-    """Two far-apart clusters of equal size should land in different
-    shards — the grid heuristic, not a correctness requirement, but the
-    whole point of spatial partitioning for the halo."""
-    db = MostDatabase()
-    db.create_class(ObjectClass("cars", spatial_dimensions=2))
-    for i in range(4):
-        db.add_moving_object(
-            "cars", f"w{i}", Point(-100 + i, 0), Point(0, 0)
-        )
-    for i in range(4):
-        db.add_moving_object(
-            "cars", f"e{i}", Point(100 + i, 0), Point(0, 0)
-        )
-    history = FutureHistory(db)
-    shards = partition_ids(
-        history, history.object_ids("cars"), 2, 0.0, HORIZON
-    )
-    assert len(shards) == 2
-    sides = [{str(oid)[0] for oid in shard} for shard in shards]
-    assert sides in ([{"w"}, {"e"}], [{"e"}, {"w"}])
+def test_partition_never_touches_a_history():
+    """Contiguous chunks of the domain list, in domain order — computed
+    from ids no database knows, so no history can have been consulted."""
+    ids = [("ghost", i) for i in range(11)]
+    shards = partition_ids(ids, 3)
+    assert shards == [ids[0:4], ids[4:8], ids[8:11]]
+    assert partition_ids("abcde", 2) == [["a", "b", "c"], ["d", "e"]]

@@ -4,8 +4,8 @@ The merge-soundness argument (DESIGN.md §12) says restricting the split
 variable's domain per shard and taking the keyed union of the shard
 relations reproduces the serial ``R_f`` bit for bit.  These tests check
 that claim on the same randomized worlds, formulas and update sequences
-the method-differential suite uses — including the halo fast path, the
-incremental continuous-query seeding, and the error paths.
+the method-differential suite uses — including the incremental
+continuous-query seeding and the error paths.
 """
 
 import multiprocessing
@@ -77,43 +77,11 @@ def test_sharded_matches_serial_after_updates(seed):
         assert rows_of(parallel) == rows_of(serial)
 
 
-def test_halo_path_matches_serial():
-    # Twin worlds, so the serial evaluator and the workers' replicas
-    # both start on cold solve caches and the counters are comparable.
-    # Seed 16 has far pairs answered by the halo probe *and* by the
-    # per-row gate it falls through to (halo_prunes 2 of 4 pruned).
-    rng = random.Random(16)
-    world_bits = rng.getstate()
-    dbs = []
-    for _ in range(2):
-        rng.setstate(world_bits)
-        dbs.append(build_world(rng))
-    query = FtlQuery(
-        targets=("c",),
-        bindings={"c": "cars", "v": "vans"},
-        where=Compare("<=", Dist(Var("c"), Var("v")), Const(6)),
-    )
-    sharded = ShardedIntervalEvaluator(query, FutureHistory(dbs[0]), HORIZON, 2)
-    serial = ShardedIntervalEvaluator(query, FutureHistory(dbs[1]), HORIZON, 1)
-    r_sharded, r_serial = sharded.evaluate(), serial.evaluate()
-    assert sharded.sharded and not serial.sharded
-    assert rows_of(r_sharded) == rows_of(r_serial)
-    # The halo probe answers only rows the per-row index gate would
-    # answer, identically — so it must fire, and must leave every
-    # counter (not just the answers) where the serial evaluator's are.
-    assert 0 < sharded.halo_prunes < sharded.counters["pruned_instantiations"]
-    assert sharded.counters == serial.counters
-    (sharded_atom,) = sharded.atom_stats.values()
-    (serial_atom,) = serial.atom_stats.values()
-    for key in ("instantiations", "pruned", "solves", "cache_hits"):
-        assert sharded_atom[key] == serial_atom[key], key
-
-
 @pytest.mark.parametrize("start_method", ["fork", "spawn"])
 def test_options_cross_the_worker_boundary(start_method):
     """The options object is pickled into every shard spec: a non-default
     one must arrive intact and be honoured under both start methods.
-    Same world as the halo test, where the default prunes 4 rows."""
+    Seed 16 is a world where the default prunes 4 rows."""
     if start_method not in multiprocessing.get_all_start_methods():
         pytest.skip(f"{start_method} start method unavailable")
     rng = random.Random(16)
@@ -143,7 +111,6 @@ def test_options_cross_the_worker_boundary(start_method):
     assert rows[0] == rows[1] == rows[2]
     assert runs[0].counters["pruned_instantiations"] == 4
     assert runs[1].counters["pruned_instantiations"] == 0
-    assert runs[1].halo_prunes == 0
     assert runs[1].counters == serial.counters
 
 

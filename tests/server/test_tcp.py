@@ -1,12 +1,14 @@
 """TCP transport smoke tests: the epoch loop over real sockets."""
 
 import asyncio
+import json
 
 import pytest
 
 from repro.core.database import MostDatabase
 from repro.core.objects import ObjectClass
 from repro.geometry import Point
+from repro.server import __main__ as quickstart
 from repro.server.epoch import CQServer
 from repro.server.protocol import (
     DELTA,
@@ -157,3 +159,35 @@ class TestTcpSmoke:
                 await transport.stop()
 
         assert asyncio.run(run()) == (len(lines), 1)
+
+
+# ---------------------------------------------------------------------------
+# ``python -m repro.server``: the quickstart CI runs, and its exit code
+# ---------------------------------------------------------------------------
+
+
+def _run_quickstart(capsys):
+    try:
+        status = asyncio.run(quickstart.main(["--epochs", "30"]))
+    except OSError:
+        pytest.skip("cannot bind a loopback socket")
+    out = capsys.readouterr().out
+    return status, out, json.loads(out[out.index("\n{") :])
+
+
+def test_quickstart_demo_applies_every_update(capsys):
+    status, out, metrics = _run_quickstart(capsys)
+    assert metrics["updates_rejected"] == 0
+    assert metrics["updates_applied"] == metrics["updates_enqueued"] > 0
+    assert "display -> ['tracker-" in out
+    assert status == 0
+
+
+def test_quickstart_demo_fails_on_a_rejected_update(capsys, monkeypatch):
+    def stale(**fields):
+        return MotionUpdate(**{**fields, "seq": 0})
+
+    monkeypatch.setattr(quickstart, "MotionUpdate", stale)
+    status, _out, metrics = _run_quickstart(capsys)
+    assert metrics["updates_rejected"] > 0
+    assert status != 0

@@ -1,0 +1,126 @@
+"""Import hygiene of ``src/``, checked with the stdlib ``ast`` alone.
+
+CI runs ``ruff check src/``, but ruff is not installable on every host
+that runs tier-1.  This is the part of its rule set a deletion PR
+breaks most easily: an import left behind by the code that used it
+(pyflakes F401) and an ``__all__`` entry left behind by the name it
+exported (F822).
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+MODULES = sorted(SRC.rglob("*.py"))
+
+
+def _dunder_all(tree):
+    """The literal ``__all__`` of a module, or ``None``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return list(ast.literal_eval(node.value))
+    return None
+
+
+def _imports(tree):
+    """``(bound name, lineno, explicit re-export)`` of every import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                yield bound, node.lineno, alias.asname == alias.name
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name == "*":
+                    continue
+                bound = alias.asname or alias.name
+                yield bound, node.lineno, alias.asname == alias.name
+
+
+def _used_names(tree):
+    """Every identifier the module reads, including the ones inside
+    quoted annotations (``"History | None"``)."""
+    used = set()
+    stack = [tree]
+    while stack:
+        for node in ast.walk(stack.pop()):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                try:
+                    stack.append(ast.parse(node.value.strip(), mode="eval"))
+                except (SyntaxError, ValueError):
+                    pass
+    return used
+
+
+def _defined_names(tree):
+    """Names bound at module level (through ``if`` / ``try`` blocks too)."""
+    defined = set()
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            defined.update(bound for bound, _line, _re in _imports(node))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                defined.update(
+                    n.id for n in ast.walk(target) if isinstance(n, ast.Name)
+                )
+        elif isinstance(node, (ast.If, ast.Try, ast.With, ast.For, ast.While)):
+            for field in ("body", "orelse", "finalbody"):
+                stack.extend(getattr(node, field, []))
+            for handler in getattr(node, "handlers", []):
+                stack.extend(handler.body)
+    return defined
+
+
+def unused_imports(tree):
+    """Imports a module neither reads nor re-exports, as ``(name, line)``."""
+    kept = _used_names(tree) | set(_dunder_all(tree) or ())
+    return sorted(
+        (bound, line)
+        for bound, line, reexport in _imports(tree)
+        if bound not in kept and not reexport
+    )
+
+
+def undefined_exports(tree):
+    """``__all__`` entries the module never binds."""
+    return sorted(set(_dunder_all(tree) or ()) - _defined_names(tree))
+
+
+def test_the_scan_covers_the_package():
+    assert len(MODULES) > 100
+    assert SRC / "repro" / "parallel" / "partition.py" in MODULES
+
+
+def test_scan_sees_a_planted_unused_import_and_a_stale_export():
+    planted = ast.parse(
+        "import os\n"
+        "from typing import TYPE_CHECKING, Sequence\n"
+        "from a import b as b\n"
+        "if TYPE_CHECKING:\n"
+        "    from c import D, E\n"
+        "__all__ = ['f', 'gone']\n"
+        "def f(x: 'D | None') -> Sequence[int]: ...\n"
+    )
+    assert unused_imports(planted) == [("E", 5), ("os", 1)]
+    assert undefined_exports(planted) == ["gone"]
+
+
+def test_every_module_imports_what_it_uses_and_exports_what_it_defines():
+    # One test, not one per module: a PR that deletes a module must not
+    # thereby delete a test id.
+    findings = {}
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        found = unused_imports(tree) + undefined_exports(tree)
+        if found:
+            findings[str(path.relative_to(SRC))] = found
+    assert findings == {}
