@@ -1,12 +1,18 @@
 """E14 — continuous-query server throughput and backpressure (DESIGN.md §9).
 
-Two measurements of the PR 7 epoch-loop server:
+Three measurements of the PR 7 epoch-loop server:
 
 * ``fanout`` — sustained ingest throughput (updates applied per second
   of wall time) and the p99 per-query refresh latency as the subscriber
   count grows.  Each subscriber registers a *distinct* range query, so
   the refresh load scales with the count; deltas fan out through the
   §5.2 immediate policy over a synchronous in-process network.
+* ``shared`` — the same world with every subscriber on **one** query:
+  one refresh per epoch whatever the count, so what grows is fan-out
+  alone.  ``diffs_computed`` must not grow with the subscriber count
+  (one answer-state diff per rebuilt state, shared by all sessions) and
+  ``tuples_sent`` per subscriber must not either (a refresh re-sends
+  only what changed, not every live tuple).
 * ``backpressure`` — a reporter floods batches at twice the server's
   sustainable drain rate (``batch_limit`` updates per epoch) into a
   bounded inbox.  The acceptance bar: the inbox high-water mark never
@@ -23,6 +29,7 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import platform
 import random
 import time
 from pathlib import Path
@@ -42,16 +49,35 @@ from repro.temporal import SimulationClock
 SMOKE = os.environ.get("CQ_SERVER_SMOKE") == "1"
 
 SUB_COUNTS = [1, 2] if SMOKE else [1, 4, 16]
+SHARED_COUNTS = [1, 4] if SMOKE else [1, 4, 16, 64]
 EPOCHS = 30 if SMOKE else 120
 N_TRACKERS = 3 if SMOKE else 8
 REPORT_P = 0.5
 SEED = 2026
+#: Runs per sweep cell; the one with the median wall time is reported
+#: (a 120-epoch run lasts 0.1–1 s, and the builder host is shared).
+REPEATS = 1 if SMOKE else 5
 
 RESULT_PATH = Path(__file__).parents[1] / "BENCH_cq_server.json"
 
 
-def build_world(n_subscribers: int):
-    """Server + trackers + ``n`` subscribers, each with a distinct query."""
+def host_fingerprint() -> dict:
+    """What the numbers below were measured on."""
+    try:
+        usable = len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux
+        usable = os.cpu_count() or 1
+    return {
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+        "cpu_count": os.cpu_count(),
+        "usable_cpus": usable,
+    }
+
+
+def build_world(n_subscribers: int, shared: bool = False):
+    """Server + trackers + ``n`` subscribers — each with a distinct
+    query, or all on the same one when ``shared``."""
     clock = SimulationClock()
     db = MostDatabase(clock)
     network = SimNetwork(clock)  # synchronous, fault-free: measures the loop
@@ -72,7 +98,7 @@ def build_world(n_subscribers: int):
             network,
             f"sub-{i}",
             "RETRIEVE v FROM trackers v, beacons b "
-            f"WHERE DIST(v, b) <= {40 + 2 * i}",
+            f"WHERE DIST(v, b) <= {40 if shared else 40 + 2 * i}",
             horizon=EPOCHS * 4,
         )
         for i in range(n_subscribers)
@@ -95,14 +121,25 @@ async def drive_fanout(server, reporters, epochs: int, seed: int) -> float:
     return time.perf_counter() - start
 
 
-def run_fanout(n_subscribers: int) -> dict:
-    db, network, server, reporters, clients = build_world(n_subscribers)
+def median_fanout(n_subscribers: int, shared: bool = False) -> dict:
+    """The median-wall-time run of ``REPEATS`` identical ones (the counts
+    are the same in all of them: the workload is seeded)."""
+    runs = sorted(
+        (run_fanout(n_subscribers, shared) for _ in range(REPEATS)),
+        key=lambda r: r["elapsed_s"],
+    )
+    return runs[len(runs) // 2]
+
+
+def run_fanout(n_subscribers: int, shared: bool = False) -> dict:
+    db, network, server, reporters, clients = build_world(n_subscribers, shared)
     elapsed = asyncio.run(drive_fanout(server, reporters, EPOCHS, SEED))
     m = server.metrics
     assert all(c.subscribed for c in clients)
     assert m.updates_applied > 0
     return {
         "subscribers": n_subscribers,
+        "queries": len(server.registry.queries),
         "epochs": EPOCHS,
         "elapsed_s": elapsed,
         "updates_applied": m.updates_applied,
@@ -112,6 +149,9 @@ def run_fanout(n_subscribers: int) -> dict:
         "epoch_p99_ms": m.epoch_latency.percentile(99) * 1e3,
         "deltas_sent": m.deltas_sent,
         "tuples_sent": m.tuples_sent,
+        "retract_tuples_sent": m.retract_tuples_sent,
+        "diffs_computed": m.diffs_computed,
+        "tuples_carried": m.tuples_carried,
     }
 
 
@@ -187,14 +227,23 @@ def run_backpressure() -> dict:
 
 
 def test_cq_server_throughput_and_backpressure(record_table):
-    fanout = [run_fanout(n) for n in SUB_COUNTS]
+    fanout = [median_fanout(n) for n in SUB_COUNTS]
+    shared = [median_fanout(n, shared=True) for n in SHARED_COUNTS]
     overload = run_backpressure()
+    # Sharing as exact counts: one query, one diff per rebuilt answer
+    # state and the same tuples to every subscriber, however many read.
+    assert {r["queries"] for r in shared} == {1}, shared
+    assert len({r["diffs_computed"] for r in shared}) == 1, shared
+    assert len({r["tuples_sent"] // r["subscribers"] for r in shared}) == 1, shared
     report = {
         "benchmark": "cq_server",
         "smoke": SMOKE,
         "seed": SEED,
         "trackers": N_TRACKERS,
+        "repeats": REPEATS,
+        "host": host_fingerprint(),
         "fanout": fanout,
+        "shared": shared,
         "backpressure": overload,
     }
     record_table(
@@ -221,6 +270,33 @@ def test_cq_server_throughput_and_backpressure(record_table):
                 f["tuples_sent"],
             ]
             for f in fanout
+        ],
+    )
+    record_table(
+        "E14: one shared query, subscribers sweep "
+        f"({N_TRACKERS} trackers, {EPOCHS} epochs): fan-out alone",
+        [
+            "subs",
+            "updates/s",
+            "epoch p99 ms",
+            "deltas",
+            "tuples",
+            "tuples/sub",
+            "diffs",
+            "carried",
+        ],
+        [
+            [
+                r["subscribers"],
+                round(r["updates_per_sec"]),
+                round(r["epoch_p99_ms"], 2),
+                r["deltas_sent"],
+                r["tuples_sent"],
+                r["tuples_sent"] // r["subscribers"],
+                r["diffs_computed"],
+                r["tuples_carried"],
+            ]
+            for r in shared
         ],
     )
     record_table(

@@ -131,6 +131,32 @@ def report_cq_server(data):
         ["subscribers", "updates/s", "refresh_p50_ms", "refresh_p99_ms"],
         rows,
     )
+    shared = data.get("shared", [])
+    if shared:
+        lines.append("")
+        lines.append("One shared query (fan-out alone):")
+        lines.append("")
+        lines.extend(
+            table(
+                ["subscribers", "updates/s", "tuples_sent", "diffs_computed"],
+                [
+                    [
+                        r["subscribers"],
+                        r["updates_per_sec"],
+                        r["tuples_sent"],
+                        r["diffs_computed"],
+                    ]
+                    for r in shared
+                ],
+            )
+        )
+    host = data.get("host")
+    if host:
+        lines.append("")
+        lines.append(
+            f"Host: {host.get('usable_cpus')} usable CPUs, "
+            f"Python {host.get('python')}, {host.get('platform')}."
+        )
     if bp:
         lines.append("")
         lines.append(

@@ -201,7 +201,6 @@ class SimNetwork:
         self.stats = NetworkStats()
         self._handlers: dict[str, Handler] = {}
         self._offline: dict[str, IntervalSet] = {}
-        self.log: list[Message] = []
         self._queue: list[_QueueEntry] = []
         self._seq = 0
         self._last_delivered_seq = -1
@@ -339,7 +338,6 @@ class SimNetwork:
     def _deliver(self, message: Message) -> None:
         self.stats.delivered += 1
         self.stats.bytes_sent += message.size
-        self.log.append(message)
         self._handlers[message.dst](message)
 
     def broadcast(

@@ -97,6 +97,12 @@ class ServerMetrics:
     tuples_sent: int = 0
     retract_tuples_sent: int = 0
     snapshots_sent: int = 0
+    #: What fan-out costs: answer-state diffs actually computed (one per
+    #: distinct ``(base, state)`` pair asked of ``AnswerState.since``,
+    #: however many sessions share it) and continuing tuples whose
+    #: ``begin`` a capture kept, i.e. re-sends a refresh did not cause.
+    diffs_computed: int = 0
+    tuples_carried: int = 0
     #: Delta retransmissions after an ack timeout.
     delta_retransmissions: int = 0
     #: Client lifecycle events.
@@ -133,6 +139,8 @@ class ServerMetrics:
             "tuples_sent": self.tuples_sent,
             "retract_tuples_sent": self.retract_tuples_sent,
             "snapshots_sent": self.snapshots_sent,
+            "diffs_computed": self.diffs_computed,
+            "tuples_carried": self.tuples_carried,
             "delta_retransmissions": self.delta_retransmissions,
             "subscriptions": self.subscriptions,
             "resumes": self.resumes,

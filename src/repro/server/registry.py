@@ -9,12 +9,15 @@ re-evaluates from the database and resynchronises clients by snapshot.
 
 Identical subscriptions (same text, horizon, method) share one
 registered query: a thousand clients watching the same fleet cost one
-refresh per epoch, not a thousand.
+refresh per epoch, not a thousand — and one answer diff
+(:meth:`AnswerState.since`), over tuples that keep their identity while
+nothing but time happens to them (:meth:`AnswerState.capture`).
 """
 
 from __future__ import annotations
 
 import time
+import weakref
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -25,8 +28,14 @@ from repro.ftl import parse_query
 from repro.server.metrics import ServerMetrics
 from repro.server.protocol import SubscribeMsg, WireTuple
 
+#: A tuple's wire identity, :meth:`WireTuple.key`.
+Key = tuple[Any, ...]
+#: What :meth:`AnswerState.since` returns: the tuples added and the keys
+#: removed relative to an older state, each in the order sessions send.
+Delta = tuple[tuple[WireTuple, ...], tuple[Key, ...]]
 
-@dataclass
+
+@dataclass(eq=False)
 class AnswerState:
     """The fanned-out answer of one query as of its last refresh.
 
@@ -34,30 +43,125 @@ class AnswerState:
     ``computed_at``; consumers age them by ``now - computed_at`` — this
     is what lets a load-shedding server keep serving the *last* answer
     with honest staleness flags instead of blocking on a refresh.
+
+    States compare by identity: a session remembers the state object it
+    last folded and asks the current one what changed :meth:`since`.
     """
 
     computed_at: int
     tuples: tuple[WireTuple, ...]
-    keys: frozenset[tuple[Any, ...]] = field(default_factory=frozenset)
+    keys: frozenset[Key] = field(default_factory=frozenset)
+    #: Where :meth:`since` counts the diffs it had to compute.
+    metrics: ServerMetrics | None = field(default=None, repr=False)
+    #: Keys that outlived a refresh which changed their age (a tuple
+    #: still in the future keeps its ``begin``, so it is not re-sent
+    #: when a support object reports): clients may hold a copy older
+    #: than this state's, so :meth:`capture` must not carry them.
+    unsettled: frozenset[Key] = frozenset()
+    #: ``key -> tuple`` — sessions re-read staged tuples through it.
+    by_key: dict[Key, WireTuple] = field(init=False, repr=False)
+    # The diffs already computed, keyed weakly by their base: a state
+    # must never keep an older state alive, or the memo would chain
+    # every answer ever captured.
+    _since: "weakref.WeakKeyDictionary[AnswerState, Delta]" = field(
+        init=False, repr=False
+    )
+
+    def __post_init__(self) -> None:
+        self.by_key = {t.key(): t for t in self.tuples}
+        if not self.keys:
+            self.keys = frozenset(self.by_key)
+        self._since = weakref.WeakKeyDictionary()
 
     @staticmethod
-    def capture(cq: ContinuousQuery, now: int) -> "AnswerState":
-        """Snapshot the query's stamped answer at the current tick."""
-        tuples = tuple(
-            WireTuple(
-                values=s.values,
-                begin=s.begin,
-                end=s.end,
-                support=s.support,
-                max_age=s.max_age,
+    def capture(
+        cq: ContinuousQuery,
+        now: int,
+        prev: "AnswerState | None" = None,
+        metrics: ServerMetrics | None = None,
+    ) -> "AnswerState":
+        """Snapshot the query's stamped answer at the current tick.
+
+        ``stamped_tuples()`` clips every interval to start at the
+        refresh tick, so a tuple live across two refreshes comes back
+        with a new ``begin`` — and a new key — although nothing about it
+        changed.  A *continuing* tuple therefore keeps the ``begin`` it
+        had in ``prev``: same ``(values, support, end)``, begun by
+        ``now`` in both states, and exactly ``now - prev.computed_at``
+        older.  The age clause is what makes the carry invisible: the
+        client's conservative estimate ``max_age + (now - aged_from)``
+        for the copy it already holds is, tick for tick, what a re-send
+        would have told it.  Anything else — a new ``end``, a support
+        object heard from since, an instantiation whose age stays 0, a
+        key some client may hold an older copy of (``unsettled``) —
+        takes today's ``begin`` and is retracted and re-added.
+        """
+        previous: dict[Key, WireTuple] = {}
+        stale_copies: frozenset[Key] = frozenset()
+        elapsed = 0
+        if prev is not None:
+            previous = {(t.values, t.support, t.end): t for t in prev.tuples}
+            stale_copies = prev.unsettled
+            elapsed = now - prev.computed_at
+        tuples: list[WireTuple] = []
+        unsettled: set[Key] = set()
+        carried = 0
+        for s in cq.stamped_tuples():
+            begin = s.begin
+            old = previous.get((s.values, s.support, s.end))
+            if old is not None:
+                if (
+                    s.max_age == old.max_age + elapsed
+                    and old.key() not in stale_copies
+                ):
+                    if old.begin <= now and begin <= now:
+                        begin = old.begin
+                        carried += 1
+                elif old.begin == begin:
+                    unsettled.add(old.key())
+            tuples.append(
+                WireTuple(
+                    values=s.values,
+                    begin=begin,
+                    end=s.end,
+                    support=s.support,
+                    max_age=s.max_age,
+                )
             )
-            for s in cq.stamped_tuples()
-        )
+        if metrics is not None:
+            metrics.tuples_carried += carried
         return AnswerState(
             computed_at=now,
-            tuples=tuples,
-            keys=frozenset(t.key() for t in tuples),
+            tuples=tuple(tuples),
+            metrics=metrics,
+            unsettled=frozenset(unsettled),
         )
+
+    def since(self, prev: "AnswerState") -> Delta:
+        """``(added, removed)`` relative to the older state ``prev``.
+
+        ``added`` holds this state's tuples in policy order ``(begin,
+        end, str(values))``, ``removed`` the vanished keys in retract
+        order.  Computed once per base: every session of the query that
+        stood at ``prev`` shares the result, and a session that lagged
+        asks for its own older base through the same function.
+        """
+        delta = self._since.get(prev)
+        if delta is None:
+            # Walk the dicts, not the key sets: ties in either order then
+            # fall in answer order, whatever the process's hash seed.
+            added = sorted(
+                (t for k, t in self.by_key.items() if k not in prev.keys),
+                key=lambda t: (t.begin, t.end, str(t.values)),
+            )
+            removed = sorted(
+                (k for k in prev.by_key if k not in self.keys),
+                key=lambda k: (k[1], k[2], str(k[0])),
+            )
+            delta = self._since[prev] = (tuple(added), tuple(removed))
+            if self.metrics is not None:
+                self.metrics.diffs_computed += 1
+        return delta
 
 
 @dataclass
@@ -136,7 +240,9 @@ class SubscriptionRegistry:
                 horizon=msg.horizon,
                 method=msg.method,
                 cq=cq,
-                state=AnswerState.capture(cq, self.db.clock.now),
+                state=AnswerState.capture(
+                    cq, self.db.clock.now, None, self.metrics
+                ),
             )
             rq._last_evaluations = cq.evaluations
             self.queries[query_id] = rq
@@ -180,7 +286,9 @@ class SubscriptionRegistry:
         rebuilt = rq.cq.evaluations != rq._last_evaluations
         if rebuilt:
             rq._last_evaluations = rq.cq.evaluations
-            rq.state = AnswerState.capture(rq.cq, now)
+            rq.state = AnswerState.capture(
+                rq.cq, now, rq.state, self.metrics
+            )
         self.metrics.refreshes += 1
         self.metrics.refresh_latency.record(time.perf_counter() - t0)
         return rebuilt
@@ -270,7 +378,9 @@ class SubscriptionRegistry:
             rq.cq = cq
             rq._last_evaluations = cq.evaluations
             rq._last_horizon_skipped = cq.horizon_skipped
-            rq.state = AnswerState.capture(cq, now)
+            # A rebuilt query answers from scratch: nothing continues
+            # across a crash, every tuple takes a fresh ``begin``.
+            rq.state = AnswerState.capture(cq, now, None, self.metrics)
 
     def cached_relations(self) -> int:
         """Total incremental-cache entries across registered queries."""

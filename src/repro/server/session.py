@@ -3,8 +3,10 @@
 A session layers PR 2's reliability idioms over the paper's §5.2
 transmission policies:
 
-* **what** travels is decided by the answer-state diff (adds/retracts
-  against what the client will hold once the log drains);
+* **what** travels is decided by the answer-state diff — computed once
+  per refresh by :meth:`~repro.server.registry.AnswerState.since` and
+  shared by every session of the query, each folding it into what *its*
+  client will hold once the log drains;
 * **when** it travels is decided by the client's
   :class:`~repro.distributed.transmission.TransmissionPolicy`
   (immediate / delayed / periodic) under its advertised send window;
@@ -43,7 +45,7 @@ from repro.server.protocol import (
     ResumeMsg,
     WireTuple,
 )
-from repro.server.registry import AnswerState, SubscriberRecord
+from repro.server.registry import AnswerState, Key, SubscriberRecord
 
 Send = Callable[[str, str, object, int], bool]  # (dst, kind, payload, size)
 
@@ -59,7 +61,7 @@ def make_policy(name: str, period: int = 1) -> TransmissionPolicy:
     raise DistributedError(f"unknown transmission policy {name!r}")
 
 
-def _key_tuple(key: tuple[Any, ...]) -> WireTuple:
+def _key_tuple(key: Key) -> WireTuple:
     """Rebuild the identity-only tuple a retraction names."""
     values, begin, end, support = key
     return WireTuple(values=values, begin=begin, end=end, support=support)
@@ -95,8 +97,12 @@ class ClientSession:
         self._rng = random.Random(seed)
         self.heartbeat_timeout = heartbeat_timeout
         self.max_log = max_log
-        #: Keys the client will hold once the log drains.
-        self.delivered: set[tuple[Any, ...]] = set()
+        #: Keys the client will hold once the log drains — always a
+        #: subset of ``_seen.keys``.
+        self.delivered: set[Key] = set()
+        #: The answer state last folded into ``delivered`` and the
+        #: policy's staging list (set by the snapshot, then by ``step``).
+        self._seen: AnswerState | None = None
         # seq -> [DeltaMsg, next retry tick, attempts]
         self.log: dict[int, list[Any]] = {}
         self.next_seq = 1
@@ -207,6 +213,7 @@ class ClientSession:
         self.log.clear()
         self._append_log(msg, now)
         self.delivered = {t.key() for t in due}
+        self._seen = state
         self.policy.mark_sent(due)
         if self.free_slots is not None:
             self.free_slots = max(0, self.free_slots - len(due))
@@ -216,39 +223,54 @@ class ClientSession:
         self.metrics.deltas_sent += 1
         self.metrics.tuples_sent += len(msg.adds)
 
+    def _retransmit(self, now: int) -> None:
+        """Resend overdue unacked deltas (jittered backoff)."""
+        for seq in sorted(self.log):
+            entry = self.log.get(seq)
+            if entry is None:
+                # A synchronous transport answered an earlier resend with
+                # a cumulative ack before this loop got here.
+                continue
+            msg, next_retry, attempts = entry
+            if next_retry > now:
+                continue
+            entry[1] = now + self.schedule.interval(attempts + 1, self._rng)
+            entry[2] = attempts + 1
+            self.metrics.delta_retransmissions += 1
+            self._transmit(msg)
+
     def step(self, now: int, state: AnswerState) -> None:
         """One epoch of fan-out work for this client."""
         if not self.connected:
             return
-        if self.needs_snapshot:
+        seen = self._seen
+        if self.needs_snapshot or seen is None:
             self._send_snapshot(state, now)
             return
-        # Retransmit overdue unacked deltas (jittered backoff).
-        for seq in sorted(self.log):
-            msg, next_retry, attempts = self.log[seq]
-            if next_retry > now:
-                continue
-            self._transmit(msg)
-            attempts += 1
-            self.log[seq][1] = now + self.schedule.interval(
-                attempts, self._rng
-            )
-            self.log[seq][2] = attempts
-            self.metrics.delta_retransmissions += 1
-        # Diff the current answer against what the client will hold.
-        current = state.keys
-        expired = {
-            k for k in self.delivered if k not in current and k[2] < now
-        }
-        self.delivered -= expired  # client evicts these itself
-        retract_keys = sorted(
-            (k for k in self.delivered if k not in current),
-            key=lambda k: (k[1], k[2], str(k[0])),
-        )
-        undelivered = [
-            t for t in state.tuples if t.key() not in self.delivered
-        ]
-        self.policy.on_answer(undelivered, now)
+        self._retransmit(now)
+        # Fold what changed since the state this session last saw — the
+        # diff is shared by every session that stood at the same state.
+        retract_keys: list[Key] = []
+        staged: list[Any] = self.policy.pending
+        if state is not seen:
+            added, removed = state.since(seen)
+            self._seen = state
+            for key in removed:
+                if key in self.delivered:
+                    self.delivered.discard(key)
+                    if key[2] >= now:  # else the client evicted it itself
+                        retract_keys.append(key)
+            # Staged tuples are re-read from the current state: a removed
+            # one is unstaged, a kept one takes the ``max_age`` that goes
+            # with this state's ``aged_from``.
+            by_key = state.by_key
+            staged = [
+                by_key[k] for k in (t.key() for t in staged) if k in by_key
+            ]
+            staged.extend(added)
+        elif not staged:
+            return
+        self.policy.on_answer(staged, now)
         due = self.policy.due(now, self._slots())
         if not due and not retract_keys:
             return
@@ -263,8 +285,7 @@ class ClientSession:
         self.next_seq += 1
         self._append_log(msg, now)
         self.policy.mark_sent(due)
-        self.delivered |= {t.key() for t in due}
-        self.delivered -= set(retract_keys)
+        self.delivered.update(t.key() for t in due)
         if self.free_slots is not None:
             self.free_slots = max(
                 0, self.free_slots - len(due) + len(retract_keys)
