@@ -189,31 +189,6 @@ def report_sharded_eval(data):
         "are honest time-sliced numbers; critical_path_x estimates real-"
         "core scaling (DESIGN.md §12)."
     )
-    server = data.get("server", {})
-    srows = server.get("rows", [])
-    if srows:
-        lines.append("")
-        lines.extend(
-            table(
-                ["parallel", "subscribers", "refresh_p50_ms", "updates/s"],
-                [
-                    [
-                        r["parallel"],
-                        r["subscribers"],
-                        r["refresh_p50_ms"],
-                        r["updates_per_sec"],
-                    ]
-                    for r in srows
-                ],
-            )
-        )
-        ref = server.get("reference_e14")
-        if ref:
-            lines.append(
-                f"E14 reference at the same subscriber count: "
-                f"p50 {fmt(ref['refresh_p50_ms'])} ms, "
-                f"{fmt(ref['updates_per_sec'])} updates/s."
-            )
     return f"best critical-path {best:.2f}x", lines
 
 

@@ -13,18 +13,12 @@ cell the bench reports:
   dedicated core would take, so this is the machine-independent signal
   the 1-core CI host can still measure.
 
-A second section registers the same queries on two CQ servers — serial
-and ``parallel=2`` — under identical update streams and reports the
-refresh p50 against the E14 reference numbers in
-``BENCH_cq_server.json``.
-
 Results go to ``BENCH_sharded_eval.json`` at the repo root.
 ``SHARDED_EVAL_SMOKE=1`` shrinks the sweep to a seconds-long CI run.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 import os
 import random
@@ -33,16 +27,11 @@ from pathlib import Path
 
 from repro.core import MostDatabase, ObjectClass
 from repro.core.history import FutureHistory
-from repro.distributed.network import SimNetwork
-from repro.distributed.node import MobileNode
 from repro.ftl import AndF, Attr, Compare, Const, FtlQuery, Inside, Var
 from repro.geometry import Point
-from repro.motion import linear_moving_point
 from repro.parallel import shutdown_pools
 from repro.parallel.evaluator import ShardedIntervalEvaluator
-from repro.server import BatchingReporter, CQServer, SubscriberClient
 from repro.spatial import Polygon
-from repro.temporal import SimulationClock
 
 SMOKE = os.environ.get("SHARDED_EVAL_SMOKE") == "1"
 
@@ -51,13 +40,7 @@ WORKER_COUNTS = [2] if SMOKE else [2, 4]
 HORIZON = 16
 SEED = 2026
 
-SUBSCRIBERS = 4 if SMOKE else 16
-SERVER_EPOCHS = 20 if SMOKE else 120
-N_TRACKERS = 3 if SMOKE else 8
-REPORT_P = 0.5
-
 RESULT_PATH = Path(__file__).parents[1] / "BENCH_sharded_eval.json"
-REFERENCE_PATH = Path(__file__).parents[1] / "BENCH_cq_server.json"
 
 
 def build_world(n: int) -> MostDatabase:
@@ -147,96 +130,10 @@ def run_size(n: int) -> list[dict]:
     return out
 
 
-# ---------------------------------------------------------------------------
-# Server refresh under parallel evaluation
-# ---------------------------------------------------------------------------
-
-
-def build_server_world(n_subscribers: int, parallel: object):
-    clock = SimulationClock()
-    db = MostDatabase(clock)
-    network = SimNetwork(clock)
-    db.create_class(ObjectClass("trackers", spatial_dimensions=2))
-    db.create_class(ObjectClass("beacons", spatial_dimensions=2))
-    db.add_moving_object("beacons", "beacon", Point(0.0, 0.0))
-    server = CQServer(
-        db, network, inbox_capacity=4096, batch_limit=4096, parallel=parallel
-    )
-    reporters = []
-    for i in range(N_TRACKERS):
-        oid = f"tracker-{i}"
-        start = Point(10.0 * i - 30.0, 0.0)
-        db.add_moving_object("trackers", oid, start, Point(1.0, 0.0))
-        db.track(oid)
-        node = MobileNode(
-            oid, network, linear_moving_point(start, Point(1.0, 0.0))
-        )
-        reporters.append(BatchingReporter(node, object_id=oid))
-    clients = [
-        SubscriberClient(
-            network,
-            f"sub-{i}",
-            "RETRIEVE v FROM trackers v, beacons b "
-            f"WHERE DIST(v, b) <= {40 + 2 * i}",
-            horizon=SERVER_EPOCHS * 4,
-        )
-        for i in range(n_subscribers)
-    ]
-    return db, network, server, reporters, clients
-
-
-async def drive_server(server, reporters, epochs: int) -> float:
-    rng = random.Random(SEED)
-    start = time.perf_counter()
-    for _ in range(epochs):
-        for rep in reporters:
-            if rng.random() < REPORT_P:
-                rep.report(
-                    Point(float(rng.randint(-2, 2)), float(rng.randint(-2, 2)))
-                )
-        await server.run_epoch()
-    return time.perf_counter() - start
-
-
-def run_server(parallel: object) -> dict:
-    db, network, server, reporters, clients = build_server_world(
-        SUBSCRIBERS, parallel
-    )
-    elapsed = asyncio.run(drive_server(server, reporters, SERVER_EPOCHS))
-    m = server.metrics
-    assert all(c.subscribed for c in clients)
-    return {
-        "parallel": parallel if parallel is not None else 1,
-        "subscribers": SUBSCRIBERS,
-        "epochs": SERVER_EPOCHS,
-        "elapsed_s": elapsed,
-        "updates_applied": m.updates_applied,
-        "updates_per_sec": m.updates_applied / max(elapsed, 1e-9),
-        "refresh_p50_ms": m.refresh_latency.percentile(50) * 1e3,
-        "refresh_p99_ms": m.refresh_latency.percentile(99) * 1e3,
-    }
-
-
-def reference_fanout() -> dict | None:
-    """The E14 numbers this section is compared against, when present."""
-    try:
-        data = json.loads(REFERENCE_PATH.read_text())
-    except (OSError, ValueError):
-        return None
-    for row in data.get("fanout", []):
-        if row.get("subscribers") == SUBSCRIBERS:
-            return {
-                "refresh_p50_ms": row.get("refresh_p50_ms"),
-                "updates_per_sec": row.get("updates_per_sec"),
-            }
-    return None
-
-
 def test_sharded_eval_speedup(record_table):
     cells = []
     for n in SIZES:
         cells.extend(run_size(n))
-    server_rows = [run_server(None), run_server(2)]
     shutdown_pools()
     report = {
         "benchmark": "sharded_eval",
@@ -246,10 +143,6 @@ def test_sharded_eval_speedup(record_table):
         "host_cpu_count": os.cpu_count(),
         "query": "Inside(c, P) AND c.x_position <= 10",
         "eval": cells,
-        "server": {
-            "rows": server_rows,
-            "reference_e14": reference_fanout(),
-        },
     }
     record_table(
         "E16 sharded evaluation (host_cpu_count="
@@ -262,16 +155,9 @@ def test_sharded_eval_speedup(record_table):
             for c in cells
         ],
     )
-    record_table(
-        "E16 server refresh under parallel evaluation",
-        ["parallel", "subscribers", "refresh_p50_ms", "updates_per_sec"],
-        [
-            [r["parallel"], r["subscribers"], r["refresh_p50_ms"],
-             r["updates_per_sec"]]
-            for r in server_rows
-        ],
-    )
     RESULT_PATH.write_text(json.dumps(report, indent=1))
+    written = json.loads(RESULT_PATH.read_text())
+    assert written["eval"] and "server" not in written
     # Exactness already asserted per cell; the perf acceptance bar is
     # conditional on real parallel hardware.
     if (os.cpu_count() or 1) >= 4 and not SMOKE:

@@ -70,6 +70,7 @@ class MostDatabase:
         self._by_class: dict[str, list[object]] = {}
         self._regions: dict[str, Region] = {}
         self._log: list[MostUpdate] = []
+        self._version = 0
         self._listeners: list[UpdateListener] = []
         self._last_seq: dict[object, int] = {}
         self._last_update_time: dict[object, int] = {}
@@ -371,6 +372,12 @@ class MostDatabase:
         """The full update log in commit order."""
         return tuple(self._log)
 
+    @property
+    def version(self) -> int:
+        """How many updates have been committed: equal versions (and an
+        equal population) mean equal database contents."""
+        return self._version
+
     def on_update(self, listener: UpdateListener) -> Callable[[], None]:
         """Subscribe to updates; returns an unsubscribe function."""
         self._listeners.append(listener)
@@ -385,6 +392,7 @@ class MostDatabase:
 
     def _commit(self, update: MostUpdate) -> None:
         self._log.append(update)
+        self._version += 1
         self._last_update_time[update.object_id] = update.time
         for listener in list(self._listeners):
             listener(update)

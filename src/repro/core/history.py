@@ -111,11 +111,11 @@ class FutureHistory(History):
     ) -> None:
         super().__init__(db, db.clock.now if start is None else start)
         self._snapshot = snapshot
-        #: Update-log length at construction — the content version of a
+        #: ``db.version`` at construction — the content version of a
         #: snapshotting history.  Sharded evaluation keys its shipped
         #: motion snapshots on this (a snapshot history's contents are
         #: frozen here, no matter how the database moves on).
-        self.build_log_len = len(db._log)
+        self.build_version = db.version
         self._population: dict[str, list[object]] = {}
         self._dynamic: dict[tuple[object, str], DynamicAttribute] = {}
         self._static: dict[tuple[object, str], object] = {}

@@ -264,7 +264,6 @@ class ContinuousQuery:
         method: str = "interval",
         staleness_bound: float | None = None,
         options: EvalOptions = DEFAULT,
-        parallel: object = None,
     ) -> None:
         if horizon < 0:
             raise QueryError("horizon must be non-negative")
@@ -272,21 +271,6 @@ class ContinuousQuery:
             raise QueryError(f"unknown method {method!r}")
         if staleness_bound is not None and staleness_bound < 0:
             raise QueryError("staleness bound must be non-negative")
-        #: Worker count for sharded full refreshes (DESIGN.md §12); 1
-        #: keeps everything in-process.  Incremental *patch* refreshes
-        #: stay serial either way — their dirty frontier is small by
-        #: construction — but the initial evaluation and every full
-        #: fallback shard across the pool.
-        self.parallel_workers = 1
-        if parallel is not None:
-            from repro.parallel import resolve_workers
-
-            self.parallel_workers = resolve_workers(parallel)
-            if self.parallel_workers > 1 and method == "naive":
-                raise QueryError(
-                    "parallel evaluation requires the interval method "
-                    "(got method='naive')"
-                )
         self.db = db
         self.query = query
         self.horizon = horizon
@@ -469,7 +453,7 @@ class ContinuousQuery:
         # degradation needs (the projection is built lazily).  The
         # query's own plan — or its absence — fixes the tree the
         # incremental cache is keyed on, so no second plan is built
-        # here; serial and sharded evaluation fill the same trace keys.
+        # here.
         self._rf = self.query.evaluate_full(
             history,
             remaining,
@@ -477,7 +461,6 @@ class ContinuousQuery:
             plan=self.plan,
             options=replace(self.options, ordered=False),
             validity=self._validity_stamps,
-            parallel=self.parallel_workers,
             trace=None if cache is None else cache.relations,
         )
         self._cache = cache

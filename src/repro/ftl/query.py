@@ -137,8 +137,10 @@ class FtlQuery:
         per-subformula ``R_g`` is recorded in it keyed by
         ``id(subformula)`` over the evaluated tree — ``plan``'s ordered
         tree when a plan is handed in, which the caller must then keep
-        alive.  Serial and sharded evaluation fill identical keys; this
-        is how a continuous query seeds its incremental cache.
+        alive; this is how a continuous query seeds its incremental
+        cache.  ``trace`` and ``validity`` are keyed by object identity,
+        which does not cross a process boundary, so both are serial-only
+        (DESIGN.md §12).
         """
         workers = 1
         if parallel is not None:
@@ -153,22 +155,18 @@ class FtlQuery:
                     "parallel evaluation requires the interval method "
                     f"(got method={method!r})"
                 )
+            if trace is not None or validity is not None:
+                raise QueryError(
+                    "trace= and validity= are keyed by id() and cannot "
+                    "follow an evaluation into worker processes; "
+                    "evaluate serially to use them"
+                )
             from repro.parallel.evaluator import ShardedIntervalEvaluator
 
             sharded = ShardedIntervalEvaluator(
-                self,
-                history,
-                horizon,
-                workers,
-                plan=plan,
-                options=options,
-                validity=validity,
-                want_trace=trace is not None,
+                self, history, horizon, workers, plan=plan, options=options
             )
-            relation = sharded.evaluate()
-            if trace is not None:
-                trace.update(sharded.trace or {})
-            return self._complete(relation, sharded.ctx)
+            return self._complete(sharded.evaluate(), sharded.ctx)
         if plan is None and options.ordered:
             try:
                 plan = self.plan_for(history=history, horizon=horizon)

@@ -16,13 +16,15 @@ cuts the split variable's class into contiguous, balanced chunks,
 from shared-memory motion arrays (:mod:`repro.parallel.motion`), and
 :class:`repro.parallel.evaluator.ShardedIntervalEvaluator` dispatches one
 restricted evaluation per shard and merges the relations, counters and
-(optionally) per-subformula traces.
+per-atom stats.
 
-``parallel=N`` on :meth:`repro.ftl.query.FtlQuery.evaluate`,
-:class:`repro.core.queries.ContinuousQuery` and
-:class:`repro.server.epoch.CQServer` routes through here; ``N in (None,
-0, 1, False)`` keeps the serial path, ``"auto"`` resolves to
-``REPRO_PARALLEL_WORKERS`` or ``os.cpu_count() - 1``.
+The one door is ``parallel=N`` on a cold
+:meth:`repro.ftl.query.FtlQuery.evaluate` / ``evaluate_full``; ``N in
+(None, 0, 1, False)`` keeps the serial path, ``"auto"`` resolves to
+``REPRO_PARALLEL_WORKERS`` or ``os.cpu_count() - 1``.  Registered
+continuous queries never come here: they are maintained incrementally
+and in-process, and :mod:`repro.core` and :mod:`repro.server` import
+nothing from this package.
 """
 
 from __future__ import annotations

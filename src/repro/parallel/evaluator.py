@@ -16,17 +16,17 @@ over a domain-restricted context (:mod:`repro.parallel.worker`); two
 pieces live here:
 
 * :func:`enumerate_formula_nodes` — the deterministic node ordering that
-  lets ``id()``-keyed traces, validity stamps and atom stats cross
-  process boundaries as tree *paths*;
+  lets ``id()``-keyed atom stats cross process boundaries as tree
+  *paths*;
 * :class:`ShardedIntervalEvaluator` — the parent orchestrator: splits,
-  dispatches to the persistent pool, merges relations / counters /
-  traces, and degrades to in-process serial evaluation whenever sharding
+  dispatches to the persistent pool, merges relations / counters / atom
+  stats, and degrades to in-process serial evaluation whenever sharding
   cannot help (no splittable variable, tiny domain).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.errors import FtlSemanticsError, QueryError
 from repro.ftl.ast import AndF, Assign, Formula, OrF, Until, UntilWithin
@@ -64,11 +64,11 @@ def enumerate_formula_nodes(root: Formula) -> list[Formula]:
     """Every formula node of a tree, in deterministic preorder.
 
     Shared (hash-consed) nodes appear once, at their first occurrence —
-    matching how ``id()``-keyed traces store them.  Because evaluation
-    plans are deterministic functions of (query, cost model), the parent
-    and every worker enumerate *structurally identical* trees: a node's
-    position in this list (its *path*) is the cross-process name for the
-    ``id()``-keyed entries of traces, validity stamps and atom stats.
+    matching how the ``id()``-keyed atom stats store them.  Because
+    evaluation plans are deterministic functions of (query, cost model),
+    the parent and every worker enumerate *structurally identical*
+    trees: a node's position in this list (its *path*) is the
+    cross-process name of its atom-stats entry.
     """
     nodes: list[Formula] = []
     seen: set[int] = set()
@@ -124,10 +124,10 @@ class ShardedIntervalEvaluator:
     with ``parallel=N``; :meth:`evaluate` returns the (uncompleted,
     unprojected) ``R_where`` relation exactly as a serial
     :class:`IntervalEvaluator` would.  After it returns, merged
-    :attr:`counters`, :attr:`atom_stats`, per-shard :attr:`shard_times`
-    and the (optionally merged) :attr:`trace` are available; when
-    sharding could not apply, :attr:`sharded` is False and the numbers
-    are the in-process serial evaluator's.
+    :attr:`counters`, :attr:`atom_stats` and per-shard
+    :attr:`shard_times` are available; when sharding could not apply,
+    :attr:`sharded` is False and the numbers are the in-process serial
+    evaluator's.
     """
 
     def __init__(
@@ -139,8 +139,6 @@ class ShardedIntervalEvaluator:
         *,
         plan: "EvalPlan | None" = None,
         options: EvalOptions = DEFAULT,
-        validity: "Mapping[int, float] | None" = None,
-        want_trace: bool = False,
         start_method: str | None = None,
         pool: "ShardWorkerPool | None" = None,
     ) -> None:
@@ -165,8 +163,6 @@ class ShardedIntervalEvaluator:
                 plan = None
         self.plan = plan
         self.options = options
-        self.validity = validity
-        self.want_trace = want_trace
         self.start_method = start_method
         self._pool = pool
         #: Full-domain context — the merge target and ``_complete`` input.
@@ -177,9 +173,6 @@ class ShardedIntervalEvaluator:
         self.shard_plan: ShardPlan | None = None
         self.counters: dict[str, int] = {k: 0 for k in _COUNTER_KEYS}
         self.atom_stats: dict[int, dict[str, object]] = {}
-        self.trace: dict[int, FtlRelation] | None = (
-            {} if want_trace else None
-        )
         #: Per-shard in-worker evaluation seconds (critical-path metric).
         self.shard_times: list[float] = []
         #: Per-shard in-worker CPU seconds — contention-immune work
@@ -213,18 +206,14 @@ class ShardedIntervalEvaluator:
     # ------------------------------------------------------------------
     def evaluate(self) -> FtlRelation:
         """The merged ``R_where`` (falls back to in-process serial
-        evaluation — same answers, same trace keys — when not viable)."""
+        evaluation — same answers — when not viable)."""
         if not self.viable:
             return self._evaluate_serial()
         return self._evaluate_sharded()
 
     def _evaluate_serial(self) -> FtlRelation:
         evaluator = IntervalEvaluator(
-            self.ctx,
-            trace=self.trace,
-            plan=self.plan,
-            options=self.options,
-            validity=dict(self.validity) if self.validity else None,
+            self.ctx, plan=self.plan, options=self.options
         )
         relation = evaluator.evaluate(self.query.where)
         self.sharded = False
@@ -252,14 +241,6 @@ class ShardedIntervalEvaluator:
         )
         self.shard_plan = shard_plan
         nodes = self._parent_nodes()
-        id_to_path = {id(node): path for path, node in enumerate(nodes)}
-        validity_paths = None
-        if self.validity:
-            validity_paths = {
-                id_to_path[node_id]: stamp
-                for node_id, stamp in self.validity.items()
-                if node_id in id_to_path
-            }
         spec_base: dict[str, Any] = {
             "query": self.query,
             "horizon": self.horizon,
@@ -267,8 +248,6 @@ class ShardedIntervalEvaluator:
             "model": None if self.plan is None else self.plan.model,
             "order": True if self.plan is None else self.plan.ordered,
             "options": self.options,
-            "want_trace": self.want_trace,
-            "validity_paths": validity_paths,
         }
         specs = [
             dict(spec_base, shard_ids=shard)
@@ -305,14 +284,4 @@ class ShardedIntervalEvaluator:
                     }
                 for key in _ATOM_STAT_KEYS:
                     merged[key] += int(stats[key])
-        if self.trace is not None:
-            merged_trace: dict[int, list[FtlRelation]] = {}
-            for payload in payloads:
-                shipped = payload["trace"] or {}
-                for path, (variables, rows) in shipped.items():
-                    merged_trace.setdefault(path, []).append(
-                        FtlRelation(variables, rows)
-                    )
-            for path, parts in merged_trace.items():
-                self.trace[id(nodes[path])] = merge_relations(parts)
         return relation

@@ -5,9 +5,9 @@ method)``, shared by every query in the process): each holds a database
 replica rebuilt from the last shipped :class:`~repro.parallel.motion.
 MotionSnapshot` and answers ``eval`` tasks against it.  The parent ships
 a snapshot only when the database *epoch* changes — a cheap token over
-the update-log length, population, class/region names and window start —
-so a refresh round evaluating many queries against the same database
-state pays the flatten-and-ship cost once, not once per query.
+the database version, population, class/region names and window start —
+so several cold evaluations against the same database state pay the
+flatten-and-ship cost once, not once per query.
 
 Transport: motion arrays travel through
 :class:`multiprocessing.shared_memory.SharedMemory` (workers copy out
@@ -61,26 +61,27 @@ def epoch_token(history: "History") -> tuple[object, ...]:
 
     Two histories with equal tokens have byte-identical snapshots: every
     mutation path of :class:`~repro.core.database.MostDatabase` either
-    appends to the update log or changes the population / class / region
-    signature, and the window start pins the statics read point.  A
-    *snapshotting* :class:`~repro.core.history.FutureHistory` froze its
-    contents at construction, so its content version is the log length
-    recorded then (``build_log_len``), not the database's current one —
-    a stale snapshot history must never be served from a newer cached
-    replica, nor the other way round.
+    commits an update (bumping ``db.version``) or changes the population
+    / class / region signature, and the window start pins the statics
+    read point.  A *snapshotting*
+    :class:`~repro.core.history.FutureHistory` froze its contents at
+    construction, so its content version is the one recorded then
+    (``build_version``), not the database's current one — a stale
+    snapshot history must never be served from a newer cached replica,
+    nor the other way round.
     """
     db = history.db
     if getattr(history, "_snapshot", False):
-        log_len = getattr(history, "build_log_len", 0)
+        version = getattr(history, "build_version", 0)
         population = sum(
             len(ids) for ids in history._population.values()
         )
     else:
-        log_len = len(db.log())
+        version = db.version
         population = len(db)
     return (
         _db_uid(db),
-        int(log_len),
+        int(version),
         population,
         tuple(db.class_names()),
         tuple(db.region_names()),
@@ -280,8 +281,7 @@ def get_pool(
 
     Every query evaluated with ``parallel=N`` in this process shares the
     same N workers — and therefore the same shipped snapshot per database
-    epoch, which is what makes server refresh rounds amortise the
-    flatten-and-ship cost across registered queries.
+    epoch (:func:`epoch_token`).
     """
     key = (workers, start_method)
     pool = _POOLS.get(key)

@@ -9,9 +9,9 @@ A worker loops over its task queue:
   the parent's address space.
 * ``("eval", task_id, spec)`` — evaluate the spec's query with the split
   variable's domain restricted to the spec's shard, and ship the
-  relation, counters, per-atom stats and (optionally) the per-subformula
-  trace back, all keyed by *node path* (deterministic tree position)
-  rather than ``id()`` so the parent can re-key them onto its own tree.
+  relation, counters and per-atom stats back, the stats keyed by *node
+  path* (deterministic tree position) rather than ``id()`` so the parent
+  can re-key them onto its own tree.
 * ``("stop",)`` — exit.
 
 Exceptions escape to the parent as shipped errors, not worker deaths:
@@ -81,43 +81,23 @@ def _evaluate(state: dict[str, Any], spec: dict[str, Any]) -> dict[str, Any]:
         except FtlSemanticsError:
             plan = None
     root = plan.resolve(query.where) if plan is not None else query.where
-    nodes = enumerate_formula_nodes(root)
-    id_to_path = {id(node): path for path, node in enumerate(nodes)}
-    validity = None
-    validity_paths = spec.get("validity_paths")
-    if validity_paths:
-        validity = {
-            id(nodes[path]): stamp
-            for path, stamp in validity_paths.items()
-            if 0 <= path < len(nodes)
-        }
+    id_to_path = {
+        id(node): path
+        for path, node in enumerate(enumerate_formula_nodes(root))
+    }
     ctx = EvalContext(
         history,
         horizon,
         query.bindings,
         domain_restrictions={spec["split_var"]: list(spec["shard_ids"])},
     )
-    trace: dict[int, Any] | None = {} if spec["want_trace"] else None
-    evaluator = IntervalEvaluator(
-        ctx,
-        trace=trace,
-        plan=plan,
-        options=spec["options"],
-        validity=validity,
-    )
+    evaluator = IntervalEvaluator(ctx, plan=plan, options=spec["options"])
     t0 = time.perf_counter()
     c0 = time.process_time()
     relation = evaluator.evaluate(query.where)
     eval_cpu = time.process_time() - c0
     eval_time = time.perf_counter() - t0
 
-    shipped_trace = None
-    if trace is not None:
-        shipped_trace = {
-            id_to_path[node_id]: (rel.variables, dict(rel.rows()))
-            for node_id, rel in trace.items()
-            if node_id in id_to_path
-        }
     atom_stats = {}
     for node_id, stats in evaluator.atom_stats.items():
         path = id_to_path.get(node_id)
@@ -130,7 +110,6 @@ def _evaluate(state: dict[str, Any], spec: dict[str, Any]) -> dict[str, Any]:
         "relation": (relation.variables, dict(relation.rows())),
         "counters": evaluator.counters(),
         "atom_stats": atom_stats,
-        "trace": shipped_trace,
         "eval_time": eval_time,
         # CPU seconds spent in this worker: on a time-sliced host the
         # wall span above stretches with contention, but CPU time is the

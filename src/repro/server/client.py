@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import random
 import zlib
+from dataclasses import replace
 from typing import Any
 
 from repro.distributed.backoff import RetrySchedule
@@ -72,7 +73,6 @@ class SubscriberClient:
         text: str,
         horizon: int,
         server_id: str = SERVER_ID,
-        method: str = "incremental",
         policy: str = "immediate",
         period: int = 1,
         window: int | None = None,
@@ -85,11 +85,21 @@ class SubscriberClient:
         self.server_id = server_id
         self.text = text
         self.horizon = horizon
-        self.method = method
         self.policy = policy
         self.period = period
         self.window = window
         self.staleness_bound = staleness_bound
+        # Built here so a value the server would refuse fails at the
+        # caller; each (re)subscribe sends it with the current cursor.
+        self._subscribe = SubscribeMsg(
+            client_id=client_id,
+            text=text,
+            horizon=horizon,
+            policy=policy,
+            period=period,
+            window=window,
+            staleness_bound=staleness_bound,
+        )
         self.query_id: str | None = None
         self.incarnation = 0
         #: Highest contiguous delta seq applied (the resumable cursor).
@@ -231,15 +241,8 @@ class SubscriberClient:
             if now >= self._next_subscribe:
                 self._send(
                     SUBSCRIBE,
-                    SubscribeMsg(
-                        client_id=self.client_id,
-                        text=self.text,
-                        horizon=self.horizon,
-                        method=self.method,
-                        policy=self.policy,
-                        period=self.period,
-                        window=self.window,
-                        staleness_bound=self.staleness_bound,
+                    replace(
+                        self._subscribe,
                         have_seq=self.last_seq if self.query_id else -1,
                         incarnation=self.incarnation,
                     ),

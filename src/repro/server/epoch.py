@@ -72,7 +72,7 @@ from repro.server.protocol import (
     SubscribedMsg,
     SubscribeMsg,
 )
-from repro.server.registry import SubscriptionRegistry
+from repro.server.registry import SubscriberRecord, SubscriptionRegistry
 from repro.server.session import ClientSession
 from repro.server.transport import SimTransport, Transport
 
@@ -98,9 +98,6 @@ class CQServer:
             pause sends.
         retry: backoff schedule for delta retransmission (jittered).
         seed: base RNG seed for per-session jitter decorrelation.
-        parallel: sharded-evaluation worker knob forwarded to every
-            registered query (``None``/``1`` serial, ``N`` workers,
-            ``"auto"``; DESIGN.md §12).
     """
 
     def __init__(
@@ -113,7 +110,6 @@ class CQServer:
         heartbeat_timeout: int = 8,
         retry: RetrySchedule | None = None,
         seed: int = 0,
-        parallel: object = None,
     ) -> None:
         if inbox_capacity < 1:
             raise DistributedError("inbox must hold at least one update")
@@ -130,7 +126,7 @@ class CQServer:
         )
         self.seed = seed
         self.metrics = ServerMetrics()
-        self.registry = SubscriptionRegistry(db, self.metrics, parallel=parallel)
+        self.registry = SubscriptionRegistry(db, self.metrics)
         self.sessions: dict[tuple[str, str], ClientSession] = {}
         #: The same sessions by client, so a heartbeat reaches its
         #: client's sessions without walking everybody else's.
@@ -203,27 +199,27 @@ class CQServer:
         self.metrics.observe_inbox(self.inbox_depth)
 
     def _on_subscribe(self, src: str, msg: SubscribeMsg) -> None:
+        """Refuse before register: everything that can fail (building the
+        query, opening the session) runs before the durable table is
+        written, so a refused subscription leaves no query to refresh
+        and no record for :meth:`restart` to trip over."""
         now = self.clock.now
         try:
-            rq = self.registry.register(msg)
+            rq, record = self.registry.prepare(msg)
         except ReproError as exc:
-            # Fail fast with the diagnostic (SchemaError for unknown
-            # classes, FtlAnalysisError for malformed queries) instead
-            # of a deep evaluator error at first refresh.
-            self._send(
-                src,
-                SUBSCRIBED,
-                SubscribedMsg(
-                    client_id=msg.client_id,
-                    query_id="",
-                    incarnation=self.incarnation,
-                    error=f"{type(exc).__name__}: {exc}",
-                ),
-                CONTROL_SIZE,
-            )
+            self._refuse(src, msg, exc)
             return
-        key = (msg.client_id, rq.query_id)
-        session = self.sessions.get(key)
+        session = self.sessions.get((msg.client_id, rq.query_id))
+        if session is None:
+            try:
+                self._open_session(record, now)
+            except ReproError as exc:
+                if rq.query_id not in self.registry.queries:
+                    rq.cq.cancel()  # built for this frame; nobody holds it
+                self._refuse(src, msg, exc)
+                return
+            self.metrics.subscriptions += 1
+        self.registry.admit(rq, record)
         if (
             session is not None
             and msg.have_seq >= 0
@@ -239,9 +235,6 @@ class CQServer:
                 ),
                 now,
             )
-        elif session is None:
-            self._open_session(key, now)
-            self.metrics.subscriptions += 1
         self._send(
             src,
             SUBSCRIBED,
@@ -253,8 +246,24 @@ class CQServer:
             CONTROL_SIZE,
         )
 
-    def _open_session(self, key: tuple[str, str], now: int) -> None:
-        record = self.registry.records[key]
+    def _refuse(self, src: str, msg: SubscribeMsg, exc: ReproError) -> None:
+        # Fail fast with the diagnostic (SchemaError for unknown
+        # classes, FtlAnalysisError for malformed queries) instead of a
+        # deep evaluator error at first refresh.
+        self._send(
+            src,
+            SUBSCRIBED,
+            SubscribedMsg(
+                client_id=msg.client_id,
+                query_id="",
+                incarnation=self.incarnation,
+                error=f"{type(exc).__name__}: {exc}",
+            ),
+            CONTROL_SIZE,
+        )
+
+    def _open_session(self, record: SubscriberRecord, now: int) -> None:
+        key = (record.client_id, record.query_id)
         session = self.sessions[key] = ClientSession(
             record,
             send=self._send,
@@ -435,9 +444,9 @@ class CQServer:
         self.incarnation += 1
         self.registry.rebuild()
         now = self.clock.now
-        for key, record in self.registry.records.items():
+        for record in self.registry.records.values():
             if record.query_id in self.registry.queries:
-                self._open_session(key, now)
+                self._open_session(record, now)
 
     # ------------------------------------------------------------------
     def drained(self) -> bool:

@@ -45,6 +45,17 @@ TUPLE_SIZE = 4
 UPDATE_SIZE = 6
 CONTROL_SIZE = 1
 
+#: Wire names of the §5.2 transmission policies a subscriber may ask for.
+POLICIES = ("immediate", "delayed", "periodic")
+
+
+def _at_least(value: object, least: int, real: bool = False) -> bool:
+    """``value`` is an integer (or, with ``real``, any number) — never a
+    JSON boolean — and ``>= least``, which NaN is not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return (real or isinstance(value, int)) and value >= least
+
 
 @dataclass(frozen=True)
 class WireTuple:
@@ -105,13 +116,21 @@ class IngestBusy:
 
 @dataclass(frozen=True)
 class SubscribeMsg:
-    """Register (or re-attach to) a continuous query subscription."""
+    """Register (or re-attach to) a continuous query subscription: *what*
+    to watch (``text``, ``horizon``) and *when* its tuples travel — never
+    how the server computes them (DESIGN.md §9).
+
+    A frame becomes a message here for both transports, so the fields
+    are validated here, once: a bad one raises
+    :class:`~repro.errors.DistributedError` at its builder
+    (``decode_line`` for a socket peer, the caller in-process), and a
+    message that exists can be given a session without further checks.
+    """
 
     client_id: str
     text: str
     horizon: int
-    method: str = "incremental"
-    policy: str = "immediate"  # immediate | delayed | periodic
+    policy: str = "immediate"  # one of POLICIES
     period: int = 1
     window: int | None = None
     staleness_bound: float | None = None
@@ -119,6 +138,21 @@ class SubscribeMsg:
     #: with a resumable cursor); -1 means a fresh subscription.
     have_seq: int = -1
     incarnation: int = 0
+
+    def __post_init__(self) -> None:
+        valid = {
+            "client_id": isinstance(self.client_id, str),
+            "text": isinstance(self.text, str),
+            "horizon": _at_least(self.horizon, 0),
+            "policy": self.policy in POLICIES,
+            "period": _at_least(self.period, 1),
+            "window": self.window is None or _at_least(self.window, 0),
+            "staleness_bound": self.staleness_bound is None
+            or _at_least(self.staleness_bound, 0, real=True),
+        }
+        bad = [f"{name}={getattr(self, name)!r}" for name, ok in valid.items() if not ok]
+        if bad:
+            raise DistributedError(f"unusable SUBSCRIBE field(s): {', '.join(bad)}")
 
 
 @dataclass(frozen=True)
@@ -264,7 +298,6 @@ def to_wire(kind: str, payload: object) -> dict[str, Any]:
             client_id=payload.client_id,
             text=payload.text,
             horizon=payload.horizon,
-            method=payload.method,
             policy=payload.policy,
             period=payload.period,
             window=payload.window,
@@ -341,11 +374,12 @@ def from_wire(obj: dict[str, Any]) -> tuple[str, object]:
             retry_after=int(obj["retry_after"]),
         )
     if kind == SUBSCRIBE:
+        # Keys without a field (an older peer's ``"method"``) are
+        # ignored, as in every other kind.
         return kind, SubscribeMsg(
             client_id=obj["client_id"],
             text=obj["text"],
             horizon=int(obj["horizon"]),
-            method=obj.get("method", "incremental"),
             policy=obj.get("policy", "immediate"),
             period=int(obj.get("period", 1)),
             window=obj.get("window"),

@@ -7,11 +7,13 @@ instances and their incremental caches are volatile and rebuilt by
 :meth:`SubscriptionRegistry.rebuild` on restart — a restarted server
 re-evaluates from the database and resynchronises clients by snapshot.
 
-Identical subscriptions (same text, horizon, method) share one
-registered query: a thousand clients watching the same fleet cost one
-refresh per epoch, not a thousand — and one answer diff
+Identical subscriptions (same text and horizon) share one registered
+query: a thousand clients watching the same fleet cost one refresh per
+epoch, not a thousand — and one answer diff
 (:meth:`AnswerState.since`), over tuples that keep their identity while
-nothing but time happens to them (:meth:`AnswerState.capture`).
+nothing but time happens to them (:meth:`AnswerState.capture`).  How a
+registered query is evaluated is not a subscriber's choice: every one is
+maintained incrementally, in-process.
 """
 
 from __future__ import annotations
@@ -171,7 +173,6 @@ class RegisteredQuery:
     query_id: str
     text: str
     horizon: int
-    method: str
     cq: ContinuousQuery
     state: AnswerState
     #: Client ids subscribed to this query.
@@ -198,29 +199,23 @@ class SubscriberRecord:
 class SubscriptionRegistry:
     """Registered queries, their answers, and the subscriber table."""
 
-    def __init__(
-        self,
-        db: MostDatabase,
-        metrics: ServerMetrics,
-        parallel: object = None,
-    ) -> None:
+    def __init__(self, db: MostDatabase, metrics: ServerMetrics) -> None:
         self.db = db
         self.metrics = metrics
-        #: Forwarded to every registered :class:`ContinuousQuery` — the
-        #: ``parallel=`` knob of sharded evaluation (DESIGN.md §12).
-        #: All queries share one worker pool, so refresh rounds ship the
-        #: motion snapshot once per database epoch.
-        self.parallel = parallel
         self.queries: dict[str, RegisteredQuery] = {}
         self.records: dict[tuple[str, str], SubscriberRecord] = {}
-        self._by_spec: dict[tuple[str, int, str], str] = {}
+        self._by_spec: dict[tuple[str, int], str] = {}
         self._next_id = 0
         self._rr: list[str] = []  # round-robin refresh order under shedding
         self._rr_pos = 0
 
     # ------------------------------------------------------------------
-    def register(self, msg: SubscribeMsg) -> RegisteredQuery:
-        """Register (or join) the query a subscription names.
+    def prepare(
+        self, msg: SubscribeMsg
+    ) -> tuple[RegisteredQuery, SubscriberRecord]:
+        """Find (or build) the query a subscription names and the
+        subscriber row it would add — storing neither; :meth:`admit`
+        does, once nothing else can refuse the subscription.
 
         Raises the :class:`~repro.errors.SchemaError`-family diagnostic
         of :class:`ContinuousQuery` registration when the query is
@@ -228,29 +223,24 @@ class SubscriptionRegistry:
         into a refused-subscription reply, and no evaluator ever sees
         the bad query.
         """
-        spec = (msg.text, msg.horizon, msg.method)
-        query_id = self._by_spec.get(spec)
-        if query_id is None:
+        query_id = self._by_spec.get((msg.text, msg.horizon))
+        if query_id is not None:
+            rq = self.queries[query_id]
+        else:
             query_id = f"q{self._next_id}"
             self._next_id += 1
-            cq = self._build_cq(msg.text, msg.horizon, msg.method)
+            cq = self._build_cq(msg.text, msg.horizon)
             rq = RegisteredQuery(
                 query_id=query_id,
                 text=msg.text,
                 horizon=msg.horizon,
-                method=msg.method,
                 cq=cq,
                 state=AnswerState.capture(
                     cq, self.db.clock.now, None, self.metrics
                 ),
             )
             rq._last_evaluations = cq.evaluations
-            self.queries[query_id] = rq
-            self._by_spec[spec] = query_id
-            self._rr.append(query_id)
-        rq = self.queries[query_id]
-        rq.subscribers.add(msg.client_id)
-        self.records[(msg.client_id, query_id)] = SubscriberRecord(
+        record = SubscriberRecord(
             client_id=msg.client_id,
             query_id=query_id,
             policy=msg.policy,
@@ -258,18 +248,28 @@ class SubscriptionRegistry:
             window=msg.window,
             staleness_bound=msg.staleness_bound,
         )
+        return rq, record
+
+    def admit(self, rq: RegisteredQuery, record: SubscriberRecord) -> None:
+        """Write a prepared subscription to the durable table."""
+        if rq.query_id not in self.queries:
+            self.queries[rq.query_id] = rq
+            self._by_spec[(rq.text, rq.horizon)] = rq.query_id
+            self._rr.append(rq.query_id)
+        rq.subscribers.add(record.client_id)
+        self.records[(record.client_id, rq.query_id)] = record
+
+    def register(self, msg: SubscribeMsg) -> RegisteredQuery:
+        """Register (or join) the query a subscription names."""
+        rq, record = self.prepare(msg)
+        self.admit(rq, record)
         return rq
 
-    def _build_cq(
-        self, text: str, horizon: int, method: str
-    ) -> ContinuousQuery:
-        query = parse_query(text)
+    def _build_cq(self, text: str, horizon: int) -> ContinuousQuery:
+        # Always incremental: a formula outside the maintainable fragment
+        # falls back by itself and says why in ``incremental_rejection``.
         return ContinuousQuery(
-            self.db,
-            query,
-            horizon=horizon,
-            method=method,
-            parallel=self.parallel,
+            self.db, parse_query(text), horizon=horizon, method="incremental"
         )
 
     # ------------------------------------------------------------------
@@ -369,10 +369,10 @@ class SubscriptionRegistry:
         now = self.db.clock.now
         for query_id, rq in list(self.queries.items()):
             try:
-                cq = self._build_cq(rq.text, rq.horizon, rq.method)
+                cq = self._build_cq(rq.text, rq.horizon)
             except ReproError:
                 del self.queries[query_id]
-                self._by_spec.pop((rq.text, rq.horizon, rq.method), None)
+                self._by_spec.pop((rq.text, rq.horizon), None)
                 self._rr = [q for q in self._rr if q != query_id]
                 continue
             rq.cq = cq

@@ -4,8 +4,8 @@ The merge-soundness argument (DESIGN.md §12) says restricting the split
 variable's domain per shard and taking the keyed union of the shard
 relations reproduces the serial ``R_f`` bit for bit.  These tests check
 that claim on the same randomized worlds, formulas and update sequences
-the method-differential suite uses — including the incremental
-continuous-query seeding and the error paths.
+the method-differential suite uses — including a maintained continuous
+query as the reference across update streams, and the error paths.
 """
 
 import multiprocessing
@@ -19,8 +19,10 @@ from repro.core.queries import ContinuousQuery
 from repro.errors import QueryError
 from repro.ftl import Compare, Const, Dist, FtlQuery, Inside, Var
 from repro.ftl.context import DEFAULT
-from repro.parallel import resolve_workers
+from repro.geometry import Point
+from repro.parallel import get_pool, resolve_workers
 from repro.parallel.evaluator import ShardedIntervalEvaluator
+from repro.parallel.pool import epoch_token
 
 from tests.ftl.test_differential import (
     HORIZON,
@@ -168,31 +170,27 @@ def test_counter_coherence_random(seed):
     "method,workers", [("interval", 2), ("incremental", 2), ("incremental", 4)]
 )
 def test_continuous_query_parallel_differential(seed, method, workers):
+    """Sharded ≡ maintained: a continuous query kept up to date across an
+    update stream (always in-process) and a cold sharded evaluation of
+    the same query on the same database agree at every step."""
     rng = random.Random(30_000 + seed)
-    world_bits = rng.getstate()
-    dbs = []
-    for _ in range(2):
-        rng.setstate(world_bits)
-        dbs.append(build_world(rng))
+    db = build_world(rng)
     query = random_query(rng)
-    serial_cq = ContinuousQuery(dbs[0], query, horizon=HORIZON)
-    parallel_cq = ContinuousQuery(
-        dbs[1], query, horizon=HORIZON, method=method, parallel=workers
-    )
+    cq = ContinuousQuery(db, query, horizon=HORIZON, method=method)
     for step in range(STEPS):
-        for db in dbs:
-            db.clock.tick()
-        apply_random_updates(rng, dbs)
-        assert serial_cq.current() == parallel_cq.current(), (
+        db.clock.tick()
+        apply_random_updates(rng, [db])
+        remaining = cq.expires_at - db.clock.now
+        cold = query.evaluate(FutureHistory(db), remaining, parallel=workers)
+        assert cq.current() == cold.satisfied_at(db.clock.now), (
             f"seed {seed} step {step}: {query.where}"
         )
-    serial_tuples = sorted(
-        (t.values, t.begin, t.end) for t in serial_cq.answer_tuples()
+    # The maintained answer may date from an earlier refresh; what both
+    # say about [now, expiry] must be the same tuples.
+    window = (db.clock.now, cq.expires_at)
+    assert rows_of(cq.answer.relation.clipped(*window)) == rows_of(
+        cold.clipped(*window)
     )
-    parallel_tuples = sorted(
-        (t.values, t.begin, t.end) for t in parallel_cq.answer_tuples()
-    )
-    assert serial_tuples == parallel_tuples
 
 
 # ---------------------------------------------------------------------------
@@ -206,10 +204,73 @@ def test_naive_method_rejects_parallel():
     query = random_query(rng)
     with pytest.raises(QueryError, match="interval method"):
         query.evaluate(FutureHistory(db), HORIZON, method="naive", parallel=2)
-    with pytest.raises(QueryError, match="naive"):
+    with pytest.raises(TypeError):
         ContinuousQuery(
             db, query, horizon=HORIZON, method="naive", parallel=2
         )
+
+
+def test_trace_and_validity_are_serial_only():
+    """Both are keyed by ``id()``: they cannot follow an evaluation into
+    worker processes, so asking for them there is an error, not a
+    silently empty dict.  Serially they work as before."""
+    rng = random.Random(3)
+    db = build_world(rng)
+    query = random_query(rng)
+    history = FutureHistory(db)
+    with pytest.raises(QueryError, match="trace"):
+        query.evaluate_full(history, HORIZON, parallel=2, trace={})
+    with pytest.raises(QueryError, match="validity"):
+        query.evaluate_full(
+            history, HORIZON, parallel=2, validity={id(query.where): 5.0}
+        )
+    trace = {}
+    serial = query.evaluate_full(
+        history,
+        HORIZON,
+        options=replace(DEFAULT, ordered=False),
+        validity={id(query.where): float(HORIZON)},
+        trace=trace,
+    )
+    assert rows_of(trace[id(query.where)]) == rows_of(serial)
+    assert not hasattr(ShardedIntervalEvaluator(query, history, HORIZON, 2), "trace")
+    for removed in ("validity", "want_trace"):
+        with pytest.raises(TypeError):
+            ShardedIntervalEvaluator(
+                query, history, HORIZON, 2, **{removed: None}
+            )
+
+
+@pytest.mark.parametrize("start_method", ["fork", "spawn"])
+def test_read_through_history_shards_like_a_snapshot(start_method):
+    """``FutureHistory(db, snapshot=False)`` reads the live database; its
+    epoch token comes from ``db.version`` and must move with every kind
+    of update, or the pool would serve a stale replica."""
+    if start_method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"{start_method} start method unavailable")
+    rng = random.Random(12)
+    db = build_world(rng)
+    query = random_query(rng)
+    live = FutureHistory(db, snapshot=False)
+    pool = get_pool(2, start_method=start_method)
+
+    def sharded():
+        ev = ShardedIntervalEvaluator(query, live, HORIZON, 2, pool=pool)
+        return rows_of(ev.evaluate()), ev.sharded
+
+    assert sharded() == (rows_of(
+        ShardedIntervalEvaluator(query, live, HORIZON, 1).evaluate()
+    ), True)
+    tokens = [epoch_token(live)]
+    car = live.object_ids("cars")[0]
+    db.update_static(car, "price", 999)
+    tokens.append(epoch_token(live))
+    db.update_motion(car, Point(3, -2))
+    tokens.append(epoch_token(live))
+    assert len(set(tokens)) == 3
+    assert db.version == tokens[-1][1] > tokens[0][1]
+    # The same pool, after the updates: a fresh replica, the new answer.
+    assert sharded()[0] == rows_of(query.evaluate_full(FutureHistory(db), HORIZON))
 
 
 def test_non_future_history_rejected():

@@ -61,13 +61,12 @@ def test_worker_evaluates_with_the_plain_interval_evaluator(monkeypatch):
         "model": None,
         "order": True,
         "options": DEFAULT,
-        "want_trace": False,
-        "validity_paths": None,
     }
     payload = worker._evaluate({"history": history}, spec)
     (ctx,) = built
     assert ctx.domain(split_var) == domain[:1]
     assert "halo_prunes" not in payload
+    assert "trace" not in payload
     serial = query.evaluate_full(history, HORIZON)
     idx = serial.variables.index(split_var)
     variables, rows = payload["relation"]

@@ -1,5 +1,7 @@
 """Wire-protocol tests: identity semantics and the JSON codec."""
 
+import json
+
 import pytest
 
 from repro.distributed.updates import MotionUpdate
@@ -27,6 +29,7 @@ from repro.server.protocol import (
     WireTuple,
     decode_line,
     encode_line,
+    to_wire,
 )
 
 
@@ -111,9 +114,41 @@ def _update(object_id='"t0"', position="[0, 0]", velocity="[0, 0]") -> str:
     )
 
 
+def _subscribe(**fields) -> bytes:
+    frame = {
+        "kind": "cq-subscribe",
+        "client_id": "c1",
+        "text": "RETRIEVE o FROM cars o WHERE INSIDE(o, P)",
+        "horizon": 10,
+        **fields,
+    }
+    return (json.dumps(frame) + "\n").encode()
+
+
+#: SUBSCRIBE field values no message may carry: the durable subscriber
+#: table holds them verbatim, and every restart opens sessions from it.
+BAD_SUBSCRIBE_FIELDS = {
+    "unknown-policy": {"policy": "bogus"},
+    "unhashable-policy": {"policy": ["periodic"]},
+    "zero-period": {"policy": "periodic", "period": 0},
+    "negative-window": {"window": -1},
+    "fractional-window": {"window": 1.5},
+    "boolean-window": {"window": True},
+    "negative-staleness-bound": {"staleness_bound": -1},
+    "non-numeric-staleness-bound": {"staleness_bound": "soon"},
+    "nan-staleness-bound": {"staleness_bound": float("nan")},
+    "negative-horizon": {"horizon": -1},
+    "non-string-client-id": {"client_id": 7},
+    "non-string-text": {"text": ["RETRIEVE"]},
+}
+
 #: Lines that parse as JSON objects of a known kind yet cannot be
 #: rebuilt (the TCP transport test sends the same ones down a socket).
 MALFORMED_FRAMES = {
+    **{
+        f"subscribe-{name}": _subscribe(**fields)
+        for name, fields in BAD_SUBSCRIBE_FIELDS.items()
+    },
     "missing-fields": b'{"kind": "cq-ingest"}\n',
     "non-numeric-int": (
         b'{"kind": "cq-resume", "client_id": "c1", "query_id": "q0", '
@@ -153,3 +188,34 @@ class TestCodec:
         # one thing to catch.
         with pytest.raises(DistributedError):
             decode_line(line)
+
+
+class TestSubscribeMsg:
+    def test_method_is_not_on_the_wire(self):
+        msg = SubscribeMsg("c1", "RETRIEVE o FROM cars o WHERE INSIDE(o, P)", 10)
+        assert "method" not in to_wire(SUBSCRIBE, msg)
+        assert not hasattr(msg, "method")
+        with pytest.raises(TypeError):
+            SubscribeMsg("c1", "Q", 10, method="naive")
+
+    def test_an_incoming_method_key_is_ignored(self):
+        plain = decode_line(_subscribe())
+        assert decode_line(_subscribe(method="naive")) == plain
+        assert decode_line(_subscribe(method=["x"])) == plain
+
+    @pytest.mark.parametrize(
+        "fields",
+        BAD_SUBSCRIBE_FIELDS.values(),
+        ids=BAD_SUBSCRIBE_FIELDS.keys(),
+    )
+    def test_bad_field_values_cannot_be_built(self, fields):
+        good = {"client_id": "c1", "text": "Q", "horizon": 10}
+        with pytest.raises(DistributedError):
+            SubscribeMsg(**{**good, **fields})
+
+    def test_edge_values_are_accepted(self):
+        msg = SubscribeMsg(
+            "c1", "Q", 0, policy="periodic", period=1, window=0,
+            staleness_bound=0,
+        )
+        assert decode_line(encode_line(SUBSCRIBE, msg)) == (SUBSCRIBE, msg)

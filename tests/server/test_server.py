@@ -1,6 +1,7 @@
 """Epoch-loop server tests: ingest, backpressure, fan-out, crash-restart."""
 
 import asyncio
+import json
 
 import pytest
 
@@ -9,6 +10,7 @@ from repro.core.objects import ObjectClass
 from repro.distributed.network import FaultPlan, SimNetwork
 from repro.distributed.node import MobileNode
 from repro.distributed.updates import MotionUpdate
+from repro.errors import DistributedError
 from repro.geometry import Point
 from repro.motion import linear_moving_point
 from repro.server import (
@@ -33,11 +35,13 @@ from repro.server.protocol import (
     HeartbeatMsg,
     SubscribedMsg,
     WireTuple,
+    decode_line,
 )
 from repro.server.transport import ProtocolNode
 from repro.temporal import SimulationClock
 
 QUERY = "RETRIEVE v FROM trackers v, beacons b WHERE DIST(v, b) <= 60"
+OTHER_QUERY = "RETRIEVE v FROM trackers v, beacons b WHERE DIST(v, b) <= 25"
 
 
 def build_world(n_trackers=2, **server_kw):
@@ -95,6 +99,84 @@ class TestSubscription:
         assert a.subscribed and b.subscribed
         assert len(server.registry.queries) == 1
         assert server.metrics.subscriptions == 2
+
+    def test_method_key_joins_the_existing_query(self):
+        """How a registered query is evaluated is not on the wire: a frame
+        that still says ``"method"`` shares the query of one that does
+        not, and that query is maintained incrementally."""
+        db, network, server, _ = build_world()
+        SubscriberClient(network, "c1", QUERY, horizon=200)
+        drive(server, 4)
+        frame = {
+            "kind": SUBSCRIBE, "client_id": "c2", "text": QUERY,
+            "horizon": 200, "method": "naive",
+        }
+        server._dispatch("c2", *decode_line(json.dumps(frame).encode()))
+        (rq,) = server.registry.queries.values()
+        assert rq.subscribers == {"c1", "c2"}
+        assert rq.cq.method == "incremental"
+        assert not hasattr(rq, "method")
+        with pytest.raises(TypeError):
+            SubscriberClient(network, "c3", QUERY, horizon=200, method="naive")
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"policy": "bogus"},
+            {"policy": "periodic", "period": 0},
+            {"window": -1},
+            {"staleness_bound": -1.0},
+            {"horizon": -1},
+        ],
+        ids=lambda bad: "-".join(bad),
+    )
+    def test_bad_subscription_values_fail_at_the_caller(self, bad):
+        db, network, server, _ = build_world()
+        fields = {"horizon": 200, **bad}
+        with pytest.raises(DistributedError):
+            SubscriberClient(network, "c1", QUERY, **fields)
+        with pytest.raises(DistributedError):
+            SubscribeMsg(client_id="c1", text=QUERY, **fields)
+
+    def test_refused_session_leaves_the_registry_untouched(self, monkeypatch):
+        """Refuse before register: whatever stops a session from opening,
+        the durable table, the sharing key and the database's listener
+        list are what they were before the frame."""
+        db, network, server, _ = build_world()
+        first = SubscriberClient(network, "c1", QUERY, horizon=200)
+        drive(server, 4)
+        registry = server.registry
+        before = (
+            dict(registry.queries),
+            dict(registry.records),
+            dict(registry._by_spec),
+            dict(server.sessions),
+            list(db._listeners),
+        )
+
+        def refuse(*args, **kwargs):
+            raise DistributedError("no session today")
+
+        monkeypatch.setattr("repro.server.epoch.ClientSession", refuse)
+        joiner = SubscriberClient(network, "c2", QUERY, horizon=200)
+        fresh = SubscriberClient(network, "c3", OTHER_QUERY, horizon=200)
+        drive(server, 4)
+        for client in (joiner, fresh):
+            assert "no session today" in client.error
+            assert not client.subscribed
+        assert before == (
+            registry.queries,
+            registry.records,
+            registry._by_spec,
+            server.sessions,
+            db._listeners,
+        )
+        # The surviving subscription is live, and restart reopens it.
+        monkeypatch.undo()
+        assert first.display_at() == registry.queries["q0"].cq.current()
+        server.crash()
+        server.restart()
+        assert list(server.sessions) == [("c1", "q0")]
 
     def test_updates_flow_to_display(self):
         db, network, server, reporters = build_world(n_trackers=1)

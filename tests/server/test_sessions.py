@@ -6,6 +6,7 @@ from repro.distributed.backoff import RetrySchedule
 from repro.errors import DistributedError
 from repro.server.metrics import ServerMetrics
 from repro.server.protocol import (
+    POLICIES,
     DeltaAck,
     HeartbeatMsg,
     ResumeMsg,
@@ -214,6 +215,10 @@ class TestMakePolicy:
         assert make_policy("immediate").__class__.__name__ == "ImmediatePolicy"
         assert make_policy("delayed").__class__.__name__ == "DelayedPolicy"
         assert make_policy("periodic", 3).period == 3
+        # What SUBSCRIBE validation lets through is what sessions can pace.
+        assert {type(make_policy(name)).__name__ for name in POLICIES} == {
+            "ImmediatePolicy", "DelayedPolicy", "PeriodicPolicy",
+        }
 
     def test_unknown_policy_raises(self):
         with pytest.raises(DistributedError):

@@ -24,7 +24,7 @@ from repro.server.protocol import (
 )
 from repro.server.tcp import TcpTransport
 from repro.distributed.updates import MotionUpdate
-from tests.server.test_protocol import MALFORMED_FRAMES
+from tests.server.test_protocol import BAD_SUBSCRIBE_FIELDS, MALFORMED_FRAMES
 
 QUERY = "RETRIEVE v FROM trackers v, beacons b WHERE DIST(v, b) <= 60"
 
@@ -139,7 +139,8 @@ class TestTcpSmoke:
                     await writer.drain()
                     await server.serve(epochs=2, interval=0.01)
                     # The offending connection is dropped ...
-                    assert await reader.read() == b""
+                    dropped = await asyncio.wait_for(reader.read(), timeout=5.0)
+                    assert dropped == b""
                     writer.close()
                 # ... and the loop still serves a well-formed one.
                 _, writer = await asyncio.open_connection(
@@ -159,6 +160,67 @@ class TestTcpSmoke:
                 await transport.stop()
 
         assert asyncio.run(run()) == (len(lines), 1)
+
+    def test_bad_subscribe_frames_leave_the_durable_table_alone(self):
+        """A SUBSCRIBE the server cannot open a session for is refused
+        where it is decoded: nothing reaches the registry, the loop runs
+        on, and a later crash-restart reopens exactly the good sessions."""
+        bad = [
+            line
+            for name, line in MALFORMED_FRAMES.items()
+            if name.startswith("subscribe-")
+        ]
+        assert len(bad) == len(BAD_SUBSCRIBE_FIELDS)
+
+        async def run():
+            server = make_server()
+            transport = TcpTransport(server)
+            try:
+                await transport.start()
+            except OSError:
+                pytest.skip("cannot bind a loopback socket")
+            try:
+                good = asyncio.create_task(
+                    _subscribe_and_collect(transport.port)
+                )
+                await server.serve(epochs=5, interval=0.01)
+                await asyncio.wait_for(good, timeout=10.0)
+                registry = server.registry
+                before = (
+                    dict(registry.queries),
+                    dict(registry.records),
+                    dict(registry._by_spec),
+                    dict(server.sessions),
+                )
+                assert [len(table) for table in before] == [1, 1, 1, 1]
+                for line in bad:
+                    reader, writer = await asyncio.open_connection(
+                        "127.0.0.1", transport.port
+                    )
+                    writer.write(line)
+                    await writer.drain()
+                    await server.serve(epochs=2, interval=0.01)
+                    dropped = await asyncio.wait_for(reader.read(), timeout=5.0)
+                    assert dropped == b""
+                    writer.close()
+                assert transport.bad_lines == len(bad)
+                assert before == (
+                    registry.queries,
+                    registry.records,
+                    registry._by_spec,
+                    server.sessions,
+                )
+                epochs = server.metrics.epochs
+                await server.serve(epochs=1)
+                assert server.metrics.epochs == epochs + 1
+                server.crash()
+                server.restart()
+                assert not server.crashed
+                assert list(server.sessions) == list(registry.records)
+            finally:
+                await transport.stop()
+
+        asyncio.run(run())
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ CI runs ``ruff check src/``, but ruff is not installable on every host
 that runs tier-1.  This is the part of its rule set a deletion PR
 breaks most easily: an import left behind by the code that used it
 (pyflakes F401) and an ``__all__`` entry left behind by the name it
-exported (F822).
+exported (F822).  Below them, two checks standing in for mypy and for a
+layering lint: no ``@property`` is called like a method, and only the
+cold query door imports ``repro.parallel``.
 """
 
 import ast
@@ -124,3 +126,105 @@ def test_every_module_imports_what_it_uses_and_exports_what_it_defines():
         if found:
             findings[str(path.relative_to(SRC))] = found
     assert findings == {}
+
+
+# ---------------------------------------------------------------------------
+# The slice of the type checker a deletion or rename PR needs: mypy is not
+# installable on every host that runs tier-1 either.
+# ---------------------------------------------------------------------------
+
+
+def _is_property(func):
+    return any(
+        isinstance(d, ast.Name) and d.id == "property"
+        for d in func.decorator_list
+    )
+
+
+def property_only_names(trees):
+    """Names ``src/`` binds under ``@property`` and nowhere as a plain
+    ``def`` or ``class`` — calling an attribute so named calls the
+    property's *value*."""
+    properties, callables = set(), set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                (properties if _is_property(node) else callables).add(node.name)
+            elif isinstance(node, ast.ClassDef):
+                callables.add(node.name)
+    return properties - callables
+
+
+def property_calls(tree, names):
+    """``x.name(...)`` sites with ``name`` in ``names``, as ``(name, line)``
+    — except on a receiver the module imported (``math.log``)."""
+    imported = {bound for bound, _line, _re in _imports(tree)}
+    return sorted(
+        (node.func.attr, node.lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in names
+        and not (
+            isinstance(node.func.value, ast.Name)
+            and node.func.value.id in imported
+        )
+    )
+
+
+def imported_modules(tree):
+    """Dotted names of everything a module imports, at any depth —
+    ``from repro import parallel`` counts as ``repro.parallel``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+
+def test_scan_sees_a_planted_property_call():
+    planted = ast.parse(
+        "import math\n"
+        "class Db:\n"
+        "    @property\n"
+        "    def log(self): return ()\n"
+        "    @property\n"
+        "    def size(self): return 0\n"
+        "    def size(self, unit): return 0\n"
+        "def f(db):\n"
+        "    return len(db.log()), math.log(2), db.size('b'), db.log\n"
+    )
+    names = property_only_names([planted])
+    assert names == {"log"}
+    assert property_calls(planted, names) == [("log", 9)]
+
+
+def test_no_property_is_called_like_a_method():
+    trees = {path: ast.parse(path.read_text()) for path in MODULES}
+    names = property_only_names(trees.values())
+    assert len(names) > 50, "the scan found the package's properties"
+    findings = {
+        str(path.relative_to(SRC)): found
+        for path, tree in trees.items()
+        if (found := property_calls(tree, names))
+    }
+    assert findings == {}
+
+
+def test_only_the_cold_query_door_imports_the_shard_pool():
+    """``repro.core`` and ``repro.server`` maintain registered queries
+    in-process; sharding has one entry, ``FtlQuery.evaluate_full``."""
+    package = SRC / "repro"
+    allowed = {package / "ftl" / "query.py"}
+    scanned, findings = 0, []
+    for layer in ("core", "server", "ftl"):
+        for path in sorted((package / layer).rglob("*.py")):
+            scanned += 1
+            if path not in allowed and any(
+                name.split(".")[:2] == ["repro", "parallel"]
+                for name in imported_modules(ast.parse(path.read_text()))
+            ):
+                findings.append(str(path.relative_to(SRC)))
+    assert scanned > 40 and allowed <= set(MODULES)
+    assert findings == []
