@@ -16,18 +16,24 @@ Three modes per scenario: ``exhaustive`` (both layers off),
 ``pruned`` (index pruning only), and ``pruned+cached`` (the default
 configuration).  Kinetic-solve counts come from the evaluator's own
 counters; answers are asserted identical across modes, tuple for tuple.
+The trajectory-MBR tables belong to the database version; every repeat
+drops them (``db.mbr_tables.clear()``), so every pruning wall includes
+one table build — as a refresh after an update, which is a new version,
+does.
 
 Results are registered as a table and written to
 ``BENCH_atom_pruning.json`` at the repo root (archived by CI next to
-``BENCH_plan_order.json``).  Setting ``ATOM_PRUNING_SMOKE=1`` shrinks
-the sweep to a seconds-long CI smoke run and skips the speedup
-assertions (tiny sizes don't amortise the index build).
+``BENCH_plan_order.json``) with the fingerprint of the host that ran
+it.  Setting ``ATOM_PRUNING_SMOKE=1`` shrinks the sweep to a
+seconds-long CI smoke run and skips the speedup assertions (tiny sizes
+don't amortise the index build).
 """
 
 from __future__ import annotations
 
 import json
 import os
+import platform
 import random
 import time
 from dataclasses import replace
@@ -60,6 +66,23 @@ MODES = {
 }
 
 
+def host_fingerprint() -> dict:
+    """What the numbers below were measured on."""
+    import numpy
+
+    try:
+        usable = len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux
+        usable = os.cpu_count() or 1
+    return {
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "platform": platform.platform(),
+        "cpu_count": os.cpu_count(),
+        "usable_cpus": usable,
+    }
+
+
 def build_world(n: int, spread: float) -> MostDatabase:
     db = MostDatabase()
     db.create_class(ObjectClass("cars", spatial_dimensions=2))
@@ -84,14 +107,16 @@ def run_mode(db, query, plan, options) -> dict:
     """Best-of-REPEATS evaluation through a bare IntervalEvaluator (the
     evaluator owns the counters the table reports).
 
-    Cacheless modes start every repeat cold.  The cached mode clears the
-    db-wide cache only once, so later repeats run warm — the regime a
-    continuous query's refreshes live in — and the reported counters are
-    the last (warmest) repeat's."""
+    Every repeat rebuilds the trajectory-MBR tables, and cacheless modes
+    start every repeat cold.  The cached mode clears the db-wide solve
+    cache only once, so later repeats run warm — the regime a continuous
+    query's refreshes live in — and the reported counters are the last
+    (warmest) repeat's."""
     best = float("inf")
     counters = None
     relation = None
     for i in range(REPEATS):
+        db.mbr_tables.clear()
         if i == 0 or not options.solve_cache:
             db.kinetic_cache.clear()
         ctx = EvalContext(FutureHistory(db), HORIZON, query.bindings)
@@ -128,6 +153,7 @@ def test_index_pruning_cuts_solves_and_wall_time(record_table):
     scenarios = {"sparse": 2000.0, "clustered": 100.0}
     report: dict = {
         "benchmark": "atom_pruning",
+        "host": host_fingerprint(),
         "horizon": HORIZON,
         "smoke": SMOKE,
         "query": QUERY,

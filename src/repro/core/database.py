@@ -15,6 +15,7 @@ go through :meth:`MostDatabase.update_motion` /
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping
 
@@ -52,6 +53,8 @@ class MostUpdate:
 
 UpdateListener = Callable[[MostUpdate], None]
 
+_uids = itertools.count(1)
+
 
 class MostDatabase:
     """Object classes + objects + named regions under one global clock."""
@@ -62,6 +65,9 @@ class MostDatabase:
         kinetic_cache_size: int | None = None,
     ) -> None:
         self.clock = clock if clock is not None else SimulationClock()
+        #: Process-unique identity (``id()`` can be reused once a database
+        #: is collected); the first field of a history's content token.
+        self.uid = next(_uids)
         #: Bound on the kinetic-solve memo table (None = the default,
         #: ``repro.ftl.atoms.DEFAULT_CACHE_ENTRIES``).
         self.kinetic_cache_size = kinetic_cache_size
@@ -76,6 +82,7 @@ class MostDatabase:
         self._last_update_time: dict[object, int] = {}
         self._tracked: set[object] = set()
         self._kinetic_cache = None
+        self._mbr_tables = None
         #: Network-delivered updates refused as stale or duplicate.
         self.ingest_rejected = 0
 
@@ -99,6 +106,18 @@ class MostDatabase:
             else:
                 self._kinetic_cache = KineticSolveCache(max_entries=size)
         return self._kinetic_cache
+
+    @property
+    def mbr_tables(self):
+        """The database-wide trajectory-MBR tables of the atom pruner
+        (lazily created): one per object class and evaluation window of
+        one content version, shared by every query and context (see
+        :class:`repro.ftl.atoms.MbrTableCache`)."""
+        if self._mbr_tables is None:
+            from repro.ftl.atoms import MbrTableCache  # avoid cycle
+
+            self._mbr_tables = MbrTableCache()
+        return self._mbr_tables
 
     # ------------------------------------------------------------------
     # Classes and regions
@@ -371,6 +390,10 @@ class MostDatabase:
     def log(self) -> tuple[MostUpdate, ...]:
         """The full update log in commit order."""
         return tuple(self._log)
+
+    def iter_log(self) -> Iterator[MostUpdate]:
+        """The update log in commit order, without copying it."""
+        return iter(self._log)
 
     @property
     def version(self) -> int:

@@ -196,6 +196,41 @@ class FutureHistory(History):
             ) from None
 
 
+def epoch_token(history: History) -> tuple[object, ...] | None:
+    """The content-identity token of a future history, or ``None``.
+
+    Two histories with equal tokens have identical contents: every
+    mutation path of :class:`~repro.core.database.MostDatabase` either
+    commits an update (bumping ``db.version``) or changes the population
+    / class / region signature, and the window start pins the statics
+    read point.  A *snapshotting* :class:`FutureHistory` froze its
+    contents at construction, so its content version is the one recorded
+    then (``build_version``), not the database's current one — a stale
+    snapshot history must never be served state derived from a newer
+    version, nor the other way round.  Everything derived from a history
+    and reused across histories keys on this one token: the shard pool's
+    shipped replica and the atom pruner's trajectory-MBR tables.  A
+    :class:`RecordedHistory` replays the update log and has no token.
+    """
+    if not isinstance(history, FutureHistory):
+        return None
+    db = history.db
+    if history._snapshot:
+        version = history.build_version
+        population = sum(len(ids) for ids in history._population.values())
+    else:
+        version = db.version
+        population = len(db)
+    return (
+        db.uid,
+        version,
+        population,
+        tuple(db.class_names()),
+        tuple(db.region_names()),
+        float(history.start),
+    )
+
+
 class RecordedHistory(History):
     """The history anchored at ``start``, replaying recorded updates.
 
@@ -223,16 +258,16 @@ class RecordedHistory(History):
         return triple.value_at(t)
 
     def _static_value_at(self, object_id: object, attr: str, t: float) -> object:
-        obj = self.db.get(object_id)
-        value = obj.static_value(attr)
-        # Roll back updates committed after t.
-        for update in reversed(self.db.log):
+        value = self.db.get(object_id).static_value(attr)
+        # Roll back updates committed after t: the value in force at t is
+        # the ``old`` of the first such update, or the current value.
+        for update in self.db.iter_log():
             if (
                 update.object_id == object_id
                 and update.attribute == attr
                 and update.time > t
             ):
-                value = update.old
+                return update.old
         return value
 
     def moving_point(self, object_id: object) -> MovingPoint:

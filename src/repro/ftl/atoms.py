@@ -8,13 +8,17 @@ near each other inside the window.  This module supplies the two layers
 that make the base case cheap (both on by default, see DESIGN.md §7):
 
 **Layer 1 — conservative index pruning** (:class:`AtomIndexPruner`).
-Per evaluation window, every FROM-bound object's piecewise-linear
+Per object class and evaluation window, every member's piecewise-linear
 trajectory is decomposed into per-leg spatial bounding boxes covering
-``[ctx.start, ctx.end]``, stored as one columnar table per spatial
-dimensionality: ``lo`` / ``hi`` corner arrays plus the owner of each
-row, filled once and frozen.  A context's window never changes, so
-nothing here needs a tree — only an exact overlap filter — and a probe
-is one vectorised closed-interval overlap mask over all rows.
+``[ctx.start, ctx.end]``, stored as one columnar table
+(:class:`ClassMbrTable`): ``lo`` / ``hi`` corner arrays plus the owner
+of each row, computed in one vectorised pass over the motion columns
+for linear movers, filled once and frozen.  The database keeps the
+tables of its current content version (:class:`MbrTableCache`), so
+every query and context over that version and window shares one build.
+A window never changes, so nothing here needs a tree — only an exact
+overlap filter — and a probe is one vectorised closed-interval overlap
+mask over all rows.
 ``INSIDE``/``OUTSIDE`` atoms probe the region's bounding box,
 ``WITHIN_SPHERE``/``DIST``-comparison atoms probe the object's own leg
 boxes inflated by the radius.  An instantiation outside the candidate
@@ -44,6 +48,7 @@ near the boundary.
 from __future__ import annotations
 
 from collections import OrderedDict
+from functools import partial
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -53,6 +58,12 @@ from repro.ftl.ast import Compare, Dist, Formula, Inside, Outside, WithinSphere
 from repro.ftl.relations import EMPTY_SET
 from repro.geometry import Point
 from repro.motion import batch
+from repro.motion.batch import (
+    FLAG_SLOPE_INT,
+    FLAG_UPDATETIME_INT,
+    KIND_LINEAR,
+    export_motion_rows,
+)
 from repro.motion.moving import LinearPiece, MovingPoint
 from repro.spatial.kinetic import paired_legs
 from repro.spatial.polygon import Polygon
@@ -370,20 +381,35 @@ def attr_solve_key(
 class _MbrTable:
     """The frozen leg boxes of one spatial dimensionality, as columns:
     ``lo[d, N]`` / ``hi[d, N]`` corner arrays (one contiguous row per
-    axis) plus the owning object of each of the ``N`` boxes."""
+    axis) built from ``N`` rows of ``d`` corners each, plus the owning
+    object of each of the ``N`` boxes."""
 
     __slots__ = ("lo", "hi", "owners", "members")
 
     def __init__(
         self,
-        lo: list[list[float]],
-        hi: list[list[float]],
+        lo: "list[list[float]] | np.ndarray",
+        hi: "list[list[float]] | np.ndarray",
         owners: list[object],
     ) -> None:
         self.lo = np.ascontiguousarray(np.array(lo, dtype=float).T)
         self.hi = np.ascontiguousarray(np.array(hi, dtype=float).T)
         self.owners = owners
         self.members = frozenset(owners)
+
+    @classmethod
+    def concat(cls, tables: "list[_MbrTable]") -> "_MbrTable":
+        """One table holding the rows of several of the same ``dim``."""
+        return cls(
+            np.concatenate([t.lo for t in tables], axis=1).T,
+            np.concatenate([t.hi for t in tables], axis=1).T,
+            [oid for t in tables for oid in t.owners],
+        )
+
+    @property
+    def dim(self) -> int:
+        """Spatial dimensionality of the boxes."""
+        return int(self.lo.shape[0])
 
     def overlapping(
         self, probe_lo: np.ndarray, probe_hi: np.ndarray
@@ -399,40 +425,251 @@ class _MbrTable:
         return {owners[i] for i in hits.tolist()}
 
 
-class AtomIndexPruner:
-    """Per-window trajectory MBR table answering atom candidate queries.
+class ClassMbrTable:
+    """One object class's trajectory-MBR table over one window.
 
-    Built lazily on first use from the evaluation context: every
-    FROM-bound object's :meth:`~repro.motion.moving.MovingPoint.
-    linear_pieces` over ``[ctx.start, ctx.end]`` become per-leg spatial
-    bounding boxes, one row each of a structure-of-arrays table per
+    ``boxes`` holds the leg boxes of every member whose motion is
+    piecewise linear over the window (``None`` when no member is), and
+    ``rows`` maps each such member to ``(boxes, first row, one past its
+    last row)``.  The other members are *unprunable*: nonlinear motion,
+    or — the ``raising`` subset — a motion whose exhaustive solve would
+    raise (nonspatial class, a recorded trajectory that jumps).
+    ``scale`` is the largest ``|coordinate|`` of any box.  Frozen once
+    built: a cached table is shared by every context evaluating the same
+    content version and window.
+    """
+
+    __slots__ = ("boxes", "rows", "unprunable", "raising", "scale")
+
+    def __init__(
+        self,
+        boxes: _MbrTable | None,
+        rows: "dict[object, tuple[_MbrTable, int, int]]",
+        unprunable: frozenset,
+        raising: frozenset,
+    ) -> None:
+        self.boxes = boxes
+        self.rows = rows
+        self.unprunable = unprunable
+        self.raising = raising
+        self.scale = (
+            0.0
+            if boxes is None
+            else max(
+                float(np.abs(boxes.lo).max()), float(np.abs(boxes.hi).max())
+            )
+        )
+
+
+def _linear_leg_boxes(
+    triples: list, dim: int, start: int, end: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one-leg boxes of every linear mover among ``triples``.
+
+    ``triples`` are ``dim`` position-axis triples per object, object
+    after object.  An object qualifies when every axis is a
+    :class:`~repro.motion.functions.LinearFunction` of float64-exact
+    coefficients and all axes share one update time at or before
+    ``start``: :meth:`~repro.motion.moving.MovingPoint.linear_pieces`
+    then yields exactly one leg over the window, and the box is computed
+    here with the scalar path's operations in the scalar path's order,
+    so every corner is bit-identical to it.  Returns ``(qualifies[n],
+    lo[m, dim], hi[m, dim])`` for the ``m`` qualifying objects, in order.
+    """
+    rows = export_motion_rows(triples)
+    shape = (len(triples) // dim, dim)
+    updatetime = rows.updatetime.reshape(shape)
+    linear = (
+        (rows.kind.reshape(shape) == KIND_LINEAR).all(axis=1)
+        & (updatetime == updatetime[:, :1]).all(axis=1)
+        & (updatetime[:, 0] <= start)
+    )
+    value = rows.value.reshape(shape)[linear]
+    slope = rows.slope.reshape(shape)[linear]
+    updatetime = updatetime[linear]
+    flags = rows.intflags.reshape(shape)[linear]
+    # MostObject.moving_point anchors axis j at t0 = max(u), the first
+    # axis's update time, as ``value + slope * (t0 - u_j)``: an int zero
+    # when slope, t0 and u_j are all ints (a -0.0 value comes back
+    # +0.0), a signed float zero otherwise.
+    int_time = (flags & FLAG_UPDATETIME_INT) != 0
+    int_zero = int_time[:, :1] & int_time & ((flags & FLAG_SLOPE_INT) != 0)
+    with np.errstate(all="ignore"):
+        anchor = value + np.where(int_zero, 0.0, slope * (updatetime - updatetime))
+        origin = anchor + slope * (start - updatetime)
+        # A zero-length window's leg is static; ``far`` then equals
+        # ``origin`` up to the sign of zero (or is NaN), and the tie rule
+        # below keeps ``origin`` either way.
+        far = origin + slope * float(end - start)
+    # ``min(a, b)`` / ``max(a, b)`` keep ``a`` unless ``b`` is strictly
+    # beyond it, as here.
+    lo = np.where(far < origin, far, origin)
+    hi = np.where(far > origin, far, origin)
+    return linear, lo, hi
+
+
+def build_class_table(
+    history: "History",
+    class_name: str,
+    start: int,
+    end: int,
+    moving_point: "Callable[[object], MovingPoint]",
+) -> ClassMbrTable:
+    """The trajectory-MBR table of one class of ``history`` over
+    ``[start, end]``.
+
+    A future history's linear movers — the common case — are boxed in
+    one vectorised pass over their motion columns
+    (:func:`_linear_leg_boxes`).  Every other member takes the scalar
+    path: ``moving_point(oid).linear_pieces(start, end)``, one box per
+    leg, for piecewise motion, per-axis update times, an update inside
+    the window and every recorded-history member; nonlinear motion is
+    unprunable and a lookup that raises marks the member raising.
+    """
+    from repro.core.history import FutureHistory
+
+    ids = history.object_ids(class_name)
+    names = history.db.object_class(class_name).position_attributes
+    dim = len(names)
+    blocks_lo: list[np.ndarray] = []
+    blocks_hi: list[np.ndarray] = []
+    owners: list[object] = []
+    scalar = ids
+    if names and isinstance(history, FutureHistory):
+        triples = [
+            history.dynamic_triple(oid, attr) for oid in ids for attr in names
+        ]
+        linear, lo, hi = _linear_leg_boxes(triples, dim, start, end)
+        flags = linear.tolist()
+        owners = [oid for oid, ok in zip(ids, flags) if ok]
+        scalar = [oid for oid, ok in zip(ids, flags) if not ok]
+        blocks_lo.append(lo)
+        blocks_hi.append(hi)
+    n_linear = len(owners)
+    spans: list[tuple[object, int, int]] = []
+    legs_lo: list[list[float]] = []
+    legs_hi: list[list[float]] = []
+    unprunable: set[object] = set()
+    raising: set[object] = set()
+    for oid in scalar:
+        try:
+            pieces = moving_point(oid).linear_pieces(start, end)
+        except (QueryError, SchemaError):
+            unprunable.add(oid)
+            raising.add(oid)
+            continue
+        if pieces is None:  # nonlinear motion: solve exactly, always
+            unprunable.add(oid)
+            continue
+        first = len(owners)
+        for piece in pieces:
+            span = piece.end - piece.start
+            a = piece.origin.coords
+            b = [x + v * span for x, v in zip(a, piece.velocity.coords)]
+            legs_lo.append([min(x, y) for x, y in zip(a, b)])
+            legs_hi.append([max(x, y) for x, y in zip(a, b)])
+            owners.append(oid)
+        spans.append((oid, first, len(owners)))
+    boxes = None
+    rows: dict[object, tuple[_MbrTable, int, int]] = {}
+    if owners:
+        blocks_lo.append(np.array(legs_lo, dtype=float).reshape(-1, dim))
+        blocks_hi.append(np.array(legs_hi, dtype=float).reshape(-1, dim))
+        boxes = _MbrTable(
+            np.concatenate(blocks_lo), np.concatenate(blocks_hi), owners
+        )
+        rows = {oid: (boxes, i, i + 1) for i, oid in enumerate(owners[:n_linear])}
+        rows.update((oid, (boxes, first, stop)) for oid, first, stop in spans)
+    return ClassMbrTable(boxes, rows, frozenset(unprunable), frozenset(raising))
+
+
+class MbrTableCache:
+    """The trajectory-MBR tables of one database, shared by every query,
+    context and evaluator reading it (``db.mbr_tables``).
+
+    A table is keyed by the history's content token
+    (:func:`repro.core.history.epoch_token`: database, content version,
+    population, class and region names, window start), the window end and
+    the class.  The cache holds the tables of one token at a time — the
+    first request under another token evicts them all — so a long-running
+    server retains O(classes x live windows) tables, and a snapshot
+    history of an older version is never served a newer version's table
+    (nor the other way round).
+    """
+
+    def __init__(self) -> None:
+        self._token: tuple[object, ...] | None = None
+        self._tables: dict[tuple[int, str], ClassMbrTable] = {}
+        #: Tables built through this cache (one per class and window of a
+        #: content version).
+        self.builds = 0
+
+    def __len__(self) -> int:
+        return len(self._tables)
+
+    def clear(self) -> None:
+        """Drop every table; the next request builds afresh."""
+        self._token = None
+        self._tables.clear()
+
+    def get(
+        self,
+        token: tuple[object, ...],
+        end: int,
+        class_name: str,
+        build: "Callable[[], ClassMbrTable]",
+    ) -> ClassMbrTable:
+        """The cached table, or ``build()``'s, stored under the key."""
+        if token != self._token:
+            self._tables.clear()
+            self._token = token
+        key = (end, class_name)
+        table = self._tables.get(key)
+        if table is None:
+            table = self._tables[key] = build()
+            self.builds += 1
+        return table
+
+
+class AtomIndexPruner:
+    """One context's view of its bound classes' trajectory-MBR tables,
+    answering atom candidate queries.
+
+    On first use the view fetches one :class:`ClassMbrTable` per bound
+    class for ``[ctx.start, ctx.end]`` — from the database's
+    :class:`MbrTableCache`, so every query and context reading the same
+    content version and window shares one build, or built uncached for a
+    history without a content token — and joins the tables of one
     spatial dimensionality (time is not a table axis, so candidate sets
-    are window-wide, a strictly conservative coarsening).  The table is
-    filled once and never updated — the context it serves is one frozen
-    window — so a probe is a single vectorised closed-interval overlap
-    mask over all rows: exact, and ``O(N)`` at the fleet sizes a window
-    holds.  Objects that cannot be plotted — nonlinear motion, no
-    spatial attributes — are *unprunable*: members of every candidate
-    set, so the exact solve path handles them (and raises on them)
-    exactly as the exhaustive evaluator would.
+    are window-wide, a strictly conservative coarsening).  The tables
+    cover whole classes whatever the context's domain restrictions, so a
+    shard worker sees the serial tables and pad.  A probe is a single
+    vectorised closed-interval overlap mask over all rows: exact, and
+    ``O(N)`` at the fleet sizes a window holds.  Objects that cannot be
+    plotted — nonlinear motion, no spatial attributes — are
+    *unprunable*: members of every candidate set, so the exact solve
+    path handles them (and raises on them) exactly as the exhaustive
+    evaluator would.
     """
 
     def __init__(self, ctx: "EvalContext") -> None:
         self.ctx = ctx
         self._built = False
+        #: dim -> the boxes of every bound class of that dimensionality.
         self._tables: dict[int, _MbrTable] = {}
-        #: Indexed object -> ``(dim, first row, one past its last row)``.
-        self._rows: dict[object, tuple[int, int, int]] = {}
-        self._unprunable: set[object] = set()
+        #: Indexed object -> ``(its class's boxes, first row, one past
+        #: its last row)``.
+        self._rows: dict[object, tuple[_MbrTable, int, int]] = {}
+        self._unprunable: frozenset = frozenset()
         #: Unprunables whose exhaustive solve would *raise* (nonspatial,
         #: unknown id).  Pruning an instantiation containing one would
         #: swallow the error the exhaustive path reports, so gates refuse.
-        self._raising: set[object] = set()
+        self._raising: frozenset = frozenset()
         self._region_cands: dict[object, frozenset] = {}
         self._pair_cands: dict[tuple, frozenset] = {}
-        #: Largest |coordinate| indexed; inflation pads scale with it so
-        #: the solvers' relative boundary tolerance can never out-reach
-        #: the pruning boxes.
+        #: Largest |coordinate| of the bound classes' boxes; inflation
+        #: pads scale with it so the solvers' relative boundary tolerance
+        #: can never out-reach the pruning boxes.
         self._scale = 1.0
 
     # ------------------------------------------------------------------
@@ -442,48 +679,42 @@ class AtomIndexPruner:
         if self._built:
             return
         self._built = True
-        ctx = self.ctx
-        # dim -> (lo rows, hi rows, owners), frozen into tables below.
-        columns: dict[int, tuple[list, list, list]] = {}
-        seen: set[object] = set()
-        for var in ctx.bindings:
-            for oid in ctx.domain(var):
-                if oid not in seen:
-                    seen.add(oid)
-                    self._index_object(oid, columns)
-        for dim, (lo, hi, owners) in columns.items():
-            table = self._tables[dim] = _MbrTable(lo, hi, owners)
-            self._scale = max(
-                self._scale,
-                float(np.abs(table.lo).max()),
-                float(np.abs(table.hi).max()),
-            )
+        from repro.core.history import epoch_token
 
-    def _index_object(
-        self, oid: object, columns: dict[int, tuple[list, list, list]]
-    ) -> None:
         ctx = self.ctx
-        try:
-            mover = ctx.moving_point(oid)
-            pieces = mover.linear_pieces(ctx.start, ctx.end)
-        except (QueryError, SchemaError):
-            self._unprunable.add(oid)
-            self._raising.add(oid)
-            return
-        if pieces is None:  # nonlinear motion: solve exactly, always
-            self._unprunable.add(oid)
-            return
-        dim = mover.dim
-        lo, hi, owners = columns.setdefault(dim, ([], [], []))
-        first = len(owners)
-        for piece in pieces:
-            span = piece.end - piece.start
-            a = piece.origin.coords
-            b = [x + v * span for x, v in zip(a, piece.velocity.coords)]
-            lo.append([min(x, y) for x, y in zip(a, b)])
-            hi.append([max(x, y) for x, y in zip(a, b)])
-            owners.append(oid)
-        self._rows[oid] = (dim, first, len(owners))
+        history = ctx.history
+        token = epoch_token(history)
+        classes: list[ClassMbrTable] = []
+        for class_name in dict.fromkeys(ctx.bindings.values()):
+            build = partial(
+                build_class_table,
+                history,
+                class_name,
+                ctx.start,
+                ctx.end,
+                ctx.moving_point,
+            )
+            classes.append(
+                build()
+                if token is None
+                else history.db.mbr_tables.get(token, ctx.end, class_name, build)
+            )
+        by_dim: dict[int, list[_MbrTable]] = {}
+        for table in classes:
+            if table.boxes is not None:
+                by_dim.setdefault(table.boxes.dim, []).append(table.boxes)
+        self._tables = {
+            dim: group[0] if len(group) == 1 else _MbrTable.concat(group)
+            for dim, group in by_dim.items()
+        }
+        if len(classes) == 1:
+            self._rows = classes[0].rows
+        else:
+            for table in classes:
+                self._rows.update(table.rows)
+        self._unprunable = frozenset().union(*(t.unprunable for t in classes))
+        self._raising = frozenset().union(*(t.raising for t in classes))
+        self._scale = max([self._scale, *(t.scale for t in classes)])
 
     @property
     def _pad(self) -> float:
@@ -560,13 +791,12 @@ class AtomIndexPruner:
         hit = self._pair_cands.get(key)
         if hit is not None:
             return hit
-        dim, first, stop = rows
-        table = self._tables[dim]
+        boxes, first, stop = rows
         inflate = radius + self._pad
         cands = self._candidates(
-            dim,
-            table.lo[:, first:stop] - inflate,
-            table.hi[:, first:stop] + inflate,
+            boxes.dim,
+            boxes.lo[:, first:stop] - inflate,
+            boxes.hi[:, first:stop] + inflate,
         )
         cands.add(oid)
         out = frozenset(cands)

@@ -137,8 +137,9 @@ class EvalContext:
         return mover
 
     def atom_pruner(self) -> "AtomIndexPruner":
-        """The per-window trajectory MBR index, built lazily and shared
-        by every evaluator running on this context."""
+        """This context's view of the trajectory-MBR tables (shared per
+        content version through ``db.mbr_tables``), created lazily and
+        shared by every evaluator running on this context."""
         if self._pruner is None:
             from repro.ftl.atoms import AtomIndexPruner
 

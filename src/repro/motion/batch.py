@@ -605,21 +605,32 @@ class PolygonBatch:
 
 
 # ---------------------------------------------------------------------------
-# Coefficient/breakpoint array export (sharded evaluation transport)
+# Coefficient/breakpoint array export (motion columns)
 # ---------------------------------------------------------------------------
+#: ``MotionRows.kind`` codes of one dynamic-attribute row.
+KIND_LINEAR = 0
+KIND_PIECEWISE = 1
+KIND_PICKLED = 2
+
+#: ``MotionRows.intflags`` bits: which fields were ``int``-typed.
+FLAG_VALUE_INT = 1
+FLAG_UPDATETIME_INT = 2
+FLAG_SLOPE_INT = 4
+
+
 class MotionRows:
     """Flattened dynamic-attribute triples as coefficient arrays.
 
     One row per ``(object, attribute)`` triple, in caller order:
     ``value`` / ``updatetime`` / ``slope`` float64 columns plus a ``kind``
-    code (0 = linear, 1 = piecewise-linear with breakpoints in the ragged
-    ``pw_*`` pool, 2 = exact per-row fallback in :attr:`fallback`) and an
-    ``intflags`` bitmask recording which fields were ``int``-typed so the
-    consumer can restore exact value types.  This is the wire format the
-    sharded evaluator ships through shared memory
-    (:mod:`repro.parallel.motion`), and the same single-leg coefficients
-    the :class:`LinearTable` gathers — built once per epoch instead of
-    once per candidate row.
+    code (:data:`KIND_LINEAR`; :data:`KIND_PIECEWISE` with breakpoints in
+    the ragged ``pw_*`` pool; :data:`KIND_PICKLED`, an exact per-row
+    fallback in :attr:`fallback`) and an ``intflags`` bitmask recording
+    which fields were ``int``-typed so the consumer can restore exact
+    value types.  This is the wire format the sharded evaluator ships
+    through shared memory (:mod:`repro.parallel.motion`) and the columns
+    the atom pruner's trajectory-MBR tables are computed from
+    (:mod:`repro.ftl.atoms`).
     """
 
     def __init__(
@@ -686,27 +697,27 @@ def export_motion_rows(triples) -> MotionRows:
             and _exact_numeric(triple.updatetime)
             and fn_type in (LinearFunction, PiecewiseLinearFunction)
         ):
-            kind[row] = 2
+            kind[row] = KIND_PICKLED
             fallback[row] = triple
             continue
         flags = 0
         if type(triple.value) is int:
-            flags |= 1
+            flags |= FLAG_VALUE_INT
         if type(triple.updatetime) is int:
-            flags |= 2
+            flags |= FLAG_UPDATETIME_INT
         value[row] = float(triple.value)
         updatetime[row] = float(triple.updatetime)
         if fn_type is LinearFunction:
             if not _exact_numeric(fn.slope):
-                kind[row] = 2
+                kind[row] = KIND_PICKLED
                 fallback[row] = triple
                 continue
             if type(fn.slope) is int:
-                flags |= 4
+                flags |= FLAG_SLOPE_INT
             slope[row] = float(fn.slope)
-            kind[row] = 0
+            kind[row] = KIND_LINEAR
         else:  # PiecewiseLinearFunction: pieces are floats by construction
-            kind[row] = 1
+            kind[row] = KIND_PIECEWISE
             for s, k in fn.pieces:
                 pw_starts.append(s)
                 pw_slopes.append(k)

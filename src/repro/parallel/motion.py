@@ -41,7 +41,15 @@ from repro.core.dynamic import DynamicAttribute
 from repro.core.history import FutureHistory
 from repro.core.objects import ObjectClass
 from repro.errors import QueryError
-from repro.motion.batch import export_motion_rows
+from repro.motion.batch import (
+    FLAG_SLOPE_INT,
+    FLAG_UPDATETIME_INT,
+    FLAG_VALUE_INT,
+    KIND_LINEAR,
+    KIND_PICKLED,
+    KIND_PIECEWISE,
+    export_motion_rows,
+)
 from repro.motion.functions import LinearFunction, PiecewiseLinearFunction
 from repro.temporal import SimulationClock
 
@@ -49,16 +57,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.history import History
 
 __all__ = ["MotionSnapshot", "SharedPayload"]
-
-#: ``kind`` codes of one dynamic-attribute row.
-KIND_LINEAR = 0
-KIND_PIECEWISE = 1
-KIND_PICKLED = 2
-
-#: ``intflags`` bits: which fields were ``int``-typed in the original.
-FLAG_VALUE_INT = 1
-FLAG_UPDATETIME_INT = 2
-FLAG_SLOPE_INT = 4
 
 _ARRAY_NAMES = (
     "value",

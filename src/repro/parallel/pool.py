@@ -4,10 +4,11 @@ Workers are long-lived processes (one pool per ``(worker count, start
 method)``, shared by every query in the process): each holds a database
 replica rebuilt from the last shipped :class:`~repro.parallel.motion.
 MotionSnapshot` and answers ``eval`` tasks against it.  The parent ships
-a snapshot only when the database *epoch* changes — a cheap token over
-the database version, population, class/region names and window start —
-so several cold evaluations against the same database state pay the
-flatten-and-ship cost once, not once per query.
+a snapshot only when the database *epoch* changes — the content token
+of :func:`repro.core.history.epoch_token` over the database version,
+population, class/region names and window start — so several cold
+evaluations against the same database state pay the flatten-and-ship
+cost once, not once per query.
 
 Transport: motion arrays travel through
 :class:`multiprocessing.shared_memory.SharedMemory` (workers copy out
@@ -25,6 +26,7 @@ from multiprocessing import get_context
 from multiprocessing.context import BaseContext
 from typing import TYPE_CHECKING, Any, Sequence
 
+from repro.core.history import epoch_token
 from repro.errors import QueryError
 from repro.parallel.motion import MotionSnapshot
 
@@ -40,54 +42,6 @@ __all__ = ["ShardWorkerPool", "get_pool", "shutdown_pools"]
 _POLL_INTERVAL = 0.5
 #: Seconds without any result before a task is declared wedged.
 _TASK_TIMEOUT = 300.0
-
-_db_uids = itertools.count(1)
-
-
-def _db_uid(db: object) -> int:
-    """A stable per-database identity that survives ``id()`` reuse."""
-    uid = getattr(db, "_parallel_uid", None)
-    if uid is None:
-        uid = next(_db_uids)
-        try:
-            db._parallel_uid = uid  # type: ignore[attr-defined]
-        except AttributeError:  # pragma: no cover - db without __dict__
-            return id(db)
-    return int(uid)
-
-
-def epoch_token(history: "History") -> tuple[object, ...]:
-    """The snapshot-identity token of a database-backed history.
-
-    Two histories with equal tokens have byte-identical snapshots: every
-    mutation path of :class:`~repro.core.database.MostDatabase` either
-    commits an update (bumping ``db.version``) or changes the population
-    / class / region signature, and the window start pins the statics
-    read point.  A *snapshotting*
-    :class:`~repro.core.history.FutureHistory` froze its contents at
-    construction, so its content version is the one recorded then
-    (``build_version``), not the database's current one — a stale
-    snapshot history must never be served from a newer cached replica,
-    nor the other way round.
-    """
-    db = history.db
-    if getattr(history, "_snapshot", False):
-        version = getattr(history, "build_version", 0)
-        population = sum(
-            len(ids) for ids in history._population.values()
-        )
-    else:
-        version = db.version
-        population = len(db)
-    return (
-        _db_uid(db),
-        int(version),
-        population,
-        tuple(db.class_names()),
-        tuple(db.region_names()),
-        float(history.start),
-    )
-
 
 def _reraise(err: tuple[str, object]) -> None:
     """Re-raise a worker-shipped exception in the parent."""
@@ -182,7 +136,7 @@ class ShardWorkerPool:
         return out
 
     # ------------------------------------------------------------------
-    def ensure_snapshot(self, history: "History") -> tuple[object, ...]:
+    def ensure_snapshot(self, history: "History") -> tuple[object, ...] | None:
         """Ship a motion snapshot of ``history`` unless the workers
         already hold one for the same database epoch.
 
@@ -193,7 +147,7 @@ class ShardWorkerPool:
         if self._closed:
             raise QueryError("worker pool is closed")
         token = epoch_token(history)
-        if token == self._snap_token:
+        if token is not None and token == self._snap_token:
             return token
         self._check_alive()
         snap = MotionSnapshot.build(history)

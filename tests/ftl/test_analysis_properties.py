@@ -8,6 +8,7 @@ refresh).  This is the contract pre-evaluation gating rests on: passing
 the analyzer means no semantic failure can surface mid-evaluation.
 """
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -39,6 +40,12 @@ from repro.ftl import (
 )
 from repro.geometry import Point
 from repro.spatial import Polygon
+
+#: Random queries trip the FTL lint rules (FTL302, FTL501, FTL602, ...)
+#: by design: the warnings are expected here and errors elsewhere.
+pytestmark = pytest.mark.filterwarnings(
+    "ignore::repro.ftl.analysis.diagnostics.FtlLintWarning"
+)
 
 HORIZON = 8
 

@@ -54,6 +54,12 @@ from tests.ftl.test_differential import (
     random_query,
 )
 
+#: Random queries trip the FTL lint rules (FTL302, FTL501, FTL602, ...)
+#: by design: the warnings are expected here and errors elsewhere.
+pytestmark = pytest.mark.filterwarnings(
+    "ignore::repro.ftl.analysis.diagnostics.FtlLintWarning"
+)
+
 
 def rows_of(relation):
     """Canonical, order-independent form of a relation for equality."""

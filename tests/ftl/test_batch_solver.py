@@ -51,6 +51,12 @@ from tests.ftl.test_differential import (
     random_query,
 )
 
+#: Random queries trip the FTL lint rules (FTL302, FTL501, FTL602, ...)
+#: by design: the warnings are expected here and errors elsewhere.
+pytestmark = pytest.mark.filterwarnings(
+    "ignore::repro.ftl.analysis.diagnostics.FtlLintWarning"
+)
+
 
 #: The scalar twin: every solve inline, nothing queued for the backend.
 SCALAR = replace(DEFAULT, batch_solver=False)

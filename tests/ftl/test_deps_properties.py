@@ -10,6 +10,7 @@ the update falls outside the read-set, the pruned query must have
 skipped it (``skipped_by_deps`` incremented, no reevaluation).
 """
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -33,6 +34,12 @@ from repro.ftl import (
 from repro.ftl.analysis.deps import update_footprint
 from repro.geometry import Point
 from repro.spatial import Polygon
+
+#: Random queries trip the FTL lint rules (FTL302, FTL501, FTL602, ...)
+#: by design: the warnings are expected here and errors elsewhere.
+pytestmark = pytest.mark.filterwarnings(
+    "ignore::repro.ftl.analysis.diagnostics.FtlLintWarning"
+)
 
 HORIZON = 8
 METHODS = ("interval", "naive", "incremental")

@@ -42,6 +42,12 @@ from repro.ftl import (
 from repro.geometry import Point
 from repro.spatial import Polygon
 
+#: Random queries trip the FTL lint rules (FTL302, FTL501, FTL602, ...)
+#: by design: the warnings are expected here and errors elsewhere.
+pytestmark = pytest.mark.filterwarnings(
+    "ignore::repro.ftl.analysis.diagnostics.FtlLintWarning"
+)
+
 HORIZON = 14
 STEPS = 6
 

@@ -29,6 +29,12 @@ from tests.ftl.test_differential import (
     random_query,
 )
 
+#: Random queries trip the FTL lint rules (FTL302, FTL501, FTL602, ...)
+#: by design: the warnings are expected here and errors elsewhere.
+pytestmark = pytest.mark.filterwarnings(
+    "ignore::repro.ftl.analysis.diagnostics.FtlLintWarning"
+)
+
 FIELDS = (
     "ordered",
     "index_pruning",

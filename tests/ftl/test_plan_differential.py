@@ -38,6 +38,12 @@ from tests.ftl.test_differential import (
     random_query,
 )
 
+#: Random queries trip the FTL lint rules (FTL302, FTL501, FTL602, ...)
+#: by design: the warnings are expected here and errors elsewhere.
+pytestmark = pytest.mark.filterwarnings(
+    "ignore::repro.ftl.analysis.diagnostics.FtlLintWarning"
+)
+
 #: The unplanned twin: operands evaluated in the order they were written.
 SYNTACTIC = replace(DEFAULT, ordered=False)
 

@@ -13,6 +13,7 @@ run the stamped side must actually exercise the gate
 
 from dataclasses import replace
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -36,6 +37,12 @@ from repro.ftl import (
 from repro.ftl.context import DEFAULT
 from repro.geometry import Point
 from repro.spatial import Polygon
+
+#: Random queries trip the FTL lint rules (FTL302, FTL501, FTL602, ...)
+#: by design: the warnings are expected here and errors elsewhere.
+pytestmark = pytest.mark.filterwarnings(
+    "ignore::repro.ftl.analysis.diagnostics.FtlLintWarning"
+)
 
 HORIZON = 8
 #: The unstamped twin: no validity analysis, so no gate and no stamps.

@@ -9,7 +9,7 @@ trip through the per-row pickle fallback.
 """
 
 from repro.core import MostDatabase, ObjectClass
-from repro.core.history import FutureHistory
+from repro.core.history import FutureHistory, epoch_token
 from repro.geometry import Point
 from repro.motion.functions import (
     LinearFunction,
@@ -17,7 +17,6 @@ from repro.motion.functions import (
     PolynomialFunction,
 )
 from repro.parallel import MotionSnapshot
-from repro.parallel.pool import epoch_token
 from repro.spatial import Polygon
 
 HORIZON = 10

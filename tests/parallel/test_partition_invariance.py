@@ -10,20 +10,27 @@ partitioner is free: contiguous chunks, a grid, or the arbitrary cuts
 drawn here all merge to the same thing.
 
 In-process on purpose — no pool, no snapshot: a worker is this
-evaluator on this context.
+evaluator on this context.  The one exception, the far-outlier world at
+the end, also runs the real pool: it pins a counter drift that only a
+worker's own table could cause.
 """
 
 import random
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core import MostDatabase, ObjectClass
 from repro.core.history import FutureHistory
-from repro.ftl import Compare, Const, Dist, FtlQuery, Var
+from repro.ftl import Compare, Const, Dist, FtlQuery, Inside, Var
 from repro.ftl.context import EvalContext
 from repro.ftl.evaluator import IntervalEvaluator
 from repro.geometry import Point
 from repro.parallel import merge_relations
+from repro.parallel.evaluator import ShardedIntervalEvaluator
+from repro.parallel.partition import partition_ids
+from repro.spatial import Polygon
 
 from tests.ftl.test_differential import HORIZON, build_world, random_query
 from tests.parallel.test_sharded_differential import rows_of
@@ -128,3 +135,46 @@ def test_dist_atom_counters_sum_to_serial_for_any_cut(seed, bound, op, data):
         == serial.pruned_instantiations
         == serial_atom["pruned"]
     )
+
+
+def far_outlier_world():
+    """Seven parked cars around ``P = [0, 10]^2`` — one 0.01 outside its
+    right edge, six well clear — then one a million units out.  The
+    outlier sets the pruning pad (``1e-6 * (1 + scale)`` ~ 1.0), which
+    keeps the 10.01 car a candidate; a table built over a chunk without
+    the outlier has a pad of ~2e-5 and would prune that car instead."""
+    db = MostDatabase()
+    db.create_class(ObjectClass("cars", spatial_dimensions=2))
+    db.define_region("P", Polygon.rectangle(0, 0, 10, 10))
+    spots = [(10.01, 5), (15, 5), (-6, 5), (5, 16), (5, -7), (18, 18), (-9, -9)]
+    for i, (x, y) in enumerate(spots):
+        db.add_moving_object("cars", f"c{i}", Point(x, y), Point(0, 0))
+    db.add_moving_object("cars", "far", Point(1e6, 5), Point(0, 0))
+    return db
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+def test_far_outlier_keeps_shard_counters_serial(workers):
+    """Every chunk prunes with the class-wide table and pad, so the
+    counters of the chunks — in-process and in real workers — sum to
+    the serial ones: pruned 7, one solve (the 10.01 car)."""
+    db = far_outlier_world()
+    query = FtlQuery(
+        targets=("o",), bindings={"o": "cars"}, where=Inside(Var("o"), "P")
+    )
+    serial_ctx = EvalContext(FutureHistory(db), HORIZON, query.bindings)
+    serial = IntervalEvaluator(serial_ctx)
+    serial_rows = rows_of(serial.evaluate(query.where))
+    assert (serial.pruned_instantiations, serial.kinetic_solves) == (7, 1)
+
+    parts = partition_ids(serial_ctx.domain("o"), workers)
+    evaluators, relations = evaluate_parts(query, db, "o", parts)
+    assert rows_of(merge_relations(relations)) == serial_rows
+    assert sum(ev.pruned_instantiations for ev in evaluators) == 7
+    assert sum(ev.kinetic_solves + ev.cache_hits for ev in evaluators) == 1
+
+    sharded = ShardedIntervalEvaluator(query, FutureHistory(db), HORIZON, workers)
+    assert rows_of(sharded.evaluate()) == serial_rows
+    assert sharded.sharded
+    assert sharded.counters["pruned_instantiations"] == 7
+    assert sharded.counters["kinetic_solves"] == 1

@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core.history import FutureHistory
+from repro.core.history import FutureHistory, epoch_token
 from repro.core.queries import ContinuousQuery
 from repro.errors import QueryError
 from repro.ftl import Compare, Const, Dist, FtlQuery, Inside, Var
@@ -22,7 +22,6 @@ from repro.ftl.context import DEFAULT
 from repro.geometry import Point
 from repro.parallel import get_pool, resolve_workers
 from repro.parallel.evaluator import ShardedIntervalEvaluator
-from repro.parallel.pool import epoch_token
 
 from tests.ftl.test_differential import (
     HORIZON,
