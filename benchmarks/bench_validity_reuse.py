@@ -4,8 +4,9 @@ The validity analyzer (DESIGN.md §11) stamps every continuous query with
 a per-node horizon: as long as no motion event lands inside the query's
 remaining window, covered updates that re-announce the *same* trajectory
 (heartbeats — the overwhelming majority of traffic from well-behaved
-reporters) are provably answer-preserving and are dropped at the
-listener without dirtying the query.
+reporters) are provably answer-preserving and are dropped by the
+database's update router without dirtying the query.  ``skipped``
+counts commits: one per heartbeat, whatever the number of axes.
 
 This benchmark drives an identical update stream — per-epoch exact
 re-anchor heartbeats for every vehicle, plus a rare genuinely new motion
@@ -17,8 +18,9 @@ epoch; the table reports evaluations, skips, window-shift cache hits and
 refresh wall time.
 
 Results land in ``BENCH_validity_reuse.json`` at the repo root (archived
-by CI).  ``VALIDITY_SMOKE=1`` shrinks the sweep to a seconds-long CI run
-and relaxes the >=5x refresh-cost assertion (tiny epoch counts don't
+by CI), with the fingerprint of the host that ran them.
+``VALIDITY_SMOKE=1`` shrinks the sweep to a seconds-long CI run and
+relaxes the >=5x refresh-cost assertion (tiny epoch counts don't
 amortise the initial evaluation).
 """
 
@@ -36,6 +38,8 @@ from repro.ftl import parse_query
 from repro.ftl.context import DEFAULT
 from repro.geometry import Point
 from repro.spatial import Polygon
+
+from bench_atom_pruning import host_fingerprint
 
 SMOKE = os.environ.get("VALIDITY_SMOKE") == "1"
 
@@ -120,6 +124,7 @@ def drive(n: int, validity: bool) -> dict:
 def test_validity_reuse_cuts_refresh_cost(record_table):
     report: dict = {
         "benchmark": "validity_reuse",
+        "host": host_fingerprint(),
         "epochs": EPOCHS,
         "change_every": CHANGE_EVERY,
         "smoke": SMOKE,

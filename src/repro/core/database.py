@@ -51,7 +51,8 @@ class MostUpdate:
     kind: str = "dynamic"
 
 
-UpdateListener = Callable[[MostUpdate], None]
+#: Called once per commit with the commit's records (see ``on_update``).
+UpdateListener = Callable[[tuple[MostUpdate, ...]], None]
 
 _uids = itertools.count(1)
 
@@ -78,6 +79,10 @@ class MostDatabase:
         self._log: list[MostUpdate] = []
         self._version = 0
         self._listeners: list[UpdateListener] = []
+        #: The database's one continuous-query listener
+        #: (:class:`repro.core.queries.UpdateRouter`), created by the
+        #: first continuous-query registration.
+        self._query_router = None
         self._last_seq: dict[object, int] = {}
         self._last_update_time: dict[object, int] = {}
         self._tracked: set[object] = set()
@@ -267,19 +272,8 @@ class MostDatabase:
         """Explicitly update a dynamic attribute (value, function or both)
         at the current clock time."""
         obj = self.get(object_id)
-        old = obj.dynamic_attribute(attr)
-        new = old.updated(self.clock.now, value=value, function=function)
-        obj._set_dynamic(attr, new)
-        self._commit(
-            MostUpdate(
-                self.clock.now,
-                object_id,
-                attr,
-                old,
-                new,
-                class_name=obj.object_class.name,
-                kind="dynamic",
-            )
+        self._write(
+            obj, (self._dynamic_update(obj, attr, value, function),)
         )
 
     def update_motion(
@@ -289,18 +283,58 @@ class MostDatabase:
         position: Point | None = None,
     ) -> None:
         """Update a spatial object's motion vector (and optionally snap its
-        position, e.g. from a GPS fix)."""
+        position, e.g. from a GPS fix).
+
+        One logical update, one commit: every axis's new triple is
+        computed before any is written, so a refused axis leaves the
+        object untouched and no listener ever sees a half-moved object.
+        """
         obj = self.get(object_id)
+        self._write(obj, self._motion_updates(obj, velocity, position))
+
+    def _dynamic_update(
+        self,
+        obj: MostObject,
+        attr: str,
+        value: float | None,
+        function: TimeFunction | None,
+    ) -> MostUpdate:
+        """The record of one dynamic-attribute update, nothing written."""
+        old = obj.dynamic_attribute(attr)
+        new = old.updated(self.clock.now, value=value, function=function)
+        return MostUpdate(
+            self.clock.now,
+            obj.object_id,
+            attr,
+            old,
+            new,
+            class_name=obj.object_class.name,
+            kind="dynamic",
+        )
+
+    def _motion_updates(
+        self, obj: MostObject, velocity: Point, position: Point | None
+    ) -> tuple[MostUpdate, ...]:
+        """One record per position axis of a motion update, nothing
+        written (raises before anything changes)."""
         names = obj.object_class.position_attributes
         if velocity.dim != len(names):
             raise SchemaError("velocity dimension mismatch")
-        for axis, name in enumerate(names):
-            self.update_dynamic(
-                object_id,
+        return tuple(
+            self._dynamic_update(
+                obj,
                 name,
-                value=None if position is None else position[axis],
-                function=LinearFunction(velocity[axis]),
+                None if position is None else position[axis],
+                LinearFunction(velocity[axis]),
             )
+            for axis, name in enumerate(names)
+        )
+
+    def _write(self, obj: MostObject, updates: tuple[MostUpdate, ...]) -> None:
+        """Install computed dynamic-attribute records, then commit them."""
+        for update in updates:
+            obj._set_dynamic(update.attribute, update.new)
+        self._commit(*updates)
 
     # ------------------------------------------------------------------
     # Network ingest + staleness accounting (fault-tolerant pipeline)
@@ -358,7 +392,10 @@ class MostDatabase:
         out-of-order stragglers: they are rejected (counted in
         :attr:`ingest_rejected`) and leave the database untouched.
 
-        Returns whether the update was applied.
+        Returns whether the update was applied.  An update that raises
+        (wrong dimensions, a measurement from the future, an axis whose
+        triple is newer than the clock) writes nothing and consumes
+        neither its ``seq`` nor the object's tracking.
         """
         obj = self.get(object_id)
         if seq <= self._last_seq.get(object_id, -1):
@@ -372,15 +409,16 @@ class MostDatabase:
             raise SchemaError(
                 f"update measured at {measured_at} arrives at {now}"
             )
-        self._last_seq[object_id] = seq
-        self._tracked.add(object_id)
         extrapolated = Point(
             *(
                 p + v * (now - measured_at)
                 for p, v in zip(position.coords, velocity.coords)
             )
         )
-        self.update_motion(object_id, velocity, position=extrapolated)
+        updates = self._motion_updates(obj, velocity, extrapolated)
+        self._last_seq[object_id] = seq
+        self._tracked.add(object_id)
+        self._write(obj, updates)
         return True
 
     # ------------------------------------------------------------------
@@ -397,12 +435,17 @@ class MostDatabase:
 
     @property
     def version(self) -> int:
-        """How many updates have been committed: equal versions (and an
-        equal population) mean equal database contents."""
+        """How many commits (logical updates) there have been: equal
+        versions (and an equal population) mean equal database
+        contents."""
         return self._version
 
     def on_update(self, listener: UpdateListener) -> Callable[[], None]:
-        """Subscribe to updates; returns an unsubscribe function."""
+        """Subscribe to commits; returns an unsubscribe function.
+
+        A listener is called once per commit with the commit's records —
+        one per attribute written, all of one object, every one already
+        installed."""
         self._listeners.append(listener)
 
         def unsubscribe() -> None:
@@ -413,12 +456,15 @@ class MostDatabase:
 
         return unsubscribe
 
-    def _commit(self, update: MostUpdate) -> None:
-        self._log.append(update)
+    def _commit(self, *updates: MostUpdate) -> None:
+        """Log one logical update (one record per attribute), bump the
+        version once and notify every listener once."""
+        self._log.extend(updates)
         self._version += 1
-        self._last_update_time[update.object_id] = update.time
+        for update in updates:
+            self._last_update_time[update.object_id] = update.time
         for listener in list(self._listeners):
-            listener(update)
+            listener(updates)
 
     # ------------------------------------------------------------------
     # Attribute timelines (persistent queries, section 2.3)

@@ -15,7 +15,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.core.database import MostDatabase, MostUpdate
 from repro.core.history import FutureHistory, RecordedHistory
@@ -23,10 +23,10 @@ from repro.errors import FtlSemanticsError, QueryError, SchemaError
 from repro.ftl.analysis import AnalysisResult, CostModel, Diagnostic
 from repro.ftl.analysis.deps import Dep, DepAnalysis, update_footprint
 from repro.ftl.analysis.validity import (
+    DivergenceProbe,
     ValidityAnalysis,
     analyze_query_validity,
     class_motion_events,
-    update_divergence,
 )
 from repro.ftl.analysis.plan import EvalPlan
 from repro.ftl.context import DEFAULT, EvalContext, EvalOptions
@@ -232,9 +232,11 @@ class ContinuousQuery:
     disqualifying subformula, ``None`` when incremental maintenance is
     in effect.
 
-    Update relevance is decided by :meth:`affects` against a static
-    *read-set* (DESIGN.md §10): updates whose (class, kind) footprint
-    the query provably never reads are dropped (:attr:`skipped_by_deps`),
+    Update relevance is decided once per commit for every query of the
+    database by its :class:`UpdateRouter`, against each query's static
+    *read-set* (DESIGN.md §10; :meth:`affects` is the same test for one
+    record): commits whose (class, kind) footprints the query provably
+    never reads are dropped (:attr:`skipped_by_deps`),
     and within an incremental refresh, cached subtrees whose read-sets
     are disjoint from the accumulated dirty footprints are reused
     without recomputation (:attr:`subtrees_skipped`).
@@ -242,7 +244,7 @@ class ContinuousQuery:
     On top of the read-set gate sits the *temporal-validity* gate
     (pass 8, DESIGN.md §11): when the static analysis proves the whole
     condition's answer valid through the query's expiration horizon
-    (no read class has a motion event before it), a covered update
+    (no read class has a motion event before it), a covered commit
     whose kinetic consequences provably lie beyond the horizon — a
     pure re-anchor "heartbeat", say — is dropped without dirtying the
     answer (:attr:`horizon_skipped`); within an incremental refresh,
@@ -381,6 +383,11 @@ class ContinuousQuery:
         #: Plan subtrees the incremental evaluator reused because the
         #: dirty updates' divergence times lie beyond the window end.
         self.horizon_subtrees_skipped = 0
+        #: ``db.version`` of the last commit the router's class,
+        #: known-object and read-set gates let through to this query —
+        #: a per-commit signal, unlike :attr:`needs_refresh`, which the
+        #: first reader clears.
+        self.reached_version = -1
         #: Concrete per-node expiry stamps of the last refresh, keyed by
         #: ``id(subformula)`` over the evaluated tree.
         self._validity_stamps: dict[int, float] | None = None
@@ -408,7 +415,8 @@ class ContinuousQuery:
         self._last_refresh = db.clock.now
         self._cancelled = False
         self._full_evaluate()
-        self._unsubscribe = db.on_update(self._on_update)
+        self._router = UpdateRouter.of(db)
+        self._router.add(self)
 
     # ------------------------------------------------------------------
     @property
@@ -540,59 +548,62 @@ class ContinuousQuery:
             not self._validity.root_horizon.bottom and root_expiry >= end
         )
 
-    def _beyond_validity_horizon(self, update: MostUpdate) -> bool:
-        """Whether ``update`` provably cannot change the answer before
-        the query expires (the temporal-validity gate).
+    def _take(self, commit: _RoutedCommit, covered: Sequence[int]) -> None:
+        """This query's share of one routed commit.
 
-        Requires (a) the whole formula's concrete horizon — computed at
-        the last refresh — to cover the remaining lifetime, and (b) the
-        update to leave its attribute's trajectory pointwise unchanged
-        on the remaining window.  Staleness of (a) is harmless: the
-        divergence test (b) alone proves the database state the cached
-        answer was derived from persists through ``expires_at``.
+        The router already ran the class, known-object and read-set
+        gates once for every query: ``covered`` holds the indices of the
+        commit's records this query's read-set covers.  What is left is
+        per query: the temporal-validity gate, the skip counters (one
+        per commit) and the dirty bookkeeping.
+
+        The validity gate drops a covered record when (a) the whole
+        formula's concrete horizon — computed at the last refresh —
+        covers the remaining lifetime, and (b) the record leaves its
+        attribute's trajectory pointwise unchanged on the remaining
+        window (e.g. a heartbeat re-anchoring the same motion law).
+        Staleness of (a) is harmless: the divergence test (b) alone
+        proves the state the cached answer was derived from persists
+        through ``expires_at``.  A commit none of whose records gets
+        past the gates leaves the answer exact and the query clean.
         """
-        if self._validity is None or not self._horizon_eligible:
-            return False
+        if not covered:
+            self.skipped_by_deps += 1
+            return
+        # The commit got past the shared gates, whatever the validity
+        # gate decides below (a skipped heartbeat still resets its
+        # object's staleness, so the display may change).
+        self.reached_version = self.db.version
         end = float(self.expires_at)
-        return update_divergence(update, end) >= end
-
-    def _on_update(self, update: MostUpdate) -> None:
-        if self._cancelled or self.db.clock.now > self.expires_at:
-            return
-        if not self.affects(update):
-            return
-        if self._beyond_validity_horizon(update):
-            # The update is covered by the read-set but provably leaves
-            # every read trajectory unchanged through expiry (e.g. a
-            # heartbeat re-anchoring the same motion law): the cached
-            # answer stays exact, so don't even mark the query dirty.
-            self.horizon_skipped += 1
-            return
-        # Lazy revalidation: a motion-vector change touches several
-        # axis attributes in one logical update; recomputing on the
-        # next read coalesces them into a single reevaluation.
+        if self._validity is not None and self._horizon_eligible:
+            covered = [i for i in covered if commit.diverges(i, end) < end]
+            if not covered:
+                self.horizon_skipped += 1
+                return
+        # Lazy revalidation: the next read recomputes once, however many
+        # commits dirtied the query since the last one.
         self._dirty = True
-        if self._resolve_class(update) is None:
+        if commit.cls is None:
             # Can't attribute the update to a bound object — conservative
             # full reevaluation on the next read.
             self._needs_full = True
-        else:
-            self._dirty_objects.add(update.object_id)
-            if self._dirty_deps is not None:
-                footprint = update_footprint(update, self.db)
-                if footprint is None:
-                    self._dirty_deps = None
-                    self._dirty_divergence = None
-                else:
-                    self._dirty_deps.add(footprint)
-                    if self._dirty_divergence is not None:
-                        div = update_divergence(
-                            update, float(self.expires_at)
-                        )
-                        prev = self._dirty_divergence.get(footprint)
-                        self._dirty_divergence[footprint] = (
-                            div if prev is None else min(prev, div)
-                        )
+            return
+        for i in covered:
+            self._dirty_objects.add(commit.updates[i].object_id)
+            if self._dirty_deps is None:
+                continue
+            footprint = commit.footprints[i]
+            if footprint is None:
+                self._dirty_deps = None
+                self._dirty_divergence = None
+                continue
+            self._dirty_deps.add(footprint)
+            if self._dirty_divergence is not None:
+                div = commit.diverges(i, end)
+                prev = self._dirty_divergence.get(footprint)
+                self._dirty_divergence[footprint] = (
+                    div if prev is None else min(prev, div)
+                )
 
     def _ensure_fresh(self) -> None:
         if self._dirty and self.db.clock.now <= self.expires_at:
@@ -620,25 +631,19 @@ class ContinuousQuery:
             cls: self.db.class_count(cls) for cls in self._bound_classes
         }
 
-    def _resolve_class(self, update: MostUpdate) -> str | None:
-        """The updated object's class name, or ``None`` when unknown."""
-        if update.class_name is not None:
-            return update.class_name
-        try:
-            return self.db.get(update.object_id).object_class.name
-        except SchemaError:
-            return None
-
-    def _known_object(self, object_id: object) -> bool:
-        """Whether ``object_id`` names a live object in the database."""
-        try:
-            self.db.get(object_id)
-        except SchemaError:
-            return False
-        return True
+    def _covers(self, footprint: Dep | None) -> bool:
+        """The dependency gate: whether the read-set covers a footprint
+        (``None`` — unattributable — and a missing analysis cover all)."""
+        return (
+            self._deps is None
+            or footprint is None
+            or self._deps.query_reads.covers(footprint)
+        )
 
     def affects(self, update: MostUpdate) -> bool:
-        """Whether an update may change ``Answer(CQ)``.
+        """Whether an update may change ``Answer(CQ)``, by the gates the
+        :class:`UpdateRouter` runs for every commit — the same helpers,
+        for one record (no counter moves).
 
         Two-stage test.  First the class gate: the updated object must
         belong to a class the query ranges over, and — when the update
@@ -650,30 +655,16 @@ class ContinuousQuery:
 
         Then the dependency gate (DESIGN.md §10): the update's
         (class, kind) footprint — position, attribute, or static — must
-        intersect the query's statically inferred read-set; updates the
+        intersect the query's statically inferred read-set; commits the
         read-set provably ignores are counted in :attr:`skipped_by_deps`
-        and dropped without dirtying the answer.
+        by the router and dropped without dirtying the answer.
         """
-        cls = self._resolve_class(update)
-        if cls is None:
-            return True
-        if cls not in self._bound_classes:
-            return False
-        if update.class_name is not None and not self._known_object(
-            update.object_id
-        ):
-            # The class is bound, but the id never entered the database:
-            # no instantiation can mention it, so the update is inert.
-            return False
-        if self._deps is None:
-            return True
-        footprint = update_footprint(update, self.db)
-        if footprint is None:
-            return True
-        if not self._deps.query_reads.covers(footprint):
-            self.skipped_by_deps += 1
-            return False
-        return True
+        reachable, cls = _class_gate(self.db, update)
+        return (
+            reachable
+            and _binds(self, cls)
+            and self._covers(update_footprint(update, self.db))
+        )
 
     @property
     def needs_refresh(self) -> bool:
@@ -774,8 +765,176 @@ class ContinuousQuery:
     def cancel(self) -> None:
         """Stop maintaining the answer ("until cancelled")."""
         if not self._cancelled:
-            self._unsubscribe()
+            self._router.remove(self)
             self._cancelled = True
+
+
+def _update_class(db: MostDatabase, update: MostUpdate) -> str | None:
+    """The updated object's class name, or ``None`` when unknown."""
+    if update.class_name is not None:
+        return update.class_name
+    try:
+        return db.get(update.object_id).object_class.name
+    except SchemaError:
+        return None
+
+
+def _is_live(db: MostDatabase, object_id: object) -> bool:
+    """Whether ``object_id`` names a live object in the database."""
+    try:
+        db.get(object_id)
+    except SchemaError:
+        return False
+    return True
+
+
+def _class_gate(db: MostDatabase, update: MostUpdate) -> tuple[bool, str | None]:
+    """The class and known-object gate, shared by every query.
+
+    Returns whether the update can reach any query at all, and the
+    updated object's class (``None`` when unknown: it then reaches every
+    query).  An update that carries class metadata but names an id the
+    database never admitted reaches none — no instantiation can mention
+    it."""
+    if update.class_name is not None and not _is_live(db, update.object_id):
+        return False, update.class_name
+    return True, _update_class(db, update)
+
+
+def _binds(cq: ContinuousQuery, cls: str | None) -> bool:
+    """Whether an update of class ``cls`` reaches ``cq``."""
+    return cls is None or cls in cq._bound_classes
+
+
+def _covered(
+    cq: ContinuousQuery, footprints: tuple[Dep | None, ...]
+) -> tuple[int, ...]:
+    """The indices of the commit records ``cq``'s read-set covers."""
+    return tuple(i for i, fp in enumerate(footprints) if cq._covers(fp))
+
+
+class _RoutedCommit:
+    """One commit as the router hands it to the queries it reaches: the
+    records, their class and footprints (computed once), and one
+    :class:`DivergenceProbe` per record, built on first use at the
+    latest live expiration horizon."""
+
+    __slots__ = ("updates", "cls", "footprints", "_end", "_probes")
+
+    def __init__(
+        self,
+        updates: tuple[MostUpdate, ...],
+        cls: str | None,
+        footprints: tuple[Dep | None, ...],
+        end: float,
+    ) -> None:
+        self.updates = updates
+        self.cls = cls
+        self.footprints = footprints
+        self._end = end
+        self._probes: list[DivergenceProbe | None] = [None] * len(updates)
+
+    def diverges(self, i: int, end: float) -> float:
+        """``update_divergence(updates[i], end)``."""
+        probe = self._probes[i]
+        if probe is None:
+            probe = self._probes[i] = DivergenceProbe(
+                self.updates[i], self._end
+            )
+        return probe.at(end)
+
+
+#: ``(query, the query's read-set when routed, covered record indices)``.
+_Route = list[tuple[ContinuousQuery, DepAnalysis | None, tuple[int, ...]]]
+
+
+class UpdateRouter:
+    """The database's one continuous-query listener.
+
+    Section 2.3: a continuous query "has to be reevaluated when an update
+    occurs that may change Answer(CQ)".  Relevance belongs to the update,
+    not to each query, so the router decides it once per commit for all
+    of them: the class and known-object gate once, the footprints once,
+    and one lookup in a route memo ``(class, footprints) → [(query,
+    covered records)]`` in place of a read-set walk per query.  The memo
+    is rebuilt only when a query registers, cancels or expires (or a
+    query's read-set is replaced).  Each reached query then runs only its
+    own work (:meth:`ContinuousQuery._take`).
+    """
+
+    def __init__(self, db: MostDatabase) -> None:
+        self.db = db
+        self._queries: list[ContinuousQuery] = []
+        self._routes: dict[tuple[object, ...], _Route] = {}
+        #: Earliest / latest ``expires_at`` of the live queries.
+        self._first_expiry = float("inf")
+        self._last_expiry = float("-inf")
+        db.on_update(self._on_commit)
+
+    @staticmethod
+    def of(db: MostDatabase) -> "UpdateRouter":
+        """The database's router (created, and subscribed, on first use)."""
+        router = db._query_router
+        if router is None:
+            router = db._query_router = UpdateRouter(db)
+        return router
+
+    @property
+    def queries(self) -> tuple[ContinuousQuery, ...]:
+        """The live (registered, uncancelled, unexpired) queries."""
+        return tuple(self._queries)
+
+    def add(self, cq: ContinuousQuery) -> None:
+        """Start routing commits to ``cq``."""
+        self._reset(self._queries + [cq])
+
+    def remove(self, cq: ContinuousQuery) -> None:
+        """Stop routing commits to ``cq`` (no-op when it is not live)."""
+        if cq in self._queries:
+            self._reset([q for q in self._queries if q is not cq])
+
+    def _reset(self, queries: list[ContinuousQuery]) -> None:
+        self._queries = queries
+        self._routes.clear()
+        ends = [q.expires_at for q in queries]
+        self._first_expiry = min(ends, default=float("inf"))
+        self._last_expiry = max(ends, default=float("-inf"))
+
+    def _route(self, cls: str | None, footprints: tuple[Dep | None, ...]) -> _Route:
+        """Every live query a commit of ``cls`` reaches, with the indices
+        of the records its read-set covers (possibly none)."""
+        return [
+            (cq, cq._deps, _covered(cq, footprints))
+            for cq in self._queries
+            if _binds(cq, cls)
+        ]
+
+    def _on_commit(self, updates: tuple[MostUpdate, ...]) -> None:
+        if not self._queries:
+            return
+        db = self.db
+        if db.clock.now > self._first_expiry:
+            now = db.clock.now
+            self._reset([q for q in self._queries if now <= q.expires_at])
+            if not self._queries:
+                return
+        # One commit is one object: the class gate runs on its first record.
+        reachable, cls = _class_gate(db, updates[0])
+        if not reachable:
+            return
+        footprints = tuple(update_footprint(u, db) for u in updates)
+        key = (cls, footprints)
+        route = self._routes.get(key)
+        if route is None:
+            route = self._routes[key] = self._route(cls, footprints)
+        commit = _RoutedCommit(updates, cls, footprints, float(self._last_expiry))
+        for cq, deps, covered in route:
+            if cq._deps is not deps:
+                # The read-set was replaced after routing (an unpruned
+                # twin): route this commit afresh and forget the memo.
+                self._routes.clear()
+                covered = _covered(cq, footprints)
+            cq._take(commit, covered)
 
 
 class PersistentQuery:
@@ -840,7 +999,7 @@ class PersistentQuery:
         self.last_method = "naive"
         return relation.satisfied_at(self.anchor)
 
-    def _on_update(self, update: MostUpdate) -> None:
+    def _on_update(self, _commit: tuple[MostUpdate, ...]) -> None:
         if self._cancelled:
             return
         result = self._evaluate()

@@ -25,8 +25,8 @@ class TemporalTrigger:
 
     For a continuous query, the answer is time-dependent even without
     updates, so the trigger checks on every clock tick *and* after every
-    database update.  For a persistent query it reacts to the query's own
-    change notifications.
+    commit the query may observe.  For a persistent query it reacts to
+    the query's own change notifications.
     """
 
     def __init__(
@@ -59,17 +59,16 @@ class TemporalTrigger:
             self.on_enter(inst)
 
     # ------------------------------------------------------------------
-    def _check_update(self, update: MostUpdate) -> None:
-        if isinstance(self.query, ContinuousQuery) and not self.query.affects(
-            update
-        ):
-            # Updates the continuous query provably cannot observe —
-            # objects of unbound classes, ids the database never admitted,
-            # or (class, kind) footprints outside the query's static
-            # read-set (DESIGN.md §10) — leave the answer untouched: skip
-            # the recheck rather than force a spurious reevaluation.
-            return
-        self._check(self.db.clock.now)
+    def _check_update(self, _commit: tuple[MostUpdate, ...]) -> None:
+        # The database's query router subscribed when the first
+        # continuous query registered, so it has already routed this
+        # commit: a commit it did not let through to the query (unbound
+        # class, unknown id, a footprint outside the read-set) provably
+        # cannot change the display — skip the recheck rather than force
+        # a spurious reevaluation.  The version stamp is this commit's
+        # own decision, whoever else has read the query since.
+        if self.query.reached_version == self.db.version:
+            self._check(self.db.clock.now)
 
     def _check(self, _now: int) -> None:
         if self._cancelled:

@@ -26,7 +26,8 @@ touches the database:
    plan node gets a ``ReadSet`` of ``(kind, class, detail)`` dependencies
    propagated bottom-up; ``update_footprint`` maps a database update to
    the dep it writes, and the runtime prunes provably irrelevant work at
-   the listener (``ContinuousQuery.affects``), inside incremental
+   the database's update router (``repro.core.queries.UpdateRouter``,
+   once per commit for every query), inside incremental
    refreshes (subtree skipping) and in the server's refresh round.
    Report-only diagnostics: FTL701 (maximal read-set nodes), FTL702
    (per-class insensitivity); surfaced via the plan JSON ``dependencies``
@@ -39,7 +40,9 @@ touches the database:
    reusable, derived from the motion functions reachable through its
    pass-7 read-set with window arithmetic for temporal operators;
    :func:`~repro.ftl.analysis.validity.class_motion_events` and
-   :func:`~repro.ftl.analysis.validity.update_divergence` concretize
+   :func:`~repro.ftl.analysis.validity.update_divergence` (shared
+   across queries through :class:`~repro.ftl.analysis.validity.
+   DivergenceProbe`) concretize
    the horizons at refresh time so continuous queries, the incremental
    evaluator and the kinetic-solve cache can skip provably redundant
    work.  Report-only diagnostics: FTL801 (finite horizon), FTL802
@@ -76,6 +79,7 @@ from repro.ftl.analysis.plan import EvalPlan, PlanNode, plan_formula, plan_query
 from repro.ftl.analysis.schema import SchemaInfo
 from repro.ftl.analysis.validity import (
     Constraint,
+    DivergenceProbe,
     Horizon,
     ValidityAnalysis,
     analyze_formula_validity,
@@ -100,6 +104,7 @@ __all__ = [
     "ReadSet",
     "Constraint",
     "CostEstimate",
+    "DivergenceProbe",
     "CostModel",
     "Diagnostic",
     "Horizon",

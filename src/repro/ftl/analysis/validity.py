@@ -555,42 +555,139 @@ def update_divergence(update: Any, end: float) -> float:
     can only make the result *smaller* (a spurious early divergence),
     which costs a refresh but never soundness.
     """
-    t_u = float(update.time)
-    old = getattr(update, "old", None)
-    new = getattr(update, "new", None)
-    if getattr(update, "kind", "dynamic") == "static":
+    return DivergenceProbe(update, end).at(end)
+
+
+class DivergenceProbe:
+    """:func:`update_divergence` of one update, for every window end up
+    to ``end``.
+
+    A commit is tested against every continuous query's own expiration
+    horizon.  The probe is built once per update at the latest of them,
+    and :meth:`at` answers for any ``end' <= end`` exactly what the
+    single-end test at ``end'`` would — never a clamped or re-anchored
+    approximation.  What it shares between ends:
+
+    * the verdict when it does not depend on the end (static updates,
+      clock regression, incomparable triples, motion that is not
+      piecewise linear);
+    * the old ≡ new comparison at each cut, a function of the cut alone;
+    * each end's answer.
+
+    A window end enters the cut set itself and through the breakpoints
+    that fall inside the window.  A side whose breakpoints all lie at or
+    before the first observable instant ``t0`` (every single-piece
+    motion law, i.e. every motion-vector update) contributes none at any
+    end, so its cuts are ``{t0, end'}``; a side with later breakpoints
+    re-derives them per end, exactly as the single-end test does.
+    (Assumes, as every :mod:`repro.motion.functions` function satisfies,
+    that a shorter window's decomposition is a prefix of a longer one's
+    and exists whenever the longer one does.)
+    """
+
+    __slots__ = (
+        "_old", "_new", "_t_u", "_fixed", "_t0", "_sides", "_same", "_answers"
+    )
+
+    def __init__(self, update: Any, end: float) -> None:
+        t_u = float(update.time)
+        old = getattr(update, "old", None)
+        new = getattr(update, "new", None)
+        self._old = old
+        self._new = new
+        self._t_u = t_u
+        #: The answer for every end, when it does not depend on the end.
+        self._fixed: float | None = None
+        self._t0 = t_u
+        #: ``(anchor, function)`` of the sides with breakpoints past t0.
+        self._sides: tuple[tuple[float, Any], ...] = ()
+        self._same: dict[float, bool | None] = {}
+        self._answers: dict[float, float] = {}
+        if getattr(update, "kind", "dynamic") == "static":
+            try:
+                self._fixed = INF if bool(old == new) else t_u
+            except Exception:
+                self._fixed = t_u
+            return
         try:
-            return INF if bool(old == new) else t_u
-        except Exception:
-            return t_u
-    try:
-        old_ut = float(old.updatetime)  # type: ignore[union-attr]
-        new_ut = float(new.updatetime)  # type: ignore[union-attr]
-        old_fn = old.function  # type: ignore[union-attr]
-        new_fn = new.function  # type: ignore[union-attr]
-    except (AttributeError, TypeError):
-        return t_u
-    if new_ut < old_ut:
-        return t_u  # clock regression: old state is not a valid baseline
-    old_bps = old_fn.linear_breakpoints(max(end - old_ut, 0.0))
-    new_bps = new_fn.linear_breakpoints(max(end - new_ut, 0.0))
-    if old_bps is None or new_bps is None:
-        return t_u
-    t0 = max(t_u, new_ut)
-    if end <= t0:
-        return INF  # the new state is never observed inside the window
-    cuts = {t0, end}
-    for anchor, bps in ((old_ut, old_bps), (new_ut, new_bps)):
-        for rel_t, _slope in bps:
-            t_abs = anchor + rel_t
-            if t0 < t_abs < end:
-                cuts.add(t_abs)
-    ordered = sorted(cuts)
-    for i, cut in enumerate(ordered):
+            old_ut = float(old.updatetime)  # type: ignore[union-attr]
+            new_ut = float(new.updatetime)  # type: ignore[union-attr]
+            old_fn = old.function  # type: ignore[union-attr]
+            new_fn = new.function  # type: ignore[union-attr]
+        except (AttributeError, TypeError):
+            self._fixed = t_u
+            return
+        if new_ut < old_ut:
+            # Clock regression: the old state is not a valid baseline.
+            self._fixed = t_u
+            return
+        old_bps = old_fn.linear_breakpoints(max(end - old_ut, 0.0))
+        new_bps = new_fn.linear_breakpoints(max(end - new_ut, 0.0))
+        if old_bps is None or new_bps is None:
+            self._fixed = t_u
+            return
+        t0 = self._t0 = max(t_u, new_ut)
+        sides = []
+        for anchor, fn, bps in (
+            (old_ut, old_fn, old_bps),
+            (new_ut, new_fn, new_bps),
+        ):
+            for rel_t, _slope in bps:
+                if anchor + rel_t > t0:
+                    sides.append((anchor, fn))
+                    break
+        self._sides = tuple(sides)
+
+    def at(self, end: float) -> float:
+        """``update_divergence(update, end)`` for an ``end`` no later
+        than the one the probe was built at."""
+        if self._fixed is not None:
+            return self._fixed
+        answer = self._answers.get(end)
+        if answer is None:
+            answer = self._answers[end] = self._divergence(end)
+        return answer
+
+    def _divergence(self, end: float) -> float:
+        t0 = self._t0
+        if end <= t0:
+            return INF  # the new state is never observed inside the window
+        if not self._sides:
+            # The cuts are [t0, end]: t0's verdict is shared, end's is
+            # this window's own.
+            same = self._same_at(t0)
+            if same is None:
+                return self._t_u
+            if same:
+                try:
+                    if self._old.value_at(end) == self._new.value_at(end):
+                        return INF
+                except Exception:
+                    return self._t_u
+            return t0
+        cuts = {t0, end}
+        for anchor, fn in self._sides:
+            for rel_t, _slope in fn.linear_breakpoints(max(end - anchor, 0.0)):
+                t_abs = anchor + rel_t
+                if t0 < t_abs < end:
+                    cuts.add(t_abs)
+        ordered = sorted(cuts)
+        for i, cut in enumerate(ordered):
+            same = self._same_at(cut)
+            if same is None:
+                return self._t_u
+            if not same:
+                return ordered[i - 1] if i > 0 else ordered[0]
+        return INF
+
+    def _same_at(self, cut: float) -> bool | None:
+        """Whether old and new agree at ``cut`` (None: incomparable)."""
+        if cut in self._same:
+            return self._same[cut]
+        same: bool | None
         try:
-            same = bool(old.value_at(cut) == new.value_at(cut))  # type: ignore[union-attr]
+            same = bool(self._old.value_at(cut) == self._new.value_at(cut))
         except Exception:
-            return t_u
-        if not same:
-            return ordered[i - 1] if i > 0 else ordered[0]
-    return INF
+            same = None
+        self._same[cut] = same
+        return same

@@ -298,8 +298,8 @@ class SubscriptionRegistry:
 
         Queries no relevant update has dirtied since their last read are
         skipped outright (``ContinuousQuery.needs_refresh`` — the
-        dependency analysis already filtered irrelevant updates at the
-        listener, so a clean query provably has an unchanged answer);
+        database's update router already filtered irrelevant commits, so
+        a clean query provably has an unchanged answer);
         skips are counted in ``metrics.deps_skipped_refreshes`` and do
         not consume refresh budget.  A clean query that dropped covered
         updates through its temporal-validity gate since the previous

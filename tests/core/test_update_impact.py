@@ -75,7 +75,7 @@ class TestUnknownObjectBlindSpot:
             class_name="cars",
         )
         assert not cq.affects(ghost)
-        cq._on_update(ghost)
+        db._commit(ghost)
         assert not cq.needs_refresh
         cq.current()
         assert cq.evaluations == before
@@ -126,8 +126,9 @@ class TestKindFiltering:
         assert not cq.needs_refresh
         cq.current()
         assert cq.evaluations == before
-        # One skip per updated position axis (x and y).
-        assert cq.skipped_by_deps == 2
+        # One skip per logical update: both position axes travel in one
+        # commit, and the router counts the commit once.
+        assert cq.skipped_by_deps == 1
 
     def test_position_update_still_dirties_position_query(self):
         db = build_db()

@@ -1,0 +1,183 @@
+"""One divergence test shared by every window end: the probe ≡ the
+single-end test it replaced.
+
+A commit is tested against each continuous query's own expiration
+horizon.  :class:`~repro.ftl.analysis.validity.DivergenceProbe` is built
+once per update at the latest of them and answers every earlier end.
+Computing once at the latest end and clamping would be wrong: a
+re-anchored law can compare equal at one end and unequal at another by
+rounding alone.  The wall below holds the probe, at every end up to the
+one it was built at, against :func:`reference_divergence` — the
+single-end ``update_divergence`` body as it stood before the probe,
+kept here as a test-local copy — over dyadic and non-dyadic floats,
+linear / piecewise / shifted / polynomial / sinusoid motion, static
+updates, clock regression and windows that end before the update.
+"""
+
+import math
+
+from hypothesis import given, settings, strategies as st
+
+from repro.core.database import MostUpdate
+from repro.core.dynamic import DynamicAttribute
+from repro.ftl.analysis import DivergenceProbe, update_divergence
+from repro.motion.functions import (
+    LinearFunction,
+    PiecewiseLinearFunction,
+    PolynomialFunction,
+    ShiftedFunction,
+    SinusoidFunction,
+)
+
+INF = float("inf")
+
+
+def reference_divergence(update, end):
+    """The single-end divergence test, verbatim from before the probe."""
+    t_u = float(update.time)
+    old = getattr(update, "old", None)
+    new = getattr(update, "new", None)
+    if getattr(update, "kind", "dynamic") == "static":
+        try:
+            return INF if bool(old == new) else t_u
+        except Exception:
+            return t_u
+    try:
+        old_ut = float(old.updatetime)
+        new_ut = float(new.updatetime)
+        old_fn = old.function
+        new_fn = new.function
+    except (AttributeError, TypeError):
+        return t_u
+    if new_ut < old_ut:
+        return t_u
+    old_bps = old_fn.linear_breakpoints(max(end - old_ut, 0.0))
+    new_bps = new_fn.linear_breakpoints(max(end - new_ut, 0.0))
+    if old_bps is None or new_bps is None:
+        return t_u
+    t0 = max(t_u, new_ut)
+    if end <= t0:
+        return INF
+    cuts = {t0, end}
+    for anchor, bps in ((old_ut, old_bps), (new_ut, new_bps)):
+        for rel_t, _slope in bps:
+            t_abs = anchor + rel_t
+            if t0 < t_abs < end:
+                cuts.add(t_abs)
+    ordered = sorted(cuts)
+    for i, cut in enumerate(ordered):
+        try:
+            same = bool(old.value_at(cut) == new.value_at(cut))
+        except Exception:
+            return t_u
+        if not same:
+            return ordered[i - 1] if i > 0 else ordered[0]
+    return INF
+
+
+# Dyadic floats compare exactly after re-anchoring; tenths, thirds and
+# sevenths do not, which is where a clamped shortcut would go wrong.
+dyadic = st.integers(-64, 64).map(lambda k: k / 8)
+non_dyadic = st.integers(-300, 300).map(lambda k: k / 10) | st.integers(
+    -90, 90
+).map(lambda k: k / 3) | st.floats(-50, 50, allow_nan=False).map(
+    lambda x: x / 7
+)
+reals = dyadic | non_dyadic
+times = st.integers(0, 12).map(float) | st.integers(0, 120).map(lambda k: k / 10)
+
+
+def piecewise(draw_starts, slopes):
+    starts = sorted(set(draw_starts))
+    return PiecewiseLinearFunction(
+        [(0.0, slopes[0])] + [(s, k) for s, k in zip(starts, slopes[1:])]
+    )
+
+
+linear = st.builds(LinearFunction, reals)
+piecewise_fns = st.builds(
+    piecewise,
+    st.lists(times.filter(lambda t: t > 0), min_size=1, max_size=3),
+    st.lists(reals, min_size=4, max_size=4),
+)
+functions = st.one_of(
+    linear,
+    piecewise_fns,
+    st.builds(ShiftedFunction, linear | piecewise_fns, times),
+    st.builds(PolynomialFunction, st.lists(reals, min_size=1, max_size=3)),
+    st.builds(SinusoidFunction, reals, reals),
+)
+
+
+@st.composite
+def dynamic_updates(draw):
+    """An explicit dynamic update: ``new`` derived from ``old`` through
+    ``DynamicAttribute.updated`` (heartbeats, velocity and position
+    changes), or an arbitrary new triple (clock regression included)."""
+    old = DynamicAttribute(draw(reals), draw(times), draw(functions))
+    t_u = draw(times)
+    shape = draw(st.sampled_from(["heartbeat", "velocity", "jump", "free"]))
+    if shape != "free" and t_u >= old.updatetime:
+        new = old.updated(
+            t_u,
+            value=draw(reals) if shape == "jump" else None,
+            function=draw(functions) if shape == "velocity" else None,
+        )
+    else:
+        new = DynamicAttribute(draw(reals), draw(times), draw(functions))
+    return MostUpdate(t_u, "c0", "x_position", old, new, class_name="cars")
+
+
+static_updates = st.builds(
+    lambda t, old, new: MostUpdate(
+        t, "c0", "color", old, new, class_name="cars", kind="static"
+    ),
+    times,
+    st.sampled_from(["red", "blue", None]),
+    st.sampled_from(["red", "blue", None]),
+)
+
+
+@settings(max_examples=600)
+@given(
+    update=dynamic_updates() | static_updates,
+    latest=times.map(lambda t: t + 20.0) | reals.map(abs),
+    offsets=st.lists(reals.map(abs) | st.just(0.0), min_size=1, max_size=6),
+)
+def test_probe_answers_every_earlier_end_like_the_single_end_test(
+    update, latest, offsets
+):
+    probe = DivergenceProbe(update, latest)
+    ends = [latest] + [latest - d for d in offsets] + [float(update.time)]
+    for end in ends + ends[::-1]:  # every end, memoised answers too
+        expected = reference_divergence(update, end)
+        assert probe.at(end) == expected
+        assert update_divergence(update, end) == expected
+
+
+def test_reanchored_law_is_decided_at_each_query_s_own_end():
+    """A heartbeat on a non-dyadic law: equal at one end, unequal at
+    another — the probe must not carry one end's verdict to the other."""
+    old = DynamicAttribute(0.1, 0.0, LinearFunction(0.7))
+    new = old.updated(3.0)
+    update = MostUpdate(3.0, "c0", "x_position", old, new, class_name="cars")
+    ends = [3.0 + k / 10 for k in range(1, 400)]
+    verdicts = {reference_divergence(update, end) == INF for end in ends}
+    assert verdicts == {True, False}, "the example lost its rounding split"
+    probe = DivergenceProbe(update, max(ends))
+    for end in ends:
+        assert probe.at(end) == reference_divergence(update, end)
+
+
+def test_malformed_and_incomparable_updates_diverge_at_once():
+    for old, new in ((None, None), (1.0, DynamicAttribute(0.0))):
+        update = MostUpdate(4, "c0", "x_position", old, new)
+        assert DivergenceProbe(update, 30.0).at(20.0) == 4.0
+    nan = MostUpdate(
+        4,
+        "c0",
+        "x_position",
+        DynamicAttribute(math.nan, 0.0, LinearFunction(1.0)),
+        DynamicAttribute(math.nan, 4.0, LinearFunction(1.0)),
+    )
+    assert DivergenceProbe(nan, 30.0).at(20.0) == reference_divergence(nan, 20.0)

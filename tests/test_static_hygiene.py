@@ -4,9 +4,10 @@ CI runs ``ruff check src/``, but ruff is not installable on every host
 that runs tier-1.  This is the part of its rule set a deletion PR
 breaks most easily: an import left behind by the code that used it
 (pyflakes F401) and an ``__all__`` entry left behind by the name it
-exported (F822).  Below them, two checks standing in for mypy and for a
-layering lint: no ``@property`` is called like a method, and only the
-cold query door imports ``repro.parallel``.
+exported (F822).  Below them, checks standing in for mypy and for a
+layering lint: no ``@property`` is called like a method, only the cold
+query door imports ``repro.parallel``, and the modules mypy holds to
+strict rules carry complete annotations.
 """
 
 import ast
@@ -228,3 +229,92 @@ def test_only_the_cold_query_door_imports_the_shard_pool():
                 findings.append(str(path.relative_to(SRC)))
     assert scanned > 40 and allowed <= set(MODULES)
     assert findings == []
+
+
+def annotation_gaps(tree):
+    """``(function, what)`` for every ``def`` missing an annotation — a
+    parameter (``self`` / ``cls`` of a method excepted) or the return —
+    the ``disallow_untyped_defs`` / ``disallow_incomplete_defs`` half of
+    mypy's strict mode."""
+    gaps = []
+
+    def visit(node, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                params = args.posonlyargs + args.args
+                if in_class and params and params[0].arg in ("self", "cls"):
+                    params = params[1:]
+                params = params + args.kwonlyargs
+                params += [a for a in (args.vararg, args.kwarg) if a]
+                gaps.extend(
+                    (child.name, p.arg) for p in params if p.annotation is None
+                )
+                if child.returns is None:
+                    gaps.append((child.name, "return"))
+                visit(child, False)
+            else:
+                visit(child, isinstance(child, ast.ClassDef))
+
+    visit(tree, False)
+    return gaps
+
+
+#: Packages mypy checks strictly (``pyproject.toml``), and the update
+#: router and divergence probe — the shared gate every commit runs.
+STRICT_PACKAGES = ("server", "parallel", "ftl/analysis")
+STRICT_DEFS = {
+    "core/queries.py": (
+        "UpdateRouter",
+        "_RoutedCommit",
+        "_class_gate",
+        "_binds",
+        "_covered",
+        "_update_class",
+        "_is_live",
+    ),
+    "ftl/analysis/validity.py": ("DivergenceProbe", "update_divergence"),
+}
+
+
+def test_scan_sees_a_planted_annotation_gap():
+    planted = ast.parse(
+        "class C:\n"
+        "    def ok(self, x: int, *a: str, **k: int) -> None: ...\n"
+        "    def bad(self, x, *, y: int): ...\n"
+        "    @classmethod\n"
+        "    def make(cls) -> 'C': ...\n"
+        "def outer(self) -> None:\n"
+        "    def inner(z: int): ...\n"
+    )
+    assert annotation_gaps(planted) == [
+        ("bad", "x"),
+        ("bad", "return"),
+        ("outer", "self"),
+        ("inner", "return"),
+    ]
+
+
+def test_strict_modules_are_fully_annotated():
+    package = SRC / "repro"
+    findings = {}
+    scanned = 0
+    for name in STRICT_PACKAGES:
+        for path in sorted((package / name).rglob("*.py")):
+            scanned += 1
+            if gaps := annotation_gaps(ast.parse(path.read_text())):
+                findings[str(path.relative_to(package))] = gaps
+    for rel, names in STRICT_DEFS.items():
+        tree = ast.parse((package / rel).read_text())
+        chosen = [
+            node
+            for node in tree.body
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+            and node.name in names
+        ]
+        assert sorted(n.name for n in chosen) == sorted(names)
+        holder = ast.Module(body=chosen, type_ignores=[])
+        if gaps := annotation_gaps(holder):
+            findings[rel] = gaps
+    assert scanned > 20
+    assert findings == {}
