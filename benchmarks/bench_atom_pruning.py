@@ -12,6 +12,13 @@ the two acceleration layers of DESIGN.md §7 on two fleet shapes:
   can discard little and the overhead of building the trajectory index
   must stay negligible.
 
+and three query shapes: ``cars × vans`` of n each (scenarios ``sparse``
+and ``clustered``), a large×small pair ``cars × depots`` of n cars
+against 4 depots (``depots …``, the shape of the e2e ``cold_eval``
+proximity queries), and a self-join ``cars × cars`` gated by both
+``DIST`` and ``WITHIN_SPHERE`` (``self …``), where each atom's pair join
+runs a table against itself.
+
 Three modes per scenario: ``exhaustive`` (both layers off),
 ``pruned`` (index pruning only), and ``pruned+cached`` (the default
 configuration).  Kinetic-solve counts come from the evaluator's own
@@ -49,13 +56,31 @@ from repro.spatial import Polygon
 SMOKE = os.environ.get("ATOM_PRUNING_SMOKE") == "1"
 
 HORIZON = 24 if SMOKE else 60
-SIZES = [8] if SMOKE else [16, 32, 64]
 REPEATS = 1 if SMOKE else 3
 
 QUERY = (
     "RETRIEVE c FROM cars c, vans v "
     "WHERE DIST(c, v) <= 5 AND EVENTUALLY INSIDE(c, P)"
 )
+
+#: Scenario prefix -> (query, partner class (``None``: a self-join),
+#: partner count (``None``: n), cars per sweep point).
+SHAPES = {
+    "": (QUERY, "vans", None, [8] if SMOKE else [16, 32, 64]),
+    "depots ": (
+        "RETRIEVE c FROM cars c, depots d WHERE DIST(c, d) <= 5",
+        "depots",
+        4,
+        [16] if SMOKE else [64, 256, 1024],
+    ),
+    "self ": (
+        "RETRIEVE a FROM cars a, cars b "
+        "WHERE DIST(a, b) <= 5 AND EVENTUALLY WITHIN_SPHERE(5, a, b)",
+        None,
+        0,
+        [8] if SMOKE else [32, 96, 256],
+    ),
+}
 
 RESULT_PATH = Path(__file__).parents[1] / "BENCH_atom_pruning.json"
 
@@ -83,14 +108,21 @@ def host_fingerprint() -> dict:
     }
 
 
-def build_world(n: int, spread: float) -> MostDatabase:
+def build_world(
+    n: int, spread: float, partner: str | None = "vans", partners: int | None = None
+) -> MostDatabase:
+    """n cars and ``partners`` (default n) members of ``partner`` (none
+    for a self-join) spread over ±``spread``."""
     db = MostDatabase()
-    db.create_class(ObjectClass("cars", spatial_dimensions=2))
-    db.create_class(ObjectClass("vans", spatial_dimensions=2))
+    counts = {"cars": n}
+    if partner is not None:
+        counts[partner] = n if partners is None else partners
+    for cls in counts:
+        db.create_class(ObjectClass(cls, spatial_dimensions=2))
     db.define_region("P", Polygon.rectangle(-10, -10, 10, 10))
     rng = random.Random(2025)
-    for cls in ("cars", "vans"):
-        for i in range(n):
+    for cls, count in counts.items():
+        for i in range(count):
             db.add_moving_object(
                 cls,
                 f"{cls[0]}{i}",
@@ -99,7 +131,10 @@ def build_world(n: int, spread: float) -> MostDatabase:
             )
     # Guaranteed survivors so every mode does some real solving.
     db.add_moving_object("cars", "c_near", Point(-3, 0), Point(1, 0))
-    db.add_moving_object("vans", "v_near", Point(-2, 1), Point(1, 0))
+    if partner is None:
+        db.add_moving_object("cars", "c_near2", Point(-2, 1), Point(1, 0))
+    else:
+        db.add_moving_object(partner, f"{partner[0]}_near", Point(-2, 1), Point(1, 0))
     return db
 
 
@@ -128,9 +163,15 @@ def run_mode(db, query, plan, options) -> dict:
     return {"wall_ms": best * 1e3, "relation": relation, **counters}
 
 
-def run_scenario(n: int, spread: float) -> dict:
-    db = build_world(n, spread)
-    query = parse_query(QUERY)
+def run_scenario(
+    n: int,
+    spread: float,
+    query_text: str = QUERY,
+    partner: str | None = "vans",
+    partners: int | None = None,
+) -> dict:
+    db = build_world(n, spread, partner, partners)
+    query = parse_query(query_text)
     plan = query.plan_for(history=FutureHistory(db), horizon=HORIZON)
     key = lambda r: sorted(  # noqa: E731
         (inst, tuple((i.start, i.end) for i in iset.intervals))
@@ -157,12 +198,18 @@ def test_index_pruning_cuts_solves_and_wall_time(record_table):
         "horizon": HORIZON,
         "smoke": SMOKE,
         "query": QUERY,
+        "queries": {},
         "scenarios": {},
     }
     rows = []
-    for name, spread in scenarios.items():
-        sweeps = [run_scenario(n, spread) for n in SIZES]
-        report["scenarios"][name] = sweeps
+    for shape, (text, partner, partners, sizes) in SHAPES.items():
+        report["queries"][shape.strip() or "vans"] = text
+        for fleet, spread in scenarios.items():
+            name = shape + fleet
+            report["scenarios"][name] = [
+                run_scenario(n, spread, text, partner, partners) for n in sizes
+            ]
+    for name, sweeps in report["scenarios"].items():
         for s in sweeps:
             ex = s["modes"]["exhaustive"]
             pr = s["modes"]["pruned"]
@@ -182,11 +229,11 @@ def test_index_pruning_cuts_solves_and_wall_time(record_table):
             )
     record_table(
         "E12: index-pruned atom evaluation "
-        f"(2 classes, horizon {HORIZON}; best of {REPEATS}; solves = "
+        f"(horizon {HORIZON}; best of {REPEATS}; solves = "
         "closed-form kinetic solver calls)",
         [
             "fleet",
-            "n/class",
+            "cars",
             "solves exh.",
             "solves pruned",
             "solves +cache",
@@ -200,8 +247,8 @@ def test_index_pruning_cuts_solves_and_wall_time(record_table):
     RESULT_PATH.write_text(json.dumps(report, indent=2) + "\n")
 
     # Pruning must never *increase* solve counts, anywhere.
-    for name in scenarios:
-        for s in report["scenarios"][name]:
+    for name, sweeps in report["scenarios"].items():
+        for s in sweeps:
             ex = s["modes"]["exhaustive"]
             pr = s["modes"]["pruned"]
             pc = s["modes"]["pruned+cached"]

@@ -17,11 +17,13 @@ for linear movers, filled once and frozen.  The database keeps the
 tables of its current content version (:class:`MbrTableCache`), so
 every query and context over that version and window shares one build.
 A window never changes, so nothing here needs a tree — only an exact
-overlap filter — and a probe is one vectorised closed-interval overlap
-mask over all rows.
-``INSIDE``/``OUTSIDE`` atoms probe the region's bounding box,
-``WITHIN_SPHERE``/``DIST``-comparison atoms probe the object's own leg
-boxes inflated by the radius.  An instantiation outside the candidate
+overlap filter, :func:`overlap_join`: one sorted sweep of a table's
+rows against every box of a probe table, answering as CSR partner
+arrays.  ``INSIDE``/``OUTSIDE`` atoms join the region's bounding box
+against each class table; ``WITHIN_SPHERE``/``DIST``-comparison atoms
+join one class table's leg boxes, inflated by the radius, against
+another's, once per atom, and read each object's partners off the
+result.  An instantiation outside the candidate
 set is *known* without any solve: the empty set for ``INSIDE``/
 ``dist <= r``, the full window for ``OUTSIDE``/``dist >= r``.
 Soundness follows from MBR over-approximation: satisfaction at any dense
@@ -379,12 +381,13 @@ def attr_solve_key(
 
 
 class _MbrTable:
-    """The frozen leg boxes of one spatial dimensionality, as columns:
-    ``lo[d, N]`` / ``hi[d, N]`` corner arrays (one contiguous row per
-    axis) built from ``N`` rows of ``d`` corners each, plus the owning
-    object of each of the ``N`` boxes."""
+    """Frozen boxes of one dimensionality ``dim``, as columns: ``lo[d,
+    N]`` / ``hi[d, N]`` corner arrays (one contiguous row per axis)
+    built from ``N`` rows of ``d`` corners each, plus the owning object
+    of each of the ``N`` boxes — one class's leg boxes, or a region's
+    one probe box."""
 
-    __slots__ = ("lo", "hi", "owners", "members")
+    __slots__ = ("lo", "hi", "owners", "members", "dim", "_sweep")
 
     def __init__(
         self,
@@ -396,33 +399,77 @@ class _MbrTable:
         self.hi = np.ascontiguousarray(np.array(hi, dtype=float).T)
         self.owners = owners
         self.members = frozenset(owners)
+        self.dim = int(self.lo.shape[0])
+        self._sweep: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
-    @classmethod
-    def concat(cls, tables: "list[_MbrTable]") -> "_MbrTable":
-        """One table holding the rows of several of the same ``dim``."""
-        return cls(
-            np.concatenate([t.lo for t in tables], axis=1).T,
-            np.concatenate([t.hi for t in tables], axis=1).T,
-            [oid for t in tables for oid in t.owners],
-        )
+    def sweep(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(order, lo0, reach)``: the rows in ascending axis-0 ``lo``
+        order, their axis-0 ``lo`` in that order, and the running
+        maximum of their axis-0 ``hi`` in that order — every row before
+        position ``k`` ends at or before ``reach[k - 1]``.  Computed on
+        first use and kept, so every join against a shared class table
+        sorts it once."""
+        if self._sweep is None:
+            order = np.argsort(self.lo[0], kind="stable")
+            self._sweep = (
+                order,
+                self.lo[0][order],
+                np.maximum.accumulate(self.hi[0][order]),
+            )
+        return self._sweep
 
-    @property
-    def dim(self) -> int:
-        """Spatial dimensionality of the boxes."""
-        return int(self.lo.shape[0])
 
-    def overlapping(
-        self, probe_lo: np.ndarray, probe_hi: np.ndarray
-    ) -> set[object]:
-        """Owners of the boxes that overlap (closed intervals, every
-        axis) any of the ``K`` probe boxes ``probe_lo[d, K]`` /
-        ``probe_hi[d, K]``."""
-        mask = (self.lo[:, None, :] <= probe_hi[:, :, None]) & (
-            probe_lo[:, :, None] <= self.hi[:, None, :]
-        )
-        owners = self.owners
-        hits = np.flatnonzero(mask.all(axis=0).any(axis=0))
-        return {owners[i] for i in hits.tolist()}
+#: Candidate pairs :func:`overlap_join` tests per numpy pass, bounding
+#: its scratch arrays on a dense self-join.
+_JOIN_BLOCK = 1 << 18
+
+
+def overlap_join(
+    left: _MbrTable, right: _MbrTable, inflate: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair of a ``left`` box grown by ``inflate`` and a ``right``
+    box that overlap, as CSR arrays ``(indptr, rows)``: the right rows
+    left row ``i`` meets are ``rows[indptr[i]:indptr[i + 1]]``.
+
+    Two boxes overlap when ``right.lo <= left.hi + inflate`` and
+    ``left.lo - inflate <= right.hi`` on every axis: closed intervals,
+    so boxes touching on a face, edge or corner meet.  Each left box
+    searches the right rows in axis-0 ``lo`` order (:meth:`_MbrTable.
+    sweep`): rows from the first whose ``lo`` passes the grown ``hi``
+    start beyond it, and rows before the first whose running-maximum
+    ``hi`` reaches the grown ``lo`` end before it.  Both searches
+    compare the very floats the closed test compares, so the window
+    between them holds every match; the closed test on every axis then
+    decides each pair in the window.  Both tables must share ``dim``.
+    """
+    order, lo0, reach = right.sweep()
+    grown_lo = left.lo - inflate
+    grown_hi = left.hi + inflate
+    first = np.searchsorted(reach, grown_lo[0], side="left")
+    stop = np.searchsorted(lo0, grown_hi[0], side="right")
+    counts = np.maximum(stop - first, 0)
+    ends = np.cumsum(counts)
+    n = counts.size
+    cuts = np.searchsorted(
+        ends, np.arange(_JOIN_BLOCK, int(ends[-1]) if n else 0, _JOIN_BLOCK)
+    )
+    bounds = [0, *dict.fromkeys(cuts.tolist()), n]
+    lefts = [np.zeros(0, dtype=np.intp)]
+    rights = [np.zeros(0, dtype=np.intp)]
+    for lo_row, hi_row in zip(bounds, bounds[1:]):
+        count = counts[lo_row:hi_row]
+        pairs = np.repeat(np.arange(lo_row, hi_row), count)
+        skip = first[lo_row:hi_row] - (np.cumsum(count) - count)
+        rows = order[np.repeat(skip, count) + np.arange(pairs.size)]
+        keep = np.ones(pairs.size, dtype=bool)
+        for axis in range(left.dim):
+            keep &= right.lo[axis, rows] <= grown_hi[axis, pairs]
+            keep &= grown_lo[axis, pairs] <= right.hi[axis, rows]
+        lefts.append(pairs[keep])
+        rights.append(rows[keep])
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(np.concatenate(lefts), minlength=n), out=indptr[1:])
+    return indptr, np.concatenate(rights)
 
 
 class ClassMbrTable:
@@ -639,14 +686,15 @@ class AtomIndexPruner:
     class for ``[ctx.start, ctx.end]`` — from the database's
     :class:`MbrTableCache`, so every query and context reading the same
     content version and window shares one build, or built uncached for a
-    history without a content token — and joins the tables of one
-    spatial dimensionality (time is not a table axis, so candidate sets
-    are window-wide, a strictly conservative coarsening).  The tables
-    cover whole classes whatever the context's domain restrictions, so a
-    shard worker sees the serial tables and pad.  A probe is a single
-    vectorised closed-interval overlap mask over all rows: exact, and
-    ``O(N)`` at the fleet sizes a window holds.  Objects that cannot be
-    plotted — nonlinear motion, no spatial attributes — are
+    history without a content token (time is not a table axis, so
+    candidate sets are window-wide, a strictly conservative
+    coarsening).  The tables cover whole classes whatever the context's
+    domain restrictions, so a shard worker sees the serial tables and
+    pad.  Candidates come from :func:`overlap_join`, exact: a pair atom
+    joins the left object's class table, grown by the radius, against
+    the right object's class table once per radius, and keeps each
+    object's partner set as it is first asked for.  Objects that cannot
+    be plotted — nonlinear motion, no spatial attributes — are
     *unprunable*: members of every candidate set, so the exact solve
     path handles them (and raises on them) exactly as the exhaustive
     evaluator would.
@@ -655,8 +703,8 @@ class AtomIndexPruner:
     def __init__(self, ctx: "EvalContext") -> None:
         self.ctx = ctx
         self._built = False
-        #: dim -> the boxes of every bound class of that dimensionality.
-        self._tables: dict[int, _MbrTable] = {}
+        #: The leg boxes of every bound class that has indexed members.
+        self._boxes: tuple[_MbrTable, ...] = ()
         #: Indexed object -> ``(its class's boxes, first row, one past
         #: its last row)``.
         self._rows: dict[object, tuple[_MbrTable, int, int]] = {}
@@ -666,7 +714,12 @@ class AtomIndexPruner:
         #: swallow the error the exhaustive path reports, so gates refuse.
         self._raising: frozenset = frozenset()
         self._region_cands: dict[object, frozenset] = {}
-        self._pair_cands: dict[tuple, frozenset] = {}
+        #: ``(left boxes, right boxes, inflate)`` -> their overlap join.
+        self._joins: dict[
+            tuple[_MbrTable, _MbrTable, float], tuple[np.ndarray, np.ndarray]
+        ] = {}
+        #: ``(object, right boxes, radius)`` -> the object's partners.
+        self._partner_sets: dict[tuple[object, _MbrTable, float], frozenset] = {}
         #: Largest |coordinate| of the bound classes' boxes; inflation
         #: pads scale with it so the solvers' relative boundary tolerance
         #: can never out-reach the pruning boxes.
@@ -699,14 +752,7 @@ class AtomIndexPruner:
                 if token is None
                 else history.db.mbr_tables.get(token, ctx.end, class_name, build)
             )
-        by_dim: dict[int, list[_MbrTable]] = {}
-        for table in classes:
-            if table.boxes is not None:
-                by_dim.setdefault(table.boxes.dim, []).append(table.boxes)
-        self._tables = {
-            dim: group[0] if len(group) == 1 else _MbrTable.concat(group)
-            for dim, group in by_dim.items()
-        }
+        self._boxes = tuple(t.boxes for t in classes if t.boxes is not None)
         if len(classes) == 1:
             self._rows = classes[0].rows
         else:
@@ -741,23 +787,55 @@ class AtomIndexPruner:
     # ------------------------------------------------------------------
     # Candidate queries
     # ------------------------------------------------------------------
-    def _candidates(
-        self, dim: int, probe_lo: np.ndarray, probe_hi: np.ndarray
+    def _meets(
+        self,
+        left: _MbrTable,
+        first: int,
+        stop: int,
+        right: _MbrTable,
+        inflate: float,
     ) -> set[object]:
-        """Every unprunable object, every object of another
-        dimensionality (the exact path raises or decides on those), and
-        the ``dim``-dimensional objects a probe box touches."""
-        cands = set(self._unprunable)
-        for d, table in self._tables.items():
-            if d == dim:
-                cands |= table.overlapping(probe_lo, probe_hi)
-            else:
-                cands |= table.members
-        return cands
+        """Owners of the ``right`` boxes that rows ``first:stop`` of
+        ``left``, grown by ``inflate``, touch — read off the memoised
+        join of the two tables."""
+        key = (left, right, inflate)
+        join = self._joins.get(key)
+        if join is None:
+            join = self._joins[key] = overlap_join(left, right, inflate)
+        indptr, rows = join
+        owners = right.owners
+        return {owners[i] for i in rows[indptr[first] : indptr[stop]].tolist()}
+
+    def _partners(self, oid: object, right: _MbrTable, radius: float) -> frozenset:
+        """``oid`` and the owners of the ``right`` boxes its own leg
+        boxes touch once grown by ``radius`` plus the pad.  ``oid`` must
+        be indexed, and its table share ``right``'s dimensionality."""
+        key = (oid, right, radius)
+        hit = self._partner_sets.get(key)
+        if hit is None:
+            boxes, first, stop = self._rows[oid]
+            near = self._meets(boxes, first, stop, right, radius + self._pad)
+            near.add(oid)
+            hit = self._partner_sets[key] = frozenset(near)
+        return hit
+
+    def _apart(self, a: object, b: object, radius: float) -> bool:
+        """Whether ``a`` and ``b`` are both indexed, of one
+        dimensionality, and ``b`` is not among ``a``'s partners at
+        ``radius``: the pair then stays strictly farther apart than
+        ``radius`` for the whole window."""
+        rows_a = self._rows.get(a)
+        rows_b = self._rows.get(b)
+        if rows_a is None or rows_b is None or rows_a[0].dim != rows_b[0].dim:
+            return False
+        return b not in self._partners(a, rows_b[0], radius)
 
     def region_candidates(self, region: object) -> frozenset | None:
         """Objects that may intersect the region during the window, or
-        ``None`` when the region's geometry cannot be boxed."""
+        ``None`` when the region's geometry cannot be boxed: every
+        unprunable object, every object of another dimensionality (the
+        exact path raises or decides on those), and the objects whose
+        boxes the region's bounding box, grown by the pad, touches."""
         token = region_token(region)
         if token is None:
             return None
@@ -765,43 +843,41 @@ class AtomIndexPruner:
         if hit is not None:
             return hit
         self._build()
-        pad = self._pad
         if isinstance(region, Polygon):
             min_x, min_y, max_x, max_y = region.bounding_box()
-            lo = [min_x - pad, min_y - pad]
-            hi = [max_x + pad, max_y + pad]
+            probe = _MbrTable([[min_x, min_y]], [[max_x, max_y]], [token])
         else:  # Ball (region_token already filtered the rest)
-            lo = [c - region.radius - pad for c in region.center]
-            hi = [c + region.radius + pad for c in region.center]
-        out = frozenset(
-            self._candidates(len(lo), np.array([lo]).T, np.array([hi]).T)
-        )
-        self._region_cands[token] = out
+            probe = _MbrTable(
+                [[c - region.radius for c in region.center]],
+                [[c + region.radius for c in region.center]],
+                [token],
+            )
+        cands = set(self._unprunable)
+        for table in self._boxes:
+            if table.dim == probe.dim:
+                cands |= self._meets(probe, 0, 1, table, self._pad)
+            else:
+                cands |= table.members
+        out = self._region_cands[token] = frozenset(cands)
         return out
 
     def pair_candidates(self, oid: object, radius: float) -> frozenset | None:
         """Objects that may come within ``radius`` of ``oid`` at some
         time of the window (``oid`` itself included), or ``None`` when
-        ``oid`` is unprunable (every object is then a candidate)."""
+        ``oid`` is unprunable (every object is then a candidate): every
+        unprunable object, every object of another dimensionality, and
+        ``oid``'s partners in each class table of its dimensionality."""
         self._build()
         rows = self._rows.get(oid)
         if rows is None:
             return None
-        key = (oid, float(radius))
-        hit = self._pair_cands.get(key)
-        if hit is not None:
-            return hit
-        boxes, first, stop = rows
-        inflate = radius + self._pad
-        cands = self._candidates(
-            boxes.dim,
-            boxes.lo[:, first:stop] - inflate,
-            boxes.hi[:, first:stop] + inflate,
-        )
-        cands.add(oid)
-        out = frozenset(cands)
-        self._pair_cands[key] = out
-        return out
+        cands = set(self._unprunable)
+        for table in self._boxes:
+            if table.dim == rows[0].dim:
+                cands |= self._partners(oid, table, float(radius))
+            else:
+                cands |= table.members
+        return frozenset(cands)
 
     # ------------------------------------------------------------------
     # The atom gate
@@ -820,6 +896,8 @@ class AtomIndexPruner:
         """
         ctx = self.ctx
         full = IntervalSet.span(ctx.start, ctx.end, DISCRETE)
+        # The gates below read the tables without building them.
+        self._build()
 
         if isinstance(f, (Inside, Outside)):
             try:
@@ -834,7 +912,7 @@ class AtomIndexPruner:
 
             def region_gate(env: "Env") -> IntervalSet | None:
                 oid = ctx.eval_term(obj_term, env, ctx.start)
-                if oid in cands or not self.is_indexed(oid):
+                if oid in cands or oid not in self._rows:
                     return None
                 return miss
 
@@ -845,8 +923,8 @@ class AtomIndexPruner:
             # within 2r of each other at that moment — a necessary
             # condition, so one far pair kills the instantiation.
             diameter = 2.0 * float(f.radius)
-            if diameter < 0:
-                return None  # let the solve path raise identically
+            if not diameter >= 0:  # negative or NaN
+                return None  # let the solve path decide (or raise)
             objs = f.objs
 
             def sphere_gate(env: "Env") -> IntervalSet | None:
@@ -856,11 +934,8 @@ class AtomIndexPruner:
                 if not all(self._safe(o) for o in oids):
                     return None
                 for i, a in enumerate(oids):
-                    cands = self.pair_candidates(a, diameter)
-                    if cands is None:
-                        continue
                     for b in oids[i + 1 :]:
-                        if self.is_indexed(b) and b not in cands:
+                        if self._apart(a, b, diameter):
                             return EMPTY_SET
                 return None
 
@@ -875,12 +950,12 @@ class AtomIndexPruner:
 
             def dist_gate(env: "Env") -> IntervalSet | None:
                 bound = ctx.eval_term(bound_term, env, ctx.start)
-                if not isinstance(bound, (int, float)) or bound < 0:
+                # ``not >=`` also refuses NaN, which no box is within.
+                if not isinstance(bound, (int, float)) or not bound >= 0:
                     return None
                 a = ctx.eval_term(dist_term.left, env, ctx.start)
                 b = ctx.eval_term(dist_term.right, env, ctx.start)
-                cands = self.pair_candidates(a, float(bound))
-                if cands is None or b in cands or not self.is_indexed(b):
+                if not self._apart(a, b, float(bound)):
                     return None
                 # Both indexed, disjoint after inflation: the pair stays
                 # strictly farther than the bound for the whole window.

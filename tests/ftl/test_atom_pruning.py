@@ -35,9 +35,10 @@ from repro.ftl import (
     Outside,
     Var,
     WithinSphere,
+    parse_query,
 )
-from repro.ftl.atoms import _MbrTable
-from repro.ftl.context import DEFAULT, EvalContext
+from repro.ftl.atoms import _MbrTable, overlap_join
+from repro.ftl.context import DEFAULT, ORACLE, EvalContext
 from repro.ftl.evaluator import IntervalEvaluator
 from repro.ftl.naive import NaiveEvaluator
 from repro.geometry import Point
@@ -382,6 +383,45 @@ def test_negative_sphere_radius_raises_like_exhaustive():
     assert errors[0] == errors[1]
 
 
+@pytest.mark.parametrize("op", ["<=", ">=", "<", ">"])
+def test_nan_dist_bound_is_never_pruned(op):
+    """Every comparison with a NaN bound is false, so the exhaustive
+    answer is empty; a NaN-inflated box meets nothing, so a gate that
+    took the pair for far apart would report ``>=`` / ``>`` as holding
+    over the whole window."""
+    db = MostDatabase()
+    db.create_class(ObjectClass("cars", spatial_dimensions=2))
+    db.create_class(
+        ObjectClass("zones", static_attributes=("r",), spatial_dimensions=2)
+    )
+    for i in range(4):
+        db.add_moving_object("cars", f"c{i}", Point(100 * i, 0), Point(1, 0))
+    db.add_moving_object(
+        "zones", "z0", Point(-500, -500), Point(0, 0), static={"r": math.nan}
+    )
+    query = parse_query(
+        f"RETRIEVE c FROM cars c, zones z WHERE DIST(c, z) {op} z.r"
+    )
+    want = query.evaluate(FutureHistory(db), 10, options=ORACLE)
+    got = query.evaluate(FutureHistory(db), 10)
+    assert rows_of(got) == rows_of(want) == []
+
+
+def test_nan_sphere_radius_is_never_pruned():
+    db = MostDatabase()
+    db.create_class(ObjectClass("cars", spatial_dimensions=2))
+    db.add_moving_object("cars", "far", Point(500, 0), Point(0, 0))
+    db.add_moving_object("cars", "near", Point(0, 0), Point(1, 0))
+    where = WithinSphere(math.nan, (Var("a"), Var("b")))
+    ctx = EvalContext(FutureHistory(db), HORIZON, {"a": "cars", "b": "cars"})
+    assert ctx.atom_pruner().gate(where) is None
+    query = FtlQuery(
+        targets=("a", "b"), bindings={"a": "cars", "b": "cars"}, where=where
+    )
+    plain, fast = both_modes(query, db)
+    assert plain == fast
+
+
 # ---------------------------------------------------------------------------
 # The MBR table against an R-tree loaded with the same leg boxes
 # ---------------------------------------------------------------------------
@@ -603,6 +643,109 @@ def test_table_candidates_equal_rtree_candidates_property(
     assert_table_equals_rtree(ctx, regions, (float(radius),))
 
 
+#: Linear-motion-free but spatial: unprunable, and safe to solve.
+NONLINEAR = {"wobbly"}
+
+
+def assert_gates_equal_rtree(ctx, radii):
+    """Built as the first use of a fresh context, the ``DIST`` and
+    ``WITHIN_SPHERE`` gates prune a pair exactly when the R-tree
+    reference has the second object indexed and outside the first's
+    candidates (a sphere gate also needs both objects safe to solve)."""
+    pruner = ctx.atom_pruner()
+    dist = {
+        r: pruner.gate(Compare("<=", Dist(Var("x"), Var("y")), Const(r)))
+        for r in radii
+    }
+    sphere = {r: pruner.gate(WithinSphere(r, (Var("x"), Var("y")))) for r in radii}
+    reference = RTreeCandidates(ctx)
+    pairs = {}
+
+    def apart(a, b, radius):
+        if (a, radius) not in pairs:
+            pairs[a, radius] = reference.pair(a, radius)
+        cands = pairs[a, radius]
+        return cands is not None and b in reference.boxes and b not in cands
+
+    def safe(oid):
+        return oid in reference.boxes or oid in NONLINEAR
+
+    ids = [oid for var in ctx.bindings for oid in ctx.domain(var)]
+    ids = [*dict.fromkeys(ids), "nobody"]
+    pruned = 0
+    for a in ids:
+        for b in ids:
+            env = {"x": a, "y": b}
+            for r in radii:
+                want = apart(a, b, float(r))
+                assert (dist[r](env) is not None) == want, ("dist", a, b, r)
+                pruned += want
+                want = safe(a) and safe(b) and apart(a, b, 2.0 * float(r))
+                assert (sphere[r](env) is not None) == want, ("sphere", a, b, r)
+    return pruned
+
+
+def build_edge_world(rng: random.Random, n: int = 8) -> MostDatabase:
+    """The mixed world's nonlinear and non-spatial members beside movers
+    near 1e9, where one ulp is 2**-23 and the pad is about 1000, and a
+    rocket whose one leg is 1e6 wide over ten ticks."""
+    db = build_mixed_world(rng, n=0)
+    base = 1e9
+    for i in range(n):
+        db.add_moving_object(
+            "cars",
+            f"e{i}",
+            Point(base + rng.randint(-20, 20) * 1000.375, rng.randint(-20, 20)),
+            Point(rng.choice((-0.3, 0.0, 0.7, 1.1)), rng.randint(-2, 2)),
+        )
+    db.add_moving_object("cars", "rocket", Point(base - 5e5, 0), Point(1e5, 0))
+    db.add_moving_object("drones", "d0", Point(base, 0, 0), Point(1, 0, 0))
+    return db
+
+
+@pytest.mark.parametrize("world", [build_mixed_world, build_edge_world])
+@pytest.mark.parametrize("seed", range(12))
+def test_gates_equal_rtree_decisions(world, seed):
+    rng = random.Random(5000 + seed)
+    db = world(rng)
+    horizon = rng.choice((0, 1, 6, 14))  # 0: a zero-length window
+    bindings = {**MIXED_BINDINGS, "x": "cars", "y": "cars"}
+    ctx = EvalContext(FutureHistory(db), horizon, bindings)
+    radii = (0.0, 1.0, 2.5, 7.0, 40.0, 1500.0)
+    pruned = assert_gates_equal_rtree(ctx, radii)
+    assert pruned > 0, "the wall never saw a pair pruned"
+    if world is build_edge_world:
+        regions = [Polygon.rectangle(1e9 - 3000, -5, 1e9 + 3000, 5)]
+        assert_table_equals_rtree(ctx, regions, radii)
+
+
+def test_gate_decides_boxes_touching_at_r_plus_pad():
+    """A static box exactly ``r + pad`` from another touches it (the
+    solve path decides); one ulp farther it is pruned."""
+    db = MostDatabase()
+    db.create_class(ObjectClass("cars", spatial_dimensions=2))
+    db.add_moving_object("cars", "anchor", Point(100.0, 100.0), Point(0, 0))
+    db.add_moving_object("cars", "a", Point(0.0, 0.0), Point(0, 0))
+    r, pad = 2.5, 1e-6 * (1.0 + 100.0)
+    touch = 0.0 + (r + pad)
+    db.add_moving_object("cars", "touch", Point(touch, 0.0), Point(0, 0))
+    gap = math.nextafter(touch, math.inf)
+    db.add_moving_object("cars", "gap", Point(gap, 0.0), Point(0, 0))
+    bindings = {"x": "cars", "y": "cars"}
+    ctx = EvalContext(FutureHistory(db), 5, bindings)
+    near = Compare("<=", Dist(Var("x"), Var("y")), Const(r))
+    gate = ctx.atom_pruner().gate(near)
+    assert ctx.atom_pruner()._pad == pad
+    assert gate({"x": "a", "y": "touch"}) is None
+    assert gate({"x": "a", "y": "gap"}) is not None
+    assert "touch" in ctx.atom_pruner().pair_candidates("a", r)
+    assert "gap" not in ctx.atom_pruner().pair_candidates("a", r)
+    assert_gates_equal_rtree(EvalContext(FutureHistory(db), 5, bindings), (r,))
+    query = FtlQuery(targets=("x", "y"), bindings=bindings, where=near)
+    plain, fast = both_modes(query, db, horizon=5)
+    assert plain == fast
+
+
 box_corners = st.lists(st.tuples(coord, coord), min_size=2, max_size=2)
 
 
@@ -620,22 +763,13 @@ def test_table_overlap_equals_rtree_search(boxes, probes):
 
     boxes = [corners(pair) for pair in boxes]
     probes = [corners(pair) for pair in probes]
-    table = _MbrTable(
-        [list(lo) for lo, _ in boxes],
-        [list(hi) for _, hi in boxes],
-        list(range(len(boxes))),
-    )
     tree = RTree()
     for row, (lo, hi) in enumerate(boxes):
         tree.insert(Box(Point(*lo), Point(*hi)), row)
     expected = set()
     for lo, hi in probes:
         expected.update(tree.search(Box(Point(*lo), Point(*hi))))
-    got = table.overlapping(
-        np.array([lo for lo, _ in probes], dtype=float).T,
-        np.array([hi for _, hi in probes], dtype=float).T,
-    )
-    assert got == expected
+    assert joined(table_of(probes), table_of(boxes)) == expected
 
 
 def test_table_overlap_is_closed_on_the_boundary():
@@ -649,17 +783,129 @@ def test_table_overlap_is_closed_on_the_boundary():
         "gap": ((math.nextafter(2.0, 3.0), 0.0), (3.0, 1.0)),
         "below": ((0.0, -2.0), (1.0, math.nextafter(0.0, -1.0))),
     }
-    table = _MbrTable(
-        [list(lo) for lo, _ in boxes.values()],
-        [list(hi) for _, hi in boxes.values()],
-        list(boxes),
-    )
+    table = table_of(boxes.values(), list(boxes))
     tree = RTree()
     for name, (lo, hi) in boxes.items():
         tree.insert(Box(Point(*lo), Point(*hi)), name)
-    got = table.overlapping(np.array([[0.0], [0.0]]), np.array([[2.0], [1.0]]))
+    probe = table_of([((0.0, 0.0), (2.0, 1.0))])
+    got = {table.owners[i] for i in joined(probe, table)}
     assert got == {"face", "corner", "point", "inside"}
     assert got == set(tree.search(Box(Point(0.0, 0.0), Point(2.0, 1.0))))
+    # The same contact reached through the inflate: the probe grown by
+    # 0.5 on every side against boxes moved 0.5 outward.
+    shifted = table_of(
+        [
+            ((lo[0] + 0.5, lo[1]), (hi[0] + 0.5, hi[1]))
+            for lo, hi in boxes.values()
+        ],
+        list(boxes),
+    )
+    small = table_of([((0.5, 0.0), (2.0, 1.0))])
+    got = {shifted.owners[i] for i in joined(small, shifted, 0.5)}
+    assert got == set(boxes) - {"gap"}
+
+
+def table_of(boxes, owners=None):
+    """An ``_MbrTable`` of ``(lo corner, hi corner)`` pairs."""
+    boxes = list(boxes)
+    return _MbrTable(
+        [list(lo) for lo, _ in boxes],
+        [list(hi) for _, hi in boxes],
+        list(range(len(boxes))) if owners is None else owners,
+    )
+
+
+def joined(left, right, inflate=0.0):
+    """The right rows any left row meets, through the join."""
+    _, rows = overlap_join(left, right, inflate)
+    return set(rows.tolist())
+
+
+def broadcast_rows(left, right, inflate):
+    """The reference the join replaced, kept here only: one closed
+    overlap mask of every left box, grown by ``inflate``, against every
+    right box — the right rows each left row meets, as sorted lists."""
+    grown_lo = left.lo - inflate
+    grown_hi = left.hi + inflate
+    mask = (right.lo[:, None, :] <= grown_hi[:, :, None]) & (
+        grown_lo[:, :, None] <= right.hi[:, None, :]
+    )
+    return [np.flatnonzero(row).tolist() for row in mask.all(axis=0)]
+
+
+def join_rows(left, right, inflate):
+    indptr, rows = overlap_join(left, right, inflate)
+    return [
+        sorted(rows[indptr[i] : indptr[i + 1]].tolist())
+        for i in range(len(indptr) - 1)
+    ]
+
+
+#: Axis-0 offsets where ``lo - width`` rounds: the ulp near 1e9 is 2**-23.
+BASES = (0.0, 1e9, -1e9, 2.0**53)
+#: Leg widths spanning six orders of magnitude within one table.
+WIDTHS = (0.0, 0.25, 1.0, 3.0, 1e6)
+
+
+@st.composite
+def wide_boxes(draw, base):
+    lo = [base + draw(st.integers(-40, 40)) * 0.375, draw(coord) * 0.5]
+    widths = [draw(st.sampled_from(WIDTHS)), draw(st.sampled_from(WIDTHS[:4]))]
+    return tuple(lo), tuple(x + w for x, w in zip(lo, widths))
+
+
+@PROPERTY
+@given(
+    data=st.data(),
+    base=st.sampled_from(BASES),
+    inflate=st.sampled_from((0.0, 0.5, 1e-6 * (1 + 1e9), 2.0, 7.25, 1e6)),
+)
+def test_join_rows_equal_broadcast_mask(data, base, inflate):
+    """Row for row, the sorted join returns exactly the pairs of the
+    broadcast mask: its axis-0 window never drops a match, even where
+    widths differ by 1e6 and coordinates sit where ulps exceed 1."""
+    left = table_of(data.draw(st.lists(wide_boxes(base), min_size=1, max_size=12)))
+    right = table_of(
+        data.draw(st.lists(wide_boxes(base), min_size=1, max_size=40))
+    )
+    assert join_rows(left, right, inflate) == broadcast_rows(
+        left, right, inflate
+    )
+
+
+def test_join_window_survives_rounding_near_1e9():
+    """A long leg sorted first must still reach a probe far to its
+    right, and boxes one ulp short of the grown probe must stay out."""
+    probe = table_of([((1e9 + 10.0, 0.0), (1e9 + 10.0, 0.0))])
+    gap = math.nextafter(1e9 + 10.0 - 2.0, -math.inf)
+    right = table_of(
+        [
+            ((1e9 - 1e6, 0.0), (1e9 + 8.0, 0.0)),  # ends exactly at lo - 2
+            ((1e9 - 5.0, 0.0), (gap, 0.0)),  # one ulp short
+            ((1e9 + 12.0, 0.0), (1e9 + 13.0, 0.0)),  # starts at hi + 2
+            ((math.nextafter(1e9 + 12.0, math.inf), 0.0), (1e9 + 20.0, 0.0)),
+        ]
+    )
+    assert join_rows(probe, right, 2.0) == [[0, 2]]
+    assert join_rows(probe, right, 2.0) == broadcast_rows(probe, right, 2.0)
+
+
+def test_join_is_blocked_on_dense_inputs(monkeypatch):
+    """A join whose windows hold more pairs than one numpy pass takes
+    returns the same CSR arrays in several passes."""
+    import repro.ftl.atoms as atoms
+
+    rng = random.Random(5)
+    boxes = [
+        ((x, y), (x + rng.randint(0, 4), y + rng.randint(0, 4)))
+        for x, y in ((rng.randint(0, 30), rng.randint(0, 30)) for _ in range(60))
+    ]
+    table = table_of(boxes)
+    whole = overlap_join(table, table, 3.0)
+    monkeypatch.setattr(atoms, "_JOIN_BLOCK", 7)
+    blocked = overlap_join(table, table, 3.0)
+    assert [a.tolist() for a in whole] == [a.tolist() for a in blocked]
+    assert join_rows(table, table, 3.0) == broadcast_rows(table, table, 3.0)
 
 
 #: ``[(pruned, solves, hits) of the first run, ... of the warm re-run]``

@@ -414,10 +414,11 @@ def test_worker_replica_builds_one_table_per_snapshot():
     shard._build()
     assert shard._pad == serial._pad
     assert set(shard._rows) == set(serial._rows)
-    for dim, table in serial._tables.items():
-        assert bits(shard._tables[dim].lo) == bits(table.lo)
-        assert bits(shard._tables[dim].hi) == bits(table.hi)
-        assert shard._tables[dim].owners == table.owners
+    assert len(shard._boxes) == len(serial._boxes)
+    for mine, table in zip(shard._boxes, serial._boxes):
+        assert bits(mine.lo) == bits(table.lo)
+        assert bits(mine.hi) == bits(table.hi)
+        assert mine.owners == table.owners
 
 
 @pytest.mark.parametrize("snapshot", [True, False])
@@ -431,5 +432,5 @@ def test_histories_of_one_version_share_a_table(snapshot):
     ).atom_pruner()
     a._build()
     b._build()
-    assert a._tables[2] is b._tables[2]
+    assert a._boxes[0] is b._boxes[0]
     assert db.mbr_tables.builds == 1

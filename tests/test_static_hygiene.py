@@ -260,8 +260,9 @@ def annotation_gaps(tree):
     return gaps
 
 
-#: Packages mypy checks strictly (``pyproject.toml``), and the update
-#: router and divergence probe — the shared gate every commit runs.
+#: Packages mypy checks strictly (``pyproject.toml``), the update router
+#: and divergence probe — the shared gate every commit runs — and the
+#: atom pruner's leg-box tables and join.
 STRICT_PACKAGES = ("server", "parallel", "ftl/analysis")
 STRICT_DEFS = {
     "core/queries.py": (
@@ -274,6 +275,15 @@ STRICT_DEFS = {
         "_is_live",
     ),
     "ftl/analysis/validity.py": ("DivergenceProbe", "update_divergence"),
+    "ftl/atoms.py": (
+        "_MbrTable",
+        "overlap_join",
+        "ClassMbrTable",
+        "_linear_leg_boxes",
+        "build_class_table",
+        "MbrTableCache",
+        "AtomIndexPruner",
+    ),
 }
 
 
