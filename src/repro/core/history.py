@@ -25,12 +25,13 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.core.dynamic import DynamicAttribute
-from repro.errors import QueryError
+from repro.errors import QueryError, SchemaError
 from repro.geometry import Point
 from repro.motion.moving import MovingPoint
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.database import MostDatabase, Region
+    from repro.core.objects import MostObject
 
 
 class DatabaseState:
@@ -94,106 +95,63 @@ class History:
 class FutureHistory(History):
     """The infinite history implied by the database contents at ``start``.
 
-    By default dynamic-attribute triples and static values are snapshotted
-    at construction, so later explicit updates do not leak in — exactly
-    the "tentative answer" semantics of section 1.  With
-    ``snapshot=False`` the history reads through to the live database
-    state instead: construction is O(1) regardless of population, which is
-    what incremental continuous-query refreshes need (they evaluate
-    synchronously, so no update can interleave with the read-through).
+    Every future state is "identical to the state at time t, except for
+    the value of the dynamic attributes", so nothing is copied: readers
+    go to the live objects.  The history is pinned to the content token
+    it was opened on (:func:`epoch_token`); once a commit or an insert
+    moves the database on, every reader raises ``QueryError``.
     """
 
-    def __init__(
-        self,
-        db: "MostDatabase",
-        start: float | None = None,
-        snapshot: bool = True,
-    ) -> None:
+    def __init__(self, db: "MostDatabase", start: float | None = None) -> None:
         super().__init__(db, db.clock.now if start is None else start)
-        self._snapshot = snapshot
-        #: ``db.version`` at construction — the content version of a
-        #: snapshotting history.  Sharded evaluation keys its shipped
-        #: motion snapshots on this (a snapshot history's contents are
-        #: frozen here, no matter how the database moves on).
-        self.build_version = db.version
-        self._population: dict[str, list[object]] = {}
-        self._dynamic: dict[tuple[object, str], DynamicAttribute] = {}
-        self._static: dict[tuple[object, str], object] = {}
-        if not snapshot:
-            return
-        self._population = {
-            cls: [o.object_id for o in db.objects_of(cls)]
-            for cls in db.class_names()
-        }
-        for obj in db.all_objects():
-            for attr in obj.object_class.all_dynamic:
-                self._dynamic[(obj.object_id, attr)] = obj.dynamic_attribute(attr)
-            for attr in obj.object_class.static_attributes:
-                self._static[(obj.object_id, attr)] = obj.static_value(attr)
+        self._token: tuple[object, ...] = (
+            db.uid,
+            db.version,
+            len(db),
+            tuple(db.class_names()),
+            tuple(db.region_names()),
+            float(self.start),
+        )
+
+    def _live(self) -> "MostDatabase":
+        """The database, checked not to have moved since the pin."""
+        db, pin = self.db, self._token
+        if db.version != pin[1] or len(db) != pin[2]:
+            raise QueryError(
+                f"future history pinned at database version {pin[1]} ({pin[2]} "
+                f"objects), read at version {db.version} ({len(db)} objects)"
+            )
+        return db
+
+    def _object(self, object_id: object) -> "MostObject | None":
+        try:
+            return self._live().get(object_id)
+        except SchemaError:
+            return None
 
     def object_ids(self, class_name: str) -> list[object]:
-        self.db.object_class(class_name)
-        if not self._snapshot:
-            return [o.object_id for o in self.db.objects_of(class_name)]
-        return list(self._population.get(class_name, ()))
+        return [o.object_id for o in self._live().objects_of(class_name)]
 
     def value(self, object_id: object, attr: str, t: float) -> object:
-        if not self._snapshot:
-            obj = self.db.get(object_id)
-            if obj.object_class.is_dynamic(attr):
-                return obj.dynamic_attribute(attr).value_at(t)
-            if obj.object_class.has_attribute(attr):
-                return obj.static_value(attr)
-            raise QueryError(
-                f"object {object_id!r} has no attribute {attr!r} in this "
-                "history"
-            )
-        key = (object_id, attr)
-        if key in self._dynamic:
-            return self._dynamic[key].value_at(t)
-        if key in self._static:
-            return self._static[key]
+        obj = self._object(object_id)
+        if obj is not None and obj.object_class.is_dynamic(attr):
+            return obj.dynamic_attribute(attr).value_at(t)
+        if obj is not None and obj.object_class.has_attribute(attr):
+            return obj.static_value(attr)
         raise QueryError(
             f"object {object_id!r} has no attribute {attr!r} in this history"
         )
 
     def moving_point(self, object_id: object) -> MovingPoint:
-        """The object's motion as frozen at ``start`` — the input to the
-        kinetic solvers of the FTL interval algorithm."""
-        from repro.core.objects import MostObject  # local to avoid cycle
-
-        obj = self.db.get(object_id)
-        if not self._snapshot:
-            return obj.moving_point()
-        snapshot = MostObject(
-            object_id,
-            obj.object_class,
-            static={
-                a: self._static[(object_id, a)]
-                for a in obj.object_class.static_attributes
-            },
-            dynamic={
-                a: self._dynamic[(object_id, a)]
-                for a in obj.object_class.all_dynamic
-            },
-        )
-        return snapshot.moving_point()
+        """The object's motion as implied at ``start`` (the solvers' input)."""
+        return self._live().get(object_id).moving_point()
 
     def dynamic_triple(self, object_id: object, attr: str) -> DynamicAttribute:
-        """The frozen (value, updatetime, function) of one attribute."""
-        if not self._snapshot:
-            obj = self.db.get(object_id)
-            if not obj.object_class.is_dynamic(attr):
-                raise QueryError(
-                    f"object {object_id!r} has no dynamic attribute {attr!r}"
-                )
-            return obj.dynamic_attribute(attr)
-        try:
-            return self._dynamic[(object_id, attr)]
-        except KeyError:
-            raise QueryError(
-                f"object {object_id!r} has no dynamic attribute {attr!r}"
-            ) from None
+        """The (value, updatetime, function) of one attribute."""
+        obj = self._object(object_id)
+        if obj is None or not obj.object_class.is_dynamic(attr):
+            raise QueryError(f"object {object_id!r} has no dynamic attribute {attr!r}")
+        return obj.dynamic_attribute(attr)
 
 
 def epoch_token(history: History) -> tuple[object, ...] | None:
@@ -203,32 +161,14 @@ def epoch_token(history: History) -> tuple[object, ...] | None:
     mutation path of :class:`~repro.core.database.MostDatabase` either
     commits an update (bumping ``db.version``) or changes the population
     / class / region signature, and the window start pins the statics
-    read point.  A *snapshotting* :class:`FutureHistory` froze its
-    contents at construction, so its content version is the one recorded
-    then (``build_version``), not the database's current one — a stale
-    snapshot history must never be served state derived from a newer
-    version, nor the other way round.  Everything derived from a history
-    and reused across histories keys on this one token: the shard pool's
-    shipped replica and the atom pruner's trajectory-MBR tables.  A
-    :class:`RecordedHistory` replays the update log and has no token.
+    read point.  A :class:`FutureHistory` reads only under the token it
+    was pinned to, so what is derived under a token — the shard pool's
+    replica, the pruner's trajectory-MBR tables — is what every history
+    holding it reads.  A :class:`RecordedHistory` has no token.
     """
     if not isinstance(history, FutureHistory):
         return None
-    db = history.db
-    if history._snapshot:
-        version = history.build_version
-        population = sum(len(ids) for ids in history._population.values())
-    else:
-        version = db.version
-        population = len(db)
-    return (
-        db.uid,
-        version,
-        population,
-        tuple(db.class_names()),
-        tuple(db.region_names()),
-        float(history.start),
-    )
+    return history._token
 
 
 class RecordedHistory(History):

@@ -484,7 +484,7 @@ class ContinuousQuery:
         self.incremental_refreshes += 1
         now = self.db.clock.now
         remaining = max(0, self.expires_at - now)
-        history = FutureHistory(self.db, snapshot=False)
+        history = FutureHistory(self.db)
         ctx = EvalContext(history, remaining, self.query.bindings)
         self._compute_validity_stamps(now)
         evaluator = PartialIntervalEvaluator(
@@ -606,6 +606,9 @@ class ContinuousQuery:
                 )
 
     def _ensure_fresh(self) -> None:
+        if self._population_counts() != self._population:
+            # An insert commits nothing, so no router gate saw it.
+            self._dirty = self._needs_full = True
         if self._dirty and self.db.clock.now <= self.expires_at:
             if self._can_refresh_incrementally():
                 self._refresh_incremental()
@@ -623,7 +626,6 @@ class ContinuousQuery:
             and not self._needs_full
             and self._cache is not None
             and bool(self._dirty_objects)
-            and self._population_counts() == self._population
         )
 
     def _population_counts(self) -> dict[str, int]:
@@ -671,10 +673,11 @@ class ContinuousQuery:
         """Whether the next read will recompute ``Answer(CQ)``.
 
         The subscription registry polls this to skip refresh work for
-        queries no relevant update has touched since their last read.
+        queries no relevant update or insert has touched since their last
+        read.
         """
         return (
-            self._dirty
+            (self._dirty or self._population_counts() != self._population)
             and not self._cancelled
             and self.db.clock.now <= self.expires_at
         )

@@ -639,9 +639,9 @@ class MbrTableCache:
     population, class and region names, window start), the window end and
     the class.  The cache holds the tables of one token at a time — the
     first request under another token evicts them all — so a long-running
-    server retains O(classes x live windows) tables, and a snapshot
-    history of an older version is never served a newer version's table
-    (nor the other way round).
+    server retains O(classes x live windows) tables.  A history reads
+    only under the token it was pinned to, so a table is only ever built
+    from, and served to, histories of its own content version.
     """
 
     def __init__(self) -> None:
@@ -666,14 +666,17 @@ class MbrTableCache:
         class_name: str,
         build: "Callable[[], ClassMbrTable]",
     ) -> ClassMbrTable:
-        """The cached table, or ``build()``'s, stored under the key."""
-        if token != self._token:
-            self._tables.clear()
-            self._token = token
+        """The cached table, or ``build()``'s, stored under the key (a
+        build that raises — a history whose database moved on — evicts
+        nothing)."""
         key = (end, class_name)
-        table = self._tables.get(key)
+        table = self._tables.get(key) if token == self._token else None
         if table is None:
-            table = self._tables[key] = build()
+            table = build()
+            if token != self._token:
+                self._tables.clear()
+                self._token = token
+            self._tables[key] = table
             self.builds += 1
         return table
 

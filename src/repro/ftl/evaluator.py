@@ -457,7 +457,9 @@ class IntervalEvaluator:
         self, key, solve: "Callable[[], IntervalSet]"
     ) -> IntervalSet:
         """Run one unstamped kinetic solve (the attribute fast path)
-        through the shared memo table."""
+        through the shared memo table.  No window-shift probe: only the
+        row loop's stamped puts can answer one, and an attribute key is
+        never stamped."""
         cache = self._solve_cache
         if cache is None or key is None:
             self.kinetic_solves += 1
@@ -466,12 +468,6 @@ class IntervalEvaluator:
         if hit is not None:
             self.cache_hits += 1
             return hit
-        if self.validity is not None:
-            shifted = cache.shifted_get(key)
-            if shifted is not None:
-                self.cache_shift_hits += 1
-                cache.put(key, shifted)
-                return shifted
         self.cache_misses += 1
         self.kinetic_solves += 1
         result = solve()

@@ -230,8 +230,8 @@ class MotionSnapshot:
         """Reconstruct a database replica and its read-through history.
 
         The replica is private to the calling process and never mutated,
-        so the history reads through (``snapshot=False``) at O(1)
-        construction cost per evaluation.
+        so the one history, pinned to the replica's only content version,
+        serves every evaluation of this snapshot.
         """
         meta = self.meta
         start = meta["start"]
@@ -311,5 +311,5 @@ class MotionSnapshot:
                     static=class_statics.get(oid),
                     dynamic=dynamic,
                 )
-        history = FutureHistory(db, start=start, snapshot=False)
+        history = FutureHistory(db, start=start)
         return db, history

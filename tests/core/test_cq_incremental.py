@@ -238,8 +238,9 @@ class TestFallbacks:
             db, parse_query(ENTER_P), horizon=40, method="incremental"
         )
         db.add_moving_object("cars", "c-new", Point(3.0, 3.0), Point(0, 0))
-        # add_object does not notify listeners; the next relevant update
-        # must detect the population change and recompute from scratch.
+        # add_object commits nothing, so no listener hears of it; the
+        # next read sees the population change (whether or not an update
+        # came in between) and recomputes from scratch.
         db.update_motion("c-new", Point(1, 1))
         # c0 (x=-2, v=1) enters P within the 3-tick window; c1/c2 start too
         # far back; the inserted car starts inside P.

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core import FutureHistory, MostDatabase, ObjectClass, RecordedHistory
-from repro.errors import QueryError
+from repro.core.history import epoch_token
+from repro.errors import QueryError, SchemaError
 from repro.geometry import Point
 from repro.motion import LinearFunction
 
@@ -33,18 +34,63 @@ class TestFutureHistory:
         assert h.value("c1", "color", 1000) == "red"
 
     def test_snapshot_isolated_from_updates(self, db):
+        """A history is pinned to the content it was opened on: after a
+        commit every reader refuses, naming both versions, and a new
+        history reads the new world."""
         h = FutureHistory(db)
         db.clock.tick(1)
         db.update_motion("c1", Point(0, 99))
         db.update_static("c1", "color", "blue")
-        # The history keeps the world as of its start time.
-        assert h.value("c1", "x_position", 4) == 20
-        assert h.value("c1", "color", 4) == "red"
+        readers = (
+            lambda: h.value("c1", "x_position", 4),
+            lambda: h.value("c1", "color", 4),
+            lambda: h.object_ids("cars"),
+            lambda: h.moving_point("c1"),
+            lambda: h.dynamic_triple("c1", "x_position"),
+            lambda: h.position("c1", 4),
+        )
+        for read in readers:
+            with pytest.raises(QueryError, match="version 0 .*version 2"):
+                read()
+        fresh = FutureHistory(db, start=0)
+        assert fresh.value("c1", "x_position", 4) == 5
+        assert fresh.value("c1", "color", 4) == "blue"
 
     def test_population_frozen(self, db):
+        """An insert commits nothing (``db.version`` stays), but the
+        population is part of the pin."""
         h = FutureHistory(db)
         db.add_moving_object("cars", "c2", Point(1, 1))
-        assert h.object_ids("cars") == ["c1"]
+        assert db.version == 0
+        with pytest.raises(QueryError, match=r"\(1 objects\).*\(2 objects\)"):
+            h.object_ids("cars")
+        assert FutureHistory(db).object_ids("cars") == ["c1", "c2"]
+
+    def test_snapshot_keyword_removed(self, db):
+        with pytest.raises(TypeError):
+            FutureHistory(db, snapshot=True)
+        with pytest.raises(TypeError):
+            FutureHistory(db, snapshot=False)
+
+    def test_unknown_object(self, db):
+        h = FutureHistory(db)
+        with pytest.raises(QueryError):
+            h.value("nobody", "x_position", 0)
+        with pytest.raises(QueryError):
+            h.dynamic_triple("nobody", "x_position")
+        with pytest.raises(SchemaError):
+            h.moving_point("nobody")
+        with pytest.raises(SchemaError):
+            h.object_ids("boats")
+
+    def test_epoch_token_is_the_pin(self, db):
+        h = FutureHistory(db)
+        pinned = epoch_token(h)
+        assert pinned == (db.uid, 0, 1, ("cars",), (), 0.0)
+        db.update_motion("c1", Point(1, 0))
+        assert epoch_token(h) == pinned
+        assert epoch_token(FutureHistory(db))[1] == 1
+        assert epoch_token(RecordedHistory(db, start=0)) is None
 
     def test_unknown_attribute(self, db):
         h = FutureHistory(db)

@@ -14,8 +14,9 @@ Two claims, each against a reference that is not the code under test:
 * **One build per content version.**  Tables live on the database,
   keyed by the history's content token and the window: the queries and
   contexts of one version share one build per bound class, every change
-  of content forces a new one, a stale snapshot history is never served
-  a newer table, and the cache stays bounded however many versions pass.
+  of content forces a new one, a history whose database moved on builds
+  nothing and evicts nothing, and the cache stays bounded however many
+  versions pass.
 """
 
 import random
@@ -27,7 +28,7 @@ from hypothesis import strategies as st
 
 from repro.core import MostDatabase, ObjectClass
 from repro.core.dynamic import DynamicAttribute
-from repro.core.history import FutureHistory, RecordedHistory
+from repro.core.history import FutureHistory, RecordedHistory, epoch_token
 from repro.errors import QueryError, SchemaError
 from repro.ftl import parse_query
 from repro.ftl.atoms import _linear_leg_boxes, build_class_table
@@ -178,12 +179,13 @@ SETTINGS = settings(
 @given(
     start=st.integers(0, 20),
     horizon=st.integers(0, 12),
-    snapshot=st.booleans(),
+    stale=st.booleans(),
     data=st.data(),
 )
-def test_class_tables_equal_the_scalar_build(start, horizon, snapshot, data):
-    """2-D and 3-D classes and a nonspatial one, every motion shape, a
-    snapshot or read-through history, zero-length windows included."""
+def test_class_tables_equal_the_scalar_build(start, horizon, stale, data):
+    """2-D and 3-D classes and a nonspatial one, every motion shape,
+    zero-length windows included; a history opened before the last
+    insert refuses to build, and its reopened twin is checked."""
     end = start + horizon
     cars = data.draw(st.lists(movers(2, end), max_size=8), label="cars")
     drones = data.draw(st.lists(movers(3, end), max_size=5), label="drones")
@@ -196,11 +198,16 @@ def test_class_tables_equal_the_scalar_build(start, horizon, snapshot, data):
         for i, axes in enumerate(rows):
             db.add_object(cls, f"{cls[0]}{i}", dynamic=dict(zip(names, axes)))
     db.add_object("tags", "t0", dynamic={"level": DynamicAttribute.linear(1, 2)})
-    history = FutureHistory(db, start=start, snapshot=snapshot)
+    history = FutureHistory(db, start=start)
+    if stale:
+        db.add_object("tags", "t1", dynamic={"level": DynamicAttribute.linear(0, 1)})
+        with pytest.raises(QueryError, match=r"\(\d+ objects\).*\(\d+ objects\)"):
+            build_class_table(history, "cars", start, end, history.moving_point)
+        history = FutureHistory(db, start=start)
     for cls in ("cars", "drones", "tags"):
         assert_table_matches_reference(history, cls, start, end)
     tags = build_class_table(history, "tags", start, end, history.moving_point)
-    assert tags.boxes is None and tags.raising == {"t0"}
+    assert tags.boxes is None and tags.raising == set(history.object_ids("tags"))
 
 
 def reference_mover(axes):
@@ -356,21 +363,36 @@ def test_content_changes_force_a_new_build():
 
 
 def test_stale_snapshot_is_never_served_a_newer_table():
+    """A history opened before a commit refuses to build a table and
+    evicts nothing; the fresh history's table holds the new motion."""
     db = fleet()
     stale = FutureHistory(db)
     db.update_motion("car-0", Point(0, 0), position=Point(1000, 1000))
-    fresh = EvalContext(FutureHistory(db), HORIZON, {"o": "cars"})
-    assert fresh.atom_pruner().is_indexed("car-0")
-    old = EvalContext(stale, HORIZON, {"o": "cars"})
-    pruner = old.atom_pruner()
+    fresh_history = FutureHistory(db)
+    fresh = EvalContext(fresh_history, HORIZON, {"o": "cars"})
+    pruner = fresh.atom_pruner()
     assert pruner.is_indexed("car-0")
     boxes, first, stop = pruner._rows["car-0"]
     (want_lo,), _ = leg_boxes(
-        stale.moving_point("car-0").linear_pieces(old.start, old.end)
+        fresh_history.moving_point("car-0").linear_pieces(fresh.start, fresh.end)
     )
     assert bits(boxes.lo[:, first:stop].T) == bits([want_lo])
-    assert boxes.lo[0, first] < 1000, "the stale history saw the old motion"
-    assert db.mbr_tables.builds == 2
+    assert boxes.lo[0, first] == 1000, "the fresh history saw the new motion"
+    with pytest.raises(QueryError, match="version 0 .*version 1"):
+        EvalContext(stale, HORIZON, {"o": "cars"})
+    with pytest.raises(QueryError, match="version 0 .*version 1"):
+        db.mbr_tables.get(
+            epoch_token(stale),
+            fresh.end,
+            "cars",
+            lambda: build_class_table(
+                stale, "cars", fresh.start, fresh.end, stale.moving_point
+            ),
+        )
+    again = EvalContext(FutureHistory(db), HORIZON, {"o": "cars"}).atom_pruner()
+    again._build()
+    assert again._boxes[0] is boxes
+    assert db.mbr_tables.builds == 1
 
 
 def test_tables_stay_bounded_across_versions():
@@ -421,16 +443,19 @@ def test_worker_replica_builds_one_table_per_snapshot():
         assert mine.owners == table.owners
 
 
-@pytest.mark.parametrize("snapshot", [True, False])
-def test_histories_of_one_version_share_a_table(snapshot):
-    """A snapshot and a read-through history of the same content carry
-    the same token, hence read the same table object."""
+@pytest.mark.parametrize("opened_before_build", [True, False])
+def test_histories_of_one_version_share_a_table(opened_before_build):
+    """Two histories of the same content — the second opened before or
+    after the first built its tables — carry the same token, hence read
+    the same table object."""
     db = fleet()
     a = EvalContext(FutureHistory(db), HORIZON, {"o": "cars"}).atom_pruner()
-    b = EvalContext(
-        FutureHistory(db, snapshot=snapshot), HORIZON, {"o": "cars"}
-    ).atom_pruner()
-    a._build()
+    if opened_before_build:
+        b = EvalContext(FutureHistory(db), HORIZON, {"o": "cars"}).atom_pruner()
+        a._build()
+    else:
+        a._build()
+        b = EvalContext(FutureHistory(db), HORIZON, {"o": "cars"}).atom_pruner()
     b._build()
     assert a._boxes[0] is b._boxes[0]
     assert db.mbr_tables.builds == 1

@@ -8,8 +8,11 @@ value by value, and anything the arrays cannot carry exactly must round
 trip through the per-row pickle fallback.
 """
 
+import pytest
+
 from repro.core import MostDatabase, ObjectClass
 from repro.core.history import FutureHistory, epoch_token
+from repro.errors import QueryError
 from repro.geometry import Point
 from repro.motion.functions import (
     LinearFunction,
@@ -149,20 +152,24 @@ def test_release_is_idempotent():
 
 
 # ---------------------------------------------------------------------------
-# Epoch tokens: a stale snapshot history must never share a token with a
-# fresh one
+# Epoch tokens: a stale history keeps its pinned token and ships nothing;
+# a fresh one gets a new token
 # ---------------------------------------------------------------------------
 
 
 def test_epoch_token_distinguishes_stale_snapshot():
     db = build_db()
-    frozen = FutureHistory(db, snapshot=True)
+    frozen = FutureHistory(db)
     before = epoch_token(frozen)
     db.update_motion("c0", Point(2, 2))
-    fresh = FutureHistory(db, snapshot=True)
-    assert epoch_token(frozen) == before, "frozen history must keep its token"
+    fresh = FutureHistory(db)
+    assert epoch_token(frozen) == before, "a history keeps its pinned token"
     assert epoch_token(fresh) != before
-    assert epoch_token(FutureHistory(db)) != before
+    assert epoch_token(fresh)[1] == before[1] + 1
+    with pytest.raises(QueryError, match="version 0 .*version 1"):
+        MotionSnapshot.build(frozen)
+    snap = MotionSnapshot.build(fresh)
+    snap.release()
 
 
 def test_epoch_token_tracks_population_changes():

@@ -242,34 +242,43 @@ def test_trace_and_validity_are_serial_only():
 
 @pytest.mark.parametrize("start_method", ["fork", "spawn"])
 def test_read_through_history_shards_like_a_snapshot(start_method):
-    """``FutureHistory(db, snapshot=False)`` reads the live database; its
-    epoch token comes from ``db.version`` and must move with every kind
-    of update, or the pool would serve a stale replica."""
+    """A history is pinned to the content version it was opened on: its
+    epoch token is that version's, the pool ships that version's replica,
+    and once any kind of update moves the database on the old history
+    refuses to evaluate while a fresh one gets a new token, a new replica
+    and the new answer."""
     if start_method not in multiprocessing.get_all_start_methods():
         pytest.skip(f"{start_method} start method unavailable")
     rng = random.Random(12)
     db = build_world(rng)
     query = random_query(rng)
-    live = FutureHistory(db, snapshot=False)
     pool = get_pool(2, start_method=start_method)
 
-    def sharded():
-        ev = ShardedIntervalEvaluator(query, live, HORIZON, 2, pool=pool)
+    def sharded(history):
+        ev = ShardedIntervalEvaluator(query, history, HORIZON, 2, pool=pool)
         return rows_of(ev.evaluate()), ev.sharded
 
-    assert sharded() == (rows_of(
-        ShardedIntervalEvaluator(query, live, HORIZON, 1).evaluate()
-    ), True)
-    tokens = [epoch_token(live)]
-    car = live.object_ids("cars")[0]
+    def serial(history):
+        return rows_of(query.evaluate_full(history, HORIZON))
+
+    first = FutureHistory(db)
+    assert sharded(first) == (serial(first), True)
+    assert pool.ensure_snapshot(first) == epoch_token(first)
+    tokens = [epoch_token(first)]
+    car = first.object_ids("cars")[0]
     db.update_static(car, "price", 999)
-    tokens.append(epoch_token(live))
+    tokens.append(epoch_token(FutureHistory(db)))
     db.update_motion(car, Point(3, -2))
-    tokens.append(epoch_token(live))
+    latest = FutureHistory(db)
+    tokens.append(epoch_token(latest))
     assert len(set(tokens)) == 3
     assert db.version == tokens[-1][1] > tokens[0][1]
+    assert epoch_token(first) == tokens[0]
+    with pytest.raises(QueryError, match="version"):
+        sharded(first)
     # The same pool, after the updates: a fresh replica, the new answer.
-    assert sharded()[0] == rows_of(query.evaluate_full(FutureHistory(db), HORIZON))
+    assert sharded(latest) == (serial(latest), True)
+    assert pool.ensure_snapshot(latest) == tokens[-1]
 
 
 def test_non_future_history_rejected():

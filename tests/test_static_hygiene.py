@@ -261,10 +261,12 @@ def annotation_gaps(tree):
 
 
 #: Packages mypy checks strictly (``pyproject.toml``), the update router
-#: and divergence probe — the shared gate every commit runs — and the
-#: atom pruner's leg-box tables and join.
+#: and divergence probe — the shared gate every commit runs — the pinned
+#: future history and its content token, and the atom pruner's leg-box
+#: tables and join.
 STRICT_PACKAGES = ("server", "parallel", "ftl/analysis")
 STRICT_DEFS = {
+    "core/history.py": ("FutureHistory", "epoch_token"),
     "core/queries.py": (
         "UpdateRouter",
         "_RoutedCommit",

@@ -6,9 +6,12 @@ reads counters off the traced objects in its ``_AFTER`` hooks.  A rename
 under ``src/`` breaks the benchmark's traced run — which only the
 benchmark gate would notice.  This test reads the table (read-only) and
 resolves every entry the way ``Tracer.install`` does, so the rename
-fails in tier-1 instead.
+fails in tier-1 instead.  The counter names ``benchmarks/e2e/sim.py``
+reads off the server and its queries are checked the same way, parsed
+without importing the module.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -80,3 +83,36 @@ def test_after_hooks_find_their_counters():
     assert set(tracing.EVAL_COUNTERS) <= set(
         IntervalEvaluator(ev.ctx).counters()
     )
+
+
+def _sim_names(name):
+    """A tuple of strings assigned at the top of ``benchmarks/e2e/sim.py``."""
+    tree = ast.parse((_TRACING.parent / "sim.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"sim.py assigns no {name}")
+
+
+def test_sim_counters_are_attributes():
+    """``SERVER_COUNTERS`` are read off ``CQServer.metrics`` and
+    ``QUERY_COUNTERS`` off every registered ``ContinuousQuery``."""
+    from repro.core import ContinuousQuery, MostDatabase, ObjectClass
+    from repro.distributed.network import FaultPlan, SimNetwork
+    from repro.ftl import parse_query
+    from repro.server import CQServer
+
+    server_counters = _sim_names("SERVER_COUNTERS")
+    query_counters = _sim_names("QUERY_COUNTERS")
+    assert server_counters and query_counters
+    db = MostDatabase()
+    db.create_class(ObjectClass("cars", spatial_dimensions=2))
+    server = CQServer(db, SimNetwork(db.clock, faults=FaultPlan(seed=0)))
+    query = parse_query("RETRIEVE c FROM cars c WHERE c.x_position > 0")
+    cq = ContinuousQuery(db, query, 5)
+    for name in server_counters:
+        assert isinstance(getattr(server.metrics, name, None), (int, float)), name
+    for name in query_counters:
+        assert isinstance(getattr(cq, name, None), (int, float)), name
