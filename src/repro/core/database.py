@@ -16,8 +16,9 @@ go through :meth:`MostDatabase.update_motion` /
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from repro.core.dynamic import DynamicAttribute
 from repro.core.objects import MostObject, ObjectClass
@@ -75,6 +76,13 @@ class MostDatabase:
         self._classes: dict[str, ObjectClass] = {}
         self._objects: dict[object, MostObject] = {}
         self._by_class: dict[str, list[object]] = {}
+        # The motion-event index (see ``motion_event_candidates``), per
+        # class: the ids of objects with a dynamic attribute that is not
+        # a plain ``LinearFunction``, and the largest ``updatetime`` ever
+        # installed.  A future delete path must drop its object from
+        # ``_eventful``.
+        self._eventful: dict[str, set[object]] = {}
+        self._latest_updatetime: dict[str, float] = {}
         self._regions: dict[str, Region] = {}
         self._log: list[MostUpdate] = []
         self._version = 0
@@ -133,6 +141,8 @@ class MostDatabase:
             raise SchemaError(f"class {object_class.name!r} already exists")
         self._classes[object_class.name] = object_class
         self._by_class[object_class.name] = []
+        self._eventful[object_class.name] = set()
+        self._latest_updatetime[object_class.name] = -math.inf
         return object_class
 
     def object_class(self, name: str) -> ObjectClass:
@@ -181,6 +191,7 @@ class MostDatabase:
         self._objects[object_id] = obj
         self._by_class[class_name].append(object_id)
         self._last_update_time[object_id] = self.clock.now
+        self._index_motion(obj, (dynamic or {}).values())
         return obj
 
     def add_moving_object(
@@ -233,6 +244,53 @@ class MostDatabase:
         """Number of objects of one class (O(1) population check)."""
         self.object_class(class_name)
         return len(self._by_class[class_name])
+
+    def motion_event_candidates(
+        self, class_name: str, t_eval: float
+    ) -> list[MostObject]:
+        """The objects of a class that can carry a motion event strictly
+        after ``t_eval`` (see
+        :func:`repro.ftl.analysis.validity.class_motion_events`).
+
+        A *plain* attribute — ``type(function) is LinearFunction`` —
+        decomposes into one piece from ``t = 0`` at every duration, so
+        its only candidate event is its own ``updatetime``.  When no
+        plain attribute of the class is anchored after ``t_eval`` (the
+        largest ``updatetime`` ever installed in the class is at or
+        before it), only objects carrying a non-plain dynamic attribute
+        can contribute; otherwise every object is returned.  Raises
+        :class:`SchemaError` for an unknown class.
+        """
+        self.object_class(class_name)
+        if self._latest_updatetime[class_name] <= t_eval:
+            return [self._objects[i] for i in self._eventful[class_name]]
+        return self.objects_of(class_name)
+
+    def _index_motion(
+        self, obj: MostObject, installed: Iterable[DynamicAttribute]
+    ) -> None:
+        """Keep the motion-event index current once the ``installed``
+        triples are on ``obj``: O(triples), plus a re-check of the
+        object's other dynamic attributes only when it was already
+        eventful or a new triple is not plain."""
+        name = obj.object_class.name
+        latest = self._latest_updatetime
+        plain = True
+        for triple in installed:
+            if type(triple.function) is not LinearFunction:
+                plain = False
+            if triple.updatetime > latest[name]:
+                latest[name] = triple.updatetime
+        eventful = self._eventful[name]
+        if plain and obj.object_id not in eventful:
+            return
+        if all(
+            type(obj.dynamic_attribute(a).function) is LinearFunction
+            for a in obj.object_class.all_dynamic
+        ):
+            eventful.discard(obj.object_id)
+        else:
+            eventful.add(obj.object_id)
 
     def all_objects(self) -> Iterator[MostObject]:
         """Every object in the database."""
@@ -331,9 +389,11 @@ class MostDatabase:
         )
 
     def _write(self, obj: MostObject, updates: tuple[MostUpdate, ...]) -> None:
-        """Install computed dynamic-attribute records, then commit them."""
+        """Install computed dynamic-attribute records, index them, then
+        commit them (listeners see a current motion-event index)."""
         for update in updates:
             obj._set_dynamic(update.attribute, update.new)
+        self._index_motion(obj, [update.new for update in updates])
         self._commit(*updates)
 
     # ------------------------------------------------------------------

@@ -516,13 +516,14 @@ class ContinuousQuery:
     def _compute_validity_stamps(self, now: int) -> None:
         """Concretize the static validity horizons at refresh time.
 
-        Scans the bound classes' dynamic attributes for the earliest
-        future motion event (leg boundary or scheduled expiry) and turns
-        the symbolic per-node horizons into absolute expiry stamps.  The
-        stamps flow into the evaluator (window-shifted cache reuse and
-        horizon-pruned incremental refresh) and into the update-stream
-        gate (:meth:`_beyond_validity_horizon`).  Any failure degrades
-        to "no stamps" — every consumer treats that as "never skip".
+        Reads the earliest future motion event (leg boundary or
+        scheduled expiry) of each bound class off the database's
+        motion-event index and turns the symbolic per-node horizons
+        into absolute expiry stamps.  The stamps flow into the evaluator
+        (window-shifted cache reuse and horizon-pruned incremental
+        refresh) and into the update-stream gate
+        (:meth:`_beyond_validity_horizon`).  Any failure degrades to "no
+        stamps" — every consumer treats that as "never skip".
         """
         if self._validity is None:
             return

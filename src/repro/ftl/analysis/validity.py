@@ -505,14 +505,21 @@ def class_motion_events(
     carries a function the analysis cannot bound (non-piecewise-linear),
     which concretizes every dependent horizon to ⊥.
 
+    The objects come from the database's motion-event index
+    (:meth:`~repro.core.database.MostDatabase.motion_event_candidates`),
+    kept current on every write: when no plain linear attribute of a
+    class is anchored after ``t_eval``, only its objects carrying a
+    non-plain function are read — usually none — instead of every
+    object of the class.
+
     ``db`` is duck-typed as a :class:`~repro.core.database.MostDatabase`
-    (``objects_of``); objects expose ``object_class.all_dynamic`` and
-    ``dynamic_attribute``.
+    (``motion_event_candidates``); objects expose
+    ``object_class.all_dynamic`` and ``dynamic_attribute``.
     """
     events: dict[str, float | None] = {}
     for cls in sorted(set(classes)):
         try:
-            objects = list(db.objects_of(cls))
+            objects = db.motion_event_candidates(cls, t_eval)
         except Exception:
             events[cls] = None
             continue

@@ -255,14 +255,18 @@ def _update_to_obj(u: MotionUpdate) -> dict[str, Any]:
     }
 
 
+def _scalar_id(value: Any, field_name: str) -> Any:
+    """An id field's value, which must be a JSON scalar: a list or dict
+    would pass the codec and then take the connection handler or the
+    epoch loop down at the first set or dict lookup."""
+    if isinstance(value, (list, dict)):
+        raise TypeError(f"{field_name} must be a JSON scalar")
+    return value
+
+
 def _update_from_obj(o: dict[str, Any]) -> MotionUpdate:
-    object_id = o["object_id"]
-    if isinstance(object_id, (list, dict)):
-        # Unhashable: it would pass the codec and then take the epoch
-        # loop down at the database lookup.
-        raise TypeError("object_id must be a JSON scalar")
     return MotionUpdate(
-        object_id=object_id,
+        object_id=_scalar_id(o["object_id"], "object_id"),
         seq=int(o["seq"]),
         measured_at=int(o["measured_at"]),
         position=Point(*(float(c) for c in o["position"])),
@@ -358,14 +362,17 @@ def from_wire(obj: dict[str, Any]) -> tuple[str, object]:
     kind = obj.get("kind")
     if kind == INGEST_BATCH:
         return kind, IngestBatch(
-            reporter_id=obj["reporter_id"],
+            reporter_id=_scalar_id(obj["reporter_id"], "reporter_id"),
             batch_seq=int(obj["batch_seq"]),
             updates=tuple(_update_from_obj(u) for u in obj["updates"]),
         )
     if kind == INGEST_ACK:
         return kind, IngestAck(
             batch_seq=int(obj["batch_seq"]),
-            acked=tuple((o, int(s)) for o, s in obj["acked"]),
+            acked=tuple(
+                (_scalar_id(o, "acked object id"), int(s))
+                for o, s in obj["acked"]
+            ),
             credits=int(obj["credits"]),
         )
     if kind == INGEST_BUSY:
@@ -377,7 +384,7 @@ def from_wire(obj: dict[str, Any]) -> tuple[str, object]:
         # Keys without a field (an older peer's ``"method"``) are
         # ignored, as in every other kind.
         return kind, SubscribeMsg(
-            client_id=obj["client_id"],
+            client_id=_scalar_id(obj["client_id"], "client_id"),
             text=obj["text"],
             horizon=int(obj["horizon"]),
             policy=obj.get("policy", "immediate"),
@@ -389,14 +396,14 @@ def from_wire(obj: dict[str, Any]) -> tuple[str, object]:
         )
     if kind == SUBSCRIBED:
         return kind, SubscribedMsg(
-            client_id=obj["client_id"],
-            query_id=obj["query_id"],
+            client_id=_scalar_id(obj["client_id"], "client_id"),
+            query_id=_scalar_id(obj["query_id"], "query_id"),
             incarnation=int(obj["incarnation"]),
             error=obj.get("error"),
         )
     if kind == DELTA:
         return kind, DeltaMsg(
-            query_id=obj["query_id"],
+            query_id=_scalar_id(obj["query_id"], "query_id"),
             incarnation=int(obj["incarnation"]),
             seq=int(obj["seq"]),
             aged_from=int(obj["aged_from"]),
@@ -406,22 +413,22 @@ def from_wire(obj: dict[str, Any]) -> tuple[str, object]:
         )
     if kind == DELTA_ACK:
         return kind, DeltaAck(
-            client_id=obj["client_id"],
-            query_id=obj["query_id"],
+            client_id=_scalar_id(obj["client_id"], "client_id"),
+            query_id=_scalar_id(obj["query_id"], "query_id"),
             incarnation=int(obj["incarnation"]),
             seq=int(obj["seq"]),
             free_slots=obj.get("free_slots"),
         )
     if kind == RESUME:
         return kind, ResumeMsg(
-            client_id=obj["client_id"],
-            query_id=obj["query_id"],
+            client_id=_scalar_id(obj["client_id"], "client_id"),
+            query_id=_scalar_id(obj["query_id"], "query_id"),
             incarnation=int(obj["incarnation"]),
             have_seq=int(obj["have_seq"]),
         )
     if kind == HEARTBEAT:
         return kind, HeartbeatMsg(
-            client_id=obj["client_id"],
+            client_id=_scalar_id(obj["client_id"], "client_id"),
             sent_at=int(obj["sent_at"]),
             free_slots=obj.get("free_slots"),
         )
@@ -437,15 +444,18 @@ def decode_line(line: bytes) -> tuple[str, object]:
     """Parse one newline-delimited JSON message."""
     try:
         obj = json.loads(line.decode())
-    except (ValueError, UnicodeDecodeError) as exc:
+    except (ValueError, UnicodeDecodeError, RecursionError) as exc:
         raise DistributedError(f"undecodable message line: {exc}") from exc
     if not isinstance(obj, dict):
         raise DistributedError("message line is not a JSON object")
     try:
         return from_wire(obj)
-    except (KeyError, TypeError, ValueError, SpatialError) as exc:
-        # Valid JSON, known kind, but a missing or ill-typed field: the
-        # line is as undecodable as garbage and must fail the same way.
+    except (
+        KeyError, TypeError, ValueError, OverflowError, SpatialError
+    ) as exc:
+        # Valid JSON, known kind, but a missing or ill-typed field (an
+        # integer sent as ``1e999`` overflows): the line is as
+        # undecodable as garbage and must fail the same way.
         raise DistributedError(
             f"malformed {obj.get('kind')!r} message: {exc!r}"
         ) from exc

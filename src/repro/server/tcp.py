@@ -95,6 +95,11 @@ class TcpTransport(Transport):
                     asyncio.CancelledError,
                 ):
                     break
+                except ValueError:
+                    # A line longer than the stream limit is a bad frame
+                    # like any other.
+                    self.bad_lines += 1
+                    break
                 if not line:
                     break
                 try:

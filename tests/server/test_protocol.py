@@ -142,6 +142,48 @@ BAD_SUBSCRIBE_FIELDS = {
     "non-string-text": {"text": ["RETRIEVE"]},
 }
 
+#: Frames that once escaped ``decode_line`` with something other than
+#: ``DistributedError`` and took the TCP connection handler down: an
+#: integer sent as an infinity overflows, JSON nested past the
+#: interpreter's recursion limit cannot be parsed, and a non-scalar id
+#: decodes and then fails at the first set or dict lookup.
+ESCAPING_FRAMES = {
+    "heartbeat-sent-at-1e999": (
+        b'{"kind":"cq-heartbeat","client_id":"a","sent_at":1e999}\n'
+    ),
+    "heartbeat-sent-at-infinity": (
+        b'{"kind":"cq-heartbeat","client_id":"a","sent_at":Infinity}\n'
+    ),
+    "ingest-seq-1e999": _ingest(_update().replace('"seq": 0', '"seq": 1e999')),
+    "ingest-huge-coordinate": _ingest(
+        _update(position="[1%s, 0]" % ("0" * 400))
+    ),
+    "heartbeat-list-client-id": (
+        b'{"kind":"cq-heartbeat","client_id":[1],"sent_at":0}\n'
+    ),
+    "ingest-list-reporter-id": (
+        b'{"kind":"cq-ingest","reporter_id":[1],"batch_seq":0,"updates":[]}\n'
+    ),
+    "delta-ack-dict-client-id": (
+        b'{"kind":"cq-delta-ack","client_id":{},"query_id":"q0",'
+        b'"incarnation":0,"seq":0}\n'
+    ),
+    "resume-list-query-id": (
+        b'{"kind":"cq-resume","client_id":"a","query_id":["q0"],'
+        b'"incarnation":0,"have_seq":0}\n'
+    ),
+    "nested-beyond-the-recursion-limit": (
+        b'{"kind":"cq-heartbeat","client_id":'
+        + b"[" * 5000
+        + b"]" * 5000
+        + b',"sent_at":0}\n'
+    ),
+    "ingest-ack-list-object-id": (
+        b'{"kind":"cq-ingest-ack","batch_seq":0,"acked":[[[1],0]],'
+        b'"credits":1}\n'
+    ),
+}
+
 #: Lines that parse as JSON objects of a known kind yet cannot be
 #: rebuilt (the TCP transport test sends the same ones down a socket).
 MALFORMED_FRAMES = {
@@ -159,6 +201,7 @@ MALFORMED_FRAMES = {
     "update-not-an-object": _ingest("[5]"),
     "empty-point": _ingest(_update(position="[]")),
     "unhashable-object-id": _ingest(_update(object_id="[1]")),
+    **{f"escaping-{name}": line for name, line in ESCAPING_FRAMES.items()},
 }
 
 

@@ -13,6 +13,7 @@ from repro.server.epoch import CQServer
 from repro.server.protocol import (
     DELTA,
     DELTA_ACK,
+    INGEST_ACK,
     INGEST_BATCH,
     SUBSCRIBE,
     SUBSCRIBED,
@@ -24,7 +25,11 @@ from repro.server.protocol import (
 )
 from repro.server.tcp import TcpTransport
 from repro.distributed.updates import MotionUpdate
-from tests.server.test_protocol import BAD_SUBSCRIBE_FIELDS, MALFORMED_FRAMES
+from tests.server.test_protocol import (
+    BAD_SUBSCRIBE_FIELDS,
+    ESCAPING_FRAMES,
+    MALFORMED_FRAMES,
+)
 
 QUERY = "RETRIEVE v FROM trackers v, beacons b WHERE DIST(v, b) <= 60"
 
@@ -111,6 +116,51 @@ async def _run_smoke():
         await transport.stop()
 
 
+async def _ingest_and_await_ack(reader, writer, seq):
+    update = MotionUpdate("t0", seq, 0, Point(3.0, 0.0), Point(0.0, 0.0))
+    writer.write(encode_line(INGEST_BATCH, IngestBatch("r0", seq, (update,))))
+    await writer.drain()
+    while True:
+        kind, payload = decode_line(
+            await asyncio.wait_for(reader.readline(), timeout=5.0)
+        )
+        if kind == INGEST_ACK:
+            return payload.acked
+
+
+async def _bad_frame_beside_a_reporter(line):
+    """Send ``line`` on its own connection while a reporter stays
+    connected; returns what the bad connection reads before it closes,
+    ``bad_lines`` after it, and the reporter's next ack."""
+    server = make_server()
+    transport = TcpTransport(server)
+    try:
+        await transport.start()
+    except OSError:
+        pytest.skip("cannot bind a loopback socket")
+    serve = asyncio.create_task(server.serve(epochs=100, interval=0.01))
+    try:
+        r_reader, r_writer = await asyncio.open_connection(
+            "127.0.0.1", transport.port
+        )
+        acked = await _ingest_and_await_ack(r_reader, r_writer, 0)
+        assert acked == (("t0", 0),)
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", transport.port
+        )
+        writer.write(line)
+        await writer.drain()
+        dropped = await asyncio.wait_for(reader.read(), timeout=5.0)
+        writer.close()
+        bad_lines = transport.bad_lines
+        acked = await _ingest_and_await_ack(r_reader, r_writer, 1)
+        r_writer.close()
+        return dropped, bad_lines, acked
+    finally:
+        serve.cancel()
+        await transport.stop()
+
+
 class TestTcpSmoke:
     def test_subscribe_snapshot_and_ingest_over_sockets(self):
         server, got = asyncio.run(_run_smoke())
@@ -160,6 +210,31 @@ class TestTcpSmoke:
                 await transport.stop()
 
         assert asyncio.run(run()) == (len(lines), 1)
+
+    @pytest.mark.parametrize(
+        "line", ESCAPING_FRAMES.values(), ids=ESCAPING_FRAMES.keys()
+    )
+    def test_escaping_frame_is_counted_and_drops_only_its_connection(
+        self, line
+    ):
+        """A frame that once crashed the connection handler bumps
+        ``bad_lines`` by one and closes its own connection, while a
+        second, open connection keeps being served."""
+        assert asyncio.run(_bad_frame_beside_a_reporter(line)) == (
+            b"",
+            1,
+            (("t0", 1),),
+        )
+
+    def test_overlong_line_is_counted_and_drops_only_its_connection(self):
+        # Past asyncio's 64 KiB stream limit ``readline`` raises rather
+        # than returning a line.
+        line = b'{"kind":"cq-heartbeat","client_id":"' + b"a" * 70_000
+        assert asyncio.run(_bad_frame_beside_a_reporter(line + b'"}\n')) == (
+            b"",
+            1,
+            (("t0", 1),),
+        )
 
     def test_bad_subscribe_frames_leave_the_durable_table_alone(self):
         """A SUBSCRIBE the server cannot open a session for is refused
