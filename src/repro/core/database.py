@@ -213,6 +213,8 @@ class MostDatabase:
                 f"position has {position.dim} coordinates, class needs "
                 f"{cls.spatial_dimensions}"
             )
+        if not all(map(math.isfinite, position.coords)):
+            raise SchemaError(f"position {position} is not finite")
         now = self.clock.now
         speeds = (
             velocity.coords
@@ -357,7 +359,17 @@ class MostDatabase:
         value: float | None,
         function: TimeFunction | None,
     ) -> MostUpdate:
-        """The record of one dynamic-attribute update, nothing written."""
+        """The record of one dynamic-attribute update, nothing written.
+
+        Every motion write passes here, so this is where a NaN or
+        infinite position is refused: installed, it would drop its object
+        out of every answer silently."""
+        if (
+            value is not None
+            and attr in obj.object_class.position_attributes
+            and not math.isfinite(value)
+        ):
+            raise SchemaError(f"{attr} = {value} is not finite")
         old = obj.dynamic_attribute(attr)
         new = old.updated(self.clock.now, value=value, function=function)
         return MostUpdate(
@@ -453,7 +465,8 @@ class MostDatabase:
         :attr:`ingest_rejected`) and leave the database untouched.
 
         Returns whether the update was applied.  An update that raises
-        (wrong dimensions, a measurement from the future, an axis whose
+        (wrong dimensions, a measurement from the future or at a
+        non-finite time, a NaN or infinite coordinate, an axis whose
         triple is newer than the clock) writes nothing and consumes
         neither its ``seq`` nor the object's tracking.
         """
@@ -469,6 +482,8 @@ class MostDatabase:
             raise SchemaError(
                 f"update measured at {measured_at} arrives at {now}"
             )
+        if not math.isfinite(measured_at):  # NaN passes the test above
+            raise SchemaError(f"update measured at non-finite {measured_at}")
         extrapolated = Point(
             *(
                 p + v * (now - measured_at)

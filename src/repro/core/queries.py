@@ -246,10 +246,11 @@ class ContinuousQuery:
     condition's answer valid through the query's expiration horizon
     (no read class has a motion event before it), a covered commit
     whose kinetic consequences provably lie beyond the horizon — a
-    pure re-anchor "heartbeat", say — is dropped without dirtying the
-    answer (:attr:`horizon_skipped`); within an incremental refresh,
-    touched subtrees whose validity stamp and dirty divergence times
-    both reach the window end are reused
+    pure re-anchor "heartbeat", say — is dropped by the router, from one
+    divergence verdict per record for every live query end, without
+    dirtying the answer (:attr:`horizon_skipped`); within an
+    incremental refresh, touched subtrees whose validity stamp and dirty
+    divergence times both reach the window end are reused
     (:attr:`horizon_subtrees_skipped`); and the kinetic-solve cache
     serves pure time advance by clipping horizon-stamped entries
     instead of re-solving.  ``options.validity_horizons`` off disables
@@ -549,58 +550,42 @@ class ContinuousQuery:
             not self._validity.root_horizon.bottom and root_expiry >= end
         )
 
-    def _take(self, commit: _RoutedCommit, covered: Sequence[int]) -> None:
-        """This query's share of one routed commit.
+    def _take(
+        self,
+        updates: tuple[MostUpdate, ...],
+        cls: str | None,
+        footprints: tuple[Dep | None, ...],
+        dirty: Sequence[tuple[int, float]],
+    ) -> None:
+        """This query's share of a commit that dirties it.
 
-        The router already ran the class, known-object and read-set
-        gates once for every query: ``covered`` holds the indices of the
-        commit's records this query's read-set covers.  What is left is
-        per query: the temporal-validity gate, the skip counters (one
-        per commit) and the dirty bookkeeping.
-
-        The validity gate drops a covered record when (a) the whole
-        formula's concrete horizon — computed at the last refresh —
-        covers the remaining lifetime, and (b) the record leaves its
-        attribute's trajectory pointwise unchanged on the remaining
-        window (e.g. a heartbeat re-anchoring the same motion law).
-        Staleness of (a) is harmless: the divergence test (b) alone
-        proves the state the cached answer was derived from persists
-        through ``expires_at``.  A commit none of whose records gets
-        past the gates leaves the answer exact and the query clean.
+        The :class:`UpdateRouter` ran every gate once for all queries —
+        class, known-object, read-set and temporal validity — and counted
+        the skips.  ``dirty`` holds ``(record index, divergence time at
+        this query's expires_at)`` for each record of the commit that the
+        query's read-set covers and its validity gate let through, read
+        off the router's per-record table.  What is left is the dirty
+        bookkeeping.
         """
-        if not covered:
-            self.skipped_by_deps += 1
-            return
-        # The commit got past the shared gates, whatever the validity
-        # gate decides below (a skipped heartbeat still resets its
-        # object's staleness, so the display may change).
-        self.reached_version = self.db.version
-        end = float(self.expires_at)
-        if self._validity is not None and self._horizon_eligible:
-            covered = [i for i in covered if commit.diverges(i, end) < end]
-            if not covered:
-                self.horizon_skipped += 1
-                return
         # Lazy revalidation: the next read recomputes once, however many
         # commits dirtied the query since the last one.
         self._dirty = True
-        if commit.cls is None:
+        if cls is None:
             # Can't attribute the update to a bound object — conservative
             # full reevaluation on the next read.
             self._needs_full = True
             return
-        for i in covered:
-            self._dirty_objects.add(commit.updates[i].object_id)
+        for i, div in dirty:
+            self._dirty_objects.add(updates[i].object_id)
             if self._dirty_deps is None:
                 continue
-            footprint = commit.footprints[i]
+            footprint = footprints[i]
             if footprint is None:
                 self._dirty_deps = None
                 self._dirty_divergence = None
                 continue
             self._dirty_deps.add(footprint)
             if self._dirty_divergence is not None:
-                div = commit.diverges(i, end)
                 prev = self._dirty_divergence.get(footprint)
                 self._dirty_divergence[footprint] = (
                     div if prev is None else min(prev, div)
@@ -817,62 +802,47 @@ def _covered(
     return tuple(i for i, fp in enumerate(footprints) if cq._covers(fp))
 
 
-class _RoutedCommit:
-    """One commit as the router hands it to the queries it reaches: the
-    records, their class and footprints (computed once), and one
-    :class:`DivergenceProbe` per record, built on first use at the
-    latest live expiration horizon."""
-
-    __slots__ = ("updates", "cls", "footprints", "_end", "_probes")
-
-    def __init__(
-        self,
-        updates: tuple[MostUpdate, ...],
-        cls: str | None,
-        footprints: tuple[Dep | None, ...],
-        end: float,
-    ) -> None:
-        self.updates = updates
-        self.cls = cls
-        self.footprints = footprints
-        self._end = end
-        self._probes: list[DivergenceProbe | None] = [None] * len(updates)
-
-    def diverges(self, i: int, end: float) -> float:
-        """``update_divergence(updates[i], end)``."""
-        probe = self._probes[i]
-        if probe is None:
-            probe = self._probes[i] = DivergenceProbe(
-                self.updates[i], self._end
-            )
-        return probe.at(end)
-
-
-#: ``(query, the query's read-set when routed, covered record indices)``.
-_Route = list[tuple[ContinuousQuery, DepAnalysis | None, tuple[int, ...]]]
+#: ``(query, the query's read-set when routed, covered record indices,
+#: the query's index into the router's live ends)``.
+_Route = list[tuple[ContinuousQuery, DepAnalysis | None, tuple[int, ...], int]]
 
 
 class UpdateRouter:
     """The database's one continuous-query listener.
 
     Section 2.3: a continuous query "has to be reevaluated when an update
-    occurs that may change Answer(CQ)".  Relevance belongs to the update,
-    not to each query, so the router decides it once per commit for all
-    of them: the class and known-object gate once, the footprints once,
-    and one lookup in a route memo ``(class, footprints) → [(query,
-    covered records)]`` in place of a read-set walk per query.  The memo
-    is rebuilt only when a query registers, cancels or expires (or a
-    query's read-set is replaced).  Each reached query then runs only its
-    own work (:meth:`ContinuousQuery._take`).
+    occurs that may change Answer(CQ)".  Whether it may is a property of
+    the update and of time, not of each query, so the router decides it
+    once per commit for all of them:
+
+    * the class and known-object gate once;
+    * the read-set gate by one lookup in a route memo keyed by record
+      shape, ``(class, ((kind, attribute), …)) → (footprints, [(query,
+      covered records, end index)])``.  A footprint depends only on the
+      class, the kind, the attribute and the class's position
+      attributes, so one memo entry serves every commit of that shape
+      and :func:`update_footprint` runs once per route, not per commit;
+    * the temporal-validity gate from one divergence table per record
+      over the live queries' distinct ``expires_at``
+      (:meth:`DivergenceProbe.table`), built on first use.  A query whose
+      covered records all reach its end is counted
+      (:attr:`~ContinuousQuery.horizon_skipped`) right here; only a
+      query the commit dirties runs its own bookkeeping
+      (:meth:`ContinuousQuery._take`).
+
+    The memo and the end list are rebuilt only when a query registers,
+    cancels or expires (and the memo when a query's read-set is
+    replaced).
     """
 
     def __init__(self, db: MostDatabase) -> None:
         self.db = db
         self._queries: list[ContinuousQuery] = []
-        self._routes: dict[tuple[object, ...], _Route] = {}
-        #: Earliest / latest ``expires_at`` of the live queries.
-        self._first_expiry = float("inf")
-        self._last_expiry = float("-inf")
+        self._routes: dict[
+            tuple[object, ...], tuple[tuple[Dep | None, ...], _Route]
+        ] = {}
+        #: The live queries' distinct ``expires_at``, ascending.
+        self._ends: list[float] = []
         db.on_update(self._on_commit)
 
     @staticmethod
@@ -900,15 +870,23 @@ class UpdateRouter:
     def _reset(self, queries: list[ContinuousQuery]) -> None:
         self._queries = queries
         self._routes.clear()
-        ends = [q.expires_at for q in queries]
-        self._first_expiry = min(ends, default=float("inf"))
-        self._last_expiry = max(ends, default=float("-inf"))
+        self._ends = sorted({float(q.expires_at) for q in queries})
 
-    def _route(self, cls: str | None, footprints: tuple[Dep | None, ...]) -> _Route:
-        """Every live query a commit of ``cls`` reaches, with the indices
-        of the records its read-set covers (possibly none)."""
-        return [
-            (cq, cq._deps, _covered(cq, footprints))
+    def _route(
+        self, cls: str | None, updates: tuple[MostUpdate, ...]
+    ) -> tuple[tuple[Dep | None, ...], _Route]:
+        """The footprints of a commit of ``cls`` and every live query it
+        reaches, with the indices of the records its read-set covers
+        (possibly none) and its end's index."""
+        footprints = tuple(update_footprint(u, self.db) for u in updates)
+        index = {end: e for e, end in enumerate(self._ends)}
+        return footprints, [
+            (
+                cq,
+                cq._deps,
+                _covered(cq, footprints),
+                index[float(cq.expires_at)],
+            )
             for cq in self._queries
             if _binds(cq, cls)
         ]
@@ -917,8 +895,8 @@ class UpdateRouter:
         if not self._queries:
             return
         db = self.db
-        if db.clock.now > self._first_expiry:
-            now = db.clock.now
+        now = db.clock.now
+        if now > self._ends[0]:
             self._reset([q for q in self._queries if now <= q.expires_at])
             if not self._queries:
                 return
@@ -926,19 +904,49 @@ class UpdateRouter:
         reachable, cls = _class_gate(db, updates[0])
         if not reachable:
             return
-        footprints = tuple(update_footprint(u, db) for u in updates)
-        key = (cls, footprints)
-        route = self._routes.get(key)
-        if route is None:
-            route = self._routes[key] = self._route(cls, footprints)
-        commit = _RoutedCommit(updates, cls, footprints, float(self._last_expiry))
-        for cq, deps, covered in route:
+        key = (cls, tuple((u.kind, u.attribute) for u in updates))
+        memo = self._routes.get(key)
+        if memo is None:
+            memo = self._routes[key] = self._route(cls, updates)
+        footprints, route = memo
+        ends = self._ends
+        tables: list[list[float] | None] = [None] * len(updates)
+        version = db.version
+        for cq, deps, covered, e in route:
             if cq._deps is not deps:
                 # The read-set was replaced after routing (an unpruned
                 # twin): route this commit afresh and forget the memo.
                 self._routes.clear()
                 covered = _covered(cq, footprints)
-            cq._take(commit, covered)
+            if not covered:
+                cq.skipped_by_deps += 1
+                continue
+            # The commit got past the shared gates, whatever the validity
+            # gate decides below (a skipped heartbeat still resets its
+            # object's staleness, so the display may change).
+            cq.reached_version = version
+            # The validity gate drops a record that leaves the trajectory
+            # unchanged through this query's end (e.g. a heartbeat
+            # re-anchoring the same motion law) when the query was
+            # horizon-eligible at its last refresh.  Whether that horizon
+            # is stale does not matter: the divergence test alone proves
+            # the state the cached answer was derived from persists to
+            # the end.
+            eligible = cq._validity is not None and cq._horizon_eligible
+            end = ends[e]
+            dirty: list[tuple[int, float]] = []
+            for i in covered:
+                table = tables[i]
+                if table is None:
+                    table = tables[i] = DivergenceProbe(
+                        updates[i], ends[-1]
+                    ).table(ends)
+                if table[e] < end or not eligible:
+                    dirty.append((i, table[e]))
+            if not dirty:
+                cq.horizon_skipped += 1
+                continue
+            cq._take(updates, cls, footprints, dirty)
 
 
 class PersistentQuery:

@@ -40,9 +40,9 @@ touches the database:
    reusable, derived from the motion functions reachable through its
    pass-7 read-set with window arithmetic for temporal operators;
    :func:`~repro.ftl.analysis.validity.class_motion_events` and
-   :func:`~repro.ftl.analysis.validity.update_divergence` (shared
-   across queries through :class:`~repro.ftl.analysis.validity.
-   DivergenceProbe`) concretize
+   :func:`~repro.ftl.analysis.validity.update_divergence` (decided
+   once per record for every live query end by
+   :meth:`~repro.ftl.analysis.validity.DivergenceProbe.table`) concretize
    the horizons at refresh time so continuous queries, the incremental
    evaluator and the kinetic-solve cache can skip provably redundant
    work.  Report-only diagnostics: FTL801 (finite horizon), FTL802

@@ -66,7 +66,7 @@ Like the rest of the analysis package this module must not import
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 from repro.ftl.analysis.deps import (
     ATTRIBUTE,
@@ -94,6 +94,7 @@ from repro.ftl.ast import (
     UntilWithin,
     WithinSphere,
 )
+from repro.motion.functions import LinearFunction
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.ftl.query import FtlQuery
@@ -570,30 +571,38 @@ class DivergenceProbe:
     to ``end``.
 
     A commit is tested against every continuous query's own expiration
-    horizon.  The probe is built once per update at the latest of them,
-    and :meth:`at` answers for any ``end' <= end`` exactly what the
-    single-end test at ``end'`` would — never a clamped or re-anchored
-    approximation.  What it shares between ends:
+    horizon.  The update router builds the probe once per record at the
+    latest of them and reads one :meth:`table` over all of them; each
+    entry is exactly what the single-end test at that end would answer —
+    never a clamped or re-anchored approximation.  Three verdicts, each
+    implemented once:
 
-    * the verdict when it does not depend on the end (static updates,
+    * **fixed** — the answer does not depend on the end (static updates,
       clock regression, incomparable triples, motion that is not
       piecewise linear);
-    * the old ≡ new comparison at each cut, a function of the cut alone;
-    * each end's answer.
-
-    A window end enters the cut set itself and through the breakpoints
-    that fall inside the window.  A side whose breakpoints all lie at or
-    before the first observable instant ``t0`` (every single-piece
-    motion law, i.e. every motion-vector update) contributes none at any
-    end, so its cuts are ``{t0, end'}``; a side with later breakpoints
-    re-derives them per end, exactly as the single-end test does.
-    (Assumes, as every :mod:`repro.motion.functions` function satisfies,
-    that a shorter window's decomposition is a prefix of a longer one's
-    and exists whenever the longer one does.)
+    * **linear** — old and new both carry a plain
+      :class:`~repro.motion.functions.LinearFunction` (every
+      motion-vector update).  A single-piece law has no breakpoint after
+      the first observable instant ``t0``, so the cuts are
+      ``{t0, end}``: the verdict at ``t0`` is shared and each end costs
+      one comparison of ``value + slope * (end - updatetime)`` per side
+      — :meth:`DynamicAttribute.value_at
+      <repro.core.dynamic.DynamicAttribute.value_at>` in the same
+      operations and the same order, so bit-identical to it, without
+      its two calls per side per end;
+    * **cuts** — every other law.  A window end enters the cut set
+      itself and through the breakpoints that fall inside the window.  A
+      side whose breakpoints all lie at or before ``t0`` contributes
+      none at any end; a side with later breakpoints re-derives them per
+      end, exactly as the single-end test does, and the old ≡ new
+      comparison at each cut is shared between ends.  (Assumes, as every
+      :mod:`repro.motion.functions` function satisfies, that a shorter
+      window's decomposition is a prefix of a longer one's and exists
+      whenever the longer one does.)
     """
 
     __slots__ = (
-        "_old", "_new", "_t_u", "_fixed", "_t0", "_sides", "_same", "_answers"
+        "_old", "_new", "_t_u", "_fixed", "_t0", "_laws", "_sides", "_same"
     )
 
     def __init__(self, update: Any, end: float) -> None:
@@ -606,10 +615,12 @@ class DivergenceProbe:
         #: The answer for every end, when it does not depend on the end.
         self._fixed: float | None = None
         self._t0 = t_u
+        #: ``(value, slope, updatetime)`` of old then new, when both are
+        #: plain linear laws.
+        self._laws: tuple[Any, ...] | None = None
         #: ``(anchor, function)`` of the sides with breakpoints past t0.
         self._sides: tuple[tuple[float, Any], ...] = ()
         self._same: dict[float, bool | None] = {}
-        self._answers: dict[float, float] = {}
         if getattr(update, "kind", "dynamic") == "static":
             try:
                 self._fixed = INF if bool(old == new) else t_u
@@ -627,6 +638,20 @@ class DivergenceProbe:
         if new_ut < old_ut:
             # Clock regression: the old state is not a valid baseline.
             self._fixed = t_u
+            return
+        if type(old_fn) is LinearFunction and type(new_fn) is LinearFunction:
+            self._t0 = max(t_u, new_ut)
+            try:
+                self._laws = (
+                    old.value,  # type: ignore[union-attr]
+                    old_fn.slope,
+                    old.updatetime,  # type: ignore[union-attr]
+                    new.value,  # type: ignore[union-attr]
+                    new_fn.slope,
+                    new.updatetime,  # type: ignore[union-attr]
+                )
+            except AttributeError:
+                pass  # no value to compare: the cuts find it incomparable
             return
         old_bps = old_fn.linear_breakpoints(max(end - old_ut, 0.0))
         new_bps = new_fn.linear_breakpoints(max(end - new_ut, 0.0))
@@ -648,30 +673,45 @@ class DivergenceProbe:
     def at(self, end: float) -> float:
         """``update_divergence(update, end)`` for an ``end`` no later
         than the one the probe was built at."""
-        if self._fixed is not None:
-            return self._fixed
-        answer = self._answers.get(end)
-        if answer is None:
-            answer = self._answers[end] = self._divergence(end)
-        return answer
+        return self.table((end,))[0]
 
-    def _divergence(self, end: float) -> float:
+    def table(self, ends: Sequence[float]) -> list[float]:
+        """``[update_divergence(update, end) for end in ends]`` for
+        ascending ``ends``, none later than the one the probe was built
+        at."""
+        if self._fixed is not None:
+            return [self._fixed] * len(ends)
+        if self._laws is None:
+            return [self._cut_verdict(end) for end in ends]
+        value, slope, anchor, new_value, new_slope, new_anchor = self._laws
+        t0 = self._t0
+        verdicts: list[float] = []
+        same_t0: bool | None = None
+        for end in ends:
+            if end <= t0:
+                verdicts.append(INF)  # the new state is never observed
+                continue
+            try:
+                if same_t0 is None:
+                    same_t0 = bool(
+                        value + slope * (t0 - anchor)
+                        == new_value + new_slope * (t0 - new_anchor)
+                    )
+                if same_t0 and bool(
+                    value + slope * (end - anchor)
+                    == new_value + new_slope * (end - new_anchor)
+                ):
+                    verdicts.append(INF)
+                else:
+                    verdicts.append(t0)
+            except (TypeError, ArithmeticError):
+                verdicts.append(self._t_u)  # incomparable values
+        return verdicts
+
+    def _cut_verdict(self, end: float) -> float:
         t0 = self._t0
         if end <= t0:
             return INF  # the new state is never observed inside the window
-        if not self._sides:
-            # The cuts are [t0, end]: t0's verdict is shared, end's is
-            # this window's own.
-            same = self._same_at(t0)
-            if same is None:
-                return self._t_u
-            if same:
-                try:
-                    if self._old.value_at(end) == self._new.value_at(end):
-                        return INF
-                except Exception:
-                    return self._t_u
-            return t0
         cuts = {t0, end}
         for anchor, fn in self._sides:
             for rel_t, _slope in fn.linear_breakpoints(max(end - anchor, 0.0)):

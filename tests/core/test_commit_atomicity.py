@@ -10,6 +10,7 @@ ingest sequence exactly as they were.
 """
 
 import asyncio
+import math
 
 import pytest
 
@@ -23,11 +24,11 @@ from repro.core import (
 )
 from repro.distributed.network import SimNetwork
 from repro.distributed.updates import MotionUpdate
-from repro.errors import MotionError
+from repro.errors import MotionError, SchemaError
 from repro.ftl import parse_query
 from repro.geometry import Point
 from repro.server import CQServer, IngestBatch
-from repro.server.protocol import INGEST_BATCH
+from repro.server.protocol import INGEST_ACK, INGEST_BATCH
 from repro.server.transport import ProtocolNode
 from repro.spatial import Polygon
 from repro.temporal import SimulationClock
@@ -210,6 +211,70 @@ class TestRefusedMotionUpdateWritesNothing:
         assert db.ingest_motion("c", 0, Point(2.0, 2.0), Point(1.0, 1.0), 5)
         assert db.last_ingested_seq("c") == 0 and db.version == 1
 
+    @pytest.mark.parametrize(
+        "position", [Point(math.nan, 0.0), Point(math.inf, 0.0), Point(1.0, -math.inf)]
+    )
+    def test_ingest_refuses_a_non_finite_position(self, position):
+        """Installed, a NaN or infinite coordinate would drop the car out
+        of every answer without a word; refused, it consumes nothing."""
+        db = build_db()
+        commits = []
+        db.on_update(commits.append)
+        before = snapshot(db)
+        with pytest.raises(SchemaError, match="not finite"):
+            db.ingest_motion("c", 0, Point(0.0, 0.0), position, 0)
+        assert snapshot(db) == before
+        assert commits == []
+        assert db.ingest_motion("c", 0, Point(0.0, 0.0), Point(1.0, 1.0), 0)
+
+    @pytest.mark.parametrize("measured_at", [math.nan, -math.inf, math.inf])
+    def test_ingest_refuses_a_non_finite_measurement_time(self, measured_at):
+        db = build_db()
+        db.clock.tick(5)
+        before = snapshot(db)
+        with pytest.raises(SchemaError):
+            db.ingest_motion("c", 0, Point(0.0, 0.0), Point(1.0, 1.0), measured_at)
+        assert snapshot(db) == before
+
+    @pytest.mark.parametrize("velocity", [Point(math.nan, 0.0), Point(0.0, math.inf)])
+    def test_a_non_finite_velocity_breaks_the_motion_law(self, velocity):
+        """``f(0) == 0`` is NaN for an infinite or NaN slope.  (Ingest
+        extrapolates the fix along the velocity first, which already
+        makes it non-finite.)"""
+        db = build_db()
+        before = snapshot(db)
+        with pytest.raises((MotionError, SchemaError)):
+            db.ingest_motion("c", 0, velocity, Point(1.0, 1.0), 0)
+        with pytest.raises(MotionError):
+            db.update_motion("c", velocity)
+        with pytest.raises(MotionError):
+            db.add_moving_object("cars", "d", Point(1.0, 1.0), velocity)
+        assert snapshot(db) == before
+        assert db.class_count("cars") == 1
+
+    def test_update_motion_and_insert_refuse_a_non_finite_position(self):
+        db = build_db()
+        before = snapshot(db)
+        with pytest.raises(SchemaError, match="not finite"):
+            db.update_motion("c", Point(0.0, 0.0), position=Point(math.nan, 0.0))
+        with pytest.raises(SchemaError, match="not finite"):
+            db.add_moving_object("cars", "d", Point(0.0, math.inf))
+        assert snapshot(db) == before
+        assert db.class_count("cars") == 1
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_update_dynamic_refuses_a_non_finite_position(self, value):
+        db = build_db()
+        commits = []
+        db.on_update(commits.append)
+        before = snapshot(db)
+        with pytest.raises(SchemaError, match="not finite"):
+            db.update_dynamic("c", "y_position", value=value)
+        assert snapshot(db) == before
+        assert commits == []
+        db.update_dynamic("c", "y_position", value=7.0)
+        assert db.get("c").position_at(db.clock.now) == Point(20.0, 7.0)
+
     def test_server_counts_it_rejected_and_leaves_the_database(self):
         clock = SimulationClock()
         db = self._world(clock)
@@ -223,3 +288,23 @@ class TestRefusedMotionUpdateWritesNothing:
         assert server.metrics.updates_rejected == 1
         assert server.metrics.updates_applied == 0
         assert snapshot(db) == before
+
+    def test_server_rejects_a_non_finite_update_and_keeps_running(self):
+        """A NaN coordinate (JSON ``NaN`` decodes to one) is rejected and
+        acked; the next update of the same batch still applies."""
+        clock = SimulationClock()
+        db = build_db(clock)
+        network = SimNetwork(clock)
+        server = CQServer(db, network)
+        sender = ProtocolNode("r0", network)
+        acks = []
+        sender.on_kind(INGEST_ACK, lambda message: acks.append(message.payload))
+        bad = MotionUpdate("c", 0, 0, Point(math.nan, 5.0), Point(0.0, 0.0))
+        good = MotionUpdate("c", 1, 0, Point(4.0, 5.0), Point(0.0, 0.0))
+        sender.send(server.server_id, INGEST_BATCH, IngestBatch("r0", 0, (bad, good)))
+        asyncio.run(server.serve(epochs=2))
+        assert server.metrics.updates_rejected == 1
+        assert server.metrics.updates_applied == 1
+        assert [ack.acked for ack in acks] == [(("c", 1),)]
+        assert db.last_ingested_seq("c") == 1
+        assert db.get("c").position_at(clock.now) == Point(4.0, 5.0)

@@ -8,6 +8,7 @@ Two walls and a lifecycle:
   gates, exactly as before commits carried several records.  Over random
   mixed streams — heartbeats, real motion changes, attribute and static
   updates, an unbound class, tagged and untagged ghost ids, queries
+  registered (with ends that interleave or repeat the live ones),
   cancelled, read or expiring mid-stream — every query ends every commit
   with the same dirty objects, dirty footprints, dirty divergence and
   full-refresh flag as its reference, and the same skip reason (one per
@@ -216,7 +217,16 @@ steps = st.one_of(
     st.tuples(st.sampled_from(["fuel", "fuel_heartbeat", "color"]), oids, small),
     st.tuples(
         st.sampled_from(
-            ["truck", "bird", "ghost", "untagged_ghost", "tick", "read", "cancel"]
+            [
+                "truck",
+                "bird",
+                "ghost",
+                "untagged_ghost",
+                "tick",
+                "read",
+                "cancel",
+                "register",
+            ]
         ),
         st.integers(0, 6),
         small,
@@ -260,10 +270,24 @@ def test_router_matches_the_per_query_listener(specs, stream):
             expected[i] = ref.on_commit(updates)
 
     db.on_update(reference)  # after the router: it sees routed state
+    router = UpdateRouter.of(db)
     for step in stream:
-        what, pick, _value = step
+        what, pick, value = step
         if what == "tick":
             db.clock.tick()
+            continue
+        if what == "register":
+            # Ends at 2, 4 and 40 repeat the first queries' ends; 3 and 6
+            # fall between them.
+            target = (2, 3, 4, 6, 40)[value % 5]
+            cq = ContinuousQuery(
+                db,
+                parse_query((POSITION, FUEL, MIXED, NEAR)[pick % 4]),
+                horizon=max(1, target - db.clock.now),
+                method=("interval", "incremental")[value % 2],
+            )
+            queries.append(cq)
+            refs.append(ReferenceListener(db, cq))
             continue
         if what in ("read", "cancel"):
             i = pick % len(queries)
@@ -276,6 +300,9 @@ def test_router_matches_the_per_query_listener(specs, stream):
         before = [counters(cq) for cq in queries]
         expected.clear()
         assert apply(db, step)
+        assert router._ends == sorted(
+            {float(cq.expires_at) for cq in router.queries}
+        )
         for i, (cq, ref) in enumerate(zip(queries, refs)):
             assert routed_state(cq) == ref.state(), (step, i)
             deps_skips, horizon_skips = counters(cq)
@@ -402,7 +429,7 @@ class TestRouteLifecycle:
         router = UpdateRouter.of(db)
         for i in range(200):
             cq = ContinuousQuery(
-                db, parse_query(FUEL if i % 2 else MIXED), horizon=500
+                db, parse_query(FUEL if i % 2 else MIXED), horizon=100 + i
             )
             db.update_motion(CARS[i % 3], Point(i / 10, 0.0))
             db.update_dynamic(CARS[i % 3], "fuel", value=float(i % 7))
@@ -410,8 +437,9 @@ class TestRouteLifecycle:
         assert router.queries == (keeper,)
         routed = {
             id(q)
-            for route in router._routes.values()
-            for q, _deps, _covered in route
+            for _footprints, route in router._routes.values()
+            for q, _deps, _covered, _end in route
         }
         assert routed <= {id(keeper)}
+        assert router._ends == [float(keeper.expires_at)]
         assert len(db._listeners) == 1

@@ -10,8 +10,13 @@ rounding alone.  The wall below holds the probe, at every end up to the
 one it was built at, against :func:`reference_divergence` — the
 single-end ``update_divergence`` body as it stood before the probe,
 kept here as a test-local copy — over dyadic and non-dyadic floats,
-linear / piecewise / shifted / polynomial / sinusoid motion, static
-updates, clock regression and windows that end before the update.
+signed zeros, infinite and NaN attribute values, linear / piecewise /
+shifted / polynomial / sinusoid motion, static updates, clock
+regression and windows that end before the update.  The same wall holds
+:meth:`~repro.ftl.analysis.validity.DivergenceProbe.table` — the
+router's one verdict per record for every live end, read off the laws'
+coefficients for plain linear motion — against the reference at every
+end.
 """
 
 import math
@@ -84,6 +89,9 @@ non_dyadic = st.integers(-300, 300).map(lambda k: k / 10) | st.integers(
     lambda x: x / 7
 )
 reals = dyadic | non_dyadic
+# Attribute values may be anything a float can be; slopes stay finite,
+# since ``f(0) == 0`` refuses an infinite one.
+values = reals | st.sampled_from([-0.0, INF, -INF, math.nan])
 times = st.integers(0, 12).map(float) | st.integers(0, 120).map(lambda k: k / 10)
 
 
@@ -114,17 +122,17 @@ def dynamic_updates(draw):
     """An explicit dynamic update: ``new`` derived from ``old`` through
     ``DynamicAttribute.updated`` (heartbeats, velocity and position
     changes), or an arbitrary new triple (clock regression included)."""
-    old = DynamicAttribute(draw(reals), draw(times), draw(functions))
+    old = DynamicAttribute(draw(values), draw(times), draw(functions))
     t_u = draw(times)
     shape = draw(st.sampled_from(["heartbeat", "velocity", "jump", "free"]))
     if shape != "free" and t_u >= old.updatetime:
         new = old.updated(
             t_u,
-            value=draw(reals) if shape == "jump" else None,
+            value=draw(values) if shape == "jump" else None,
             function=draw(functions) if shape == "velocity" else None,
         )
     else:
-        new = DynamicAttribute(draw(reals), draw(times), draw(functions))
+        new = DynamicAttribute(draw(values), draw(times), draw(functions))
     return MostUpdate(t_u, "c0", "x_position", old, new, class_name="cars")
 
 
@@ -149,10 +157,14 @@ def test_probe_answers_every_earlier_end_like_the_single_end_test(
 ):
     probe = DivergenceProbe(update, latest)
     ends = [latest] + [latest - d for d in offsets] + [float(update.time)]
-    for end in ends + ends[::-1]:  # every end, memoised answers too
+    for end in ends + ends[::-1]:  # every end, shared cut verdicts too
         expected = reference_divergence(update, end)
         assert probe.at(end) == expected
         assert update_divergence(update, end) == expected
+    live = sorted(set(ends))
+    expected = [reference_divergence(update, end) for end in live]
+    assert DivergenceProbe(update, live[-1]).table(live) == expected
+    assert probe.table(live) == expected
 
 
 def test_reanchored_law_is_decided_at_each_query_s_own_end():
@@ -165,8 +177,36 @@ def test_reanchored_law_is_decided_at_each_query_s_own_end():
     verdicts = {reference_divergence(update, end) == INF for end in ends}
     assert verdicts == {True, False}, "the example lost its rounding split"
     probe = DivergenceProbe(update, max(ends))
-    for end in ends:
-        assert probe.at(end) == reference_divergence(update, end)
+    expected = [reference_divergence(update, end) for end in ends]
+    assert [probe.at(end) for end in ends] == expected
+    # The linear verdict must round as ``value_at`` does, not as an
+    # algebraically equal rearrangement would.
+    assert probe.table(ends) == expected
+
+
+def test_a_plain_linear_record_takes_the_linear_verdict(monkeypatch):
+    """A motion-vector record is decided by its laws' coefficients: no
+    ``value_at``, no decomposition and no cut set.  A fault there cannot
+    hide behind a slower path that answers the same."""
+    old = DynamicAttribute(0.1, 0.0, LinearFunction(0.7))
+    heartbeat = MostUpdate(3.0, "c0", "x_position", old, old.updated(3.0))
+    turn = MostUpdate(
+        3.0, "c0", "x_position", old, old.updated(3.0, function=LinearFunction(1.0))
+    )
+    ends = [2.0, 3.0, 3.1, 7.0, 40.0]
+    expected = {
+        u: [reference_divergence(u, end) for end in ends] for u in (heartbeat, turn)
+    }
+    assert INF in expected[heartbeat] and 3.0 in expected[turn]
+
+    def refuse(*_args):
+        raise AssertionError("left the linear verdict")
+
+    monkeypatch.setattr(DynamicAttribute, "value_at", refuse)
+    monkeypatch.setattr(LinearFunction, "linear_breakpoints", refuse)
+    monkeypatch.setattr(DivergenceProbe, "_cut_verdict", refuse)
+    for update, table in expected.items():
+        assert DivergenceProbe(update, ends[-1]).table(ends) == table
 
 
 def test_malformed_and_incomparable_updates_diverge_at_once():

@@ -274,7 +274,6 @@ STRICT_DEFS = {
     "core/history.py": ("FutureHistory", "epoch_token"),
     "core/queries.py": (
         "UpdateRouter",
-        "_RoutedCommit",
         "_class_gate",
         "_binds",
         "_covered",
