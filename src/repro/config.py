@@ -7,9 +7,6 @@ read from ``REPRO_*`` environment variables:
   :class:`~repro.ftl.atoms.KineticSolveCache` when the
   ``MostDatabase(kinetic_cache_size=...)`` constructor argument is left at
   its default.  A positive integer.
-* ``REPRO_PARALLEL_WORKERS`` — worker count used by ``parallel="auto"``
-  and by :func:`repro.parallel.resolve_workers` when no explicit count is
-  given.  A positive integer.
 * ``REPRO_PARALLEL_START_METHOD`` — multiprocessing start method for the
   shard worker pool: ``fork``, ``spawn`` or ``forkserver``.  Defaults to
   the platform default (``fork`` on Linux).
@@ -29,12 +26,10 @@ from repro.errors import ConfigError
 __all__ = [
     "env_int",
     "kinetic_cache_entries",
-    "parallel_workers",
     "parallel_start_method",
 ]
 
 KINETIC_CACHE_SIZE_VAR = "REPRO_KINETIC_CACHE_SIZE"
-PARALLEL_WORKERS_VAR = "REPRO_PARALLEL_WORKERS"
 PARALLEL_START_METHOD_VAR = "REPRO_PARALLEL_START_METHOD"
 
 _START_METHODS = ("fork", "spawn", "forkserver")
@@ -68,11 +63,6 @@ def env_int(
 def kinetic_cache_entries() -> int | None:
     """The ``REPRO_KINETIC_CACHE_SIZE`` override, or ``None`` when unset."""
     return env_int(KINETIC_CACHE_SIZE_VAR, minimum=1)
-
-
-def parallel_workers() -> int | None:
-    """The ``REPRO_PARALLEL_WORKERS`` override, or ``None`` when unset."""
-    return env_int(PARALLEL_WORKERS_VAR, minimum=1)
 
 
 def parallel_start_method() -> str | None:

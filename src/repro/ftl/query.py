@@ -101,9 +101,10 @@ class FtlQuery:
             parallel: shard the evaluation across worker processes
                 (DESIGN.md §12; answers are identical either way).
                 ``None`` / ``0`` / ``1`` evaluate serially; an integer
-                ``N >= 2`` uses N workers; ``"auto"`` sizes from
-                ``REPRO_PARALLEL_WORKERS`` or the CPU count.  Requires
-                ``method="interval"`` and a future history.
+                ``N >= 2`` uses N workers, each holding a replica built
+                from a motion snapshot pickled into its task queue.
+                Sharding is frozen and never on unless asked for here.
+                Requires ``method="interval"`` and a future history.
         """
         return self.evaluate_full(
             history,

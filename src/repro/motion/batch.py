@@ -605,12 +605,11 @@ class PolygonBatch:
 
 
 # ---------------------------------------------------------------------------
-# Coefficient/breakpoint array export (motion columns)
+# Coefficient array export (motion columns)
 # ---------------------------------------------------------------------------
 #: ``MotionRows.kind`` codes of one dynamic-attribute row.
 KIND_LINEAR = 0
-KIND_PIECEWISE = 1
-KIND_PICKLED = 2
+KIND_PICKLED = 1
 
 #: ``MotionRows.intflags`` bits: which fields were ``int``-typed.
 FLAG_VALUE_INT = 1
@@ -623,14 +622,14 @@ class MotionRows:
 
     One row per ``(object, attribute)`` triple, in caller order:
     ``value`` / ``updatetime`` / ``slope`` float64 columns plus a ``kind``
-    code (:data:`KIND_LINEAR`; :data:`KIND_PIECEWISE` with breakpoints in
-    the ragged ``pw_*`` pool; :data:`KIND_PICKLED`, an exact per-row
-    fallback in :attr:`fallback`) and an ``intflags`` bitmask recording
-    which fields were ``int``-typed so the consumer can restore exact
-    value types.  This is the wire format the sharded evaluator ships
-    through shared memory (:mod:`repro.parallel.motion`) and the columns
-    the atom pruner's trajectory-MBR tables are computed from
-    (:mod:`repro.ftl.atoms`).
+    code (:data:`KIND_LINEAR` for a plain ``LinearFunction`` of
+    float64-exact coefficients; :data:`KIND_PICKLED` for everything
+    else, kept as the original triple in :attr:`fallback`) and an
+    ``intflags`` bitmask recording which fields were ``int``-typed so the
+    consumer can restore exact value types.  These are the columns the
+    sharded evaluator's motion snapshot carries to its workers
+    (:mod:`repro.parallel.motion`) and the atom pruner's trajectory-MBR
+    tables are computed from (:mod:`repro.ftl.atoms`).
     """
 
     def __init__(
@@ -640,9 +639,6 @@ class MotionRows:
         slope,
         kind,
         intflags,
-        pw_offsets,
-        pw_starts,
-        pw_slopes,
         fallback: dict,
     ) -> None:
         self.value = value
@@ -650,12 +646,9 @@ class MotionRows:
         self.slope = slope
         self.kind = kind
         self.intflags = intflags
-        self.pw_offsets = pw_offsets
-        self.pw_starts = pw_starts
-        self.pw_slopes = pw_slopes
         #: Row index → original triple, for rows the arrays cannot carry
-        #: exactly (nonlinear functions, non-numeric or non-float64-exact
-        #: values).
+        #: exactly (any function but ``LinearFunction``, non-numeric or
+        #: non-float64-exact values).
         self.fallback = fallback
 
 
@@ -673,29 +666,23 @@ def _exact_numeric(x: object) -> bool:
 
 def export_motion_rows(triples) -> MotionRows:
     """Flatten dynamic-attribute triples into :class:`MotionRows`."""
-    from repro.motion.functions import (
-        LinearFunction,
-        PiecewiseLinearFunction,
-    )
+    from repro.motion.functions import LinearFunction
 
     n = len(triples)
     value = np.zeros(n)
     updatetime = np.zeros(n)
     slope = np.zeros(n)
-    kind = np.zeros(n, dtype=np.int8)
+    kind = np.full(n, KIND_LINEAR, dtype=np.int8)
     intflags = np.zeros(n, dtype=np.int8)
-    pw_offsets: list[int] = [0]
-    pw_starts: list[float] = []
-    pw_slopes: list[float] = []
     fallback: dict[int, object] = {}
 
     for row, triple in enumerate(triples):
         fn = triple.function
-        fn_type = type(fn)
         if not (
-            _exact_numeric(triple.value)
+            type(fn) is LinearFunction
+            and _exact_numeric(triple.value)
             and _exact_numeric(triple.updatetime)
-            and fn_type in (LinearFunction, PiecewiseLinearFunction)
+            and _exact_numeric(fn.slope)
         ):
             kind[row] = KIND_PICKLED
             fallback[row] = triple
@@ -705,23 +692,11 @@ def export_motion_rows(triples) -> MotionRows:
             flags |= FLAG_VALUE_INT
         if type(triple.updatetime) is int:
             flags |= FLAG_UPDATETIME_INT
+        if type(fn.slope) is int:
+            flags |= FLAG_SLOPE_INT
         value[row] = float(triple.value)
         updatetime[row] = float(triple.updatetime)
-        if fn_type is LinearFunction:
-            if not _exact_numeric(fn.slope):
-                kind[row] = KIND_PICKLED
-                fallback[row] = triple
-                continue
-            if type(fn.slope) is int:
-                flags |= FLAG_SLOPE_INT
-            slope[row] = float(fn.slope)
-            kind[row] = KIND_LINEAR
-        else:  # PiecewiseLinearFunction: pieces are floats by construction
-            kind[row] = KIND_PIECEWISE
-            for s, k in fn.pieces:
-                pw_starts.append(s)
-                pw_slopes.append(k)
-            pw_offsets.append(len(pw_starts))
+        slope[row] = float(fn.slope)
         intflags[row] = flags
 
     return MotionRows(
@@ -730,9 +705,6 @@ def export_motion_rows(triples) -> MotionRows:
         slope=slope,
         kind=kind,
         intflags=intflags,
-        pw_offsets=np.asarray(pw_offsets, dtype=np.int64),
-        pw_starts=np.asarray(pw_starts, dtype=np.float64),
-        pw_slopes=np.asarray(pw_slopes, dtype=np.float64),
         fallback=fallback,
     )
 

@@ -148,7 +148,7 @@ class ShardedIntervalEvaluator:
             raise QueryError(
                 "parallel evaluation requires a future (MOST) history; "
                 "recorded histories replay an update log that has no "
-                "shared-memory snapshot form"
+                "motion snapshot form"
             )
         if workers < 1:
             raise QueryError(f"worker count must be >= 1, got {workers}")

@@ -1,12 +1,11 @@
-"""Shared-memory motion snapshots for shard workers.
+"""Motion snapshots for shard workers.
 
 A :class:`MotionSnapshot` flattens a history's population into numpy
 triple arrays — ``value`` / ``updatetime`` / ``slope`` per dynamic
-attribute row, plus a ragged breakpoint pool for piecewise-linear motion —
-that ship to worker processes through
-:class:`multiprocessing.shared_memory.SharedMemory` instead of pickled
-object graphs.  Workers rebuild a :class:`~repro.core.database.
-MostDatabase` replica from the arrays; evaluating on the replica is
+attribute row — plus a small picklable ``meta`` dict.  The snapshot is a
+plain dataclass: it travels to each worker pickled inside the task
+message, and the worker rebuilds a :class:`~repro.core.database.
+MostDatabase` replica from it.  Evaluating on the replica is
 bit-identical to evaluating on the original because every reconstructed
 triple reproduces the original's *values and value types* exactly:
 
@@ -16,22 +15,19 @@ triple reproduces the original's *values and value types* exactly:
   types (``str((5, 'c0')) != str((5.0, 'c0'))`` — display ordering would
   drift otherwise);
 * values that do not round-trip through ``float64``, non-numeric values,
-  and non-linear functions (``ShiftedFunction``, ``PolynomialFunction``,
-  ``SinusoidFunction``) fall back to a per-row pickle — exact by
-  construction and rare by construction (the batch solver cannot
-  vectorize them either).
+  and every function other than a plain ``LinearFunction``
+  (``PiecewiseLinearFunction``, ``ShiftedFunction``,
+  ``PolynomialFunction``, ``SinusoidFunction``) travel as the original
+  triple in the per-row ``fallback`` — exact by construction and rare by
+  construction (the batch solver cannot vectorize them either).
 
-The arrays feed the PR 6 batch solver directly: a worker's evaluator
-builds its :class:`~repro.motion.batch.LinearTable` rows from the very
-triples reconstructed here (see :func:`repro.motion.batch.export_motion_rows`
-for the shared flattening core).
+The arrays are the columns of :func:`repro.motion.batch.export_motion_rows`,
+the flattening the atom pruner's leg-box tables are computed from too.
 """
 
 from __future__ import annotations
 
-import pickle
-from dataclasses import dataclass, field
-from multiprocessing import resource_tracker, shared_memory
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -45,67 +41,24 @@ from repro.motion.batch import (
     FLAG_SLOPE_INT,
     FLAG_UPDATETIME_INT,
     FLAG_VALUE_INT,
-    KIND_LINEAR,
     KIND_PICKLED,
-    KIND_PIECEWISE,
     export_motion_rows,
 )
-from repro.motion.functions import LinearFunction, PiecewiseLinearFunction
+from repro.motion.functions import LinearFunction
 from repro.temporal import SimulationClock
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.history import History
 
-__all__ = ["MotionSnapshot", "SharedPayload"]
-
-_ARRAY_NAMES = (
-    "value",
-    "updatetime",
-    "slope",
-    "kind",
-    "intflags",
-    "pw_offsets",
-    "pw_starts",
-    "pw_slopes",
-)
-
-
-def _attach_untracked(shm_name: str) -> shared_memory.SharedMemory:
-    """Attach to an existing segment without resource-tracker bookkeeping.
-
-    Attaching registers the segment with the resource tracker a second
-    time on Python < 3.13 (cpython#82300), and with the fork start
-    method every worker shares the parent's tracker — duplicate
-    register/unregister messages against its per-name *set* desync the
-    accounting into "leaked segment" warnings or KeyErrors at shutdown.
-    The parent owns every segment and unlinks it right after the workers
-    ack, so worker attachments need no tracking at all: suppress the
-    registration for the duration of the attach (the worker loop is
-    single-threaded, so the patch cannot leak into other attaches).
-    """
-    original = resource_tracker.register
-    resource_tracker.register = lambda *args, **kwargs: None  # type: ignore[assignment]
-    try:
-        return shared_memory.SharedMemory(name=shm_name)
-    finally:
-        resource_tracker.register = original
-
-
-@dataclass
-class SharedPayload:
-    """The picklable wire form of a snapshot: small meta + shm names."""
-
-    meta: bytes
-    blocks: list[tuple[str, str, str, tuple[int, ...]]]
+__all__ = ["MotionSnapshot"]
 
 
 @dataclass
 class MotionSnapshot:
-    """A history's population flattened into transportable arrays."""
+    """A history's population flattened into picklable arrays."""
 
     meta: dict[str, object]
-    arrays: dict[str, "np.ndarray[tuple[int], np.dtype[np.float64]] | np.ndarray[tuple[int], np.dtype[np.int64]] | np.ndarray[tuple[int], np.dtype[np.int8]]"]
-    _segments: list[shared_memory.SharedMemory] = field(default_factory=list)
+    arrays: dict[str, "np.ndarray[tuple[int], np.dtype[np.float64]] | np.ndarray[tuple[int], np.dtype[np.int8]]"]
 
     # ------------------------------------------------------------------
     # Build (parent side)
@@ -162,65 +115,7 @@ class MotionSnapshot:
             "slope": rows.slope,
             "kind": rows.kind,
             "intflags": rows.intflags,
-            "pw_offsets": rows.pw_offsets,
-            "pw_starts": rows.pw_starts,
-            "pw_slopes": rows.pw_slopes,
         }
-        return cls(meta=meta, arrays=arrays)
-
-    # ------------------------------------------------------------------
-    # Transport
-    # ------------------------------------------------------------------
-    def to_payload(self) -> SharedPayload:
-        """Export the arrays into shared memory (kept alive on ``self``
-        until :meth:`release`) and pickle the small meta."""
-        blocks: list[tuple[str, str, str, tuple[int, ...]]] = []
-        for name in _ARRAY_NAMES:
-            arr = np.ascontiguousarray(self.arrays[name])
-            if arr.nbytes:
-                seg = shared_memory.SharedMemory(create=True, size=arr.nbytes)
-                view: "np.ndarray[tuple[int], np.dtype[np.float64]]" = (
-                    np.ndarray(arr.shape, dtype=arr.dtype, buffer=seg.buf)
-                )
-                view[:] = arr
-                self._segments.append(seg)
-                blocks.append((name, seg.name, arr.dtype.str, arr.shape))
-            else:
-                blocks.append((name, "", arr.dtype.str, arr.shape))
-        return SharedPayload(
-            meta=pickle.dumps(self.meta, protocol=pickle.HIGHEST_PROTOCOL),
-            blocks=blocks,
-        )
-
-    def release(self) -> None:
-        """Close and unlink every shared-memory segment this snapshot
-        exported.  Safe to call more than once."""
-        for seg in self._segments:
-            try:
-                seg.close()
-                seg.unlink()
-            except (FileNotFoundError, OSError):  # pragma: no cover
-                pass
-        self._segments.clear()
-
-    @classmethod
-    def from_payload(cls, payload: SharedPayload) -> "MotionSnapshot":
-        """Worker side: attach the shared arrays and *copy* them out, so
-        the worker holds no reference into the parent's segments."""
-        meta = pickle.loads(payload.meta)
-        arrays: dict[str, "np.ndarray[tuple[int], np.dtype[np.float64]]"] = {}
-        for name, shm_name, dtype_str, shape in payload.blocks:
-            if shm_name == "":
-                arrays[name] = np.empty(shape, dtype=np.dtype(dtype_str))
-                continue
-            seg = _attach_untracked(shm_name)
-            try:
-                view = np.ndarray(
-                    shape, dtype=np.dtype(dtype_str), buffer=seg.buf
-                )
-                arrays[name] = view.copy()
-            finally:
-                seg.close()
         return cls(meta=meta, arrays=arrays)
 
     # ------------------------------------------------------------------
@@ -259,19 +154,14 @@ class MotionSnapshot:
         slope = self.arrays["slope"]
         kind = self.arrays["kind"]
         intflags = self.arrays["intflags"]
-        pw_offsets = self.arrays["pw_offsets"]
-        pw_starts = self.arrays["pw_starts"]
-        pw_slopes = self.arrays["pw_slopes"]
 
         row = 0
-        pw_seq = 0
         for c in classes:
             class_statics = statics.get(c.name, {})
             for oid in ids[c.name]:
                 dynamic: dict[str, DynamicAttribute] = {}
                 for attr in c.all_dynamic:
-                    k = int(kind[row])
-                    if k == KIND_PICKLED:
+                    if int(kind[row]) == KIND_PICKLED:
                         dynamic[attr] = fallback[row]
                     else:
                         flags = int(intflags[row])
@@ -281,29 +171,12 @@ class MotionSnapshot:
                         u: float | int = float(updatetime[row])
                         if flags & FLAG_UPDATETIME_INT:
                             u = int(u)
-                        if k == KIND_LINEAR:
-                            s: float | int = float(slope[row])
-                            if flags & FLAG_SLOPE_INT:
-                                s = int(s)
-                            fn: LinearFunction | PiecewiseLinearFunction = (
-                                LinearFunction(s)
-                            )
-                        else:
-                            lo = int(pw_offsets[pw_seq])
-                            hi = int(pw_offsets[pw_seq + 1])
-                            fn = PiecewiseLinearFunction(
-                                list(
-                                    zip(
-                                        pw_starts[lo:hi].tolist(),
-                                        pw_slopes[lo:hi].tolist(),
-                                    )
-                                )
-                            )
+                        s: float | int = float(slope[row])
+                        if flags & FLAG_SLOPE_INT:
+                            s = int(s)
                         dynamic[attr] = DynamicAttribute(
-                            value=v, updatetime=u, function=fn
+                            value=v, updatetime=u, function=LinearFunction(s)
                         )
-                    if k == KIND_PIECEWISE:
-                        pw_seq += 1
                     row += 1
                 db.add_object(
                     c.name,

@@ -10,11 +10,12 @@ population, class/region names and window start — so several cold
 evaluations against the same database state pay the flatten-and-ship
 cost once, not once per query.
 
-Transport: motion arrays travel through
-:class:`multiprocessing.shared_memory.SharedMemory` (workers copy out
-and ack before the parent unlinks); tasks and results travel through
-ordinary queues.  Worker exceptions are shipped back and re-raised in
-the parent, so error behaviour matches serial evaluation.
+Transport: everything travels through ordinary queues — the snapshot is
+pickled once and put on each worker's task queue, so no OS resource
+outlives a call.  Worker exceptions are shipped back and re-raised in
+the parent, so error behaviour matches serial evaluation.  A worker that
+dies fails the call in flight with :class:`~repro.errors.QueryError`;
+:func:`get_pool` then replaces the whole pool on the next call.
 """
 
 from __future__ import annotations
@@ -108,8 +109,12 @@ class ShardWorkerPool:
             self._processes.append(proc)
 
     # ------------------------------------------------------------------
+    def dead_workers(self) -> list[str]:
+        """Names of the worker processes that are no longer running."""
+        return [p.name for p in self._processes if not p.is_alive()]
+
     def _check_alive(self) -> None:
-        dead = [p.name for p in self._processes if not p.is_alive()]
+        dead = self.dead_workers()
         if dead:
             raise QueryError(
                 f"shard worker(s) died: {', '.join(dead)}; "
@@ -141,8 +146,7 @@ class ShardWorkerPool:
         already hold one for the same database epoch.
 
         Returns the epoch token (diagnostics/tests).  Blocks until every
-        worker has copied the arrays out of shared memory, then unlinks
-        the segments — no shared state outlives the call.
+        worker has rebuilt its replica from the snapshot and acked.
         """
         if self._closed:
             raise QueryError("worker pool is closed")
@@ -152,13 +156,12 @@ class ShardWorkerPool:
         self._check_alive()
         snap = MotionSnapshot.build(history)
         snap_id = next(self._snap_ids)
-        payload = snap.to_payload()
-        try:
-            for tq in self._task_queues:
-                tq.put(("snapshot", snap_id, payload))
-            acks = self._collect(self.workers)
-        finally:
-            snap.release()
+        # Pickled here, once for every worker: a triple that does not
+        # pickle fails this call, not the queues' feeder threads.
+        payload = pickle.dumps(snap, protocol=pickle.HIGHEST_PROTOCOL)
+        for tq in self._task_queues:
+            tq.put(("snapshot", snap_id, payload))
+        acks = self._collect(self.workers)
         for msg in acks:
             if msg[0] != "snapack" or msg[2] != snap_id:
                 raise QueryError(
@@ -215,6 +218,9 @@ class ShardWorkerPool:
                 proc.terminate()
                 proc.join(timeout=1.0)
         for tq in self._task_queues:
+            # A message a dead worker never read must not hold up
+            # interpreter exit behind the queue's feeder thread.
+            tq.cancel_join_thread()
             tq.close()
         self._result_queue.close()
         self._task_queues.clear()
@@ -235,11 +241,15 @@ def get_pool(
 
     Every query evaluated with ``parallel=N`` in this process shares the
     same N workers — and therefore the same shipped snapshot per database
-    epoch (:func:`epoch_token`).
+    epoch (:func:`epoch_token`).  A cached pool that is closed or has
+    lost a worker is closed and replaced, together with whatever its
+    workers left unread.
     """
     key = (workers, start_method)
     pool = _POOLS.get(key)
-    if pool is None or pool._closed:
+    if pool is None or pool._closed or pool.dead_workers():
+        if pool is not None:
+            pool.close()
         pool = ShardWorkerPool(workers, start_method=start_method)
         _POOLS[key] = pool
     return pool

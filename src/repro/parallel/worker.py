@@ -2,11 +2,11 @@
 
 A worker loops over its task queue:
 
-* ``("snapshot", snap_id, payload)`` — attach the shared-memory motion
-  arrays, copy them out, rebuild the database replica, ack.  The replica
-  replaces any previous one; per-process caches are reset first so a
-  forked worker can never serve answers from memo state inherited from
-  the parent's address space.
+* ``("snapshot", snap_id, payload)`` — unpickle the
+  :class:`~repro.parallel.motion.MotionSnapshot`, rebuild the database
+  replica from it, ack.  The replica replaces any previous one;
+  per-process caches are reset first so a forked worker can never serve
+  answers from memo state inherited from the parent's address space.
 * ``("eval", task_id, spec)`` — evaluate the spec's query with the split
   variable's domain restricted to the spec's shard, and ship the
   relation, counters and per-atom stats back, the stats keyed by *node
@@ -29,7 +29,6 @@ from repro.errors import FtlSemanticsError
 from repro.ftl.atoms import clear_region_tokens
 from repro.ftl.context import EvalContext
 from repro.ftl.evaluator import IntervalEvaluator
-from repro.parallel.motion import MotionSnapshot
 
 if TYPE_CHECKING:  # pragma: no cover
     from multiprocessing.queues import Queue as MpQueue
@@ -135,8 +134,7 @@ def worker_main(
             snap_id, payload = msg[1], msg[2]
             try:
                 reset_worker_caches()
-                snap = MotionSnapshot.from_payload(payload)
-                db, history = snap.build_database()
+                db, history = pickle.loads(payload).build_database()
                 state.clear()
                 state.update(snap_id=snap_id, db=db, history=history)
                 result_queue.put(("snapack", worker_id, snap_id))

@@ -10,26 +10,19 @@ import pytest
 from repro.config import (
     KINETIC_CACHE_SIZE_VAR,
     PARALLEL_START_METHOD_VAR,
-    PARALLEL_WORKERS_VAR,
     env_int,
     kinetic_cache_entries,
     parallel_start_method,
-    parallel_workers,
 )
 from repro.core import MostDatabase
-from repro.errors import ConfigError
+from repro.errors import ConfigError, QueryError
 from repro.parallel import resolve_workers
 
 
 def test_unset_and_empty_mean_default(monkeypatch):
-    for var in (
-        KINETIC_CACHE_SIZE_VAR,
-        PARALLEL_WORKERS_VAR,
-        PARALLEL_START_METHOD_VAR,
-    ):
+    for var in (KINETIC_CACHE_SIZE_VAR, PARALLEL_START_METHOD_VAR):
         monkeypatch.delenv(var, raising=False)
     assert kinetic_cache_entries() is None
-    assert parallel_workers() is None
     assert parallel_start_method() is None
     monkeypatch.setenv(KINETIC_CACHE_SIZE_VAR, "  ")
     assert kinetic_cache_entries() is None
@@ -50,9 +43,6 @@ def test_positive_knobs_reject_non_positive(monkeypatch, raw):
     monkeypatch.setenv(KINETIC_CACHE_SIZE_VAR, raw)
     with pytest.raises(ConfigError, match=">= 1"):
         kinetic_cache_entries()
-    monkeypatch.setenv(PARALLEL_WORKERS_VAR, raw)
-    with pytest.raises(ConfigError, match=">= 1"):
-        parallel_workers()
 
 
 def test_env_int_bounds(monkeypatch):
@@ -75,10 +65,13 @@ def test_constructor_overrides_env(monkeypatch):
 
 
 def test_parallel_workers_env_feeds_auto(monkeypatch):
-    monkeypatch.setenv(PARALLEL_WORKERS_VAR, "3")
-    assert resolve_workers("auto") == 3
-    monkeypatch.delenv(PARALLEL_WORKERS_VAR)
-    assert resolve_workers("auto") >= 1  # cpu-count fallback
+    """Sharding is explicit-only: no ``"auto"`` value and no environment
+    variable sizes a pool."""
+    monkeypatch.setenv("REPRO_PARALLEL_WORKERS", "3")
+    with pytest.raises(QueryError, match="non-negative integer, None or False"):
+        resolve_workers("auto")
+    assert resolve_workers(None) == 1
+    assert resolve_workers(2) == 2
 
 
 def test_start_method_validation(monkeypatch):

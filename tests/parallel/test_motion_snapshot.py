@@ -1,12 +1,14 @@
 """Snapshot fidelity: the worker's replica answers exactly like the parent.
 
-The shared-memory wire form flattens every dynamic attribute to float64
-arrays plus int-flag bits (DESIGN.md §12).  Because answer ordering
-sorts instantiation *strings*, an ``int`` position that came back as
-``2.0`` would silently reorder answers — so type restoration is tested
-value by value, and anything the arrays cannot carry exactly must round
-trip through the per-row pickle fallback.
+The snapshot flattens every plain linear dynamic attribute to float64
+arrays plus int-flag bits and travels pickled (DESIGN.md §12).  Because
+answer ordering sorts instantiation *strings*, an ``int`` position that
+came back as ``2.0`` would silently reorder answers — so type
+restoration is tested value by value, and anything the arrays cannot
+carry exactly must round trip through the per-row fallback.
 """
+
+import pickle
 
 import pytest
 
@@ -46,11 +48,7 @@ def build_db():
 
 def replica_of(db):
     snap = MotionSnapshot.build(FutureHistory(db))
-    payload = snap.to_payload()
-    try:
-        remote = MotionSnapshot.from_payload(payload)
-    finally:
-        snap.release()
+    remote = pickle.loads(pickle.dumps(snap))
     return remote.build_database()
 
 
@@ -132,23 +130,29 @@ def test_replica_falls_back_to_pickle_for_nonlinear():
 
 def test_payload_round_trip_preserves_meta():
     db = build_db()
+    db.update_dynamic(
+        "c0",
+        "x_position",
+        function=PiecewiseLinearFunction([(0, 1), (3, -2), (6, 0.5)]),
+    )
+    db.update_dynamic(
+        "c1", "y_position", function=PolynomialFunction([1.0, 0.5])
+    )
     snap = MotionSnapshot.build(FutureHistory(db))
-    payload = snap.to_payload()
-    try:
-        remote = MotionSnapshot.from_payload(payload)
-    finally:
-        snap.release()
+    remote = pickle.loads(pickle.dumps(snap))
     assert remote.meta == snap.meta
+    assert remote.arrays.keys() == snap.arrays.keys()
     for name, arr in snap.arrays.items():
+        assert remote.arrays[name].dtype == arr.dtype
         assert (remote.arrays[name] == arr).all()
-
-
-def test_release_is_idempotent():
-    db = build_db()
-    snap = MotionSnapshot.build(FutureHistory(db))
-    snap.to_payload()
-    snap.release()
-    snap.release()
+    fallback = snap.meta["fallback"]
+    remote_fallback = remote.meta["fallback"]
+    assert {type(t.function) for t in fallback.values()} == {
+        PiecewiseLinearFunction,
+        PolynomialFunction,
+    }
+    for row, triple in fallback.items():
+        assert type(remote_fallback[row].function) is type(triple.function)
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +172,7 @@ def test_epoch_token_distinguishes_stale_snapshot():
     assert epoch_token(fresh)[1] == before[1] + 1
     with pytest.raises(QueryError, match="version 0 .*version 1"):
         MotionSnapshot.build(frozen)
-    snap = MotionSnapshot.build(fresh)
-    snap.release()
+    MotionSnapshot.build(fresh)
 
 
 def test_epoch_token_tracks_population_changes():

@@ -316,7 +316,8 @@ def test_resolve_workers():
     assert resolve_workers(0) == 1
     assert resolve_workers(1) == 1
     assert resolve_workers(3) == 3
-    assert resolve_workers("auto") >= 1
+    with pytest.raises(QueryError):
+        resolve_workers("auto")
     with pytest.raises(QueryError):
         resolve_workers(True)
     with pytest.raises(QueryError):
