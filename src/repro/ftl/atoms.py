@@ -49,15 +49,27 @@ near the boundary.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from functools import partial
-from typing import TYPE_CHECKING, Callable
+from itertools import repeat
+from operator import itemgetter
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from repro.errors import QueryError, SchemaError
-from repro.ftl.ast import Compare, Dist, Formula, Inside, Outside, WithinSphere
-from repro.ftl.relations import EMPTY_SET
+from repro.ftl.ast import (
+    Compare,
+    Const,
+    Dist,
+    Formula,
+    Inside,
+    Outside,
+    Var,
+    WithinSphere,
+)
+from repro.ftl.relations import EMPTY_SET, Instantiation
 from repro.geometry import Point
 from repro.motion import batch
 from repro.motion.batch import (
@@ -74,7 +86,7 @@ from repro.temporal import DISCRETE, IntervalSet
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.history import History
-    from repro.ftl.context import Env, EvalContext
+    from repro.ftl.context import EvalContext
 
 #: Default bound on cached solve entries (FIFO eviction beyond this).
 DEFAULT_CACHE_ENTRIES = 8192
@@ -84,6 +96,21 @@ DEFAULT_CACHE_ENTRIES = 8192
 #: bound for the whole window: ``True`` → the atom holds everywhere.
 _DIST_OPS = {"<": False, "<=": False, ">": True, ">=": True}
 _FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+#: One atom's rows split by :meth:`AtomIndexPruner.partition`: in row
+#: order, each row to solve paired with ``None`` and each decided row
+#: that enters the relation paired with its known answer; then the
+#: count of decided rows.
+AtomPartition = tuple[list[tuple[Instantiation, "IntervalSet | None"]], int]
+
+
+def _radius(bound: object) -> float:
+    """A ``DIST`` bound as a pruning radius, or NaN when the solve path
+    must decide: not a number, negative, or NaN (``not >=`` refuses NaN,
+    which no box is within)."""
+    if not isinstance(bound, (int, float)) or not bound >= 0:
+        return math.nan
+    return float(bound)
 
 
 class KineticSolveCache:
@@ -387,7 +414,7 @@ class _MbrTable:
     of each of the ``N`` boxes — one class's leg boxes, or a region's
     one probe box."""
 
-    __slots__ = ("lo", "hi", "owners", "members", "dim", "_sweep")
+    __slots__ = ("lo", "hi", "owners", "members", "dim", "_sweep", "_heads")
 
     def __init__(
         self,
@@ -401,6 +428,7 @@ class _MbrTable:
         self.members = frozenset(owners)
         self.dim = int(self.lo.shape[0])
         self._sweep: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._heads: np.ndarray | None = None
 
     def sweep(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(order, lo0, reach)``: the rows in ascending axis-0 ``lo``
@@ -417,6 +445,19 @@ class _MbrTable:
                 np.maximum.accumulate(self.hi[0][order]),
             )
         return self._sweep
+
+    def heads(self) -> np.ndarray:
+        """Per row, the first row of its owner: an object's rows are
+        contiguous, so this is the owner's number in the table — the
+        ``first`` of :attr:`ClassMbrTable.rows`.  Computed on first use
+        and kept."""
+        if self._heads is None:
+            first: dict[object, int] = {}
+            self._heads = np.array(
+                [first.setdefault(o, row) for row, o in enumerate(self.owners)],
+                dtype=np.int64,
+            )
+        return self._heads
 
 
 #: Candidate pairs :func:`overlap_join` tests per numpy pass, bounding
@@ -695,12 +736,11 @@ class AtomIndexPruner:
     domain restrictions, so a shard worker sees the serial tables and
     pad.  Candidates come from :func:`overlap_join`, exact: a pair atom
     joins the left object's class table, grown by the radius, against
-    the right object's class table once per radius, and keeps each
-    object's partner set as it is first asked for.  Objects that cannot
-    be plotted — nonlinear motion, no spatial attributes — are
-    *unprunable*: members of every candidate set, so the exact solve
-    path handles them (and raises on them) exactly as the exhaustive
-    evaluator would.
+    the right object's class table once per radius, and tests each row's
+    pair against the join's CSR arrays.  Objects that cannot be plotted —
+    nonlinear motion, no spatial attributes — are *unprunable*: members
+    of every candidate set, so the exact solve path handles them (and
+    raises on them) exactly as the exhaustive evaluator would.
     """
 
     def __init__(self, ctx: "EvalContext") -> None:
@@ -714,15 +754,21 @@ class AtomIndexPruner:
         self._unprunable: frozenset = frozenset()
         #: Unprunables whose exhaustive solve would *raise* (nonspatial,
         #: unknown id).  Pruning an instantiation containing one would
-        #: swallow the error the exhaustive path reports, so gates refuse.
+        #: swallow the error the exhaustive path reports, so partitions
+        #: leave such rows to the solve path.
         self._raising: frozenset = frozenset()
         self._region_cands: dict[object, frozenset] = {}
         #: ``(left boxes, right boxes, inflate)`` -> their overlap join.
         self._joins: dict[
             tuple[_MbrTable, _MbrTable, float], tuple[np.ndarray, np.ndarray]
         ] = {}
-        #: ``(object, right boxes, radius)`` -> the object's partners.
-        self._partner_sets: dict[tuple[object, _MbrTable, float], frozenset] = {}
+        #: The same key -> the join's pairs as sorted unique codes
+        #: ``left head * len(right.owners) + right head``.
+        self._pair_codes: dict[tuple[_MbrTable, _MbrTable, float], np.ndarray] = {}
+        #: Indexed object -> its slot (:meth:`_slots`), and each table's
+        #: first slot, in :attr:`_boxes` order; filled on first use.
+        self._slot_of: dict[object, int] | None = None
+        self._starts = np.zeros(0, dtype=np.int64)
         #: Largest |coordinate| of the bound classes' boxes; inflation
         #: pads scale with it so the solvers' relative boundary tolerance
         #: can never out-reach the pruning boxes.
@@ -773,23 +819,26 @@ class AtomIndexPruner:
 
     def is_indexed(self, oid: object) -> bool:
         """Whether ``oid`` has rows in the table — the only objects a
-        gate may prune.  An id the table has never seen (assigned-
+        partition may decide.  An id the table has never seen (assigned-
         variable value, unknown object) and every unprunable object must
         take the solve path, which decides — or raises — exactly as the
         exhaustive evaluator would."""
         self._build()
         return oid in self._rows
 
-    def _safe(self, oid: object) -> bool:
-        """Whether the exhaustive solve path is guaranteed not to raise
-        for this object (indexed, or unprunable for nonlinearity only)."""
-        return self.is_indexed(oid) or (
-            oid in self._unprunable and oid not in self._raising
-        )
-
     # ------------------------------------------------------------------
     # Candidate queries
     # ------------------------------------------------------------------
+    def _join(
+        self, left: _MbrTable, right: _MbrTable, inflate: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The memoised :func:`overlap_join` of two tables."""
+        key = (left, right, inflate)
+        join = self._joins.get(key)
+        if join is None:
+            join = self._joins[key] = overlap_join(left, right, inflate)
+        return join
+
     def _meets(
         self,
         left: _MbrTable,
@@ -801,37 +850,25 @@ class AtomIndexPruner:
         """Owners of the ``right`` boxes that rows ``first:stop`` of
         ``left``, grown by ``inflate``, touch — read off the memoised
         join of the two tables."""
-        key = (left, right, inflate)
-        join = self._joins.get(key)
-        if join is None:
-            join = self._joins[key] = overlap_join(left, right, inflate)
-        indptr, rows = join
+        indptr, rows = self._join(left, right, inflate)
         owners = right.owners
         return {owners[i] for i in rows[indptr[first] : indptr[stop]].tolist()}
 
-    def _partners(self, oid: object, right: _MbrTable, radius: float) -> frozenset:
-        """``oid`` and the owners of the ``right`` boxes its own leg
-        boxes touch once grown by ``radius`` plus the pad.  ``oid`` must
-        be indexed, and its table share ``right``'s dimensionality."""
-        key = (oid, right, radius)
-        hit = self._partner_sets.get(key)
-        if hit is None:
-            boxes, first, stop = self._rows[oid]
-            near = self._meets(boxes, first, stop, right, radius + self._pad)
-            near.add(oid)
-            hit = self._partner_sets[key] = frozenset(near)
-        return hit
-
-    def _apart(self, a: object, b: object, radius: float) -> bool:
-        """Whether ``a`` and ``b`` are both indexed, of one
-        dimensionality, and ``b`` is not among ``a``'s partners at
-        ``radius``: the pair then stays strictly farther apart than
-        ``radius`` for the whole window."""
-        rows_a = self._rows.get(a)
-        rows_b = self._rows.get(b)
-        if rows_a is None or rows_b is None or rows_a[0].dim != rows_b[0].dim:
-            return False
-        return b not in self._partners(a, rows_b[0], radius)
+    def _codes(
+        self, left: _MbrTable, right: _MbrTable, inflate: float
+    ) -> np.ndarray:
+        """Every object pair the join of ``left`` grown by ``inflate``
+        against ``right`` meets, as sorted unique codes ``left head *
+        len(right.owners) + right head`` (:meth:`_MbrTable.heads`)."""
+        key = (left, right, inflate)
+        codes = self._pair_codes.get(key)
+        if codes is None:
+            indptr, rows = self._join(left, right, inflate)
+            lefts = np.repeat(left.heads(), np.diff(indptr))
+            codes = self._pair_codes[key] = np.unique(
+                lefts * len(right.owners) + right.heads()[rows]
+            )
+        return codes
 
     def region_candidates(self, region: object) -> frozenset | None:
         """Objects that may intersect the region during the window, or
@@ -869,104 +906,213 @@ class AtomIndexPruner:
         time of the window (``oid`` itself included), or ``None`` when
         ``oid`` is unprunable (every object is then a candidate): every
         unprunable object, every object of another dimensionality, and
-        ``oid``'s partners in each class table of its dimensionality."""
+        the owners of the boxes ``oid``'s own leg boxes, grown by
+        ``radius`` plus the pad, touch in each class table of its
+        dimensionality."""
         self._build()
         rows = self._rows.get(oid)
         if rows is None:
             return None
+        boxes, first, stop = rows
         cands = set(self._unprunable)
+        cands.add(oid)
         for table in self._boxes:
-            if table.dim == rows[0].dim:
-                cands |= self._partners(oid, table, float(radius))
+            if table.dim == boxes.dim:
+                cands |= self._meets(
+                    boxes, first, stop, table, float(radius) + self._pad
+                )
             else:
                 cands |= table.members
         return frozenset(cands)
 
-    # ------------------------------------------------------------------
-    # The atom gate
-    # ------------------------------------------------------------------
-    def gate(
-        self, f: Formula
-    ) -> "Callable[[Env], IntervalSet | None] | None":
-        """A per-instantiation gate for one atom, or ``None`` when the
-        atom kind is not prunable.
+    def _slots(self, column: list[object]) -> np.ndarray:
+        """Each object's slot — its first row in its table, offset by
+        the rows of the tables before it in :attr:`_boxes` — or ``-1``
+        for an object with no rows."""
+        if self._slot_of is None:
+            offsets: dict[_MbrTable, int] = {}
+            base = 0
+            for table in self._boxes:
+                offsets[table] = base
+                base += len(table.owners)
+            self._starts = np.array(list(offsets.values()), dtype=np.int64)
+            self._slot_of = {
+                oid: offsets[table] + first
+                for oid, (table, first, _stop) in self._rows.items()
+            }
+        return np.fromiter(
+            map(self._slot_of.get, column, repeat(-1)),
+            dtype=np.int64,
+            count=len(column),
+        )
 
-        The gate maps an environment to the *known* answer (no solve
-        needed) or ``None`` (run the solve path).  Known answers are
+    def _far(
+        self, a: np.ndarray, b: np.ndarray, radii: np.ndarray
+    ) -> np.ndarray:
+        """Per row, whether the objects in slots ``a`` and ``b``
+        (:meth:`_slots`) are distinct, both indexed, of one
+        dimensionality, and no box of ``a`` grown by the row's radius
+        plus the pad meets a box of ``b``: the pair then stays strictly
+        farther apart than the radius for the whole window.  A NaN
+        radius is never far.  One vectorised code lookup per distinct
+        (table, table, radius) answers every row."""
+        far = np.zeros(a.size, dtype=bool)
+        live = np.flatnonzero((a >= 0) & (b >= 0) & (a != b) & ~np.isnan(radii))
+        if not live.size:
+            return far
+        starts = self._starts
+        tables = self._boxes
+        left = np.searchsorted(starts, a[live], side="right") - 1
+        right = np.searchsorted(starts, b[live], side="right") - 1
+        combos = left * len(tables) + right
+        for combo in np.unique(combos).tolist():
+            i, j = divmod(combo, len(tables))
+            if tables[i].dim != tables[j].dim:
+                continue
+            rows = live[combos == combo]
+            for radius in np.unique(radii[rows]).tolist():
+                pick = rows[radii[rows] == radius]
+                codes = (a[pick] - starts[i]) * len(tables[j].owners) + (
+                    b[pick] - starts[j]
+                )
+                met = self._codes(tables[i], tables[j], radius + self._pad)
+                far[pick] = ~np.isin(codes, met)
+        return far
+
+    # ------------------------------------------------------------------
+    # The atom partition
+    # ------------------------------------------------------------------
+    def partition(
+        self, f: Formula, free: Sequence[str], rows: list[Instantiation]
+    ) -> AtomPartition | None:
+        """Split one atom's ``rows`` (instantiations of the variables
+        ``free``, in order) into the rows the index decides and the rows
+        to solve, or ``None`` when the atom kind is not decidable here
+        (every row is then solved).
+
+        The result lists, in row order, each row to solve paired with
+        ``None`` and each decided row that enters the relation paired
+        with its known answer, plus the count of decided rows.  A
+        decided row of ``INSIDE``, ``WITHIN_SPHERE`` and ``DIST <=`` /
+        ``<`` is empty and left out; one of ``OUTSIDE`` and ``DIST >=``
+        / ``>`` holds over the full discrete window.  Both answers are
         structurally identical to what the solve path would produce:
-        ``EMPTY_SET`` and the full discrete window span are exactly the
-        shapes the discretize-and-clip pipeline emits.
+        ``EMPTY_SET`` and the full span are exactly the shapes the
+        discretize-and-clip pipeline emits.  The verdicts are computed a
+        column at a time, so a decided row costs no Python work beyond
+        reading its objects; the tables are built only for an atom kind
+        the index can decide.
         """
-        ctx = self.ctx
-        full = IntervalSet.span(ctx.start, ctx.end, DISCRETE)
-        # The gates below read the tables without building them.
-        self._build()
-
         if isinstance(f, (Inside, Outside)):
-            try:
-                region = ctx.history.region(f.region)
-            except SchemaError:
-                return None  # let the solve path raise identically
-            cands = self.region_candidates(region)
-            if cands is None:
-                return None
-            miss = EMPTY_SET if isinstance(f, Inside) else full
-            obj_term = f.obj
-
-            def region_gate(env: "Env") -> IntervalSet | None:
-                oid = ctx.eval_term(obj_term, env, ctx.start)
-                if oid in cands or oid not in self._rows:
-                    return None
-                return miss
-
-            return region_gate
-
+            return self._region_partition(f, free, rows)
         if isinstance(f, WithinSphere):
-            # All k points fit in a radius-r sphere only if every pair is
-            # within 2r of each other at that moment — a necessary
-            # condition, so one far pair kills the instantiation.
-            diameter = 2.0 * float(f.radius)
-            if not diameter >= 0:  # negative or NaN
-                return None  # let the solve path decide (or raise)
-            objs = f.objs
-
-            def sphere_gate(env: "Env") -> IntervalSet | None:
-                oids = [ctx.eval_term(o, env, ctx.start) for o in objs]
-                # Any participant whose exhaustive solve would raise (or
-                # that the index has never seen) forces the solve path.
-                if not all(self._safe(o) for o in oids):
-                    return None
-                for i, a in enumerate(oids):
-                    for b in oids[i + 1 :]:
-                        if self._apart(a, b, diameter):
-                            return EMPTY_SET
-                return None
-
-            return sphere_gate
-
+            return self._sphere_partition(f, free, rows)
         if isinstance(f, Compare):
-            spec = self._dist_spec(f)
-            if spec is None:
-                return None
-            dist_term, bound_term, op = spec
-            holds_when_far = _DIST_OPS[op]
-
-            def dist_gate(env: "Env") -> IntervalSet | None:
-                bound = ctx.eval_term(bound_term, env, ctx.start)
-                # ``not >=`` also refuses NaN, which no box is within.
-                if not isinstance(bound, (int, float)) or not bound >= 0:
-                    return None
-                a = ctx.eval_term(dist_term.left, env, ctx.start)
-                b = ctx.eval_term(dist_term.right, env, ctx.start)
-                if not self._apart(a, b, float(bound)):
-                    return None
-                # Both indexed, disjoint after inflation: the pair stays
-                # strictly farther than the bound for the whole window.
-                return full if holds_when_far else EMPTY_SET
-
-            return dist_gate
-
+            return self._dist_partition(f, free, rows)
         return None
+
+    def _region_partition(
+        self, f: Inside | Outside, free: Sequence[str], rows: list[Instantiation]
+    ) -> AtomPartition | None:
+        try:
+            region = self.ctx.history.region(f.region)
+        except SchemaError:
+            return None  # let the solve path raise identically
+        cands = self.region_candidates(region)
+        if cands is None:
+            return None
+        # Decided: indexed and not a candidate.
+        decidable = self._rows.keys() - cands
+        column = list(map(self._reader(f.obj, free), rows))
+        decided = np.fromiter(
+            map(decidable.__contains__, column), dtype=bool, count=len(rows)
+        )
+        known = EMPTY_SET if isinstance(f, Inside) else self._full()
+        return self._split(rows, decided, known)
+
+    def _sphere_partition(
+        self, f: WithinSphere, free: Sequence[str], rows: list[Instantiation]
+    ) -> AtomPartition | None:
+        # All k points fit in a radius-r sphere only if every pair is
+        # within 2r of each other at that moment — a necessary
+        # condition, so one far pair kills the instantiation.
+        diameter = 2.0 * float(f.radius)
+        if not diameter >= 0:  # negative or NaN
+            return None  # let the solve path decide (or raise)
+        self._build()
+        n = len(rows)
+        # A row is safe when every participant's exhaustive solve cannot
+        # raise: it is indexed, or unprunable for nonlinearity only.  Any
+        # other participant (raising, or never seen by the index) forces
+        # the solve path.
+        quiet = self._unprunable - self._raising
+        safe = np.ones(n, dtype=bool)
+        slots: list[np.ndarray] = []
+        for term in f.objs:
+            column = list(map(self._reader(term, free), rows))
+            slots.append(self._slots(column))
+            safe &= (slots[-1] >= 0) | np.fromiter(
+                map(quiet.__contains__, column), dtype=bool, count=n
+            )
+        radii = np.full(n, diameter)
+        far = np.zeros(n, dtype=bool)
+        for i, a in enumerate(slots):
+            for b in slots[i + 1 :]:
+                far |= self._far(a, b, radii)
+        return self._split(rows, safe & far, EMPTY_SET)
+
+    def _dist_partition(
+        self, f: Compare, free: Sequence[str], rows: list[Instantiation]
+    ) -> AtomPartition | None:
+        spec = self._dist_spec(f)
+        if spec is None:
+            return None
+        dist_term, bound_term, op = spec
+        self._build()
+        if isinstance(bound_term, Const):
+            radii = np.full(len(rows), _radius(bound_term.value))
+        else:
+            radii = np.fromiter(
+                map(_radius, map(self._reader(bound_term, free), rows)),
+                dtype=float,
+                count=len(rows),
+            )
+        far = self._far(
+            self._slots(list(map(self._reader(dist_term.left, free), rows))),
+            self._slots(list(map(self._reader(dist_term.right, free), rows))),
+            radii,
+        )
+        # Both indexed, disjoint after inflation: the pair stays strictly
+        # farther than the bound for the whole window.
+        known = self._full() if _DIST_OPS[op] else EMPTY_SET
+        return self._split(rows, far, known)
+
+    def _reader(
+        self, term: object, free: Sequence[str]
+    ) -> Callable[[Instantiation], object]:
+        """A term's value at the window start, read off one row."""
+        if isinstance(term, Var):
+            return itemgetter(list(free).index(term.name))
+        ctx = self.ctx
+        return lambda inst: ctx.eval_term(term, dict(zip(free, inst)), ctx.start)
+
+    def _full(self) -> IntervalSet:
+        return IntervalSet.span(self.ctx.start, self.ctx.end, DISCRETE)
+
+    @staticmethod
+    def _split(
+        rows: list[Instantiation], decided: np.ndarray, known: IntervalSet
+    ) -> AtomPartition:
+        """The partition of ``rows`` given each row's verdict: decided
+        rows carry ``known``, and are left out when it is empty."""
+        if known.is_empty:
+            todo = [(rows[i], None) for i in np.flatnonzero(~decided).tolist()]
+            return todo, len(rows) - len(todo)
+        marks = decided.tolist()
+        return (
+            [(inst, known if hit else None) for inst, hit in zip(rows, marks)],
+            sum(marks),
+        )
 
     def _dist_spec(
         self, f: Compare

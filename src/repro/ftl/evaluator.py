@@ -21,7 +21,7 @@ Extensions beyond the paper's appendix, all documented in DESIGN.md:
 from __future__ import annotations
 
 import math
-from itertools import product
+from itertools import product, repeat
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from repro.errors import FtlSemanticsError
@@ -49,6 +49,7 @@ from repro.ftl.ast import (
     WithinSphere,
 )
 from repro.ftl.atoms import (
+    AtomPartition,
     KineticBatch,
     attr_solve_key,
     dist_solve_key,
@@ -129,6 +130,42 @@ class _SolveRequest:
         return value if self.post is None else self.post(value)
 
 
+class _Scope:
+    """The rows a semi-joined conjunction's right child may enumerate:
+    the left relation's rows projected onto ``variables`` (the right
+    child's free variables, sorted), in domain product order."""
+
+    __slots__ = ("variables", "rows", "_projections")
+
+    def __init__(
+        self, variables: tuple[str, ...], rows: list[Instantiation]
+    ) -> None:
+        self.variables = variables
+        self.rows = rows
+        self._projections: dict[tuple[str, ...], frozenset] = {}
+
+    def covered_by(self, variables: tuple[str, ...]) -> bool:
+        """Whether an enumeration of ``variables`` is scoped."""
+        return set(self.variables) <= set(variables)
+
+    def project(self, variables: tuple[str, ...]) -> frozenset:
+        """The scope rows' projections onto a subset of its variables."""
+        hit = self._projections.get(variables)
+        if hit is None:
+            idx = [self.variables.index(v) for v in variables]
+            hit = self._projections[variables] = frozenset(
+                tuple(row[i] for i in idx) for row in self.rows
+            )
+        return hit
+
+    def admits(self, variables: tuple[str, ...], inst: Instantiation) -> bool:
+        """Whether ``inst`` agrees with some scope row on the shared
+        variables."""
+        common = tuple(v for v in variables if v in self.variables)
+        pick = tuple(inst[variables.index(v)] for v in common)
+        return pick in self.project(common)
+
+
 class IntervalEvaluator:
     """Bottom-up computation of ``R_g`` per subformula."""
 
@@ -165,6 +202,11 @@ class IntervalEvaluator:
         #: refreshes (see :class:`~repro.ftl.atoms.KineticSolveCache`).
         self.validity = validity
         self._shared_memo: dict[int, FtlRelation] = {}
+        #: The semi-join scope in force (:meth:`_semijoin`), or ``None``.
+        self._scope: _Scope | None = None
+        #: FROM-bound variable -> its domain value -> position, for
+        #: sorting scope rows into product order.
+        self._positions: dict[str, dict[object, int]] = {}
         self._naive: "object | None" = None
         #: Count of per-tick atom evaluations (benchmark instrumentation).
         self.sampled_atom_evals = 0
@@ -202,7 +244,13 @@ class IntervalEvaluator:
 
     # ------------------------------------------------------------------
     def _eval(self, f: Formula) -> FtlRelation:
-        shared = self.plan is not None and id(f) in self.plan.shared_ids
+        # A scoped relation holds only the scope's rows, so it must never
+        # serve another parent of a shared subformula.
+        shared = (
+            self.plan is not None
+            and self._scope is None
+            and id(f) in self.plan.shared_ids
+        )
         if shared:
             hit = self._shared_memo.get(id(f))
             if hit is not None:
@@ -219,13 +267,15 @@ class IntervalEvaluator:
             return self._atom(f)
         if isinstance(f, AndF):
             r1 = self._eval(f.left)
-            if not r1 and self.trace is None:
+            if self.trace is not None:
+                # Every subformula's relation is recorded for incremental
+                # maintenance, so the right side is evaluated whole.
+                return self._conjunction(r1, self._eval(f.right))
+            if not r1:
                 # Empty guard: the conjunction is empty whatever the right
-                # side holds, so skip evaluating it entirely.  (With a
-                # trace, every subformula's relation must be recorded for
-                # incremental maintenance, so no short-circuit.)
+                # side holds, so skip evaluating it entirely.
                 return FtlRelation(tuple(sorted(f.free_vars())))
-            return self._conjunction(r1, self._eval(f.right))
+            return self._conjunction(r1, self._semijoin(f.right, r1))
         if isinstance(f, OrF):
             return self._disjunction(f)
         if isinstance(f, NotF):
@@ -270,14 +320,69 @@ class IntervalEvaluator:
         at = f" at {f.span}" if f.span is not None else ""
         raise FtlSemanticsError(f"unsupported formula {type(f).__name__}{at}")
 
+    def _semijoin(self, right: Formula, left: FtlRelation) -> FtlRelation:
+        """A conjunction's right child, evaluated over the left rows only.
+
+        When every free variable of ``right`` is a FROM-bound variable
+        of ``left``, the right child enumerates only the left rows'
+        projections onto its variables (a :class:`_Scope` read by
+        :meth:`_rows`): a row the left side excludes can never reach the
+        join, so it is never evaluated.  A scope opened inside another
+        keeps only the rows that agree with the outer one.  Otherwise
+        the right child is evaluated whole.
+        """
+        variables = tuple(sorted(right.free_vars()))
+        if not variables or not all(
+            v in left.variables and self.ctx.is_object_var(v)
+            for v in variables
+        ):
+            return self._eval(right)
+        idx = [left.index_of(v) for v in variables]
+        rows = dict.fromkeys(
+            tuple(inst[i] for i in idx) for inst, _iset in left.rows()
+        )
+        outer = self._scope
+        kept = [
+            inst
+            for inst in rows
+            if outer is None or outer.admits(variables, inst)
+        ]
+        positions = [self._positions_of(v) for v in variables]
+        kept.sort(key=lambda inst: [p[x] for p, x in zip(positions, inst)])
+        self._scope = _Scope(variables, kept)
+        try:
+            return self._eval(right)
+        finally:
+            self._scope = outer
+
+    def _positions_of(self, var: str) -> dict[object, int]:
+        hit = self._positions.get(var)
+        if hit is None:
+            hit = self._positions[var] = {
+                value: i for i, value in enumerate(self.ctx.domain(var))
+            }
+        return hit
+
     # ------------------------------------------------------------------
     # Scope: what an enumerating node (atom, disjunction, negation) walks
     # and reads.  Incremental maintenance overrides these two, not the
     # algorithms that use them.
     # ------------------------------------------------------------------
     def _rows(self, variables: Iterable[str]) -> Iterable[Instantiation]:
-        """The instantiations a node enumerates: the domain product."""
-        return product(*[self.ctx.domain(v) for v in variables])
+        """The instantiations a node enumerates: the domain product, or
+        under a semi-join scope that the enumeration covers, the product
+        rows that agree with the scope.  An enumeration whose variables
+        do not cover the scope's runs unscoped."""
+        variables = tuple(variables)
+        scope = self._scope
+        if scope is not None and variables == scope.variables:
+            return scope.rows
+        everything = product(*[self.ctx.domain(v) for v in variables])
+        if scope is None or not scope.covered_by(variables):
+            return everything
+        return [
+            inst for inst in everything if scope.admits(variables, inst)
+        ]
 
     def _operand(self, f: Formula) -> FtlRelation:
         """A child's complete relation, as an enumerating node reads it."""
@@ -305,22 +410,34 @@ class IntervalEvaluator:
         )
 
     def _batched_rows(
-        self, f: Formula, free: list[str], insts
+        self, f: Formula, free: list[str], insts: Iterable[Instantiation]
     ) -> FtlRelation:
-        """The row loop of the atom base case (DESIGN.md §8).
+        """The row loop of the atom base case (DESIGN.md §7, §8).
 
-        Three phases: classify every instantiation in product order
-        (index gate, eager term evaluation, cache lookups, inline solves
-        of whatever the batch backend does not take), solve the queued
-        rows through the vectorized backend, then fan the results back
-        into the cache and the relation in the original row order.
-        Without :meth:`_use_batch` nothing is queued and every solve
-        runs inline in phase one — the relation, the counters and the
-        cache contents are tuple-for-tuple the same either way.
+        The index first partitions the rows (:meth:`_atom_gate`): the
+        rows it decides are counted, not visited, and only the decided
+        rows whose answer is not empty enter the loop.  Then three
+        phases: classify every row to solve in product order (eager term
+        evaluation, cache lookups, inline solves of whatever the batch
+        backend does not take), solve the queued rows through the
+        vectorized backend, then fan the results back into the cache and
+        the relation in the original row order.  Without
+        :meth:`_use_batch` nothing is queued and every solve runs inline
+        in phase one — the relation, the counters and the cache contents
+        are tuple-for-tuple the same either way.
         """
         relation = FtlRelation(tuple(free))
-        gate = self._atom_gate(f)
+        rows = insts if isinstance(insts, list) else list(insts)
+        split = self._atom_gate(f, free, rows)
         stats = self._stats_for(f)
+        stats["instantiations"] += len(rows)
+        todo: Iterable[tuple[Instantiation, IntervalSet | None]]
+        if split is None:
+            todo = zip(rows, repeat(None))
+        else:
+            todo, decided = split
+            self.pruned_instantiations += decided
+            stats["pruned"] += decided
         cache = self._solve_cache
         stamp = self._stamp_for(f)
         kbatch = KineticBatch(self.ctx) if self._use_batch() else None
@@ -329,17 +446,12 @@ class IntervalEvaluator:
         queued: list[tuple[int, _SolveRequest, tuple]] = []
         deferred: list[tuple[int, _SolveRequest]] = []
         pending: set = set()  # keys whose producing row is still queued
-        for inst in insts:
+        for inst, known in todo:
+            ordered.append(inst)
+            if known is not None:
+                results.append(known)
+                continue
             env = dict(zip(free, inst))
-            ordered.append(tuple(inst))
-            stats["instantiations"] += 1
-            if gate is not None:
-                known = gate(env)
-                if known is not None:
-                    self.pruned_instantiations += 1
-                    stats["pruned"] += 1
-                    results.append(known)
-                    continue
             solves0 = self.kinetic_solves
             hits0 = self.cache_hits
             req = self._atom_request(f, env)
@@ -413,15 +525,19 @@ class IntervalEvaluator:
             relation.set(inst, iset)
         return relation
 
-    def _atom_gate(self, f: Formula):
-        """The index-pruning gate for one atom, or ``None``.
+    def _atom_gate(
+        self, f: Formula, free: list[str], rows: list[Instantiation]
+    ) -> AtomPartition | None:
+        """The index's partition of one atom's rows
+        (:meth:`~repro.ftl.atoms.AtomIndexPruner.partition`), or
+        ``None``: solve every row.
 
         Pruning is a refinement of the kinetic path, so it obeys the
         ``analytic_atoms`` ablation: with sampling forced, atoms must
         actually sample."""
         if not (self.options.analytic_atoms and self.options.index_pruning):
             return None
-        return self.ctx.atom_pruner().gate(f)
+        return self.ctx.atom_pruner().partition(f, free, rows)
 
     def _stats_for(self, f: Formula) -> dict[str, object]:
         stats = self.atom_stats.get(id(f))

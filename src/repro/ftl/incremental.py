@@ -378,13 +378,15 @@ class PartialIntervalEvaluator(IntervalEvaluator):
     # ------------------------------------------------------------------
     # Per-connective deltas
     # ------------------------------------------------------------------
-    def _atom_gate(self, f: Formula):
+    def _atom_gate(
+        self, f: Formula, free: list[str], rows: list[Instantiation]
+    ) -> None:
         """Index pruning is a *full-evaluation* optimisation: building
         the trajectory index costs O(all objects) while a delta refresh
         recomputes only the dirty frontier — typically a handful of
-        rows — so the gate would cost more than every solve it could
-        save.  Deltas always take the solve path (through the shared
-        cache, which is O(1) per row and still applies)."""
+        rows — so the partition would cost more than every solve it
+        could save.  Deltas always take the solve path (through the
+        shared cache, which is O(1) per row and still applies)."""
         return None
 
     def _delta_until(self, f: Formula, combine) -> FtlRelation:

@@ -414,7 +414,7 @@ def test_nan_sphere_radius_is_never_pruned():
     db.add_moving_object("cars", "near", Point(0, 0), Point(1, 0))
     where = WithinSphere(math.nan, (Var("a"), Var("b")))
     ctx = EvalContext(FutureHistory(db), HORIZON, {"a": "cars", "b": "cars"})
-    assert ctx.atom_pruner().gate(where) is None
+    assert ctx.atom_pruner().partition(where, ["a", "b"], [("far", "near")]) is None
     query = FtlQuery(
         targets=("a", "b"), bindings={"a": "cars", "b": "cars"}, where=where
     )
@@ -647,17 +647,37 @@ def test_table_candidates_equal_rtree_candidates_property(
 NONLINEAR = {"wobbly"}
 
 
+def decided_rows(pruner, atom, free, rows):
+    """The rows of ``rows`` the pruner's partition of ``atom`` decides."""
+    split = pruner.partition(atom, free, rows)
+    if split is None:
+        return set()
+    todo, count = split
+    out = set(rows) - {inst for inst, known in todo if known is None}
+    assert len(out) == count
+    return out
+
+
 def assert_gates_equal_rtree(ctx, radii):
-    """Built as the first use of a fresh context, the ``DIST`` and
-    ``WITHIN_SPHERE`` gates prune a pair exactly when the R-tree
+    """As the first use of a fresh context, the ``DIST`` and
+    ``WITHIN_SPHERE`` partitions decide a pair exactly when the R-tree
     reference has the second object indexed and outside the first's
-    candidates (a sphere gate also needs both objects safe to solve)."""
+    candidates (a sphere also needs both objects safe to solve)."""
     pruner = ctx.atom_pruner()
+    ids = [oid for var in ctx.bindings for oid in ctx.domain(var)]
+    ids = [*dict.fromkeys(ids), "nobody"]
+    rows = [(a, b) for a in ids for b in ids]
+    free = ["x", "y"]
     dist = {
-        r: pruner.gate(Compare("<=", Dist(Var("x"), Var("y")), Const(r)))
+        r: decided_rows(
+            pruner, Compare("<=", Dist(Var("x"), Var("y")), Const(r)), free, rows
+        )
         for r in radii
     }
-    sphere = {r: pruner.gate(WithinSphere(r, (Var("x"), Var("y")))) for r in radii}
+    sphere = {
+        r: decided_rows(pruner, WithinSphere(r, (Var("x"), Var("y"))), free, rows)
+        for r in radii
+    }
     reference = RTreeCandidates(ctx)
     pairs = {}
 
@@ -670,18 +690,14 @@ def assert_gates_equal_rtree(ctx, radii):
     def safe(oid):
         return oid in reference.boxes or oid in NONLINEAR
 
-    ids = [oid for var in ctx.bindings for oid in ctx.domain(var)]
-    ids = [*dict.fromkeys(ids), "nobody"]
     pruned = 0
-    for a in ids:
-        for b in ids:
-            env = {"x": a, "y": b}
-            for r in radii:
-                want = apart(a, b, float(r))
-                assert (dist[r](env) is not None) == want, ("dist", a, b, r)
-                pruned += want
-                want = safe(a) and safe(b) and apart(a, b, 2.0 * float(r))
-                assert (sphere[r](env) is not None) == want, ("sphere", a, b, r)
+    for a, b in rows:
+        for r in radii:
+            want = apart(a, b, float(r))
+            assert ((a, b) in dist[r]) == want, ("dist", a, b, r)
+            pruned += want
+            want = safe(a) and safe(b) and apart(a, b, 2.0 * float(r))
+            assert ((a, b) in sphere[r]) == want, ("sphere", a, b, r)
     return pruned
 
 
@@ -734,10 +750,9 @@ def test_gate_decides_boxes_touching_at_r_plus_pad():
     bindings = {"x": "cars", "y": "cars"}
     ctx = EvalContext(FutureHistory(db), 5, bindings)
     near = Compare("<=", Dist(Var("x"), Var("y")), Const(r))
-    gate = ctx.atom_pruner().gate(near)
+    rows = [("a", "touch"), ("a", "gap")]
+    assert decided_rows(ctx.atom_pruner(), near, ["x", "y"], rows) == {("a", "gap")}
     assert ctx.atom_pruner()._pad == pad
-    assert gate({"x": "a", "y": "touch"}) is None
-    assert gate({"x": "a", "y": "gap"}) is not None
     assert "touch" in ctx.atom_pruner().pair_candidates("a", r)
     assert "gap" not in ctx.atom_pruner().pair_candidates("a", r)
     assert_gates_equal_rtree(EvalContext(FutureHistory(db), 5, bindings), (r,))

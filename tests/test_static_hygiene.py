@@ -263,8 +263,9 @@ def annotation_gaps(tree):
 #: Packages mypy checks strictly (``pyproject.toml``), the update router
 #: and divergence probe — the shared gate every commit runs — the pinned
 #: future history and its content token, the motion-event index and its
-#: reader, and the atom pruner's leg-box tables and join.  ``Class.name``
-#: picks one method of a class.
+#: reader, the atom pruner's leg-box tables, join and row partition, and
+#: the interval evaluator's atom row loop and row enumeration.
+#: ``Class.name`` picks one method of a class.
 STRICT_PACKAGES = ("server", "parallel", "ftl/analysis")
 STRICT_DEFS = {
     "core/database.py": (
@@ -293,6 +294,12 @@ STRICT_DEFS = {
         "build_class_table",
         "MbrTableCache",
         "AtomIndexPruner",
+        "AtomIndexPruner.partition",
+    ),
+    "ftl/evaluator.py": (
+        "IntervalEvaluator._atom",
+        "IntervalEvaluator._batched_rows",
+        "IntervalEvaluator._rows",
     ),
 }
 
