@@ -33,6 +33,7 @@ from repro.ftl.context import DEFAULT, EvalContext, EvalOptions
 from repro.ftl.incremental import PartialIntervalEvaluator, QueryCache
 from repro.ftl.query import FtlQuery
 from repro.ftl.relations import AnswerTuple, FtlRelation
+from repro.temporal import Interval
 
 
 def _require_bound_classes(query: FtlQuery, db: MostDatabase) -> None:
@@ -72,7 +73,7 @@ def _analyze_or_raise(query: FtlQuery, db: MostDatabase) -> AnalysisResult:
     return analysis
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StampedTuple:
     """One ``Answer(CQ)`` tuple with its staleness annotation.
 
@@ -82,7 +83,9 @@ class StampedTuple:
     variables alike.  ``degraded`` flags tuples whose ``max_age`` exceeds
     the query's staleness bound: they are suppressed from the degraded
     answer but still reported here so a client can render them greyed
-    out rather than silently absent.
+    out rather than silently absent.  Slotted: every refresh of a served
+    query stamps one per interval of every answer row, so each is one
+    allocation, not two.
     """
 
     values: tuple
@@ -113,18 +116,40 @@ def _stamp_rows(
     lo: float | None = None,
     hi: float | None = None,
 ) -> list[StampedTuple]:
-    """Flatten an unprojected relation into stamped answer tuples."""
+    """Flatten an unprojected relation into stamped answer tuples, each
+    interval clipped to ``[lo, hi]`` when both are given.
+
+    Scalar work per row: each object's age is read once per call, a
+    row with nothing in the window is skipped before its age is read,
+    and each interval is clipped by its endpoints with
+    :meth:`IntervalSet.clip`'s tie rules (``max(start, lo)`` keeps the
+    interval's own start on a tie, ``min(end, hi)`` its own end).  A
+    normalised set stays normalised under a clip, so no set is built.
+    """
+    clip = lo is not None and hi is not None
+    if clip and relation:
+        Interval(lo, hi)  # a reversed window raises as ``clip`` would
+    ages: dict[object, float] = {}
     out: list[StampedTuple] = []
     for inst, iset in relation.rows():
-        age = max((_object_age(db, v) for v in inst), default=0.0)
+        spans = iset.intervals
+        if clip and (spans[-1].end < lo or spans[0].start > hi):
+            continue  # nothing of the row is left in the window
+        for v in inst:
+            if v not in ages:
+                ages[v] = _object_age(db, v)
+        age = max(map(ages.__getitem__, inst), default=0.0)
         degraded = bound is not None and age > bound
-        values = tuple(inst[p] for p in positions)
-        if lo is not None and hi is not None:
-            iset = iset.clip(lo, hi)
-        for iv in iset:
-            out.append(
-                StampedTuple(values, iv.start, iv.end, age, inst, degraded)
-            )
+        values = tuple([inst[p] for p in positions])
+        for iv in spans:
+            begin, end = iv.start, iv.end
+            if clip:
+                if end < lo:
+                    continue
+                if begin > hi:
+                    break
+                begin, end = max(begin, lo), min(end, hi)
+            out.append(StampedTuple(values, begin, end, age, inst, degraded))
     return out
 
 
@@ -239,7 +264,9 @@ class ContinuousQuery:
     never reads are dropped (:attr:`skipped_by_deps`),
     and within an incremental refresh, cached subtrees whose read-sets
     are disjoint from the accumulated dirty footprints are reused
-    without recomputation (:attr:`subtrees_skipped`).
+    without recomputation (:attr:`subtrees_skipped`), and dirty atom
+    rows the §4 index decides are answered without a solve
+    (:attr:`pruned_rows`).
 
     On top of the read-set gate sits the *temporal-validity* gate
     (pass 8, DESIGN.md §11): when the static analysis proves the whole
@@ -298,6 +325,9 @@ class ContinuousQuery:
         self.incremental_refreshes = 0
         #: Rows recomputed across all incremental refreshes.
         self.rows_recomputed = 0
+        #: Of those, the atom rows the index decided without a solve
+        #: (the refresh's frontier view, DESIGN.md §7).
+        self.pruned_rows = 0
         self._bound_classes = frozenset(query.bindings.values())
         # Unknown classes fail at registration with a SchemaError naming
         # them — never a deep evaluator error at first refresh.
@@ -509,6 +539,7 @@ class ContinuousQuery:
         )
         self._rf = evaluator.refresh(self.query.where)
         self.rows_recomputed += evaluator.rows_recomputed
+        self.pruned_rows += evaluator.pruned_instantiations
         self.subtrees_skipped += evaluator.subtrees_skipped
         self.horizon_subtrees_skipped += evaluator.horizon_subtrees_skipped
         self._last_refresh = now

@@ -54,7 +54,7 @@ from collections import OrderedDict
 from functools import partial
 from itertools import repeat
 from operator import itemgetter
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -602,9 +602,12 @@ def build_class_table(
     start: int,
     end: int,
     moving_point: "Callable[[object], MovingPoint]",
+    ids: "Sequence[object] | None" = None,
 ) -> ClassMbrTable:
     """The trajectory-MBR table of one class of ``history`` over
-    ``[start, end]``.
+    ``[start, end]``: of the members ``ids``, in that order, or of the
+    whole class when ``ids`` is ``None``.  Every box of a member is the
+    same whichever members share its table.
 
     A future history's linear movers — the common case — are boxed in
     one vectorised pass over their motion columns
@@ -616,7 +619,10 @@ def build_class_table(
     """
     from repro.core.history import FutureHistory
 
-    ids = history.object_ids(class_name)
+    if ids is None:
+        ids = history.object_ids(class_name)
+    elif not ids:
+        return ClassMbrTable(None, {}, frozenset(), frozenset())
     names = history.db.object_class(class_name).position_attributes
     dim = len(names)
     blocks_lo: list[np.ndarray] = []
@@ -734,17 +740,29 @@ class AtomIndexPruner:
     candidate sets are window-wide, a strictly conservative
     coarsening).  The tables cover whole classes whatever the context's
     domain restrictions, so a shard worker sees the serial tables and
-    pad.  Candidates come from :func:`overlap_join`, exact: a pair atom
-    joins the left object's class table, grown by the radius, against
-    the right object's class table once per radius, and tests each row's
-    pair against the join's CSR arrays.  Objects that cannot be plotted —
+    pad.  A *restricted* view (``members``) holds only the named members
+    of each class, built uncached — an incremental refresh's frontier
+    view, sized by its dirty rows; any other object is not indexed
+    there, so its rows take the solve path.  Candidates come from
+    :func:`overlap_join`, exact: a pair atom joins the left object's
+    class table, grown by the radius, against the right object's class
+    table once per radius, and tests each row's pair against the join's
+    CSR arrays.  Objects that cannot be plotted —
     nonlinear motion, no spatial attributes — are *unprunable*: members
     of every candidate set, so the exact solve path handles them (and
     raises on them) exactly as the exhaustive evaluator would.
     """
 
-    def __init__(self, ctx: "EvalContext") -> None:
+    def __init__(
+        self,
+        ctx: "EvalContext",
+        members: "Mapping[str, Sequence[object]] | None" = None,
+    ) -> None:
         self.ctx = ctx
+        #: Per bound class, the members this view's tables hold, or
+        #: ``None``: every member, from ``db.mbr_tables``.  A class
+        #: missing from the mapping has an empty table.
+        self._members = members
         self._built = False
         #: The leg boxes of every bound class that has indexed members.
         self._boxes: tuple[_MbrTable, ...] = ()
@@ -785,7 +803,8 @@ class AtomIndexPruner:
 
         ctx = self.ctx
         history = ctx.history
-        token = epoch_token(history)
+        members = self._members
+        token = epoch_token(history) if members is None else None
         classes: list[ClassMbrTable] = []
         for class_name in dict.fromkeys(ctx.bindings.values()):
             build = partial(
@@ -795,6 +814,7 @@ class AtomIndexPruner:
                 ctx.start,
                 ctx.end,
                 ctx.moving_point,
+                None if members is None else members.get(class_name, ()),
             )
             classes.append(
                 build()
@@ -816,6 +836,16 @@ class AtomIndexPruner:
         """Extra inflation absorbing the solvers' boundary slack (which
         is relative to coordinate magnitude, see e.g. Ball.contains)."""
         return 1e-6 * (1.0 + self._scale)
+
+    def _probe_pad(self, probe: _MbrTable) -> float:
+        """The pad of a region probe: the solvers' slack on a row grows
+        with the region's coordinates as well as the object's, and a
+        view may hold only a few boxes near the origin while the region
+        lies far out, so the pad scales to the larger of the two."""
+        reach = max(
+            float(np.abs(probe.lo).max()), float(np.abs(probe.hi).max())
+        )
+        return 1e-6 * (1.0 + max(self._scale, reach))
 
     def is_indexed(self, oid: object) -> bool:
         """Whether ``oid`` has rows in the table — the only objects a
@@ -893,9 +923,10 @@ class AtomIndexPruner:
                 [token],
             )
         cands = set(self._unprunable)
+        pad = self._probe_pad(probe)
         for table in self._boxes:
             if table.dim == probe.dim:
-                cands |= self._meets(probe, 0, 1, table, self._pad)
+                cands |= self._meets(probe, 0, 1, table, pad)
             else:
                 cands |= table.members
         out = self._region_cands[token] = frozenset(cands)
@@ -1150,17 +1181,17 @@ class KineticBatch:
     the scalar closure at submit time, preserving evaluation order and
     error behaviour exactly.
 
-    Movers that cannot be resolved raise from :meth:`submit` itself,
-    which the evaluator calls at the same product-order position where
-    the scalar path would have run (and raised from) the solve closure.
+    Each object's legs come from the context's memo
+    (:meth:`~repro.ftl.context.EvalContext.legs`), so every atom of one
+    evaluation reads one entry per object.  Movers that cannot be
+    resolved raise from :meth:`submit` itself, which the evaluator calls
+    at the same product-order position where the scalar path would have
+    run (and raised from) the solve closure.
     """
 
     def __init__(self, ctx: "EvalContext") -> None:
         self.ctx = ctx
         self._table = batch.LinearTable(ctx.start, ctx.end)
-        #: oid -> ("single" | "multi", pieces) or (None, None) when the
-        #: motion is not piecewise linear over the window.
-        self._motions: dict[object, tuple] = {}
         self._centers: dict[Ball, list[LinearPiece]] = {}
         self._reference: list[LinearPiece] | None = None
         self._dist: batch.DistanceBatch | None = None
@@ -1170,24 +1201,6 @@ class KineticBatch:
     # ------------------------------------------------------------------
     # Motion classification
     # ------------------------------------------------------------------
-    def _motion(self, oid: object) -> tuple:
-        """``("single", [leg])``, ``("multi", pieces)``, or ``(None,
-        None)`` for one object, memoized; raises exactly as
-        ``ctx.moving_point`` would."""
-        entry = self._motions.get(oid)
-        if entry is None:
-            mover = self.ctx.moving_point(oid)
-            leg = mover.single_leg(self.ctx.start, self.ctx.end)
-            if leg is not None:
-                entry = ("single", [leg])
-            else:
-                pieces = mover.linear_pieces(self.ctx.start, self.ctx.end)
-                entry = (
-                    ("multi", pieces) if pieces is not None else (None, None)
-                )
-            self._motions[oid] = entry
-        return entry
-
     def _ball_center(self, region: Ball) -> list[LinearPiece]:
         """The static ball-center mover's single leg (the same virtual
         ``MovingPoint(ball.center)`` the scalar solver pairs against)."""
@@ -1247,10 +1260,10 @@ class KineticBatch:
     def _submit_dist(
         self, a: object, b: object, bound: float, at_least: bool
     ) -> tuple | None:
-        ka, pa = self._motion(a)
+        ka, pa = self.ctx.legs(a)
         if ka is None:
             return None
-        kb, pb = self._motion(b)
+        kb, pb = self.ctx.legs(b)
         if kb is None:
             return None
         if pa[0].origin.dim != pb[0].origin.dim:
@@ -1272,7 +1285,7 @@ class KineticBatch:
         if isinstance(region, Ball):
             if region.radius < 0:
                 return None  # the scalar closure raises
-            kind, pieces = self._motion(obj_id)
+            kind, pieces = self.ctx.legs(obj_id)
             if kind is None:
                 return None
             center = self._ball_center(region)
@@ -1291,7 +1304,7 @@ class KineticBatch:
                 row = dist.add_legs(legs, region.radius, False)
             return (dist, row)
         if isinstance(region, Polygon):
-            kind, pieces = self._motion(obj_id)
+            kind, pieces = self.ctx.legs(obj_id)
             if kind is None:
                 return None
             if pieces[0].origin.dim != 2:

@@ -29,7 +29,7 @@ from repro.temporal import Interval
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.history import History
     from repro.ftl.atoms import AtomIndexPruner, KineticSolveCache
-    from repro.motion.moving import MovingPoint
+    from repro.motion.moving import LinearPiece, MovingPoint
 
 Env = dict[str, object]
 
@@ -108,12 +108,16 @@ class EvalContext:
                     )
                 self._domains[var] = list(values)
         self._movers: dict[object, "MovingPoint"] = {}
+        #: oid -> its motion over the window as :meth:`legs` returns it.
+        self._legs: dict[
+            object, "tuple[str, list[LinearPiece]] | tuple[None, None]"
+        ] = {}
         self._motion_tokens: dict[object, object] = {}
         self._pruner: "AtomIndexPruner | None" = None
 
     # ------------------------------------------------------------------
     def reset_memos(self) -> None:
-        """Drop the per-context mover/motion-token memos and the lazy
+        """Drop the per-context mover/leg/motion-token memos and the lazy
         atom-index pruner.
 
         The memos hold references into the parent process's object graph;
@@ -122,6 +126,7 @@ class EvalContext:
         than trust another address space's snapshots.
         """
         self._movers.clear()
+        self._legs.clear()
         self._motion_tokens.clear()
         self._pruner = None
 
@@ -135,6 +140,29 @@ class EvalContext:
             mover = self.history.moving_point(object_id)
             self._movers[object_id] = mover
         return mover
+
+    def legs(
+        self, object_id: object
+    ) -> "tuple[str, list[LinearPiece]] | tuple[None, None]":
+        """One object's motion over the window, memoized: ``("single",
+        [leg])``, ``("multi", pieces)``, or ``(None, None)`` when it is
+        not piecewise linear; raises exactly as :meth:`moving_point`
+        would.  Every atom solved on this context reads one entry per
+        object (the batch backend's input, :class:`~repro.ftl.atoms.
+        KineticBatch`)."""
+        entry = self._legs.get(object_id)
+        if entry is None:
+            mover = self.moving_point(object_id)
+            leg = mover.single_leg(self.start, self.end)
+            if leg is not None:
+                entry = ("single", [leg])
+            else:
+                pieces = mover.linear_pieces(self.start, self.end)
+                entry = (
+                    ("multi", pieces) if pieces is not None else (None, None)
+                )
+            self._legs[object_id] = entry
+        return entry
 
     def atom_pruner(self) -> "AtomIndexPruner":
         """This context's view of the trajectory-MBR tables (shared per

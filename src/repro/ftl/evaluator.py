@@ -49,6 +49,7 @@ from repro.ftl.ast import (
     WithinSphere,
 )
 from repro.ftl.atoms import (
+    AtomIndexPruner,
     AtomPartition,
     KineticBatch,
     attr_solve_key,
@@ -529,15 +530,25 @@ class IntervalEvaluator:
         self, f: Formula, free: list[str], rows: list[Instantiation]
     ) -> AtomPartition | None:
         """The index's partition of one atom's rows
-        (:meth:`~repro.ftl.atoms.AtomIndexPruner.partition`), or
-        ``None``: solve every row.
+        (:meth:`~repro.ftl.atoms.AtomIndexPruner.partition`, over the
+        view :meth:`_atom_index` picks), or ``None``: solve every row.
 
         Pruning is a refinement of the kinetic path, so it obeys the
         ``analytic_atoms`` ablation: with sampling forced, atoms must
-        actually sample."""
+        actually sample.  Cold and delta evaluation gate alike; only
+        the view differs."""
         if not (self.options.analytic_atoms and self.options.index_pruning):
             return None
-        return self.ctx.atom_pruner().partition(f, free, rows)
+        return self._atom_index(free, rows).partition(f, free, rows)
+
+    def _atom_index(
+        self, free: list[str], rows: list[Instantiation]
+    ) -> AtomIndexPruner:
+        """The index view that partitions an atom's rows: the
+        context's view of the whole bound classes' tables (shared per
+        content version through ``db.mbr_tables``).  The delta
+        evaluator overrides it with a view of its dirty rows' objects."""
+        return self.ctx.atom_pruner()
 
     def _stats_for(self, f: Formula) -> dict[str, object]:
         stats = self.atom_stats.get(id(f))

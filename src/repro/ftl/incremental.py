@@ -14,7 +14,11 @@ this module recomputes *per instantiation* instead:
   :class:`PartialIntervalEvaluator` recomputes, bottom-up, only the rows
   of each ``R_g`` whose instantiation mentions an object of ``D`` — the
   *recompute frontier* — and splices them into the cached relation with
-  :meth:`~repro.ftl.relations.FtlRelation.patch`.
+  :meth:`~repro.ftl.relations.FtlRelation.patch`;
+* a dirty atom's rows first pass the cold path's §4 index partition,
+  over a *frontier view* whose tables hold only the objects those rows
+  name (:meth:`PartialIntervalEvaluator._atom_index`), so a refresh
+  solves only the rows the index cannot decide.
 
 Soundness rests on two structural facts:
 
@@ -54,6 +58,7 @@ from itertools import product
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.errors import FtlSemanticsError
+from repro.ftl.atoms import AtomIndexPruner
 from repro.ftl.ast import (
     Always,
     AlwaysFor,
@@ -173,6 +178,8 @@ class PartialIntervalEvaluator(IntervalEvaluator):
         self._clean_domain: dict[str, list[object]] = {}
         self._dirty_domain: dict[str, list[object]] = {}
         self._done: dict[int, FtlRelation] = {}
+        #: Frontier views (:meth:`_atom_index`) by their member sets.
+        self._frontier: dict[frozenset, AtomIndexPruner] = {}
         #: Dirty instantiations enumerated across all subformulas — the
         #: size of the recompute frontier actually walked, counted whether
         #: or not the recomputed satisfaction set turned out non-empty
@@ -378,16 +385,35 @@ class PartialIntervalEvaluator(IntervalEvaluator):
     # ------------------------------------------------------------------
     # Per-connective deltas
     # ------------------------------------------------------------------
-    def _atom_gate(
-        self, f: Formula, free: list[str], rows: list[Instantiation]
-    ) -> None:
-        """Index pruning is a *full-evaluation* optimisation: building
-        the trajectory index costs O(all objects) while a delta refresh
-        recomputes only the dirty frontier — typically a handful of
-        rows — so the partition would cost more than every solve it
-        could save.  Deltas always take the solve path (through the
-        shared cache, which is O(1) per row and still applies)."""
-        return None
+    def _atom_index(
+        self, free: list[str], rows: list[Instantiation]
+    ) -> AtomIndexPruner:
+        """The frontier view that partitions a dirty atom's rows: per
+        bound class, a table of only the members the rows name, built
+        with the cold path's box code but never entering
+        ``db.mbr_tables`` — a refresh's rows name a handful of dirty
+        objects (and their partners), and a whole class table per
+        epoch would cost more than every solve it saves.  Views are
+        memoised by their member sets, so the atoms of one refresh
+        that name the same objects share one build.  The partition
+        itself is the cold path's, so raising and unprunable objects
+        take the solve path exactly as they do there."""
+        bindings = self.ctx.bindings
+        members: dict[str, dict[object, None]] = {}
+        for pos, var in enumerate(free):
+            cls = bindings.get(var)
+            if cls is not None:
+                named = members.setdefault(cls, {})
+                named.update(dict.fromkeys(inst[pos] for inst in rows))
+        key = frozenset(
+            (cls, frozenset(named)) for cls, named in members.items()
+        )
+        view = self._frontier.get(key)
+        if view is None:
+            view = self._frontier[key] = AtomIndexPruner(
+                self.ctx, {cls: list(named) for cls, named in members.items()}
+            )
+        return view
 
     def _delta_until(self, f: Formula, combine) -> FtlRelation:
         self._delta(f.left)

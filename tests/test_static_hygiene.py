@@ -263,8 +263,10 @@ def annotation_gaps(tree):
 #: Packages mypy checks strictly (``pyproject.toml``), the update router
 #: and divergence probe — the shared gate every commit runs — the pinned
 #: future history and its content token, the motion-event index and its
-#: reader, the atom pruner's leg-box tables, join and row partition, and
-#: the interval evaluator's atom row loop and row enumeration.
+#: reader, the atom pruner's leg-box tables, join and row partition, the
+#: interval evaluator's atom row loop, row enumeration and index gate,
+#: the delta evaluator's frontier view, the context's leg memo and the
+#: answer stamper.
 #: ``Class.name`` picks one method of a class.
 STRICT_PACKAGES = ("server", "parallel", "ftl/analysis")
 STRICT_DEFS = {
@@ -280,6 +282,7 @@ STRICT_DEFS = {
         "_covered",
         "_update_class",
         "_is_live",
+        "_stamp_rows",
     ),
     "ftl/analysis/validity.py": (
         "DivergenceProbe",
@@ -296,11 +299,15 @@ STRICT_DEFS = {
         "AtomIndexPruner",
         "AtomIndexPruner.partition",
     ),
+    "ftl/context.py": ("EvalContext.legs",),
     "ftl/evaluator.py": (
         "IntervalEvaluator._atom",
         "IntervalEvaluator._batched_rows",
         "IntervalEvaluator._rows",
+        "IntervalEvaluator._atom_gate",
+        "IntervalEvaluator._atom_index",
     ),
+    "ftl/incremental.py": ("PartialIntervalEvaluator._atom_index",),
 }
 
 
