@@ -94,6 +94,11 @@ class MostDatabase:
         self._last_seq: dict[object, int] = {}
         self._last_update_time: dict[object, int] = {}
         self._tracked: set[object] = set()
+        # The heard-order index (see ``heard_since``): object -> the
+        # serial of the last event that reset or started its staleness
+        # clock, oldest first.
+        self._heard: dict[object, int] = {}
+        self._heard_serial = 0
         self._kinetic_cache = None
         self._mbr_tables = None
         #: Network-delivered updates refused as stale or duplicate.
@@ -191,6 +196,7 @@ class MostDatabase:
         self._objects[object_id] = obj
         self._by_class[class_name].append(object_id)
         self._last_update_time[object_id] = self.clock.now
+        self._hear(object_id)
         self._index_motion(obj, (dynamic or {}).values())
         return obj
 
@@ -241,6 +247,11 @@ class MostDatabase:
         """All objects of one class, in insertion order."""
         self.object_class(class_name)
         return [self._objects[i] for i in self._by_class[class_name]]
+
+    def object_ids_of(self, class_name: str) -> list[object]:
+        """The ids of one class's objects, in insertion order (a copy)."""
+        self.object_class(class_name)
+        return list(self._by_class[class_name])
 
     def class_count(self, class_name: str) -> int:
         """Number of objects of one class (O(1) population check)."""
@@ -419,6 +430,7 @@ class MostDatabase:
         fresh."""
         self.get(object_id)
         self._tracked.add(object_id)
+        self._hear(object_id)
 
     def is_tracked(self, object_id: object) -> bool:
         """Whether the object participates in staleness accounting."""
@@ -441,6 +453,30 @@ class MostDatabase:
             self.get(object_id)
             return 0
         return self.clock.now - self._last_update_time[object_id]
+
+    @property
+    def heard_serial(self) -> int:
+        """The serial of the latest event that moved some object's
+        staleness clock off the common tick: a commit naming it, its
+        insertion, or its tracking."""
+        return self._heard_serial
+
+    def heard_since(self, serial: int) -> list[object]:
+        """The objects heard from after :attr:`heard_serial` read
+        ``serial``, most recent first — in time proportional to their
+        number.  Every other object's :meth:`staleness` has grown by
+        exactly the ticks elapsed since."""
+        out: list[object] = []
+        for object_id, heard in reversed(self._heard.items()):
+            if heard <= serial:
+                break
+            out.append(object_id)
+        return out
+
+    def _hear(self, object_id: object) -> None:
+        self._heard_serial += 1
+        self._heard.pop(object_id, None)
+        self._heard[object_id] = self._heard_serial
 
     def last_ingested_seq(self, object_id: object) -> int:
         """Highest sequence number applied for the object (-1 if none)."""
@@ -538,6 +574,7 @@ class MostDatabase:
         self._version += 1
         for update in updates:
             self._last_update_time[update.object_id] = update.time
+            self._hear(update.object_id)
         for listener in list(self._listeners):
             listener(updates)
 

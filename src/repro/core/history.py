@@ -130,7 +130,7 @@ class FutureHistory(History):
             return None
 
     def object_ids(self, class_name: str) -> list[object]:
-        return [o.object_id for o in self._live().objects_of(class_name)]
+        return self._live().object_ids_of(class_name)
 
     def value(self, object_id: object, attr: str, t: float) -> object:
         obj = self._object(object_id)

@@ -15,7 +15,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.core.database import MostDatabase, MostUpdate
 from repro.core.history import FutureHistory, RecordedHistory
@@ -32,7 +32,7 @@ from repro.ftl.analysis.plan import EvalPlan
 from repro.ftl.context import DEFAULT, EvalContext, EvalOptions
 from repro.ftl.incremental import PartialIntervalEvaluator, QueryCache
 from repro.ftl.query import FtlQuery
-from repro.ftl.relations import AnswerTuple, FtlRelation
+from repro.ftl.relations import AnswerTuple, FtlRelation, Instantiation
 from repro.temporal import Interval
 
 
@@ -115,9 +115,12 @@ def _stamp_rows(
     bound: float | None,
     lo: float | None = None,
     hi: float | None = None,
+    insts: Iterable[Instantiation] | None = None,
 ) -> list[StampedTuple]:
     """Flatten an unprojected relation into stamped answer tuples, each
-    interval clipped to ``[lo, hi]`` when both are given.
+    interval clipped to ``[lo, hi]`` when both are given — every row, or
+    the stored rows among ``insts`` in their order.  A row's tuples are
+    consecutive and share its instantiation object as ``support``.
 
     Scalar work per row: each object's age is read once per call, a
     row with nothing in the window is skipped before its age is read,
@@ -131,7 +134,8 @@ def _stamp_rows(
         Interval(lo, hi)  # a reversed window raises as ``clip`` would
     ages: dict[object, float] = {}
     out: list[StampedTuple] = []
-    for inst, iset in relation.rows():
+    rows = relation.rows() if insts is None else relation.rows_of(insts)
+    for inst, iset in rows:
         spans = iset.intervals
         if clip and (spans[-1].end < lo or spans[0].start > hi):
             continue  # nothing of the row is left in the window
@@ -433,7 +437,9 @@ class ContinuousQuery:
         self._dirty_divergence: dict[Dep, float] | None = {}
         self._dirty = False
         self._needs_full = False
-        self._dirty_objects: set[object] = set()
+        # Insertion-ordered, so a refresh meets its dirty objects in
+        # commit order.
+        self._dirty_objects: dict[object, None] = {}
         #: Footprints of the updates accumulated since the last refresh;
         #: ``None`` when some accepted update could not be attributed
         #: (subtree skipping then stands down for that refresh).
@@ -445,6 +451,11 @@ class ContinuousQuery:
         self._answer: Answer | None = None
         self._last_refresh = db.clock.now
         self._cancelled = False
+        #: What :meth:`changed_since` marks answers of this query with.
+        self._mark_token = object()
+        #: The root instantiations the last refresh changed; ``None``
+        #: after a full evaluation (every row may have).
+        self._changed_rows: list[Instantiation] | None = None
         self._full_evaluate()
         self._router = UpdateRouter.of(db)
         self._router.add(self)
@@ -509,6 +520,7 @@ class ContinuousQuery:
         self._population = self._population_counts()
         self._answer = None
         self._last_refresh = now
+        self._changed_rows = None
 
     def _refresh_incremental(self) -> None:
         self.evaluations += 1
@@ -521,7 +533,7 @@ class ContinuousQuery:
         evaluator = PartialIntervalEvaluator(
             ctx,
             self._cache,
-            frozenset(self._dirty_objects),
+            tuple(self._dirty_objects),
             plan=self.plan,
             options=self.options,
             deps=self._deps,
@@ -538,6 +550,7 @@ class ContinuousQuery:
             ),
         )
         self._rf = evaluator.refresh(self.query.where)
+        self._changed_rows = evaluator.changed_rows
         self.rows_recomputed += evaluator.rows_recomputed
         self.pruned_rows += evaluator.pruned_instantiations
         self.subtrees_skipped += evaluator.subtrees_skipped
@@ -607,7 +620,7 @@ class ContinuousQuery:
             self._needs_full = True
             return
         for i, div in dirty:
-            self._dirty_objects.add(updates[i].object_id)
+            self._dirty_objects[updates[i].object_id] = None
             if self._dirty_deps is None:
                 continue
             footprint = footprints[i]
@@ -773,6 +786,54 @@ class ContinuousQuery:
         """Every ``Answer(CQ)`` tuple with its staleness annotation —
         degraded tuples included, flagged rather than suppressed."""
         self._ensure_fresh()
+        return self.stamp_rows()
+
+    # ------------------------------------------------------------------
+    # What an answer snapshot needs to follow the answer by its changes
+    # (the continuous-query server's ``AnswerState.capture``).
+    # ------------------------------------------------------------------
+    def changed_since(
+        self, mark: tuple | None
+    ) -> tuple[tuple, list[Instantiation] | None, int]:
+        """``(mark, rows, refreshed_at)`` of the answer as it stands.
+
+        ``mark`` is an opaque stamp of this answer to pass back later;
+        ``refreshed_at`` is the tick the answer was computed at (its
+        tuples are clipped there).  ``rows`` are the root instantiations
+        whose stamped tuples may differ from those of the answer at the
+        given ``mark`` other than by aging: the rows the one refresh
+        since patched, and the rows naming an object heard from since
+        (:meth:`MostDatabase.heard_since` — a heartbeat the validity gate
+        dropped still resets its object's age).  Every other row's
+        tuples are the same, each exactly the elapsed ticks older — or
+        gone, where the window moved past them.  ``rows`` is ``None``
+        when that is not known: no mark, a mark of another query, other
+        than one refresh since it, or a full evaluation.  Brings the
+        answer up to date first, as :meth:`stamped_tuples` does.
+        """
+        self._ensure_fresh()
+        db = self.db
+        current = (self._mark_token, self.evaluations, db.heard_serial)
+        if (
+            mark is None
+            or mark[0] is not self._mark_token
+            or mark[1] != self.evaluations - 1
+            or self._changed_rows is None
+        ):
+            return current, None, self._last_refresh
+        rows = dict.fromkeys(self._changed_rows)
+        heard = db.heard_since(mark[2])
+        if heard:
+            assert self._rf is not None
+            rows.update(dict.fromkeys(self._rf.rows_touching(heard)))
+        return current, list(rows), self._last_refresh
+
+    def stamp_rows(
+        self, insts: Iterable[Instantiation] | None = None
+    ) -> list[StampedTuple]:
+        """:meth:`stamped_tuples` of the given root instantiations only
+        (every row when ``None``), in their order, without a refresh."""
+        assert self._rf is not None
         return _stamp_rows(
             self.db,
             self._rf,
@@ -780,7 +841,13 @@ class ContinuousQuery:
             self.staleness_bound,
             self._last_refresh,
             self.expires_at,
+            insts,
         )
+
+    def ages_stay_zero(self, inst: Instantiation) -> bool:
+        """Whether the instantiation's age is 0 at every tick: none of
+        its objects is tracked (server-local objects never go stale)."""
+        return not any(map(self.db.is_tracked, inst))
 
     def cancel(self) -> None:
         """Stop maintaining the answer ("until cancelled")."""

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from itertools import product, repeat
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from repro.errors import FtlSemanticsError
 from repro.ftl.ast import (
@@ -818,23 +818,61 @@ class IntervalEvaluator:
     # ------------------------------------------------------------------
     # Connectives
     # ------------------------------------------------------------------
-    def _conjunction(self, r1: FtlRelation, r2: FtlRelation) -> FtlRelation:
+    @staticmethod
+    def _matches(
+        relation: FtlRelation, shared: list[str], probe: bool
+    ) -> Callable[[tuple], Sequence[tuple[Instantiation, IntervalSet]]]:
+        """A join's candidate source: ``key -> the rows of relation whose
+        shared variables hold key``.
+
+        By default the relation is scanned once into buckets keyed by
+        the shared values.  With ``probe`` (and at least one shared
+        variable) nothing is scanned: each key is looked up in the
+        relation's inverted index (:meth:`FtlRelation.matching`), so a
+        handful of delta rows meet a large cached relation at the cost
+        of their matches.  Without a shared variable the join is a cross
+        product, and the relation is scanned either way.
+        """
+        positions = [relation.index_of(v) for v in shared]
+        if probe and positions:
+            return lambda key: relation.matching(positions, key)
+        buckets: dict[tuple, list[tuple[Instantiation, IntervalSet]]] = {}
+        for inst, iset in relation.rows():
+            key = tuple(inst[p] for p in positions)
+            buckets.setdefault(key, []).append((inst, iset))
+        return lambda key: buckets.get(key, ())
+
+    def _conjunction(
+        self,
+        r1: FtlRelation,
+        r2: FtlRelation,
+        probe: FtlRelation | None = None,
+    ) -> FtlRelation:
         """The appendix's conjunction join: match on common variables,
-        intersect the intervals."""
+        intersect the intervals.
+
+        One side's rows are walked and each meets its matches on the
+        other (:meth:`_matches`): by default ``r1`` is walked against
+        buckets of ``r2``; ``probe`` names the side (``r1`` or ``r2``)
+        whose matches come from its inverted index while the other side
+        is walked — the delta joins of incremental maintenance.  The
+        output is the same map whichever side is walked.
+        """
         shared = [v for v in r1.variables if v in r2.variables]
         out_vars = tuple(
             sorted(set(r1.variables) | set(r2.variables))
         )
         out = FtlRelation(out_vars)
-        idx2 = [r2.index_of(v) for v in shared]
-        buckets: dict[tuple, list[tuple[Instantiation, IntervalSet]]] = {}
-        for inst2, set2 in r2.rows():
-            key = tuple(inst2[i] for i in idx2)
-            buckets.setdefault(key, []).append((inst2, set2))
-        idx1 = [r1.index_of(v) for v in shared]
-        for inst1, set1 in r1.rows():
-            key = tuple(inst1[i] for i in idx1)
-            for inst2, set2 in buckets.get(key, ()):
+        walk_left = probe is not r1
+        walked, other = (r1, r2) if walk_left else (r2, r1)
+        matches = self._matches(other, shared, probe is not None)
+        idx = [walked.index_of(v) for v in shared]
+        for inst_w, set_w in walked.rows():
+            for inst_o, set_o in matches(tuple(inst_w[i] for i in idx)):
+                if walk_left:
+                    inst1, set1, inst2, set2 = inst_w, set_w, inst_o, set_o
+                else:
+                    inst1, set1, inst2, set2 = inst_o, set_o, inst_w, set_w
                 overlap = set1.intersection(set2)
                 if not overlap.is_empty:
                     merged = merge_instantiations(
@@ -848,33 +886,36 @@ class IntervalEvaluator:
         r1: FtlRelation,
         r2: FtlRelation,
         combine: Callable[[IntervalSet, IntervalSet], IntervalSet],
+        probe: bool = False,
     ) -> FtlRelation:
         """The appendix's Until join.
 
         ``g1 Until g2`` holds wherever ``g2`` holds even if ``g1`` never
         does, so the join is outer on the ``g1`` side: variables of ``g1``
         missing from ``g2`` are enumerated over their domains with an
-        empty ``g1`` interval set as the default.
+        empty ``g1`` interval set as the default.  The ``r2`` rows are
+        walked; each key's ``r1`` group is read once from
+        :meth:`_matches` (``probe``: from ``r1``'s inverted index).
         """
         shared = [v for v in r1.variables if v in r2.variables]
         extra1 = [v for v in r1.variables if v not in r2.variables]
         out_vars = tuple(sorted(set(r1.variables) | set(r2.variables)))
         out = FtlRelation(out_vars)
         extra_domains = [self.ctx.domain(v) for v in extra1]
-        idx1_shared = [r1.index_of(v) for v in shared]
         idx1_extra = [r1.index_of(v) for v in extra1]
         idx2_shared = [r2.index_of(v) for v in shared]
+        matches = self._matches(r1, shared, probe)
 
-        # Group r1 rows by shared values for the probe.
+        # r1 rows grouped by shared values, then by their extra values.
         groups: dict[tuple, dict[tuple, IntervalSet]] = {}
-        for inst1, set1 in r1.rows():
-            key = tuple(inst1[i] for i in idx1_shared)
-            extra = tuple(inst1[i] for i in idx1_extra)
-            groups.setdefault(key, {})[extra] = set1
-
         for inst2, set2 in r2.rows():
             key = tuple(inst2[i] for i in idx2_shared)
-            group = groups.get(key, {})
+            group = groups.get(key)
+            if group is None:
+                group = groups[key] = {
+                    tuple(inst1[i] for i in idx1_extra): set1
+                    for inst1, set1 in matches(key)
+                }
             for extra in product(*extra_domains):
                 set1 = group.get(tuple(extra), EMPTY_SET)
                 result = combine(set1, set2)

@@ -18,7 +18,12 @@ this module recomputes *per instantiation* instead:
 * a dirty atom's rows first pass the cold path's §4 index partition,
   over a *frontier view* whose tables hold only the objects those rows
   name (:meth:`PartialIntervalEvaluator._atom_index`), so a refresh
-  solves only the rows the index cannot decide.
+  solves only the rows the index cannot decide;
+* a join's delta meets the other side's *full* relation through that
+  relation's inverted index (the ``probe`` of
+  :meth:`~repro.ftl.evaluator.IntervalEvaluator._conjunction` and
+  ``_until_join``), so it costs the delta rows' matches, not a pass
+  over the cached relation.
 
 Soundness rests on two structural facts:
 
@@ -159,7 +164,11 @@ class PartialIntervalEvaluator(IntervalEvaluator):
     ) -> None:
         super().__init__(ctx, plan=plan, options=options, validity=validity)
         self.cache = cache
-        self.dirty_values = frozenset(dirty_objects)
+        # Membership reads the set; frontier lookups walk the objects in
+        # the order given, so the rows they find come in an order no
+        # hash seed decides.
+        self._dirty_order = tuple(dict.fromkeys(dirty_objects))
+        self.dirty_values = frozenset(self._dirty_order)
         #: Per-node read-sets from the static update-impact analysis
         #: (:class:`~repro.ftl.analysis.deps.DepAnalysis`), keyed over the
         #: same tree the cache is keyed over.  ``None`` disables subtree
@@ -178,6 +187,12 @@ class PartialIntervalEvaluator(IntervalEvaluator):
         self._clean_domain: dict[str, list[object]] = {}
         self._dirty_domain: dict[str, list[object]] = {}
         self._done: dict[int, FtlRelation] = {}
+        #: Per patched node, the cached rows the patch dropped.
+        self._stale: dict[int, list[Instantiation]] = {}
+        #: The root instantiations the last :meth:`refresh` changed: every
+        #: row its patch dropped or adopted (empty when the root's cached
+        #: relation was reused as it stood).
+        self.changed_rows: list[Instantiation] = []
         #: Frontier views (:meth:`_atom_index`) by their member sets.
         self._frontier: dict[frozenset, AtomIndexPruner] = {}
         #: Dirty instantiations enumerated across all subformulas — the
@@ -201,7 +216,13 @@ class PartialIntervalEvaluator(IntervalEvaluator):
         """Patch every cached ``R_g`` and return the refreshed ``R_f``."""
         if self.plan is not None:
             formula = self.plan.resolve(formula)
-        self._delta(formula)
+        delta = self._delta(formula)
+        stale = self._stale.get(id(formula))
+        self.changed_rows = (
+            []
+            if stale is None
+            else list(dict.fromkeys([*stale, *(i for i, _ in delta.rows())]))
+        )
         return self.cache.relations[id(formula)]
 
     # ------------------------------------------------------------------
@@ -221,7 +242,7 @@ class PartialIntervalEvaluator(IntervalEvaluator):
             self._done[key] = skipped
             return skipped
         delta = self._delta_node(f)
-        stale = cached.rows_touching(self.dirty_values)
+        stale = self._stale[key] = cached.rows_touching(self._dirty_order)
         cached.patch(stale, delta)
         self._done[key] = delta
         return delta
@@ -258,7 +279,7 @@ class PartialIntervalEvaluator(IntervalEvaluator):
         else:
             return None
         delta = FtlRelation(cached.variables)
-        for inst in cached.rows_touching(self.dirty_values):
+        for inst in cached.rows_touching(self._dirty_order):
             delta.set(inst, cached.get(inst))
         return delta
 
@@ -289,10 +310,13 @@ class PartialIntervalEvaluator(IntervalEvaluator):
             return self._eval_node(f)
         if isinstance(f, AndF):
             d1, d2 = self._delta(f.left), self._delta(f.right)
-            out = self._conjunction(d1, self._full(f.right))
-            # Each output row is determined by its unique pair of child
-            # rows, so overlapping (both-dirty) rows re-add identical sets.
-            for inst, iset in self._conjunction(self._full(f.left), d2).rows():
+            r1, r2 = self._full(f.left), self._full(f.right)
+            # Each delta walks its own rows and probes the other side's
+            # full relation.  Each output row is determined by its unique
+            # pair of child rows, so overlapping (both-dirty) rows re-add
+            # identical sets.
+            out = self._conjunction(d1, r2, probe=r2)
+            for inst, iset in self._conjunction(r1, d2, probe=r1).rows():
                 out.add(inst, iset)
             return out
         if isinstance(f, Until):
@@ -419,8 +443,9 @@ class PartialIntervalEvaluator(IntervalEvaluator):
         self._delta(f.left)
         d2 = self._delta(f.right)
         r1, r2 = self._full(f.left), self._full(f.right)
-        # Branch A — dirty right-side rows, extras over their full domains.
-        out = self._until_join(r1, d2, combine)
+        # Branch A — dirty right-side rows, extras over their full
+        # domains, each probing r1 for its group.
+        out = self._until_join(r1, d2, combine, probe=True)
         # Branch B — clean right-side rows joined with dirty extras (the
         # r1-only variables; dirty *shared* values always appear in the
         # right side's instantiation and are covered by branch A).

@@ -14,7 +14,7 @@ free.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.errors import FtlSemanticsError
 from repro.temporal import DISCRETE, IntervalSet
@@ -47,9 +47,12 @@ class FtlRelation:
 
     For incremental continuous-query maintenance the relation keeps an
     optional inverted index (value → instantiations mentioning it), built
-    lazily on the first :meth:`rows_touching` call and maintained by every
-    subsequent mutation, so the recompute frontier of an update is found
-    in time proportional to the number of affected rows.
+    lazily on the first :meth:`rows_touching` or :meth:`matching` call and
+    maintained by every subsequent mutation, so the recompute frontier of
+    an update, and a delta row's join partners, are found in time
+    proportional to the number of affected rows.  Each value's bucket is
+    an insertion-ordered dict, so what the index returns comes in an
+    order fixed by the mutation history, never by the hash seed.
     """
 
     __slots__ = ("variables", "_rows", "_index")
@@ -61,7 +64,7 @@ class FtlRelation:
     ) -> None:
         self.variables = tuple(variables)
         self._rows: dict[Instantiation, IntervalSet] = {}
-        self._index: dict[object, set[Instantiation]] | None = None
+        self._index: dict[object, dict[Instantiation, None]] | None = None
         for inst, iset in (rows or {}).items():
             self.set(inst, iset)
 
@@ -93,6 +96,13 @@ class FtlRelation:
         """All stored (non-empty) rows."""
         return iter(self._rows.items())
 
+    def rows_of(
+        self, insts: Iterable[Instantiation]
+    ) -> list[tuple[Instantiation, IntervalSet]]:
+        """The stored rows among ``insts``, in the order given."""
+        rows = self._rows
+        return [(inst, rows[inst]) for inst in insts if inst in rows]
+
     def __len__(self) -> int:
         return len(self._rows)
 
@@ -102,38 +112,66 @@ class FtlRelation:
     # ------------------------------------------------------------------
     # Inverted index + incremental patching
     # ------------------------------------------------------------------
-    def _ensure_index(self) -> dict[object, set[Instantiation]]:
+    def _ensure_index(self) -> dict[object, dict[Instantiation, None]]:
         if self._index is None:
             self._index = {}
             for inst in self._rows:
-                for value in inst:
-                    self._index.setdefault(value, set()).add(inst)
+                self._index_add(inst)
         return self._index
 
     def _index_add(self, inst: Instantiation) -> None:
         if self._index is not None:
             for value in inst:
-                self._index.setdefault(value, set()).add(inst)
+                self._index.setdefault(value, {})[inst] = None
 
     def _index_remove(self, inst: Instantiation) -> None:
         if self._index is not None:
             for value in inst:
                 bucket = self._index.get(value)
                 if bucket is not None:
-                    bucket.discard(inst)
+                    bucket.pop(inst, None)
 
     def rows_touching(self, values: Iterable[object]) -> list[Instantiation]:
         """Stored instantiations that mention any of the given values.
 
         This is the per-relation recompute frontier of an update: the rows
         whose cached interval sets may have been invalidated because one of
-        their objects changed.
+        their objects changed.  Rows come value by value, each value's in
+        bucket order.
         """
         index = self._ensure_index()
-        out: set[Instantiation] = set()
+        out: dict[Instantiation, None] = {}
         for value in values:
-            out |= index.get(value, set())
+            bucket = index.get(value)
+            if bucket:
+                out.update(bucket)
         return list(out)
+
+    def matching(
+        self, positions: Sequence[int], key: tuple
+    ) -> list[tuple[Instantiation, IntervalSet]]:
+        """The rows whose values at ``positions`` equal ``key`` (one value
+        per position, at least one position), found through the inverted
+        index: the smallest bucket of the key's values, filtered by
+        position, in bucket order.  A join's probe side — it costs the
+        matches, not the relation."""
+        index = self._ensure_index()
+        bucket: dict[Instantiation, None] | None = None
+        for value in key:
+            candidates = index.get(value)
+            if not candidates:
+                return []
+            if bucket is None or len(candidates) < len(bucket):
+                bucket = candidates
+        rows = self._rows
+        if len(positions) == 1:
+            (p,), (v,) = positions, key
+            return [(inst, rows[inst]) for inst in bucket if inst[p] == v]
+        return [
+            (inst, rows[inst])
+            for inst in bucket
+            if all(inst[p] == v for p, v in zip(positions, key))
+        ]
 
     def patch(
         self,

@@ -103,6 +103,9 @@ class ServerMetrics:
     #: ``begin`` a capture kept, i.e. re-sends a refresh did not cause.
     diffs_computed: int = 0
     tuples_carried: int = 0
+    #: Tuples a capture had to stamp afresh — the rows a refresh may
+    #: have changed, not the answer (``AnswerState.capture``).
+    tuples_restamped: int = 0
     #: Delta retransmissions after an ack timeout.
     delta_retransmissions: int = 0
     #: Client lifecycle events.
@@ -141,6 +144,7 @@ class ServerMetrics:
             "snapshots_sent": self.snapshots_sent,
             "diffs_computed": self.diffs_computed,
             "tuples_carried": self.tuples_carried,
+            "tuples_restamped": self.tuples_restamped,
             "delta_retransmissions": self.delta_retransmissions,
             "subscriptions": self.subscriptions,
             "resumes": self.resumes,

@@ -11,20 +11,25 @@ Identical subscriptions (same text and horizon) share one registered
 query: a thousand clients watching the same fleet cost one refresh per
 epoch, not a thousand — and one answer diff
 (:meth:`AnswerState.since`), over tuples that keep their identity while
-nothing but time happens to them (:meth:`AnswerState.capture`).  How a
+nothing but time happens to them (:meth:`AnswerState.capture`, which
+re-stamps only the rows a refresh may have changed).  How a
 registered query is evaluated is not a subscriber's choice: every one is
 maintained incrementally, in-process.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import time
 import weakref
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
 
 from repro.core.database import MostDatabase
-from repro.core.queries import ContinuousQuery
+from repro.core.queries import ContinuousQuery, StampedTuple
 from repro.errors import ReproError
 from repro.ftl import parse_query
 from repro.server.metrics import ServerMetrics
@@ -35,45 +40,181 @@ Key = tuple[Any, ...]
 #: What :meth:`AnswerState.since` returns: the tuples added and the keys
 #: removed relative to an older state, each in the order sessions send.
 Delta = tuple[tuple[WireTuple, ...], tuple[Key, ...]]
+#: One answer row of a state, by its support (the full instantiation):
+#: ``(serial, stamped_at, tuples)`` — each tuple's ``max_age`` is as of
+#: ``stamped_at``; ``serial`` tells the row's events from those of a row
+#: it replaced.
+_Row = tuple[int, int, tuple[WireTuple, ...]]
+#: A pending row event ``(time, kind, serial, support)``: kind 0 — a
+#: tuple begins at ``time`` (due once ``now >= time``); kind 1 — a tuple
+#: ends at ``time`` (due once ``now > time``).
+_Event = tuple[float, int, int, tuple[Any, ...]]
+
+_serials = itertools.count()
 
 
-@dataclass(eq=False)
+def _aged(wire: WireTuple, stamped_at: int, now: int) -> WireTuple:
+    """``wire`` with its ``max_age`` moved from ``stamped_at`` to ``now``."""
+    if stamped_at == now:
+        return wire
+    return WireTuple(
+        wire.values,
+        wire.begin,
+        wire.end,
+        wire.support,
+        wire.max_age + (now - stamped_at),
+    )
+
+
+def _add_order(t: WireTuple) -> tuple[Any, ...]:
+    return (t.begin, t.end, str(t.values))
+
+
+def _retract_order(k: Key) -> tuple[Any, ...]:
+    return (k[1], k[2], str(k[0]))
+
+
+def _schedule(
+    events: list[_Event],
+    serial: int,
+    support: tuple[Any, ...],
+    wires: tuple[WireTuple, ...],
+    now: int,
+) -> int:
+    """Append a row's next events — its first end, its first begin after
+    ``now`` — and return how many of its tuples have begun by ``now``."""
+    events.append((wires[0].end, 1, serial, support))
+    begun = 0
+    for wire in wires:  # begun ones first
+        if wire.begin > now:
+            events.append((wire.begin, 0, serial, support))
+            break
+        begun += 1
+    return begun
+
+
+def _continued(
+    group: list[StampedTuple],
+    old_row: _Row,
+    now: int,
+    t0: int,
+    stale_copies: frozenset[Key],
+    unsettled: dict[Key, None],
+) -> tuple[tuple[WireTuple, ...], int]:
+    """One re-stamped row's tuples under the continuing rule against its
+    tuples in the state of ``t0`` (:meth:`AnswerState.capture`), and how
+    many kept their ``begin``; keys that outlived an age change join
+    ``unsettled``."""
+    _serial, old_stamped_at, old_wires = old_row
+    olds = {w.end: w for w in old_wires}
+    elapsed = now - t0
+    wires: list[WireTuple] = []
+    carried = 0
+    for s in group:
+        begin = s.begin
+        old = olds.get(s.end)
+        if old is not None:
+            old_key = old.key()
+            old_age = old.max_age + (t0 - old_stamped_at)
+            if s.max_age == old_age + elapsed and old_key not in stale_copies:
+                if old.begin <= now and begin <= now:
+                    begin = old.begin
+                    carried += 1
+            elif old.begin == begin:
+                unsettled[old_key] = None
+        wires.append(WireTuple(s.values, begin, s.end, s.support, s.max_age))
+    return tuple(wires), carried
+
+
 class AnswerState:
     """The fanned-out answer of one query as of its last refresh.
 
-    ``max_age`` annotations inside ``tuples`` are relative to
-    ``computed_at``; consumers age them by ``now - computed_at`` — this
-    is what lets a load-shedding server keep serving the *last* answer
-    with honest staleness flags instead of blocking on a refresh.
+    ``max_age`` annotations of the tuples it hands out (``tuples``,
+    ``by_key``, :meth:`since`) are relative to ``computed_at``;
+    consumers age them by ``now - computed_at`` — this is what lets a
+    load-shedding server keep serving the *last* answer with honest
+    staleness flags instead of blocking on a refresh.
+
+    Inside, tuples are kept per answer row with the tick their age was
+    stamped at, so a state built from the previous one shares every row
+    nothing happened to (:meth:`capture`) and ages a tuple only where it
+    leaves the state.
 
     States compare by identity: a session remembers the state object it
     last folded and asks the current one what changed :meth:`since`.
     """
 
-    computed_at: int
-    tuples: tuple[WireTuple, ...]
-    keys: frozenset[Key] = field(default_factory=frozenset)
-    #: Where :meth:`since` counts the diffs it had to compute.
-    metrics: ServerMetrics | None = field(default=None, repr=False)
-    #: Keys that outlived a refresh which changed their age (a tuple
-    #: still in the future keeps its ``begin``, so it is not re-sent
-    #: when a support object reports): clients may hold a copy older
-    #: than this state's, so :meth:`capture` must not carry them.
-    unsettled: frozenset[Key] = frozenset()
-    #: ``key -> tuple`` — sessions re-read staged tuples through it.
-    by_key: dict[Key, WireTuple] = field(init=False, repr=False)
-    # The diffs already computed, keyed weakly by their base: a state
-    # must never keep an older state alive, or the memo would chain
-    # every answer ever captured.
-    _since: "weakref.WeakKeyDictionary[AnswerState, Delta]" = field(
-        init=False, repr=False
-    )
+    def __init__(
+        self,
+        computed_at: int,
+        tuples: Iterable[WireTuple] = (),
+        keys: frozenset[Key] | None = None,
+        metrics: ServerMetrics | None = None,
+        unsettled: frozenset[Key] = frozenset(),
+    ) -> None:
+        self.computed_at = computed_at
+        #: Where :meth:`since` counts the diffs it had to compute.
+        self.metrics = metrics
+        #: Keys that outlived a refresh which changed their age (a tuple
+        #: still in the future keeps its ``begin``, so it is not re-sent
+        #: when a support object reports): clients may hold a copy older
+        #: than this state's, so :meth:`capture` must not carry them.
+        self.unsettled = unsettled
+        self._rows: dict[tuple[Any, ...], _Row] = {}
+        # What the next capture from this state reads: the row events in
+        # a heap, how many tuples had begun by ``computed_at``, the rows
+        # whose age stays 0 and those holding an unsettled key (both in
+        # stamp order), and the query's mark of this answer.
+        self._events: list[_Event] = []
+        self._begun = 0
+        self._zero_age: tuple[tuple[Any, ...], ...] = ()
+        self._unsettled_rows: tuple[tuple[Any, ...], ...] = ()
+        self._mark: tuple[Any, ...] | None = None
+        # The diff against the state this one was captured from, emitted
+        # by the capture and counted when a session first asks for it.
+        self._base: "weakref.ref[AnswerState] | None" = None
+        self._emitted: Delta = ((), ())
+        # The diffs already computed, keyed weakly by their base: a state
+        # must never keep an older state alive, or the memo would chain
+        # every answer ever captured.
+        self._since: "weakref.WeakKeyDictionary[AnswerState, Delta]" = (
+            weakref.WeakKeyDictionary()
+        )
+        given = tuple(tuples)
+        if given:
+            grouped: dict[tuple[Any, ...], list[WireTuple]] = {}
+            for t in given:
+                grouped.setdefault(t.support, []).append(t)
+            self._rows = {
+                support: (next(_serials), computed_at, tuple(wires))
+                for support, wires in grouped.items()
+            }
+            self.tuples = given
+        if keys:
+            self.keys = keys
 
-    def __post_init__(self) -> None:
-        self.by_key = {t.key(): t for t in self.tuples}
-        if not self.keys:
-            self.keys = frozenset(self.by_key)
-        self._since = weakref.WeakKeyDictionary()
+    @cached_property
+    def tuples(self) -> tuple[WireTuple, ...]:
+        """Every tuple of the answer, row by row."""
+        now = self.computed_at
+        return tuple(
+            _aged(wire, stamped_at, now)
+            for _serial, stamped_at, wires in self._rows.values()
+            for wire in wires
+        )
+
+    @cached_property
+    def keys(self) -> frozenset[Key]:
+        """Every tuple's key."""
+        return frozenset(
+            wire.key() for _s, _t, wires in self._rows.values() for wire in wires
+        )
+
+    @cached_property
+    def by_key(self) -> Mapping[Key, WireTuple]:
+        """``key -> tuple`` — sessions re-read staged tuples through it.
+        A view: reading a key costs its row, not the answer."""
+        return _ByKey(self)
 
     @staticmethod
     def capture(
@@ -84,9 +225,9 @@ class AnswerState:
     ) -> "AnswerState":
         """Snapshot the query's stamped answer at the current tick.
 
-        ``stamped_tuples()`` clips every interval to start at the
-        refresh tick, so a tuple live across two refreshes comes back
-        with a new ``begin`` — and a new key — although nothing about it
+        A stamped answer clips every interval to start at the refresh
+        tick, so a tuple live across two refreshes would come back with
+        a new ``begin`` — and a new key — although nothing about it
         changed.  A *continuing* tuple therefore keeps the ``begin`` it
         had in ``prev``: same ``(values, support, end)``, begun by
         ``now`` in both states, and exactly ``now - prev.computed_at``
@@ -97,47 +238,128 @@ class AnswerState:
         object heard from since, an instantiation whose age stays 0, a
         key some client may hold an older copy of (``unsettled``) —
         takes today's ``begin`` and is retracted and re-added.
+
+        The work is proportional to what changed, not to the answer.
+        When ``prev`` is this query's answer one refresh ago
+        (:meth:`ContinuousQuery.changed_since`), the state starts as
+        ``prev``'s rows and re-stamps only the rows that may differ by
+        more than age: those the refresh patched, those naming an object
+        heard from since, those whose age stays 0, those holding an
+        ``unsettled`` key, and those with a tuple that ended or began
+        since (a heap of row events).  Every other row is ``prev``'s,
+        key for key, exactly the elapsed ticks older.  Otherwise every
+        row is stamped.  Either way the diff against ``prev`` falls out
+        of the rows re-stamped and is what :meth:`since` returns for
+        ``prev``; ``metrics`` counts the tuples carried and re-stamped.
         """
-        previous: dict[Key, WireTuple] = {}
-        stale_copies: frozenset[Key] = frozenset()
-        elapsed = 0
-        if prev is not None:
-            previous = {(t.values, t.support, t.end): t for t in prev.tuples}
-            stale_copies = prev.unsettled
-            elapsed = now - prev.computed_at
-        tuples: list[WireTuple] = []
-        unsettled: set[Key] = set()
+        mark, changed, refreshed_at = cq.changed_since(
+            None if prev is None else prev._mark
+        )
+        state = AnswerState(now, metrics=metrics)
+        state._mark = mark
+        prev_rows = {} if prev is None else prev._rows
+        t0 = now if prev is None else prev.computed_at
         carried = 0
-        for s in cq.stamped_tuples():
-            begin = s.begin
-            old = previous.get((s.values, s.support, s.end))
-            if old is not None:
-                if (
-                    s.max_age == old.max_age + elapsed
-                    and old.key() not in stale_copies
-                ):
-                    if old.begin <= now and begin <= now:
-                        begin = old.begin
-                        carried += 1
-                elif old.begin == begin:
-                    unsettled.add(old.key())
-            tuples.append(
-                WireTuple(
-                    values=s.values,
-                    begin=begin,
-                    end=s.end,
-                    support=s.support,
-                    max_age=s.max_age,
+        if prev is not None and changed is not None and refreshed_at == now:
+            rows = dict(prev_rows)
+            events = list(prev._events)
+            touched = dict.fromkeys(changed)
+            touched.update(dict.fromkeys(prev._zero_age))
+            touched.update(dict.fromkeys(prev._unsettled_rows))
+            while events:
+                at, kind, serial, support = events[0]
+                if at > now or (at == now and kind):
+                    break
+                heapq.heappop(events)
+                row = rows.get(support)
+                if row is not None and row[0] == serial:
+                    touched[support] = None
+            begun = prev._begun
+            for support in touched:
+                row = rows.pop(support, None)
+                if row is not None:
+                    begun -= sum(1 for w in row[2] if w.begin <= t0)
+            # Every tuple of a row left alone had begun by ``t0`` or is
+            # still to begin: carried as it stands.
+            carried = begun
+            stamped = cq.stamp_rows(touched)
+        else:
+            rows, events, begun = {}, [], 0
+            touched = dict.fromkeys(prev_rows)
+            stamped = cq.stamp_rows()
+        stale_copies = frozenset() if prev is None else prev.unsettled
+        unsettled: dict[Key, None] = {}
+        zero_age: list[tuple[Any, ...]] = []
+        added: list[WireTuple] = []
+        removed: list[Key] = []
+        scheduled: list[_Event] = []
+        i, n = 0, len(stamped)
+        while i < n:
+            first = stamped[i]
+            support = first.support
+            j = i + 1
+            while j < n and stamped[j].support is support:
+                j += 1
+            group, i = stamped[i:j], j
+            old_row = prev_rows.get(support)
+            if old_row is None:
+                row_wires = tuple(
+                    WireTuple(s.values, s.begin, s.end, support, s.max_age)
+                    for s in group
                 )
+            else:
+                row_wires, kept = _continued(
+                    group, old_row, now, t0, stale_copies, unsettled
+                )
+                carried += kept
+            if first.max_age == 0 and cq.ages_stay_zero(support):
+                zero_age.append(support)
+            serial = next(_serials)
+            rows[support] = (serial, now, row_wires)
+            begun += _schedule(scheduled, serial, support, row_wires, now)
+            if prev is None:
+                continue
+            touched.pop(support, None)
+            if old_row is None:
+                added.extend(row_wires)
+                continue
+            old_keys = [w.key() for w in old_row[2]]
+            new_keys = [w.key() for w in row_wires]
+            added.extend(
+                w for w, k in zip(row_wires, new_keys) if k not in old_keys
             )
+            removed.extend(k for k in old_keys if k not in new_keys)
+        for support in touched:  # rows gone from the answer
+            old_row = prev_rows.get(support)
+            if old_row is not None:
+                removed.extend(w.key() for w in old_row[2])
+        if len(events) + len(scheduled) > 4 * len(rows) + 256:
+            # Compact: only the live rows' next events.
+            events = []
+            for support, (serial, _at, row_wires) in rows.items():
+                _schedule(events, serial, support, row_wires, now)
+            heapq.heapify(events)
+        elif len(scheduled) > len(events):
+            events.extend(scheduled)
+            heapq.heapify(events)
+        else:
+            for event in scheduled:
+                heapq.heappush(events, event)
+        state._rows = rows
+        state._events = events
+        state._begun = begun
+        state._zero_age = tuple(zero_age)
+        state.unsettled = frozenset(unsettled)
+        state._unsettled_rows = tuple(dict.fromkeys(k[3] for k in unsettled))
+        if prev is not None:
+            state._base = weakref.ref(prev)
+            added.sort(key=_add_order)
+            removed.sort(key=_retract_order)
+            state._emitted = (tuple(added), tuple(removed))
         if metrics is not None:
             metrics.tuples_carried += carried
-        return AnswerState(
-            computed_at=now,
-            tuples=tuple(tuples),
-            metrics=metrics,
-            unsettled=frozenset(unsettled),
-        )
+            metrics.tuples_restamped += n
+        return state
 
     def since(self, prev: "AnswerState") -> Delta:
         """``(added, removed)`` relative to the older state ``prev``.
@@ -146,24 +368,72 @@ class AnswerState:
         end, str(values))``, ``removed`` the vanished keys in retract
         order.  Computed once per base: every session of the query that
         stood at ``prev`` shares the result, and a session that lagged
-        asks for its own older base through the same function.
+        asks for its own older base through the same function.  The
+        diff against the state this one was captured from is the one
+        :meth:`capture` emitted; any other base takes a walk over both
+        answers.
         """
         delta = self._since.get(prev)
         if delta is None:
-            # Walk the dicts, not the key sets: ties in either order then
-            # fall in answer order, whatever the process's hash seed.
-            added = sorted(
-                (t for k, t in self.by_key.items() if k not in prev.keys),
-                key=lambda t: (t.begin, t.end, str(t.values)),
-            )
-            removed = sorted(
-                (k for k in prev.by_key if k not in self.keys),
-                key=lambda k: (k[1], k[2], str(k[0])),
-            )
-            delta = self._since[prev] = (tuple(added), tuple(removed))
+            base = self._base
+            if base is not None and base() is prev:
+                delta = self._emitted
+            else:
+                # Walk the rows, not the key sets: ties in either order
+                # then fall in answer order, whatever the hash seed.
+                keys, prev_keys = self.keys, prev.keys
+                added = sorted(
+                    (t for t in self.tuples if t.key() not in prev_keys),
+                    key=_add_order,
+                )
+                removed = sorted(
+                    (k for k in prev.by_key if k not in keys),
+                    key=_retract_order,
+                )
+                delta = (tuple(added), tuple(removed))
+            self._since[prev] = delta
             if self.metrics is not None:
                 self.metrics.diffs_computed += 1
         return delta
+
+
+class _ByKey(Mapping[Key, WireTuple]):
+    """:attr:`AnswerState.by_key`: keys found through their row."""
+
+    __slots__ = ("_state",)
+
+    def __init__(self, state: AnswerState) -> None:
+        self._state = state
+
+    def _find(self, key: Key) -> WireTuple | None:
+        state = self._state
+        row = state._rows.get(key[3])
+        if row is not None:
+            for wire in row[2]:
+                if wire.key() == key:
+                    return _aged(wire, row[1], state.computed_at)
+        return None
+
+    def __getitem__(self, key: Key) -> WireTuple:
+        found = self._find(key)
+        if found is None:
+            raise KeyError(key)
+        return found
+
+    def __contains__(self, key: object) -> bool:
+        return (
+            isinstance(key, tuple)
+            and len(key) == 4
+            and self._find(key) is not None
+        )
+
+    def __iter__(self) -> Iterator[Key]:
+        for _serial, _at, wires in self._state._rows.values():
+            for wire in wires:
+                yield wire.key()
+
+    def __len__(self) -> int:
+        return sum(len(row[2]) for row in self._state._rows.values())
 
 
 @dataclass

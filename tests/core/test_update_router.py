@@ -161,7 +161,7 @@ def routed_state(cq: ContinuousQuery) -> tuple:
     return (
         cq._dirty,
         cq._needs_full,
-        cq._dirty_objects,
+        set(cq._dirty_objects),  # kept in commit order
         cq._dirty_deps,
         cq._dirty_divergence,
     )

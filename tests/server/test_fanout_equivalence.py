@@ -131,13 +131,33 @@ class Row:
 
 
 class StubQuery:
-    """What ``AnswerState.capture`` needs of a continuous query."""
+    """What ``AnswerState.capture`` needs of a continuous query: the
+    stamped rows, and which of them changed since the answer marked
+    ``base`` (``changed=None``: every row may have, as after a full
+    evaluation — the capture then stamps them all)."""
 
-    def __init__(self, stamped):
+    def __init__(self, stamped, now=None, mark=None, base=None, changed=None,
+                 local=()):
         self._stamped = stamped
+        self._now = now
+        self._mark, self._base, self._changed = mark, base, changed
+        self._local = frozenset(local)
 
-    def stamped_tuples(self):
-        return list(self._stamped)
+    def changed_since(self, mark):
+        if self._changed is None or mark is None or mark != self._base:
+            return self._mark, None, self._now
+        return self._mark, list(self._changed), self._now
+
+    def stamp_rows(self, insts=None):
+        if insts is None:
+            return list(self._stamped)
+        rows = {}
+        for s in self._stamped:
+            rows.setdefault(s.support, []).append(s)
+        return [s for inst in insts for s in rows.get(inst, ())]
+
+    def ages_stay_zero(self, support):
+        return support in self._local
 
 
 def raw_state(stamped, now):
@@ -165,14 +185,23 @@ class Answers:
         self.early_age_jumps = early_age_jumps
         self.rows = {}
         self.raw = raw_state([], 0)
-        self.carried = AnswerState.capture(StubQuery([]), 0, None)
+        #: Refreshes so far: what the stub marks each answer with.
+        self.refreshes = 0
+        self.carried = AnswerState.capture(
+            StubQuery([], 0, mark=self.refreshes), 0, None
+        )
 
     def apply(self, now, refresh, ops):
         if not refresh:
             return
+        # The rows this refresh touched — the change report of a real
+        # query; rows clipped away as time passes are left to the capture.
+        changed = {}
         for op in ops:
             name, rid = op[0], op[1]
             row = self.rows.get(rid)
+            if row is not None or name == "add":
+                changed[(rid, "beacon")] = None
             if name == "add" and row is None:
                 _, _, offset, duration, local = op
                 if local and not self.early_age_jumps:
@@ -201,9 +230,13 @@ class Answers:
                 del self.rows[rid]  # clipped away by the refresh
         stamped = [row.stamped(now) for row in self.rows.values()]
         self.raw = raw_state(stamped, now)
-        self.carried = AnswerState.capture(
-            StubQuery(stamped), now, self.carried
+        self.refreshes += 1
+        query = StubQuery(
+            stamped, now,
+            mark=self.refreshes, base=self.refreshes - 1, changed=changed,
+            local=[row.support for row in self.rows.values() if not row.heard],
         )
+        self.carried = AnswerState.capture(query, now, self.carried)
 
 
 ROW_IDS = st.sampled_from("abcd")

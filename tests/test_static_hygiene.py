@@ -273,6 +273,10 @@ STRICT_DEFS = {
     "core/database.py": (
         "MostDatabase.motion_event_candidates",
         "MostDatabase._index_motion",
+        "MostDatabase.object_ids_of",
+        "MostDatabase.heard_serial",
+        "MostDatabase.heard_since",
+        "MostDatabase._hear",
     ),
     "core/history.py": ("FutureHistory", "epoch_token"),
     "core/queries.py": (
@@ -283,6 +287,9 @@ STRICT_DEFS = {
         "_update_class",
         "_is_live",
         "_stamp_rows",
+        "ContinuousQuery.changed_since",
+        "ContinuousQuery.stamp_rows",
+        "ContinuousQuery.ages_stay_zero",
     ),
     "ftl/analysis/validity.py": (
         "DivergenceProbe",
@@ -306,8 +313,27 @@ STRICT_DEFS = {
         "IntervalEvaluator._rows",
         "IntervalEvaluator._atom_gate",
         "IntervalEvaluator._atom_index",
+        "IntervalEvaluator._matches",
+        "IntervalEvaluator._conjunction",
+        "IntervalEvaluator._until_join",
     ),
-    "ftl/incremental.py": ("PartialIntervalEvaluator._atom_index",),
+    "ftl/incremental.py": (
+        "PartialIntervalEvaluator._atom_index",
+        "PartialIntervalEvaluator.refresh",
+    ),
+    "ftl/relations.py": (
+        "FtlRelation.rows_of",
+        "FtlRelation.rows_touching",
+        "FtlRelation.matching",
+    ),
+    "server/registry.py": (
+        "_aged",
+        "_schedule",
+        "AnswerState",
+        "AnswerState.capture",
+        "AnswerState.since",
+        "_ByKey",
+    ),
 }
 
 
