@@ -18,8 +18,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
+from repro.core.columns import MotionColumns
 from repro.core.dynamic import DynamicAttribute
 from repro.core.objects import MostObject, ObjectClass
 from repro.errors import SchemaError
@@ -75,14 +76,11 @@ class MostDatabase:
         self.kinetic_cache_size = kinetic_cache_size
         self._classes: dict[str, ObjectClass] = {}
         self._objects: dict[object, MostObject] = {}
-        self._by_class: dict[str, list[object]] = {}
-        # The motion-event index (see ``motion_event_candidates``), per
-        # class: the ids of objects with a dynamic attribute that is not
-        # a plain ``LinearFunction``, and the largest ``updatetime`` ever
-        # installed.  A future delete path must drop its object from
-        # ``_eventful``.
-        self._eventful: dict[str, set[object]] = {}
-        self._latest_updatetime: dict[str, float] = {}
+        # Per class, its motion columns (repro.core.columns): written
+        # wherever a triple is installed — ``add_object`` and ``_write``;
+        # any new write or delete path must write them too.  Their ``ids``
+        # are the class's objects in insertion order.
+        self._columns: dict[str, MotionColumns] = {}
         self._regions: dict[str, Region] = {}
         self._log: list[MostUpdate] = []
         self._version = 0
@@ -145,9 +143,7 @@ class MostDatabase:
         if object_class.name in self._classes:
             raise SchemaError(f"class {object_class.name!r} already exists")
         self._classes[object_class.name] = object_class
-        self._by_class[object_class.name] = []
-        self._eventful[object_class.name] = set()
-        self._latest_updatetime[object_class.name] = -math.inf
+        self._columns[object_class.name] = MotionColumns(object_class)
         return object_class
 
     def object_class(self, name: str) -> ObjectClass:
@@ -194,10 +190,11 @@ class MostDatabase:
             raise SchemaError(f"object {object_id!r} already exists")
         obj = MostObject(object_id, cls, static=static, dynamic=dynamic)
         self._objects[object_id] = obj
-        self._by_class[class_name].append(object_id)
+        self._columns[class_name].append(
+            object_id, [obj.dynamic_attribute(a) for a in cls.all_dynamic]
+        )
         self._last_update_time[object_id] = self.clock.now
         self._hear(object_id)
-        self._index_motion(obj, (dynamic or {}).values())
         return obj
 
     def add_moving_object(
@@ -245,18 +242,24 @@ class MostDatabase:
 
     def objects_of(self, class_name: str) -> list[MostObject]:
         """All objects of one class, in insertion order."""
-        self.object_class(class_name)
-        return [self._objects[i] for i in self._by_class[class_name]]
+        return [self._objects[i] for i in self.motion_columns(class_name).ids]
 
     def object_ids_of(self, class_name: str) -> list[object]:
         """The ids of one class's objects, in insertion order (a copy)."""
-        self.object_class(class_name)
-        return list(self._by_class[class_name])
+        return list(self.motion_columns(class_name).ids)
 
     def class_count(self, class_name: str) -> int:
         """Number of objects of one class (O(1) population check)."""
-        self.object_class(class_name)
-        return len(self._by_class[class_name])
+        return len(self.motion_columns(class_name))
+
+    def motion_columns(self, class_name: str) -> MotionColumns:
+        """One class's motion columns (:mod:`repro.core.columns`): the
+        live store, changed in place by every later write.  Raises
+        :class:`SchemaError` for an unknown class."""
+        try:
+            return self._columns[class_name]
+        except KeyError:
+            raise SchemaError(f"unknown object class {class_name!r}") from None
 
     def motion_event_candidates(
         self, class_name: str, t_eval: float
@@ -269,41 +272,16 @@ class MostDatabase:
         decomposes into one piece from ``t = 0`` at every duration, so
         its only candidate event is its own ``updatetime``.  When no
         plain attribute of the class is anchored after ``t_eval`` (the
-        largest ``updatetime`` ever installed in the class is at or
-        before it), only objects carrying a non-plain dynamic attribute
-        can contribute; otherwise every object is returned.  Raises
-        :class:`SchemaError` for an unknown class.
+        largest ``updatetime`` ever installed in the class, the columns'
+        ``latest``, is at or before it), only objects carrying a
+        non-plain dynamic attribute — a ``KIND_PICKLED`` row of the
+        class's motion columns — can contribute; otherwise every object
+        is returned.  Raises :class:`SchemaError` for an unknown class.
         """
-        self.object_class(class_name)
-        if self._latest_updatetime[class_name] <= t_eval:
-            return [self._objects[i] for i in self._eventful[class_name]]
+        columns = self.motion_columns(class_name)
+        if columns.latest <= t_eval:
+            return [self._objects[i] for i in columns.eventful()]
         return self.objects_of(class_name)
-
-    def _index_motion(
-        self, obj: MostObject, installed: Iterable[DynamicAttribute]
-    ) -> None:
-        """Keep the motion-event index current once the ``installed``
-        triples are on ``obj``: O(triples), plus a re-check of the
-        object's other dynamic attributes only when it was already
-        eventful or a new triple is not plain."""
-        name = obj.object_class.name
-        latest = self._latest_updatetime
-        plain = True
-        for triple in installed:
-            if type(triple.function) is not LinearFunction:
-                plain = False
-            if triple.updatetime > latest[name]:
-                latest[name] = triple.updatetime
-        eventful = self._eventful[name]
-        if plain and obj.object_id not in eventful:
-            return
-        if all(
-            type(obj.dynamic_attribute(a).function) is LinearFunction
-            for a in obj.object_class.all_dynamic
-        ):
-            eventful.discard(obj.object_id)
-        else:
-            eventful.add(obj.object_id)
 
     def all_objects(self) -> Iterator[MostObject]:
         """Every object in the database."""
@@ -412,11 +390,11 @@ class MostDatabase:
         )
 
     def _write(self, obj: MostObject, updates: tuple[MostUpdate, ...]) -> None:
-        """Install computed dynamic-attribute records, index them, then
-        commit them (listeners see a current motion-event index)."""
+        """Install computed dynamic-attribute records and their column
+        rows, then commit them (listeners see current columns)."""
         for update in updates:
             obj._set_dynamic(update.attribute, update.new)
-        self._index_motion(obj, [update.new for update in updates])
+        self._columns[obj.object_class.name].write(obj.object_id, updates)
         self._commit(*updates)
 
     # ------------------------------------------------------------------

@@ -30,6 +30,7 @@ from repro.geometry import Point
 from repro.motion.moving import MovingPoint
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.columns import MotionColumns
     from repro.core.database import MostDatabase, Region
     from repro.core.objects import MostObject
 
@@ -152,6 +153,20 @@ class FutureHistory(History):
         if obj is None or not obj.object_class.is_dynamic(attr):
             raise QueryError(f"object {object_id!r} has no dynamic attribute {attr!r}")
         return obj.dynamic_attribute(attr)
+
+    def motion_columns(self, class_name: str) -> "MotionColumns":
+        """One class's motion columns (:mod:`repro.core.columns`) as of
+        the pin; read them before the database moves on."""
+        return self._live().motion_columns(class_name)
+
+    def motion_slot(self, object_id: object) -> "tuple[MotionColumns, int]":
+        """The object's class columns and its object number in them;
+        raises ``QueryError`` for an unknown object."""
+        obj = self._object(object_id)
+        if obj is None:
+            raise QueryError(f"object {object_id!r} is not in this history")
+        columns = self.db.motion_columns(obj.object_class.name)
+        return columns, columns.index[object_id]
 
 
 def epoch_token(history: History) -> tuple[object, ...] | None:

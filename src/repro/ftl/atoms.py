@@ -58,6 +58,7 @@ from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
 
+from repro.core.columns import MotionRows, linear_legs
 from repro.errors import QueryError, SchemaError
 from repro.ftl.ast import (
     Compare,
@@ -72,12 +73,6 @@ from repro.ftl.ast import (
 from repro.ftl.relations import EMPTY_SET, Instantiation
 from repro.geometry import Point
 from repro.motion import batch
-from repro.motion.batch import (
-    FLAG_SLOPE_INT,
-    FLAG_UPDATETIME_INT,
-    KIND_LINEAR,
-    export_motion_rows,
-)
 from repro.motion.moving import LinearPiece, MovingPoint
 from repro.spatial.kinetic import paired_legs
 from repro.spatial.polygon import Polygon
@@ -260,31 +255,26 @@ class _SolveToken:
 def motion_token(history: "History", object_id: object) -> object | None:
     """A hashable token identifying an object's frozen motion state.
 
-    The token is the tuple of position-axis ``(value, updatetime,
-    function)`` triples — the exact inputs every kinetic solver reads —
-    so two cache keys collide only when the solved trajectories are
-    identical.  Returns ``None`` (uncacheable) for recorded histories
-    (their trajectories splice the update log, not a frozen triple) and
-    for objects without spatial attributes.
+    The token is the object's position rows read off its class's motion
+    columns (:meth:`~repro.core.columns.MotionColumns.token`) — the exact
+    inputs every kinetic solver reads — so two cache keys collide only
+    when the solved trajectories are identical, and equal exactly when
+    the position triples are equal.  Returns ``None`` (uncacheable) for
+    recorded histories (their trajectories splice the update log, not a
+    frozen triple), for a history whose database moved on, for unknown
+    objects and for objects without spatial attributes.
     """
     from repro.core.history import FutureHistory
 
     if not isinstance(history, FutureHistory):
         return None
     try:
-        obj = history.db.get(object_id)
-    except SchemaError:
-        return None
-    names = obj.object_class.position_attributes
-    if not names:
-        return None
-    try:
-        triples = tuple(
-            history.dynamic_triple(object_id, attr) for attr in names
-        )
+        columns, number = history.motion_slot(object_id)
     except QueryError:
         return None
-    return triples
+    if not columns.dim:
+        return None
+    return columns.token(number)
 
 
 #: Memo of wrapped region tokens, keyed by region identity.  Regions are
@@ -550,45 +540,22 @@ class ClassMbrTable:
 
 
 def _linear_leg_boxes(
-    triples: list, dim: int, start: int, end: int
+    rows: MotionRows, start: int, end: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The one-leg boxes of every linear mover among ``triples``.
-
-    ``triples`` are ``dim`` position-axis triples per object, object
-    after object.  An object qualifies when every axis is a
-    :class:`~repro.motion.functions.LinearFunction` of float64-exact
-    coefficients and all axes share one update time at or before
-    ``start``: :meth:`~repro.motion.moving.MovingPoint.linear_pieces`
-    then yields exactly one leg over the window, and the box is computed
-    here with the scalar path's operations in the scalar path's order,
-    so every corner is bit-identical to it.  Returns ``(qualifies[n],
-    lo[m, dim], hi[m, dim])`` for the ``m`` qualifying objects, in order.
+    """The one-leg boxes of every linear mover of a position block
+    (:func:`~repro.core.columns.linear_legs`): each box spans the leg's
+    position at ``start`` and at ``end``, computed with the scalar
+    path's operations in the scalar path's order, so every corner is
+    bit-identical to it.  Returns ``(qualifies[n], lo[m, dim], hi[m,
+    dim])`` for the ``m`` qualifying objects, in order.
     """
-    rows = export_motion_rows(triples)
-    shape = (len(triples) // dim, dim)
-    updatetime = rows.updatetime.reshape(shape)
-    linear = (
-        (rows.kind.reshape(shape) == KIND_LINEAR).all(axis=1)
-        & (updatetime == updatetime[:, :1]).all(axis=1)
-        & (updatetime[:, 0] <= start)
-    )
-    value = rows.value.reshape(shape)[linear]
-    slope = rows.slope.reshape(shape)[linear]
-    updatetime = updatetime[linear]
-    flags = rows.intflags.reshape(shape)[linear]
-    # MostObject.moving_point anchors axis j at t0 = max(u), the first
-    # axis's update time, as ``value + slope * (t0 - u_j)``: an int zero
-    # when slope, t0 and u_j are all ints (a -0.0 value comes back
-    # +0.0), a signed float zero otherwise.
-    int_time = (flags & FLAG_UPDATETIME_INT) != 0
-    int_zero = int_time[:, :1] & int_time & ((flags & FLAG_SLOPE_INT) != 0)
+    linear, origin, slope = linear_legs(rows, start)
+    origin = origin[linear]
     with np.errstate(all="ignore"):
-        anchor = value + np.where(int_zero, 0.0, slope * (updatetime - updatetime))
-        origin = anchor + slope * (start - updatetime)
         # A zero-length window's leg is static; ``far`` then equals
         # ``origin`` up to the sign of zero (or is NaN), and the tie rule
         # below keeps ``origin`` either way.
-        far = origin + slope * float(end - start)
+        far = origin + slope[linear] * float(end - start)
     # ``min(a, b)`` / ``max(a, b)`` keep ``a`` unless ``b`` is strictly
     # beyond it, as here.
     lo = np.where(far < origin, far, origin)
@@ -610,30 +577,31 @@ def build_class_table(
     same whichever members share its table.
 
     A future history's linear movers — the common case — are boxed in
-    one vectorised pass over their motion columns
-    (:func:`_linear_leg_boxes`).  Every other member takes the scalar
-    path: ``moving_point(oid).linear_pieces(start, end)``, one box per
+    one vectorised pass over the class's motion columns, gathered by
+    object number (:func:`_linear_leg_boxes`).  Every other member takes
+    the scalar path: ``moving_point(oid).linear_pieces(start, end)``, one box per
     leg, for piecewise motion, per-axis update times, an update inside
     the window and every recorded-history member; nonlinear motion is
     unprunable and a lookup that raises marks the member raising.
     """
     from repro.core.history import FutureHistory
 
-    if ids is None:
+    whole = ids is None
+    if whole:
         ids = history.object_ids(class_name)
     elif not ids:
         return ClassMbrTable(None, {}, frozenset(), frozenset())
-    names = history.db.object_class(class_name).position_attributes
-    dim = len(names)
+    dim = history.db.object_class(class_name).spatial_dimensions
     blocks_lo: list[np.ndarray] = []
     blocks_hi: list[np.ndarray] = []
     owners: list[object] = []
     scalar = ids
-    if names and isinstance(history, FutureHistory):
-        triples = [
-            history.dynamic_triple(oid, attr) for oid in ids for attr in names
-        ]
-        linear, lo, hi = _linear_leg_boxes(triples, dim, start, end)
+    if dim and isinstance(history, FutureHistory):
+        columns = history.motion_columns(class_name)
+        rows = columns.positions(
+            None if whole else [columns.index[oid] for oid in ids]
+        )
+        linear, lo, hi = _linear_leg_boxes(rows, start, end)
         flags = linear.tolist()
         owners = [oid for oid, ok in zip(ids, flags) if ok]
         scalar = [oid for oid, ok in zip(ids, flags) if not ok]
@@ -1166,6 +1134,14 @@ class AtomIndexPruner:
 # ---------------------------------------------------------------------------
 
 
+def _dim(kind: str, legs: object) -> int:
+    """The dimensionality of a :meth:`~repro.ftl.context.EvalContext.
+    legs` entry."""
+    if kind == "single":
+        return len(legs[0])
+    return legs[0].origin.dim
+
+
 class KineticBatch:
     """One atom's worth of kinetic solves, submitted as a batch.
 
@@ -1183,7 +1159,10 @@ class KineticBatch:
 
     Each object's legs come from the context's memo
     (:meth:`~repro.ftl.context.EvalContext.legs`), so every atom of one
-    evaluation reads one entry per object.  Movers that cannot be
+    evaluation reads one entry per object; a linear single-leg mover's
+    coefficients are gathered from its class's motion columns there and
+    enter the :class:`~repro.motion.batch.LinearTable` as numbers, with
+    no leg object built.  Movers that cannot be
     resolved raise from :meth:`submit` itself, which the evaluator calls
     at the same product-order position where the scalar path would have
     run (and raised from) the solve closure.
@@ -1266,18 +1245,20 @@ class KineticBatch:
         kb, pb = self.ctx.legs(b)
         if kb is None:
             return None
-        if pa[0].origin.dim != pb[0].origin.dim:
+        if _dim(ka, pa) != _dim(kb, pb):
             return None  # the scalar closure raises the mismatch error
         dist = self._dist_batch()
         if ka == "single" and kb == "single":
             row = dist.add_pair(
-                self._table.add(a, pa[0]),
-                self._table.add(b, pb[0]),
+                self._table.add_coeffs(a, *pa),
+                self._table.add_coeffs(b, *pb),
                 bound,
                 at_least,
             )
         else:
-            legs = paired_legs(pa, pb, self.ctx.window)
+            legs = paired_legs(
+                self._pieces(ka, pa), self._pieces(kb, pb), self.ctx.window
+            )
             row = dist.add_legs(legs, bound, at_least)
         return (dist, row)
 
@@ -1285,38 +1266,51 @@ class KineticBatch:
         if isinstance(region, Ball):
             if region.radius < 0:
                 return None  # the scalar closure raises
-            kind, pieces = self.ctx.legs(obj_id)
+            kind, legs_of = self.ctx.legs(obj_id)
             if kind is None:
                 return None
             center = self._ball_center(region)
-            if pieces[0].origin.dim != center[0].origin.dim:
+            if _dim(kind, legs_of) != center[0].origin.dim:
                 return None
             dist = self._dist_batch()
             if kind == "single":
                 row = dist.add_pair(
-                    self._table.add(obj_id, pieces[0]),
+                    self._table.add_coeffs(obj_id, *legs_of),
                     self._table.add(("__ball_center__", region), center[0]),
                     region.radius,
                     False,
                 )
             else:
-                legs = paired_legs(pieces, center, self.ctx.window)
+                legs = paired_legs(legs_of, center, self.ctx.window)
                 row = dist.add_legs(legs, region.radius, False)
             return (dist, row)
         if isinstance(region, Polygon):
-            kind, pieces = self.ctx.legs(obj_id)
+            kind, legs_of = self.ctx.legs(obj_id)
             if kind is None:
                 return None
-            if pieces[0].origin.dim != 2:
+            if _dim(kind, legs_of) != 2:
                 return None  # the scalar closure raises the 2-D error
             pb = self._poly_batch(region)
             if kind == "single":
-                row = pb.add_slot(self._table.add(obj_id, pieces[0]))
+                row = pb.add_slot(self._table.add_coeffs(obj_id, *legs_of))
             else:
-                legs = paired_legs(pieces, self._ref_pieces(), self.ctx.window)
+                legs = paired_legs(legs_of, self._ref_pieces(), self.ctx.window)
                 row = pb.add_legs(legs)
             return (pb, row)
         return None  # unsupported region: the scalar closure raises
+
+    def _pieces(self, kind: str, legs: object) -> list[LinearPiece]:
+        """A :meth:`~repro.ftl.context.EvalContext.legs` entry as linear
+        pieces: a single leg's coordinates become the one piece over the
+        window the scalar path builds from them."""
+        if kind == "single":
+            origin, velocity = legs
+            return [
+                LinearPiece(
+                    self.ctx.start, self.ctx.end, Point(*origin), Point(*velocity)
+                )
+            ]
+        return legs
 
     # ------------------------------------------------------------------
     # Resolution

@@ -11,9 +11,11 @@ evaluation runs with.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, AbstractSet as Set, Sequence
 
-from repro.errors import FtlSemanticsError
+import numpy as np
+
+from repro.errors import FtlSemanticsError, QueryError
 from repro.ftl.ast import (
     Arith,
     Attr,
@@ -27,9 +29,17 @@ from repro.ftl.ast import (
 from repro.temporal import Interval
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.columns import MotionColumns
     from repro.core.history import History
     from repro.ftl.atoms import AtomIndexPruner, KineticSolveCache
     from repro.motion.moving import LinearPiece, MovingPoint
+
+    #: One object's motion over a window (:meth:`EvalContext.legs`).
+    Legs = (
+        tuple[str, tuple[Sequence[float], Sequence[float]]]
+        | tuple[str, list[LinearPiece]]
+        | tuple[None, None]
+    )
 
 Env = dict[str, object]
 
@@ -97,6 +107,8 @@ class EvalContext:
         self._domains: dict[str, list[object]] = {
             var: history.object_ids(cls) for var, cls in bindings.items()
         }
+        #: Variables whose domain a restriction replaced.
+        self._restricted = frozenset(domain_restrictions or ())
         if domain_restrictions:
             for var, values in domain_restrictions.items():
                 full = set(self.domain(var))
@@ -109,8 +121,11 @@ class EvalContext:
                 self._domains[var] = list(values)
         self._movers: dict[object, "MovingPoint"] = {}
         #: oid -> its motion over the window as :meth:`legs` returns it.
-        self._legs: dict[
-            object, "tuple[str, list[LinearPiece]] | tuple[None, None]"
+        self._legs: dict[object, Legs] = {}
+        #: A class's motion columns -> its single legs over the window
+        #: (:meth:`_column_leg`): qualifies, origin and velocity per object.
+        self._windows: dict[
+            "MotionColumns", tuple[np.ndarray, np.ndarray, np.ndarray]
         ] = {}
         self._motion_tokens: dict[object, object] = {}
         self._pruner: "AtomIndexPruner | None" = None
@@ -127,6 +142,7 @@ class EvalContext:
         """
         self._movers.clear()
         self._legs.clear()
+        self._windows.clear()
         self._motion_tokens.clear()
         self._pruner = None
 
@@ -141,28 +157,61 @@ class EvalContext:
             self._movers[object_id] = mover
         return mover
 
-    def legs(
-        self, object_id: object
-    ) -> "tuple[str, list[LinearPiece]] | tuple[None, None]":
+    def legs(self, object_id: object) -> Legs:
         """One object's motion over the window, memoized: ``("single",
-        [leg])``, ``("multi", pieces)``, or ``(None, None)`` when it is
-        not piecewise linear; raises exactly as :meth:`moving_point`
-        would.  Every atom solved on this context reads one entry per
-        object (the batch backend's input, :class:`~repro.ftl.atoms.
-        KineticBatch`)."""
+        (origin, velocity))`` — the one leg's position at the window
+        start and its velocity, as float coordinates —, ``("multi",
+        pieces)``, or ``(None, None)`` when it is not piecewise linear;
+        raises exactly as :meth:`moving_point` would.  A linear mover's
+        leg is read off its class's motion columns (:meth:`_column_leg`);
+        every other object takes the scalar path.  Every atom solved on
+        this context reads one entry per object (the batch backend's
+        input, :class:`~repro.ftl.atoms.KineticBatch`)."""
         entry = self._legs.get(object_id)
         if entry is None:
-            mover = self.moving_point(object_id)
-            leg = mover.single_leg(self.start, self.end)
-            if leg is not None:
-                entry = ("single", [leg])
-            else:
-                pieces = mover.linear_pieces(self.start, self.end)
-                entry = (
-                    ("multi", pieces) if pieces is not None else (None, None)
-                )
+            entry = self._column_leg(object_id)
+            if entry is None:
+                mover = self.moving_point(object_id)
+                leg = mover.single_leg(self.start, self.end)
+                if leg is not None:
+                    entry = ("single", (leg.origin.coords, leg.velocity.coords))
+                else:
+                    pieces = mover.linear_pieces(self.start, self.end)
+                    entry = (
+                        ("multi", pieces) if pieces is not None else (None, None)
+                    )
             self._legs[object_id] = entry
         return entry
+
+    def _column_leg(self, object_id: object) -> Legs | None:
+        """A linear mover's single leg, gathered from its class's motion
+        columns, or ``None`` when the object takes the scalar path (a
+        recorded history, an unknown or nonspatial object, or motion
+        :func:`~repro.core.columns.linear_legs` does not qualify).  The
+        class's legs over the window are computed once per context, with
+        the operations of the scalar path, so they are bit-identical to
+        it; a zero-length window's leg is static, as there."""
+        from repro.core.columns import linear_legs
+        from repro.core.history import FutureHistory
+
+        history = self.history
+        if not isinstance(history, FutureHistory):
+            return None
+        try:
+            columns, number = history.motion_slot(object_id)
+        except QueryError:
+            return None
+        if not columns.dim:
+            return None
+        window = self._windows.get(columns)
+        if window is None:
+            linear, origin, slope = linear_legs(columns.positions(), self.start)
+            velocity = slope if self.end > self.start else np.zeros_like(slope)
+            window = self._windows[columns] = (linear, origin, velocity)
+        linear, origin, velocity = window
+        if not linear[number]:
+            return None
+        return ("single", (origin[number].tolist(), velocity[number].tolist()))
 
     def atom_pruner(self) -> "AtomIndexPruner":
         """This context's view of the trajectory-MBR tables (shared per
@@ -215,20 +264,35 @@ class EvalContext:
         """Whether the variable is FROM-bound (ranges over objects)."""
         return var in self.bindings
 
-    def split_domain(
-        self, var: str, dirty_values: frozenset | set
-    ) -> tuple[list[object], list[object]]:
-        """Partition a variable's domain into ``(clean, dirty)`` by
-        membership in ``dirty_values``, preserving domain order.
+    def dirty_domain(self, var: str, dirty_values: "Set[object]") -> list[object]:
+        """The values of a variable's domain that are in
+        ``dirty_values``, in domain order.
 
-        Used by incremental continuous-query maintenance to enumerate only
-        the instantiations whose objects were explicitly updated.
+        An unrestricted FROM-bound variable of a future history ranges
+        over its class in insertion order — the object numbers of the
+        class's motion columns — so its dirty values are sorted by
+        number, in O(|dirty| log |dirty|) whatever the class size.  Any
+        other domain (restricted, assigned, or over a recorded history)
+        is walked.  Incremental continuous-query maintenance enumerates
+        only the instantiations naming these values.
         """
-        clean: list[object] = []
-        dirty: list[object] = []
-        for value in self.domain(var):
-            (dirty if value in dirty_values else clean).append(value)
-        return clean, dirty
+        from repro.core.history import FutureHistory
+
+        if (
+            var in self.bindings
+            and var not in self._restricted
+            and isinstance(self.history, FutureHistory)
+        ):
+            index = self.history.motion_columns(self.bindings[var]).index
+            return sorted(
+                (v for v in dirty_values if v in index), key=index.__getitem__
+            )
+        return [v for v in self.domain(var) if v in dirty_values]
+
+    def clean_domain(self, var: str, dirty_values: "Set[object]") -> list[object]:
+        """The values of a variable's domain that are not in
+        ``dirty_values``, in domain order (a walk of the domain)."""
+        return [v for v in self.domain(var) if v not in dirty_values]
 
     def push_domain(self, var: str, values: list[object]) -> None:
         """Introduce an assigned variable's candidate values."""

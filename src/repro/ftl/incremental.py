@@ -357,14 +357,25 @@ class PartialIntervalEvaluator(IntervalEvaluator):
     # ------------------------------------------------------------------
     # Dirty-instantiation enumeration
     # ------------------------------------------------------------------
-    def _split(self, var: str) -> tuple[list[object], list[object]]:
-        try:
-            return self._clean_domain[var], self._dirty_domain[var]
-        except KeyError:
-            clean, dirty = self.ctx.split_domain(var, self.dirty_values)
-            self._clean_domain[var] = clean
-            self._dirty_domain[var] = dirty
-            return clean, dirty
+    def _dirty(self, var: str) -> list[object]:
+        """The variable's dirty values, in domain order (memoised)."""
+        dirty = self._dirty_domain.get(var)
+        if dirty is None:
+            dirty = self._dirty_domain[var] = self.ctx.dirty_domain(
+                var, self.dirty_values
+            )
+        return dirty
+
+    def _clean(self, var: str) -> list[object]:
+        """The variable's clean values, in domain order (memoised; a
+        walk of the domain, so built only for a variable that precedes
+        a dirty pivot)."""
+        clean = self._clean_domain.get(var)
+        if clean is None:
+            clean = self._clean_domain[var] = self.ctx.clean_domain(
+                var, self.dirty_values
+            )
+        return clean
 
     def _dirty_product(
         self, variables: Iterable[str]
@@ -378,13 +389,13 @@ class PartialIntervalEvaluator(IntervalEvaluator):
         """
         variables = list(variables)
         for i, pivot in enumerate(variables):
-            _clean_p, dirty_p = self._split(pivot)
+            dirty_p = self._dirty(pivot)
             if not dirty_p:
                 continue
             axes: list[list[object]] = []
             for j, var in enumerate(variables):
                 if j < i:
-                    axes.append(self._split(var)[0])
+                    axes.append(self._clean(var))
                 elif j == i:
                     axes.append(dirty_p)
                 else:

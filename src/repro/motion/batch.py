@@ -241,17 +241,22 @@ class LinearTable:
 
     def add(self, key: object, piece: LinearPiece) -> int:
         """Register (or look up) the single-leg mover under ``key``."""
+        return self.add_coeffs(key, piece.origin.coords, piece.velocity.coords)
+
+    def add_coeffs(
+        self, key: object, origin: Sequence[float], velocity: Sequence[float]
+    ) -> int:
+        """Register (or look up) the single-leg mover under ``key`` by
+        its leg's position at the window start and its velocity."""
         slot = self._slots.get(key)
         if slot is not None:
             return slot
         slot = len(self._origins)
         self._slots[key] = slot
-        o = piece.origin.coords
-        v = piece.velocity.coords
-        pad = (0.0,) * (3 - len(o))
-        self._origins.append(o + pad)
-        self._velocities.append(v + pad)
-        self._dims.append(len(o))
+        pad = (0.0,) * (3 - len(origin))
+        self._origins.append((*origin, *pad))
+        self._velocities.append((*velocity, *pad))
+        self._dims.append(len(origin))
         self._cols = None
         return slot
 
@@ -409,6 +414,45 @@ class DistanceBatch:
 # ---------------------------------------------------------------------------
 # Polygon batch (INSIDE / OUTSIDE against a fixed polygon)
 # ---------------------------------------------------------------------------
+#: Polygon edge columns by polygon identity (:func:`polygon_edges`).
+#: Polygons never mutate, so an entry never goes stale; bounded and
+#: cleared wholesale, and identity-guarded like the region tokens.
+_EDGE_COLUMNS: dict[int, tuple[Polygon, tuple[np.ndarray, ...]]] = {}
+_EDGE_COLUMNS_LIMIT = 256
+
+
+def polygon_edges(polygon: Polygon) -> tuple[np.ndarray, ...]:
+    """A polygon's edges as columns ``(ax, ay, bx, by, abx, aby, ns)``:
+    each edge's start and end coordinates, its vector ``b - a`` and that
+    vector's squared norm — built once per polygon and shared by every
+    solve against it (read-only)."""
+    entry = _EDGE_COLUMNS.get(id(polygon))
+    if entry is not None and entry[0] is polygon:
+        return entry[1]
+    edges = polygon.edges
+    vectors = [e.vector for e in edges]
+    columns = (
+        np.asarray([e.a.x for e in edges]),
+        np.asarray([e.a.y for e in edges]),
+        np.asarray([e.b.x for e in edges]),
+        np.asarray([e.b.y for e in edges]),
+        np.asarray([w.x for w in vectors]),
+        np.asarray([w.y for w in vectors]),
+        np.asarray([w.norm_squared for w in vectors]),
+    )
+    for column in columns:
+        column.flags.writeable = False
+    if len(_EDGE_COLUMNS) >= _EDGE_COLUMNS_LIMIT:
+        _EDGE_COLUMNS.clear()
+    _EDGE_COLUMNS[id(polygon)] = (polygon, columns)
+    return columns
+
+
+def clear_polygon_edges() -> None:
+    """Drop the edge-column memo (a forked shard worker starts clean,
+    see :func:`repro.parallel.worker.reset_worker_caches`)."""
+    _EDGE_COLUMNS.clear()
+
 class PolygonBatch:
     """Queued polygon containment rows against one static polygon.
 
@@ -525,13 +569,7 @@ class PolygonBatch:
         ox, oy = o[:, 0:1], o[:, 1:2]
         vx, vy = v[:, 0:1], v[:, 1:2]
         sm = smax[:, None]
-        edges = self._polygon.edges
-        ax = np.asarray([e.a.x for e in edges])
-        ay = np.asarray([e.a.y for e in edges])
-        abx = np.asarray([e.vector.x for e in edges])
-        aby = np.asarray([e.vector.y for e in edges])
-        bx = np.asarray([e.b.x for e in edges])
-        by = np.asarray([e.b.y for e in edges])
+        ax, ay, bx, by, abx, aby, _ns = polygon_edges(self._polygon)
 
         with np.errstate(all="ignore"):
             denom = vx * aby - vy * abx
@@ -576,15 +614,7 @@ class PolygonBatch:
             return np.zeros(0, dtype=bool)
         px = (o[:, 0][probe_ent] + v[:, 0][probe_ent] * probe_s)[:, None]
         py = (o[:, 1][probe_ent] + v[:, 1][probe_ent] * probe_s)[:, None]
-        edges = self._polygon.edges
-        ax = np.asarray([e.a.x for e in edges])
-        ay = np.asarray([e.a.y for e in edges])
-        bx = np.asarray([e.b.x for e in edges])
-        by = np.asarray([e.b.y for e in edges])
-        vectors = [e.vector for e in edges]
-        abx = np.asarray([w.x for w in vectors])
-        aby = np.asarray([w.y for w in vectors])
-        ns = np.asarray([w.norm_squared for w in vectors])
+        ax, ay, bx, by, abx, aby, ns = polygon_edges(self._polygon)
 
         with np.errstate(all="ignore"):
             apx = px - ax
@@ -602,111 +632,6 @@ class PolygonBatch:
             toggles = straddles & (px < x_cross)
             inside = (toggles.sum(axis=1) % 2) == 1
         return boundary | inside
-
-
-# ---------------------------------------------------------------------------
-# Coefficient array export (motion columns)
-# ---------------------------------------------------------------------------
-#: ``MotionRows.kind`` codes of one dynamic-attribute row.
-KIND_LINEAR = 0
-KIND_PICKLED = 1
-
-#: ``MotionRows.intflags`` bits: which fields were ``int``-typed.
-FLAG_VALUE_INT = 1
-FLAG_UPDATETIME_INT = 2
-FLAG_SLOPE_INT = 4
-
-
-class MotionRows:
-    """Flattened dynamic-attribute triples as coefficient arrays.
-
-    One row per ``(object, attribute)`` triple, in caller order:
-    ``value`` / ``updatetime`` / ``slope`` float64 columns plus a ``kind``
-    code (:data:`KIND_LINEAR` for a plain ``LinearFunction`` of
-    float64-exact coefficients; :data:`KIND_PICKLED` for everything
-    else, kept as the original triple in :attr:`fallback`) and an
-    ``intflags`` bitmask recording which fields were ``int``-typed so the
-    consumer can restore exact value types.  These are the columns the
-    sharded evaluator's motion snapshot carries to its workers
-    (:mod:`repro.parallel.motion`) and the atom pruner's trajectory-MBR
-    tables are computed from (:mod:`repro.ftl.atoms`).
-    """
-
-    def __init__(
-        self,
-        value,
-        updatetime,
-        slope,
-        kind,
-        intflags,
-        fallback: dict,
-    ) -> None:
-        self.value = value
-        self.updatetime = updatetime
-        self.slope = slope
-        self.kind = kind
-        self.intflags = intflags
-        #: Row index → original triple, for rows the arrays cannot carry
-        #: exactly (any function but ``LinearFunction``, non-numeric or
-        #: non-float64-exact values).
-        self.fallback = fallback
-
-
-def _exact_numeric(x: object) -> bool:
-    """Whether ``x`` is an int/float that round-trips through float64."""
-    if type(x) is float:
-        return True
-    if type(x) is int:
-        try:
-            return int(float(x)) == x
-        except (OverflowError, ValueError):
-            return False
-    return False
-
-
-def export_motion_rows(triples) -> MotionRows:
-    """Flatten dynamic-attribute triples into :class:`MotionRows`."""
-    from repro.motion.functions import LinearFunction
-
-    n = len(triples)
-    value = np.zeros(n)
-    updatetime = np.zeros(n)
-    slope = np.zeros(n)
-    kind = np.full(n, KIND_LINEAR, dtype=np.int8)
-    intflags = np.zeros(n, dtype=np.int8)
-    fallback: dict[int, object] = {}
-
-    for row, triple in enumerate(triples):
-        fn = triple.function
-        if not (
-            type(fn) is LinearFunction
-            and _exact_numeric(triple.value)
-            and _exact_numeric(triple.updatetime)
-            and _exact_numeric(fn.slope)
-        ):
-            kind[row] = KIND_PICKLED
-            fallback[row] = triple
-            continue
-        flags = 0
-        if type(triple.value) is int:
-            flags |= FLAG_VALUE_INT
-        if type(triple.updatetime) is int:
-            flags |= FLAG_UPDATETIME_INT
-        if type(fn.slope) is int:
-            flags |= FLAG_SLOPE_INT
-        value[row] = float(triple.value)
-        updatetime[row] = float(triple.updatetime)
-        slope[row] = float(fn.slope)
-        intflags[row] = flags
-
-    return MotionRows(
-        value=value,
-        updatetime=updatetime,
-        slope=slope,
-        kind=kind,
-        intflags=intflags,
-        fallback=fallback,
-    )
 
 
 # ---------------------------------------------------------------------------

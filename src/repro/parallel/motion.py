@@ -21,8 +21,10 @@ triple reproduces the original's *values and value types* exactly:
   triple in the per-row ``fallback`` — exact by construction and rare by
   construction (the batch solver cannot vectorize them either).
 
-The arrays are the columns of :func:`repro.motion.batch.export_motion_rows`,
-the flattening the atom pruner's leg-box tables are computed from too.
+The arrays are the database's own motion columns
+(:mod:`repro.core.columns`), each class's rows copied out in one
+concatenation — the store the atom pruner's leg-box tables, the batch
+solver's single legs and the solve-cache motion tokens read too.
 """
 
 from __future__ import annotations
@@ -32,18 +34,17 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.core.columns import (
+    FLAG_SLOPE_INT,
+    FLAG_UPDATETIME_INT,
+    FLAG_VALUE_INT,
+    KIND_LINEAR,
+)
 from repro.core.database import MostDatabase
 from repro.core.dynamic import DynamicAttribute
 from repro.core.history import FutureHistory
 from repro.core.objects import ObjectClass
 from repro.errors import QueryError
-from repro.motion.batch import (
-    FLAG_SLOPE_INT,
-    FLAG_UPDATETIME_INT,
-    FLAG_VALUE_INT,
-    KIND_PICKLED,
-    export_motion_rows,
-)
 from repro.motion.functions import LinearFunction
 from repro.temporal import SimulationClock
 
@@ -51,6 +52,15 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.history import History
 
 __all__ = ["MotionSnapshot"]
+
+#: The snapshot's arrays: the motion columns, by dtype.
+_DTYPES = {
+    "value": np.float64,
+    "updatetime": np.float64,
+    "slope": np.float64,
+    "kind": np.int8,
+    "intflags": np.int8,
+}
 
 
 @dataclass
@@ -94,12 +104,14 @@ class MotionSnapshot:
             if per_class:
                 statics[c.name] = per_class
 
-        triples: list[DynamicAttribute] = []
-        for c in classes:
-            for oid in ids[c.name]:
-                for attr in c.all_dynamic:
-                    triples.append(history.dynamic_triple(oid, attr))
-        rows = export_motion_rows(triples)
+        # Every class's rows, copied out of its motion columns in one
+        # concatenation per column; fallback rows renumbered to match.
+        blocks = [history.motion_columns(c.name).rows() for c in classes]
+        fallback: dict[int, DynamicAttribute] = {}
+        base = 0
+        for rows in blocks:
+            fallback.update((base + row, t) for row, t in rows.fallback.items())
+            base += rows.value.size
 
         meta: dict[str, object] = {
             "start": history.start,
@@ -107,14 +119,13 @@ class MotionSnapshot:
             "ids": ids,
             "statics": statics,
             "regions": [(name, db.region(name)) for name in db.region_names()],
-            "fallback": rows.fallback,
+            "fallback": fallback,
         }
         arrays = {
-            "value": rows.value,
-            "updatetime": rows.updatetime,
-            "slope": rows.slope,
-            "kind": rows.kind,
-            "intflags": rows.intflags,
+            name: np.concatenate(
+                [np.zeros(0, dtype), *(getattr(rows, name) for rows in blocks)]
+            )
+            for name, dtype in _DTYPES.items()
         }
         return cls(meta=meta, arrays=arrays)
 
@@ -161,7 +172,7 @@ class MotionSnapshot:
             for oid in ids[c.name]:
                 dynamic: dict[str, DynamicAttribute] = {}
                 for attr in c.all_dynamic:
-                    if int(kind[row]) == KIND_PICKLED:
+                    if int(kind[row]) != KIND_LINEAR:
                         dynamic[attr] = fallback[row]
                     else:
                         flags = int(intflags[row])

@@ -29,6 +29,7 @@ from repro.errors import FtlSemanticsError
 from repro.ftl.atoms import clear_region_tokens
 from repro.ftl.context import EvalContext
 from repro.ftl.evaluator import IntervalEvaluator
+from repro.motion.batch import clear_polygon_edges
 
 if TYPE_CHECKING:  # pragma: no cover
     from multiprocessing.queues import Queue as MpQueue
@@ -50,6 +51,7 @@ def reset_worker_caches() -> None:
     against its own replica.
     """
     clear_region_tokens()
+    clear_polygon_edges()
 
 
 def _ship_error(exc: BaseException) -> tuple[str, object]:

@@ -27,6 +27,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import MostDatabase, ObjectClass
+from repro.core.columns import (
+    FLAG_SLOPE_INT,
+    FLAG_UPDATETIME_INT,
+    FLAG_VALUE_INT,
+    KIND_INEXACT,
+    KIND_LINEAR,
+    KIND_PICKLED,
+    MotionRows,
+)
 from repro.core.dynamic import DynamicAttribute
 from repro.core.history import FutureHistory, RecordedHistory, epoch_token
 from repro.errors import QueryError, SchemaError
@@ -45,6 +54,76 @@ from repro.motion.moving import MovingPoint
 from repro.parallel.motion import MotionSnapshot
 from repro.parallel.worker import _evaluate
 from repro.spatial import Polygon
+
+
+# ---------------------------------------------------------------------------
+# The flattening the readers used before the motion columns
+# ---------------------------------------------------------------------------
+
+
+def _exact(x):
+    if type(x) is float:
+        return x == x
+    if type(x) is int:
+        try:
+            return int(float(x)) == x
+        except (OverflowError, ValueError):
+            return False
+    return False
+
+
+def export_motion_rows(triples):
+    """Flatten triples into motion rows, one per triple, in order — the
+    per-read walk every motion reader made before the database kept
+    motion columns (the oracle of ``tests/core/test_motion_columns.py``)."""
+    n = len(triples)
+    value = np.zeros(n)
+    updatetime = np.zeros(n)
+    slope = np.zeros(n)
+    kind = np.full(n, KIND_LINEAR, dtype=np.int8)
+    intflags = np.zeros(n, dtype=np.int8)
+    fallback = {}
+    for row, triple in enumerate(triples):
+        fn = triple.function
+        if type(fn) is not LinearFunction:
+            kind[row] = KIND_PICKLED
+            fallback[row] = triple
+            continue
+        if not (
+            _exact(triple.value)
+            and _exact(triple.updatetime)
+            and _exact(fn.slope)
+        ):
+            kind[row] = KIND_INEXACT
+            fallback[row] = triple
+            continue
+        flags = 0
+        if type(triple.value) is int:
+            flags |= FLAG_VALUE_INT
+        if type(triple.updatetime) is int:
+            flags |= FLAG_UPDATETIME_INT
+        if type(fn.slope) is int:
+            flags |= FLAG_SLOPE_INT
+        value[row] = float(triple.value)
+        updatetime[row] = float(triple.updatetime)
+        slope[row] = float(fn.slope)
+        intflags[row] = flags
+    return MotionRows(value, updatetime, slope, kind, intflags, fallback)
+
+
+def position_block(triples, dim):
+    """``dim`` position triples per object, object after object, as a
+    position block: the export reshaped to ``(objects, dim)``."""
+    rows = export_motion_rows(triples)
+    shape = (len(triples) // dim, dim)
+    return MotionRows(
+        rows.value.reshape(shape),
+        rows.updatetime.reshape(shape),
+        rows.slope.reshape(shape),
+        rows.kind.reshape(shape),
+        rows.intflags.reshape(shape),
+        {},
+    )
 
 
 def bits(values):
@@ -238,7 +317,7 @@ def test_linear_kernel_equals_the_scalar_leg(dim, count, data, start, horizon):
     end = start + horizon
     axes = [data.draw(movers(dim, end)) for _ in range(count)]
     linear, lo, hi = _linear_leg_boxes(
-        [a for mover in axes for a in mover], dim, start, end
+        position_block([a for mover in axes for a in mover], dim), start, end
     )
     assert lo.shape == hi.shape == (int(linear.sum()), dim)
     picked = [mover for mover, ok in zip(axes, linear.tolist()) if ok]
@@ -267,7 +346,7 @@ def test_signed_zero_anchor_follows_the_scalar_path(times, slope_value, negative
         DynamicAttribute(-0.0, times[1], LinearFunction(slope_value)),
     ]
     start = int(times[0])  # a zero-length window at the update time
-    linear, lo, hi = _linear_leg_boxes(axes, 2, start, start)
+    linear, lo, hi = _linear_leg_boxes(position_block(axes, 2), start, start)
     assert linear.tolist() == [True]
     (want_lo,), (want_hi,) = leg_boxes(
         reference_mover(axes).linear_pieces(start, start)

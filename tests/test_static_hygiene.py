@@ -262,17 +262,20 @@ def annotation_gaps(tree):
 
 #: Packages mypy checks strictly (``pyproject.toml``), the update router
 #: and divergence probe — the shared gate every commit runs — the pinned
-#: future history and its content token, the motion-event index and its
-#: reader, the atom pruner's leg-box tables, join and row partition, the
-#: interval evaluator's atom row loop, row enumeration and index gate,
-#: the delta evaluator's frontier view, the context's leg memo and the
-#: answer stamper.
+#: future history and its content token, the motion columns, their
+#: writer and the motion-event reader, the atom pruner's leg-box tables,
+#: join and row partition, the motion token, the interval evaluator's
+#: atom row loop, row enumeration and index gate, the delta evaluator's
+#: frontier view and dirty domains, the context's leg memo and domain
+#: split, and the answer stamper.
 #: ``Class.name`` picks one method of a class.
 STRICT_PACKAGES = ("server", "parallel", "ftl/analysis")
 STRICT_DEFS = {
+    "core/columns.py": ("MotionRows", "MotionColumns", "_exact", "linear_legs"),
     "core/database.py": (
         "MostDatabase.motion_event_candidates",
-        "MostDatabase._index_motion",
+        "MostDatabase.motion_columns",
+        "MostDatabase._write",
         "MostDatabase.object_ids_of",
         "MostDatabase.heard_serial",
         "MostDatabase.heard_since",
@@ -302,11 +305,18 @@ STRICT_DEFS = {
         "ClassMbrTable",
         "_linear_leg_boxes",
         "build_class_table",
+        "motion_token",
+        "_dim",
         "MbrTableCache",
         "AtomIndexPruner",
         "AtomIndexPruner.partition",
     ),
-    "ftl/context.py": ("EvalContext.legs",),
+    "ftl/context.py": (
+        "EvalContext.legs",
+        "EvalContext._column_leg",
+        "EvalContext.dirty_domain",
+        "EvalContext.clean_domain",
+    ),
     "ftl/evaluator.py": (
         "IntervalEvaluator._atom",
         "IntervalEvaluator._batched_rows",
@@ -318,8 +328,15 @@ STRICT_DEFS = {
         "IntervalEvaluator._until_join",
     ),
     "ftl/incremental.py": (
+        "PartialIntervalEvaluator._dirty",
+        "PartialIntervalEvaluator._clean",
         "PartialIntervalEvaluator._atom_index",
         "PartialIntervalEvaluator.refresh",
+    ),
+    "motion/batch.py": (
+        "LinearTable.add_coeffs",
+        "polygon_edges",
+        "clear_polygon_edges",
     ),
     "ftl/relations.py": (
         "FtlRelation.rows_of",
