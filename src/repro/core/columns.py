@@ -280,14 +280,17 @@ class MotionColumns:
         if self._pending:
             self._sync(numbers)
         n, width, dim = len(self.ids), self.width, self.dim
-        pick: "slice | np.ndarray" = (
-            slice(None)
-            if numbers is None
-            else np.fromiter(numbers, dtype=np.intp, count=len(numbers))
-        )
+        if numbers is None:
 
-        def block(column: np.ndarray) -> np.ndarray:
-            return column[: n * width].reshape(n, width)[pick, width - dim :]
+            def block(column: np.ndarray) -> np.ndarray:
+                return column[: n * width].reshape(n, width)[:, width - dim :]
+
+        else:
+            rows = np.fromiter(numbers, dtype=np.intp, count=len(numbers))
+            rows = rows[:, None] * width + np.arange(width - dim, width)
+
+            def block(column: np.ndarray) -> np.ndarray:
+                return column[rows]
 
         return MotionRows(
             block(self.value),
@@ -298,32 +301,57 @@ class MotionColumns:
             {},
         )
 
+    def attribute(self, attr: str, numbers: "Sequence[int]") -> MotionRows:
+        """The rows of dynamic attribute ``attr`` of the objects
+        ``numbers``, flat, in that order (encoded first, like
+        :meth:`positions`; the block's ``fallback`` is empty)."""
+        if self._pending:
+            self._sync(numbers)
+        rows = np.fromiter(numbers, dtype=np.intp, count=len(numbers))
+        rows *= self.width
+        rows += self._column[attr]
+        return MotionRows(
+            self.value[rows],
+            self.updatetime[rows],
+            self.slope[rows],
+            self.kind[rows],
+            self.intflags[rows],
+            {},
+        )
+
     def token(self, number: int) -> tuple[object, ...]:
-        """Object ``number``'s position axes as a hashable value: per
-        axis the float coefficients ``(value, updatetime, slope)`` of a
-        linear row, the raw coefficients of an inexact one and the
-        triple itself otherwise.  Two tokens are equal exactly when the
-        axes' triples are (``1 == 1.0``, ``0.0 == -0.0``)."""
+        """Object ``number``'s position axes as a hashable value, one
+        :meth:`_row_token` per axis.  Two tokens are equal exactly when
+        the axes' triples are (``1 == 1.0``, ``0.0 == -0.0``)."""
         if self._pending:
             self._sync((number,))
-        out: list[object] = []
         stop = (number + 1) * self.width
-        for row in range(stop - self.dim, stop):
-            kind = self.kind[row]
-            if kind == KIND_LINEAR:
-                out.append(
-                    (
-                        self.value.item(row),
-                        self.updatetime.item(row),
-                        self.slope.item(row),
-                    )
-                )
-            elif kind == KIND_INEXACT:
-                triple = self.fallback[row]
-                out.append((triple.value, triple.updatetime, triple.function.slope))
-            else:
-                out.append(self.fallback[row])
-        return tuple(out)
+        rows = range(stop - self.dim, stop)
+        return tuple(self._row_token(row) for row in rows)
+
+    def attr_token(self, number: int, attr: str) -> object:
+        """The :meth:`_row_token` of object ``number``'s attribute
+        ``attr``."""
+        if self._pending:
+            self._sync((number,))
+        return self._row_token(number * self.width + self._column[attr])
+
+    def _row_token(self, row: int) -> object:
+        """One encoded row as a hashable value equal exactly when the
+        triples are: the float coefficients ``(value, updatetime,
+        slope)`` of a linear row, the raw coefficients of an inexact one
+        and the triple itself otherwise."""
+        kind = self.kind[row]
+        if kind == KIND_LINEAR:
+            return (
+                self.value.item(row),
+                self.updatetime.item(row),
+                self.slope.item(row),
+            )
+        triple = self.fallback[row]
+        if kind == KIND_INEXACT:
+            return (triple.value, triple.updatetime, triple.function.slope)
+        return triple
 
     def eventful(self) -> list[object]:
         """The ids of the objects with a :data:`KIND_PICKLED` row — a
@@ -370,9 +398,11 @@ def linear_legs(
     # axis's update time, as ``value + slope * (t0 - u_j)``: an int zero
     # when slope, t0 and u_j are all ints (a -0.0 value comes back
     # +0.0), a signed float zero otherwise.
-    int_time = (flags & FLAG_UPDATETIME_INT) != 0
-    int_zero = int_time[:, :1] & int_time & ((flags & FLAG_SLOPE_INT) != 0)
     with np.errstate(all="ignore"):
-        anchor = value + np.where(int_zero, 0.0, slope * (updatetime - updatetime))
-        origin = anchor + slope * (start - updatetime)
+        shift = slope * (updatetime - updatetime)
+        if flags.any():
+            int_time = (flags & FLAG_UPDATETIME_INT) != 0
+            int_slope = (flags & FLAG_SLOPE_INT) != 0
+            shift = np.where(int_time[:, :1] & int_time & int_slope, 0.0, shift)
+        origin = (value + shift) + slope * (start - updatetime)
     return linear, origin, slope

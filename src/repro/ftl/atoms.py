@@ -92,11 +92,10 @@ DEFAULT_CACHE_ENTRIES = 8192
 _DIST_OPS = {"<": False, "<=": False, ">": True, ">=": True}
 _FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
-#: One atom's rows split by :meth:`AtomIndexPruner.partition`: in row
-#: order, each row to solve paired with ``None`` and each decided row
-#: that enters the relation paired with its known answer; then the
-#: count of decided rows.
-AtomPartition = tuple[list[tuple[Instantiation, "IntervalSet | None"]], int]
+#: One atom's rows split by :meth:`AtomIndexPruner.partition`: the
+#: positions of the rows to solve (an ascending int array), the count of
+#: decided rows, and the answer every decided row has.
+AtomPartition = tuple[np.ndarray, int, IntervalSet]
 
 
 def _radius(bound: object) -> float:
@@ -333,6 +332,34 @@ def _ctx_motion_token(
     return token
 
 
+def linear_motion_tokens(
+    ctx: "EvalContext",
+    ids: Sequence[object],
+    value: np.ndarray,
+    updatetime: np.ndarray,
+    slope: np.ndarray,
+) -> list["_SolveToken"]:
+    """The wrapped motion tokens of the objects ``ids`` whose position
+    rows hold the ``(objects, dim)`` coefficients given, every axis
+    :data:`~repro.core.columns.KIND_LINEAR`, through the per-context
+    memo of :func:`_ctx_motion_token`: per axis the float coefficients,
+    exactly what :meth:`~repro.core.columns.MotionColumns.token` reads."""
+    memo = ctx._motion_tokens
+    out: list[_SolveToken] = []
+    columns: tuple[list, list, list] | None = None
+    for i, oid in enumerate(ids):
+        token = memo.get(oid)
+        if token is None:
+            if columns is None:
+                columns = (value.tolist(), updatetime.tolist(), slope.tolist())
+            values, updatetimes, slopes = columns
+            token = memo[oid] = _SolveToken(
+                tuple(zip(values[i], updatetimes[i], slopes[i]))
+            )
+        out.append(token)
+    return out
+
+
 def _window(ctx: "EvalContext") -> tuple[int, int]:
     return (ctx.start, ctx.end)
 
@@ -385,11 +412,12 @@ def dist_solve_key(
 
 
 def attr_solve_key(
-    ctx: "EvalContext", op: str, bound: float, triple: object
+    ctx: "EvalContext", op: str, bound: float, token: object
 ) -> tuple | None:
-    """Key of a linear dynamic-attribute range fast-path solve; the
-    frozen triple itself is the motion token."""
-    return _keyed(("attr", _window(ctx), op, float(bound), triple))
+    """Key of a linear dynamic-attribute range solve; the attribute's
+    row token (:meth:`~repro.core.columns.MotionColumns.attr_token`,
+    equal exactly when the triples are) is the motion token."""
+    return _keyed(("attr", _window(ctx), op, float(bound), token))
 
 
 # ---------------------------------------------------------------------------
@@ -989,18 +1017,16 @@ class AtomIndexPruner:
         to solve, or ``None`` when the atom kind is not decidable here
         (every row is then solved).
 
-        The result lists, in row order, each row to solve paired with
-        ``None`` and each decided row that enters the relation paired
-        with its known answer, plus the count of decided rows.  A
-        decided row of ``INSIDE``, ``WITHIN_SPHERE`` and ``DIST <=`` /
-        ``<`` is empty and left out; one of ``OUTSIDE`` and ``DIST >=``
-        / ``>`` holds over the full discrete window.  Both answers are
-        structurally identical to what the solve path would produce:
-        ``EMPTY_SET`` and the full span are exactly the shapes the
-        discretize-and-clip pipeline emits.  The verdicts are computed a
-        column at a time, so a decided row costs no Python work beyond
-        reading its objects; the tables are built only for an atom kind
-        the index can decide.
+        The result holds the positions of the rows to solve, the count
+        of decided rows and their known answer.  A decided row of
+        ``INSIDE``, ``WITHIN_SPHERE`` and ``DIST <=`` / ``<`` is empty;
+        one of ``OUTSIDE`` and ``DIST >=`` / ``>`` holds over the full
+        discrete window.  Both answers are structurally identical to
+        what the solve path would produce: ``EMPTY_SET`` and the full
+        span are exactly the shapes the discretize-and-clip pipeline
+        emits.  The verdicts are computed a column at a time, so a
+        decided row costs no Python work beyond reading its objects;
+        the tables are built only for an atom kind the index can decide.
         """
         if isinstance(f, (Inside, Outside)):
             return self._region_partition(f, free, rows)
@@ -1027,7 +1053,7 @@ class AtomIndexPruner:
             map(decidable.__contains__, column), dtype=bool, count=len(rows)
         )
         known = EMPTY_SET if isinstance(f, Inside) else self._full()
-        return self._split(rows, decided, known)
+        return self._split(decided, known)
 
     def _sphere_partition(
         self, f: WithinSphere, free: Sequence[str], rows: list[Instantiation]
@@ -1058,7 +1084,7 @@ class AtomIndexPruner:
         for i, a in enumerate(slots):
             for b in slots[i + 1 :]:
                 far |= self._far(a, b, radii)
-        return self._split(rows, safe & far, EMPTY_SET)
+        return self._split(safe & far, EMPTY_SET)
 
     def _dist_partition(
         self, f: Compare, free: Sequence[str], rows: list[Instantiation]
@@ -1084,7 +1110,7 @@ class AtomIndexPruner:
         # Both indexed, disjoint after inflation: the pair stays strictly
         # farther than the bound for the whole window.
         known = self._full() if _DIST_OPS[op] else EMPTY_SET
-        return self._split(rows, far, known)
+        return self._split(far, known)
 
     def _reader(
         self, term: object, free: Sequence[str]
@@ -1099,19 +1125,10 @@ class AtomIndexPruner:
         return IntervalSet.span(self.ctx.start, self.ctx.end, DISCRETE)
 
     @staticmethod
-    def _split(
-        rows: list[Instantiation], decided: np.ndarray, known: IntervalSet
-    ) -> AtomPartition:
-        """The partition of ``rows`` given each row's verdict: decided
-        rows carry ``known``, and are left out when it is empty."""
-        if known.is_empty:
-            todo = [(rows[i], None) for i in np.flatnonzero(~decided).tolist()]
-            return todo, len(rows) - len(todo)
-        marks = decided.tolist()
-        return (
-            [(inst, known if hit else None) for inst, hit in zip(rows, marks)],
-            sum(marks),
-        )
+    def _split(decided: np.ndarray, known: IntervalSet) -> AtomPartition:
+        """The partition given each row's verdict."""
+        solve = np.flatnonzero(~decided)
+        return solve, decided.size - solve.size, known
 
     def _dist_spec(
         self, f: Compare
@@ -1145,33 +1162,37 @@ def _dim(kind: str, legs: object) -> int:
 class KineticBatch:
     """One atom's worth of kinetic solves, submitted as a batch.
 
-    The interval evaluator queues each surviving instantiation's solve
-    request here instead of solving it inline.  Requests whose motion is
-    piecewise linear over the window become rows of the vectorized
-    backend (:mod:`repro.motion.batch`): ``DIST`` comparisons,
-    ``INSIDE``/``OUTSIDE`` of a ball, and two-object ``WITHIN_SPHERE``
-    reduce to the quadratic kernel; polygon containment to the
-    edge-crossing sweep.  Everything else — nonlinear motion, spheres
-    over ``k != 2`` objects, dimension mismatches, negative radii — is
-    rejected (:meth:`submit` returns ``None``) and the evaluator runs
-    the scalar closure at submit time, preserving evaluation order and
-    error behaviour exactly.
+    Rows whose motion is piecewise linear over the window become rows of
+    the vectorized backend (:mod:`repro.motion.batch`): ``DIST``
+    comparisons, ``INSIDE``/``OUTSIDE`` of a ball, and two-object
+    ``WITHIN_SPHERE`` reduce to the quadratic kernel; polygon
+    containment to the edge-crossing sweep.
 
-    Each object's legs come from the context's memo
-    (:meth:`~repro.ftl.context.EvalContext.legs`), so every atom of one
-    evaluation reads one entry per object; a linear single-leg mover's
-    coefficients are gathered from its class's motion columns there and
-    enter the :class:`~repro.motion.batch.LinearTable` as numbers, with
-    no leg object built.  Movers that cannot be
-    resolved raise from :meth:`submit` itself, which the evaluator calls
-    at the same product-order position where the scalar path would have
-    run (and raised from) the solve closure.
+    Two doors.  The evaluator's column path hands over whole arrays of
+    single-leg rows — each leg's position at the window start and its
+    velocity, gathered from the motion columns — through
+    :meth:`submit_region_rows` and :meth:`submit_pair_rows`.  Every
+    other row (a multi-leg mover, a mover another history implies) comes
+    one at a time through :meth:`submit`, which reads the object's legs
+    from the context's memo (:meth:`~repro.ftl.context.EvalContext.
+    legs`); everything the backend cannot take — nonlinear motion,
+    spheres over ``k != 2`` objects, dimension mismatches, negative
+    radii — is rejected there (:meth:`submit` returns ``None``) and the
+    evaluator runs the scalar closure at submit time, preserving
+    evaluation order and error behaviour exactly.  Movers that cannot be
+    resolved raise from :meth:`submit` itself, at the product-order
+    position where the scalar path would have raised.
+
+    :meth:`solve` runs every kernel and turns their ``(row, begin,
+    end)`` output into interval sets at one boundary
+    (:func:`~repro.motion.batch.interval_sets`).
     """
 
     def __init__(self, ctx: "EvalContext") -> None:
         self.ctx = ctx
         self._table = batch.LinearTable(ctx.start, ctx.end)
         self._centers: dict[Ball, list[LinearPiece]] = {}
+        self._center_slots: dict[Ball, int] = {}
         self._reference: list[LinearPiece] | None = None
         self._dist: batch.DistanceBatch | None = None
         self._polys: dict[object, batch.PolygonBatch] = {}
@@ -1191,6 +1212,23 @@ class KineticBatch:
             assert leg is not None  # static motion is always one leg
             legs = self._centers[region] = [leg]
         return legs
+
+    def _center_slot(self, region: Ball) -> int:
+        """The ball center's slot in the coefficient table."""
+        slot = self._center_slots.get(region)
+        if slot is None:
+            (leg,) = self._ball_center(region)
+            slot = self._center_slots[region] = int(
+                self._single((leg.origin.coords, leg.velocity.coords))[0]
+            )
+        return slot
+
+    def _single(self, legs: object) -> np.ndarray:
+        """One single-leg ``(origin, velocity)`` entry as a table slot."""
+        origin, velocity = legs
+        return self._table.add_rows(
+            np.array([origin], dtype=float), np.array([velocity], dtype=float)
+        )
 
     def _ref_pieces(self) -> list[LinearPiece]:
         """The polygon solver's static ``(0, 0)`` reference pieces."""
@@ -1215,7 +1253,47 @@ class KineticBatch:
         return pb
 
     # ------------------------------------------------------------------
-    # Submission
+    # Submission: arrays of single-leg rows
+    # ------------------------------------------------------------------
+    def submit_region_rows(
+        self, region: "Ball | Polygon", origin: np.ndarray, velocity: np.ndarray
+    ) -> tuple[object, np.ndarray]:
+        """Queue single-leg movers (``(k, dim)`` start positions and
+        velocities) against one region; the caller has checked the
+        dimensionality and a ball's radius.  Returns a handle for
+        :meth:`results`."""
+        slots = self._table.add_rows(origin, velocity)
+        if isinstance(region, Ball):
+            dist = self._dist_batch()
+            centers = np.full(len(slots), self._center_slot(region))
+            return dist, dist.add_pairs(slots, centers, region.radius, False)
+        pb = self._poly_batch(region)
+        return pb, pb.add_slots(slots)
+
+    def submit_pair_rows(
+        self,
+        origin_a: np.ndarray,
+        velocity_a: np.ndarray,
+        origin_b: np.ndarray,
+        velocity_b: np.ndarray,
+        bound: float,
+        at_least: bool,
+    ) -> tuple[object, np.ndarray]:
+        """Queue ``DIST(a, b) <= bound`` (``>=`` with ``at_least``) for
+        pairs of single-leg movers of one dimensionality, row ``i``
+        pairing ``a``'s ``i``-th leg with ``b``'s.  Returns a handle for
+        :meth:`results`."""
+        dist = self._dist_batch()
+        rows = dist.add_pairs(
+            self._table.add_rows(origin_a, velocity_a),
+            self._table.add_rows(origin_b, velocity_b),
+            bound,
+            at_least,
+        )
+        return dist, rows
+
+    # ------------------------------------------------------------------
+    # Submission: one row at a time
     # ------------------------------------------------------------------
     def submit(self, vec: tuple) -> tuple | None:
         """Queue one vectorizable solve, returning an opaque handle, or
@@ -1249,12 +1327,9 @@ class KineticBatch:
             return None  # the scalar closure raises the mismatch error
         dist = self._dist_batch()
         if ka == "single" and kb == "single":
-            row = dist.add_pair(
-                self._table.add_coeffs(a, *pa),
-                self._table.add_coeffs(b, *pb),
-                bound,
-                at_least,
-            )
+            (row,) = dist.add_pairs(
+                self._single(pa), self._single(pb), bound, at_least
+            ).tolist()
         else:
             legs = paired_legs(
                 self._pieces(ka, pa), self._pieces(kb, pb), self.ctx.window
@@ -1274,12 +1349,12 @@ class KineticBatch:
                 return None
             dist = self._dist_batch()
             if kind == "single":
-                row = dist.add_pair(
-                    self._table.add_coeffs(obj_id, *legs_of),
-                    self._table.add(("__ball_center__", region), center[0]),
+                (row,) = dist.add_pairs(
+                    self._single(legs_of),
+                    np.array([self._center_slot(region)]),
                     region.radius,
                     False,
-                )
+                ).tolist()
             else:
                 legs = paired_legs(legs_of, center, self.ctx.window)
                 row = dist.add_legs(legs, region.radius, False)
@@ -1292,7 +1367,7 @@ class KineticBatch:
                 return None  # the scalar closure raises the 2-D error
             pb = self._poly_batch(region)
             if kind == "single":
-                row = pb.add_slot(self._table.add_coeffs(obj_id, *legs_of))
+                (row,) = pb.add_slots(self._single(legs_of)).tolist()
             else:
                 legs = paired_legs(legs_of, self._ref_pieces(), self.ctx.window)
                 row = pb.add_legs(legs)
@@ -1316,13 +1391,23 @@ class KineticBatch:
     # Resolution
     # ------------------------------------------------------------------
     def solve(self) -> None:
-        """Run every queued batch through the vectorized kernels."""
+        """Run every queued batch through the vectorized kernels and turn
+        their output into interval sets."""
         if self._dist is not None:
-            self._solved[id(self._dist)] = self._dist.solve()
+            self._solved[id(self._dist)] = batch.interval_sets(
+                len(self._dist), self._dist.solve()
+            )
         for pb in self._polys.values():
-            self._solved[id(pb)] = pb.solve()
+            self._solved[id(pb)] = batch.interval_sets(len(pb), pb.solve())
 
     def result(self, handle: tuple) -> IntervalSet:
         """The solved answer for one :meth:`submit` handle."""
         queue, row = handle
         return self._solved[id(queue)][row]
+
+    def results(self, handle: tuple[object, np.ndarray]) -> list[IntervalSet]:
+        """The solved answers for an array submission's handle, in row
+        order."""
+        queue, rows = handle
+        solved = self._solved[id(queue)]
+        return [solved[row] for row in rows.tolist()]

@@ -29,7 +29,7 @@ from repro.ftl.ast import (
 from repro.temporal import Interval
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.columns import MotionColumns
+    from repro.core.columns import MotionRows
     from repro.core.history import History
     from repro.ftl.atoms import AtomIndexPruner, KineticSolveCache
     from repro.motion.moving import LinearPiece, MovingPoint
@@ -122,11 +122,6 @@ class EvalContext:
         self._movers: dict[object, "MovingPoint"] = {}
         #: oid -> its motion over the window as :meth:`legs` returns it.
         self._legs: dict[object, Legs] = {}
-        #: A class's motion columns -> its single legs over the window
-        #: (:meth:`_column_leg`): qualifies, origin and velocity per object.
-        self._windows: dict[
-            "MotionColumns", tuple[np.ndarray, np.ndarray, np.ndarray]
-        ] = {}
         self._motion_tokens: dict[object, object] = {}
         self._pruner: "AtomIndexPruner | None" = None
 
@@ -142,7 +137,6 @@ class EvalContext:
         """
         self._movers.clear()
         self._legs.clear()
-        self._windows.clear()
         self._motion_tokens.clear()
         self._pruner = None
 
@@ -185,13 +179,10 @@ class EvalContext:
 
     def _column_leg(self, object_id: object) -> Legs | None:
         """A linear mover's single leg, gathered from its class's motion
-        columns, or ``None`` when the object takes the scalar path (a
-        recorded history, an unknown or nonspatial object, or motion
-        :func:`~repro.core.columns.linear_legs` does not qualify).  The
-        class's legs over the window are computed once per context, with
-        the operations of the scalar path, so they are bit-identical to
-        it; a zero-length window's leg is static, as there."""
-        from repro.core.columns import linear_legs
+        columns (:meth:`column_legs`), or ``None`` when the object takes
+        the scalar path (a recorded history, an unknown or nonspatial
+        object, or motion :func:`~repro.core.columns.linear_legs` does
+        not qualify)."""
         from repro.core.history import FutureHistory
 
         history = self.history
@@ -203,15 +194,26 @@ class EvalContext:
             return None
         if not columns.dim:
             return None
-        window = self._windows.get(columns)
-        if window is None:
-            linear, origin, slope = linear_legs(columns.positions(), self.start)
-            velocity = slope if self.end > self.start else np.zeros_like(slope)
-            window = self._windows[columns] = (linear, origin, velocity)
-        linear, origin, velocity = window
-        if not linear[number]:
+        rows = columns.positions((number,))
+        linear, origin, velocity = self.column_legs(rows)
+        if not linear[0]:
             return None
-        return ("single", (origin[number].tolist(), velocity[number].tolist()))
+        return ("single", (origin[0].tolist(), velocity[0].tolist()))
+
+    def column_legs(
+        self, rows: "MotionRows"
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The single legs over the window of a gathered position block
+        (:meth:`~repro.core.columns.MotionColumns.positions`):
+        ``(qualifies[n], origin[n, dim], velocity[n, dim])``
+        (:func:`~repro.core.columns.linear_legs`).  Computed with the
+        operations of the scalar path, so every leg is bit-identical to
+        it; a zero-length window's leg is static, as there."""
+        from repro.core.columns import linear_legs
+
+        linear, origin, slope = linear_legs(rows, self.start)
+        velocity = slope if self.end > self.start else np.zeros_like(slope)
+        return linear, origin, velocity
 
     def atom_pruner(self) -> "AtomIndexPruner":
         """This context's view of the trajectory-MBR tables (shared per

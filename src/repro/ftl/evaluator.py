@@ -21,10 +21,13 @@ Extensions beyond the paper's appendix, all documented in DESIGN.md:
 from __future__ import annotations
 
 import math
-from itertools import product, repeat
+from itertools import product
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
-from repro.errors import FtlSemanticsError
+import numpy as np
+
+from repro.core.columns import KIND_LINEAR
+from repro.errors import FtlSemanticsError, QueryError, ReproError, SchemaError
 from repro.ftl.ast import (
     Always,
     AlwaysFor,
@@ -54,7 +57,9 @@ from repro.ftl.atoms import (
     KineticBatch,
     attr_solve_key,
     dist_solve_key,
+    linear_motion_tokens,
     region_solve_key,
+    region_token,
     sphere_solve_key,
 )
 from repro.ftl.context import DEFAULT, Env, EvalContext, EvalOptions
@@ -72,6 +77,7 @@ from repro.spatial.kinetic import (
     when_value_in_range,
     when_within_sphere,
 )
+from repro.motion.batch import interval_sets, value_band
 from repro.spatial.polygon import Polygon
 from repro.spatial.regions import Ball
 from repro.temporal import (
@@ -89,7 +95,16 @@ from repro.temporal import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.columns import MotionColumns
     from repro.ftl.analysis.plan import EvalPlan
+
+    #: A transform of a solved value into the atom's answer (OUTSIDE
+    #: complements the cached *inside* set), or none.
+    _Post = Callable[[IntervalSet], IntervalSet] | None
+    #: A row's scalar solve.
+    _Solve = Callable[[], IntervalSet]
+    #: One mover term's picked rows: leg origins, velocities, tokens.
+    _Mover = tuple[np.ndarray, np.ndarray, list]
 
 _CMP = {
     "=": lambda a, b: a == b,
@@ -102,7 +117,8 @@ _CMP = {
 
 
 class _SolveRequest:
-    """One instantiation's pending kinetic solve.
+    """One instantiation's pending kinetic solve on the scalar path (the
+    rows :meth:`IntervalEvaluator._column_rows` does not take).
 
     ``solve`` is the scalar closure (exactly what the pre-batch evaluator
     ran); ``key`` its cache identity; ``post`` an optional transform of
@@ -126,9 +142,56 @@ class _SolveRequest:
         self.post = post
         self.vec = vec
 
-    def finish(self, value: IntervalSet) -> IntervalSet:
-        """The atom's answer given the solved (cache-shaped) value."""
-        return value if self.post is None else self.post(value)
+
+class _ColumnRows:
+    """The rows of one atom the column path solves
+    (:meth:`IntervalEvaluator._column_rows`).
+
+    ``slot`` maps each row to solve to its column row, or ``-1`` for a
+    row the scalar path takes; ``keys`` are the column rows' cache keys
+    (``None`` without a cache), ``post`` the atom's transform of a solved
+    value.  An attribute comparison comes solved (``values``); the other
+    kinds queue the column rows ``picks`` on a batch (``submit``).
+    """
+
+    __slots__ = ("slot", "keys", "post", "values", "submit")
+
+    def __init__(
+        self,
+        slot: list[int],
+        keys: list[object] | None,
+        post: "_Post" = None,
+        values: list[IntervalSet] | None = None,
+        submit: "Callable[[KineticBatch, list[int]], tuple] | None" = None,
+    ) -> None:
+        self.slot = slot
+        self.keys = keys
+        self.post = post
+        self.values = values
+        self.submit = submit
+
+
+def _numbers(columns: "MotionColumns", ids: list[object]) -> list[int]:
+    """Each id's object number in ``columns``, or ``-1``."""
+    index = columns.index
+    return [index.get(oid, -1) for oid in ids]
+
+
+def _slots(n: int, picks: list[int]) -> list[int]:
+    """Row -> its position in ``picks``, or ``-1``."""
+    slot = [-1] * n
+    for c, j in enumerate(picks):
+        slot[j] = c
+    return slot
+
+
+def _taken(take: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:
+    """The rows ``take`` (ascending positions) of each array: the arrays
+    themselves when ``take`` is every row."""
+    if take.size == len(arrays[0]):
+        return list(arrays)
+    return [array[take] for array in arrays]
+
 
 
 class _Scope:
@@ -416,115 +479,498 @@ class IntervalEvaluator:
         """The row loop of the atom base case (DESIGN.md §7, §8).
 
         The index first partitions the rows (:meth:`_atom_gate`): the
-        rows it decides are counted, not visited, and only the decided
-        rows whose answer is not empty enter the loop.  Then three
-        phases: classify every row to solve in product order (eager term
-        evaluation, cache lookups, inline solves of whatever the batch
-        backend does not take), solve the queued rows through the
-        vectorized backend, then fan the results back into the cache and
-        the relation in the original row order.  Without
-        :meth:`_use_batch` nothing is queued and every solve runs inline
-        in phase one — the relation, the counters and the cache contents
-        are tuple-for-tuple the same either way.
+        rows it decides are counted, not visited, and enter the relation
+        with their known answer when it is not empty.  The rows left are
+        solved by :meth:`_solve_rows`, and every row enters the relation
+        in product order.
         """
         relation = FtlRelation(tuple(free))
         rows = insts if isinstance(insts, list) else list(insts)
-        split = self._atom_gate(f, free, rows)
         stats = self._stats_for(f)
         stats["instantiations"] += len(rows)
-        todo: Iterable[tuple[Instantiation, IntervalSet | None]]
+        split = self._atom_gate(f, free, rows)
         if split is None:
-            todo = zip(rows, repeat(None))
-        else:
-            todo, decided = split
-            self.pruned_instantiations += decided
-            stats["pruned"] += decided
+            for inst, iset in zip(rows, self._solve_rows(f, free, rows, stats)):
+                relation.set(inst, iset)
+            return relation
+        positions, decided, known = split
+        self.pruned_instantiations += decided
+        stats["pruned"] += decided
+        picks = positions.tolist()
+        todo = [rows[i] for i in picks]
+        answers = self._solve_rows(f, free, todo, stats)
+        if known.is_empty:
+            for inst, iset in zip(todo, answers):
+                relation.set(inst, iset)
+            return relation
+        out = [known] * len(rows)
+        for i, iset in zip(picks, answers):
+            out[i] = iset
+        for inst, iset in zip(rows, out):
+            relation.set(inst, iset)
+        return relation
+
+    def _solve_rows(
+        self,
+        f: Formula,
+        free: list[str],
+        todo: list[Instantiation],
+        stats: dict[str, object],
+    ) -> list[IntervalSet]:
+        """The answers of an atom's rows to solve, in order.
+
+        Rows whose motion is one plain linear leg — for an attribute
+        comparison, one linear attribute row — take the column path
+        (:meth:`_column_rows`): their keys, legs and attribute answers
+        come a column at a time, and their misses enter the batch as
+        arrays.  Every other row builds a request (:meth:`_atom_request`):
+        fallback laws, multi-leg movers, unindexed, unknown or raising
+        ids, dimension mismatches, and every row of a zero-length window
+        or of a run with ``batch_solver`` or ``analytic_atoms`` off.  One
+        loop walks both in product order and probes the cache once per
+        row — a key a queued row already produces is read back after the
+        batch, as an inline solve would have hit it — then the batch is
+        solved and its answers fill the cache and the rows.  Only
+        requests raise, so the same row raises the same error first, and
+        the relation, the counters and the cache contents do not depend
+        on which path a row took.
+        """
         cache = self._solve_cache
         stamp = self._stamp_for(f)
         kbatch = KineticBatch(self.ctx) if self._use_batch() else None
-        ordered: list[tuple] = []
-        results: list[IntervalSet | None] = []
-        queued: list[tuple[int, _SolveRequest, tuple]] = []
-        deferred: list[tuple[int, _SolveRequest]] = []
+        column = (
+            self._column_rows(f, free, todo, cache is not None)
+            if kbatch is not None and todo
+            else None
+        )
+        results: list[IntervalSet] = [EMPTY_SET] * len(todo)
+        # (row, key, post, batch handle or None for a column row)
+        queued: list[tuple[int, object, _Post, tuple | None]] = []
+        # (row, key, post, scalar re-solve or None for a column row)
+        deferred: list[tuple[int, object, _Post, _Solve | None]] = []
         pending: set = set()  # keys whose producing row is still queued
-        for inst, known in todo:
-            ordered.append(inst)
-            if known is not None:
-                results.append(known)
-                continue
-            env = dict(zip(free, inst))
-            solves0 = self.kinetic_solves
-            hits0 = self.cache_hits
-            req = self._atom_request(f, env)
-            stats["solves"] += self.kinetic_solves - solves0
-            stats["cache_hits"] += self.cache_hits - hits0
-            if isinstance(req, IntervalSet):
-                results.append(req)
-                continue
-            key = req.key
+        misses: list[int] = []  # column rows queued, in order
+        for j, inst in enumerate(todo):
+            c = -1 if column is None else column.slot[j]
+            if c >= 0:
+                key = None if column.keys is None else column.keys[c]
+                if column.values is not None:  # an attribute row: solved
+                    value = column.values[c]
+                    if key is not None:
+                        hit = cache.get(key)
+                        if hit is not None:
+                            self.cache_hits += 1
+                            stats["cache_hits"] += 1
+                            results[j] = hit
+                            continue
+                        self.cache_misses += 1
+                        cache.put(key, value)
+                    self.kinetic_solves += 1
+                    stats["solves"] += 1
+                    results[j] = value
+                    continue
+                post = column.post
+                solve = None
+            else:
+                env = dict(zip(free, inst))
+                solves0 = self.kinetic_solves
+                hits0 = self.cache_hits
+                req = self._atom_request(f, env)
+                stats["solves"] += self.kinetic_solves - solves0
+                stats["cache_hits"] += self.cache_hits - hits0
+                if isinstance(req, IntervalSet):
+                    results[j] = req
+                    continue
+                key, post, solve = req.key, req.post, req.solve
             cacheable = cache is not None and key is not None
             if cacheable:
                 if key in pending:
-                    # A queued row already produces this key; read it
-                    # back in phase 3 (the scalar path's cache hit).
-                    deferred.append((len(results), req))
-                    results.append(None)
+                    deferred.append((j, key, post, solve))
                     continue
                 hit = cache.get(key)
                 if hit is not None:
                     self.cache_hits += 1
                     stats["cache_hits"] += 1
-                    results.append(req.finish(hit))
+                    results[j] = hit if post is None else post(hit)
                     continue
                 if self.validity is not None:
                     shifted = cache.shifted_get(key)
                     if shifted is not None:
                         self.cache_shift_hits += 1
                         cache.put(key, shifted, stamp)
-                        results.append(req.finish(shifted))
+                        results[j] = shifted if post is None else post(shifted)
                         continue
                 self.cache_misses += 1
             self.kinetic_solves += 1
             stats["solves"] += 1
-            handle = (
-                kbatch.submit(req.vec)
-                if kbatch is not None and req.vec is not None
-                else None
-            )
-            if handle is None:  # not batched: solve inline
-                value = req.solve()
+            if solve is None:
+                handle = None
+                misses.append(c)
+            elif (
+                kbatch is None
+                or req.vec is None
+                or (handle := kbatch.submit(req.vec)) is None
+            ):
+                value = solve()  # not batched: solve inline
                 if cacheable:
                     cache.put(key, value, stamp)
-                results.append(req.finish(value))
+                results[j] = value if post is None else post(value)
                 continue
             if cacheable:
                 pending.add(key)
-            queued.append((len(results), req, handle))
-            results.append(None)
+            queued.append((j, key, post, handle))
+        produced: dict[object, IntervalSet] = {}
         if kbatch is not None:
+            bulk = column.submit(kbatch, misses) if misses else None
             kbatch.solve()
-            for idx, req, handle in queued:
-                value = kbatch.result(handle)
-                if cache is not None and req.key is not None:
-                    cache.put(req.key, value, stamp)
-                results[idx] = req.finish(value)
-        for idx, req in deferred:
-            hit = cache.get(req.key)  # records the hit, as scalar would
-            if hit is None:  # evicted mid-batch: re-solve row-at-a-time
+            solved = iter(kbatch.results(bulk) if bulk is not None else ())
+            for j, key, post, handle in queued:
+                if handle is None:
+                    value = next(solved)
+                else:
+                    value = kbatch.result(handle)
+                if cache is not None and key is not None:
+                    cache.put(key, value, stamp)
+                    produced[key] = value
+                results[j] = value if post is None else post(value)
+        for j, key, post, solve in deferred:
+            hit = cache.get(key)  # records the hit, as scalar would
+            if hit is None:  # evicted mid-batch: re-solve
                 self.cache_misses += 1
                 self.kinetic_solves += 1
                 stats["solves"] += 1
-                hit = req.solve()
-                cache.put(req.key, hit, stamp)
+                hit = produced[key] if solve is None else solve()
+                cache.put(key, hit, stamp)
             else:
                 self.cache_hits += 1
                 stats["cache_hits"] += 1
-            results[idx] = req.finish(hit)
-        for inst, iset in zip(ordered, results):
-            if iset is None:  # pragma: no cover - every row is filled
-                raise FtlSemanticsError("batch solve left a row unfilled")
-            relation.set(inst, iset)
-        return relation
+            results[j] = hit if post is None else post(hit)
+        return results
+
+    # ------------------------------------------------------------------
+    # The column path: per-atom constants once, rows as column gathers
+    # ------------------------------------------------------------------
+    def _column_rows(
+        self,
+        f: Formula,
+        free: list[str],
+        todo: list[Instantiation],
+        keyed: bool,
+    ) -> _ColumnRows | None:
+        """The rows of ``todo`` the column path solves, or ``None`` when
+        it takes none of them.
+
+        Everything constant for the atom is resolved once: its kind,
+        region and region token, bound, op and OUTSIDE's complement.  An
+        atom whose constants cannot be resolved — an unknown region, a
+        bound that names a row variable or does not evaluate — is left
+        whole to the scalar path, which raises at the row where it
+        always raised.  A row is taken when its objects are in the
+        columns of their variables' classes and their motion is one
+        plain linear leg over the window (for an attribute, the row is
+        linear and the band kernel takes it); the rows become object
+        numbers through ``MotionColumns.index`` and their legs one
+        :meth:`~repro.ftl.context.EvalContext.column_legs` gather.
+        """
+        from repro.core.history import FutureHistory
+
+        if not isinstance(self.ctx.history, FutureHistory):
+            return None
+        if isinstance(f, (Inside, Outside)):
+            return self._region_columns(f, free, todo, keyed)
+        if isinstance(f, WithinSphere):
+            return self._sphere_columns(f, free, todo, keyed)
+        if isinstance(f, Compare):
+            dist = self._dist_terms(f)
+            if dist is not None:
+                return self._dist_columns(dist, free, todo, keyed)
+            attr = self._attr_terms(f)
+            if attr is not None:
+                return self._attr_columns(attr, free, todo, keyed)
+        return None
+
+    def _column_var(
+        self, term: Term, free: list[str]
+    ) -> "tuple[int, MotionColumns] | None":
+        """A FROM-bound variable term's row position and its class's
+        motion columns, or ``None``."""
+        if not isinstance(term, Var) or term.name not in self.ctx.bindings:
+            return None
+        cls = self.ctx.bindings[term.name]
+        try:
+            columns = self.ctx.history.motion_columns(cls)
+        except QueryError:
+            return None  # the database moved on: every request raises
+        return free.index(term.name), columns
+
+    def _constant(self, term: Term) -> object:
+        """A term without variables evaluated once, or ``None`` when it
+        names a variable or does not evaluate (the scalar path then
+        raises at the row where it always did)."""
+        if term.free_vars():
+            return None
+        try:
+            return self.ctx.eval_term(term, {}, self.ctx.start)
+        except ReproError:
+            return None
+
+    def _movers(
+        self,
+        terms: Sequence[Term],
+        free: list[str],
+        todo: list[Instantiation],
+        keyed: bool,
+    ) -> "tuple[list[int], int, list[_Mover]] | None":
+        """The rows of ``todo`` whose every term names an object of its
+        variable's class moving on one plain linear leg, as ``(picks,
+        dim, movers)``: their positions in ``todo``, the classes' one
+        dimensionality, and per term the picked rows' leg origins,
+        velocities and — with ``keyed`` — motion tokens.  ``None`` when
+        no row qualifies."""
+        ctx = self.ctx
+        found = [self._column_var(term, free) for term in terms]
+        if None in found:
+            return None
+        dims = {columns.dim for _pos, columns in found}
+        if len(dims) != 1 or not min(dims):
+            return None
+        ids = [[inst[pos] for inst in todo] for pos, _columns in found]
+        numbers = [
+            _numbers(columns, column)
+            for (_pos, columns), column in zip(found, ids)
+        ]
+        known = [j for j, row in enumerate(zip(*numbers)) if min(row) >= 0]
+        blocks = [
+            columns.positions([column[j] for j in known])
+            for (_pos, columns), column in zip(found, numbers)
+        ]
+        legs = [ctx.column_legs(block) for block in blocks]
+        linear = legs[0][0]
+        for qualifies, _origin, _velocity in legs[1:]:
+            linear = linear & qualifies
+        take = np.flatnonzero(linear)
+        if not take.size:
+            return None
+        picks = [known[i] for i in take.tolist()]
+        movers = []
+        for column, block, (_linear, origin, velocity) in zip(ids, blocks, legs):
+            origin, velocity, *coefficients = _taken(
+                take,
+                origin,
+                velocity,
+                block.value,
+                block.updatetime,
+                block.slope,
+            )
+            tokens = []
+            if keyed:
+                named = [column[j] for j in picks]
+                tokens = linear_motion_tokens(ctx, named, *coefficients)
+            movers.append((origin, velocity, tokens))
+        return picks, dims.pop(), movers
+
+    def _region_columns(
+        self,
+        f: Inside | Outside,
+        free: list[str],
+        todo: list[Instantiation],
+        keyed: bool,
+    ) -> _ColumnRows | None:
+        ctx = self.ctx
+        try:
+            region = ctx.history.region(f.region)
+        except SchemaError:
+            return None
+        if isinstance(region, Ball):
+            if region.radius < 0:
+                return None
+            dim = region.center.dim
+        elif isinstance(region, Polygon):
+            dim = 2
+        else:
+            return None
+        found = self._movers((f.obj,), free, todo, keyed)
+        if found is None or found[1] != dim:
+            return None
+        picks, _dim, [(origin, velocity, tokens)] = found
+        keys = None
+        if keyed:
+            prefix = ("region", (ctx.start, ctx.end), region_token(region))
+            keys = [(*prefix, token) for token in tokens]
+        post = None
+        if isinstance(f, Outside):
+            within = Interval(ctx.start, ctx.end)
+
+            def post(inside: IntervalSet) -> IntervalSet:
+                return inside.complement(within)
+
+        def submit(kbatch: KineticBatch, misses: list[int]) -> tuple:
+            return kbatch.submit_region_rows(
+                region, origin[misses], velocity[misses]
+            )
+
+        return _ColumnRows(_slots(len(todo), picks), keys, post, submit=submit)
+
+    def _sphere_columns(
+        self,
+        f: WithinSphere,
+        free: list[str],
+        todo: list[Instantiation],
+        keyed: bool,
+    ) -> _ColumnRows | None:
+        if len(f.objs) != 2 or f.radius < 0:
+            return None
+        try:
+            radius = float(f.radius)
+        except OverflowError:
+            return None
+        prefix = ("sphere", (self.ctx.start, self.ctx.end), radius)
+        return self._pair_columns(
+            f.objs, prefix, 2 * f.radius, False, free, todo, keyed
+        )
+
+    def _dist_columns(
+        self,
+        dist: tuple[Dist, Term, str],
+        free: list[str],
+        todo: list[Instantiation],
+        keyed: bool,
+    ) -> _ColumnRows | None:
+        dist_term, bound_term, op = dist
+        bound = self._constant(bound_term)
+        if not isinstance(bound, (int, float)) or bound < 0:
+            return None
+        try:
+            fb = float(bound)
+        except OverflowError:
+            return None
+        prefix = ("dist", (self.ctx.start, self.ctx.end), op, fb)
+        return self._pair_columns(
+            (dist_term.left, dist_term.right),
+            prefix,
+            fb,
+            op == ">=",
+            free,
+            todo,
+            keyed,
+        )
+
+    def _pair_columns(
+        self,
+        terms: Sequence[Term],
+        prefix: tuple,
+        bound: float,
+        at_least: bool,
+        free: list[str],
+        todo: list[Instantiation],
+        keyed: bool,
+    ) -> _ColumnRows | None:
+        """Rows of ``DIST(a, b) <= bound`` (``>=`` with ``at_least``)
+        whose two movers each run one plain linear leg.  A sphere's key
+        holds the pair of motion tokens as one part, a ``DIST`` key as
+        two."""
+        found = self._movers(terms, free, todo, keyed)
+        if found is None:
+            return None
+        picks, _dim, [a, b] = found
+        (origin_a, velocity_a, tokens_a), (origin_b, velocity_b, tokens_b) = a, b
+        keys = None
+        if keyed:
+            if prefix[0] == "sphere":
+                keys = [(*prefix, pair) for pair in zip(tokens_a, tokens_b)]
+            else:
+                keys = [(*prefix, ta, tb) for ta, tb in zip(tokens_a, tokens_b)]
+
+        def submit(kbatch: KineticBatch, misses: list[int]) -> tuple:
+            return kbatch.submit_pair_rows(
+                origin_a[misses],
+                velocity_a[misses],
+                origin_b[misses],
+                velocity_b[misses],
+                bound,
+                at_least,
+            )
+
+        return _ColumnRows(_slots(len(todo), picks), keys, submit=submit)
+
+    def _attr_terms(self, f: Compare) -> tuple[Attr, Term, str] | None:
+        """``o.attr op bound`` normalised with the attribute on the left,
+        for a dynamic attribute of a FROM-bound variable against an
+        invariant term — the rows :meth:`_attr_fast_path` may take."""
+        if f.op not in ("<=", ">="):
+            return None
+        ctx = self.ctx
+        if self._dynamic_attr(f.left) and ctx.term_invariant(f.right):
+            return f.left, f.right, f.op
+        if self._dynamic_attr(f.right) and ctx.term_invariant(f.left):
+            return f.right, f.left, {"<=": ">=", ">=": "<="}[f.op]
+        return None
+
+    def _dynamic_attr(self, term: Term) -> bool:
+        """Whether ``term`` is a dynamic attribute of a FROM-bound
+        variable."""
+        if not isinstance(term, Attr) or not isinstance(term.obj, Var):
+            return False
+        cls = self.ctx.bindings.get(term.obj.name)
+        if cls is None:
+            return False
+        return self.ctx.history.db.object_class(cls).is_dynamic(term.attr)
+
+    def _attr_columns(
+        self,
+        attr: tuple[Attr, Term, str],
+        free: list[str],
+        todo: list[Instantiation],
+        keyed: bool,
+    ) -> _ColumnRows | None:
+        """Linear rows of ``o.attr op bound`` solved in one closed-form
+        pass (:func:`~repro.motion.batch.value_band`), at most one
+        interval per row."""
+        attr_term, bound_term, op = attr
+        bound = self._constant(bound_term)
+        if not isinstance(bound, (int, float)):
+            return None
+        try:
+            fb = float(bound)
+        except OverflowError:
+            return None
+        var = self._column_var(attr_term.obj, free)
+        if var is None:
+            return None
+        pos, columns = var
+        numbers = _numbers(columns, [inst[pos] for inst in todo])
+        known = [j for j, number in enumerate(numbers) if number >= 0]
+        rows = columns.attribute(attr_term.attr, [numbers[j] for j in known])
+        linear = np.flatnonzero(rows.kind == KIND_LINEAR)
+        value, updatetime, slope, intflags = _taken(
+            linear, rows.value, rows.updatetime, rows.slope, rows.intflags
+        )
+        ctx = self.ctx
+        taken, pieces = value_band(
+            value,
+            updatetime,
+            slope,
+            intflags,
+            fb,
+            op == ">=",
+            ctx.start,
+            ctx.end,
+        )
+        take = np.flatnonzero(taken)
+        if not take.size:
+            return None
+        solved = interval_sets(len(taken), pieces)
+        values = [solved[i] for i in take.tolist()]
+        picks = [known[i] for i in linear[take].tolist()]
+        keys = None
+        if keyed:
+            prefix = ("attr", (ctx.start, ctx.end), op, fb)
+            coefficients = _taken(take, value, updatetime, slope)
+            keys = [
+                (*prefix, token)
+                for token in zip(*(column.tolist() for column in coefficients))
+            ]
+        return _ColumnRows(_slots(len(todo), picks), keys, values=values)
 
     def _atom_gate(
         self, f: Formula, free: list[str], rows: list[Instantiation]
@@ -699,7 +1145,7 @@ class IntervalEvaluator:
 
         if self.options.analytic_atoms:
             # Fast path: DIST(o1, o2) <= / >= constant (the airport query).
-            req = self._dist_request(f, env, left_inv, right_inv)
+            req = self._dist_request(f, env)
             if req is not None:
                 return req
 
@@ -720,17 +1166,23 @@ class IntervalEvaluator:
             )
         return IntervalSet.from_boolean_samples(flags, DISCRETE, ctx.start)
 
-    def _dist_request(
-        self, f: Compare, env: Env, left_inv: bool, right_inv: bool
-    ) -> "_SolveRequest | None":
-        ctx = self.ctx
-        if isinstance(f.left, Dist) and right_inv and f.op in ("<=", ">="):
-            dist_term, bound_term, op = f.left, f.right, f.op
-        elif isinstance(f.right, Dist) and left_inv and f.op in ("<=", ">="):
-            dist_term, bound_term = f.right, f.left
-            op = {"<=": ">=", ">=": "<="}[f.op]
-        else:
+    def _dist_terms(self, f: Compare) -> tuple[Dist, Term, str] | None:
+        """``DIST(a, b) op bound`` normalised with the distance on the
+        left, for ``<=`` / ``>=`` against an invariant term."""
+        if f.op not in ("<=", ">="):
             return None
+        if isinstance(f.left, Dist) and self.ctx.term_invariant(f.right):
+            return f.left, f.right, f.op
+        if isinstance(f.right, Dist) and self.ctx.term_invariant(f.left):
+            return f.right, f.left, {"<=": ">=", ">=": "<="}[f.op]
+        return None
+
+    def _dist_request(self, f: Compare, env: Env) -> "_SolveRequest | None":
+        ctx = self.ctx
+        spec = self._dist_terms(f)
+        if spec is None:
+            return None
+        dist_term, bound_term, op = spec
         bound = ctx.eval_term(bound_term, env, ctx.start)
         if not isinstance(bound, (int, float)) or bound < 0:
             return None
@@ -769,6 +1221,8 @@ class IntervalEvaluator:
             return None
         obj_id = ctx.eval_term(attr_term.obj, env, ctx.start)
         triple = ctx.history.dynamic_triple(obj_id, attr_term.attr)
+        columns, number = ctx.history.motion_slot(obj_id)
+        token = columns.attr_token(number, attr_term.attr)
 
         def solve_attr() -> IntervalSet:
             if op == "<=":
@@ -793,23 +1247,17 @@ class IntervalEvaluator:
             return dense.discretized().clip(ctx.start, ctx.end)
 
         return self._cached_solve(
-            attr_solve_key(ctx, op, float(bound), triple), solve_attr
+            attr_solve_key(ctx, op, float(bound), token), solve_attr
         )
 
     def _is_linear_dynamic_attr(self, term: Term, env: Env) -> bool:
         from repro.core.history import FutureHistory
 
-        if not isinstance(term, Attr) or not isinstance(term.obj, Var):
-            return False
         if not isinstance(self.ctx.history, FutureHistory):
             return False
-        var = term.obj.name
-        if var not in self.ctx.bindings:
+        if not self._dynamic_attr(term):
             return False
-        cls = self.ctx.history.db.object_class(self.ctx.bindings[var])
-        if not cls.is_dynamic(term.attr):
-            return False
-        obj_id = env.get(var)
+        obj_id = env.get(term.obj.name)
         if obj_id is None:
             return False
         triple = self.ctx.history.dynamic_triple(obj_id, term.attr)

@@ -25,19 +25,19 @@ not merely close.  The differential wall in
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
 
-from repro.motion.moving import LinearPiece
 from repro.spatial.geometry import Point
 from repro.spatial.polygon import Polygon
-from repro.temporal import DISCRETE, IntervalSet
+from repro.temporal import DISCRETE, Interval, IntervalSet
 
 __all__ = [
     "quadratic_at_most_zero_batch",
     "segment_crossings_batch",
+    "interval_sets",
+    "value_band",
     "LinearTable",
     "DistanceBatch",
     "PolygonBatch",
@@ -157,121 +157,185 @@ def quadratic_at_most_zero_batch(
 
 
 # ---------------------------------------------------------------------------
-# Discrete assembly: dense solution pieces -> cached DISCRETE answer
+# Discrete assembly: kernel rows -> DISCRETE answers
 # ---------------------------------------------------------------------------
-def _discrete_set(pairs: list[tuple[float, float]]) -> IntervalSet:
-    """A normalized DISCRETE set from already discretized+clipped pairs."""
-    return IntervalSet.from_pairs(pairs, DISCRETE)
+#: Kernel output: ``(row, begin, end)`` int64 arrays, one entry per
+#: discrete interval of a row, rows in any order.
+Pieces = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+_EMPTY_DISCRETE = IntervalSet.empty(DISCRETE)
 
 
-def _discretize_pairs(
-    pairs: list[tuple[float, float]], start: float, end: float
-) -> IntervalSet:
-    """Scalar discretize+clip of dense ``(s, e)`` pieces.
-
-    Mirrors ``IntervalSet.discretized().clip(start, end)``: the tick set
-    is invariant under dense-side normalization, so per-piece ceil/floor
-    followed by one DISCRETE normalization yields the identical canonical
-    form the scalar pipeline produces.
-    """
-    out: list[tuple[float, float]] = []
-    for s, e in pairs:
-        dl: float = math.ceil(s)
-        dh: float = math.floor(e)
-        if dl > dh:
-            continue
-        if dl < start:
-            dl = start
-        if dh > end:
-            dh = end
-        if dl <= dh:
-            out.append((dl, dh))
-    return _discrete_set(out)
+def interval_sets(n_rows: int, pieces: Pieces) -> list[IntervalSet]:
+    """The one boundary from kernel output to interval sets: per row
+    ``0 .. n_rows - 1``, the DISCRETE set of its pieces, with Python-int
+    tick endpoints — what the scalar solve's discretize-and-clip emits.
+    A row without pieces gets the (shared, immutable) empty set."""
+    rows, begins, ends = pieces
+    out = [_EMPTY_DISCRETE] * n_rows
+    grouped: dict[int, list[Interval]] = {}
+    for row, begin, end in zip(rows.tolist(), begins.tolist(), ends.tolist()):
+        group = grouped.get(row)
+        if group is None:
+            grouped[row] = [Interval(begin, end)]
+        else:
+            group.append(Interval(begin, end))
+    for row, group in grouped.items():
+        out[row] = IntervalSet(group, DISCRETE)
+    return out
 
 
-def _scatter_discrete(
-    rows,
-    n_rows: int,
-    base,
-    slots,
+def _tick_pieces(
+    rows: np.ndarray,
+    dense_lo: np.ndarray,
+    dense_hi: np.ndarray,
+    ok: np.ndarray,
     start: float,
     end: float,
-) -> list[IntervalSet]:
-    """Fan per-leg quadratic solutions back into per-row DISCRETE sets."""
-    pairs: list[list[tuple[float, float]]] = [[] for _ in range(n_rows)]
-    lo0, hi0, ok0, lo1, hi1, ok1 = slots
-    for lo_s, hi_s, ok in ((lo0, hi0, ok0), (lo1, hi1, ok1)):
-        if not ok.any():
-            continue
-        dense_lo = base + lo_s
-        dense_hi = base + hi_s
+) -> Pieces:
+    """Dense pieces ``[dense_lo, dense_hi]`` (where ``ok``) discretized
+    and clipped to ``[start, end]`` as the scalar pipeline does —
+    ``[ceil(lo), floor(hi)]``, dropped when empty, then clipped and
+    dropped again — as kernel output."""
+    with np.errstate(invalid="ignore"):
         dl = np.ceil(dense_lo)
         dh = np.floor(dense_hi)
         keep = ok & (dl <= dh)
         dl = np.maximum(dl, start)
         dh = np.minimum(dh, end)
-        keep = keep & (dl <= dh)
-        idx = np.nonzero(keep)[0]
-        for row, s, e in zip(
-            rows[idx].tolist(), dl[idx].tolist(), dh[idx].tolist()
-        ):
-            pairs[row].append((s, e))
-    return [_discrete_set(p) for p in pairs]
+        keep &= dl <= dh
+    idx = np.flatnonzero(keep)
+    return (
+        rows[idx],
+        dl[idx].astype(np.int64),
+        dh[idx].astype(np.int64),
+    )
+
+
+def _concat(parts: list[Pieces]) -> Pieces:
+    if not parts:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, empty
+    rows, begins, ends = zip(*parts)
+    return np.concatenate(rows), np.concatenate(begins), np.concatenate(ends)
 
 
 # ---------------------------------------------------------------------------
 # Single-leg coefficient table
 # ---------------------------------------------------------------------------
 class LinearTable:
-    """Per-object single-leg ``(origin, velocity)`` columns.
+    """Single-leg ``(origin, velocity)`` columns, padded to three axes.
 
-    The batch orchestrator registers each distinct mover once; the solvers
-    then gather coefficient rows by slot index instead of re-deriving the
-    linear pieces per candidate pair.
+    The batch orchestrator appends each atom's movers as one block of
+    rows; the solvers then gather coefficient rows by slot index instead
+    of re-deriving the linear pieces per candidate pair.
     """
 
     def __init__(self, start: float, end: float) -> None:
         self.start = start
         self.end = end
-        self._slots: dict[object, int] = {}
-        self._origins: list[tuple[float, ...]] = []
-        self._velocities: list[tuple[float, ...]] = []
-        self._dims: list[int] = []
-        self._cols: tuple | None = None
+        self._n = 0
+        self._origins: list[np.ndarray] = []
+        self._velocities: list[np.ndarray] = []
+        self._cols: tuple[np.ndarray, np.ndarray] | None = None
 
-    def add(self, key: object, piece: LinearPiece) -> int:
-        """Register (or look up) the single-leg mover under ``key``."""
-        return self.add_coeffs(key, piece.origin.coords, piece.velocity.coords)
-
-    def add_coeffs(
-        self, key: object, origin: Sequence[float], velocity: Sequence[float]
-    ) -> int:
-        """Register (or look up) the single-leg mover under ``key`` by
-        its leg's position at the window start and its velocity."""
-        slot = self._slots.get(key)
-        if slot is not None:
-            return slot
-        slot = len(self._origins)
-        self._slots[key] = slot
-        pad = (0.0,) * (3 - len(origin))
-        self._origins.append((*origin, *pad))
-        self._velocities.append((*velocity, *pad))
-        self._dims.append(len(origin))
+    def add_rows(
+        self, origins: np.ndarray, velocities: np.ndarray
+    ) -> np.ndarray:
+        """Append single-leg movers — ``(k, dim)`` arrays of each leg's
+        position at the window start and its velocity — and return
+        their slots."""
+        k, dim = origins.shape
+        for block, parts in (
+            (origins, self._origins),
+            (velocities, self._velocities),
+        ):
+            padded = np.zeros((k, 3))
+            padded[:, :dim] = block
+            parts.append(padded)
+        slots = np.arange(self._n, self._n + k)
+        self._n += k
         self._cols = None
-        return slot
+        return slots
 
-    def dim(self, slot: int) -> int:
-        """Spatial dimensionality of the mover in ``slot``."""
-        return self._dims[slot]
-
-    def columns(self):
+    def columns(self) -> tuple[np.ndarray, np.ndarray]:
         """``(origins, velocities)`` as ``(n, 3)`` float arrays."""
         if self._cols is None:
             self._cols = (
-                np.asarray(self._origins, dtype=float).reshape(-1, 3),
-                np.asarray(self._velocities, dtype=float).reshape(-1, 3),
+                np.concatenate([np.zeros((0, 3)), *self._origins]),
+                np.concatenate([np.zeros((0, 3)), *self._velocities]),
             )
         return self._cols
+
+
+# ---------------------------------------------------------------------------
+# Linear dynamic attribute against a bound (o.attr <= c, o.attr >= c)
+# ---------------------------------------------------------------------------
+#: Int coefficients (and window ends) up to this magnitude keep every
+#: int intermediate of the scalar band exact in float64.
+_INT_SAFE = float(2**24)
+
+
+def value_band(
+    v: np.ndarray,
+    u: np.ndarray,
+    k: np.ndarray,
+    intflags: np.ndarray,
+    bound: float,
+    at_least: bool,
+    start: int,
+    end: int,
+) -> tuple[np.ndarray, Pieces]:
+    """``v + k * (t - u) <= bound`` (``>=`` with ``at_least``) over
+    ``[start, end]``, ``start < end``, for linear rows of motion columns
+    (value, updatetime, slope and int flags, one entry per row):
+    ``(taken[n], pieces)`` — each taken row's at most one tick interval.
+
+    The scalar path (``when_value_in_range`` over the evaluator's
+    sentinel range, ``_linear_band``, ``discretized().clip()``) is
+    repeated operation for operation: the open side becomes a sentinel
+    beyond any value the window reaches, ``max`` / ``min`` keep their
+    first argument unless the second is strictly beyond it (NaN
+    included), a slope too small to move the value is a constant, and
+    each bound is divided by the slope.  A row is not taken — the scalar
+    path must solve it — when the scalar solve raises (the range comes
+    out empty), when its update time cuts the window in two, or when an
+    int coefficient is too large for float64 to repeat the scalar int
+    arithmetic exactly.
+    """
+    width = end - start
+    with np.errstate(all="ignore"):
+        reach = np.abs(v) + (np.abs(k * 1.0) + 1) * ((end - u) + 1)
+        reach = reach * 10
+        sentinel = np.where(reach > 1e12, reach, 1e12)
+        if at_least:
+            lo = np.where(-sentinel > bound, -sentinel, bound)
+            hi = np.where(sentinel < np.inf, sentinel, np.inf)
+        else:
+            lo = np.where(-sentinel > -np.inf, -sentinel, -np.inf)
+            hi = np.where(sentinel < bound, sentinel, bound)
+        taken = ~(hi < lo) & ~((start < u) & (u < end))
+        small = (
+            (np.abs(v) <= _INT_SAFE)
+            & (np.abs(u) <= _INT_SAFE)
+            & (np.abs(k) <= _INT_SAFE)
+        )
+        window_small = max(abs(start), abs(end)) <= _INT_SAFE
+        taken &= (intflags == 0) | (small & window_small)
+        v0 = v + k * (start - u)
+        flat = (k == 0) | (np.abs(k) * width <= 1e-12 * np.abs(v0))
+        s_lo = (lo - v0) / k
+        s_hi = (hi - v0) / k
+        swap = s_lo > s_hi
+        s_lo, s_hi = np.where(swap, s_hi, s_lo), np.where(swap, s_lo, s_hi)
+        s0 = np.where(0.0 > s_lo, 0.0, s_lo)
+        s1 = np.where(width < s_hi, width, s_hi)
+        ok = np.where(flat, (lo <= v0) & (v0 <= hi), s0 <= s1)
+        s0 = np.where(flat, 0.0, s0)
+        s1 = np.where(flat, width, s1)
+    return taken, _tick_pieces(
+        np.arange(v.size), start + s0, start + s1, ok & taken, start, end
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -288,11 +352,11 @@ class DistanceBatch:
     def __init__(self, table: LinearTable) -> None:
         self._table = table
         self._n = 0
-        self._pair_rows: list[int] = []
-        self._pair_i: list[int] = []
-        self._pair_j: list[int] = []
-        self._pair_rr: list[float] = []
-        self._pair_neg: list[bool] = []
+        self._pair_rows: list[np.ndarray] = []
+        self._pair_i: list[np.ndarray] = []
+        self._pair_j: list[np.ndarray] = []
+        self._pair_rr: list[np.ndarray] = []
+        self._pair_neg: list[np.ndarray] = []
         self._leg_rows: list[int] = []
         self._leg_lo: list[float] = []
         self._leg_hi: list[float] = []
@@ -304,16 +368,20 @@ class DistanceBatch:
     def __len__(self) -> int:
         return self._n
 
-    def add_pair(self, slot1: int, slot2: int, r: float, at_least: bool) -> int:
-        """Queue a single-leg pair over the whole window."""
-        row = self._n
-        self._n += 1
-        self._pair_rows.append(row)
-        self._pair_i.append(slot1)
-        self._pair_j.append(slot2)
-        self._pair_rr.append(r * r)
-        self._pair_neg.append(at_least)
-        return row
+    def add_pairs(
+        self, slots1: np.ndarray, slots2: np.ndarray, r: float, at_least: bool
+    ) -> np.ndarray:
+        """Queue single-leg pairs over the whole window, one row per
+        slot pair; returns their rows."""
+        k = len(slots1)
+        rows = np.arange(self._n, self._n + k)
+        self._n += k
+        self._pair_rows.append(rows)
+        self._pair_i.append(slots1)
+        self._pair_j.append(slots2)
+        self._pair_rr.append(np.full(k, r * r, dtype=float))
+        self._pair_neg.append(np.full(k, at_least, dtype=bool))
+        return rows
 
     def add_legs(
         self,
@@ -338,8 +406,9 @@ class DistanceBatch:
             self._leg_neg.append(at_least)
         return row
 
-    def solve(self) -> list[IntervalSet]:
-        """Answer every queued row as a clipped DISCRETE interval set."""
+    def solve(self) -> Pieces:
+        """Answer every queued row: its clipped DISCRETE intervals, as
+        kernel output (:func:`interval_sets` makes them sets)."""
         start, end = self._table.start, self._table.end
         d0_parts = []
         dv_parts = []
@@ -350,8 +419,8 @@ class DistanceBatch:
         row_parts = []
         if self._pair_rows:
             origins, velocities = self._table.columns()
-            i = np.asarray(self._pair_i, dtype=int)
-            j = np.asarray(self._pair_j, dtype=int)
+            i = np.concatenate(self._pair_i)
+            j = np.concatenate(self._pair_j)
             o1, v1 = origins[i], velocities[i]
             o2, v2 = origins[j], velocities[j]
             # The scalar leg evaluates each piece at the window start:
@@ -360,12 +429,12 @@ class DistanceBatch:
             p2 = o2 + v2 * 0.0
             d0_parts.append(p1 - p2)
             dv_parts.append(v1 - v2)
-            n = len(self._pair_rows)
+            n = len(i)
             lo_parts.append(np.full(n, float(start)))
             hi_parts.append(np.full(n, float(end - start)))
-            rr_parts.append(np.asarray(self._pair_rr, dtype=float))
-            neg_parts.append(np.asarray(self._pair_neg, dtype=bool))
-            row_parts.append(np.asarray(self._pair_rows, dtype=int))
+            rr_parts.append(np.concatenate(self._pair_rr))
+            neg_parts.append(np.concatenate(self._pair_neg))
+            row_parts.append(np.concatenate(self._pair_rows))
         if self._leg_rows:
             d0_parts.append(
                 np.asarray(self._leg_d0, dtype=float).reshape(-1, 3)
@@ -377,9 +446,9 @@ class DistanceBatch:
             hi_parts.append(np.asarray(self._leg_hi, dtype=float))
             rr_parts.append(np.asarray(self._leg_rr, dtype=float))
             neg_parts.append(np.asarray(self._leg_neg, dtype=bool))
-            row_parts.append(np.asarray(self._leg_rows, dtype=int))
+            row_parts.append(np.asarray(self._leg_rows, dtype=np.int64))
         if not d0_parts:
-            return []
+            return _concat([])
 
         d0 = np.concatenate(d0_parts)
         dv = np.concatenate(dv_parts)
@@ -407,8 +476,14 @@ class DistanceBatch:
         b = np.where(neg, -b, b)
         c = np.where(neg, -c, c)
 
-        slots = _quadratic_slots(a, b, c, hi)
-        return _scatter_discrete(rows, self._n, lo, slots, start, end)
+        lo0, hi0, ok0, lo1, hi1, ok1 = _quadratic_slots(a, b, c, hi)
+        return _concat(
+            [
+                _tick_pieces(rows, lo + lo_s, lo + hi_s, ok, start, end)
+                for lo_s, hi_s, ok in ((lo0, hi0, ok0), (lo1, hi1, ok1))
+                if ok.any()
+            ]
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -473,24 +548,27 @@ class PolygonBatch:
         self._ent_o: list[tuple[float, float]] = []
         self._ent_v: list[tuple[float, float]] = []
         self._pair_entries: list[int] = []  # entries still needing o/v gather
-        self._pair_slots: list[int] = []
+        self._pair_slots: list[np.ndarray] = []
 
     def __len__(self) -> int:
         return self._n
 
-    def add_slot(self, slot: int) -> int:
-        """Queue a single-leg 2-D mover registered in the table."""
-        row = self._n
-        self._n += 1
-        entry = len(self._ent_row)
-        self._ent_row.append(row)
-        self._ent_lo.append(self._table.start)
-        self._ent_smax.append(self._table.end - self._table.start)
-        self._ent_o.append((0.0, 0.0))  # patched from the table at solve()
-        self._ent_v.append((0.0, 0.0))
-        self._pair_entries.append(entry)
-        self._pair_slots.append(slot)
-        return row
+    def add_slots(self, slots: np.ndarray) -> np.ndarray:
+        """Queue single-leg 2-D movers registered in the table, one row
+        per slot; returns their rows."""
+        k = len(slots)
+        rows = range(self._n, self._n + k)
+        self._n += k
+        first = len(self._ent_row)
+        self._ent_row.extend(rows)
+        self._ent_lo.extend([self._table.start] * k)
+        self._ent_smax.extend([self._table.end - self._table.start] * k)
+        # Patched from the table at solve().
+        self._ent_o.extend([(0.0, 0.0)] * k)
+        self._ent_v.extend([(0.0, 0.0)] * k)
+        self._pair_entries.extend(range(first, first + k))
+        self._pair_slots.append(slots)
+        return np.arange(rows.start, rows.stop)
 
     def add_legs(
         self, legs: Sequence[tuple[float, float, Point, Point]]
@@ -506,18 +584,27 @@ class PolygonBatch:
             self._ent_v.append((dv.x, dv.y))
         return row
 
-    def solve(self) -> list[IntervalSet]:
-        """Answer every queued row as a clipped DISCRETE *inside* set."""
+    def solve(self) -> Pieces:
+        """Answer every queued row: the clipped DISCRETE intervals of its
+        *inside* set, as kernel output.
+
+        Per entry, as the scalar sweep: the event instants are the set of
+        both ends of the leg and its edge crossings, each gap between two
+        consecutive events is classified at its midpoint and each event
+        at itself, and the contained ones become pieces.  The event sets
+        are the rows of one matrix — sorted, equal neighbours dropped
+        (NaN marks no event) and sorted again, so each row holds its
+        distinct events first in increasing order."""
         start, end = self._table.start, self._table.end
         n_ent = len(self._ent_row)
         if not n_ent:
-            return []
+            return _concat([])
         o = np.asarray(self._ent_o, dtype=float).reshape(-1, 2)
         v = np.asarray(self._ent_v, dtype=float).reshape(-1, 2)
         if self._pair_entries:
             origins, velocities = self._table.columns()
             ent = np.asarray(self._pair_entries, dtype=int)
-            slots = np.asarray(self._pair_slots, dtype=int)
+            slots = np.concatenate(self._pair_slots)
             go = origins[slots][:, :2]
             gv = velocities[slots][:, :2]
             # Scalar leg: d0 = m.position_at(start) - reference(0, 0),
@@ -526,46 +613,41 @@ class PolygonBatch:
             v[ent] = gv - 0.0
         smax = np.asarray(self._ent_smax, dtype=float)
 
-        events: list[set[float]] = [
-            {0.0, s} for s in self._ent_smax
-        ]
-        self._collect_crossings(o, v, smax, events)
-
-        # Flatten midpoint and event-instant probes for one classification.
-        ordered_per_ent = [sorted(ev) for ev in events]
-        probe_ent: list[int] = []
-        probe_s: list[float] = []
-        for i, ordered in enumerate(ordered_per_ent):
-            for s0, s1 in zip(ordered, ordered[1:]):
-                probe_ent.append(i)
-                probe_s.append((s0 + s1) / 2)
-            for s in ordered:
-                probe_ent.append(i)
-                probe_s.append(s)
+        events = np.concatenate(
+            [np.zeros((n_ent, 1)), smax[:, None], self._crossings(o, v, smax)],
+            axis=1,
+        )
+        events.sort(axis=1)
+        repeat = np.zeros(events.shape, dtype=bool)
+        repeat[:, 1:] = events[:, 1:] == events[:, :-1]
+        events[repeat] = np.nan
+        events.sort(axis=1)
+        known = ~np.isnan(events)
+        ent_m, col_m = np.nonzero(known[:, 1:])
+        ent_e, col_e = np.nonzero(known)
+        first = np.concatenate([events[ent_m, col_m], events[ent_e, col_e]])
+        last = np.concatenate([events[ent_m, col_m + 1], events[ent_e, col_e]])
+        probe_ent = np.concatenate([ent_m, ent_e])
+        midpoints = (first[: ent_m.size] + last[: ent_m.size]) / 2
         contained = self._contains(
-            o, v, np.asarray(probe_ent, dtype=int),
-            np.asarray(probe_s, dtype=float),
-        ).tolist()
-
-        pairs: list[list[tuple[float, float]]] = [[] for _ in range(self._n)]
-        pos = 0
-        for i, ordered in enumerate(ordered_per_ent):
-            row = self._ent_row[i]
-            lo = self._ent_lo[i]
-            row_pairs = pairs[row]
-            for s0, s1 in zip(ordered, ordered[1:]):
-                if contained[pos]:
-                    row_pairs.append((lo + s0, lo + s1))
-                pos += 1
-            for s in ordered:
-                if contained[pos]:
-                    row_pairs.append((lo + s, lo + s))
-                pos += 1
-        return [_discretize_pairs(p, start, end) for p in pairs]
+            o, v, probe_ent, np.concatenate([midpoints, first[ent_m.size :]])
+        )
+        lo = np.asarray(self._ent_lo, dtype=float)[probe_ent]
+        return _tick_pieces(
+            np.asarray(self._ent_row, dtype=np.int64)[probe_ent],
+            lo + first,
+            lo + last,
+            contained,
+            start,
+            end,
+        )
 
     # ------------------------------------------------------------------
-    def _collect_crossings(self, o, v, smax, events) -> None:
-        """Vectorized ``kinetic._segment_crossings`` over (entry x edge)."""
+    def _crossings(self, o, v, smax) -> np.ndarray:
+        """Vectorized ``kinetic._segment_crossings`` over (entry x edge):
+        per entry, the crossing of each edge (the single non-parallel
+        candidate), then the projections of each edge's two endpoints
+        onto a collinear path — NaN where there is none."""
         ox, oy = o[:, 0:1], o[:, 1:2]
         vx, vy = v[:, 0:1], v[:, 1:2]
         sm = smax[:, None]
@@ -585,9 +667,9 @@ class PolygonBatch:
             )
             u = np.where(np.abs(abx) >= np.abs(aby), ux, uy)
             hit = nonpar & in_range & (-1e-9 <= u) & (u <= 1 + 1e-9)
-            s_val = np.minimum(np.maximum(s, 0.0), sm)
-            for i, j in zip(*np.nonzero(hit)):
-                events[i].add(float(s_val[i, j]))
+            found = [np.where(hit, np.minimum(np.maximum(s, 0.0), sm), np.nan)]
+            if nonpar.all():
+                return found[0]
 
             # Parallel: only collinear overlap produces crossings, at the
             # projections of the edge endpoints onto the path.
@@ -604,9 +686,10 @@ class PolygonBatch:
                     & (-1e-12 <= s_e)
                     & (s_e <= sm + 1e-12)
                 )
-                val = np.minimum(np.maximum(s_e, 0.0), sm)
-                for i, j in zip(*np.nonzero(ok)):
-                    events[i].add(float(val[i, j]))
+                found.append(
+                    np.where(ok, np.minimum(np.maximum(s_e, 0.0), sm), np.nan)
+                )
+        return np.concatenate(found, axis=1)
 
     def _contains(self, o, v, probe_ent, probe_s):
         """Vectorized ``Polygon.contains`` for probe points on the paths."""

@@ -652,8 +652,8 @@ def decided_rows(pruner, atom, free, rows):
     split = pruner.partition(atom, free, rows)
     if split is None:
         return set()
-    todo, count = split
-    out = set(rows) - {inst for inst, known in todo if known is None}
+    solve, count, _known = split
+    out = set(rows) - {rows[i] for i in solve.tolist()}
     assert len(out) == count
     return out
 

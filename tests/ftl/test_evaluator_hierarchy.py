@@ -36,6 +36,8 @@ def test_delta_class_overrides_scope_not_algorithms():
         "_disjunction",
         "_negation",
         "_batched_rows",
+        "_solve_rows",
+        "_column_rows",
         "_atom_gate",
     ):
         assert algorithm not in own, algorithm

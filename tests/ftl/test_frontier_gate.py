@@ -149,13 +149,10 @@ def decided(rows, split):
     """``{row: known answer}`` for every row the partition decided."""
     if split is None:
         return {}
-    todo, count = split
-    known = {inst: iset for inst, iset in todo}
-    out = {
-        inst: known.get(inst, EMPTY_SET)
-        for inst in rows
-        if known.get(inst, EMPTY_SET) is not None
-    }
+    solve, count, known = split
+    assert solve.tolist() == sorted(set(solve.tolist()))
+    solved = {rows[i] for i in solve.tolist()}
+    out = {inst: known for inst in rows if inst not in solved}
     assert len(out) == count
     return out
 

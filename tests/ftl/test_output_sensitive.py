@@ -123,17 +123,18 @@ def test_pruner_has_no_per_row_gate():
 
 def test_inside_solves_only_candidates(monkeypatch):
     """An ``INSIDE`` atom over 2 000 objects with about ten candidates
-    makes at most (candidates + unindexed) solve requests, and its
-    counters still account for every row."""
+    hands at most (candidates + unindexed) rows to the solve path, and
+    its counters still account for every row."""
     db = fleet(random.Random(7), 2000, extent=600)
     calls = []
-    original = IntervalEvaluator._atom_request
+    original = AtomIndexPruner.partition
 
-    def counting(self, f, env):
-        calls.append(env["o"])
-        return original(self, f, env)
+    def recording(pruner, f, free, rows):
+        split = original(pruner, f, free, rows)
+        calls.extend(rows[i][0] for i in split[0].tolist())
+        return split
 
-    monkeypatch.setattr(IntervalEvaluator, "_atom_request", counting)
+    monkeypatch.setattr(AtomIndexPruner, "partition", recording)
     text = "RETRIEVE o FROM cars o WHERE INSIDE(o, P)"
     _query, ev, relation = evaluator_for(db, text)
     pruner = ev.ctx.atom_pruner()

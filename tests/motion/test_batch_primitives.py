@@ -12,6 +12,7 @@ exactly through a vertex.
 
 import random
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +22,7 @@ from repro.motion.batch import (
     DistanceBatch,
     LinearTable,
     PolygonBatch,
+    interval_sets,
     quadratic_at_most_zero_batch,
     segment_crossings_batch,
 )
@@ -216,6 +218,19 @@ small_ints = st.integers(min_value=-9, max_value=9)
 velocities = st.integers(min_value=-3, max_value=3)
 
 
+def slot_of(table, leg):
+    """One single leg appended to the table, as a one-slot array."""
+    return table.add_rows(
+        np.array([leg.origin.coords], dtype=float),
+        np.array([leg.velocity.coords], dtype=float),
+    )
+
+
+def solved_sets(batch):
+    """A batch's kernel output as one interval set per row."""
+    return interval_sets(len(batch), batch.solve())
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.lists(
@@ -251,11 +266,11 @@ def test_distance_batch_matches_scalar_solver(rows):
             )
             batch.add_legs(legs, float(r), at_least)
         else:
-            s1 = table.add(("m1", i), m1.single_leg(WINDOW.start, WINDOW.end))
-            s2 = table.add(("m2", i), m2.single_leg(WINDOW.start, WINDOW.end))
-            batch.add_pair(s1, s2, float(r), at_least)
+            s1 = slot_of(table, m1.single_leg(WINDOW.start, WINDOW.end))
+            s2 = slot_of(table, m2.single_leg(WINDOW.start, WINDOW.end))
+            batch.add_pairs(s1, s2, float(r), at_least)
         oracles.append(oracle_dist(m1, m2, r, at_least))
-    solved = batch.solve()
+    solved = solved_sets(batch)
     for i, (got, want) in enumerate(zip(solved, oracles)):
         assert got == want, f"lane {i}: {rows[i]}"
 
@@ -295,11 +310,10 @@ def test_polygon_batch_matches_scalar_solver(rows, poly_idx):
     oracles = []
     for i, (x, y, vx, vy) in enumerate(rows):
         m = linear_mover(x, y, vx, vy)
-        slot = table.add(("m", i), m.single_leg(WINDOW.start, WINDOW.end))
-        batch.add_slot(slot)
+        batch.add_slots(slot_of(table, m.single_leg(WINDOW.start, WINDOW.end)))
         dense = when_inside_polygon(m, polygon, WINDOW)
         oracles.append(dense.discretized().clip(WINDOW.start, WINDOW.end))
-    solved = batch.solve()
+    solved = solved_sets(batch)
     for i, (got, want) in enumerate(zip(solved, oracles)):
         assert got == want, f"lane {i}: {rows[i]}"
 
@@ -328,7 +342,7 @@ def test_polygon_batch_piecewise_legs_match_scalar_solver():
             batch.add_legs(legs)
             dense = when_inside_polygon(m, polygon, WINDOW)
             oracles.append(dense.discretized().clip(WINDOW.start, WINDOW.end))
-        solved = batch.solve()
+        solved = solved_sets(batch)
         for i, (got, want) in enumerate(zip(solved, oracles)):
             assert got == want, f"{polygon}: lane {i}"
 
@@ -345,11 +359,11 @@ def test_grazing_distance_contacts_are_exact():
         # exactly r at t = 6.
         m1 = linear_mover(0, 0, 1, 0)
         m2 = linear_mover(6, r, 0, 0)
-        s1 = table.add(("g1", i), m1.single_leg(WINDOW.start, WINDOW.end))
-        s2 = table.add(("g2", i), m2.single_leg(WINDOW.start, WINDOW.end))
-        batch.add_pair(s1, s2, float(r), False)
+        s1 = slot_of(table, m1.single_leg(WINDOW.start, WINDOW.end))
+        s2 = slot_of(table, m2.single_leg(WINDOW.start, WINDOW.end))
+        batch.add_pairs(s1, s2, float(r), False)
         oracles.append(oracle_dist(m1, m2, r, False))
-    solved = batch.solve()
+    solved = solved_sets(batch)
     for i, (got, want) in enumerate(zip(solved, oracles)):
         assert got == want, f"grazing radius {i}"
         # The touch instant t=6 itself must be in the answer.

@@ -264,8 +264,9 @@ def annotation_gaps(tree):
 #: and divergence probe — the shared gate every commit runs — the pinned
 #: future history and its content token, the motion columns, their
 #: writer and the motion-event reader, the atom pruner's leg-box tables,
-#: join and row partition, the motion token, the interval evaluator's
-#: atom row loop, row enumeration and index gate, the delta evaluator's
+#: join and row partition, the motion token, the batch backend and its
+#: kernels, the interval evaluator's atom row loop and column path, row
+#: enumeration and index gate, the delta evaluator's
 #: frontier view and dirty domains, the context's leg memo and domain
 #: split, and the answer stamper.
 #: ``Class.name`` picks one method of a class.
@@ -306,20 +307,41 @@ STRICT_DEFS = {
         "_linear_leg_boxes",
         "build_class_table",
         "motion_token",
+        "linear_motion_tokens",
         "_dim",
         "MbrTableCache",
         "AtomIndexPruner",
         "AtomIndexPruner.partition",
+        "AtomIndexPruner._split",
+        "KineticBatch",
     ),
     "ftl/context.py": (
         "EvalContext.legs",
         "EvalContext._column_leg",
+        "EvalContext.column_legs",
         "EvalContext.dirty_domain",
         "EvalContext.clean_domain",
     ),
     "ftl/evaluator.py": (
+        "_ColumnRows",
+        "_numbers",
+        "_slots",
+        "_taken",
         "IntervalEvaluator._atom",
         "IntervalEvaluator._batched_rows",
+        "IntervalEvaluator._solve_rows",
+        "IntervalEvaluator._column_rows",
+        "IntervalEvaluator._column_var",
+        "IntervalEvaluator._constant",
+        "IntervalEvaluator._movers",
+        "IntervalEvaluator._region_columns",
+        "IntervalEvaluator._sphere_columns",
+        "IntervalEvaluator._dist_columns",
+        "IntervalEvaluator._pair_columns",
+        "IntervalEvaluator._dist_terms",
+        "IntervalEvaluator._attr_terms",
+        "IntervalEvaluator._dynamic_attr",
+        "IntervalEvaluator._attr_columns",
         "IntervalEvaluator._rows",
         "IntervalEvaluator._atom_gate",
         "IntervalEvaluator._atom_index",
@@ -334,7 +356,15 @@ STRICT_DEFS = {
         "PartialIntervalEvaluator.refresh",
     ),
     "motion/batch.py": (
-        "LinearTable.add_coeffs",
+        "interval_sets",
+        "_tick_pieces",
+        "_concat",
+        "value_band",
+        "LinearTable",
+        "DistanceBatch.add_pairs",
+        "DistanceBatch.solve",
+        "PolygonBatch.add_slots",
+        "PolygonBatch.solve",
         "polygon_edges",
         "clear_polygon_edges",
     ),

@@ -116,3 +116,32 @@ def test_sim_counters_are_attributes():
         assert isinstance(getattr(server.metrics, name, None), (int, float)), name
     for name in query_counters:
         assert isinstance(getattr(cq, name, None), (int, float)), name
+
+
+#: Atom-layer callables the traced run must keep timing: the batch
+#: solve, the pruner's probes, the scalar kinetic solvers as the
+#: evaluator imports them, and the two evaluator roots.
+ATOM_LAYER = [
+    ("repro.ftl.atoms:KineticBatch", "solve"),
+    ("repro.ftl.atoms:AtomIndexPruner", "region_candidates"),
+    ("repro.ftl.atoms:AtomIndexPruner", "pair_candidates"),
+    *(
+        ("repro.ftl.evaluator", name)
+        for name in (
+            "when_dist_at_least",
+            "when_dist_at_most",
+            "when_inside_ball",
+            "when_inside_polygon",
+            "when_value_in_range",
+            "when_within_sphere",
+        )
+    ),
+    ("repro.ftl.evaluator:IntervalEvaluator", "evaluate"),
+    ("repro.ftl.incremental:PartialIntervalEvaluator", "refresh"),
+]
+
+
+@pytest.mark.parametrize("owner,attr", ATOM_LAYER)
+def test_atom_layer_is_traced(owner, attr):
+    assert (owner, attr) in ENTRIES
+
