@@ -255,7 +255,7 @@ def outcome(db, f, bindings, rows, start, horizon, options):
 
 
 @settings(
-    max_examples=150,
+    max_examples=300,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
