@@ -13,8 +13,10 @@ scenarios scale a ``cars`` fleet to ``n = 100k``:
   crossings per row) while the vectorized sweep grows only its array
   width.
 
-Both modes run with ``index_pruning`` off: E13 isolates the solver
-layer, and on these dense fleets the R-tree gate prunes almost nothing
+The ``scalar`` mode is the per-row reference: a bench-local patch of
+the column path's one hook (``IntervalEvaluator._column_rows``) takes no
+row, so every row runs its scalar closure inline.  Both modes run with
+``index_pruning`` off: E13 isolates the solver layer, and on these dense fleets the R-tree gate prunes almost nothing
 while dominating wall time in *both* modes, which would only mask the
 solver difference being measured.
 
@@ -36,6 +38,7 @@ import math
 import os
 import random
 import time
+from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 from pathlib import Path
 
@@ -58,10 +61,20 @@ SCENARIOS = {
 
 RESULT_PATH = Path(__file__).parents[1] / "BENCH_batch_solver.json"
 
-MODES = {
-    "scalar": replace(DEFAULT, batch_solver=False, index_pruning=False),
-    "batch": replace(DEFAULT, index_pruning=False),
-}
+OPTIONS = replace(DEFAULT, index_pruning=False)
+MODES = ("scalar", "batch")
+
+
+@contextmanager
+def scalar_rows():
+    """While open, the column path takes no row: every row of every atom
+    runs its scalar closure inline."""
+    column_rows = IntervalEvaluator._column_rows
+    IntervalEvaluator._column_rows = lambda self, f, free, todo, keyed: None
+    try:
+        yield
+    finally:
+        IntervalEvaluator._column_rows = column_rows
 
 
 def build_world(n: int) -> MostDatabase:
@@ -101,7 +114,7 @@ def build_world(n: int) -> MostDatabase:
     return db
 
 
-def run_mode(db, query, repeats: int, options) -> dict:
+def run_mode(db, query, repeats: int, mode: str) -> dict:
     """Best-of-``repeats`` cold-cache evaluation (the cache is cleared
     before every repeat: this bench measures solving, not replay)."""
     best = float("inf")
@@ -110,10 +123,11 @@ def run_mode(db, query, repeats: int, options) -> dict:
     for _ in range(repeats):
         db.kinetic_cache.clear()
         ctx = EvalContext(FutureHistory(db), HORIZON, query.bindings)
-        evaluator = IntervalEvaluator(ctx, options=options)
-        start = time.perf_counter()
-        relation = evaluator.evaluate(query.where)
-        best = min(best, time.perf_counter() - start)
+        evaluator = IntervalEvaluator(ctx, options=OPTIONS)
+        with scalar_rows() if mode == "scalar" else nullcontext():
+            start = time.perf_counter()
+            relation = evaluator.evaluate(query.where)
+            best = min(best, time.perf_counter() - start)
         counters = evaluator.counters()
     out = {"wall_ms": best * 1e3, "relation": relation, **counters}
     out["solves_per_sec"] = counters["kinetic_solves"] / max(best, 1e-9)
@@ -129,8 +143,8 @@ def run_scenario(name: str, db, n: int) -> dict:
     )
     results = {}
     baseline = None
-    for mode, options in MODES.items():
-        out = run_mode(db, query, repeats, options)
+    for mode in MODES:
+        out = run_mode(db, query, repeats, mode)
         rows = key(out.pop("relation"))
         if baseline is None:
             baseline = rows

@@ -333,7 +333,6 @@ class EvalPlan:
             "atom_acceleration": {
                 # The estimates model the default evaluation.
                 "index_pruning": DEFAULT.index_pruning,
-                "batch_solver": DEFAULT.batch_solver,
                 "estimated_solves": round(self.total.solves, 3),
                 "estimated_solve_batches": round(
                     self.total.solve_batches, 3

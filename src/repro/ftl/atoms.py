@@ -71,10 +71,8 @@ from repro.ftl.ast import (
     WithinSphere,
 )
 from repro.ftl.relations import EMPTY_SET, Instantiation
-from repro.geometry import Point
 from repro.motion import batch
-from repro.motion.moving import LinearPiece, MovingPoint
-from repro.spatial.kinetic import paired_legs
+from repro.motion.moving import MovingPoint
 from repro.spatial.polygon import Polygon
 from repro.spatial.regions import Ball
 from repro.temporal import DISCRETE, IntervalSet
@@ -1151,37 +1149,23 @@ class AtomIndexPruner:
 # ---------------------------------------------------------------------------
 
 
-def _dim(kind: str, legs: object) -> int:
-    """The dimensionality of a :meth:`~repro.ftl.context.EvalContext.
-    legs` entry."""
-    if kind == "single":
-        return len(legs[0])
-    return legs[0].origin.dim
-
-
 class KineticBatch:
     """One atom's worth of kinetic solves, submitted as a batch.
 
-    Rows whose motion is piecewise linear over the window become rows of
+    Rows whose motion is one linear leg over the window become rows of
     the vectorized backend (:mod:`repro.motion.batch`): ``DIST``
     comparisons, ``INSIDE``/``OUTSIDE`` of a ball, and two-object
     ``WITHIN_SPHERE`` reduce to the quadratic kernel; polygon
     containment to the edge-crossing sweep.
 
-    Two doors.  The evaluator's column path hands over whole arrays of
+    One door.  The evaluator's column path hands over whole arrays of
     single-leg rows — each leg's position at the window start and its
     velocity, gathered from the motion columns — through
-    :meth:`submit_region_rows` and :meth:`submit_pair_rows`.  Every
-    other row (a multi-leg mover, a mover another history implies) comes
-    one at a time through :meth:`submit`, which reads the object's legs
-    from the context's memo (:meth:`~repro.ftl.context.EvalContext.
-    legs`); everything the backend cannot take — nonlinear motion,
-    spheres over ``k != 2`` objects, dimension mismatches, negative
-    radii — is rejected there (:meth:`submit` returns ``None``) and the
-    evaluator runs the scalar closure at submit time, preserving
-    evaluation order and error behaviour exactly.  Movers that cannot be
-    resolved raise from :meth:`submit` itself, at the product-order
-    position where the scalar path would have raised.
+    :meth:`submit_region_rows` and :meth:`submit_pair_rows`; the caller
+    has already resolved the atom and checked the dimensionality and
+    the radius.  Every other row (nonlinear or multi-leg motion, a
+    recorded history, a mismatch that must raise) never reaches the
+    batch: the evaluator runs its scalar closure inline.
 
     :meth:`solve` runs every kernel and turns their ``(row, begin,
     end)`` output into interval sets at one boundary
@@ -1191,54 +1175,27 @@ class KineticBatch:
     def __init__(self, ctx: "EvalContext") -> None:
         self.ctx = ctx
         self._table = batch.LinearTable(ctx.start, ctx.end)
-        self._centers: dict[Ball, list[LinearPiece]] = {}
         self._center_slots: dict[Ball, int] = {}
-        self._reference: list[LinearPiece] | None = None
         self._dist: batch.DistanceBatch | None = None
         self._polys: dict[object, batch.PolygonBatch] = {}
         self._solved: dict[int, list[IntervalSet]] = {}
 
-    # ------------------------------------------------------------------
-    # Motion classification
-    # ------------------------------------------------------------------
-    def _ball_center(self, region: Ball) -> list[LinearPiece]:
-        """The static ball-center mover's single leg (the same virtual
-        ``MovingPoint(ball.center)`` the scalar solver pairs against)."""
-        legs = self._centers.get(region)
-        if legs is None:
+    def _center_slot(self, region: Ball) -> int:
+        """The ball center's slot in the coefficient table: the single
+        leg of the static ``MovingPoint(ball.center)`` the scalar solver
+        pairs against."""
+        slot = self._center_slots.get(region)
+        if slot is None:
             leg = MovingPoint(region.center).single_leg(
                 self.ctx.start, self.ctx.end
             )
             assert leg is not None  # static motion is always one leg
-            legs = self._centers[region] = [leg]
-        return legs
-
-    def _center_slot(self, region: Ball) -> int:
-        """The ball center's slot in the coefficient table."""
-        slot = self._center_slots.get(region)
-        if slot is None:
-            (leg,) = self._ball_center(region)
-            slot = self._center_slots[region] = int(
-                self._single((leg.origin.coords, leg.velocity.coords))[0]
-            )
+            (slot,) = self._table.add_rows(
+                np.array([leg.origin.coords], dtype=float),
+                np.array([leg.velocity.coords], dtype=float),
+            ).tolist()
+            self._center_slots[region] = slot
         return slot
-
-    def _single(self, legs: object) -> np.ndarray:
-        """One single-leg ``(origin, velocity)`` entry as a table slot."""
-        origin, velocity = legs
-        return self._table.add_rows(
-            np.array([origin], dtype=float), np.array([velocity], dtype=float)
-        )
-
-    def _ref_pieces(self) -> list[LinearPiece]:
-        """The polygon solver's static ``(0, 0)`` reference pieces."""
-        if self._reference is None:
-            pieces = MovingPoint(Point(0.0, 0.0)).linear_pieces(
-                self.ctx.start, self.ctx.end
-            )
-            assert pieces is not None  # static motion is always linear
-            self._reference = pieces
-        return self._reference
 
     def _dist_batch(self) -> batch.DistanceBatch:
         if self._dist is None:
@@ -1293,101 +1250,6 @@ class KineticBatch:
         return dist, rows
 
     # ------------------------------------------------------------------
-    # Submission: one row at a time
-    # ------------------------------------------------------------------
-    def submit(self, vec: tuple) -> tuple | None:
-        """Queue one vectorizable solve, returning an opaque handle, or
-        ``None`` when only the scalar closure applies."""
-        kind = vec[0]
-        if kind == "dist":
-            return self._submit_dist(vec[1], vec[2], vec[3], vec[4])
-        if kind == "region":
-            return self._submit_region(vec[1], vec[2])
-        if kind == "sphere":
-            obj_ids, radius = vec[1], vec[2]
-            if len(obj_ids) != 2 or radius < 0:
-                return None
-            # Two movers fit in a radius-r sphere exactly when they are
-            # within 2r of each other — the scalar reduction.
-            return self._submit_dist(
-                obj_ids[0], obj_ids[1], 2 * radius, False
-            )
-        return None  # pragma: no cover - descriptor kinds are closed
-
-    def _submit_dist(
-        self, a: object, b: object, bound: float, at_least: bool
-    ) -> tuple | None:
-        ka, pa = self.ctx.legs(a)
-        if ka is None:
-            return None
-        kb, pb = self.ctx.legs(b)
-        if kb is None:
-            return None
-        if _dim(ka, pa) != _dim(kb, pb):
-            return None  # the scalar closure raises the mismatch error
-        dist = self._dist_batch()
-        if ka == "single" and kb == "single":
-            (row,) = dist.add_pairs(
-                self._single(pa), self._single(pb), bound, at_least
-            ).tolist()
-        else:
-            legs = paired_legs(
-                self._pieces(ka, pa), self._pieces(kb, pb), self.ctx.window
-            )
-            row = dist.add_legs(legs, bound, at_least)
-        return (dist, row)
-
-    def _submit_region(self, obj_id: object, region: object) -> tuple | None:
-        if isinstance(region, Ball):
-            if region.radius < 0:
-                return None  # the scalar closure raises
-            kind, legs_of = self.ctx.legs(obj_id)
-            if kind is None:
-                return None
-            center = self._ball_center(region)
-            if _dim(kind, legs_of) != center[0].origin.dim:
-                return None
-            dist = self._dist_batch()
-            if kind == "single":
-                (row,) = dist.add_pairs(
-                    self._single(legs_of),
-                    np.array([self._center_slot(region)]),
-                    region.radius,
-                    False,
-                ).tolist()
-            else:
-                legs = paired_legs(legs_of, center, self.ctx.window)
-                row = dist.add_legs(legs, region.radius, False)
-            return (dist, row)
-        if isinstance(region, Polygon):
-            kind, legs_of = self.ctx.legs(obj_id)
-            if kind is None:
-                return None
-            if _dim(kind, legs_of) != 2:
-                return None  # the scalar closure raises the 2-D error
-            pb = self._poly_batch(region)
-            if kind == "single":
-                (row,) = pb.add_slots(self._single(legs_of)).tolist()
-            else:
-                legs = paired_legs(legs_of, self._ref_pieces(), self.ctx.window)
-                row = pb.add_legs(legs)
-            return (pb, row)
-        return None  # unsupported region: the scalar closure raises
-
-    def _pieces(self, kind: str, legs: object) -> list[LinearPiece]:
-        """A :meth:`~repro.ftl.context.EvalContext.legs` entry as linear
-        pieces: a single leg's coordinates become the one piece over the
-        window the scalar path builds from them."""
-        if kind == "single":
-            origin, velocity = legs
-            return [
-                LinearPiece(
-                    self.ctx.start, self.ctx.end, Point(*origin), Point(*velocity)
-                )
-            ]
-        return legs
-
-    # ------------------------------------------------------------------
     # Resolution
     # ------------------------------------------------------------------
     def solve(self) -> None:
@@ -1400,14 +1262,8 @@ class KineticBatch:
         for pb in self._polys.values():
             self._solved[id(pb)] = batch.interval_sets(len(pb), pb.solve())
 
-    def result(self, handle: tuple) -> IntervalSet:
-        """The solved answer for one :meth:`submit` handle."""
-        queue, row = handle
-        return self._solved[id(queue)][row]
-
     def results(self, handle: tuple[object, np.ndarray]) -> list[IntervalSet]:
-        """The solved answers for an array submission's handle, in row
-        order."""
+        """The solved answers for a submission's handle, in row order."""
         queue, rows = handle
         solved = self._solved[id(queue)]
         return [solved[row] for row in rows.tolist()]

@@ -11,11 +11,11 @@ evaluation runs with.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, AbstractSet as Set, Sequence
+from typing import TYPE_CHECKING, AbstractSet as Set
 
 import numpy as np
 
-from repro.errors import FtlSemanticsError, QueryError
+from repro.errors import FtlSemanticsError
 from repro.ftl.ast import (
     Arith,
     Attr,
@@ -32,14 +32,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.columns import MotionRows
     from repro.core.history import History
     from repro.ftl.atoms import AtomIndexPruner, KineticSolveCache
-    from repro.motion.moving import LinearPiece, MovingPoint
-
-    #: One object's motion over a window (:meth:`EvalContext.legs`).
-    Legs = (
-        tuple[str, tuple[Sequence[float], Sequence[float]]]
-        | tuple[str, list[LinearPiece]]
-        | tuple[None, None]
-    )
+    from repro.motion.moving import MovingPoint
 
 Env = dict[str, object]
 
@@ -51,10 +44,12 @@ class EvalOptions:
     Every field defaults to on and every off-twin is proven identical by
     a differential wall (DESIGN.md §8.1), so production callers pass
     nothing; tests and benches select a baseline with
-    ``dataclasses.replace(DEFAULT, batch_solver=False)`` or
-    :data:`ORACLE`.  Frozen and picklable: one instance is shared by
-    every refresh of a continuous query and crosses the shard-worker
-    boundary.
+    ``dataclasses.replace(DEFAULT, index_pruning=False)`` or
+    :data:`ORACLE`.  The batch kinetic backend is not a layer: every
+    atom row whose motion is one plain linear leg takes it, whatever the
+    options (DESIGN.md §8).  Frozen and picklable: one instance is
+    shared by every refresh of a continuous query and crosses the
+    shard-worker boundary.
     """
 
     #: Evaluate through a cost-ordered plan (built from the history's
@@ -65,9 +60,6 @@ class EvalOptions:
     index_pruning: bool = True
     #: Reuse kinetic solves through the database-wide memo table.
     solve_cache: bool = True
-    #: Submit each atom's surviving instantiations to the vectorized
-    #: kinetic backend as one batch (DESIGN.md §8).
-    batch_solver: bool = True
     #: Continuous queries only: the temporal-validity gate, stamped
     #: solve reuse and horizon subtree skipping (DESIGN.md §11).
     validity_horizons: bool = True
@@ -83,7 +75,6 @@ ORACLE = EvalOptions(
     ordered=False,
     index_pruning=False,
     solve_cache=False,
-    batch_solver=False,
     validity_horizons=False,
 )
 
@@ -120,14 +111,12 @@ class EvalContext:
                     )
                 self._domains[var] = list(values)
         self._movers: dict[object, "MovingPoint"] = {}
-        #: oid -> its motion over the window as :meth:`legs` returns it.
-        self._legs: dict[object, Legs] = {}
         self._motion_tokens: dict[object, object] = {}
         self._pruner: "AtomIndexPruner | None" = None
 
     # ------------------------------------------------------------------
     def reset_memos(self) -> None:
-        """Drop the per-context mover/leg/motion-token memos and the lazy
+        """Drop the per-context mover/motion-token memos and the lazy
         atom-index pruner.
 
         The memos hold references into the parent process's object graph;
@@ -136,7 +125,6 @@ class EvalContext:
         than trust another address space's snapshots.
         """
         self._movers.clear()
-        self._legs.clear()
         self._motion_tokens.clear()
         self._pruner = None
 
@@ -150,55 +138,6 @@ class EvalContext:
             mover = self.history.moving_point(object_id)
             self._movers[object_id] = mover
         return mover
-
-    def legs(self, object_id: object) -> Legs:
-        """One object's motion over the window, memoized: ``("single",
-        (origin, velocity))`` — the one leg's position at the window
-        start and its velocity, as float coordinates —, ``("multi",
-        pieces)``, or ``(None, None)`` when it is not piecewise linear;
-        raises exactly as :meth:`moving_point` would.  A linear mover's
-        leg is read off its class's motion columns (:meth:`_column_leg`);
-        every other object takes the scalar path.  Every atom solved on
-        this context reads one entry per object (the batch backend's
-        input, :class:`~repro.ftl.atoms.KineticBatch`)."""
-        entry = self._legs.get(object_id)
-        if entry is None:
-            entry = self._column_leg(object_id)
-            if entry is None:
-                mover = self.moving_point(object_id)
-                leg = mover.single_leg(self.start, self.end)
-                if leg is not None:
-                    entry = ("single", (leg.origin.coords, leg.velocity.coords))
-                else:
-                    pieces = mover.linear_pieces(self.start, self.end)
-                    entry = (
-                        ("multi", pieces) if pieces is not None else (None, None)
-                    )
-            self._legs[object_id] = entry
-        return entry
-
-    def _column_leg(self, object_id: object) -> Legs | None:
-        """A linear mover's single leg, gathered from its class's motion
-        columns (:meth:`column_legs`), or ``None`` when the object takes
-        the scalar path (a recorded history, an unknown or nonspatial
-        object, or motion :func:`~repro.core.columns.linear_legs` does
-        not qualify)."""
-        from repro.core.history import FutureHistory
-
-        history = self.history
-        if not isinstance(history, FutureHistory):
-            return None
-        try:
-            columns, number = history.motion_slot(object_id)
-        except QueryError:
-            return None
-        if not columns.dim:
-            return None
-        rows = columns.positions((number,))
-        linear, origin, velocity = self.column_legs(rows)
-        if not linear[0]:
-            return None
-        return ("single", (origin[0].tolist(), velocity[0].tolist()))
 
     def column_legs(
         self, rows: "MotionRows"

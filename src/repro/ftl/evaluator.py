@@ -120,27 +120,22 @@ class _SolveRequest:
     """One instantiation's pending kinetic solve on the scalar path (the
     rows :meth:`IntervalEvaluator._column_rows` does not take).
 
-    ``solve`` is the scalar closure (exactly what the pre-batch evaluator
-    ran); ``key`` its cache identity; ``post`` an optional transform of
-    the cached value (OUTSIDE complements the stored *inside* set);
-    ``vec`` the batch descriptor the :class:`~repro.ftl.atoms.
-    KineticBatch` classifies, or ``None`` when only the scalar path
-    applies.
+    ``solve`` is the scalar closure; ``key`` its cache identity; ``post``
+    an optional transform of the cached value (OUTSIDE complements the
+    stored *inside* set).
     """
 
-    __slots__ = ("key", "solve", "post", "vec")
+    __slots__ = ("key", "solve", "post")
 
     def __init__(
         self,
         key: object,
         solve: "Callable[[], IntervalSet]",
         post: "Callable[[IntervalSet], IntervalSet] | None" = None,
-        vec: tuple | None = None,
     ) -> None:
         self.key = key
         self.solve = solve
         self.post = post
-        self.vec = vec
 
 
 class _ColumnRows:
@@ -151,10 +146,10 @@ class _ColumnRows:
     row the scalar path takes; ``keys`` are the column rows' cache keys
     (``None`` without a cache), ``post`` the atom's transform of a solved
     value.  An attribute comparison comes solved (``values``); the other
-    kinds queue the column rows ``picks`` on a batch (``submit``).
+    kinds queue the column rows ``picks`` on a batch (``enqueue``).
     """
 
-    __slots__ = ("slot", "keys", "post", "values", "submit")
+    __slots__ = ("slot", "keys", "post", "values", "enqueue")
 
     def __init__(
         self,
@@ -162,13 +157,13 @@ class _ColumnRows:
         keys: list[object] | None,
         post: "_Post" = None,
         values: list[IntervalSet] | None = None,
-        submit: "Callable[[KineticBatch, list[int]], tuple] | None" = None,
+        enqueue: "Callable[[KineticBatch, list[int]], tuple] | None" = None,
     ) -> None:
         self.slot = slot
         self.keys = keys
         self.post = post
         self.values = values
-        self.submit = submit
+        self.enqueue = enqueue
 
 
 def _numbers(columns: "MotionColumns", ids: list[object]) -> list[int]:
@@ -244,7 +239,7 @@ class IntervalEvaluator:
         self.ctx = ctx
         #: The acceleration layers in force.  ``ordered`` and
         #: ``validity_horizons`` are consumed by whoever builds ``plan``
-        #: and ``validity``; the evaluator reads the other four.
+        #: and ``validity``; the evaluator reads the other three.
         self.options = options
         #: When given, every computed ``R_g`` is recorded here keyed by
         #: ``id(subformula)`` — the per-subformula cache that incremental
@@ -462,16 +457,14 @@ class IntervalEvaluator:
         return self._batched_rows(f, free, self._rows(free))
 
     def _use_batch(self) -> bool:
-        """Whether atoms go through the batch kinetic backend.
+        """Whether an atom's rows may take the column path into the batch
+        kinetic backend.
 
         Zero-length windows stay scalar: their degenerate zero-velocity
         leg is synthesized inside the scalar pairing fallback, which the
-        coefficient extraction intentionally does not reproduce."""
-        return (
-            self.options.batch_solver
-            and self.options.analytic_atoms
-            and self.ctx.start < self.ctx.end
-        )
+        column kernels intentionally do not reproduce.  With
+        ``analytic_atoms`` off every atom samples."""
+        return self.options.analytic_atoms and self.ctx.start < self.ctx.end
 
     def _batched_rows(
         self, f: Formula, free: list[str], insts: Iterable[Instantiation]
@@ -521,31 +514,31 @@ class IntervalEvaluator:
 
         Rows whose motion is one plain linear leg — for an attribute
         comparison, one linear attribute row — take the column path
-        (:meth:`_column_rows`): their keys, legs and attribute answers
-        come a column at a time, and their misses enter the batch as
-        arrays.  Every other row builds a request (:meth:`_atom_request`):
-        fallback laws, multi-leg movers, unindexed, unknown or raising
-        ids, dimension mismatches, and every row of a zero-length window
-        or of a run with ``batch_solver`` or ``analytic_atoms`` off.  One
-        loop walks both in product order and probes the cache once per
-        row — a key a queued row already produces is read back after the
-        batch, as an inline solve would have hit it — then the batch is
-        solved and its answers fill the cache and the rows.  Only
-        requests raise, so the same row raises the same error first, and
-        the relation, the counters and the cache contents do not depend
-        on which path a row took.
+        (:meth:`_column_rows`), the one way into the batch backend: their
+        keys, legs and attribute answers come a column at a time, and
+        their misses enter one :class:`~repro.ftl.atoms.KineticBatch` as
+        arrays.  Every other row runs its scalar closure inline
+        (:meth:`_atom_request`): fallback laws, multi-leg movers, rows of
+        a recorded history, unindexed, unknown or raising ids, dimension
+        mismatches, an atom whose bound names a row variable, and every
+        row of a zero-length window or of a run with ``analytic_atoms``
+        off.  One loop walks both in product order and probes the cache
+        once per row — a key a queued row already produces is read back
+        after the batch, as an inline solve would have hit it — then the
+        batch is solved and its answers fill the cache and the rows.
+        Only the scalar closures raise, so the same row raises the same
+        error first, and the relation, the counters and the cache
+        contents do not depend on which path a row took.
         """
         cache = self._solve_cache
         stamp = self._stamp_for(f)
-        kbatch = KineticBatch(self.ctx) if self._use_batch() else None
         column = (
             self._column_rows(f, free, todo, cache is not None)
-            if kbatch is not None and todo
+            if todo and self._use_batch()
             else None
         )
         results: list[IntervalSet] = [EMPTY_SET] * len(todo)
-        # (row, key, post, batch handle or None for a column row)
-        queued: list[tuple[int, object, _Post, tuple | None]] = []
+        queued: list[tuple[int, object]] = []  # (row, key) of column misses
         # (row, key, post, scalar re-solve or None for a column row)
         deferred: list[tuple[int, object, _Post, _Solve | None]] = []
         pending: set = set()  # keys whose producing row is still queued
@@ -604,31 +597,22 @@ class IntervalEvaluator:
             self.kinetic_solves += 1
             stats["solves"] += 1
             if solve is None:
-                handle = None
                 misses.append(c)
-            elif (
-                kbatch is None
-                or req.vec is None
-                or (handle := kbatch.submit(req.vec)) is None
-            ):
-                value = solve()  # not batched: solve inline
+                queued.append((j, key))
                 if cacheable:
-                    cache.put(key, value, stamp)
-                results[j] = value if post is None else post(value)
+                    pending.add(key)
                 continue
+            value = solve()
             if cacheable:
-                pending.add(key)
-            queued.append((j, key, post, handle))
+                cache.put(key, value, stamp)
+            results[j] = value if post is None else post(value)
         produced: dict[object, IntervalSet] = {}
-        if kbatch is not None:
-            bulk = column.submit(kbatch, misses) if misses else None
+        if misses:
+            kbatch = KineticBatch(self.ctx)
+            handle = column.enqueue(kbatch, misses)
             kbatch.solve()
-            solved = iter(kbatch.results(bulk) if bulk is not None else ())
-            for j, key, post, handle in queued:
-                if handle is None:
-                    value = next(solved)
-                else:
-                    value = kbatch.result(handle)
+            post = column.post
+            for (j, key), value in zip(queued, kbatch.results(handle)):
                 if cache is not None and key is not None:
                     cache.put(key, value, stamp)
                     produced[key] = value
@@ -804,12 +788,12 @@ class IntervalEvaluator:
             def post(inside: IntervalSet) -> IntervalSet:
                 return inside.complement(within)
 
-        def submit(kbatch: KineticBatch, misses: list[int]) -> tuple:
+        def enqueue(kbatch: KineticBatch, misses: list[int]) -> tuple:
             return kbatch.submit_region_rows(
                 region, origin[misses], velocity[misses]
             )
 
-        return _ColumnRows(_slots(len(todo), picks), keys, post, submit=submit)
+        return _ColumnRows(_slots(len(todo), picks), keys, post, enqueue=enqueue)
 
     def _sphere_columns(
         self,
@@ -881,7 +865,7 @@ class IntervalEvaluator:
             else:
                 keys = [(*prefix, ta, tb) for ta, tb in zip(tokens_a, tokens_b)]
 
-        def submit(kbatch: KineticBatch, misses: list[int]) -> tuple:
+        def enqueue(kbatch: KineticBatch, misses: list[int]) -> tuple:
             return kbatch.submit_pair_rows(
                 origin_a[misses],
                 velocity_a[misses],
@@ -891,7 +875,7 @@ class IntervalEvaluator:
                 at_least,
             )
 
-        return _ColumnRows(_slots(len(todo), picks), keys, submit=submit)
+        return _ColumnRows(_slots(len(todo), picks), keys, enqueue=enqueue)
 
     def _attr_terms(self, f: Compare) -> tuple[Attr, Term, str] | None:
         """``o.attr op bound`` normalised with the attribute on the left,
@@ -1055,7 +1039,7 @@ class IntervalEvaluator:
         Immediate answers (sampled atoms, invariant comparisons, the
         attribute fast path, per-tick fallbacks) come back as interval
         sets; the kinetic atom kinds come back as requests the row loop
-        answers from the cache, queues for the batch or solves inline.
+        answers from the cache or solves inline.
         """
         ctx = self.ctx
         window = ctx.window
@@ -1088,10 +1072,7 @@ class IntervalEvaluator:
 
                 post = complement_inside
             return _SolveRequest(
-                region_solve_key(ctx, region, obj_id),
-                solve_region,
-                post,
-                ("region", obj_id, region),
+                region_solve_key(ctx, region, obj_id), solve_region, post
             )
 
         if isinstance(f, WithinSphere):
@@ -1103,10 +1084,7 @@ class IntervalEvaluator:
                 return dense.discretized().clip(ctx.start, ctx.end)
 
             return _SolveRequest(
-                sphere_solve_key(ctx, f.radius, obj_ids),
-                solve_sphere,
-                None,
-                ("sphere", obj_ids, f.radius),
+                sphere_solve_key(ctx, f.radius, obj_ids), solve_sphere
             )
 
         if isinstance(f, Compare):
@@ -1199,10 +1177,7 @@ class IntervalEvaluator:
             return dense.discretized().clip(ctx.start, ctx.end)
 
         return _SolveRequest(
-            dist_solve_key(ctx, op, float(bound), a, b),
-            solve_dist,
-            None,
-            ("dist", a, b, float(bound), op == ">="),
+            dist_solve_key(ctx, op, float(bound), a, b), solve_dist
         )
 
     def _attr_fast_path(
@@ -1236,11 +1211,14 @@ class IntervalEvaluator:
                 ctx.end - triple.updatetime + 1
             )
             sentinel = max(1e12, span * 10)
+            lo, hi = max(lo, -sentinel), min(hi, sentinel)
+            if hi < lo:  # a bound beyond the sentinel: never reached
+                return EMPTY_SET
             dense = when_value_in_range(
                 triple.value,
                 triple.function,
-                max(lo, -sentinel),
-                min(hi, sentinel),
+                lo,
+                hi,
                 ctx.window,
                 anchor_time=triple.updatetime,
             )

@@ -5,21 +5,26 @@ instantiation at a time; dense worlds submit thousands of near-identical
 quadratic solves per atom.  This module answers *all* surviving rows of an
 atom in one numpy pass:
 
-* linear-motion ``DIST`` / ball / ``WITHIN_SPHERE`` rows reduce to
-  vectorized quadratic root-finding over coefficient arrays, one entry per
-  linear breakpoint piece (:class:`DistanceBatch`);
-* polygon ``INSIDE`` / ``OUTSIDE`` rows run as a batched edge-crossing
-  sweep plus a vectorized containment classifier (:class:`PolygonBatch`);
-* everything else (nonlinear motion, ``SinusoidFunction``, unknown motion,
-  degenerate windows) stays on the scalar root-isolation fallback — the
+* single-leg ``DIST`` / ball / ``WITHIN_SPHERE`` rows reduce to
+  vectorized quadratic root-finding over coefficient arrays, one lane per
+  row (:class:`DistanceBatch`);
+* single-leg polygon ``INSIDE`` / ``OUTSIDE`` rows run as a batched
+  edge-crossing sweep plus a vectorized containment classifier
+  (:class:`PolygonBatch`);
+* everything else (multi-leg or nonlinear motion, ``SinusoidFunction``,
+  unknown motion, degenerate windows) stays on the scalar solvers — the
   caller simply does not enqueue those rows.
+
+Queued rows are slots of one :class:`LinearTable`: each mover's leg
+position at the window start and its velocity.
 
 Every vectorized kernel replicates the scalar solver's floating-point
 arithmetic operation-for-operation (same association, same tolerances,
 including the PR 4 grazing-contact recovery), so the interval sets it
 returns are equal — via ``IntervalSet.__eq__`` — to the scalar answers,
-not merely close.  The differential wall in
-``tests/ftl/test_batch_solver.py`` and the hypothesis properties in
+not merely close.  The evaluator-level differential walls
+(``tests/ftl/test_atom_kernels.py`` and its batch-against-scalar
+sibling) and the hypothesis properties in
 ``tests/motion/test_batch_primitives.py`` enforce this.
 """
 
@@ -296,12 +301,12 @@ def value_band(
     repeated operation for operation: the open side becomes a sentinel
     beyond any value the window reaches, ``max`` / ``min`` keep their
     first argument unless the second is strictly beyond it (NaN
-    included), a slope too small to move the value is a constant, and
+    included), a bound beyond the sentinel is never reached, a slope
+    that cannot move the value by the window's end is a constant, and
     each bound is divided by the slope.  A row is not taken — the scalar
-    path must solve it — when the scalar solve raises (the range comes
-    out empty), when its update time cuts the window in two, or when an
-    int coefficient is too large for float64 to repeat the scalar int
-    arithmetic exactly.
+    path must solve it — when its update time cuts the window in two,
+    or when an int coefficient is too large for float64 to repeat the
+    scalar int arithmetic exactly.
     """
     width = end - start
     with np.errstate(all="ignore"):
@@ -314,7 +319,7 @@ def value_band(
         else:
             lo = np.where(-sentinel > -np.inf, -sentinel, -np.inf)
             hi = np.where(sentinel < bound, sentinel, bound)
-        taken = ~(hi < lo) & ~((start < u) & (u < end))
+        taken = ~((start < u) & (u < end))
         small = (
             (np.abs(v) <= _INT_SAFE)
             & (np.abs(u) <= _INT_SAFE)
@@ -323,14 +328,14 @@ def value_band(
         window_small = max(abs(start), abs(end)) <= _INT_SAFE
         taken &= (intflags == 0) | (small & window_small)
         v0 = v + k * (start - u)
-        flat = (k == 0) | (np.abs(k) * width <= 1e-12 * np.abs(v0))
+        flat = (k == 0) | (v0 + k * width == v0)
         s_lo = (lo - v0) / k
         s_hi = (hi - v0) / k
         swap = s_lo > s_hi
         s_lo, s_hi = np.where(swap, s_hi, s_lo), np.where(swap, s_lo, s_hi)
         s0 = np.where(0.0 > s_lo, 0.0, s_lo)
         s1 = np.where(width < s_hi, width, s_hi)
-        ok = np.where(flat, (lo <= v0) & (v0 <= hi), s0 <= s1)
+        ok = np.where(flat, (lo <= v0) & (v0 <= hi), s0 <= s1) & ~(hi < lo)
         s0 = np.where(flat, 0.0, s0)
         s1 = np.where(flat, width, s1)
     return taken, _tick_pieces(
@@ -344,26 +349,17 @@ def value_band(
 class DistanceBatch:
     """Queued ``DIST(m1, m2) <= r`` (or ``>= r``) rows, solved in one pass.
 
-    Single-leg pairs are stored as slot indices into a
-    :class:`LinearTable`; multi-leg pairs contribute their pre-paired
-    relative-motion legs (from ``kinetic.paired_legs``) directly.
+    Each row is a pair of slots into a :class:`LinearTable`: two
+    single-leg movers over the whole window.
     """
 
     def __init__(self, table: LinearTable) -> None:
         self._table = table
         self._n = 0
-        self._pair_rows: list[np.ndarray] = []
         self._pair_i: list[np.ndarray] = []
         self._pair_j: list[np.ndarray] = []
         self._pair_rr: list[np.ndarray] = []
         self._pair_neg: list[np.ndarray] = []
-        self._leg_rows: list[int] = []
-        self._leg_lo: list[float] = []
-        self._leg_hi: list[float] = []
-        self._leg_d0: list[tuple[float, ...]] = []
-        self._leg_dv: list[tuple[float, ...]] = []
-        self._leg_rr: list[float] = []
-        self._leg_neg: list[bool] = []
 
     def __len__(self) -> int:
         return self._n
@@ -376,87 +372,31 @@ class DistanceBatch:
         k = len(slots1)
         rows = np.arange(self._n, self._n + k)
         self._n += k
-        self._pair_rows.append(rows)
         self._pair_i.append(slots1)
         self._pair_j.append(slots2)
         self._pair_rr.append(np.full(k, r * r, dtype=float))
         self._pair_neg.append(np.full(k, at_least, dtype=bool))
         return rows
 
-    def add_legs(
-        self,
-        legs: Sequence[tuple[float, float, Point, Point]],
-        r: float,
-        at_least: bool,
-    ) -> int:
-        """Queue a multi-leg pair as explicit relative-motion legs."""
-        row = self._n
-        self._n += 1
-        rr = r * r
-        for lo, hi, d0, dv in legs:
-            o = d0.coords
-            v = dv.coords
-            pad = (0.0,) * (3 - len(o))
-            self._leg_rows.append(row)
-            self._leg_lo.append(lo)
-            self._leg_hi.append(hi - lo)
-            self._leg_d0.append(o + pad)
-            self._leg_dv.append(v + pad)
-            self._leg_rr.append(rr)
-            self._leg_neg.append(at_least)
-        return row
-
     def solve(self) -> Pieces:
         """Answer every queued row: its clipped DISCRETE intervals, as
         kernel output (:func:`interval_sets` makes them sets)."""
-        start, end = self._table.start, self._table.end
-        d0_parts = []
-        dv_parts = []
-        lo_parts = []
-        hi_parts = []
-        rr_parts = []
-        neg_parts = []
-        row_parts = []
-        if self._pair_rows:
-            origins, velocities = self._table.columns()
-            i = np.concatenate(self._pair_i)
-            j = np.concatenate(self._pair_j)
-            o1, v1 = origins[i], velocities[i]
-            o2, v2 = origins[j], velocities[j]
-            # The scalar leg evaluates each piece at the window start:
-            # position_at(start) = origin + velocity * 0.
-            p1 = o1 + v1 * 0.0
-            p2 = o2 + v2 * 0.0
-            d0_parts.append(p1 - p2)
-            dv_parts.append(v1 - v2)
-            n = len(i)
-            lo_parts.append(np.full(n, float(start)))
-            hi_parts.append(np.full(n, float(end - start)))
-            rr_parts.append(np.concatenate(self._pair_rr))
-            neg_parts.append(np.concatenate(self._pair_neg))
-            row_parts.append(np.concatenate(self._pair_rows))
-        if self._leg_rows:
-            d0_parts.append(
-                np.asarray(self._leg_d0, dtype=float).reshape(-1, 3)
-            )
-            dv_parts.append(
-                np.asarray(self._leg_dv, dtype=float).reshape(-1, 3)
-            )
-            lo_parts.append(np.asarray(self._leg_lo, dtype=float))
-            hi_parts.append(np.asarray(self._leg_hi, dtype=float))
-            rr_parts.append(np.asarray(self._leg_rr, dtype=float))
-            neg_parts.append(np.asarray(self._leg_neg, dtype=bool))
-            row_parts.append(np.asarray(self._leg_rows, dtype=np.int64))
-        if not d0_parts:
+        if not self._n:
             return _concat([])
-
-        d0 = np.concatenate(d0_parts)
-        dv = np.concatenate(dv_parts)
-        lo = np.concatenate(lo_parts)
-        hi = np.concatenate(hi_parts)
-        rr = np.concatenate(rr_parts)
-        neg = np.concatenate(neg_parts)
-        rows = np.concatenate(row_parts)
+        start, end = self._table.start, self._table.end
+        origins, velocities = self._table.columns()
+        i = np.concatenate(self._pair_i)
+        j = np.concatenate(self._pair_j)
+        o1, v1 = origins[i], velocities[i]
+        o2, v2 = origins[j], velocities[j]
+        # The scalar leg evaluates each piece at the window start:
+        # position_at(start) = origin + velocity * 0.
+        d0 = (o1 + v1 * 0.0) - (o2 + v2 * 0.0)
+        dv = v1 - v2
+        rows = np.arange(self._n)
+        hi = np.full(self._n, float(end - start))
+        rr = np.concatenate(self._pair_rr)
+        neg = np.concatenate(self._pair_neg)
 
         # a = |dv|^2, b = 2 d0.dv, c = |d0|^2 - r^2, accumulated in the
         # same left-to-right order as Point.norm_squared / Point.dot.
@@ -476,6 +416,7 @@ class DistanceBatch:
         b = np.where(neg, -b, b)
         c = np.where(neg, -c, c)
 
+        lo = float(start)
         lo0, hi0, ok0, lo1, hi1, ok1 = _quadratic_slots(a, b, c, hi)
         return _concat(
             [
@@ -541,14 +482,7 @@ class PolygonBatch:
         self._polygon = polygon
         self._table = table
         self._n = 0
-        # One entry per (row, leg).
-        self._ent_row: list[int] = []
-        self._ent_lo: list[float] = []
-        self._ent_smax: list[float] = []
-        self._ent_o: list[tuple[float, float]] = []
-        self._ent_v: list[tuple[float, float]] = []
-        self._pair_entries: list[int] = []  # entries still needing o/v gather
-        self._pair_slots: list[np.ndarray] = []
+        self._slots: list[np.ndarray] = []
 
     def __len__(self) -> int:
         return self._n
@@ -557,38 +491,16 @@ class PolygonBatch:
         """Queue single-leg 2-D movers registered in the table, one row
         per slot; returns their rows."""
         k = len(slots)
-        rows = range(self._n, self._n + k)
+        rows = np.arange(self._n, self._n + k)
         self._n += k
-        first = len(self._ent_row)
-        self._ent_row.extend(rows)
-        self._ent_lo.extend([self._table.start] * k)
-        self._ent_smax.extend([self._table.end - self._table.start] * k)
-        # Patched from the table at solve().
-        self._ent_o.extend([(0.0, 0.0)] * k)
-        self._ent_v.extend([(0.0, 0.0)] * k)
-        self._pair_entries.extend(range(first, first + k))
-        self._pair_slots.append(slots)
-        return np.arange(rows.start, rows.stop)
-
-    def add_legs(
-        self, legs: Sequence[tuple[float, float, Point, Point]]
-    ) -> int:
-        """Queue a multi-leg mover as explicit relative-motion legs."""
-        row = self._n
-        self._n += 1
-        for lo, hi, d0, dv in legs:
-            self._ent_row.append(row)
-            self._ent_lo.append(lo)
-            self._ent_smax.append(hi - lo)
-            self._ent_o.append((d0.x, d0.y))
-            self._ent_v.append((dv.x, dv.y))
-        return row
+        self._slots.append(slots)
+        return rows
 
     def solve(self) -> Pieces:
         """Answer every queued row: the clipped DISCRETE intervals of its
         *inside* set, as kernel output.
 
-        Per entry, as the scalar sweep: the event instants are the set of
+        Per row, as the scalar sweep: the event instants are the set of
         both ends of the leg and its edge crossings, each gap between two
         consecutive events is classified at its midpoint and each event
         at itself, and the contained ones become pieces.  The event sets
@@ -596,25 +508,21 @@ class PolygonBatch:
         (NaN marks no event) and sorted again, so each row holds its
         distinct events first in increasing order."""
         start, end = self._table.start, self._table.end
-        n_ent = len(self._ent_row)
-        if not n_ent:
+        n = self._n
+        if not n:
             return _concat([])
-        o = np.asarray(self._ent_o, dtype=float).reshape(-1, 2)
-        v = np.asarray(self._ent_v, dtype=float).reshape(-1, 2)
-        if self._pair_entries:
-            origins, velocities = self._table.columns()
-            ent = np.asarray(self._pair_entries, dtype=int)
-            slots = np.concatenate(self._pair_slots)
-            go = origins[slots][:, :2]
-            gv = velocities[slots][:, :2]
-            # Scalar leg: d0 = m.position_at(start) - reference(0, 0),
-            # dv = velocity - 0; position_at(start) = origin + velocity*0.
-            o[ent] = (go + gv * 0.0) - 0.0
-            v[ent] = gv - 0.0
-        smax = np.asarray(self._ent_smax, dtype=float)
+        origins, velocities = self._table.columns()
+        slots = np.concatenate(self._slots)
+        go = origins[slots][:, :2]
+        gv = velocities[slots][:, :2]
+        # Scalar leg: d0 = m.position_at(start) - reference(0, 0),
+        # dv = velocity - 0; position_at(start) = origin + velocity*0.
+        o = (go + gv * 0.0) - 0.0
+        v = gv - 0.0
+        smax = np.full(n, float(end - start))
 
         events = np.concatenate(
-            [np.zeros((n_ent, 1)), smax[:, None], self._crossings(o, v, smax)],
+            [np.zeros((n, 1)), smax[:, None], self._crossings(o, v, smax)],
             axis=1,
         )
         events.sort(axis=1)
@@ -632,9 +540,9 @@ class PolygonBatch:
         contained = self._contains(
             o, v, probe_ent, np.concatenate([midpoints, first[ent_m.size :]])
         )
-        lo = np.asarray(self._ent_lo, dtype=float)[probe_ent]
+        lo = float(start)
         return _tick_pieces(
-            np.asarray(self._ent_row, dtype=np.int64)[probe_ent],
+            probe_ent,
             lo + first,
             lo + last,
             contained,

@@ -514,11 +514,12 @@ def _linear_band(
     v0: float, slope: float, lo: float, hi: float, span: float
 ) -> list[tuple[float, float]]:
     """Solve ``lo <= v0 + slope*s <= hi`` for ``s`` in ``[0, span]``."""
-    # A slope too small to representably change v0 within the window is a
-    # constant for all practical purposes (denormal slopes otherwise yield
-    # astronomically wrong crossing times).  With v0 == 0 nothing absorbs,
-    # so the guard stays relative to |v0| only.
-    if slope == 0 or abs(slope) * span <= 1e-12 * abs(v0):
+    # A slope that cannot representably change v0 by the end of the span
+    # cannot change it at any instant before, so the value is a constant
+    # (denormal slopes otherwise yield astronomically wrong crossing
+    # times).  A slope that does change it is solved, however small:
+    # the change may carry the value across a bound.
+    if slope == 0 or v0 + slope * span == v0:
         return [(0.0, span)] if lo <= v0 <= hi else []
     s_lo = (lo - v0) / slope
     s_hi = (hi - v0) / slope

@@ -19,8 +19,9 @@ after every step that
   triples: the pruner's class tables (whole class and a member view)
   against the scalar build, each motion token against the tuple of
   position triples it replaced (equal exactly when those are, with equal
-  hashes), each leg of the batch solver against the scalar
-  ``MovingPoint`` leg, and the shard snapshot against the export.
+  hashes), each leg the column path gathers
+  (``EvalContext.column_legs``) against the scalar ``MovingPoint`` leg,
+  and the shard snapshot against the export.
 
 ``EvalContext.dirty_domain`` / ``clean_domain`` are held to a test-local
 copy of the domain walk they replaced, order included.
@@ -136,20 +137,20 @@ def check_readers(db, rng):
             history, end - start, {"c": "cars", "d": "depots"}
         )
         everyone = history.object_ids("cars") + history.object_ids("depots")
-        for oid in everyone:
-            kind, legs = ctx.legs(oid)
-            mover = history.moving_point(oid)
-            leg = mover.single_leg(start, end)
-            if leg is not None:
-                assert kind == "single"
-                origin, velocity = legs
-                assert bits(np.array(origin)) == bits(np.array(leg.origin.coords))
-                assert bits(np.array(velocity)) == bits(np.array(leg.velocity.coords))
-            else:
-                pieces = mover.linear_pieces(start, end)
-                assert (kind, legs) == (
-                    ("multi", pieces) if pieces is not None else (None, None)
-                )
+        for cls in CLASSES:
+            columns = db.motion_columns(cls)
+            ids = history.object_ids(cls)
+            block = columns.positions([columns.index[oid] for oid in ids])
+            linear, origins, velocities = ctx.column_legs(block)
+            for oid, qualifies, origin, velocity in zip(
+                ids, linear, origins, velocities
+            ):
+                if not qualifies:  # not one plain leg: the scalar path's
+                    continue
+                leg = history.moving_point(oid).single_leg(start, end)
+                assert leg is not None
+                assert bits(origin) == bits(np.array(leg.origin.coords))
+                assert bits(velocity) == bits(np.array(leg.velocity.coords))
     for a in everyone:
         for b in everyone:
             new_a, new_b = motion_token(history, a), motion_token(history, b)
@@ -348,11 +349,14 @@ def test_column_legs_follow_the_scalar_leg(value, slope, when, horizon):
         "y_position": DynamicAttribute(-0.0, when, LinearFunction(slope)),
     })
     history = FutureHistory(db)
-    kind, (origin, velocity) = EvalContext(history, horizon, {}).legs("d")
+    columns = db.motion_columns("depots")
+    (qualifies,), (origin,), (velocity,) = EvalContext(
+        history, horizon, {}
+    ).column_legs(columns.positions([columns.index["d"]]))
     leg = history.moving_point("d").single_leg(0, horizon)
-    assert kind == "single"
-    assert bits(np.array(origin)) == bits(np.array(leg.origin.coords))
-    assert bits(np.array(velocity)) == bits(np.array(leg.velocity.coords))
+    assert qualifies
+    assert bits(origin) == bits(np.array(leg.origin.coords))
+    assert bits(velocity) == bits(np.array(leg.velocity.coords))
 
 
 def test_a_nan_value_stays_out_of_the_float_columns():

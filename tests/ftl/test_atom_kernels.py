@@ -7,8 +7,9 @@ closed-form pass (``repro.motion.batch.value_band``).  Every other row
 keeps the per-row request path.  The wall drives random fleets — linear,
 piecewise, sinusoid and inexact laws, NaN, ``-0.0`` and int
 coefficients, update times inside the window, unknown ids, 2-D and 3-D
-classes, polygons and balls — through ``_batched_rows`` with the batch
-on (the column path) and off (every row scalar), and demands identical
+classes, polygons and balls — through ``_batched_rows`` on the default
+path and on the scalar reference (every row's scalar closure inline,
+``scalar_reference`` of ``test_batch_solver``), and demands identical
 relations (endpoint types included), counters, per-atom statistics and
 cache contents, or the same first error.  The closed-form cases below
 hand-derive the answers of the attribute kernel and of gathered
@@ -16,7 +17,7 @@ hand-derive the answers of the attribute kernel and of gathered
 """
 
 import math
-from dataclasses import replace
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -40,7 +41,7 @@ from repro.ftl.ast import (
     Var,
     WithinSphere,
 )
-from repro.ftl.context import DEFAULT, EvalContext
+from repro.ftl.context import EvalContext
 from repro.ftl.evaluator import IntervalEvaluator
 from repro.geometry import Point
 from repro.motion.functions import (
@@ -52,9 +53,10 @@ from repro.spatial import Polygon
 from repro.spatial.regions import Ball
 from repro.temporal import DISCRETE, IntervalSet
 
+from tests.ftl.test_batch_solver import scalar_reference
+
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
-SCALAR = replace(DEFAULT, batch_solver=False)
 DIMS = {"cars": 2, "vans": 2, "drones": 3}
 AXES = ("x_position", "y_position", "z_position")
 
@@ -177,8 +179,7 @@ def build(spec, start):
     return db
 
 
-#: Bounds beyond any sentinel make the scalar band raise ("empty value
-#: range"), which the column path must leave to it.
+#: Bounds beyond any sentinel are never reached, on either path.
 bounds = st.sampled_from(
     [0, 1, 2.5, 4, -1, 7.25, 30, math.nan, -0.0, 1e6, 1e13, -1e13]
 )
@@ -220,7 +221,7 @@ def exact(iset):
     ]
 
 
-def outcome(db, f, bindings, rows, start, horizon, options):
+def outcome(db, f, bindings, rows, start, horizon, scalar):
     """One side's whole record: per pass the relation rows (exact), the
     counters, the per-atom statistics and the cache contents (exact), or
     the first error."""
@@ -233,9 +234,10 @@ def outcome(db, f, bindings, rows, start, horizon, options):
         windows.append((start + 1, horizon - 1))  # a window-shifted refresh
     for begin, length in windows:
         ctx = EvalContext(FutureHistory(db, begin), length, bindings)
-        ev = IntervalEvaluator(ctx, options=options, validity={id(f): math.inf})
+        ev = IntervalEvaluator(ctx, validity={id(f): math.inf})
         try:
-            relation = ev._batched_rows(f, free, list(rows))
+            with scalar_reference() if scalar else nullcontext():
+                relation = ev._batched_rows(f, free, list(rows))
         except (ReproError, ValueError, ZeroDivisionError) as exc:
             passes.append(("raised", type(exc), str(exc)))
             break
@@ -277,8 +279,8 @@ def test_column_path_equals_the_scalar_rows(spec, atom, start, horizon, ghosts):
         rows = [(*row, value) for row in rows for value in domain]
     for at in ghosts:  # unknown ids, which raise on the solve path
         rows.insert(at % (len(rows) + 1), tuple("ghost" for _ in free))
-    got = outcome(db, f, bindings, rows, start, horizon, DEFAULT)
-    want = outcome(db, f, bindings, rows, start, horizon, SCALAR)
+    got = outcome(db, f, bindings, rows, start, horizon, False)
+    want = outcome(db, f, bindings, rows, start, horizon, True)
     assert got == want, f
 
 
@@ -307,7 +309,8 @@ def test_the_wall_reaches_the_column_path(monkeypatch):
         "RETRIEVE o FROM cars o WHERE 1 <= o.y_position",
     ):
         query = parse_query(text)
-        want = query.evaluate(FutureHistory(db), 12, options=SCALAR)
+        with scalar_reference():
+            want = query.evaluate(FutureHistory(db), 12)
         assert calls
         calls.clear()
         db.kinetic_cache.clear()
@@ -330,7 +333,8 @@ def answer(db, text, horizon=10):
     scalar path and equal to the naive evaluator's."""
     query = parse_query(text)
     got = query.evaluate(FutureHistory(db), horizon)
-    scalar = query.evaluate(FutureHistory(db), horizon, options=SCALAR)
+    with scalar_reference():
+        scalar = query.evaluate(FutureHistory(db), horizon)
     naive = query.evaluate(FutureHistory(db), horizon, method="naive")
     rows = {inst: iset for inst, iset in got.rows()}
     assert {i: exact(s) for i, s in rows.items()} == {
@@ -379,6 +383,10 @@ def one_car(value, slope, fuel=None):
         (1e6, 1e-20, "o.x_position <= 1000000", ticks((0, 10))),
         # Int coefficients take the kernel too.
         (1, 1, "o.x_position <= 5", ticks((0, 4))),
+        # A slope that does move the value, by 1e-12 over the window, is
+        # no constant: it carries 3 + 1 ulp below the bound from t = 1.
+        (3.0000000000000004, -1e-13, "o.x_position <= 3", ticks((1, 10))),
+        (3.0000000000000004, -1e-13, "o.x_position >= 3", ticks((0, 0))),
     ],
 )
 def test_attribute_band_closed_forms(value, slope, text, want):
@@ -387,6 +395,29 @@ def test_attribute_band_closed_forms(value, slope, text, want):
     assert exact(rows.get(("c",), IntervalSet.empty(DISCRETE))) == exact(
         want or IntervalSet.empty(DISCRETE)
     )
+
+
+def test_a_tiny_slope_split_by_its_update_time():
+    """1e6 + 2e-7 (t - 2), anchored inside the window: the update time
+    cuts the window at t = 2, and on neither side is the slope a
+    constant.  Only t = 0 (1e6 - 4e-7) is at most 999999.9999997."""
+    fuel = DynamicAttribute(1e6, 2, LinearFunction(2e-7))
+    db = one_car(0.0, 0.0, fuel=fuel)
+    rows = answer(db, "RETRIEVE o FROM cars o WHERE o.fuel <= 999999.9999997")
+    assert exact(rows[("c",)]) == exact(ticks((0, 0)))
+
+
+@pytest.mark.parametrize("value", [-5.0, 0.0, 5.0])
+def test_a_bound_beyond_the_sentinel_is_never_reached(value):
+    """A bound past the sentinel (which lies beyond any value the window
+    reaches) holds at no tick, in either direction, on every path."""
+    db = one_car(value, 1.5)
+    for text in (
+        "o.x_position <= -10000000000000",
+        "o.x_position >= 10000000000000",
+        "-10000000000000 >= o.x_position",
+    ):
+        assert answer(db, f"RETRIEVE o FROM cars o WHERE {text}") == {}
 
 
 def test_nan_attribute_value_is_never_in_range():
@@ -403,9 +434,8 @@ def test_nan_bound_is_never_in_range():
         f = Compare(op, Attr(Var("o"), "x_position"), Const(math.nan))
         ctx = EvalContext(FutureHistory(db), 10, {"o": "cars"})
         got = IntervalEvaluator(ctx)._batched_rows(f, ["o"], [("c",)])
-        want = IntervalEvaluator(ctx, options=SCALAR)._batched_rows(
-            f, ["o"], [("c",)]
-        )
+        with scalar_reference():
+            want = IntervalEvaluator(ctx)._batched_rows(f, ["o"], [("c",)])
         assert list(got.rows()) == list(want.rows()) == []
 
 
@@ -430,10 +460,10 @@ def test_large_int_coefficients_keep_the_scalar_band():
 
 
 def test_rows_the_band_cannot_repeat_take_the_request(monkeypatch):
-    """An update time inside the window, ints past float64's exact
-    range and a bound beyond the sentinel (where the scalar band raises)
-    are solved by the per-row request; the plain rows beside them are
-    not."""
+    """An update time inside the window and ints past float64's exact
+    range are solved by the per-row request; the plain rows beside them
+    are not.  A bound beyond the sentinel is never reached: the plain
+    row stays on the column path and no row holds it, on either path."""
     db = make_db()
     laws = {
         "plain": DynamicAttribute(3.0, 0, LinearFunction(-0.5)),
@@ -458,20 +488,18 @@ def test_rows_the_band_cannot_repeat_take_the_request(monkeypatch):
         return original(self, f, env)
 
     monkeypatch.setattr(IntervalEvaluator, "_atom_request", recording)
-    text = "RETRIEVE o FROM cars o WHERE o.fuel <= 1"
-    parse_query(text).evaluate(FutureHistory(db), 10)
-    assert requested == ["late", "huge"]
-    answer(db, text)
-    f = Compare("<=", Attr(Var("o"), "fuel"), Const(-1e13))
-    errors = []
-    for options in (DEFAULT, SCALAR):
-        ctx = EvalContext(FutureHistory(db), 10, {"o": "cars"})
+    for text in (
+        "o.fuel <= 1",
+        "o.fuel <= -10000000000000",
+        "10000000000000 <= o.fuel",
+    ):
+        text = f"RETRIEVE o FROM cars o WHERE {text}"
         requested.clear()
-        with pytest.raises(ReproError) as info:
-            IntervalEvaluator(ctx, options=options).evaluate(f)
-        errors.append((type(info.value), str(info.value), requested[:1]))
-    assert errors[0] == errors[1]
-    assert errors[0][2] == ["plain"]
+        parse_query(text).evaluate(FutureHistory(db), 10)
+        assert requested == ["late", "huge"], text
+        rows = answer(db, text)
+        if "10000000000000" in text:
+            assert ("plain",) not in rows and ("late",) not in rows
 
 
 def two_movers(a, va, b, vb):

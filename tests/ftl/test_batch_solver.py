@@ -1,29 +1,35 @@
 """Differential wall for the vectorized batch kinetic backend (DESIGN.md §8).
 
 The batch backend must be answer-invisible *and* counter-invisible: for
-every seeded world, query and evaluation method, ``batch_solver`` on
-must produce the same relation — tuple for tuple, interval for interval —
-and the same acceleration counters as the scalar per-row solver, while
-filling the shared kinetic-solve cache with the exact same keys.  The
-sweeps reuse the random worlds and formula generator of
-``test_differential`` plus the sparse worlds of ``test_atom_pruning``,
-and add worlds the vectorized paths cannot take whole (nonlinear movers,
-k≠2 spheres, mixed dimensions) so the chunked scalar fallback is
-exercised alongside the numpy paths.
+every seeded world, query and evaluation method, the default evaluation
+(whose column path queues single-leg rows on the backend) must produce
+the same relation — tuple for tuple, interval for interval — and the
+same acceleration counters as the scalar reference, which runs every
+row's scalar closure inline, while filling the shared kinetic-solve
+cache with the exact same keys.  The scalar reference is no option: it
+is :func:`scalar_reference`, a test-local patch of the column path's one
+hook (``IntervalEvaluator._column_rows``) that takes no row.  The sweeps
+reuse the random worlds and formula generator of ``test_differential``
+plus the sparse worlds of ``test_atom_pruning``, and add worlds the
+vectorized paths cannot take whole (nonlinear and piecewise movers,
+k≠2 spheres, mixed dimensions, bounds naming a row variable, recorded
+histories) so the inline scalar rows are exercised alongside the numpy
+paths.
 """
 
 import random
-from dataclasses import replace
+from contextlib import contextmanager, nullcontext
 
 import pytest
 
 from repro.core import MostDatabase, ObjectClass
 from repro.core.dynamic import DynamicAttribute
-from repro.core.history import FutureHistory
-from repro.core.queries import ContinuousQuery
+from repro.core.history import FutureHistory, RecordedHistory
+from repro.core.queries import ContinuousQuery, PersistentQuery
 from repro.errors import QueryError, SchemaError
 from repro.ftl import (
     AndF,
+    Arith,
     Attr,
     Compare,
     Const,
@@ -35,10 +41,10 @@ from repro.ftl import (
     Var,
     WithinSphere,
 )
-from repro.ftl.context import DEFAULT, EvalContext
+from repro.ftl.context import EvalContext
 from repro.ftl.evaluator import IntervalEvaluator
 from repro.geometry import Point
-from repro.motion import SinusoidFunction
+from repro.motion import PiecewiseLinearFunction, SinusoidFunction
 from repro.spatial import Ball
 from repro.temporal import DISCRETE, IntervalSet
 
@@ -58,8 +64,24 @@ pytestmark = pytest.mark.filterwarnings(
 )
 
 
-#: The scalar twin: every solve inline, nothing queued for the backend.
-SCALAR = replace(DEFAULT, batch_solver=False)
+@contextmanager
+def scalar_reference(db=None):
+    """The scalar twin: while open, the column path takes no row, so
+    every row runs its scalar closure inline and nothing is queued for
+    the backend — for evaluations over ``db``, or over every database
+    when none is named."""
+    column_rows = IntervalEvaluator._column_rows
+
+    def no_columns(self, f, free, todo, keyed):
+        if db is None or getattr(self.ctx.history, "db", None) is db:
+            return None
+        return column_rows(self, f, free, todo, keyed)
+
+    IntervalEvaluator._column_rows = no_columns
+    try:
+        yield
+    finally:
+        IntervalEvaluator._column_rows = column_rows
 
 
 def both_solvers(query, db, horizon=HORIZON, **kwargs):
@@ -67,9 +89,8 @@ def both_solvers(query, db, horizon=HORIZON, **kwargs):
 
     The db-wide solve cache is cleared between the runs so the batched
     run really solves instead of replaying the scalar run's answers."""
-    scalar = query.evaluate_full(
-        FutureHistory(db), horizon, options=SCALAR, **kwargs
-    )
+    with scalar_reference():
+        scalar = query.evaluate_full(FutureHistory(db), horizon, **kwargs)
     db.kinetic_cache.clear()
     batched = query.evaluate_full(
         FutureHistory(db), horizon, **kwargs
@@ -82,8 +103,9 @@ def run_with_counters(db, bindings, where, batch, horizon=HORIZON):
     """(rows, counters) of one interval evaluation on a cold cache."""
     db.kinetic_cache.clear()
     ctx = EvalContext(FutureHistory(db), horizon, bindings)
-    ev = IntervalEvaluator(ctx, options=DEFAULT if batch else SCALAR)
-    rel = ev.evaluate(where)
+    ev = IntervalEvaluator(ctx)
+    with nullcontext() if batch else scalar_reference():
+        rel = ev.evaluate(where)
     return rows_of(rel), ev.counters()
 
 
@@ -230,6 +252,151 @@ def test_nonlinear_movers_chunk_through_the_scalar_fallback():
 
 
 # ---------------------------------------------------------------------------
+# The rows the column path never takes
+# ---------------------------------------------------------------------------
+
+
+def add_routes(rng: random.Random, db: MostDatabase, n: int = 3) -> None:
+    """Cars on piecewise routes: each axis turns once mid-window, so the
+    mover has several legs and its rows run their scalar closure."""
+    now = db.clock.now
+    for i in range(n):
+        db.add_object(
+            "cars",
+            f"route{i}",
+            static={"price": rng.randint(0, 150)},
+            dynamic={
+                axis: DynamicAttribute(
+                    rng.randint(-8, 12),
+                    now,
+                    PiecewiseLinearFunction(
+                        [
+                            (0, rng.randint(-2, 2)),
+                            (rng.randint(1, 6), rng.choice((-1.5, 1, 2))),
+                        ]
+                    ),
+                )
+                for axis in ("x_position", "y_position")
+            },
+        )
+
+
+#: Atoms whose rows the column path leaves to the scalar closures: the
+#: piecewise routes under every kinetic kind, and bounds that name a row
+#: variable (the atom's constants do not resolve, whatever the motion).
+ROUTE_ATOMS = [
+    Inside(Var("c"), "P"),
+    Outside(Var("c"), "B"),
+    Inside(Var("c"), "B"),
+    Compare("<=", Dist(Var("c"), Var("v")), Const(6)),
+    Compare(">=", Dist(Var("c"), Var("v")), Const(4)),
+    WithinSphere(3, (Var("c"), Var("v"))),
+    Compare(
+        "<=",
+        Dist(Var("c"), Var("v")),
+        Arith("/", Attr(Var("c"), "price"), Const(10)),
+    ),
+    Compare(
+        ">=",
+        Attr(Var("c"), "x_position"),
+        Arith("/", Attr(Var("c"), "price"), Const(20)),
+    ),
+]
+
+
+def record(db, history, where, horizon=HORIZON):
+    """One cold interval evaluation: rows, counters and the cache's
+    keys and values."""
+    db.kinetic_cache.clear()
+    bindings = {v: _CLASS_OF[v] for v in where.free_vars()}
+    ev = IntervalEvaluator(EvalContext(history, horizon, bindings))
+    rel = ev.evaluate(where)
+    cache = {
+        key: [(iv.start, iv.end) for iv in value]
+        for key, value in db.kinetic_cache._entries.items()
+    }
+    return rows_of(rel), ev.counters(), cache
+
+
+def test_rows_the_column_path_never_takes(monkeypatch):
+    """Piecewise routes under ``INSIDE`` of a polygon and a ball,
+    ``DIST`` and two-object ``WITHIN_SPHERE``, bounds that name a row
+    variable, and a persistent query over the recorded history: the
+    default evaluation runs their scalar closures inline, row for row
+    as the scalar reference does — equal tuples, counters and cache
+    keys."""
+    requested = []
+    atom_request = IntervalEvaluator._atom_request
+
+    def recording(self, f, env):
+        requested.append(env["c"])
+        return atom_request(self, f, env)
+
+    monkeypatch.setattr(IntervalEvaluator, "_atom_request", recording)
+    reached = set()
+    for seed in range(8):
+        rng = random.Random(4000 + seed)
+        db = build_world(rng)
+        db.define_region("B", Ball(Point(4, 4), 5))
+        add_routes(rng, db)
+        for atom in ROUTE_ATOMS:
+            for where in (atom, Eventually(atom)):
+                with scalar_reference():
+                    want = record(db, FutureHistory(db), where)
+                requested.clear()
+                got = record(db, FutureHistory(db), where)
+                assert got == want, f"seed {seed}: {where}"
+                if any(c.startswith("route") for c in requested):
+                    reached.add(str(atom))
+    assert reached == {str(atom) for atom in ROUTE_ATOMS}
+
+    # A persistent query: the update log turns each recorded trajectory
+    # into a piecewise linear mover, which the column path never reads.
+    rng = random.Random(4100)
+    state = rng.getstate()
+    twins = []
+    for _ in range(2):
+        rng.setstate(state)
+        db = build_world(rng)
+        db.define_region("B", Ball(Point(4, 4), 5))
+        twins.append(db)
+    query = FtlQuery(
+        targets=("c",),
+        bindings={"c": "cars", "v": "vans"},
+        where=AndF(
+            Eventually(Inside(Var("c"), "P")),
+            Compare("<=", Dist(Var("c"), Var("v")), Const(8)),
+        ),
+    )
+    anchor = twins[0].clock.now
+    with scalar_reference(twins[0]):
+        persistent = [
+            PersistentQuery(db, query, HORIZON, method="interval")
+            for db in twins
+        ]
+        movers = [o.object_id for o in twins[0].objects_of("cars")]
+        movers += [o.object_id for o in twins[0].objects_of("vans")]
+        for step in range(STEPS):
+            oid = rng.choice(movers)
+            velocity = Point(rng.randint(-2, 2), rng.randint(-2, 2))
+            for db in twins:  # turns only: a recorded trajectory is continuous
+                db.clock.tick()
+                db.update_motion(oid, velocity)
+            scalar, default = (pq.current() for pq in persistent)
+            assert scalar == default, f"step {step}"
+            assert persistent[0].evaluations == persistent[1].evaluations
+        assert [pq.last_method for pq in persistent] == ["interval"] * 2
+        solves = 0
+        for atom in ROUTE_ATOMS:
+            want, got = (
+                record(db, RecordedHistory(db, anchor), atom) for db in twins
+            )
+            assert got == want, atom
+            solves += got[1]["kinetic_solves"]
+        assert solves
+
+
+# ---------------------------------------------------------------------------
 # All three evaluators
 # ---------------------------------------------------------------------------
 
@@ -262,26 +429,23 @@ def test_incremental_continuous_queries_under_updates(seed):
         rng.setstate(world_bits)
         dbs.append(build_world(rng))
     query = random_query(rng)
-    scalar = ContinuousQuery(
-        dbs[0],
-        query,
-        horizon=HORIZON,
-        method="incremental",
-        options=SCALAR,
-    )
-    batched = ContinuousQuery(
-        dbs[1], query, horizon=HORIZON, method="incremental"
-    )
-    for step in range(STEPS):
-        for db in dbs:
-            db.clock.tick()
-        apply_random_updates(rng, dbs)
-        a, b = scalar.current(), batched.current()
-        assert a == b, (
-            f"seed {seed} step {step}: displays diverge for {query.where}\n"
-            f"scalar:  {sorted(a, key=str)}\n"
-            f"batched: {sorted(b, key=str)}"
+    with scalar_reference(dbs[0]):
+        scalar = ContinuousQuery(
+            dbs[0], query, horizon=HORIZON, method="incremental"
         )
+        batched = ContinuousQuery(
+            dbs[1], query, horizon=HORIZON, method="incremental"
+        )
+        for step in range(STEPS):
+            for db in dbs:
+                db.clock.tick()
+            apply_random_updates(rng, dbs)
+            a, b = scalar.current(), batched.current()
+            assert a == b, (
+                f"seed {seed} step {step}: displays diverge for {query.where}\n"
+                f"scalar:  {sorted(a, key=str)}\n"
+                f"batched: {sorted(b, key=str)}"
+            )
     tuples = [
         sorted((t.values, t.begin, t.end) for t in cq.answer_tuples())
         for cq in (scalar, batched)
@@ -318,12 +482,12 @@ def test_batch_path_actually_used(monkeypatch):
     db.kinetic_cache.clear()
     ctx = EvalContext(FutureHistory(db), HORIZON, bindings)
     IntervalEvaluator(ctx).evaluate(where)
-    assert solves, "batch_solver on never reached KineticBatch.solve"
+    assert solves, "the column path never reached KineticBatch.solve"
 
 
 def test_zero_length_window_stays_scalar():
-    """A horizon-0 window has no kinetics to batch; the batch flag must
-    be inert there (the scalar pairing synthesizes a zero-velocity leg
+    """A horizon-0 window has no kinetics to batch; the column path must
+    stay shut there (the scalar pairing synthesizes a zero-velocity leg
     the coefficient extraction deliberately does not reproduce)."""
     rng = random.Random(9)
     db = build_world(rng)
@@ -354,8 +518,9 @@ def test_batch_and_scalar_fill_the_same_cache_keys():
 
     def run(batch):
         ctx = EvalContext(FutureHistory(db), HORIZON, bindings)
-        ev = IntervalEvaluator(ctx, options=DEFAULT if batch else SCALAR)
-        ev.evaluate(where)
+        ev = IntervalEvaluator(ctx)
+        with nullcontext() if batch else scalar_reference():
+            ev.evaluate(where)
         return ev
 
     db.kinetic_cache.clear()
@@ -413,9 +578,8 @@ def test_bounded_cache_serves_the_batch_path():
         # world construction still applies the bound.
         db.kinetic_cache_size = 3
         assert db.kinetic_cache.max_entries == 3
-        rel = query.evaluate_full(
-            FutureHistory(db), HORIZON, options=DEFAULT if batch else SCALAR
-        )
+        with nullcontext() if batch else scalar_reference():
+            rel = query.evaluate_full(FutureHistory(db), HORIZON)
         assert len(db.kinetic_cache) <= 3
         rows.append(rows_of(rel))
     assert rows[0] == rows[1]
@@ -444,7 +608,8 @@ def test_batch_preserves_errors_on_nonspatial_objects():
         targets=("t",), bindings={"t": "tags"}, where=Inside(Var("t"), "P")
     )
     with pytest.raises((QueryError, SchemaError)) as scalar_err:
-        query.evaluate_full(FutureHistory(db), 5, options=SCALAR)
+        with scalar_reference():
+            query.evaluate_full(FutureHistory(db), 5)
     with pytest.raises((QueryError, SchemaError)) as batch_err:
         query.evaluate_full(FutureHistory(db), 5)
     assert type(scalar_err.value) is type(batch_err.value)

@@ -39,7 +39,6 @@ FIELDS = (
     "ordered",
     "index_pruning",
     "solve_cache",
-    "batch_solver",
     "validity_horizons",
     "analytic_atoms",
 )
@@ -59,11 +58,11 @@ def test_presets():
 
 def test_frozen_hashable_picklable():
     with pytest.raises(dataclasses.FrozenInstanceError):
-        DEFAULT.batch_solver = False
-    scalar = dataclasses.replace(DEFAULT, batch_solver=False)
-    assert scalar != DEFAULT and DEFAULT.batch_solver
-    assert len({DEFAULT, EvalOptions(), ORACLE, scalar}) == 3
-    for options in (DEFAULT, ORACLE, scalar):
+        DEFAULT.solve_cache = False
+    uncached = dataclasses.replace(DEFAULT, solve_cache=False)
+    assert uncached != DEFAULT and DEFAULT.solve_cache
+    assert len({DEFAULT, EvalOptions(), ORACLE, uncached}) == 3
+    for options in (DEFAULT, ORACLE, uncached):
         clone = pickle.loads(pickle.dumps(options))
         assert clone == options and hash(clone) == hash(options)
 
@@ -100,8 +99,9 @@ def test_default_oracle_and_naive_agree(seed):
 
 
 def test_oracle_runs_no_acceleration_layer():
-    """Not just the same answers: with ORACLE no gate prunes, no lookup
-    hits or misses, nothing reaches the batch backend."""
+    """Not just the same answers: with ORACLE no gate prunes and no
+    lookup hits or misses.  The batch backend is no layer — ORACLE's
+    single-leg rows take it as every evaluation's do."""
     db = build_world(random.Random(4))
     where = AndF(
         Inside(Var("c"), "P"),
@@ -110,7 +110,7 @@ def test_oracle_runs_no_acceleration_layer():
     ctx = EvalContext(FutureHistory(db), HORIZON, {"c": "cars", "v": "vans"})
     ev = IntervalEvaluator(ctx, options=ORACLE)
     ev.evaluate(where)
-    assert not ev._use_batch()
+    assert ev._use_batch()
     counters = ev.counters()
     assert counters["kinetic_solves"] > 0
     for name in (

@@ -11,11 +11,18 @@ exactly through a vertex.
 """
 
 import random
+from contextlib import nullcontext
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import MostDatabase, ObjectClass
+from repro.core.dynamic import DynamicAttribute
+from repro.core.history import FutureHistory
+from repro.ftl import parse_query
+from repro.ftl.context import EvalContext
+from repro.ftl.evaluator import IntervalEvaluator
 from repro.geometry import Point, Vector
 from repro.motion import LinearFunction, MovingPoint, PiecewiseLinearFunction
 from repro.motion.batch import (
@@ -26,17 +33,17 @@ from repro.motion.batch import (
     quadratic_at_most_zero_batch,
     segment_crossings_batch,
 )
-from repro.motion.moving import LinearPiece
 from repro.spatial import Polygon
 from repro.spatial.kinetic import (
     _quadratic_at_most_zero,
     _segment_crossings,
-    paired_legs,
     when_dist_at_least,
     when_dist_at_most,
     when_inside_polygon,
 )
 from repro.temporal import Interval
+
+from tests.ftl.test_batch_solver import scalar_reference
 
 # ---------------------------------------------------------------------------
 # Quadratic root finding:  a s^2 + b s + c <= 0  on  [0, hi]
@@ -199,15 +206,6 @@ def linear_mover(x, y, vx, vy) -> MovingPoint:
     )
 
 
-def piecewise_mover(x, y, legs) -> MovingPoint:
-    """A mover whose axes change slope at integer breakpoints."""
-    fns = []
-    for axis in range(2):
-        bps = [(float(i * 4), float(legs[i][axis])) for i in range(len(legs))]
-        fns.append(PiecewiseLinearFunction(bps))
-    return MovingPoint(Point(float(x), float(y)), fns)
-
-
 def oracle_dist(m1, m2, r, at_least):
     solve = when_dist_at_least if at_least else when_dist_at_most
     dense = solve(m1, m2, float(r), WINDOW)
@@ -245,30 +243,20 @@ def solved_sets(batch):
     )
 )
 def test_distance_batch_matches_scalar_solver(rows):
-    """A mixed DistanceBatch (single-leg pairs and piecewise legs in the
-    same solve) against ``when_dist_at_most``/``at_least`` discretized
-    and clipped exactly as the evaluator does.  Integer lattices make
-    grazing contacts (dist ≡ r at a tick) common rather than rare."""
+    """A DistanceBatch of single-leg pairs against
+    ``when_dist_at_most``/``at_least`` discretized and clipped exactly as
+    the evaluator does.  Integer lattices make grazing contacts
+    (dist ≡ r at a tick) common rather than rare."""
     table = LinearTable(WINDOW.start, WINDOW.end)
     batch = DistanceBatch(table)
     oracles = []
-    for i, row in enumerate(rows):
+    for row in rows:
         x1, y1, vx1, vy1, x2, y2, vx2, vy2, r, at_least = row
         m1 = linear_mover(x1, y1, vx1, vy1)
         m2 = linear_mover(x2, y2, vx2, vy2)
-        if i % 3 == 2:
-            # Piecewise lane: the second mover bends mid-window.
-            m2 = piecewise_mover(x2, y2, [(vx2, vy2), (-vx2, vy1)])
-            legs = paired_legs(
-                m1.linear_pieces(WINDOW.start, WINDOW.end),
-                m2.linear_pieces(WINDOW.start, WINDOW.end),
-                WINDOW,
-            )
-            batch.add_legs(legs, float(r), at_least)
-        else:
-            s1 = slot_of(table, m1.single_leg(WINDOW.start, WINDOW.end))
-            s2 = slot_of(table, m2.single_leg(WINDOW.start, WINDOW.end))
-            batch.add_pairs(s1, s2, float(r), at_least)
+        s1 = slot_of(table, m1.single_leg(WINDOW.start, WINDOW.end))
+        s2 = slot_of(table, m2.single_leg(WINDOW.start, WINDOW.end))
+        batch.add_pairs(s1, s2, float(r), at_least)
         oracles.append(oracle_dist(m1, m2, r, at_least))
     solved = solved_sets(batch)
     for i, (got, want) in enumerate(zip(solved, oracles)):
@@ -320,31 +308,45 @@ def test_polygon_batch_matches_scalar_solver(rows, poly_idx):
 
 def test_polygon_batch_piecewise_legs_match_scalar_solver():
     """Piecewise movers through every polygon, seeded exhaustively rather
-    than property-sampled (paired_legs construction is deterministic)."""
+    than property-sampled, beside linear ones: the batch never sees a
+    multi-leg mover — its rows run the scalar sweep inline — and the
+    default evaluation, the scalar reference and the naive evaluator
+    give the same rows, the first two with the same counters."""
     rng = random.Random(77)
-    for polygon in POLYGONS:
-        reference = MovingPoint(Point(0.0, 0.0)).linear_pieces(
-            WINDOW.start, WINDOW.end
+    db = MostDatabase()
+    db.create_class(ObjectClass("cars", spatial_dimensions=2))
+    for i, polygon in enumerate(POLYGONS):
+        db.define_region(f"R{i}", polygon)
+    for i in range(25):
+        x, y = rng.randint(-9, 9), rng.randint(-9, 9)
+        v1 = (rng.randint(-3, 3), rng.randint(-3, 3))
+        v2 = (rng.randint(-3, 3), rng.randint(-3, 3))
+        axes = zip(("x_position", "y_position"), (x, y), v1, v2)
+        db.add_object(
+            "cars",
+            f"bend{i}",
+            dynamic={
+                axis: DynamicAttribute(
+                    float(at), 0, PiecewiseLinearFunction([(0.0, a), (4.0, b)])
+                )
+                for axis, at, a, b in axes
+            },
         )
-        table = LinearTable(WINDOW.start, WINDOW.end)
-        batch = PolygonBatch(polygon, table)
-        oracles = []
-        for _ in range(25):
-            x, y = rng.randint(-9, 9), rng.randint(-9, 9)
-            v1 = (rng.randint(-3, 3), rng.randint(-3, 3))
-            v2 = (rng.randint(-3, 3), rng.randint(-3, 3))
-            m = piecewise_mover(x, y, [v1, v2])
-            legs = paired_legs(
-                m.linear_pieces(WINDOW.start, WINDOW.end),
-                reference,
-                WINDOW,
-            )
-            batch.add_legs(legs)
-            dense = when_inside_polygon(m, polygon, WINDOW)
-            oracles.append(dense.discretized().clip(WINDOW.start, WINDOW.end))
-        solved = solved_sets(batch)
-        for i, (got, want) in enumerate(zip(solved, oracles)):
-            assert got == want, f"{polygon}: lane {i}"
+        db.add_moving_object("cars", f"line{i}", Point(x, y), Point(*v1))
+    for i in range(len(POLYGONS)):
+        query = parse_query(f"RETRIEVE o FROM cars o WHERE INSIDE(o, R{i})")
+        runs = []
+        for scalar in (False, True):
+            db.kinetic_cache.clear()
+            ctx = EvalContext(FutureHistory(db), WINDOW.end, query.bindings)
+            evaluator = IntervalEvaluator(ctx)
+            with scalar_reference() if scalar else nullcontext():
+                relation = evaluator.evaluate(query.where)
+            runs.append((dict(relation.rows()), evaluator.counters()))
+        assert runs[0] == runs[1], f"R{i}"
+        naive = query.evaluate(FutureHistory(db), WINDOW.end, method="naive")
+        assert runs[0][0] == dict(naive.rows()), f"R{i}"
+        assert any(oid.startswith("bend") for (oid,) in runs[0][0])
 
 
 def test_grazing_distance_contacts_are_exact():

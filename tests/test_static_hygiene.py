@@ -308,7 +308,6 @@ STRICT_DEFS = {
         "build_class_table",
         "motion_token",
         "linear_motion_tokens",
-        "_dim",
         "MbrTableCache",
         "AtomIndexPruner",
         "AtomIndexPruner.partition",
@@ -316,8 +315,6 @@ STRICT_DEFS = {
         "KineticBatch",
     ),
     "ftl/context.py": (
-        "EvalContext.legs",
-        "EvalContext._column_leg",
         "EvalContext.column_legs",
         "EvalContext.dirty_domain",
         "EvalContext.clean_domain",
