@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 from repro.core.columns import MotionColumns
 from repro.core.dynamic import DynamicAttribute
@@ -57,6 +57,17 @@ class MostUpdate:
 UpdateListener = Callable[[tuple[MostUpdate, ...]], None]
 
 _uids = itertools.count(1)
+
+
+def _same_float(a: object, b: object) -> bool:
+    """Whether ``a`` and ``b`` are one float bit for bit: signed zeros
+    told apart, and never a NaN."""
+    return (
+        type(a) is float
+        and type(b) is float
+        and a == b
+        and math.copysign(1.0, a) == math.copysign(1.0, b)
+    )
 
 
 class MostDatabase:
@@ -290,6 +301,10 @@ class MostDatabase:
     def __len__(self) -> int:
         return len(self._objects)
 
+    def __contains__(self, object_id: object) -> bool:
+        """Whether ``object_id`` names an object of this database."""
+        return object_id in self._objects
+
     # ------------------------------------------------------------------
     # Explicit updates
     # ------------------------------------------------------------------
@@ -339,7 +354,10 @@ class MostDatabase:
         object untouched and no listener ever sees a half-moved object.
         """
         obj = self.get(object_id)
-        self._write(obj, self._motion_updates(obj, velocity, position))
+        if velocity.dim != len(obj.object_class.position_attributes):
+            raise SchemaError("velocity dimension mismatch")
+        values = None if position is None else position.coords
+        self._write(obj, self._motion_updates(obj, velocity.coords, values))
 
     def _dynamic_update(
         self,
@@ -350,9 +368,9 @@ class MostDatabase:
     ) -> MostUpdate:
         """The record of one dynamic-attribute update, nothing written.
 
-        Every motion write passes here, so this is where a NaN or
-        infinite position is refused: installed, it would drop its object
-        out of every answer silently."""
+        A NaN or infinite position is refused here and in
+        :meth:`_motion_updates`: installed, it would drop its object out
+        of every answer silently."""
         if (
             value is not None
             and attr in obj.object_class.position_attributes
@@ -372,28 +390,47 @@ class MostDatabase:
         )
 
     def _motion_updates(
-        self, obj: MostObject, velocity: Point, position: Point | None
+        self,
+        obj: MostObject,
+        slopes: Sequence[float],
+        values: Sequence[float] | None,
     ) -> tuple[MostUpdate, ...]:
         """One record per position axis of a motion update, nothing
-        written (raises before anything changes)."""
-        names = obj.object_class.position_attributes
-        if velocity.dim != len(names):
-            raise SchemaError("velocity dimension mismatch")
-        return tuple(
-            self._dynamic_update(
-                obj,
-                name,
-                None if position is None else position[axis],
-                LinearFunction(velocity[axis]),
+        written (raises before anything changes): axis ``i`` takes the
+        plain linear law of slope ``slopes[i]`` from ``values[i]`` — from
+        the value its old law implies now when ``values`` is None.
+
+        Each axis's old triple is read once, and a heartbeat — a float
+        slope bit-identical to the old one, signed zeros told apart —
+        keeps the old (immutable) :class:`LinearFunction`."""
+        now = self.clock.now
+        object_id = obj.object_id
+        class_name = obj.object_class.name
+        dynamic = obj._dynamic
+        records = []
+        for axis, name in enumerate(obj.object_class.position_attributes):
+            value = None if values is None else values[axis]
+            if value is not None and not math.isfinite(value):
+                raise SchemaError(f"{name} = {value} is not finite")
+            old = dynamic[name]
+            function = old.function
+            if not (
+                type(function) is LinearFunction
+                and _same_float(function.slope, slopes[axis])
+            ):
+                function = LinearFunction(slopes[axis])
+            new = old.updated(now, value, function)
+            records.append(
+                MostUpdate(now, object_id, name, old, new, class_name, "dynamic")
             )
-            for axis, name in enumerate(names)
-        )
+        return tuple(records)
 
     def _write(self, obj: MostObject, updates: tuple[MostUpdate, ...]) -> None:
         """Install computed dynamic-attribute records and their column
         rows, then commit them (listeners see current columns)."""
+        dynamic = obj._dynamic
         for update in updates:
-            obj._set_dynamic(update.attribute, update.new)
+            dynamic[update.attribute] = update.new
         self._columns[obj.object_class.name].write(obj.object_id, updates)
         self._commit(*updates)
 
@@ -488,8 +525,8 @@ class MostDatabase:
         if seq <= self._last_seq.get(object_id, -1):
             self.ingest_rejected += 1
             return False
-        names = obj.object_class.position_attributes
-        if velocity.dim != len(names) or position.dim != len(names):
+        dim = len(obj.object_class.position_attributes)
+        if velocity.dim != dim or position.dim != dim:
             raise SchemaError("motion update dimension mismatch")
         now = self.clock.now
         if measured_at > now:
@@ -498,13 +535,13 @@ class MostDatabase:
             )
         if not math.isfinite(measured_at):  # NaN passes the test above
             raise SchemaError(f"update measured at non-finite {measured_at}")
-        extrapolated = Point(
-            *(
-                p + v * (now - measured_at)
-                for p, v in zip(position.coords, velocity.coords)
-            )
-        )
-        updates = self._motion_updates(obj, velocity, extrapolated)
+        # The fix extrapolated along the reported velocity to now.
+        elapsed = now - measured_at
+        slopes = velocity.coords
+        values = [
+            float(p + v * elapsed) for p, v in zip(position.coords, slopes)
+        ]
+        updates = self._motion_updates(obj, slopes, values)
         self._last_seq[object_id] = seq
         self._tracked.add(object_id)
         self._write(obj, updates)
@@ -546,13 +583,14 @@ class MostDatabase:
         return unsubscribe
 
     def _commit(self, *updates: MostUpdate) -> None:
-        """Log one logical update (one record per attribute), bump the
-        version once and notify every listener once."""
+        """Log one logical update (one record per attribute, all of one
+        object at one time), bump the version once, hear the object once
+        and notify every listener once."""
         self._log.extend(updates)
         self._version += 1
-        for update in updates:
-            self._last_update_time[update.object_id] = update.time
-            self._hear(update.object_id)
+        first = updates[0]
+        self._last_update_time[first.object_id] = first.time
+        self._hear(first.object_id)
         for listener in list(self._listeners):
             listener(updates)
 

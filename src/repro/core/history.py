@@ -22,6 +22,7 @@ Accordingly, the classes here never materialise states eagerly:
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING
 
 from repro.core.dynamic import DynamicAttribute
@@ -231,16 +232,17 @@ class RecordedHistory(History):
 
         This is what lets *persistent* queries run through the appendix
         interval algorithm (processing the paper defers to future work):
-        each axis timeline of linear versions becomes one
+        each axis timeline of piecewise-linear versions becomes one
         :class:`~repro.motion.PiecewiseLinearFunction` anchored at the
-        history start, with the current version extending into the implied
-        future.
+        history start — each version contributing its own pieces,
+        clipped to the span it was in force — with the current version
+        extending into the implied future.
 
         Raises:
-            QueryError: when a version is nonlinear, or an update snapped
-                the position discontinuously (a jump cannot be expressed
-                as a continuous piecewise function — callers fall back to
-                the per-state evaluator).
+            QueryError: when a version is not piecewise linear, or an
+                update snapped the position discontinuously (a jump cannot
+                be expressed as a continuous piecewise function — callers
+                fall back to the per-state evaluator).
         """
         from repro.motion.functions import PiecewiseLinearFunction
 
@@ -259,15 +261,18 @@ class RecordedHistory(History):
             anchor_value: float | None = None
             pieces: list[tuple[float, float]] = []
             for i, (from_time, triple) in enumerate(timeline):
-                if not triple.function.is_linear:
+                breakpoints = triple.function.linear_breakpoints(math.inf)
+                if breakpoints is None:
                     raise QueryError(
                         "recorded trajectory is not piecewise linear"
                     )
                 effective_from = max(from_time, self.start)
                 value_at_from = triple.value_at(effective_from)
-                if anchor_value is None:
+                if anchor_value is None or from_time <= self.start:
+                    # The version in force at the start anchors the axis;
+                    # a jump at or before the start is never observed.
                     anchor_value = value_at_from
-                elif i > 0:
+                else:
                     previous = timeline[i - 1][1]
                     if abs(previous.value_at(effective_from) - value_at_from) > 1e-9:
                         raise QueryError(
@@ -275,11 +280,25 @@ class RecordedHistory(History):
                             f"t={effective_from}; interval evaluation needs "
                             "a continuous trajectory"
                         )
+                # The version's piece in force at ``effective_from`` (the
+                # first one before its anchor: it extrapolates backwards),
+                # then its later breakpoints until the next version.
+                elapsed = effective_from - triple.updatetime
+                slope = breakpoints[0][1]
+                for rel_t, piece_slope in breakpoints:
+                    if rel_t > elapsed:
+                        break
+                    slope = piece_slope
                 rel = effective_from - self.start
                 if pieces and pieces[-1][0] == rel:
-                    pieces[-1] = (rel, triple.speed)  # same-tick re-update
+                    pieces[-1] = (rel, slope)  # same-tick re-update
                 else:
-                    pieces.append((rel, triple.speed))
+                    pieces.append((rel, slope))
+                until = timeline[i + 1][0] if i + 1 < len(timeline) else math.inf
+                for rel_t, piece_slope in breakpoints:
+                    t_abs = triple.updatetime + rel_t
+                    if effective_from < t_abs < until:
+                        pieces.append((t_abs - self.start, piece_slope))
             anchor_coords.append(anchor_value)
             functions.append(PiecewiseLinearFunction(pieces))
         return MovingPoint(

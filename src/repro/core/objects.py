@@ -206,11 +206,6 @@ class MostObject:
         self._static[attr] = value
         return old
 
-    def _set_dynamic(self, attr: str, new: DynamicAttribute) -> DynamicAttribute:
-        old = self.dynamic_attribute(attr)
-        self._dynamic[attr] = new
-        return old
-
     def __repr__(self) -> str:
         return (
             f"MostObject({self.object_id!r}, class={self.object_class.name})"

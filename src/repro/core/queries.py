@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 from repro.core.database import MostDatabase, MostUpdate
+from repro.core.dynamic import DynamicAttribute
 from repro.core.history import FutureHistory, RecordedHistory
 from repro.errors import FtlSemanticsError, QueryError, SchemaError
 from repro.ftl.analysis import AnalysisResult, CostModel, Diagnostic
@@ -27,12 +28,14 @@ from repro.ftl.analysis.validity import (
     ValidityAnalysis,
     analyze_query_validity,
     class_motion_events,
+    linear_divergence,
 )
 from repro.ftl.analysis.plan import EvalPlan
 from repro.ftl.context import DEFAULT, EvalContext, EvalOptions
 from repro.ftl.incremental import PartialIntervalEvaluator, QueryCache
 from repro.ftl.query import FtlQuery
 from repro.ftl.relations import AnswerTuple, FtlRelation, Instantiation
+from repro.motion.functions import LinearFunction
 from repro.temporal import Interval
 
 
@@ -856,25 +859,6 @@ class ContinuousQuery:
             self._cancelled = True
 
 
-def _update_class(db: MostDatabase, update: MostUpdate) -> str | None:
-    """The updated object's class name, or ``None`` when unknown."""
-    if update.class_name is not None:
-        return update.class_name
-    try:
-        return db.get(update.object_id).object_class.name
-    except SchemaError:
-        return None
-
-
-def _is_live(db: MostDatabase, object_id: object) -> bool:
-    """Whether ``object_id`` names a live object in the database."""
-    try:
-        db.get(object_id)
-    except SchemaError:
-        return False
-    return True
-
-
 def _class_gate(db: MostDatabase, update: MostUpdate) -> tuple[bool, str | None]:
     """The class and known-object gate, shared by every query.
 
@@ -882,10 +866,40 @@ def _class_gate(db: MostDatabase, update: MostUpdate) -> tuple[bool, str | None]
     updated object's class (``None`` when unknown: it then reaches every
     query).  An update that carries class metadata but names an id the
     database never admitted reaches none — no instantiation can mention
-    it."""
-    if update.class_name is not None and not _is_live(db, update.object_id):
-        return False, update.class_name
-    return True, _update_class(db, update)
+    it.  A tagged update — every commit the database makes — costs one
+    membership test."""
+    if update.class_name is not None:
+        return update.object_id in db, update.class_name
+    try:
+        return True, db.get(update.object_id).object_class.name
+    except SchemaError:
+        return True, None
+
+
+def _divergence_table(update: MostUpdate, ends: Sequence[float]) -> list[float]:
+    """``DivergenceProbe(update, ends[-1]).table(ends)``: a record whose
+    old and new functions are both exactly :class:`LinearFunction` is
+    decided by :func:`linear_divergence` over its laws' coefficients,
+    without building a probe."""
+    old, new = update.old, update.new
+    if (
+        type(old) is DynamicAttribute
+        and type(new) is DynamicAttribute
+        and type(old.function) is LinearFunction
+        and type(new.function) is LinearFunction
+        and update.kind != "static"
+    ):
+        return linear_divergence(
+            old.value,
+            old.function.slope,
+            old.updatetime,
+            new.value,
+            new.function.slope,
+            new.updatetime,
+            float(update.time),
+            ends,
+        )
+    return DivergenceProbe(update, ends[-1]).table(ends)
 
 
 def _binds(cq: ContinuousQuery, cls: str | None) -> bool:
@@ -921,9 +935,10 @@ class UpdateRouter:
       attributes, so one memo entry serves every commit of that shape
       and :func:`update_footprint` runs once per route, not per commit;
     * the temporal-validity gate from one divergence table per record
-      over the live queries' distinct ``expires_at``
-      (:meth:`DivergenceProbe.table`), built on first use.  A query whose
-      covered records all reach its end is counted
+      over the live queries' distinct ``expires_at``, built on first
+      use: :func:`linear_divergence` for a plain linear record (every
+      motion-vector update), :meth:`DivergenceProbe.table` otherwise.
+      A query whose covered records all reach its end is counted
       (:attr:`~ContinuousQuery.horizon_skipped`) right here; only a
       query the commit dirties runs its own bookkeeping
       (:meth:`ContinuousQuery._take`).
@@ -1036,9 +1051,7 @@ class UpdateRouter:
             for i in covered:
                 table = tables[i]
                 if table is None:
-                    table = tables[i] = DivergenceProbe(
-                        updates[i], ends[-1]
-                    ).table(ends)
+                    table = tables[i] = _divergence_table(updates[i], ends)
                 if table[e] < end or not eligible:
                     dirty.append((i, table[e]))
             if not dirty:

@@ -42,7 +42,10 @@ touches the database:
    :func:`~repro.ftl.analysis.validity.class_motion_events` and
    :func:`~repro.ftl.analysis.validity.update_divergence` (decided
    once per record for every live query end by
-   :meth:`~repro.ftl.analysis.validity.DivergenceProbe.table`) concretize
+   :func:`~repro.ftl.analysis.validity.linear_divergence` for plain
+   linear motion and by
+   :meth:`~repro.ftl.analysis.validity.DivergenceProbe.table` for every
+   other law) concretize
    the horizons at refresh time so continuous queries, the incremental
    evaluator and the kinetic-solve cache can skip provably redundant
    work.  Report-only diagnostics: FTL801 (finite horizon), FTL802

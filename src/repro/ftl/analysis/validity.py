@@ -566,6 +566,66 @@ def update_divergence(update: Any, end: float) -> float:
     return DivergenceProbe(update, end).at(end)
 
 
+def linear_divergence(
+    value: Any,
+    slope: Any,
+    anchor: Any,
+    new_value: Any,
+    new_slope: Any,
+    new_anchor: Any,
+    t_u: float,
+    ends: Sequence[float],
+) -> list[float]:
+    """:func:`update_divergence` at each of the ascending ``ends`` of an
+    update at ``t_u`` that replaces the plain linear law ``value + slope
+    * (t - anchor)`` by ``new_value + new_slope * (t - new_anchor)`` —
+    the one linear verdict, read by :class:`DivergenceProbe` and by the
+    update router for every record whose old and new functions are both
+    exactly :class:`~repro.motion.functions.LinearFunction`.
+
+    A single-piece law has no breakpoint after the first observable
+    instant ``t0 = max(t_u, new_anchor)``, so the cuts are ``{t0, end}``:
+    the verdict at ``t0`` is shared and each end costs one comparison of
+    ``value + slope * (end - anchor)`` per side — :meth:`DynamicAttribute.value_at
+    <repro.core.dynamic.DynamicAttribute.value_at>` in the same
+    operations and the same order, so bit-identical to it.  A clock
+    regression (``new_anchor`` before ``anchor``) or an anchor that is
+    not a number diverges at ``t_u`` at every end; incomparable values
+    diverge at ``t_u`` at every end past ``t0``.
+    """
+    try:
+        old_ut = float(anchor)
+        new_ut = float(new_anchor)
+    except TypeError:
+        return [t_u] * len(ends)
+    if new_ut < old_ut:
+        # Clock regression: the old state is not a valid baseline.
+        return [t_u] * len(ends)
+    t0 = max(t_u, new_ut)
+    verdicts: list[float] = []
+    same_t0: bool | None = None
+    for end in ends:
+        if end <= t0:
+            verdicts.append(INF)  # the new state is never observed
+            continue
+        try:
+            if same_t0 is None:
+                same_t0 = bool(
+                    value + slope * (t0 - anchor)
+                    == new_value + new_slope * (t0 - new_anchor)
+                )
+            if same_t0 and bool(
+                value + slope * (end - anchor)
+                == new_value + new_slope * (end - new_anchor)
+            ):
+                verdicts.append(INF)
+            else:
+                verdicts.append(t0)
+        except (TypeError, ArithmeticError):
+            verdicts.append(t_u)  # incomparable values
+    return verdicts
+
+
 class DivergenceProbe:
     """:func:`update_divergence` of one update, for every window end up
     to ``end``.
@@ -582,14 +642,8 @@ class DivergenceProbe:
       piecewise linear);
     * **linear** — old and new both carry a plain
       :class:`~repro.motion.functions.LinearFunction` (every
-      motion-vector update).  A single-piece law has no breakpoint after
-      the first observable instant ``t0``, so the cuts are
-      ``{t0, end}``: the verdict at ``t0`` is shared and each end costs
-      one comparison of ``value + slope * (end - updatetime)`` per side
-      — :meth:`DynamicAttribute.value_at
-      <repro.core.dynamic.DynamicAttribute.value_at>` in the same
-      operations and the same order, so bit-identical to it, without
-      its two calls per side per end;
+      motion-vector update): :func:`linear_divergence` over the laws'
+      coefficients;
     * **cuts** — every other law.  A window end enters the cut set
       itself and through the breakpoints that fall inside the window.  A
       side whose breakpoints all lie at or before ``t0`` contributes
@@ -683,30 +737,7 @@ class DivergenceProbe:
             return [self._fixed] * len(ends)
         if self._laws is None:
             return [self._cut_verdict(end) for end in ends]
-        value, slope, anchor, new_value, new_slope, new_anchor = self._laws
-        t0 = self._t0
-        verdicts: list[float] = []
-        same_t0: bool | None = None
-        for end in ends:
-            if end <= t0:
-                verdicts.append(INF)  # the new state is never observed
-                continue
-            try:
-                if same_t0 is None:
-                    same_t0 = bool(
-                        value + slope * (t0 - anchor)
-                        == new_value + new_slope * (t0 - new_anchor)
-                    )
-                if same_t0 and bool(
-                    value + slope * (end - anchor)
-                    == new_value + new_slope * (end - new_anchor)
-                ):
-                    verdicts.append(INF)
-                else:
-                    verdicts.append(t0)
-            except (TypeError, ArithmeticError):
-                verdicts.append(self._t_u)  # incomparable values
-        return verdicts
+        return linear_divergence(*self._laws, self._t_u, ends)
 
     def _cut_verdict(self, end: float) -> float:
         t0 = self._t0

@@ -20,7 +20,7 @@ from repro.core import (
 from repro.errors import QueryError
 from repro.ftl import parse_query
 from repro.geometry import Point
-from repro.motion import LinearFunction, SinusoidFunction
+from repro.motion import LinearFunction, PiecewiseLinearFunction, SinusoidFunction
 from repro.spatial import Polygon
 
 
@@ -66,6 +66,39 @@ class TestRecordedMovingPoint:
         with pytest.raises(QueryError):
             RecordedHistory(db, 0).moving_point("o")
 
+    def test_piecewise_versions_keep_their_own_pieces(self, db):
+        db.add_moving_object("cars", "o", Point(-3, 1), Point(1, 0))
+        db.clock.tick(2)
+        db.update_dynamic(
+            "o", "x_position", function=PiecewiseLinearFunction([(0, 0), (5, 4)])
+        )
+        db.clock.tick(3)
+        # Clipped at the next version: the breakpoint at 2 + 5 = 7 is
+        # never reached, this one takes over at 5.
+        db.update_dynamic(
+            "o", "y_position", function=PiecewiseLinearFunction([(0, -1), (1, 2)])
+        )
+        db.clock.tick(1)
+        db.update_dynamic("o", "x_position", function=LinearFunction(0.5))
+        h = RecordedHistory(db, 0)
+        mp = h.moving_point("o")
+        for k in range(0, 41):
+            t = k / 2
+            assert mp.position_at(t).x == pytest.approx(h.value("o", "x_position", t))
+            assert mp.position_at(t).y == pytest.approx(h.value("o", "y_position", t))
+
+    def test_piecewise_version_after_the_start(self, db):
+        db.add_moving_object("cars", "o", Point(0, 0), Point(1, 1))
+        db.clock.tick(4)
+        db.update_dynamic(
+            "o", "x_position", function=PiecewiseLinearFunction([(0, 2), (3, -1)])
+        )
+        db.clock.tick(1)
+        h = RecordedHistory(db, 2)
+        mp = h.moving_point("o")
+        for t in (2, 3, 4, 5, 6, 7, 8, 9, 12):
+            assert mp.position_at(t).x == pytest.approx(h.value("o", "x_position", t))
+
     def test_nonlinear_raises(self, db):
         db.add_moving_object("cars", "o", Point(0, 0), Point(1, 0))
         db.clock.tick(1)
@@ -109,6 +142,25 @@ class TestPersistentViaInterval:
         with pytest.raises(QueryError):
             db.clock.tick(1)
             db.update_motion("o", Point(0, 0), position=Point(5, 5))
+
+    def test_piecewise_law_takes_the_interval_path(self, db):
+        """One car switched to a piecewise law: the interval evaluator
+        answers (it used to refuse the version), and agrees with naive."""
+        db.add_moving_object("cars", "o", Point(-8, 5), Point(0, 0))
+        db.update_dynamic(
+            "o", "x_position", function=PiecewiseLinearFunction([(0, 0), (5, 4)])
+        )
+        query = parse_query(ENTER_P)
+        interval = PersistentQuery(db, query, horizon=30, method="interval")
+        auto = PersistentQuery(db, query, horizon=30)
+        naive = PersistentQuery(db, query, horizon=30, method="naive")
+        assert interval.last_method == auto.last_method == "interval"
+        assert interval.current() == auto.current() == naive.current() == {("o",)}
+        rows = [
+            dict(query.evaluate(RecordedHistory(db, 0), 30, method=m).rows())
+            for m in ("interval", "naive")
+        ]
+        assert rows[0] == rows[1]
 
     def test_unknown_method_rejected(self, db):
         db.add_moving_object("cars", "o", Point(0, 0))
@@ -154,4 +206,35 @@ def test_interval_equals_naive_over_recorded_histories(updates):
     q = parse_query(ENTER_P)
     interval = dict(q.evaluate(history_a, 25, method="interval").rows())
     naive = dict(q.evaluate(history_b, 25, method="naive").rows())
+    assert interval == naive
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=5),   # ticks until update
+            st.booleans(),                           # piecewise x law?
+            st.integers(min_value=-3, max_value=3),
+            st.integers(min_value=-3, max_value=3),
+        ),
+        max_size=4,
+    ),
+    st.integers(min_value=0, max_value=6),           # history start
+)
+def test_interval_equals_naive_over_piecewise_versions(updates, start):
+    db = MostDatabase()
+    db.create_class(ObjectClass("cars", spatial_dimensions=2))
+    db.define_region("P", Polygon.rectangle(0, 0, 10, 10))
+    db.add_moving_object("cars", "o", Point(-8, 5), Point(2, 0))
+    for dt, piecewise, a, b in updates:
+        db.clock.tick(dt)
+        if piecewise:
+            law = PiecewiseLinearFunction([(0, a), (1 + abs(b) % 3, b), (4, -a)])
+            db.update_dynamic("o", "x_position", function=law)
+        else:
+            db.update_motion("o", Point(a, b))
+    q = parse_query(ENTER_P)
+    interval = dict(q.evaluate(RecordedHistory(db, start), 25, method="interval").rows())
+    naive = dict(q.evaluate(RecordedHistory(db, start), 25, method="naive").rows())
     assert interval == naive

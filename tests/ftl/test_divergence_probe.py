@@ -16,7 +16,12 @@ regression and windows that end before the update.  The same wall holds
 :meth:`~repro.ftl.analysis.validity.DivergenceProbe.table` — the
 router's one verdict per record for every live end, read off the laws'
 coefficients for plain linear motion — against the reference at every
-end.
+end.  The linear verdict itself is one function,
+:func:`~repro.ftl.analysis.validity.linear_divergence`, which the probe
+and the update router both call; its own wall holds it against the
+reference at every end over float and int coefficients, signed zeros,
+non-finite and incomparable values, clock regression and the rounding
+re-anchors where one end's verdict differs from another's.
 """
 
 import math
@@ -26,6 +31,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.database import MostUpdate
 from repro.core.dynamic import DynamicAttribute
 from repro.ftl.analysis import DivergenceProbe, update_divergence
+from repro.ftl.analysis.validity import linear_divergence
 from repro.motion.functions import (
     LinearFunction,
     PiecewiseLinearFunction,
@@ -221,3 +227,117 @@ def test_malformed_and_incomparable_updates_diverge_at_once():
         DynamicAttribute(math.nan, 4.0, LinearFunction(1.0)),
     )
     assert DivergenceProbe(nan, 30.0).at(20.0) == reference_divergence(nan, 20.0)
+
+
+# ---------------------------------------------------------------------------
+# The one linear verdict
+# ---------------------------------------------------------------------------
+
+
+ints = st.integers(-6, 6)
+linear_laws = st.tuples(
+    values | ints | st.sampled_from(["x", None]),  # incomparable values too
+    reals | ints | st.just(-0.0),
+    times | st.integers(0, 12),
+)
+
+
+def linear_update(old, new, t_u):
+    (value, slope, anchor), (new_value, new_slope, new_anchor) = old, new
+    return MostUpdate(
+        t_u,
+        "c0",
+        "x_position",
+        DynamicAttribute(value, anchor, LinearFunction(slope)),
+        DynamicAttribute(new_value, new_anchor, LinearFunction(new_slope)),
+        class_name="cars",
+    )
+
+
+def verdicts(update, ends):
+    old, new = update.old, update.new
+    return linear_divergence(
+        old.value,
+        old.function.slope,
+        old.updatetime,
+        new.value,
+        new.function.slope,
+        new.updatetime,
+        float(update.time),
+        ends,
+    )
+
+
+@settings(max_examples=800)
+@given(
+    old=linear_laws,
+    new=linear_laws,
+    shape=st.sampled_from(["heartbeat", "turn", "free"]),
+    t_u=times | st.integers(0, 12),
+    ends=st.lists(times | reals.map(abs) | st.integers(0, 40), min_size=1, max_size=8),
+)
+def test_linear_verdict_matches_the_single_end_test_at_every_end(
+    old, new, shape, t_u, ends
+):
+    """A heartbeat or a turn re-anchors the old law at ``t_u`` (as
+    ``DynamicAttribute.updated`` does); a free pair may regress the
+    clock or compare values of no common type."""
+    if shape != "free" and t_u >= old[2]:
+        triple = DynamicAttribute(old[0], old[2], LinearFunction(old[1]))
+        try:
+            moved = triple.updated(
+                t_u, function=LinearFunction(new[1]) if shape == "turn" else None
+            )
+        except TypeError:
+            moved = None  # an incomparable value has no implied value
+        if moved is not None:
+            new = (moved.value, moved.function.slope, moved.updatetime)
+    update = linear_update(old, new, t_u)
+    ends = sorted(set(ends))
+    expected = [reference_divergence(update, end) for end in ends]
+    assert verdicts(update, ends) == expected
+    assert DivergenceProbe(update, ends[-1]).table(ends) == expected
+
+
+def test_linear_verdict_rounds_each_end_on_its_own():
+    """Value 0.1 at slope 0.3 from t = 7, re-anchored at 11: the two
+    laws agree at some ends and not at others by rounding alone."""
+    old = DynamicAttribute(0.1, 7, LinearFunction(0.3))
+    update = MostUpdate(11, "c0", "x_position", old, old.updated(11))
+    ends = [11 + k for k in range(-1, 200)] + [11 + k / 10 for k in range(1, 300)]
+    ends = sorted(set(ends))
+    expected = [reference_divergence(update, end) for end in ends]
+    assert {e == INF for e in expected} == {True, False}
+    assert verdicts(update, ends) == expected
+
+
+def test_linear_verdict_edge_cases():
+    def law(value, slope, anchor):
+        return DynamicAttribute(value, anchor, LinearFunction(slope))
+
+    cases = [
+        # int coefficients: exact at every end
+        MostUpdate(4, "c0", "x_position", law(1, 2, 0), law(9, 2, 4)),
+        # signed zeros compare equal
+        MostUpdate(3, "c0", "x_position", law(-0.0, 0.0, 0), law(0.0, -0.0, 3)),
+        # a real turn diverges at the first observable instant
+        MostUpdate(3, "c0", "x_position", law(0.0, 1.0, 0), law(3.0, -1.0, 3)),
+        # clock regression: the new law is anchored before the old
+        MostUpdate(5, "c0", "x_position", law(1.0, 1.0, 4), law(0.0, 1.0, 2)),
+        # the update is not yet observable: anchored after t_u
+        MostUpdate(2, "c0", "x_position", law(1.0, 1.0, 0), law(9.0, 0.0, 6)),
+        # incomparable and non-finite values
+        MostUpdate(2, "c0", "x_position", law("x", 1.0, 0), law("x", 1.0, 2)),
+        MostUpdate(2, "c0", "x_position", law(math.nan, 1.0, 0), law(math.nan, 1.0, 2)),
+        MostUpdate(2, "c0", "x_position", law(INF, 1.0, 0), law(INF, 1.0, 2)),
+    ]
+    ends = [0.0, 2.0, 3.0, 4.0, 5.5, 6.0, 7.0, 40.0]
+    for update in cases:
+        expected = [reference_divergence(update, end) for end in ends]
+        assert verdicts(update, ends) == expected, update
+    assert verdicts(cases[0], ends)[-1] == INF
+    assert verdicts(cases[1], ends)[-1] == INF
+    assert verdicts(cases[2], ends)[-1] == 3.0
+    assert verdicts(cases[3], ends) == [5.0] * len(ends)
+    assert verdicts(cases[5], ends)[-1] == 2.0
+    assert verdicts(cases[0], []) == []

@@ -274,9 +274,14 @@ STRICT_PACKAGES = ("server", "parallel", "ftl/analysis")
 STRICT_DEFS = {
     "core/columns.py": ("MotionRows", "MotionColumns", "_exact", "linear_legs"),
     "core/database.py": (
+        "_same_float",
         "MostDatabase.motion_event_candidates",
         "MostDatabase.motion_columns",
         "MostDatabase._write",
+        "MostDatabase._motion_updates",
+        "MostDatabase._commit",
+        "MostDatabase.ingest_motion",
+        "MostDatabase.__contains__",
         "MostDatabase.object_ids_of",
         "MostDatabase.heard_serial",
         "MostDatabase.heard_since",
@@ -286,10 +291,9 @@ STRICT_DEFS = {
     "core/queries.py": (
         "UpdateRouter",
         "_class_gate",
+        "_divergence_table",
         "_binds",
         "_covered",
-        "_update_class",
-        "_is_live",
         "_stamp_rows",
         "ContinuousQuery.changed_since",
         "ContinuousQuery.stamp_rows",
@@ -297,6 +301,7 @@ STRICT_DEFS = {
     ),
     "ftl/analysis/validity.py": (
         "DivergenceProbe",
+        "linear_divergence",
         "update_divergence",
         "class_motion_events",
     ),
