@@ -115,13 +115,13 @@ def build_world(n: int) -> MostDatabase:
 
 
 def run_mode(db, query, repeats: int, mode: str) -> dict:
-    """Best-of-``repeats`` cold-cache evaluation (the cache is cleared
-    before every repeat: this bench measures solving, not replay)."""
+    """Best-of-``repeats`` evaluation.  Without a validity stamp no
+    solve is reused, so every repeat solves: this bench measures
+    solving, not replay."""
     best = float("inf")
     counters = None
     relation = None
     for _ in range(repeats):
-        db.kinetic_cache.clear()
         ctx = EvalContext(FutureHistory(db), HORIZON, query.bindings)
         evaluator = IntervalEvaluator(ctx, options=OPTIONS)
         with scalar_rows() if mode == "scalar" else nullcontext():
@@ -191,7 +191,7 @@ def test_batch_solving_beats_scalar_on_dense_fleets(record_table):
         )
     record_table(
         "E13: batch kinetic solving "
-        f"(dense fleet, horizon {HORIZON}, index gate off, cold cache; "
+        f"(dense fleet, horizon {HORIZON}, index gate off, no solve reuse; "
         "identical answers and solve counts both modes)",
         [
             "scenario",

@@ -14,8 +14,9 @@ vector — through two continuous queries on twin databases: one with the
 horizon gate (the default) and one built with
 ``validity_horizons`` off.  All values are dyadic so heartbeat
 re-anchoring is float-exact.  Answers are asserted identical epoch for
-epoch; the table reports evaluations, skips, window-shift cache hits and
-refresh wall time.
+epoch; the table reports evaluations, skips, stamped solve reuses
+(``db.kinetic_cache.hits``, every one a window-shift or equal-window
+reuse under a validity stamp) and refresh wall time.
 
 Results land in ``BENCH_validity_reuse.json`` at the repo root (archived
 by CI), with the fingerprint of the host that ran them.
@@ -114,7 +115,7 @@ def drive(n: int, validity: bool) -> dict:
         "answers": answers,
         "evaluations": cq.evaluations,
         "horizon_skipped": cq.horizon_skipped,
-        "shift_hits": db.kinetic_cache.shift_hits,
+        "cache_hits": db.kinetic_cache.hits,
         "refresh_ms": refresh_s * 1e3,
     }
     cq.cancel()
@@ -145,7 +146,7 @@ def test_validity_reuse_cuts_refresh_cost(record_table):
                 plain["evaluations"],
                 stamped["evaluations"],
                 stamped["horizon_skipped"],
-                stamped["shift_hits"],
+                stamped["cache_hits"],
                 round(plain["refresh_ms"], 2),
                 round(stamped["refresh_ms"], 2),
                 round(
@@ -162,7 +163,7 @@ def test_validity_reuse_cuts_refresh_cost(record_table):
             "evals plain",
             "evals stamped",
             "skipped",
-            "shift hits",
+            "solve reuses",
             "plain ms",
             "stamped ms",
             "speedup x",

@@ -3,8 +3,9 @@
 Deployment-facing settings that must be tunable without code changes are
 read from ``REPRO_*`` environment variables:
 
-* ``REPRO_KINETIC_CACHE_SIZE`` — FIFO bound of the database-wide
-  :class:`~repro.ftl.atoms.KineticSolveCache` when the
+* ``REPRO_KINETIC_CACHE_SIZE`` — FIFO bound of the database's table of
+  stamped kinetic solves (:class:`~repro.ftl.atoms.KineticSolveCache`,
+  read only by continuous-query refreshes under validity stamps) when the
   ``MostDatabase(kinetic_cache_size=...)`` constructor argument is left at
   its default.  A positive integer.
 * ``REPRO_PARALLEL_START_METHOD`` — multiprocessing start method for the

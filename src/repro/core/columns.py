@@ -329,13 +329,6 @@ class MotionColumns:
         rows = range(stop - self.dim, stop)
         return tuple(self._row_token(row) for row in rows)
 
-    def attr_token(self, number: int, attr: str) -> object:
-        """The :meth:`_row_token` of object ``number``'s attribute
-        ``attr``."""
-        if self._pending:
-            self._sync((number,))
-        return self._row_token(number * self.width + self._column[attr])
-
     def _row_token(self, row: int) -> object:
         """One encoded row as a hashable value equal exactly when the
         triples are: the float coefficients ``(value, updatetime,

@@ -82,11 +82,14 @@ class MostDatabase:
         #: Process-unique identity (``id()`` can be reused once a database
         #: is collected); the first field of a history's content token.
         self.uid = next(_uids)
-        #: Bound on the kinetic-solve memo table (None = the default,
+        #: Bound on the stamped kinetic-solve table (None = the default,
         #: ``repro.ftl.atoms.DEFAULT_CACHE_ENTRIES``).
         self.kinetic_cache_size = kinetic_cache_size
         self._classes: dict[str, ObjectClass] = {}
         self._objects: dict[object, MostObject] = {}
+        # The tick each object was inserted at (``add_object``): where a
+        # recorded history first holds it.
+        self._inserted: dict[object, int] = {}
         # Per class, its motion columns (repro.core.columns): written
         # wherever a triple is installed — ``add_object`` and ``_write``;
         # any new write or delete path must write them too.  Their ``ids``
@@ -115,9 +118,13 @@ class MostDatabase:
 
     @property
     def kinetic_cache(self):
-        """The database-wide kinetic-solve memo table (lazily created).
+        """The database's table of stamped kinetic solves (lazily
+        created).
 
-        Shared by every evaluator querying this database; motion updates
+        Read and written only by atoms evaluated under a validity stamp
+        — continuous-query refreshes with validity horizons — which
+        reuse a solve over any later window the stamp still covers;
+        every other evaluation leaves it untouched.  Motion updates
         invalidate naturally because the frozen dynamic-attribute triples
         are part of every key (see :mod:`repro.ftl.atoms`).
         """
@@ -201,6 +208,7 @@ class MostDatabase:
             raise SchemaError(f"object {object_id!r} already exists")
         obj = MostObject(object_id, cls, static=static, dynamic=dynamic)
         self._objects[object_id] = obj
+        self._inserted[object_id] = self.clock.now
         self._columns[class_name].append(
             object_id, [obj.dynamic_attribute(a) for a in cls.all_dynamic]
         )
@@ -300,6 +308,11 @@ class MostDatabase:
 
     def __len__(self) -> int:
         return len(self._objects)
+
+    def arrivals(self, since: float) -> dict[object, int]:
+        """The objects inserted after tick ``since``, each with the tick
+        it was inserted at."""
+        return {oid: t for oid, t in self._inserted.items() if t > since}
 
     def __contains__(self, object_id: object) -> bool:
         """Whether ``object_id`` names an object of this database."""

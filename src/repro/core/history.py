@@ -61,6 +61,11 @@ class History:
     def __init__(self, db: "MostDatabase", start: float) -> None:
         self.db = db
         self.start = start
+        #: Objects that enter the history after ``start``, each with the
+        #: tick it enters at: no state before that tick holds it, so
+        #: every atom over it is false there.  Empty for a future
+        #: history, whose population is frozen at ``start``.
+        self.arrivals: dict[object, int] = {}
 
     # -- population ----------------------------------------------------
     def object_ids(self, class_name: str) -> list[object]:
@@ -194,8 +199,13 @@ class RecordedHistory(History):
     values come from the update-log timeline (which version of the triple
     was in force at ``t``); beyond the current time they follow the
     current triples — the shape persistent queries need (the speed-
-    doubling query ``R`` of section 2.3).
+    doubling query ``R`` of section 2.3).  An object inserted after
+    ``start`` enters the history at its insert tick (:attr:`arrivals`).
     """
+
+    def __init__(self, db: "MostDatabase", start: float) -> None:
+        super().__init__(db, start)
+        self.arrivals = db.arrivals(start)
 
     def object_ids(self, class_name: str) -> list[object]:
         return [o.object_id for o in self.db.objects_of(class_name)]

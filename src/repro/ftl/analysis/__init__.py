@@ -47,7 +47,7 @@ touches the database:
    :meth:`~repro.ftl.analysis.validity.DivergenceProbe.table` for every
    other law) concretize
    the horizons at refresh time so continuous queries, the incremental
-   evaluator and the kinetic-solve cache can skip provably redundant
+   evaluator and stamped solve reuse can skip provably redundant
    work.  Report-only diagnostics: FTL801 (finite horizon), FTL802
    (constant answer), FTL803 (bottom nodes); surfaced via the plan JSON
    ``validity`` block and ``python -m repro.ftl.lint --validity``.

@@ -450,6 +450,5 @@ def drift_report(
             row["estimated_solves"] = round(node.estimate.solves, 3)
             row["observed_solves"] = int(stats.get("solves", 0))
             row["pruned_instantiations"] = int(stats.get("pruned", 0))
-            row["cache_hits"] = int(stats.get("cache_hits", 0))
         rows.append(row)
     return rows

@@ -46,7 +46,7 @@ Propagation rules (window arithmetic):
 
 Soundness contract consumed by :class:`~repro.core.queries.
 ContinuousQuery`, :class:`~repro.ftl.incremental.
-PartialIntervalEvaluator` and the kinetic-solve cache: re-evaluating a
+PartialIntervalEvaluator` and stamped solve reuse: re-evaluating a
 node at any ``t' ∈ [t_eval, t_expire)`` over the same remaining window
 provably yields the already-cached relation, and an update whose
 :func:`update_divergence` lies at or beyond the window end cannot

@@ -1,4 +1,4 @@
-"""Accelerated atom evaluation: index pruning + a shared solve cache.
+"""Accelerated atom evaluation: index pruning + stamped solve reuse.
 
 The appendix algorithm's base case enumerates the full cartesian product
 of an atom's variable domains and runs one kinetic solve per
@@ -33,18 +33,20 @@ nonlinear or non-spatial are *unprunable* — always candidates — so the
 solve path sees exactly the inputs (and raises exactly the errors) the
 exhaustive path would.
 
-**Layer 2 — shared kinetic-solve cache** (:class:`KineticSolveCache`).
-A bounded memo table attached to the :class:`~repro.core.database.
+**Layer 2 — stamped solve reuse** (:class:`KineticSolveCache`).
+A bounded table attached to the :class:`~repro.core.database.
 MostDatabase` (``db.kinetic_cache``), keyed by the atom kind, its
-canonical arguments, the *exact* evaluation window, and the
-participating objects' frozen motion triples.  Repeated subformulas,
-plan-ordered re-evaluations, the three evaluators, and continuous-query
-refreshes after irrelevant updates all reuse solved interval sets.
-Motion updates invalidate naturally: an explicit update produces a new
-``(value, updatetime, function)`` triple, hence a new key.  Keys always
-pin the exact window because the numeric fallback solvers sample a
-window-dependent grid — reusing a clipped superset answer could differ
-near the boundary.
+canonical arguments and the participating objects' frozen motion
+triples — not the window.  Only an atom evaluated under a validity
+stamp (a continuous query's refresh with validity horizons, DESIGN.md
+§11) builds a key and reads or writes the table; every other
+evaluation solves.  The stamp proves each trajectory the atom reads
+piecewise-linear and solved in closed form, so the dense answer does
+not depend on the window and a stored answer clipped to any contained
+window that starts before the stamp expires is the answer a fresh
+solve would give.  Motion updates invalidate naturally: an explicit
+update produces a new ``(value, updatetime, function)`` triple, hence
+a new key.
 """
 
 from __future__ import annotations
@@ -95,6 +97,10 @@ _FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
 #: decided rows, and the answer every decided row has.
 AtomPartition = tuple[np.ndarray, int, IntervalSet]
 
+#: One stored solve of :class:`KineticSolveCache`: the window it was
+#: solved over, the expiry of its validity stamp and the answer.
+SolveEntry = tuple[tuple[int, int], float, IntervalSet]
+
 
 def _radius(bound: object) -> float:
     """A ``DIST`` bound as a pruning radius, or NaN when the solve path
@@ -106,111 +112,61 @@ def _radius(bound: object) -> float:
 
 
 class KineticSolveCache:
-    """Bounded FIFO memo table of kinetic atom solves.
+    """Bounded FIFO table of stamped kinetic atom solves.
 
-    Values are :class:`~repro.temporal.IntervalSet` answers exactly as
-    the interval evaluator would have computed them (discretized and
-    clipped to the window baked into the key), so a hit is
-    indistinguishable — tuple-for-tuple — from a fresh solve.
-
-    **Window-shifted reuse** (pass 8).  Exact-window keying makes a pure
-    time advance — same motion triples, same horizon end, later start —
-    a guaranteed miss.  When the evaluator *proves* an entry
-    shift-reusable (the atom's validity horizon is non-bottom, i.e.
-    every read trajectory is piecewise-linear and solved analytically,
-    so the dense answer is window-independent and clipping commutes with
-    discretization), it stamps the ``put`` with the solved window and
-    the horizon's concrete expiry.  A later exact miss whose key differs
-    *only* in the window may then be answered by clipping the stamped
-    entry, provided the requested window is contained in the stored one
-    and starts before the stamp expires.  Unstamped entries (numeric
-    fallback solvers sample a window-dependent grid) never shift.
+    An entry is ``key -> (solved window, stamp expiry, answer)``, the
+    answer discretized and clipped to the solved window exactly as the
+    interval evaluator computed it.  A lookup hits when the stored
+    window contains the requested one and the request starts before the
+    expiry; it returns the answer clipped to the request, which is
+    ``solve([s', e'])`` because ``solve([s, e]).clip(s', e') ==
+    solve([s', e'])`` for analytic solves whenever ``[s', e'] ⊆ [s, e]``
+    (the equal window is the trivial case).  Only a solve writes an
+    entry, replacing the key's older one; a hit writes nothing.
     """
 
     def __init__(self, max_entries: int = DEFAULT_CACHE_ENTRIES) -> None:
         self.max_entries = max_entries
-        self._entries: "OrderedDict[object, IntervalSet]" = OrderedDict()
-        #: Window-erased index of stamped entries: ``key[:1] + key[2:]``
-        #: → (solved window, full key, validity expiry).
-        self._stamped: "OrderedDict[object, tuple[tuple[float, float], object, float]]" = (
-            OrderedDict()
-        )
+        self._store: "OrderedDict[object, SolveEntry]" = OrderedDict()
         #: Cumulative lookup stats across every evaluator sharing this
-        #: cache (per-evaluator counts live on the evaluators).
+        #: table (per-evaluator counts live on the evaluators).
         self.hits = 0
         self.misses = 0
-        self.shift_hits = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._store)
 
-    def get(self, key: object) -> IntervalSet | None:
-        """The cached answer, or ``None``."""
-        value = self._entries.get(key)
-        if value is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return value
+    def get(self, key: object, window: tuple[int, int]) -> IntervalSet | None:
+        """The stored answer clipped to ``window``, or ``None``."""
+        entry = self._store.get(key)
+        if entry is not None:
+            solved, expire, value = entry
+            start, end = window
+            if solved[0] <= start and end <= solved[1] and start < expire:
+                self.hits += 1
+                return value if solved == window else value.clip(start, end)
+        self.misses += 1
+        return None
 
     def put(
         self,
         key: object,
+        window: tuple[int, int],
+        expire: float,
         value: IntervalSet,
-        stamp: tuple[tuple[float, float], float] | None = None,
     ) -> None:
-        """Store one solved answer, evicting FIFO beyond the bound.
-
-        ``stamp`` is ``(solved_window, t_expire)``; only the evaluator
-        passes it, and only when the atom's validity horizon proves the
-        answer window-independent (see the class docstring).
-        """
-        entries = self._entries
-        if key in entries:
-            return
-        entries[key] = value
-        if stamp is not None and isinstance(key, tuple) and len(key) >= 2:
-            window, expire = stamp
-            self._stamped[key[:1] + key[2:]] = (window, key, expire)
-            while len(self._stamped) > self.max_entries:
-                self._stamped.popitem(last=False)
-        while len(entries) > self.max_entries:
-            entries.popitem(last=False)
-
-    def shifted_get(self, key: object) -> IntervalSet | None:
-        """Window-shifted reuse probe, tried after an exact miss.
-
-        Answers from a stamped entry whose key differs only in the
-        window, clipped to the requested window — exact because stamped
-        answers are dense analytic solutions discretized per tick, so
-        ``solve([s,e]).clip(s',e') == solve([s',e'])`` whenever
-        ``[s',e'] ⊆ [s,e]`` and the motion triples (in the key) match.
-        The stamp's expiry additionally ties reuse to the static
-        validity horizon: a requested start at or beyond it refuses.
-        """
-        if not (isinstance(key, tuple) and len(key) >= 2):
-            return None
-        window = key[1]
-        if not (isinstance(window, tuple) and len(window) == 2):
-            return None
-        entry = self._stamped.get(key[:1] + key[2:])
-        if entry is None:
-            return None
-        stored_window, full_key, expire = entry
-        lo, hi = stored_window
-        req_lo, req_hi = window
-        if not (lo <= req_lo and req_hi <= hi and req_lo < expire):
-            return None
-        value = self._entries.get(full_key)
-        if value is None:
-            return None  # the backing entry was evicted
-        self.shift_hits += 1
-        return value.clip(float(req_lo), float(req_hi))
+        """Store one solve over ``window`` under a stamp expiring at
+        ``expire``, replacing the key's entry and evicting FIFO beyond
+        the bound."""
+        store = self._store
+        store.pop(key, None)
+        store[key] = (window, expire, value)
+        while len(store) > self.max_entries:
+            store.popitem(last=False)
 
     def clear(self) -> None:
         """Drop every entry (stats are kept)."""
-        self._entries.clear()
-        self._stamped.clear()
+        self._store.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -358,10 +314,6 @@ def linear_motion_tokens(
     return out
 
 
-def _window(ctx: "EvalContext") -> tuple[int, int]:
-    return (ctx.start, ctx.end)
-
-
 def _keyed(parts: tuple) -> tuple | None:
     try:
         hash(parts)
@@ -379,7 +331,7 @@ def region_solve_key(
     mtok = _ctx_motion_token(ctx, object_id)
     if rtok is None or mtok is None:
         return None
-    return _keyed(("region", _window(ctx), rtok, mtok))
+    return _keyed(("region", rtok, mtok))
 
 
 def sphere_solve_key(
@@ -395,7 +347,7 @@ def sphere_solve_key(
         if tok is None:
             return None
         tokens.append(tok)
-    return _keyed(("sphere", _window(ctx), float(radius), tuple(tokens)))
+    return _keyed(("sphere", float(radius), tuple(tokens)))
 
 
 def dist_solve_key(
@@ -406,16 +358,7 @@ def dist_solve_key(
     tb = _ctx_motion_token(ctx, b)
     if ta is None or tb is None:
         return None
-    return _keyed(("dist", _window(ctx), op, float(bound), ta, tb))
-
-
-def attr_solve_key(
-    ctx: "EvalContext", op: str, bound: float, token: object
-) -> tuple | None:
-    """Key of a linear dynamic-attribute range solve; the attribute's
-    row token (:meth:`~repro.core.columns.MotionColumns.attr_token`,
-    equal exactly when the triples are) is the motion token."""
-    return _keyed(("attr", _window(ctx), op, float(bound), token))
+    return _keyed(("dist", op, float(bound), ta, tb))
 
 
 # ---------------------------------------------------------------------------

@@ -47,9 +47,12 @@ class EvalOptions:
     ``dataclasses.replace(DEFAULT, index_pruning=False)`` or
     :data:`ORACLE`.  The batch kinetic backend is not a layer: every
     atom row whose motion is one plain linear leg takes it, whatever the
-    options (DESIGN.md §8).  Frozen and picklable: one instance is
-    shared by every refresh of a continuous query and crosses the
-    shard-worker boundary.
+    options (DESIGN.md §8).  Nor is solve reuse a switch of its own: a
+    kinetic solve is reused only under a validity stamp, which only
+    ``validity_horizons`` on a continuous query issues (DESIGN.md §7),
+    so every other evaluation solves.  Frozen and picklable: one
+    instance is shared by every refresh of a continuous query and
+    crosses the shard-worker boundary.
     """
 
     #: Evaluate through a cost-ordered plan (built from the history's
@@ -58,10 +61,9 @@ class EvalOptions:
     #: Answer atom instantiations outside the trajectory-MBR candidate
     #: sets without kinetic solves (DESIGN.md §7).
     index_pruning: bool = True
-    #: Reuse kinetic solves through the database-wide memo table.
-    solve_cache: bool = True
     #: Continuous queries only: the temporal-validity gate, stamped
-    #: solve reuse and horizon subtree skipping (DESIGN.md §11).
+    #: solve reuse — the one way a kinetic solve is reused (DESIGN.md
+    #: §7) — and horizon subtree skipping (DESIGN.md §11).
     validity_horizons: bool = True
     #: Closed-form kinetic solvers for spatial atoms; off, every atom is
     #: sampled per tick (the ablation of bench_ablation_kinetic.py).
@@ -74,7 +76,6 @@ DEFAULT = EvalOptions()
 ORACLE = EvalOptions(
     ordered=False,
     index_pruning=False,
-    solve_cache=False,
     validity_horizons=False,
 )
 
@@ -164,8 +165,8 @@ class EvalContext:
             self._pruner = AtomIndexPruner(self)
         return self._pruner
 
-    def solve_cache(self) -> "KineticSolveCache | None":
-        """The database-wide kinetic-solve memo table, or ``None`` when
+    def kinetic_cache(self) -> "KineticSolveCache | None":
+        """The database's stamped kinetic-solve table, or ``None`` when
         the history's database does not carry one."""
         db = getattr(self.history, "db", None)
         if db is None:

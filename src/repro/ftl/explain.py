@@ -243,9 +243,7 @@ def _print_human(report: dict) -> None:
             print(
                 f"executed on {execution['objects_per_class']} objects/"
                 f"class: {c['kinetic_solves']} solve(s), "
-                f"{c['pruned_instantiations']} pruned, "
-                f"{c['cache_hits']}/{c['cache_hits'] + c['cache_misses']} "
-                "cache hit(s)"
+                f"{c['pruned_instantiations']} pruned"
             )
     for diag in plan["diagnostics"]:
         print(f"  {diag['severity']}[{diag['code']}]: {diag['message']}")
@@ -301,7 +299,7 @@ def main(argv: list[str] | None = None) -> int:
         metavar="N",
         help="additionally evaluate each query on a synthetic seeded "
         "fleet of N objects per class and report the live "
-        "kinetic_solves / pruned_instantiations / cache counters",
+        "kinetic_solves / pruned_instantiations counters",
     )
     opts = parser.parse_args(argv)
 

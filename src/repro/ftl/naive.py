@@ -114,6 +114,18 @@ class NaiveEvaluator:
         ctx = self.ctx
         end = ctx.end
 
+        arrivals = ctx.history.arrivals
+        if (
+            arrivals
+            and isinstance(f, (Compare, Inside, Outside, WithinSphere))
+            and any(
+                arrivals.get(env[v], t) > t
+                for v in f.free_vars()
+                if ctx.is_object_var(v)
+            )
+        ):
+            return False  # an object not yet in the state at ``t``
+
         if isinstance(f, Compare):
             lhs = ctx.eval_term(f.left, env, t)
             rhs = ctx.eval_term(f.right, env, t)

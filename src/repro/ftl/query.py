@@ -268,7 +268,7 @@ class CompiledQuery:
     drift: list[dict] | None = None
     #: Atom-acceleration counters of the last :meth:`evaluate` call with
     #: ``record_relations=True`` (``kinetic_solves``,
-    #: ``pruned_instantiations``, ``cache_hits`` / ``cache_misses``, ...).
+    #: ``pruned_instantiations``, ...).
     counters: dict[str, int] | None = None
 
     @property

@@ -54,7 +54,6 @@ _COUNTER_KEYS = (
     "pruned_instantiations",
     "cache_hits",
     "cache_misses",
-    "cache_shift_hits",
 )
 
 _ATOM_STAT_KEYS = ("instantiations", "pruned", "solves", "cache_hits")

@@ -24,7 +24,7 @@ triple reproduces the original's *values and value types* exactly:
 The arrays are the database's own motion columns
 (:mod:`repro.core.columns`), each class's rows copied out in one
 concatenation — the store the atom pruner's leg-box tables, the batch
-solver's single legs and the solve-cache motion tokens read too.
+solver's single legs and the stamped solves' motion tokens read too.
 """
 
 from __future__ import annotations

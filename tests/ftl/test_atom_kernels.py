@@ -248,8 +248,8 @@ def outcome(db, f, bindings, rows, start, horizon, scalar):
                 ev.counters(),
                 {k: v for k, v in stats.items() if k != "formula"},
                 {
-                    key: exact(value)
-                    for key, value in db.kinetic_cache._entries.items()
+                    key: (window, expire, exact(value))
+                    for key, (window, expire, value) in db.kinetic_cache._store.items()
                 },
             )
         )
@@ -313,7 +313,6 @@ def test_the_wall_reaches_the_column_path(monkeypatch):
             want = query.evaluate(FutureHistory(db), 12)
         assert calls
         calls.clear()
-        db.kinetic_cache.clear()
         got = query.evaluate(FutureHistory(db), 12)
         assert calls == [], text
         assert got.rows() and [(i, exact(s)) for i, s in got.rows()] == [

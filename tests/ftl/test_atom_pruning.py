@@ -1,10 +1,10 @@
 """Differential suite for index-pruned atom evaluation (DESIGN.md §7).
 
-The accelerated base case — trajectory-MBR pruning plus the shared
-kinetic-solve cache — must be answer-invisible: for every seeded world,
-query and evaluation method, the pruned+cached run must produce the same
-relation, tuple for tuple and interval for interval, as the exhaustive
-run with both layers disabled.  The worlds here are deliberately
+The accelerated base case — trajectory-MBR pruning plus stamped solve
+reuse — must be answer-invisible: for every seeded world, query and
+evaluation method, the accelerated run must produce the same relation,
+tuple for tuple and interval for interval, as the exhaustive run with
+pruning off and no validity stamps.  The worlds here are deliberately
 *sparse* (positions an order of magnitude wider than the regions and
 proximity bounds) so the pruner actually fires; guard tests assert that
 it does, keeping the suite honest.
@@ -12,6 +12,7 @@ it does, keeping the suite honest.
 
 import math
 import random
+from collections.abc import Mapping
 from dataclasses import replace
 
 import numpy as np
@@ -98,10 +99,36 @@ def build_sparse_world(rng: random.Random, n: int = 6) -> MostDatabase:
     return db
 
 
-#: Pruning on, shared solve cache off: every surviving row really solves.
-UNCACHED = replace(DEFAULT, solve_cache=False)
-#: Neither the index gate nor the cache: one solve per instantiation.
-EXHAUSTIVE = replace(UNCACHED, index_pruning=False)
+#: Pruning on; no validity stamp, so every surviving row really solves.
+PRUNED = DEFAULT
+#: No index gate either: one solve per instantiation.
+EXHAUSTIVE = replace(DEFAULT, index_pruning=False)
+
+
+class _StampAll(Mapping):
+    """A ``validity`` mapping that stamps every node valid forever: an
+    :class:`IntervalEvaluator` given it keys its kinetic solves and
+    reuses them through ``db.kinetic_cache``, as a continuous query's
+    refresh does."""
+
+    def __getitem__(self, node_id: int) -> float:
+        return math.inf
+
+    def __iter__(self):
+        return iter(())
+
+    def __len__(self) -> int:
+        return 0
+
+
+STAMP_ALL = _StampAll()
+
+
+def stamped_rows(query, db, options=DEFAULT):
+    """Rows of one evaluation with every atom stamped."""
+    ctx = EvalContext(FutureHistory(db), HORIZON, query.bindings)
+    evaluator = IntervalEvaluator(ctx, options=options, validity=STAMP_ALL)
+    return rows_of(evaluator.evaluate(query.where))
 
 
 def both_modes(query, db, horizon=HORIZON):
@@ -168,7 +195,7 @@ def test_every_prunable_atom_kind(atom):
             plain, fast = both_modes(query, db)
             assert plain == fast, f"seed {seed}: {where}"
             ctx = EvalContext(FutureHistory(db), HORIZON, bindings)
-            ev = IntervalEvaluator(ctx, options=UNCACHED)
+            ev = IntervalEvaluator(ctx, options=PRUNED)
             ev.evaluate(where)
             pruned_total += ev.pruned_instantiations
     assert pruned_total > 0, f"pruner never fired for {atom}"
@@ -184,8 +211,8 @@ def test_every_prunable_atom_kind(atom):
 def test_continuous_queries_agree_under_updates(method, seed):
     """Accelerated vs exhaustive continuous queries over identical update
     streams: every display and the final Answer(CQ) must agree.  The
-    incremental method additionally exercises the shared cache across
-    PartialIntervalEvaluator refreshes."""
+    accelerated queries refresh under validity stamps, so they also
+    exercise stamped solve reuse across refreshes."""
     rng = random.Random(seed)
     world_bits = rng.getstate()
     dbs = []
@@ -220,7 +247,7 @@ def test_continuous_queries_agree_under_updates(method, seed):
 
 def test_cache_invalidated_by_motion_update():
     """An explicit motion update changes the attribute triples, hence the
-    cache keys: the accelerated answer tracks the new motion instead of
+    solve keys: a stamped re-evaluation tracks the new motion instead of
     serving the pre-update solve."""
     rng = random.Random(7)
     db = build_sparse_world(rng, n=4)
@@ -229,11 +256,13 @@ def test_cache_invalidated_by_motion_update():
         bindings={"c": "cars"},
         where=Inside(Var("c"), "P"),
     )
-    plain, fast = both_modes(query, db)
-    assert plain == fast
+    plain, _ = both_modes(query, db)
+    assert stamped_rows(query, db, EXHAUSTIVE) == plain
+    assert len(db.kinetic_cache) == 4  # every car's solve is stored
     # Send a far-away car through the region.
     db.update_motion("c0", Point(0, 0), position=Point(0, 0))
-    plain, fast = both_modes(query, db)
+    plain, _ = both_modes(query, db)
+    fast = stamped_rows(query, db, EXHAUSTIVE)
     assert plain == fast
     assert any(inst == ("c0",) for inst, _ in fast)
 
@@ -258,14 +287,14 @@ def test_counters_account_for_pruning_and_caching():
         Compare("<=", Dist(Var("c"), Var("v")), Const(4)),
     )
 
-    def run(options):
+    def run(options, validity=None):
         ctx = EvalContext(FutureHistory(db), HORIZON, bindings)
-        ev = IntervalEvaluator(ctx, options=options)
+        ev = IntervalEvaluator(ctx, options=options, validity=validity)
         ev.evaluate(where)
         return ev
 
     exhaustive = run(EXHAUSTIVE)
-    pruned = run(UNCACHED)
+    pruned = run(PRUNED)
     assert exhaustive.pruned_instantiations == 0
     assert exhaustive.cache_hits == exhaustive.cache_misses == 0
     assert pruned.pruned_instantiations > 0
@@ -277,12 +306,14 @@ def test_counters_account_for_pruning_and_caching():
         "pruned_instantiations",
         "cache_hits",
         "cache_misses",
-        "cache_shift_hits",
     }
-    # Same evaluation twice through the db-wide cache: the second run's
-    # surviving instantiations are all hits, with zero fresh solves.
-    first = run(DEFAULT)
-    second = run(DEFAULT)
+    # Unstamped evaluations never reuse: a second one solves again.
+    assert run(PRUNED).kinetic_solves == pruned.kinetic_solves
+    assert len(db.kinetic_cache) == 0
+    # The same stamped evaluation twice: the second run's surviving
+    # instantiations are all hits, with zero fresh solves.
+    first = run(DEFAULT, STAMP_ALL)
+    second = run(DEFAULT, STAMP_ALL)
     assert first.kinetic_solves == pruned.kinetic_solves
     assert second.kinetic_solves == 0
     assert second.cache_hits > 0
@@ -299,10 +330,10 @@ def test_cache_bound_is_enforced():
     cache = KineticSolveCache(max_entries=4)
     sets = IntervalSet.empty(DISCRETE)
     for i in range(10):
-        cache.put(("k", i), sets)
+        cache.put(("k", i), (0, 10), math.inf, sets)
     assert len(cache) == 4
-    assert cache.get(("k", 0)) is None  # FIFO-evicted
-    assert cache.get(("k", 9)) is not None
+    assert cache.get(("k", 0), (0, 10)) is None  # FIFO-evicted
+    assert cache.get(("k", 9), (0, 10)) is not None
     assert cache.hits == 1 and cache.misses == 1
 
 
@@ -322,7 +353,9 @@ def test_naive_read_through_matches_geometry():
 
     def interval_pass():
         ctx = EvalContext(FutureHistory(db), HORIZON, bindings)
-        evaluator = IntervalEvaluator(ctx, options=unpruned)
+        evaluator = IntervalEvaluator(
+            ctx, options=unpruned, validity=STAMP_ALL
+        )
         return evaluator, evaluator.evaluate(where)
 
     warm, _ = interval_pass()
@@ -373,7 +406,7 @@ def test_negative_sphere_radius_raises_like_exhaustive():
     db.add_moving_object("cars", "long", Point(0, 0), Point(3, 0))
     where = WithinSphere(-1, (Var("a"), Var("b")))
     errors = []
-    for options in (EXHAUSTIVE, UNCACHED):
+    for options in (EXHAUSTIVE, PRUNED):
         ctx = EvalContext(
             FutureHistory(db), HORIZON, {"a": "cars", "b": "cars"}
         )
@@ -931,8 +964,9 @@ PINNED_SPARSE = [(420, 30, 0), (420, 0, 30)]
 
 def test_candidate_counters_pinned_to_the_rtree_build():
     """``pruned_instantiations`` / ``kinetic_solves`` / ``cache_hits`` of
-    one dense and one sparse world, first run and warm re-run, exactly as
-    the R-tree-backed pruner of the parent commit counted them."""
+    one dense and one sparse world, first run and warm (stamped) re-run,
+    exactly as the R-tree-backed pruner of the parent commit counted
+    them."""
     near = Compare("<=", Dist(Var("c"), Var("v")), Const(12))
     dense_where = AndF(Eventually(Inside(Var("c"), "P")), near)
     sparse_where = Compare(">=", Dist(Var("c"), Var("v")), Const(60))
@@ -957,7 +991,7 @@ def test_candidate_counters_pinned_to_the_rtree_build():
         out = []
         for _ in range(2):
             ctx = EvalContext(FutureHistory(db), HORIZON, bindings)
-            ev = IntervalEvaluator(ctx)
+            ev = IntervalEvaluator(ctx, validity=STAMP_ALL)
             ev.evaluate(where)
             out.append(
                 (ev.pruned_instantiations, ev.kinetic_solves, ev.cache_hits)

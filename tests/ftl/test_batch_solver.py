@@ -5,10 +5,11 @@ every seeded world, query and evaluation method, the default evaluation
 (whose column path queues single-leg rows on the backend) must produce
 the same relation — tuple for tuple, interval for interval — and the
 same acceleration counters as the scalar reference, which runs every
-row's scalar closure inline, while filling the shared kinetic-solve
-cache with the exact same keys.  The scalar reference is no option: it
-is :func:`scalar_reference`, a test-local patch of the column path's one
-hook (``IntervalEvaluator._column_rows``) that takes no row.  The sweeps
+row's scalar closure inline, while filling the stamped kinetic-solve
+table with the exact same keys when the atoms are stamped.  The scalar
+reference is no option: it is :func:`scalar_reference`, a test-local
+patch of the column path's one hook (``IntervalEvaluator._column_rows``)
+that takes no row.  The sweeps
 reuse the random worlds and formula generator of ``test_differential``
 plus the sparse worlds of ``test_atom_pruning``, and add worlds the
 vectorized paths cannot take whole (nonlinear and piecewise movers,
@@ -48,7 +49,12 @@ from repro.motion import PiecewiseLinearFunction, SinusoidFunction
 from repro.spatial import Ball
 from repro.temporal import DISCRETE, IntervalSet
 
-from tests.ftl.test_atom_pruning import build_sparse_world, rows_of
+from tests.ftl.test_atom_pruning import (
+    EXHAUSTIVE as UNPRUNED,
+    STAMP_ALL,
+    build_sparse_world,
+    rows_of,
+)
 from tests.ftl.test_differential import (
     HORIZON,
     STEPS,
@@ -85,25 +91,23 @@ def scalar_reference(db=None):
 
 
 def both_solvers(query, db, horizon=HORIZON, **kwargs):
-    """(scalar rows, batched rows) on snapshots of one db.
-
-    The db-wide solve cache is cleared between the runs so the batched
-    run really solves instead of replaying the scalar run's answers."""
+    """(scalar rows, batched rows) on snapshots of one db.  Neither run
+    is stamped, so the batched one really solves instead of replaying
+    the scalar run's answers."""
     with scalar_reference():
         scalar = query.evaluate_full(FutureHistory(db), horizon, **kwargs)
-    db.kinetic_cache.clear()
     batched = query.evaluate_full(
         FutureHistory(db), horizon, **kwargs
     )
-    db.kinetic_cache.clear()
     return rows_of(scalar), rows_of(batched)
 
 
 def run_with_counters(db, bindings, where, batch, horizon=HORIZON):
-    """(rows, counters) of one interval evaluation on a cold cache."""
+    """(rows, counters) of one stamped interval evaluation on an empty
+    solve table, so the in-pass hits and misses are compared too."""
     db.kinetic_cache.clear()
     ctx = EvalContext(FutureHistory(db), horizon, bindings)
-    ev = IntervalEvaluator(ctx)
+    ev = IntervalEvaluator(ctx, validity=STAMP_ALL)
     with nullcontext() if batch else scalar_reference():
         rel = ev.evaluate(where)
     return rows_of(rel), ev.counters()
@@ -305,15 +309,17 @@ ROUTE_ATOMS = [
 
 
 def record(db, history, where, horizon=HORIZON):
-    """One cold interval evaluation: rows, counters and the cache's
-    keys and values."""
+    """One stamped interval evaluation on an empty solve table: rows,
+    counters and the table's keys and entries."""
     db.kinetic_cache.clear()
     bindings = {v: _CLASS_OF[v] for v in where.free_vars()}
-    ev = IntervalEvaluator(EvalContext(history, horizon, bindings))
+    ev = IntervalEvaluator(
+        EvalContext(history, horizon, bindings), validity=STAMP_ALL
+    )
     rel = ev.evaluate(where)
     cache = {
-        key: [(iv.start, iv.end) for iv in value]
-        for key, value in db.kinetic_cache._entries.items()
+        key: (window, expire, [(iv.start, iv.end) for iv in value])
+        for key, (window, expire, value) in db.kinetic_cache._store.items()
     }
     return rows_of(rel), ev.counters(), cache
 
@@ -411,7 +417,6 @@ def test_naive_oracle_agrees_with_batched_interval(seed):
     oracle = rows_of(
         query.evaluate_full(FutureHistory(db), HORIZON, method="naive")
     )
-    db.kinetic_cache.clear()
     batched = rows_of(query.evaluate_full(FutureHistory(db), HORIZON))
     assert oracle == batched, f"seed {seed}: {query.where}"
 
@@ -479,7 +484,6 @@ def test_batch_path_actually_used(monkeypatch):
         Inside(Var("c"), "P"),
         Compare("<=", Dist(Var("c"), Var("v")), Const(6)),
     )
-    db.kinetic_cache.clear()
     ctx = EvalContext(FutureHistory(db), HORIZON, bindings)
     IntervalEvaluator(ctx).evaluate(where)
     assert solves, "the column path never reached KineticBatch.solve"
@@ -505,9 +509,9 @@ def test_zero_length_window_stays_scalar():
 
 
 def test_batch_and_scalar_fill_the_same_cache_keys():
-    """A batched run must leave the shared cache exactly as a scalar run
-    would: a scalar rerun over a batch-warmed cache is all hits with zero
-    fresh solves, and vice versa."""
+    """A stamped batched run must leave the solve table exactly as a
+    scalar run would: a scalar rerun over a batch-warmed table is all
+    hits with zero fresh solves, and vice versa."""
     rng = random.Random(5)
     db = build_world(rng)
     bindings = {"c": "cars", "v": "vans"}
@@ -518,7 +522,7 @@ def test_batch_and_scalar_fill_the_same_cache_keys():
 
     def run(batch):
         ctx = EvalContext(FutureHistory(db), HORIZON, bindings)
-        ev = IntervalEvaluator(ctx)
+        ev = IntervalEvaluator(ctx, validity=STAMP_ALL)
         with nullcontext() if batch else scalar_reference():
             ev.evaluate(where)
         return ev
@@ -550,18 +554,19 @@ def test_database_cache_bound_is_configurable():
     assert cache.max_entries == 4
     empty = IntervalSet.empty(DISCRETE)
     for i in range(10):
-        cache.put(("k", i), empty)
+        cache.put(("k", i), (0, 10), 10.0, empty)
     assert len(cache) == 4
     # FIFO: the six oldest are gone, the four newest survive.
-    assert all(cache.get(("k", i)) is None for i in range(6))
-    assert all(cache.get(("k", i)) is not None for i in range(6, 10))
+    assert all(cache.get(("k", i), (0, 10)) is None for i in range(6))
+    assert all(cache.get(("k", i), (0, 10)) is not None for i in range(6, 10))
     assert MostDatabase().kinetic_cache.max_entries == DEFAULT_CACHE_ENTRIES
 
 
 def test_bounded_cache_serves_the_batch_path():
-    """A tightly bounded cache (more surviving rows than entries, so the
-    batch itself overflows it) evicts mid-run without perturbing answers
-    — batch and scalar still agree tuple for tuple."""
+    """A tightly bounded table (more surviving stamped rows than
+    entries, so the batch itself overflows it) evicts mid-run without
+    perturbing answers — batch and scalar still agree tuple for tuple
+    with each other and with an unstamped evaluation."""
     query = FtlQuery(
         targets=("c", "v"),
         bindings={"c": "cars", "v": "vans"},
@@ -578,11 +583,15 @@ def test_bounded_cache_serves_the_batch_path():
         # world construction still applies the bound.
         db.kinetic_cache_size = 3
         assert db.kinetic_cache.max_entries == 3
+        ctx = EvalContext(FutureHistory(db), HORIZON, query.bindings)
+        ev = IntervalEvaluator(ctx, options=UNPRUNED, validity=STAMP_ALL)
         with nullcontext() if batch else scalar_reference():
-            rel = query.evaluate_full(FutureHistory(db), HORIZON)
-        assert len(db.kinetic_cache) <= 3
+            rel = ev.evaluate(query.where)
+        assert ev.kinetic_solves > 3
+        assert len(db.kinetic_cache) == 3
         rows.append(rows_of(rel))
     assert rows[0] == rows[1]
+    assert rows[1] == rows_of(query.evaluate_full(FutureHistory(db), HORIZON))
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,6 @@ pytestmark = pytest.mark.filterwarnings(
 FIELDS = (
     "ordered",
     "index_pruning",
-    "solve_cache",
     "validity_horizons",
     "analytic_atoms",
 )
@@ -58,11 +57,11 @@ def test_presets():
 
 def test_frozen_hashable_picklable():
     with pytest.raises(dataclasses.FrozenInstanceError):
-        DEFAULT.solve_cache = False
-    uncached = dataclasses.replace(DEFAULT, solve_cache=False)
-    assert uncached != DEFAULT and DEFAULT.solve_cache
-    assert len({DEFAULT, EvalOptions(), ORACLE, uncached}) == 3
-    for options in (DEFAULT, ORACLE, uncached):
+        DEFAULT.index_pruning = False
+    unpruned = dataclasses.replace(DEFAULT, index_pruning=False)
+    assert unpruned != DEFAULT and DEFAULT.index_pruning
+    assert len({DEFAULT, EvalOptions(), ORACLE, unpruned}) == 3
+    for options in (DEFAULT, ORACLE, unpruned):
         clone = pickle.loads(pickle.dumps(options))
         assert clone == options and hash(clone) == hash(options)
 
@@ -70,6 +69,8 @@ def test_frozen_hashable_picklable():
 def test_unknown_fields_rejected():
     with pytest.raises(TypeError):
         EvalOptions(halo=False)
+    with pytest.raises(TypeError, match="solve_cache"):
+        EvalOptions(solve_cache=False)  # reuse follows validity stamps
     with pytest.raises(TypeError):
         dataclasses.replace(DEFAULT, parallel=2)
 
@@ -87,11 +88,10 @@ def test_default_oracle_and_naive_agree(seed):
     db = build_world(rng)
     query = random_query(rng)
     fast = rows_of(query.evaluate_full(FutureHistory(db), HORIZON))
-    db.kinetic_cache.clear()
     plain = rows_of(
         query.evaluate_full(FutureHistory(db), HORIZON, options=ORACLE)
     )
-    assert len(db.kinetic_cache) == 0, "ORACLE must not touch the solve cache"
+    assert len(db.kinetic_cache) == 0, "no stamp, so no solve is stored"
     naive = rows_of(
         query.evaluate_full(FutureHistory(db), HORIZON, method="naive")
     )
@@ -117,7 +117,6 @@ def test_oracle_runs_no_acceleration_layer():
         "pruned_instantiations",
         "cache_hits",
         "cache_misses",
-        "cache_shift_hits",
         "sampled_atom_evals",
     ):
         assert counters[name] == 0, name

@@ -528,28 +528,40 @@ class TestHorizonEdgeCases:
         from repro.temporal import IntervalSet
 
         cache = KineticSolveCache()
-        value = IntervalSet.span(0.0, 20.0)
-        key = ("atom", (0.0, 20.0), "triple")
-        cache.put(key, value, stamp=((0.0, 20.0), 15.0))
+        value = IntervalSet.span(0, 20)
+        key = ("atom", "triple")
+        cache.put(key, (0, 20), 15.0, value)
         # Contained later window, before the stamp expiry: clipped hit.
-        got = cache.shifted_get(("atom", (2.0, 10.0), "triple"))
-        assert got == value.clip(2.0, 10.0)
-        assert cache.shift_hits == 1
+        assert cache.get(key, (2, 10)) == value.clip(2, 10)
+        assert cache.hits == 1
         # Start at/beyond expiry, or window not contained: refused.
-        assert cache.shifted_get(("atom", (15.0, 18.0), "triple")) is None
-        assert cache.shifted_get(("atom", (-1.0, 10.0), "triple")) is None
-        # Different motion triple: different base key, no reuse.
-        assert cache.shifted_get(("atom", (2.0, 10.0), "other")) is None
-        assert cache.shift_hits == 1
+        assert cache.get(key, (15, 18)) is None
+        assert cache.get(key, (-1, 10)) is None
+        # Different motion triple: different key, no reuse.
+        assert cache.get(("atom", "other"), (2, 10)) is None
+        assert cache.hits == 1
 
     def test_unstamped_entries_never_shift(self):
-        from repro.ftl.atoms import KineticSolveCache
-        from repro.temporal import IntervalSet
+        """No unstamped entry exists to shift: an evaluation without
+        validity stamps writes nothing, so a stamped one after it
+        solves."""
+        from repro.core.history import FutureHistory
+        from repro.ftl.context import EvalContext
+        from repro.ftl.evaluator import IntervalEvaluator
 
-        cache = KineticSolveCache()
-        cache.put(("atom", (0.0, 20.0), "triple"), IntervalSet.span(0.0, 20.0))
-        assert cache.shifted_get(("atom", (2.0, 10.0), "triple")) is None
-        assert cache.shift_hits == 0
+        db = build_db()
+        where = Eventually(Inside(Var("o"), "P"))
+        ctx = EvalContext(FutureHistory(db), 20, BINDINGS)
+        cold = IntervalEvaluator(ctx)
+        cold.evaluate(where)
+        assert cold.kinetic_solves == 1
+        assert len(db.kinetic_cache) == 0
+        db.clock.tick()
+        ctx = EvalContext(FutureHistory(db), 19, BINDINGS)
+        stamped = IntervalEvaluator(ctx, validity={id(where.operand): 20.0})
+        stamped.evaluate(where)
+        assert (stamped.kinetic_solves, stamped.cache_hits) == (1, 0)
+        assert len(db.kinetic_cache) == 1
 
     def test_ticked_refresh_reuses_solves_by_window_shift(self):
         """After a tick, the stamped query re-solves nothing for atoms
@@ -569,18 +581,22 @@ class TestHorizonEdgeCases:
         stamped.refresh()
         twin.refresh()
         assert stamped.current() == twin.current()
-        assert db.kinetic_cache.shift_hits > 0
-        assert db2.kinetic_cache.shift_hits == 0
+        assert db.kinetic_cache.hits > 0
+        assert len(db2.kinetic_cache) == 0
 
     def test_clock_regression_update_is_never_skipped(self):
         db = build_db()
         q = "RETRIEVE o FROM cars o WHERE EVENTUALLY INSIDE(o, P)"
         cq = ContinuousQuery(db, parse_query(q), horizon=20)
+        assert cq._horizon_eligible
         db.clock.tick(3)
-        old = db.get("c0").dynamic_attribute("x_position")
-        regressed = DynamicAttribute(
-            value=0.0, updatetime=0.0, function=old.function
-        )
+        law = db.get("c0").dynamic_attribute("x_position").function
+        # One trajectory, x = 1 + t, anchored at t = 3 and then re-sent
+        # anchored at t = 1: the motion is identical, only the anchor
+        # went backwards.
+        old = DynamicAttribute(value=4.0, updatetime=3.0, function=law)
+        regressed = DynamicAttribute(value=2.0, updatetime=1.0, function=law)
+        assert old.value_at(20.0) == regressed.value_at(20.0)
         db._commit(
             MostUpdate(
                 time=db.clock.now,

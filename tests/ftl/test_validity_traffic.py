@@ -14,10 +14,11 @@ databases fed the same stream:
   heartbeat dirties it, and the refresh reuses the cars-only subtree
   whose stamp outlives the window.
 * **Window-shift reuse on the incremental path**
-  (``db.kinetic_cache.shift_hits``): fuel and position updates land in
-  the same refresh, so the ``INSIDE`` rows of fuel-updated cars are
+  (``db.kinetic_cache.hits``): fuel and position updates land in the
+  same refresh, so the ``INSIDE`` rows of fuel-updated cars are
   re-solved over a window that slid by one tick, and their stamped
-  solves answer by clipping.
+  solves answer by clipping.  Stamped reuse is the only reuse, so the
+  unstamped twin never touches the table.
 """
 
 import random
@@ -145,6 +146,7 @@ def test_mixed_fuel_and_position_refresh_reuses_solves_by_window_shift():
         answers = [cq.current() for cq in queries]
         assert answers[0] == answers[1] == answers[2]
     assert stamped.incremental_refreshes == 6
-    assert stamped.db.kinetic_cache.shift_hits > 0
-    assert unstamped.db.kinetic_cache.shift_hits == 0
+    assert stamped.db.kinetic_cache.hits > 0
+    assert unstamped.db.kinetic_cache.hits == 0
+    assert len(unstamped.db.kinetic_cache) == 0
     assert interval.full_evaluations == 7

@@ -142,8 +142,9 @@ def test_counters_coherent_and_exact_for_single_atom():
 
 @pytest.mark.parametrize("seed", range(6))
 def test_counter_coherence_random(seed):
-    """Solve caches are per-worker, so sharded solves can only exceed
-    the serial count; pruning and sampling totals stay non-negative."""
+    """Rows over unsplit variables only are solved in every shard, so
+    sharded solves can only exceed the serial count; no side reuses a
+    solve, and pruning and sampling totals stay non-negative."""
     rng = random.Random(20_000 + seed)
     db = build_world(rng)
     query = random_query(rng)
@@ -156,6 +157,7 @@ def test_counter_coherence_random(seed):
     assert sharded.counters["kinetic_solves"] >= serial.counters[
         "kinetic_solves"
     ]
+    assert sharded.counters["cache_hits"] == serial.counters["cache_hits"] == 0
     assert all(v >= 0 for v in sharded.counters.values())
 
 

@@ -286,8 +286,9 @@ STRICT_DEFS = {
         "MostDatabase.heard_serial",
         "MostDatabase.heard_since",
         "MostDatabase._hear",
+        "MostDatabase.arrivals",
     ),
-    "core/history.py": ("FutureHistory", "epoch_token"),
+    "core/history.py": ("FutureHistory", "RecordedHistory", "epoch_token"),
     "core/queries.py": (
         "UpdateRouter",
         "_class_gate",
@@ -318,8 +319,10 @@ STRICT_DEFS = {
         "AtomIndexPruner.partition",
         "AtomIndexPruner._split",
         "KineticBatch",
+        "KineticSolveCache",
     ),
     "ftl/context.py": (
+        "EvalContext.kinetic_cache",
         "EvalContext.column_legs",
         "EvalContext.dirty_domain",
         "EvalContext.clean_domain",
@@ -332,6 +335,7 @@ STRICT_DEFS = {
         "IntervalEvaluator._atom",
         "IntervalEvaluator._batched_rows",
         "IntervalEvaluator._solve_rows",
+        "IntervalEvaluator._stamp_for",
         "IntervalEvaluator._column_rows",
         "IntervalEvaluator._column_var",
         "IntervalEvaluator._constant",

@@ -59,6 +59,13 @@ def test_after_hooks_attach_to_traced_targets():
     assert set(tracing._AFTER) <= set(ENTRIES)
 
 
+#: Counters the benchmark still names but the evaluators no longer
+#: report: every reuse of a solve is a ``cache_hits`` since shifted and
+#: exact reuse became one stamped rule, so the tracer's missing-counter
+#: default of 0 is the true count.
+RETIRED_COUNTERS = {"cache_shift_hits"}
+
+
 def test_after_hooks_find_their_counters():
     """What the ``_after_*`` hooks read off the traced evaluators."""
     from repro.core import FutureHistory, MostDatabase, ObjectClass
@@ -79,10 +86,11 @@ def test_after_hooks_find_their_counters():
     ev.evaluate()
     assert ev.sharded is False
     assert isinstance(ev.shard_times, list)
-    assert set(tracing.EVAL_COUNTERS) <= set(ev.counters)
-    assert set(tracing.EVAL_COUNTERS) <= set(
-        IntervalEvaluator(ev.ctx).counters()
-    )
+    assert RETIRED_COUNTERS <= set(tracing.EVAL_COUNTERS)
+    live = set(tracing.EVAL_COUNTERS) - RETIRED_COUNTERS
+    serial = IntervalEvaluator(ev.ctx).counters()
+    assert live <= set(ev.counters) and live <= set(serial)
+    assert not RETIRED_COUNTERS & (set(ev.counters) | set(serial))
 
 
 def _sim_names(name):
