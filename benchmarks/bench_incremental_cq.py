@@ -166,3 +166,58 @@ def test_incremental_join_update_cost(record_table):
         ["cars n", "product rows", "incr rows/upd", "incr ms/upd"],
         rows,
     )
+
+
+#: E10c: continuous queries of one round reading the same atom, their
+#: horizons a few ticks apart (so the later ends differ).
+SHARED_HORIZONS = (HORIZON, HORIZON - 3, HORIZON - 6)
+
+
+def shared_round(k: int) -> dict[str, object]:
+    """``k`` incremental queries over ``INSIDE(o, Z)``, one round per
+    update: the kinetic solves of the rounds, the rows the queries read
+    from the round table, and every answer of the widest query."""
+    db, ids = build_world(400)
+    rng = random.Random(400)
+    cqs = [
+        ContinuousQuery(db, parse_query(QUERY), horizon=h, method="incremental")
+        for h in SHARED_HORIZONS[:k]
+    ]
+    solves = sum(cq.kinetic_solves for cq in cqs)
+    shared = sum(cq.shared_rows for cq in cqs)
+    answers = []
+    for _ in range(UPDATES):
+        db.clock.tick()
+        db.update_motion(
+            rng.choice(ids), Point(rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0))
+        )
+        for cq in cqs:
+            cq.refresh()
+        answers.append(sorted(map(repr, cqs[0].answer.tuples)))
+    return {
+        "solves_per_round": (sum(cq.kinetic_solves for cq in cqs) - solves)
+        / UPDATES,
+        "shared_per_round": (sum(cq.shared_rows for cq in cqs) - shared)
+        / UPDATES,
+        "answers": answers,
+    }
+
+
+def test_one_solve_per_atom_per_round(record_table):
+    """The deterministic witness of the round table (DESIGN.md §7): three
+    queries reading ``INSIDE(o, Z)`` solve what one does per round, and
+    the widest one's answers are the same either way."""
+    one, three = shared_round(1), shared_round(3)
+    record_table(
+        "E10c: one solve per atom per round (n=400, INSIDE(o, Z), "
+        f"horizons {SHARED_HORIZONS}, {UPDATES} rounds)",
+        ["queries k", "kinetic solves/round", "rows read from table/round"],
+        [
+            [1, one["solves_per_round"], one["shared_per_round"]],
+            [3, three["solves_per_round"], three["shared_per_round"]],
+        ],
+    )
+    assert three["solves_per_round"] == one["solves_per_round"]
+    assert three["answers"] == one["answers"]
+    assert one["shared_per_round"] == 0
+    assert three["shared_per_round"] > 0

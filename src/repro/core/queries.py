@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Sequence
 
 from repro.core.database import MostDatabase, MostUpdate
 from repro.core.dynamic import DynamicAttribute
-from repro.core.history import FutureHistory, RecordedHistory
+from repro.core.history import FutureHistory, RecordedHistory, epoch_token
 from repro.errors import FtlSemanticsError, QueryError, SchemaError
 from repro.ftl.analysis import AnalysisResult, CostModel, Diagnostic
 from repro.ftl.analysis.deps import Dep, DepAnalysis, update_footprint
@@ -31,7 +31,9 @@ from repro.ftl.analysis.validity import (
     linear_divergence,
 )
 from repro.ftl.analysis.plan import EvalPlan
+from repro.ftl.atoms import RoundAtoms
 from repro.ftl.context import DEFAULT, EvalContext, EvalOptions
+from repro.ftl.evaluator import IntervalEvaluator
 from repro.ftl.incremental import PartialIntervalEvaluator, QueryCache
 from repro.ftl.query import FtlQuery
 from repro.ftl.relations import AnswerTuple, FtlRelation, Instantiation
@@ -294,10 +296,14 @@ class ContinuousQuery:
     (:attr:`horizon_subtrees_skipped`); and each stamped atom's kinetic
     solves are stored in ``db.kinetic_cache`` and answer any later
     refresh whose window the solved one contains, starting before the
-    stamp expires, by clipping — the only way a kinetic solve is ever
-    reused.  ``options.validity_horizons`` off disables all three (the
-    differential twin of the soundness wall): no stamp, so every solve
-    runs.
+    stamp expires, by clipping.  The queries refreshed in one round —
+    one content version, one tick — share one more reuse: each distinct
+    atom's column-path rows are solved once, over the widest live
+    window, and read clipped by every query (the router's
+    :meth:`UpdateRouter.round_atoms`; :attr:`shared_rows`).
+    ``options.validity_horizons`` off disables all of them (the
+    differential twin of the soundness wall): no stamp and no round
+    table, so every solve runs.
     """
 
     _METHODS = ("interval", "naive", "incremental")
@@ -344,6 +350,11 @@ class ContinuousQuery:
         #: Of those, the atom rows the index decided without a solve
         #: (the refresh's frontier view, DESIGN.md §7).
         self.pruned_rows = 0
+        #: Kinetic (closed-form) atom solves of every evaluation.
+        self.kinetic_solves = 0
+        #: Atom rows answered from the refresh round's table instead —
+        #: solved once for every query reading them (DESIGN.md §7).
+        self.shared_rows = 0
         self._bound_classes = frozenset(query.bindings.values())
         # Unknown classes fail at registration with a SchemaError naming
         # them — never a deep evaluator error at first refresh.
@@ -514,15 +525,28 @@ class ContinuousQuery:
         # query's own plan — or its absence — fixes the tree the
         # incremental cache is keyed on, so no second plan is built
         # here.
-        self._rf = self.query.evaluate_full(
-            history,
-            remaining,
-            method=self._eval_method,
-            plan=self.plan,
-            options=replace(self.options, ordered=False),
-            validity=self._validity_stamps,
-            trace=None if cache is None else cache.relations,
-        )
+        if self._eval_method == "interval":
+            ctx = EvalContext(history, remaining, self.query.bindings)
+            evaluator = IntervalEvaluator(
+                ctx,
+                trace=None if cache is None else cache.relations,
+                plan=self.plan,
+                options=self.options,
+                validity=self._validity_stamps,
+                atoms=self._round_atoms(history),
+            )
+            relation = evaluator.evaluate(self.query.where)
+            self.kinetic_solves += evaluator.kinetic_solves
+            self.shared_rows += evaluator.shared_rows
+            self._rf = self.query._complete(relation, ctx)
+        else:
+            self._rf = self.query.evaluate_full(
+                history,
+                remaining,
+                method=self._eval_method,
+                plan=self.plan,
+                options=replace(self.options, ordered=False),
+            )
         self._cache = cache
         self._target_positions = [
             self._rf.variables.index(t) for t in self.query.targets
@@ -558,15 +582,27 @@ class ContinuousQuery:
                 if self._dirty_divergence is not None
                 else None
             ),
+            atoms=self._round_atoms(history),
         )
         self._rf = evaluator.refresh(self.query.where)
         self._changed_rows = evaluator.changed_rows
         self.rows_recomputed += evaluator.rows_recomputed
         self.pruned_rows += evaluator.pruned_instantiations
+        self.kinetic_solves += evaluator.kinetic_solves
+        self.shared_rows += evaluator.shared_rows
         self.subtrees_skipped += evaluator.subtrees_skipped
         self.horizon_subtrees_skipped += evaluator.horizon_subtrees_skipped
         self._last_refresh = now
         self._answer = None
+
+    def _round_atoms(self, history: FutureHistory) -> RoundAtoms | None:
+        """The atom table of the refresh round ``history`` reads
+        (:meth:`UpdateRouter.round_atoms`) when this query's evaluations
+        read one: interval evaluations with validity horizons on — off,
+        every solve runs, as for the differential twin."""
+        if self._eval_method != "interval" or not self.options.validity_horizons:
+            return None
+        return UpdateRouter.of(self.db).round_atoms(history, self.expires_at)
 
     def _compute_validity_stamps(self, now: int) -> None:
         """Concretize the static validity horizons at refresh time.
@@ -952,6 +988,10 @@ class UpdateRouter:
     The memo and the end list are rebuilt only when a query registers,
     cancels or expires (and the memo when a query's read-set is
     replaced).
+
+    The router also owns the refresh round's atom table
+    (:meth:`round_atoms`): what the live queries' evaluations solve at
+    one content version and tick, over the widest live end.
     """
 
     def __init__(self, db: MostDatabase) -> None:
@@ -962,6 +1002,8 @@ class UpdateRouter:
         ] = {}
         #: The live queries' distinct ``expires_at``, ascending.
         self._ends: list[float] = []
+        #: The refresh round's atom table (:meth:`round_atoms`).
+        self.atoms = RoundAtoms()
         db.on_update(self._on_commit)
 
     @staticmethod
@@ -985,6 +1027,17 @@ class UpdateRouter:
         """Stop routing commits to ``cq`` (no-op when it is not live)."""
         if cq in self._queries:
             self._reset([q for q in self._queries if q is not cq])
+
+    def round_atoms(self, history: FutureHistory, end: int) -> RoundAtoms | None:
+        """The atom table of the round ``history`` is pinned to — its
+        content version and clock tick — over ``[now, E]``, ``E`` the
+        widest ``expires_at`` among the live queries; ``None`` when a
+        window ending at ``end`` is not inside it (a query evaluated
+        before it registers may end later).  Opening it for another
+        round empties it."""
+        if not self._ends or end > self._ends[-1]:
+            return None
+        return self.atoms.open(epoch_token(history), int(self._ends[-1]))
 
     def _reset(self, queries: list[ContinuousQuery]) -> None:
         self._queries = queries

@@ -47,6 +47,11 @@ window that starts before the stamp expires is the answer a fresh
 solve would give.  Motion updates invalidate naturally: an explicit
 update produces a new ``(value, updatetime, function)`` triple, hence
 a new key.
+
+**One solve per atom per round** (:class:`RoundAtoms`).  The continuous
+queries refreshed at one content version and tick read each distinct
+atom's column-path rows from one table: solved once over the widest
+live window, clipped to each query's own (DESIGN.md §7).
 """
 
 from __future__ import annotations
@@ -167,6 +172,61 @@ class KineticSolveCache:
     def clear(self) -> None:
         """Drop every entry (stats are kept)."""
         self._store.clear()
+
+
+#: One distinct atom's rows in a :class:`RoundAtoms` table: each row's
+#: answer over the round window, or ``None`` for a row its own query
+#: solves (the column path does not take it).
+RoundEntry = dict[Instantiation, IntervalSet | None]
+
+
+class RoundAtoms:
+    """The atoms of one refresh round, each solved once for every
+    continuous query that reads it (DESIGN.md §7, "one solve per atom
+    per round").
+
+    A round is one content version at one clock tick — one
+    :func:`~repro.core.history.epoch_token` — and its window ends at the
+    widest ``expires_at`` among the live continuous queries.  An entry
+    is keyed by a distinct atom (its kind, its resolved constants and
+    its variables' classes, in ``free`` order) and holds, per row, the
+    answer over ``[now, end]``: a partition verdict's known answer or a
+    column-path solve, which a query whose window ends at ``e <= end``
+    reads clipped to ``[now, e]``.  A row the column path does not take
+    is held as ``None``: each query solves it over its own window.
+    The round's index views over its window live here too
+    (:meth:`~repro.ftl.evaluator.IntervalEvaluator._view`): the queries
+    that partition the same objects share one build.  :meth:`open` with
+    another token or end empties the table, so a commit, an insert or a
+    clock tick never serves a stale row or view.
+    """
+
+    def __init__(self) -> None:
+        #: The round the entries belong to, and its window end.
+        self.token: object = None
+        self.end: int | None = None
+        self._entries: dict[object, RoundEntry] = {}
+        #: Index views over the round window, by bindings and members.
+        self.views: dict[tuple, AtomIndexPruner] = {}
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def open(self, token: object, end: int) -> "RoundAtoms":
+        """The table of the round ``token`` over ``[start, end]``,
+        emptied when either differs from the round it holds."""
+        if token != self.token or end != self.end:
+            self._entries = {}
+            self.views = {}
+            self.token, self.end = token, end
+        return self
+
+    def entry(self, key: object) -> RoundEntry:
+        """The rows held for one distinct atom (created empty)."""
+        entry = self._entries.get(key)
+        if entry is None:
+            entry = self._entries[key] = {}
+        return entry
 
 
 # ---------------------------------------------------------------------------

@@ -48,9 +48,10 @@ class EvalOptions:
     :data:`ORACLE`.  The batch kinetic backend is not a layer: every
     atom row whose motion is one plain linear leg takes it, whatever the
     options (DESIGN.md §8).  Nor is solve reuse a switch of its own: a
-    kinetic solve is reused only under a validity stamp, which only
-    ``validity_horizons`` on a continuous query issues (DESIGN.md §7),
-    so every other evaluation solves.  Frozen and picklable: one
+    kinetic solve is reused only under a validity stamp, or across the
+    queries of one refresh round, and only ``validity_horizons`` on a
+    continuous query does either (DESIGN.md §7), so every other
+    evaluation solves.  Frozen and picklable: one
     instance is shared by every refresh of a continuous query and
     crosses the shard-worker boundary.
     """
@@ -61,9 +62,10 @@ class EvalOptions:
     #: Answer atom instantiations outside the trajectory-MBR candidate
     #: sets without kinetic solves (DESIGN.md §7).
     index_pruning: bool = True
-    #: Continuous queries only: the temporal-validity gate, stamped
-    #: solve reuse — the one way a kinetic solve is reused (DESIGN.md
-    #: §7) — and horizon subtree skipping (DESIGN.md §11).
+    #: Continuous queries only: the temporal-validity gate, the reuse
+    #: of kinetic solves — under a validity stamp, and across the
+    #: queries of one refresh round (DESIGN.md §7) — and horizon
+    #: subtree skipping (DESIGN.md §11).
     validity_horizons: bool = True
     #: Closed-form kinetic solvers for spatial atoms; off, every atom is
     #: sampled per tick (the ablation of bench_ablation_kinetic.py).

@@ -56,6 +56,7 @@ from repro.ftl.atoms import (
     AtomIndexPruner,
     AtomPartition,
     KineticBatch,
+    RoundAtoms,
     dist_solve_key,
     linear_motion_tokens,
     region_solve_key,
@@ -236,6 +237,7 @@ class IntervalEvaluator:
         plan: "EvalPlan | None" = None,
         options: EvalOptions = DEFAULT,
         validity: "Mapping[int, float] | None" = None,
+        atoms: RoundAtoms | None = None,
     ) -> None:
         self.ctx = ctx
         #: The acceleration layers in force.  ``ordered`` and
@@ -261,6 +263,16 @@ class IntervalEvaluator:
         self.validity = validity
         #: That table, or ``None`` when no atom can be stamped.
         self._cache = None if validity is None else ctx.kinetic_cache()
+        #: The refresh round's atom table a continuous query hands in
+        #: (:class:`~repro.ftl.atoms.RoundAtoms`, DESIGN.md §7): the
+        #: column-path rows of its atoms are solved once per round over
+        #: the round window and read clipped to this one.  ``None`` for
+        #: every other evaluation.
+        self.atoms = atoms
+        #: The round window's context (:meth:`_round_context`).
+        self._wide: EvalContext | None = None
+        #: Index views outside the round table (:meth:`_view`).
+        self._views: dict[tuple, AtomIndexPruner] = {}
         self._shared_memo: dict[int, FtlRelation] = {}
         #: The semi-join scope in force (:meth:`_semijoin`), or ``None``.
         self._scope: _Scope | None = None
@@ -277,6 +289,9 @@ class IntervalEvaluator:
         #: Stamped-table lookups served / missed by this evaluator.
         self.cache_hits = 0
         self.cache_misses = 0
+        #: Atom rows answered from the round table (:attr:`atoms`)
+        #: without a partition or a solve of this evaluator's own.
+        self.shared_rows = 0
         #: Per-atom accounting keyed by ``id(formula)`` — feeds the
         #: estimate-vs-observed drift report of analysis/cost.py.
         self.atom_stats: dict[int, dict[str, object]] = {}
@@ -481,37 +496,169 @@ class IntervalEvaluator:
     ) -> FtlRelation:
         """The row loop of the atom base case (DESIGN.md §7, §8).
 
-        The index first partitions the rows (:meth:`_atom_gate`): the
-        rows it decides are counted, not visited, and enter the relation
-        with their known answer when it is not empty.  The rows left are
+        The index first partitions the rows (:meth:`_gated`): the rows
+        it decides are counted, not visited, and enter the relation with
+        their known answer when it is not empty.  The rows left are
         solved by :meth:`_solve_rows`, and every row enters the relation
-        in product order.
+        in product order.  An atom the round table holds
+        (:meth:`_round_key`) is answered through it instead
+        (:meth:`_shared_rows`).
         """
         relation = FtlRelation(tuple(free))
         rows = insts if isinstance(insts, list) else list(insts)
         stats = self._stats_for(f)
         stats["instantiations"] += len(rows)
-        split = self._atom_gate(f, free, rows)
-        if split is None:
-            for inst, iset in zip(rows, self._solve_rows(f, free, rows, stats)):
+        key = self._round_key(f, free)
+        if key is not None:
+            for inst, iset in zip(rows, self._shared_rows(f, free, rows, stats, key)):
                 relation.set(inst, iset)
             return relation
-        positions, decided, known = split
-        self.pruned_instantiations += decided
-        stats["pruned"] += decided
-        picks = positions.tolist()
-        todo = [rows[i] for i in picks]
-        answers = self._solve_rows(f, free, todo, stats)
-        if known.is_empty:
+        todo, answers, known = self._gated(f, free, rows, stats)
+        if todo is rows or known.is_empty:
             for inst, iset in zip(todo, answers):
                 relation.set(inst, iset)
             return relation
-        out = [known] * len(rows)
-        for i, iset in zip(picks, answers):
-            out[i] = iset
-        for inst, iset in zip(rows, out):
-            relation.set(inst, iset)
+        solved = dict(zip(todo, answers))
+        for inst in rows:
+            relation.set(inst, solved.get(inst, known))
         return relation
+
+    def _gated(
+        self,
+        f: Formula,
+        free: list[str],
+        rows: list[Instantiation],
+        stats: dict[str, object],
+        scalar: bool = True,
+    ) -> tuple[list[Instantiation], list[IntervalSet | None], IntervalSet]:
+        """The index partition of an atom's rows (:meth:`_atom_gate`)
+        and the solves of the rows it leaves (:meth:`_solve_rows`, which
+        ``scalar`` is handed to): ``(rows solved, their answers, known
+        answer)``.  Every row not solved has the known answer; ``rows``
+        itself comes back when nothing was partitioned."""
+        split = self._atom_gate(f, free, rows)
+        if split is None:
+            return rows, self._solve_rows(f, free, rows, stats, scalar), EMPTY_SET
+        positions, decided, known = split
+        self.pruned_instantiations += decided
+        stats["pruned"] += decided
+        todo = [rows[i] for i in positions.tolist()]
+        return todo, self._solve_rows(f, free, todo, stats, scalar), known
+
+    # ------------------------------------------------------------------
+    # The round table: one solve per distinct atom per refresh round
+    # ------------------------------------------------------------------
+    def _round_key(self, f: Formula, free: list[str]) -> tuple | None:
+        """The atom's key in the round table (:attr:`atoms`), or
+        ``None`` when its rows do not go through the table.
+
+        The key is the atom's kind, its resolved constants (region,
+        bound, op) and its variables' classes in ``free`` order, with
+        the positions its terms read — everything a column-path answer
+        depends on besides the rows and the window.  Only an atom the
+        column path may take has one: every term a FROM-bound
+        variable, every constant resolved, a window longer than a
+        tick."""
+        if self.atoms is None or not self._use_batch():
+            return None
+        bindings = self.ctx.bindings
+        if not all(v in bindings for v in free):
+            return None
+        if isinstance(f, (Inside, Outside)):
+            try:
+                token = region_token(self.ctx.history.region(f.region))
+            except SchemaError:
+                return None
+            if token is None:
+                return None
+            terms: Sequence[Term] = (f.obj,)
+            head: tuple = (type(f).__name__, token)
+        elif isinstance(f, WithinSphere):
+            terms, head = f.objs, ("sphere", f.radius)
+        elif isinstance(f, Compare):
+            dist = self._dist_terms(f)
+            if dist is not None:
+                dist_term, bound_term, op = dist
+                terms, head = (dist_term.left, dist_term.right), ("dist", op)
+            else:
+                attr = self._attr_terms(f)
+                if attr is None:
+                    return None
+                attr_term, bound_term, op = attr
+                terms, head = (attr_term.obj,), ("attr", attr_term.attr, op)
+            bound = self._constant(bound_term)
+            if not isinstance(bound, (int, float)):
+                return None
+            head = (*head, bound)
+        else:
+            return None
+        if not all(isinstance(term, Var) for term in terms):
+            return None
+        positions = tuple(free.index(term.name) for term in terms)
+        return (*head, positions, tuple(bindings[v] for v in free))
+
+    def _round_context(self) -> EvalContext:
+        """The context over the round window ``[start, atoms.end]``:
+        this evaluation's own when its window is the round's."""
+        ctx = self.ctx
+        end = self.atoms.end
+        if end == ctx.end:
+            return ctx
+        if self._wide is None:
+            self._wide = EvalContext(ctx.history, end - ctx.start, ctx.bindings)
+        return self._wide
+
+    def _shared_rows(
+        self,
+        f: Formula,
+        free: list[str],
+        rows: list[Instantiation],
+        stats: dict[str, object],
+        key: tuple,
+    ) -> list[IntervalSet]:
+        """The answers of an atom's rows read through the round table.
+
+        A row the table holds costs a lookup and a clip to this window
+        (``solve([s, E]).clip(s, e) == solve([s, e])`` for the analytic
+        column kernels, and a decided row's ``EMPTY_SET`` or full span
+        clips the same way).  The rows it lacks are partitioned and
+        solved once over the round window, through :meth:`_gated` with
+        this evaluator's view, counters and stamps, and stored; the rows
+        the column path does not take are stored as ``None`` and, like
+        every such row, solved here over this window
+        (:meth:`_solve_rows`)."""
+        entry = self.atoms.entry(key)
+        lacking: list[Instantiation] = []
+        for inst in rows:
+            if inst not in entry:
+                lacking.append(inst)
+            elif entry[inst] is not None:
+                self.shared_rows += 1
+        if lacking:
+            own = self.ctx
+            self.ctx = self._round_context()
+            try:
+                todo, answers, known = self._gated(
+                    f, free, lacking, stats, scalar=False
+                )
+            finally:
+                self.ctx = own
+            if todo is not lacking:
+                entry.update(dict.fromkeys(lacking, known))
+            entry.update(zip(todo, answers))
+        values = [entry[inst] for inst in rows]
+        scalar = [inst for inst, value in zip(rows, values) if value is None]
+        solved = iter(self._solve_rows(f, free, scalar, stats) if scalar else ())
+        start, end = self.ctx.start, self.ctx.end
+        clip = self.atoms.end != end
+        return [
+            next(solved)
+            if value is None
+            else value.clip(start, end)
+            if clip and value
+            else value
+            for value in values
+        ]
 
     def _solve_rows(
         self,
@@ -519,7 +666,8 @@ class IntervalEvaluator:
         free: list[str],
         todo: list[Instantiation],
         stats: dict[str, object],
-    ) -> list[IntervalSet]:
+        scalar: bool = True,
+    ) -> list[IntervalSet | None]:
         """The answers of an atom's rows to solve, in order.
 
         Rows whose motion is one plain linear leg — for an attribute
@@ -541,7 +689,8 @@ class IntervalEvaluator:
         built and every row solves.  Only the scalar closures raise, so
         the same row raises the same error first, and the relation, the
         counters and the table contents do not depend on which path a
-        row took.
+        row took.  Without ``scalar`` a row the column path does not
+        take is not solved: its answer is ``None``.
         """
         cache = self._cache
         stamp = self._stamp_for(f)
@@ -550,7 +699,7 @@ class IntervalEvaluator:
             if todo and self._use_batch()
             else None
         )
-        results: list[IntervalSet] = [EMPTY_SET] * len(todo)
+        results: list[IntervalSet | None] = [EMPTY_SET] * len(todo)
         queued: list[tuple[int, object]] = []  # (row, key) of column misses
         # (row, key, post, scalar re-solve or None for a column row)
         deferred: list[tuple[int, object, _Post, _Solve | None]] = []
@@ -567,6 +716,9 @@ class IntervalEvaluator:
                 key = None if column.keys is None else column.keys[c]
                 post = column.post
                 solve = None
+            elif not scalar:
+                results[j] = None
+                continue
             else:
                 env = dict(zip(free, inst))
                 solves0 = self.kinetic_solves
@@ -961,7 +1113,37 @@ class IntervalEvaluator:
         context's view of the whole bound classes' tables (shared per
         content version through ``db.mbr_tables``).  The delta
         evaluator overrides it with a view of its dirty rows' objects."""
-        return self.ctx.atom_pruner()
+        return self._view(None)
+
+    def _view(
+        self, members: "Mapping[str, list[object]] | None"
+    ) -> AtomIndexPruner:
+        """The index view over this context's window of the whole bound
+        classes (``members`` ``None``: the context's own,
+        :meth:`~repro.ftl.context.EvalContext.atom_pruner`) or of only
+        the members named.  Views are memoised by window end, bindings
+        and member sets: per evaluator, and over the round window in
+        the round table (:attr:`atoms`), so the queries of one refresh
+        round that name the same objects share one build."""
+        ctx = self.ctx
+        key = (
+            ctx.end,
+            frozenset(ctx.bindings.items()),
+            None
+            if members is None
+            else frozenset((cls, frozenset(named)) for cls, named in members.items()),
+        )
+        views = self._views
+        if self.atoms is not None and ctx.end == self.atoms.end:
+            views = self.atoms.views
+        view = views.get(key)
+        if view is None:
+            view = views[key] = (
+                ctx.atom_pruner()
+                if members is None
+                else AtomIndexPruner(ctx, members)
+            )
+        return view
 
     def _stats_for(self, f: Formula) -> dict[str, object]:
         stats = self.atom_stats.get(id(f))

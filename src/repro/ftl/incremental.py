@@ -63,7 +63,7 @@ from itertools import product
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.errors import FtlSemanticsError
-from repro.ftl.atoms import AtomIndexPruner
+from repro.ftl.atoms import AtomIndexPruner, RoundAtoms
 from repro.ftl.ast import (
     Always,
     AlwaysFor,
@@ -161,8 +161,11 @@ class PartialIntervalEvaluator(IntervalEvaluator):
         dirty_deps: "frozenset | None" = None,
         validity: "dict[int, float] | None" = None,
         dirty_divergence: "dict | None" = None,
+        atoms: "RoundAtoms | None" = None,
     ) -> None:
-        super().__init__(ctx, plan=plan, options=options, validity=validity)
+        super().__init__(
+            ctx, plan=plan, options=options, validity=validity, atoms=atoms
+        )
         self.cache = cache
         # Membership reads the set; frontier lookups walk the objects in
         # the order given, so the rows they find come in an order no
@@ -193,8 +196,6 @@ class PartialIntervalEvaluator(IntervalEvaluator):
         #: row its patch dropped or adopted (empty when the root's cached
         #: relation was reused as it stood).
         self.changed_rows: list[Instantiation] = []
-        #: Frontier views (:meth:`_atom_index`) by their member sets.
-        self._frontier: dict[frozenset, AtomIndexPruner] = {}
         #: Dirty instantiations enumerated across all subformulas — the
         #: size of the recompute frontier actually walked, counted whether
         #: or not the recomputed satisfaction set turned out non-empty
@@ -429,10 +430,12 @@ class PartialIntervalEvaluator(IntervalEvaluator):
         ``db.mbr_tables`` — a refresh's rows name a handful of dirty
         objects (and their partners), and a whole class table per
         epoch would cost more than every solve it saves.  Views are
-        memoised by their member sets, so the atoms of one refresh
-        that name the same objects share one build.  The partition
-        itself is the cold path's, so raising and unprunable objects
-        take the solve path exactly as they do there."""
+        memoised by their window and member sets (:meth:`_view`), so
+        the atoms of one refresh — and over the round window, the
+        queries of one round — that name the same objects share one
+        build.  The partition itself is the cold path's, so raising
+        and unprunable objects take the solve path exactly as they do
+        there."""
         bindings = self.ctx.bindings
         members: dict[str, dict[object, None]] = {}
         for pos, var in enumerate(free):
@@ -440,15 +443,7 @@ class PartialIntervalEvaluator(IntervalEvaluator):
             if cls is not None:
                 named = members.setdefault(cls, {})
                 named.update(dict.fromkeys(inst[pos] for inst in rows))
-        key = frozenset(
-            (cls, frozenset(named)) for cls, named in members.items()
-        )
-        view = self._frontier.get(key)
-        if view is None:
-            view = self._frontier[key] = AtomIndexPruner(
-                self.ctx, {cls: list(named) for cls, named in members.items()}
-            )
-        return view
+        return self._view({cls: list(named) for cls, named in members.items()})
 
     def _delta_until(self, f: Formula, combine) -> FtlRelation:
         self._delta(f.left)

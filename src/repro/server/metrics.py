@@ -92,6 +92,10 @@ class ServerMetrics:
     #: Refreshes skipped because every covered update's consequences
     #: provably lie beyond the query's validity horizon (DESIGN.md §11).
     horizon_skipped_refreshes: int = 0
+    #: Atom rows the refreshes answered from their round's shared table
+    #: instead of solving (``ContinuousQuery.shared_rows``, DESIGN.md
+    #: §7): what solving each distinct atom once per round saves.
+    shared_rows: int = 0
     #: Delta messages (and tuples) fanned out to subscribers.
     deltas_sent: int = 0
     tuples_sent: int = 0
@@ -138,6 +142,7 @@ class ServerMetrics:
             "shed_refreshes": self.shed_refreshes,
             "deps_skipped_refreshes": self.deps_skipped_refreshes,
             "horizon_skipped_refreshes": self.horizon_skipped_refreshes,
+            "shared_rows": self.shared_rows,
             "deltas_sent": self.deltas_sent,
             "tuples_sent": self.tuples_sent,
             "retract_tuples_sent": self.retract_tuples_sent,

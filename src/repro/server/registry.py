@@ -552,7 +552,9 @@ class SubscriptionRegistry:
         is nearly free, and the bench watches exactly this number.
         """
         t0 = time.perf_counter()
+        shared = rq.cq.shared_rows
         rq.cq.refresh()
+        self.metrics.shared_rows += rq.cq.shared_rows - shared
         rebuilt = rq.cq.evaluations != rq._last_evaluations
         if rebuilt:
             rq._last_evaluations = rq.cq.evaluations

@@ -11,7 +11,9 @@ it ran under and the answer.  Two things are pinned here:
 * that only a stamped evaluation touches it: a cold evaluation, an
   instantaneous query, a persistent query, a sharded evaluation, the
   ``ORACLE`` options and a continuous query without validity horizons
-  build no key and leave the store empty.
+  build no key and leave the store empty — and the refresh round's
+  atom table (``UpdateRouter.atoms``, one solve per atom per round)
+  too, with a live continuous query holding the round open.
 """
 
 import math
@@ -22,7 +24,12 @@ import pytest
 from repro.core import MostDatabase, ObjectClass
 from repro.core.dynamic import DynamicAttribute
 from repro.core.history import FutureHistory
-from repro.core.queries import ContinuousQuery, InstantaneousQuery, PersistentQuery
+from repro.core.queries import (
+    ContinuousQuery,
+    InstantaneousQuery,
+    PersistentQuery,
+    UpdateRouter,
+)
 from repro.ftl import parse_query
 from repro.ftl.atoms import KineticSolveCache
 from repro.ftl.context import DEFAULT, ORACLE, EvalContext
@@ -189,6 +196,24 @@ def no_keys(monkeypatch):
 HORIZON = 12
 
 
+def live_round(db):
+    """A live continuous query ending past every window below, so the
+    router's round table is open to any evaluation wired to it.  It
+    runs without validity horizons, so it builds no key and reads no
+    table itself."""
+    ContinuousQuery(
+        db,
+        parse_query(TEXT),
+        horizon=HORIZON + 20,
+        options=replace(DEFAULT, validity_horizons=False),
+    )
+
+
+def untouched(db):
+    """Neither the stamped store nor the round table holds anything."""
+    return len(db.kinetic_cache) == 0 and len(UpdateRouter.of(db).atoms) == 0
+
+
 def test_the_mixed_world_keys_every_kind_when_stamped():
     """The positive control of the tests below: a stamped evaluation of
     the same query over the same world builds keys and stores solves."""
@@ -202,33 +227,53 @@ def test_the_mixed_world_keys_every_kind_when_stamped():
     assert kinds == {"region", "dist", "sphere"}
 
 
+def test_the_mixed_world_fills_the_round_table_when_stamped():
+    """The round table's positive control: stamped continuous queries
+    over the same world, refreshed in one round, fill it and read it."""
+    db = mixed_world()
+    query = parse_query(TEXT)
+    cqs = [
+        ContinuousQuery(db, query, horizon=h, method="incremental")
+        for h in (HORIZON + 20, HORIZON)
+    ]
+    db.clock.tick()
+    db.update_motion("c1", Point(0, 1))
+    for cq in cqs:
+        cq.refresh()
+    assert len(UpdateRouter.of(db).atoms) > 0
+    assert cqs[0].shared_rows == 0 < cqs[1].shared_rows
+
+
 @pytest.mark.parametrize("options", [None, ORACLE], ids=["default", "oracle"])
 def test_cold_evaluation_builds_no_key(no_keys, options):
     db = mixed_world()
+    live_round(db)
     query = parse_query(TEXT)
     kwargs = {} if options is None else {"options": options}
     relation = query.evaluate(FutureHistory(db), HORIZON, **kwargs)
     naive = query.evaluate(FutureHistory(db), HORIZON, method="naive")
     assert rows_of(relation) == rows_of(naive)
-    assert len(db.kinetic_cache) == 0
+    assert untouched(db)
 
 
 def test_instantaneous_query_builds_no_key(no_keys):
     db = mixed_world()
+    live_round(db)
     query = InstantaneousQuery(parse_query(TEXT), HORIZON)
     first = query.answer(db)
     assert rows_of(query.answer(db).relation) == rows_of(first.relation)
-    assert len(db.kinetic_cache) == 0
+    assert untouched(db)
 
 
 def test_persistent_query_builds_no_key(no_keys):
     db = mixed_world()
+    live_round(db)
     persistent = PersistentQuery(db, parse_query(TEXT), HORIZON)
     db.clock.tick()
     db.update_motion("c1", Point(0, 1))
     persistent.current()
     assert persistent.evaluations == 2
-    assert len(db.kinetic_cache) == 0
+    assert untouched(db)
 
 
 @pytest.mark.parametrize(
@@ -238,8 +283,10 @@ def test_persistent_query_builds_no_key(no_keys):
 )
 def test_continuous_query_without_validity_builds_no_key(no_keys, options):
     """Validity horizons off alone (the pruned column path still on)
-    builds no key, as ``ORACLE`` does."""
+    builds no key and reads no round table, as ``ORACLE`` does: every
+    solve runs, the differential twin of both reuses."""
     db = mixed_world()
+    live_round(db)
     cq = ContinuousQuery(
         db, parse_query(TEXT), horizon=HORIZON, method="incremental",
         options=options,
@@ -249,17 +296,19 @@ def test_continuous_query_without_validity_builds_no_key(no_keys, options):
         db.update_motion(f"c{step}", Point(1, 1))
         cq.current()
     assert cq.incremental_refreshes > 0
-    assert len(db.kinetic_cache) == 0
+    assert cq.shared_rows == 0
+    assert untouched(db)
 
 
 def test_sharded_evaluation_builds_no_key(no_keys):
     """The parent builds no key and the shards report no lookup (the
     workers run the serial evaluator without stamps)."""
     db = mixed_world()
+    live_round(db)
     query = parse_query(TEXT)
     sharded = ShardedIntervalEvaluator(query, FutureHistory(db), HORIZON, 2)
     relation = sharded.evaluate()
     serial = query.evaluate_full(FutureHistory(db), HORIZON)
     assert rows_of(relation) == rows_of(serial)
     assert sharded.counters["cache_hits"] == sharded.counters["cache_misses"] == 0
-    assert len(db.kinetic_cache) == 0
+    assert untouched(db)
