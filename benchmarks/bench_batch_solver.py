@@ -70,7 +70,7 @@ def scalar_rows():
     """While open, the column path takes no row: every row of every atom
     runs its scalar closure inline."""
     column_rows = IntervalEvaluator._column_rows
-    IntervalEvaluator._column_rows = lambda self, f, free, todo, keyed: None
+    IntervalEvaluator._column_rows = lambda self, f, free, todo: None
     try:
         yield
     finally:

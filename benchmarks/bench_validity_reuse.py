@@ -14,9 +14,18 @@ vector — through two continuous queries on twin databases: one with the
 horizon gate (the default) and one built with
 ``validity_horizons`` off.  All values are dyadic so heartbeat
 re-anchoring is float-exact.  Answers are asserted identical epoch for
-epoch; the table reports evaluations, skips, stamped solve reuses
-(``db.kinetic_cache.hits``, every one a window-shift or equal-window
-reuse under a validity stamp) and refresh wall time.
+epoch; the table reports evaluations, skips, rows read from the store
+of solved atom rows (``shared_rows``: rows solved at an earlier tick and
+read clipped to a later window) and refresh wall time.
+
+The second table is the "Settled" window-shift scenario: four
+``interval`` continuous queries over a slow 300-car fleet, 40 epochs
+with three real motion changes each, seeds 1–3.  Every epoch re-
+evaluates every query, and every row whose car did not change is read
+from the store instead of being partitioned and solved again.  It
+reports the rows read per run and the median wall time of an epoch
+(tick, changes and the four refreshes), with answers held to the
+validity-off twin epoch for epoch.
 
 Results land in ``BENCH_validity_reuse.json`` at the repo root (archived
 by CI), with the fingerprint of the host that ran them.
@@ -30,6 +39,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import statistics
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -115,10 +125,77 @@ def drive(n: int, validity: bool) -> dict:
         "answers": answers,
         "evaluations": cq.evaluations,
         "horizon_skipped": cq.horizon_skipped,
-        "cache_hits": db.kinetic_cache.hits,
+        "shared_rows": cq.shared_rows,
         "refresh_ms": refresh_s * 1e3,
     }
     cq.cancel()
+    return out
+
+
+#: The Settled scenario: four ``interval`` queries (text, horizon) over a
+#: slow fleet, a few real motion changes per epoch.
+SETTLED_CARS = 60 if SMOKE else 300
+SETTLED_EPOCHS = 6 if SMOKE else 40
+SETTLED_CHANGES = 3
+SETTLED_SEEDS = (1,) if SMOKE else (1, 2, 3)
+SETTLED_QUERIES = (
+    ("RETRIEVE o FROM cars o WHERE INSIDE(o, P)", 60),
+    ("RETRIEVE o FROM cars o WHERE EVENTUALLY WITHIN 10 INSIDE(o, P)", 55),
+    ("RETRIEVE o FROM cars o WHERE OUTSIDE(o, Q)", 50),
+    ("RETRIEVE o FROM cars o WHERE INSIDE(o, P) AND OUTSIDE(o, Q)", 45),
+)
+#: Slow dyadic speeds: most cars stay on one side of a region's edge.
+SLOW = (-0.5, -0.25, 0.25, 0.5)
+
+
+def settled_world(seed: int) -> MostDatabase:
+    db = MostDatabase()
+    db.create_class(ObjectClass("cars", spatial_dimensions=2))
+    db.define_region("P", Polygon.rectangle(-20, -20, 20, 20))
+    db.define_region("Q", Polygon.rectangle(0, -40, 40, 0))
+    rng = random.Random(seed)
+    for i in range(SETTLED_CARS):
+        db.add_moving_object(
+            "cars",
+            f"c{i}",
+            Point(rng.randrange(-120, 120) / 2.0, rng.randrange(-120, 120) / 2.0),
+            Point(rng.choice(SLOW), rng.choice(SLOW)),
+        )
+    return db
+
+
+def settled(seed: int, validity: bool) -> dict:
+    """One Settled run: per-epoch answers, the rows read from the store,
+    the solves and the median epoch wall time."""
+    db = settled_world(seed)
+    options = replace(DEFAULT, validity_horizons=validity)
+    queries = [
+        ContinuousQuery(db, parse_query(text), horizon=h, options=options)
+        for text, h in SETTLED_QUERIES
+    ]
+    rng = random.Random(100 + seed)
+    answers = []
+    walls = []
+    for _epoch in range(SETTLED_EPOCHS):
+        start = time.perf_counter()
+        db.clock.tick()
+        for _ in range(SETTLED_CHANGES):
+            db.update_motion(
+                f"c{rng.randrange(SETTLED_CARS)}",
+                Point(rng.choice(SLOW), rng.choice(SLOW)),
+            )
+        for cq in queries:
+            cq.refresh()
+        walls.append(time.perf_counter() - start)
+        answers.append([cq.current() for cq in queries])
+    out = {
+        "answers": answers,
+        "shared_rows": sum(cq.shared_rows for cq in queries),
+        "kinetic_solves": sum(cq.kinetic_solves for cq in queries),
+        "epoch_ms_median": statistics.median(walls) * 1e3,
+    }
+    for cq in queries:
+        cq.cancel()
     return out
 
 
@@ -146,7 +223,7 @@ def test_validity_reuse_cuts_refresh_cost(record_table):
                 plain["evaluations"],
                 stamped["evaluations"],
                 stamped["horizon_skipped"],
-                stamped["cache_hits"],
+                stamped["shared_rows"],
                 round(plain["refresh_ms"], 2),
                 round(stamped["refresh_ms"], 2),
                 round(
@@ -163,14 +240,61 @@ def test_validity_reuse_cuts_refresh_cost(record_table):
             "evals plain",
             "evals stamped",
             "skipped",
-            "solve reuses",
+            "rows read",
             "plain ms",
             "stamped ms",
             "speedup x",
         ],
         rows,
     )
+    report["settled"] = {
+        "cars": SETTLED_CARS,
+        "epochs": SETTLED_EPOCHS,
+        "changes_per_epoch": SETTLED_CHANGES,
+        "queries": [list(q) for q in SETTLED_QUERIES],
+        "runs": [],
+    }
+    settled_rows = []
+    for seed in SETTLED_SEEDS:
+        shared = settled(seed, validity=True)
+        plain = settled(seed, validity=False)
+        assert shared.pop("answers") == plain.pop("answers"), (
+            f"the store changed an answer at seed {seed}"
+        )
+        report["settled"]["runs"].append(
+            {"seed": seed, "shared": shared, "plain": plain}
+        )
+        settled_rows.append(
+            [
+                seed,
+                shared["shared_rows"],
+                shared["kinetic_solves"],
+                plain["kinetic_solves"],
+                round(shared["epoch_ms_median"], 2),
+                round(plain["epoch_ms_median"], 2),
+            ]
+        )
+    record_table(
+        "E15b: the Settled window-shift scenario "
+        f"({len(SETTLED_QUERIES)} interval queries, {SETTLED_CARS} cars, "
+        f"{SETTLED_EPOCHS} epochs, {SETTLED_CHANGES} real changes each)",
+        [
+            "seed",
+            "rows read",
+            "solves",
+            "solves off",
+            "ms/epoch",
+            "ms/epoch off",
+        ],
+        settled_rows,
+    )
     RESULT_PATH.write_text(json.dumps(report, indent=2) + "\n")
+
+    for run in report["settled"]["runs"]:
+        # The store is read on every epoch and saves solves.
+        assert run["shared"]["shared_rows"] > 0, run
+        assert run["plain"]["shared_rows"] == 0, run
+        assert run["shared"]["kinetic_solves"] < run["plain"]["kinetic_solves"], run
 
     for fleet in report["fleets"]:
         stamped, plain = fleet["stamped"], fleet["plain"]

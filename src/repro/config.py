@@ -3,11 +3,6 @@
 Deployment-facing settings that must be tunable without code changes are
 read from ``REPRO_*`` environment variables:
 
-* ``REPRO_KINETIC_CACHE_SIZE`` — FIFO bound of the database's table of
-  stamped kinetic solves (:class:`~repro.ftl.atoms.KineticSolveCache`,
-  read only by continuous-query refreshes under validity stamps) when the
-  ``MostDatabase(kinetic_cache_size=...)`` constructor argument is left at
-  its default.  A positive integer.
 * ``REPRO_PARALLEL_START_METHOD`` — multiprocessing start method for the
   shard worker pool: ``fork``, ``spawn`` or ``forkserver``.  Defaults to
   the platform default (``fork`` on Linux).
@@ -26,11 +21,9 @@ from repro.errors import ConfigError
 
 __all__ = [
     "env_int",
-    "kinetic_cache_entries",
     "parallel_start_method",
 ]
 
-KINETIC_CACHE_SIZE_VAR = "REPRO_KINETIC_CACHE_SIZE"
 PARALLEL_START_METHOD_VAR = "REPRO_PARALLEL_START_METHOD"
 
 _START_METHODS = ("fork", "spawn", "forkserver")
@@ -59,11 +52,6 @@ def env_int(
     if maximum is not None and value > maximum:
         raise ConfigError(f"{name} must be <= {maximum}, got {value}")
     return value
-
-
-def kinetic_cache_entries() -> int | None:
-    """The ``REPRO_KINETIC_CACHE_SIZE`` override, or ``None`` when unset."""
-    return env_int(KINETIC_CACHE_SIZE_VAR, minimum=1)
 
 
 def parallel_start_method() -> str | None:

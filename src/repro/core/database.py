@@ -73,18 +73,11 @@ def _same_float(a: object, b: object) -> bool:
 class MostDatabase:
     """Object classes + objects + named regions under one global clock."""
 
-    def __init__(
-        self,
-        clock: SimulationClock | None = None,
-        kinetic_cache_size: int | None = None,
-    ) -> None:
+    def __init__(self, clock: SimulationClock | None = None) -> None:
         self.clock = clock if clock is not None else SimulationClock()
         #: Process-unique identity (``id()`` can be reused once a database
         #: is collected); the first field of a history's content token.
         self.uid = next(_uids)
-        #: Bound on the stamped kinetic-solve table (None = the default,
-        #: ``repro.ftl.atoms.DEFAULT_CACHE_ENTRIES``).
-        self.kinetic_cache_size = kinetic_cache_size
         self._classes: dict[str, ObjectClass] = {}
         self._objects: dict[object, MostObject] = {}
         # The tick each object was inserted at (``add_object``): where a
@@ -111,35 +104,9 @@ class MostDatabase:
         # clock, oldest first.
         self._heard: dict[object, int] = {}
         self._heard_serial = 0
-        self._kinetic_cache = None
         self._mbr_tables = None
         #: Network-delivered updates refused as stale or duplicate.
         self.ingest_rejected = 0
-
-    @property
-    def kinetic_cache(self):
-        """The database's table of stamped kinetic solves (lazily
-        created).
-
-        Read and written only by atoms evaluated under a validity stamp
-        — continuous-query refreshes with validity horizons — which
-        reuse a solve over any later window the stamp still covers;
-        every other evaluation leaves it untouched.  Motion updates
-        invalidate naturally because the frozen dynamic-attribute triples
-        are part of every key (see :mod:`repro.ftl.atoms`).
-        """
-        if self._kinetic_cache is None:
-            from repro.config import kinetic_cache_entries
-            from repro.ftl.atoms import KineticSolveCache  # avoid cycle
-
-            size = self.kinetic_cache_size
-            if size is None:
-                size = kinetic_cache_entries()
-            if size is None:
-                self._kinetic_cache = KineticSolveCache()
-            else:
-                self._kinetic_cache = KineticSolveCache(max_entries=size)
-        return self._kinetic_cache
 
     @property
     def mbr_tables(self):

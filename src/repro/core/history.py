@@ -165,15 +165,6 @@ class FutureHistory(History):
         the pin; read them before the database moves on."""
         return self._live().motion_columns(class_name)
 
-    def motion_slot(self, object_id: object) -> "tuple[MotionColumns, int]":
-        """The object's class columns and its object number in them;
-        raises ``QueryError`` for an unknown object."""
-        obj = self._object(object_id)
-        if obj is None:
-            raise QueryError(f"object {object_id!r} is not in this history")
-        columns = self.db.motion_columns(obj.object_class.name)
-        return columns, columns.index[object_id]
-
 
 def epoch_token(history: History) -> tuple[object, ...] | None:
     """The content-identity token of a future history, or ``None``.

@@ -293,17 +293,15 @@ class ContinuousQuery:
     dirtying the answer (:attr:`horizon_skipped`); within an
     incremental refresh, touched subtrees whose validity stamp and dirty
     divergence times both reach the window end are reused
-    (:attr:`horizon_subtrees_skipped`); and each stamped atom's kinetic
-    solves are stored in ``db.kinetic_cache`` and answer any later
-    refresh whose window the solved one contains, starting before the
-    stamp expires, by clipping.  The queries refreshed in one round —
-    one content version, one tick — share one more reuse: each distinct
-    atom's column-path rows are solved once, over the widest live
-    window, and read clipped by every query (the router's
-    :meth:`UpdateRouter.round_atoms`; :attr:`shared_rows`).
-    ``options.validity_horizons`` off disables all of them (the
-    differential twin of the soundness wall): no stamp and no round
-    table, so every solve runs.
+    (:attr:`horizon_subtrees_skipped`).  The live queries of a database
+    also share one store of solved atom rows (the router's
+    :meth:`UpdateRouter.round_atoms`): each distinct atom's column-path
+    row is solved once, over the widest live window, and read clipped
+    by every query at that tick and every later one
+    (:attr:`shared_rows`) until a commit writes what it was solved
+    from.  ``options.validity_horizons`` off disables all of them
+    (the differential twin of the soundness wall): no stamp and no
+    store, so every solve runs.
     """
 
     _METHODS = ("interval", "naive", "incremental")
@@ -352,9 +350,12 @@ class ContinuousQuery:
         self.pruned_rows = 0
         #: Kinetic (closed-form) atom solves of every evaluation.
         self.kinetic_solves = 0
-        #: Atom rows answered from the refresh round's table instead —
-        #: solved once for every query reading them (DESIGN.md §7).
+        #: Atom rows answered from the router's store instead — solved
+        #: once for every query and tick reading them (DESIGN.md §7).
         self.shared_rows = 0
+        #: The keys of the atoms this query reads through that store,
+        #: so the router keeps their rows while the query lives.
+        self.atom_keys: set[tuple] = set()
         self._bound_classes = frozenset(query.bindings.values())
         # Unknown classes fail at registration with a SchemaError naming
         # them — never a deep evaluator error at first refresh.
@@ -477,9 +478,15 @@ class ContinuousQuery:
         #: The root instantiations the last refresh changed; ``None``
         #: after a full evaluation (every row may have).
         self._changed_rows: list[Instantiation] | None = None
-        self._full_evaluate()
+        # Registered before the first evaluation, so that evaluation
+        # already reads and fills the router's store of solved rows.
         self._router = UpdateRouter.of(db)
         self._router.add(self)
+        try:
+            self._full_evaluate()
+        except BaseException:
+            self._router.remove(self)
+            raise
 
     # ------------------------------------------------------------------
     @property
@@ -532,12 +539,12 @@ class ContinuousQuery:
                 trace=None if cache is None else cache.relations,
                 plan=self.plan,
                 options=self.options,
-                validity=self._validity_stamps,
                 atoms=self._round_atoms(history),
             )
             relation = evaluator.evaluate(self.query.where)
             self.kinetic_solves += evaluator.kinetic_solves
             self.shared_rows += evaluator.shared_rows
+            self.atom_keys = evaluator.round_keys
             self._rf = self.query._complete(relation, ctx)
         else:
             self._rf = self.query.evaluate_full(
@@ -590,16 +597,17 @@ class ContinuousQuery:
         self.pruned_rows += evaluator.pruned_instantiations
         self.kinetic_solves += evaluator.kinetic_solves
         self.shared_rows += evaluator.shared_rows
+        self.atom_keys |= evaluator.round_keys
         self.subtrees_skipped += evaluator.subtrees_skipped
         self.horizon_subtrees_skipped += evaluator.horizon_subtrees_skipped
         self._last_refresh = now
         self._answer = None
 
     def _round_atoms(self, history: FutureHistory) -> RoundAtoms | None:
-        """The atom table of the refresh round ``history`` reads
-        (:meth:`UpdateRouter.round_atoms`) when this query's evaluations
-        read one: interval evaluations with validity horizons on — off,
-        every solve runs, as for the differential twin."""
+        """The store of solved atom rows as the round ``history`` reads
+        it (:meth:`UpdateRouter.round_atoms`) when this query's
+        evaluations read it: interval evaluations with validity horizons
+        on — off, every solve runs, as for the differential twin."""
         if self._eval_method != "interval" or not self.options.validity_horizons:
             return None
         return UpdateRouter.of(self.db).round_atoms(history, self.expires_at)
@@ -611,8 +619,8 @@ class ContinuousQuery:
         scheduled expiry) of each bound class off the database's
         motion-event index and turns the symbolic per-node horizons
         into absolute expiry stamps.  The stamps flow into the evaluator
-        (window-shifted cache reuse and horizon-pruned incremental
-        refresh) and into the update-stream gate
+        (horizon-pruned incremental refresh) and into the update-stream
+        gate
         (:meth:`_beyond_validity_horizon`).  Any failure degrades to "no
         stamps" — every consumer treats that as "never skip".
         """
@@ -989,20 +997,24 @@ class UpdateRouter:
     cancels or expires (and the memo when a query's read-set is
     replaced).
 
-    The router also owns the refresh round's atom table
-    (:meth:`round_atoms`): what the live queries' evaluations solve at
-    one content version and tick, over the widest live end.
+    The router also owns the one store of solved atom rows
+    (:meth:`round_atoms`): what the live queries' evaluations solve,
+    each row over the widest live end at its tick.  Every commit marks
+    the rows of what it wrote dead in O(1)
+    (:meth:`RoundAtoms.committed`); a change of the query set keeps only
+    the live queries' atoms.
     """
 
     def __init__(self, db: MostDatabase) -> None:
         self.db = db
         self._queries: list[ContinuousQuery] = []
         self._routes: dict[
-            tuple[object, ...], tuple[tuple[Dep | None, ...], _Route]
+            tuple[object, ...],
+            tuple[tuple[Dep | None, ...], _Route, frozenset[str]],
         ] = {}
         #: The live queries' distinct ``expires_at``, ascending.
         self._ends: list[float] = []
-        #: The refresh round's atom table (:meth:`round_atoms`).
+        #: The store of solved atom rows (:meth:`round_atoms`).
         self.atoms = RoundAtoms()
         db.on_update(self._on_commit)
 
@@ -1029,12 +1041,12 @@ class UpdateRouter:
             self._reset([q for q in self._queries if q is not cq])
 
     def round_atoms(self, history: FutureHistory, end: int) -> RoundAtoms | None:
-        """The atom table of the round ``history`` is pinned to — its
-        content version and clock tick — over ``[now, E]``, ``E`` the
-        widest ``expires_at`` among the live queries; ``None`` when a
-        window ending at ``end`` is not inside it (a query evaluated
-        before it registers may end later).  Opening it for another
-        round empties it."""
+        """The store as the round ``history`` is pinned to reads it —
+        its content version and clock tick — over ``[now, E]``, ``E``
+        the widest ``expires_at`` among the live queries, with the rows
+        the commits since the last round changed dropped.  ``None``
+        when a window ending at ``end`` is not inside it (a query the
+        router does not hold may end later)."""
         if not self._ends or end > self._ends[-1]:
             return None
         return self.atoms.open(epoch_token(history), int(self._ends[-1]))
@@ -1043,15 +1055,21 @@ class UpdateRouter:
         self._queries = queries
         self._routes.clear()
         self._ends = sorted({float(q.expires_at) for q in queries})
+        if queries:
+            self.atoms.retain(set().union(*(q.atom_keys for q in queries)))
+        else:
+            self.atoms.clear()
 
     def _route(
         self, cls: str | None, updates: tuple[MostUpdate, ...]
-    ) -> tuple[tuple[Dep | None, ...], _Route]:
-        """The footprints of a commit of ``cls`` and every live query it
+    ) -> tuple[tuple[Dep | None, ...], _Route, frozenset[str]]:
+        """The footprints of a commit of ``cls``, every live query it
         reaches, with the indices of the records its read-set covers
-        (possibly none) and its end's index."""
+        (possibly none) and its end's index, and the attributes it
+        writes."""
         footprints = tuple(update_footprint(u, self.db) for u in updates)
         index = {end: e for e, end in enumerate(self._ends)}
+        written = frozenset(u.attribute for u in updates)
         return footprints, [
             (
                 cq,
@@ -1061,7 +1079,7 @@ class UpdateRouter:
             )
             for cq in self._queries
             if _binds(cq, cls)
-        ]
+        ], written
 
     def _on_commit(self, updates: tuple[MostUpdate, ...]) -> None:
         if not self._queries:
@@ -1072,7 +1090,7 @@ class UpdateRouter:
             self._reset([q for q in self._queries if now <= q.expires_at])
             if not self._queries:
                 return
-        # One commit is one object: the class gate runs on its first record.
+        # The class gate runs on the commit's first record.
         reachable, cls = _class_gate(db, updates[0])
         if not reachable:
             return
@@ -1080,7 +1098,9 @@ class UpdateRouter:
         memo = self._routes.get(key)
         if memo is None:
             memo = self._routes[key] = self._route(cls, updates)
-        footprints, route = memo
+        footprints, route, written = memo
+        # One commit is one object: the stored rows of what it wrote die.
+        self.atoms.committed(updates[0].object_id, written)
         ends = self._ends
         tables: list[list[float] | None] = [None] * len(updates)
         version = db.version

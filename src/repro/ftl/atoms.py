@@ -1,11 +1,11 @@
-"""Accelerated atom evaluation: index pruning + stamped solve reuse.
+"""Accelerated atom evaluation: index pruning + one store of solved rows.
 
 The appendix algorithm's base case enumerates the full cartesian product
 of an atom's variable domains and runs one kinetic solve per
 instantiation — ``O(n^2)`` closed-form solves for binary ``DIST``/
 ``WITHIN_SPHERE`` atoms even when almost no pair of objects ever comes
 near each other inside the window.  This module supplies the two layers
-that make the base case cheap (both on by default, see DESIGN.md §7):
+that make the base case cheap (see DESIGN.md §7):
 
 **Layer 1 — conservative index pruning** (:class:`AtomIndexPruner`).
 Per object class and evaluation window, every member's piecewise-linear
@@ -33,35 +33,23 @@ nonlinear or non-spatial are *unprunable* — always candidates — so the
 solve path sees exactly the inputs (and raises exactly the errors) the
 exhaustive path would.
 
-**Layer 2 — stamped solve reuse** (:class:`KineticSolveCache`).
-A bounded table attached to the :class:`~repro.core.database.
-MostDatabase` (``db.kinetic_cache``), keyed by the atom kind, its
-canonical arguments and the participating objects' frozen motion
-triples — not the window.  Only an atom evaluated under a validity
-stamp (a continuous query's refresh with validity horizons, DESIGN.md
-§11) builds a key and reads or writes the table; every other
-evaluation solves.  The stamp proves each trajectory the atom reads
-piecewise-linear and solved in closed form, so the dense answer does
-not depend on the window and a stored answer clipped to any contained
-window that starts before the stamp expires is the answer a fresh
-solve would give.  Motion updates invalidate naturally: an explicit
-update produces a new ``(value, updatetime, function)`` triple, hence
-a new key.
-
-**One solve per atom per round** (:class:`RoundAtoms`).  The continuous
-queries refreshed at one content version and tick read each distinct
-atom's column-path rows from one table: solved once over the widest
-live window, clipped to each query's own (DESIGN.md §7).
+**Layer 2 — one store of solved atom rows** (:class:`RoundAtoms`).
+``R_g`` of an atom is a function of the atom and the database state,
+not of the query that reads it.  The continuous queries of a database
+read each distinct atom's column-path rows from one table owned by its
+update router: each row solved once over ``[s, E]`` (``E`` the widest
+live window end), read clipped to any later window inside it, and
+dropped when a commit changes one of its objects' motion.  Every other
+evaluation solves.
 """
 
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from functools import partial
 from itertools import repeat
 from operator import itemgetter
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -88,9 +76,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.history import History
     from repro.ftl.context import EvalContext
 
-#: Default bound on cached solve entries (FIFO eviction beyond this).
-DEFAULT_CACHE_ENTRIES = 8192
-
 #: Comparison operators a DIST atom can be pruned under, and how each op
 #: reads once the pair is known to stay strictly farther apart than the
 #: bound for the whole window: ``True`` → the atom holds everywhere.
@@ -102,11 +87,6 @@ _FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
 #: decided rows, and the answer every decided row has.
 AtomPartition = tuple[np.ndarray, int, IntervalSet]
 
-#: One stored solve of :class:`KineticSolveCache`: the window it was
-#: solved over, the expiry of its validity stamp and the answer.
-SolveEntry = tuple[tuple[int, int], float, IntervalSet]
-
-
 def _radius(bound: object) -> float:
     """A ``DIST`` bound as a pruning radius, or NaN when the solve path
     must decide: not a number, negative, or NaN (``not >=`` refuses NaN,
@@ -116,187 +96,156 @@ def _radius(bound: object) -> float:
     return float(bound)
 
 
-class KineticSolveCache:
-    """Bounded FIFO table of stamped kinetic atom solves.
-
-    An entry is ``key -> (solved window, stamp expiry, answer)``, the
-    answer discretized and clipped to the solved window exactly as the
-    interval evaluator computed it.  A lookup hits when the stored
-    window contains the requested one and the request starts before the
-    expiry; it returns the answer clipped to the request, which is
-    ``solve([s', e'])`` because ``solve([s, e]).clip(s', e') ==
-    solve([s', e'])`` for analytic solves whenever ``[s', e'] ⊆ [s, e]``
-    (the equal window is the trivial case).  Only a solve writes an
-    entry, replacing the key's older one; a hit writes nothing.
-    """
-
-    def __init__(self, max_entries: int = DEFAULT_CACHE_ENTRIES) -> None:
-        self.max_entries = max_entries
-        self._store: "OrderedDict[object, SolveEntry]" = OrderedDict()
-        #: Cumulative lookup stats across every evaluator sharing this
-        #: table (per-evaluator counts live on the evaluators).
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    def get(self, key: object, window: tuple[int, int]) -> IntervalSet | None:
-        """The stored answer clipped to ``window``, or ``None``."""
-        entry = self._store.get(key)
-        if entry is not None:
-            solved, expire, value = entry
-            start, end = window
-            if solved[0] <= start and end <= solved[1] and start < expire:
-                self.hits += 1
-                return value if solved == window else value.clip(start, end)
-        self.misses += 1
-        return None
-
-    def put(
-        self,
-        key: object,
-        window: tuple[int, int],
-        expire: float,
-        value: IntervalSet,
-    ) -> None:
-        """Store one solve over ``window`` under a stamp expiring at
-        ``expire``, replacing the key's entry and evicting FIFO beyond
-        the bound."""
-        store = self._store
-        store.pop(key, None)
-        store[key] = (window, expire, value)
-        while len(store) > self.max_entries:
-            store.popitem(last=False)
-
-    def clear(self) -> None:
-        """Drop every entry (stats are kept)."""
-        self._store.clear()
-
-
-#: One distinct atom's rows in a :class:`RoundAtoms` table: each row's
-#: answer over the round window, or ``None`` for a row its own query
-#: solves (the column path does not take it).
-RoundEntry = dict[Instantiation, IntervalSet | None]
+#: One row of a :class:`RoundAtoms` entry: the window ``[s, E]`` it was
+#: solved over and its answer there, or ``None`` for a row each query
+#: solves itself (the column path does not take it).
+RoundRow = tuple[int, int, IntervalSet | None]
+#: One distinct atom's rows, by instantiation.
+RoundEntry = dict[Instantiation, RoundRow]
 
 
 class RoundAtoms:
-    """The atoms of one refresh round, each solved once for every
-    continuous query that reads it (DESIGN.md §7, "one solve per atom
-    per round").
+    """The one store of solved atom rows, shared by every continuous
+    query of a database (DESIGN.md §7, "One store for solved atoms").
 
-    A round is one content version at one clock tick — one
-    :func:`~repro.core.history.epoch_token` — and its window ends at the
-    widest ``expires_at`` among the live continuous queries.  An entry
-    is keyed by a distinct atom (its kind, its resolved constants and
-    its variables' classes, in ``free`` order) and holds, per row, the
-    answer over ``[now, end]``: a partition verdict's known answer or a
-    column-path solve, which a query whose window ends at ``e <= end``
-    reads clipped to ``[now, e]``.  A row the column path does not take
-    is held as ``None``: each query solves it over its own window.
-    The round's index views over its window live here too
-    (:meth:`~repro.ftl.evaluator.IntervalEvaluator._view`): the queries
-    that partition the same objects share one build.  :meth:`open` with
-    another token or end empties the table, so a commit, an insert or a
-    clock tick never serves a stale row or view.
+    An entry is keyed by a distinct atom — its kind, its resolved
+    constants and its variables' classes, in ``free`` order; ``INSIDE``
+    and ``OUTSIDE`` of one region share one entry holding the inside
+    answer — and holds, per row, the window ``[s, E]`` the row was
+    solved over and its answer there: a partition verdict's known
+    answer or a column-path solve, which a query reading at ``now >= s``
+    with a window ending at ``e <= E`` reads clipped to ``[now, e]``.  A
+    row the column path does not take is held as ``None``: each query
+    solves it over its own window.
+
+    A row lives until an attribute its atom reads changes on one of its
+    objects — the positions for a spatial atom, the one attribute of an
+    attribute comparison — and that takes a commit: the router reports
+    each commit (:meth:`committed`, O(1)) and the next :meth:`open`
+    drops the rows it changed.  A tick keeps every row.  The router
+    also drops the entries no live query reads when its query set
+    changes (:meth:`retain`) and everything when none is live
+    (:meth:`clear`).
+
+    The index views over a round's window live here too
+    (:meth:`~repro.ftl.evaluator.IntervalEvaluator._view`): a round is
+    one content token at one window end, and :meth:`open` under another
+    drops the views, since they are built from one content version's
+    tables.
     """
 
     def __init__(self) -> None:
-        #: The round the entries belong to, and its window end.
+        #: The round the views belong to, and its window end ``E``.
         self.token: object = None
         self.end: int | None = None
-        self._entries: dict[object, RoundEntry] = {}
         #: Index views over the round window, by bindings and members.
         self.views: dict[tuple, AtomIndexPruner] = {}
+        self._entries: dict[object, RoundEntry] = {}
+        #: ``id(entry)`` -> the attributes its atom reads.
+        self._reads: dict[int, frozenset[str]] = {}
+        #: Object -> the rows naming it, ``(id(entry), row) -> entry``.
+        self._named: dict[object, dict[tuple[int, Instantiation], RoundEntry]] = {}
+        #: Object -> the attributes committed since the last :meth:`open`.
+        self._dead: dict[object, frozenset[str]] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
 
+    @property
+    def rows(self) -> int:
+        """The rows held, over every entry."""
+        return sum(len(entry) for entry in self._entries.values())
+
+    def committed(self, object_id: object, attributes: frozenset[str]) -> None:
+        """Note a commit writing ``attributes`` of ``object_id``: the
+        rows naming it whose atom reads one of them die at the next
+        :meth:`open`."""
+        written = self._dead.get(object_id)
+        if written is None or written is attributes:
+            self._dead[object_id] = attributes
+        else:
+            self._dead[object_id] = written | attributes
+
     def open(self, token: object, end: int) -> "RoundAtoms":
-        """The table of the round ``token`` over ``[start, end]``,
-        emptied when either differs from the round it holds."""
+        """The table as the round ``token`` over ``[now, end]`` reads
+        it: the rows every commit since the last open changed dropped,
+        and the views dropped when the round is another."""
         if token != self.token or end != self.end:
-            self._entries = {}
             self.views = {}
             self.token, self.end = token, end
+        if self._dead:
+            named, reads = self._named, self._reads
+            for oid, written in self._dead.items():
+                rows = named.get(oid)
+                if not rows:
+                    continue
+                for row in [r for r in rows if not reads[r[0]].isdisjoint(written)]:
+                    rows.pop(row).pop(row[1], None)
+            self._dead = {}
         return self
 
-    def entry(self, key: object) -> RoundEntry:
-        """The rows held for one distinct atom (created empty)."""
+    def entry(self, key: object, reads: Iterable[str]) -> RoundEntry:
+        """The rows held for one distinct atom, which reads the
+        attributes ``reads`` of its objects (created empty)."""
         entry = self._entries.get(key)
         if entry is None:
             entry = self._entries[key] = {}
+            self._reads[id(entry)] = frozenset(reads)
         return entry
 
+    def store(
+        self,
+        entry: RoundEntry,
+        rows: "Iterable[tuple[Instantiation, IntervalSet | None]]",
+        start: int,
+        end: int,
+    ) -> None:
+        """Hold ``rows`` of ``entry``, solved over ``[start, end]``."""
+        named = self._named
+        tag = id(entry)
+        for inst, value in rows:
+            entry[inst] = (start, end, value)
+            for oid in inst:
+                slot = named.get(oid)
+                if slot is None:
+                    slot = named[oid] = {}
+                slot[tag, inst] = entry
+
+    def retain(self, keys: "Iterable[object]") -> None:
+        """Drop every entry but those of ``keys``."""
+        keep = set(keys)
+        self._entries = {k: e for k, e in self._entries.items() if k in keep}
+        self._reads = {id(e): self._reads[id(e)] for e in self._entries.values()}
+        named: dict[object, dict[tuple[int, Instantiation], RoundEntry]] = {}
+        for entry in self._entries.values():
+            tag = id(entry)
+            for inst in entry:
+                for oid in inst:
+                    named.setdefault(oid, {})[tag, inst] = entry
+        self._named = named
+
+    def clear(self) -> None:
+        """Drop every row and view."""
+        self.token = self.end = None
+        self.views = {}
+        self._entries = {}
+        self._reads = {}
+        self._named = {}
+        self._dead = {}
+
 
 # ---------------------------------------------------------------------------
-# Cache keys
+# Region tokens
 # ---------------------------------------------------------------------------
 
 
-class _SolveToken:
-    """Hash-caching wrapper around a heavyweight token value.
-
-    A solve key is hashed several times per candidate row (the
-    ``_keyed`` hashability check, cache probes, pending-set bookkeeping,
-    the final ``put``) and Python tuples re-hash their contents every
-    time — for a 16-vertex polygon token that is the dominant cost of
-    the whole key layer.  The wrapper computes the hash once; equality
-    still compares the underlying values, so key semantics — including
-    invalidation on region redefinition or motion update — are
-    unchanged.
-    """
-
-    __slots__ = ("value", "_hash")
-
-    def __init__(self, value: object) -> None:
-        self.value = value
-        self._hash = hash(value)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, _SolveToken):
-            return self.value == other.value
-        return NotImplemented
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"_SolveToken({self.value!r})"
-
-
-def motion_token(history: "History", object_id: object) -> object | None:
-    """A hashable token identifying an object's frozen motion state.
-
-    The token is the object's position rows read off its class's motion
-    columns (:meth:`~repro.core.columns.MotionColumns.token`) — the exact
-    inputs every kinetic solver reads — so two cache keys collide only
-    when the solved trajectories are identical, and equal exactly when
-    the position triples are equal.  Returns ``None`` (uncacheable) for
-    recorded histories (their trajectories splice the update log, not a
-    frozen triple), for a history whose database moved on, for unknown
-    objects and for objects without spatial attributes.
-    """
-    from repro.core.history import FutureHistory
-
-    if not isinstance(history, FutureHistory):
-        return None
-    try:
-        columns, number = history.motion_slot(object_id)
-    except QueryError:
-        return None
-    if not columns.dim:
-        return None
-    return columns.token(number)
-
-
-#: Memo of wrapped region tokens, keyed by region identity.  Regions are
+#: Memo of region tokens, keyed by region identity.  Regions are
 #: immutable (``Ball`` is frozen, ``Polygon`` never mutates its
 #: vertices) so a token can never go stale for a given object; distinct
 #: objects with equal geometry still produce *equal* tokens, preserving
 #: the name-independent key semantics.  Bounded and cleared wholesale —
 #: correctness never depends on a memo hit.
-_REGION_TOKENS: dict[int, tuple[object, "_SolveToken"]] = {}
+_REGION_TOKENS: dict[int, tuple[object, object]] = {}
 _REGION_TOKEN_LIMIT = 256
 
 
@@ -307,12 +256,11 @@ def region_token(region: object) -> object | None:
     if entry is not None and entry[0] is region:
         return entry[1]
     if isinstance(region, Ball):
-        raw: object = region
+        token: object = region
     elif isinstance(region, Polygon):
-        raw = ("poly", region.vertices)
+        token = ("poly", region.vertices)
     else:
         return None
-    token = _SolveToken(raw)
     if len(_REGION_TOKENS) >= _REGION_TOKEN_LIMIT:
         _REGION_TOKENS.clear()
     _REGION_TOKENS[id(region)] = (region, token)
@@ -329,97 +277,6 @@ def clear_region_tokens() -> None:
     replica (see :func:`repro.parallel.worker.reset_worker_caches`).
     """
     _REGION_TOKENS.clear()
-
-
-def _ctx_motion_token(
-    ctx: "EvalContext", object_id: object
-) -> "_SolveToken | None":
-    """Per-context memo of wrapped motion tokens.  A context covers one
-    evaluation of one frozen history — tokens cannot go stale within its
-    lifetime — and the cached hash keeps per-row key construction cheap."""
-    memo = ctx._motion_tokens
-    if object_id in memo:
-        return memo[object_id]
-    raw = motion_token(ctx.history, object_id)
-    token = None if raw is None else _SolveToken(raw)
-    memo[object_id] = token
-    return token
-
-
-def linear_motion_tokens(
-    ctx: "EvalContext",
-    ids: Sequence[object],
-    value: np.ndarray,
-    updatetime: np.ndarray,
-    slope: np.ndarray,
-) -> list["_SolveToken"]:
-    """The wrapped motion tokens of the objects ``ids`` whose position
-    rows hold the ``(objects, dim)`` coefficients given, every axis
-    :data:`~repro.core.columns.KIND_LINEAR`, through the per-context
-    memo of :func:`_ctx_motion_token`: per axis the float coefficients,
-    exactly what :meth:`~repro.core.columns.MotionColumns.token` reads."""
-    memo = ctx._motion_tokens
-    out: list[_SolveToken] = []
-    columns: tuple[list, list, list] | None = None
-    for i, oid in enumerate(ids):
-        token = memo.get(oid)
-        if token is None:
-            if columns is None:
-                columns = (value.tolist(), updatetime.tolist(), slope.tolist())
-            values, updatetimes, slopes = columns
-            token = memo[oid] = _SolveToken(
-                tuple(zip(values[i], updatetimes[i], slopes[i]))
-            )
-        out.append(token)
-    return out
-
-
-def _keyed(parts: tuple) -> tuple | None:
-    try:
-        hash(parts)
-    except TypeError:
-        return None
-    return parts
-
-
-def region_solve_key(
-    ctx: "EvalContext", region: object, object_id: object
-) -> tuple | None:
-    """Key of the *inside* interval set of one object vs one region
-    (``OUTSIDE`` complements the cached answer on retrieval)."""
-    rtok = region_token(region)
-    mtok = _ctx_motion_token(ctx, object_id)
-    if rtok is None or mtok is None:
-        return None
-    return _keyed(("region", rtok, mtok))
-
-
-def sphere_solve_key(
-    ctx: "EvalContext", radius: float, object_ids: list[object]
-) -> tuple | None:
-    """Key of a ``WITHIN_SPHERE`` solve.  Object order is preserved (not
-    sorted): the predicate is symmetric but the numeric solver need not
-    be bit-for-bit order-independent, and structural equality with the
-    exhaustive path matters more than a few extra entries."""
-    tokens = []
-    for oid in object_ids:
-        tok = _ctx_motion_token(ctx, oid)
-        if tok is None:
-            return None
-        tokens.append(tok)
-    return _keyed(("sphere", float(radius), tuple(tokens)))
-
-
-def dist_solve_key(
-    ctx: "EvalContext", op: str, bound: float, a: object, b: object
-) -> tuple | None:
-    """Key of a ``DIST(a, b) op bound`` fast-path solve."""
-    ta = _ctx_motion_token(ctx, a)
-    tb = _ctx_motion_token(ctx, b)
-    if ta is None or tb is None:
-        return None
-    return _keyed(("dist", op, float(bound), ta, tb))
-
 
 # ---------------------------------------------------------------------------
 # Layer 1: the index pruner

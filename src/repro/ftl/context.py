@@ -31,7 +31,7 @@ from repro.temporal import Interval
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.columns import MotionRows
     from repro.core.history import History
-    from repro.ftl.atoms import AtomIndexPruner, KineticSolveCache
+    from repro.ftl.atoms import AtomIndexPruner
     from repro.motion.moving import MovingPoint
 
 Env = dict[str, object]
@@ -114,13 +114,12 @@ class EvalContext:
                     )
                 self._domains[var] = list(values)
         self._movers: dict[object, "MovingPoint"] = {}
-        self._motion_tokens: dict[object, object] = {}
         self._pruner: "AtomIndexPruner | None" = None
 
     # ------------------------------------------------------------------
     def reset_memos(self) -> None:
-        """Drop the per-context mover/motion-token memos and the lazy
-        atom-index pruner.
+        """Drop the per-context mover memo and the lazy atom-index
+        pruner.
 
         The memos hold references into the parent process's object graph;
         a context shipped to (or inherited by, under ``fork``) a worker
@@ -128,7 +127,6 @@ class EvalContext:
         than trust another address space's snapshots.
         """
         self._movers.clear()
-        self._motion_tokens.clear()
         self._pruner = None
 
     # ------------------------------------------------------------------
@@ -166,14 +164,6 @@ class EvalContext:
 
             self._pruner = AtomIndexPruner(self)
         return self._pruner
-
-    def kinetic_cache(self) -> "KineticSolveCache | None":
-        """The database's stamped kinetic-solve table, or ``None`` when
-        the history's database does not carry one."""
-        db = getattr(self.history, "db", None)
-        if db is None:
-            return None
-        return getattr(db, "kinetic_cache", None)
 
     # ------------------------------------------------------------------
     @property

@@ -21,13 +21,13 @@ Extensions beyond the paper's appendix, all documented in DESIGN.md:
 from __future__ import annotations
 
 import math
-from functools import partial
 from itertools import product
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from repro.core.columns import KIND_LINEAR
+from repro.core.objects import X_POSITION, Y_POSITION, Z_POSITION
 from repro.errors import FtlSemanticsError, QueryError, ReproError, SchemaError
 from repro.ftl.ast import (
     Always,
@@ -57,11 +57,7 @@ from repro.ftl.atoms import (
     AtomPartition,
     KineticBatch,
     RoundAtoms,
-    dist_solve_key,
-    linear_motion_tokens,
-    region_solve_key,
     region_token,
-    sphere_solve_key,
 )
 from repro.ftl.context import DEFAULT, Env, EvalContext, EvalOptions
 from repro.ftl.relations import (
@@ -100,12 +96,13 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.ftl.analysis.plan import EvalPlan
 
     #: A transform of a solved value into the atom's answer (OUTSIDE
-    #: complements the cached *inside* set), or none.
+    #: complements the *inside* set), or none.
     _Post = Callable[[IntervalSet], IntervalSet] | None
-    #: A row's scalar solve.
-    _Solve = Callable[[], IntervalSet]
-    #: One mover term's picked rows: leg origins, velocities, tokens.
-    _Mover = tuple[np.ndarray, np.ndarray, list]
+    #: One mover term's picked rows: leg origins and velocities.
+    _Mover = tuple[np.ndarray, np.ndarray]
+
+#: The attributes a spatial atom reads of its objects.
+_POSITIONS = (X_POSITION, Y_POSITION, Z_POSITION)
 
 _CMP = {
     "=": lambda a, b: a == b,
@@ -121,20 +118,17 @@ class _SolveRequest:
     """One instantiation's pending kinetic solve on the scalar path (the
     rows :meth:`IntervalEvaluator._column_rows` does not take).
 
-    ``solve`` is the scalar closure; ``key`` builds its solve key (called
-    only under a validity stamp); ``post`` an optional transform of the
-    solved value (OUTSIDE complements the *inside* set).
+    ``solve`` is the scalar closure; ``post`` an optional transform of
+    the solved value (OUTSIDE complements the *inside* set).
     """
 
-    __slots__ = ("key", "solve", "post")
+    __slots__ = ("solve", "post")
 
     def __init__(
         self,
-        key: "Callable[[], object]",
         solve: "Callable[[], IntervalSet]",
         post: "Callable[[IntervalSet], IntervalSet] | None" = None,
     ) -> None:
-        self.key = key
         self.solve = solve
         self.post = post
 
@@ -144,25 +138,22 @@ class _ColumnRows:
     (:meth:`IntervalEvaluator._column_rows`).
 
     ``slot`` maps each row to solve to its column row, or ``-1`` for a
-    row the scalar path takes; ``keys`` are the column rows' solve keys
-    (``None`` unless the atom is stamped), ``post`` the atom's transform
-    of a solved value.  An attribute comparison comes solved
-    (``values``); the other kinds queue the column rows ``picks`` on a
-    batch (``enqueue``).
+    row the scalar path takes; ``post`` is the atom's transform of a
+    solved value.  An attribute comparison comes solved (``values``);
+    the other kinds queue the column rows ``picks`` on a batch
+    (``enqueue``).
     """
 
-    __slots__ = ("slot", "keys", "post", "values", "enqueue")
+    __slots__ = ("slot", "post", "values", "enqueue")
 
     def __init__(
         self,
         slot: list[int],
-        keys: list[object] | None,
         post: "_Post" = None,
         values: list[IntervalSet] | None = None,
         enqueue: "Callable[[KineticBatch, list[int]], tuple] | None" = None,
     ) -> None:
         self.slot = slot
-        self.keys = keys
         self.post = post
         self.values = values
         self.enqueue = enqueue
@@ -255,20 +246,17 @@ class IntervalEvaluator:
         #: Pass-8 concrete validity stamps, keyed by ``id(subformula)``
         #: over the evaluated (plan-ordered) tree: the absolute time at
         #: which each node's cached answer stops being provably
-        #: reusable.  An atom with a stamp beyond ``ctx.start`` is
-        #: provably piecewise-linear/analytic, so its solves are read
-        #: from and written to the database's stamped solve table
-        #: (:class:`~repro.ftl.atoms.KineticSolveCache`); an atom
-        #: without one never touches it.
+        #: reusable.  The incremental subclass's horizon skip reads them.
         self.validity = validity
-        #: That table, or ``None`` when no atom can be stamped.
-        self._cache = None if validity is None else ctx.kinetic_cache()
-        #: The refresh round's atom table a continuous query hands in
+        #: The store of solved atom rows a continuous query hands in
         #: (:class:`~repro.ftl.atoms.RoundAtoms`, DESIGN.md §7): the
-        #: column-path rows of its atoms are solved once per round over
-        #: the round window and read clipped to this one.  ``None`` for
-        #: every other evaluation.
+        #: column-path rows of its atoms are read from it, clipped to
+        #: this window, and the rows it lacks are solved over the round
+        #: window and stored.  ``None`` for every other evaluation.
         self.atoms = atoms
+        #: The keys of the atoms this evaluation read through
+        #: :attr:`atoms` (its query's live atoms).
+        self.round_keys: set[tuple] = set()
         #: The round window's context (:meth:`_round_context`).
         self._wide: EvalContext | None = None
         #: Index views outside the round table (:meth:`_view`).
@@ -286,11 +274,8 @@ class IntervalEvaluator:
         self.kinetic_solves = 0
         #: Instantiations answered by the index gate without a solve.
         self.pruned_instantiations = 0
-        #: Stamped-table lookups served / missed by this evaluator.
-        self.cache_hits = 0
-        self.cache_misses = 0
-        #: Atom rows answered from the round table (:attr:`atoms`)
-        #: without a partition or a solve of this evaluator's own.
+        #: Atom rows answered from the store (:attr:`atoms`) without a
+        #: partition or a solve of this evaluator's own.
         self.shared_rows = 0
         #: Per-atom accounting keyed by ``id(formula)`` — feeds the
         #: estimate-vs-observed drift report of analysis/cost.py.
@@ -302,8 +287,6 @@ class IntervalEvaluator:
             "kinetic_solves": self.kinetic_solves,
             "sampled_atom_evals": self.sampled_atom_evals,
             "pruned_instantiations": self.pruned_instantiations,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
         }
 
     # ------------------------------------------------------------------
@@ -555,10 +538,11 @@ class IntervalEvaluator:
         The key is the atom's kind, its resolved constants (region,
         bound, op) and its variables' classes in ``free`` order, with
         the positions its terms read — everything a column-path answer
-        depends on besides the rows and the window.  Only an atom the
-        column path may take has one: every term a FROM-bound
-        variable, every constant resolved, a window longer than a
-        tick."""
+        depends on besides the rows and the window.  ``INSIDE`` and
+        ``OUTSIDE`` of one region share one key: the entry holds the
+        inside answer.  Only an atom the column path may take has one:
+        every term a FROM-bound variable, every constant resolved, a
+        window longer than a tick."""
         if self.atoms is None or not self._use_batch():
             return None
         bindings = self.ctx.bindings
@@ -572,7 +556,7 @@ class IntervalEvaluator:
             if token is None:
                 return None
             terms: Sequence[Term] = (f.obj,)
-            head: tuple = (type(f).__name__, token)
+            head: tuple = ("region", token)
         elif isinstance(f, WithinSphere):
             terms, head = f.objs, ("sphere", f.radius)
         elif isinstance(f, Compare):
@@ -616,49 +600,59 @@ class IntervalEvaluator:
         stats: dict[str, object],
         key: tuple,
     ) -> list[IntervalSet]:
-        """The answers of an atom's rows read through the round table.
+        """The answers of an atom's rows read through the store.
 
-        A row the table holds costs a lookup and a clip to this window
-        (``solve([s, E]).clip(s, e) == solve([s, e])`` for the analytic
-        column kernels, and a decided row's ``EMPTY_SET`` or full span
-        clips the same way).  The rows it lacks are partitioned and
-        solved once over the round window, through :meth:`_gated` with
-        this evaluator's view, counters and stamps, and stored; the rows
-        the column path does not take are stored as ``None`` and, like
-        every such row, solved here over this window
-        (:meth:`_solve_rows`)."""
-        entry = self.atoms.entry(key)
+        A held row solved over ``[s, E]`` answers a read over ``[now,
+        e]`` when ``s <= now`` and ``e <= E``: it costs a lookup and a
+        clip (``solve([s, E]).clip(now, e) == solve([now, e])`` for the
+        analytic column kernels while the row's objects keep their
+        motion, and a decided row's ``EMPTY_SET`` or full span clips the
+        same way) and counts in :attr:`shared_rows`.  Any other row — not
+        held, solved before a clock regression, or over a window a
+        registration has since widened — is partitioned and solved over
+        the round window through :meth:`_gated`, with this evaluator's
+        view, counters and stamps, and stored.  ``OUTSIDE`` reads the
+        inside rows of its region's entry and complements them within
+        this window.  The rows the column path does not take are stored
+        as ``None`` and, like every such row, solved here over this
+        window (:meth:`_solve_rows`)."""
+        table = self.atoms
+        self.round_keys.add(key)
+        entry = table.entry(key, (key[1],) if key[0] == "attr" else _POSITIONS)
+        start, end = self.ctx.start, self.ctx.end
         lacking: list[Instantiation] = []
         for inst in rows:
-            if inst not in entry:
+            held = entry.get(inst)
+            if held is None or held[0] > start or held[1] < end:
                 lacking.append(inst)
-            elif entry[inst] is not None:
+            elif held[2] is not None:
                 self.shared_rows += 1
+        outside = isinstance(f, Outside)
         if lacking:
+            gate = Inside(f.obj, f.region, f.span) if outside else f
             own = self.ctx
             self.ctx = self._round_context()
             try:
                 todo, answers, known = self._gated(
-                    f, free, lacking, stats, scalar=False
+                    gate, free, lacking, stats, scalar=False
                 )
             finally:
                 self.ctx = own
-            if todo is not lacking:
-                entry.update(dict.fromkeys(lacking, known))
-            entry.update(zip(todo, answers))
-        values = [entry[inst] for inst in rows]
+            fresh = dict.fromkeys(lacking, known) if todo is not lacking else {}
+            fresh.update(zip(todo, answers))
+            table.store(entry, fresh.items(), start, table.end)
+        values = [entry[inst][2] for inst in rows]
         scalar = [inst for inst, value in zip(rows, values) if value is None]
         solved = iter(self._solve_rows(f, free, scalar, stats) if scalar else ())
-        start, end = self.ctx.start, self.ctx.end
-        clip = self.atoms.end != end
-        return [
-            next(solved)
-            if value is None
-            else value.clip(start, end)
-            if clip and value
-            else value
-            for value in values
-        ]
+        within = Interval(start, end) if outside else None
+        out: list[IntervalSet] = []
+        for value in values:
+            if value is None:
+                out.append(next(solved))
+                continue
+            value = value.clip(start, end)
+            out.append(value if within is None else value.complement(within))
+        return out
 
     def _solve_rows(
         self,
@@ -673,134 +667,78 @@ class IntervalEvaluator:
         Rows whose motion is one plain linear leg — for an attribute
         comparison, one linear attribute row — take the column path
         (:meth:`_column_rows`), the one way into the batch backend: their
-        keys, legs and attribute answers come a column at a time, and
-        their misses enter one :class:`~repro.ftl.atoms.KineticBatch` as
-        arrays.  Every other row runs its scalar closure inline
+        legs and attribute answers come a column at a time, and they
+        enter one :class:`~repro.ftl.atoms.KineticBatch` as arrays.
+        Every other row runs its scalar closure inline
         (:meth:`_atom_request`): fallback laws, multi-leg movers, rows of
         a recorded history, unindexed, unknown or raising ids, dimension
         mismatches, an atom whose bound names a row variable, and every
         row of a zero-length window or of a run with ``analytic_atoms``
-        off.  One loop walks both in product order.  Under a validity
-        stamp (:meth:`_stamp_for`) it builds each kinetic row's key and
-        probes the stamped table once per row — a key a queued row
-        already produces is read back after the batch, as an inline
-        solve would have hit it — then the batch is solved and its
-        answers fill the table and the rows; without a stamp no key is
-        built and every row solves.  Only the scalar closures raise, so
-        the same row raises the same error first, and the relation, the
-        counters and the table contents do not depend on which path a
-        row took.  Without ``scalar`` a row the column path does not
-        take is not solved: its answer is ``None``.
+        off.  One loop walks both in product order and counts every
+        solve.  Only the scalar closures raise, so the same row raises
+        the same error first, and the relation and the counters do not
+        depend on which path a row took.  Without ``scalar`` a row the
+        column path does not take is not solved: its answer is
+        ``None``.
         """
-        cache = self._cache
-        stamp = self._stamp_for(f)
         column = (
-            self._column_rows(f, free, todo, stamp is not None)
-            if todo and self._use_batch()
-            else None
+            self._column_rows(f, free, todo) if todo and self._use_batch() else None
         )
         results: list[IntervalSet | None] = [EMPTY_SET] * len(todo)
-        queued: list[tuple[int, object]] = []  # (row, key) of column misses
-        # (row, key, post, scalar re-solve or None for a column row)
-        deferred: list[tuple[int, object, _Post, _Solve | None]] = []
-        pending: set = set()  # keys whose producing row is still queued
-        misses: list[int] = []  # column rows queued, in order
+        queued: list[int] = []  # the rows the batch solves, in order
+        picks: list[int] = []  # their column rows
         for j, inst in enumerate(todo):
             c = -1 if column is None else column.slot[j]
             if c >= 0:
-                if column.values is not None:  # an attribute row: solved
-                    self.kinetic_solves += 1
-                    stats["solves"] += 1
-                    results[j] = column.values[c]
-                    continue
-                key = None if column.keys is None else column.keys[c]
-                post = column.post
-                solve = None
-            elif not scalar:
-                results[j] = None
-                continue
-            else:
-                env = dict(zip(free, inst))
-                solves0 = self.kinetic_solves
-                req = self._atom_request(f, env)
-                stats["solves"] += self.kinetic_solves - solves0
-                if isinstance(req, IntervalSet):
-                    results[j] = req
-                    continue
-                key = None if stamp is None else req.key()
-                post, solve = req.post, req.solve
-            if key is not None:
-                if key in pending:
-                    deferred.append((j, key, post, solve))
-                    continue
-                hit = cache.get(key, stamp[0])
-                if hit is not None:
-                    self.cache_hits += 1
-                    stats["cache_hits"] += 1
-                    results[j] = hit if post is None else post(hit)
-                    continue
-                self.cache_misses += 1
-            self.kinetic_solves += 1
-            stats["solves"] += 1
-            if solve is None:
-                misses.append(c)
-                queued.append((j, key))
-                if key is not None:
-                    pending.add(key)
-                continue
-            value = solve()
-            if key is not None:
-                cache.put(key, *stamp, value)
-            results[j] = value if post is None else post(value)
-        produced: dict[object, IntervalSet] = {}
-        if misses:
-            kbatch = KineticBatch(self.ctx)
-            handle = column.enqueue(kbatch, misses)
-            kbatch.solve()
-            post = column.post
-            for (j, key), value in zip(queued, kbatch.results(handle)):
-                if key is not None:
-                    cache.put(key, *stamp, value)
-                    produced[key] = value
-                results[j] = value if post is None else post(value)
-        for j, key, post, solve in deferred:
-            hit = cache.get(key, stamp[0])  # records the hit, as scalar would
-            if hit is None:  # evicted mid-batch: re-solve
-                self.cache_misses += 1
                 self.kinetic_solves += 1
                 stats["solves"] += 1
-                hit = produced[key] if solve is None else solve()
-                cache.put(key, *stamp, hit)
-            else:
-                self.cache_hits += 1
-                stats["cache_hits"] += 1
-            results[j] = hit if post is None else post(hit)
+                if column.values is not None:  # an attribute row: solved
+                    results[j] = column.values[c]
+                else:
+                    picks.append(c)
+                    queued.append(j)
+                continue
+            if not scalar:
+                results[j] = None
+                continue
+            solves0 = self.kinetic_solves
+            req = self._atom_request(f, dict(zip(free, inst)))
+            stats["solves"] += self.kinetic_solves - solves0
+            if isinstance(req, IntervalSet):
+                results[j] = req
+                continue
+            self.kinetic_solves += 1
+            stats["solves"] += 1
+            value = req.solve()
+            results[j] = value if req.post is None else req.post(value)
+        if picks:
+            kbatch = KineticBatch(self.ctx)
+            handle = column.enqueue(kbatch, picks)
+            kbatch.solve()
+            post = column.post
+            for j, value in zip(queued, kbatch.results(handle)):
+                results[j] = value if post is None else post(value)
         return results
 
     # ------------------------------------------------------------------
     # The column path: per-atom constants once, rows as column gathers
     # ------------------------------------------------------------------
     def _column_rows(
-        self,
-        f: Formula,
-        free: list[str],
-        todo: list[Instantiation],
-        keyed: bool,
+        self, f: Formula, free: list[str], todo: list[Instantiation]
     ) -> _ColumnRows | None:
         """The rows of ``todo`` the column path solves, or ``None`` when
         it takes none of them.
 
         Everything constant for the atom is resolved once: its kind,
-        region, bound, op and OUTSIDE's complement (and, when ``keyed``
-        — the atom is stamped — the region token).  An
-        atom whose constants cannot be resolved — an unknown region, a
-        bound that names a row variable or does not evaluate — is left
-        whole to the scalar path, which raises at the row where it
-        always raised.  A row is taken when its objects are in the
-        columns of their variables' classes and their motion is one
-        plain linear leg over the window (for an attribute, the row is
-        linear and the band kernel takes it); the rows become object
-        numbers through ``MotionColumns.index`` and their legs one
+        region, bound, op and OUTSIDE's complement.  An atom whose
+        constants cannot be resolved — an unknown region, a bound that
+        names a row variable or does not evaluate — is left whole to the
+        scalar path, which raises at the row where it always raised.  A
+        row is taken when its objects are in the columns of their
+        variables' classes and their motion is one plain linear leg over
+        the window (for an attribute, the row is linear and the band
+        kernel takes it); the rows become object numbers through
+        ``MotionColumns.index`` and their legs one
         :meth:`~repro.ftl.context.EvalContext.column_legs` gather.
         """
         from repro.core.history import FutureHistory
@@ -808,13 +746,13 @@ class IntervalEvaluator:
         if not isinstance(self.ctx.history, FutureHistory):
             return None
         if isinstance(f, (Inside, Outside)):
-            return self._region_columns(f, free, todo, keyed)
+            return self._region_columns(f, free, todo)
         if isinstance(f, WithinSphere):
-            return self._sphere_columns(f, free, todo, keyed)
+            return self._sphere_columns(f, free, todo)
         if isinstance(f, Compare):
             dist = self._dist_terms(f)
             if dist is not None:
-                return self._dist_columns(dist, free, todo, keyed)
+                return self._dist_columns(dist, free, todo)
             attr = self._attr_terms(f)
             if attr is not None:
                 return self._attr_columns(attr, free, todo)
@@ -846,18 +784,13 @@ class IntervalEvaluator:
             return None
 
     def _movers(
-        self,
-        terms: Sequence[Term],
-        free: list[str],
-        todo: list[Instantiation],
-        keyed: bool,
+        self, terms: Sequence[Term], free: list[str], todo: list[Instantiation]
     ) -> "tuple[list[int], int, list[_Mover]] | None":
         """The rows of ``todo`` whose every term names an object of its
         variable's class moving on one plain linear leg, as ``(picks,
         dim, movers)``: their positions in ``todo``, the classes' one
-        dimensionality, and per term the picked rows' leg origins,
-        velocities and — with ``keyed`` — motion tokens.  ``None`` when
-        no row qualifies."""
+        dimensionality, and per term the picked rows' leg origins and
+        velocities.  ``None`` when no row qualifies."""
         ctx = self.ctx
         found = [self._column_var(term, free) for term in terms]
         if None in found:
@@ -865,10 +798,9 @@ class IntervalEvaluator:
         dims = {columns.dim for _pos, columns in found}
         if len(dims) != 1 or not min(dims):
             return None
-        ids = [[inst[pos] for inst in todo] for pos, _columns in found]
         numbers = [
-            _numbers(columns, column)
-            for (_pos, columns), column in zip(found, ids)
+            _numbers(columns, [inst[pos] for inst in todo])
+            for pos, columns in found
         ]
         known = [j for j, row in enumerate(zip(*numbers)) if min(row) >= 0]
         blocks = [
@@ -883,17 +815,10 @@ class IntervalEvaluator:
         if not take.size:
             return None
         picks = [known[i] for i in take.tolist()]
-        movers = []
-        for column, block, (_linear, origin, velocity) in zip(ids, blocks, legs):
-            origin, velocity = _taken(take, origin, velocity)
-            tokens = []
-            if keyed:
-                named = [column[j] for j in picks]
-                coefficients = _taken(
-                    take, block.value, block.updatetime, block.slope
-                )
-                tokens = linear_motion_tokens(ctx, named, *coefficients)
-            movers.append((origin, velocity, tokens))
+        movers = [
+            tuple(_taken(take, origin, velocity))
+            for _linear, origin, velocity in legs
+        ]
         return picks, dims.pop(), movers
 
     def _region_columns(
@@ -901,7 +826,6 @@ class IntervalEvaluator:
         f: Inside | Outside,
         free: list[str],
         todo: list[Instantiation],
-        keyed: bool,
     ) -> _ColumnRows | None:
         ctx = self.ctx
         try:
@@ -916,14 +840,10 @@ class IntervalEvaluator:
             dim = 2
         else:
             return None
-        found = self._movers((f.obj,), free, todo, keyed)
+        found = self._movers((f.obj,), free, todo)
         if found is None or found[1] != dim:
             return None
-        picks, _dim, [(origin, velocity, tokens)] = found
-        keys = None
-        if keyed:
-            prefix = ("region", region_token(region))
-            keys = [(*prefix, token) for token in tokens]
+        picks, _dim, [(origin, velocity)] = found
         post = None
         if isinstance(f, Outside):
             within = Interval(ctx.start, ctx.end)
@@ -931,37 +851,29 @@ class IntervalEvaluator:
             def post(inside: IntervalSet) -> IntervalSet:
                 return inside.complement(within)
 
-        def enqueue(kbatch: KineticBatch, misses: list[int]) -> tuple:
+        def enqueue(kbatch: KineticBatch, picks: list[int]) -> tuple:
             return kbatch.submit_region_rows(
-                region, origin[misses], velocity[misses]
+                region, origin[picks], velocity[picks]
             )
 
-        return _ColumnRows(_slots(len(todo), picks), keys, post, enqueue=enqueue)
+        return _ColumnRows(_slots(len(todo), picks), post, enqueue=enqueue)
 
     def _sphere_columns(
-        self,
-        f: WithinSphere,
-        free: list[str],
-        todo: list[Instantiation],
-        keyed: bool,
+        self, f: WithinSphere, free: list[str], todo: list[Instantiation]
     ) -> _ColumnRows | None:
         if len(f.objs) != 2 or f.radius < 0:
             return None
         try:
-            radius = float(f.radius)
+            float(f.radius)
         except OverflowError:
             return None
-        prefix = ("sphere", radius)
-        return self._pair_columns(
-            f.objs, prefix, 2 * f.radius, False, free, todo, keyed
-        )
+        return self._pair_columns(f.objs, 2 * f.radius, False, free, todo)
 
     def _dist_columns(
         self,
         dist: tuple[Dist, Term, str],
         free: list[str],
         todo: list[Instantiation],
-        keyed: bool,
     ) -> _ColumnRows | None:
         dist_term, bound_term, op = dist
         bound = self._constant(bound_term)
@@ -971,54 +883,36 @@ class IntervalEvaluator:
             fb = float(bound)
         except OverflowError:
             return None
-        prefix = ("dist", op, fb)
         return self._pair_columns(
-            (dist_term.left, dist_term.right),
-            prefix,
-            fb,
-            op == ">=",
-            free,
-            todo,
-            keyed,
+            (dist_term.left, dist_term.right), fb, op == ">=", free, todo
         )
 
     def _pair_columns(
         self,
         terms: Sequence[Term],
-        prefix: tuple,
         bound: float,
         at_least: bool,
         free: list[str],
         todo: list[Instantiation],
-        keyed: bool,
     ) -> _ColumnRows | None:
         """Rows of ``DIST(a, b) <= bound`` (``>=`` with ``at_least``)
-        whose two movers each run one plain linear leg.  A sphere's key
-        holds the pair of motion tokens as one part, a ``DIST`` key as
-        two."""
-        found = self._movers(terms, free, todo, keyed)
+        whose two movers each run one plain linear leg."""
+        found = self._movers(terms, free, todo)
         if found is None:
             return None
-        picks, _dim, [a, b] = found
-        (origin_a, velocity_a, tokens_a), (origin_b, velocity_b, tokens_b) = a, b
-        keys = None
-        if keyed:
-            if prefix[0] == "sphere":
-                keys = [(*prefix, pair) for pair in zip(tokens_a, tokens_b)]
-            else:
-                keys = [(*prefix, ta, tb) for ta, tb in zip(tokens_a, tokens_b)]
+        picks, _dim, [(origin_a, velocity_a), (origin_b, velocity_b)] = found
 
-        def enqueue(kbatch: KineticBatch, misses: list[int]) -> tuple:
+        def enqueue(kbatch: KineticBatch, picks: list[int]) -> tuple:
             return kbatch.submit_pair_rows(
-                origin_a[misses],
-                velocity_a[misses],
-                origin_b[misses],
-                velocity_b[misses],
+                origin_a[picks],
+                velocity_a[picks],
+                origin_b[picks],
+                velocity_b[picks],
                 bound,
                 at_least,
             )
 
-        return _ColumnRows(_slots(len(todo), picks), keys, enqueue=enqueue)
+        return _ColumnRows(_slots(len(todo), picks), enqueue=enqueue)
 
     def _attr_terms(self, f: Compare) -> tuple[Attr, Term, str] | None:
         """``o.attr op bound`` normalised with the attribute on the left,
@@ -1051,8 +945,7 @@ class IntervalEvaluator:
     ) -> _ColumnRows | None:
         """Linear rows of ``o.attr op bound`` solved in one closed-form
         pass (:func:`~repro.motion.batch.value_band`), at most one
-        interval per row.  No attribute atom is stamped, so the rows
-        carry no keys."""
+        interval per row."""
         attr_term, bound_term, op = attr
         bound = self._constant(bound_term)
         if not isinstance(bound, (int, float)):
@@ -1089,7 +982,7 @@ class IntervalEvaluator:
         solved = interval_sets(len(taken), pieces)
         values = [solved[i] for i in take.tolist()]
         picks = [known[i] for i in linear[take].tolist()]
-        return _ColumnRows(_slots(len(todo), picks), None, values=values)
+        return _ColumnRows(_slots(len(todo), picks), values=values)
 
     def _atom_gate(
         self, f: Formula, free: list[str], rows: list[Instantiation]
@@ -1153,27 +1046,8 @@ class IntervalEvaluator:
                 "instantiations": 0,
                 "pruned": 0,
                 "solves": 0,
-                "cache_hits": 0,
             }
         return stats
-
-    def _stamp_for(self, f: Formula) -> tuple[tuple[int, int], float] | None:
-        """The pass-8 stamp ``(window, expiry)`` for one atom, or
-        ``None`` — the one condition under which its solves are keyed
-        and reused.
-
-        A stamp exists only when the atom's concrete validity expiry
-        lies strictly beyond the window start — which (by construction
-        of :func:`~repro.ftl.analysis.validity.class_motion_events`)
-        proves every trajectory the atom reads is piecewise-linear, so
-        its solves are analytic and window-shift reuse is exact.
-        """
-        if self.validity is None or self._cache is None:
-            return None
-        expire = self.validity.get(id(f))
-        if expire is None or expire <= self.ctx.start:
-            return None
-        return ((self.ctx.start, self.ctx.end), expire)
 
     def _atom_request(
         self, f: Formula, env: Env
@@ -1183,7 +1057,7 @@ class IntervalEvaluator:
         Immediate answers (sampled atoms, invariant comparisons, the
         attribute fast path, per-tick fallbacks) come back as interval
         sets; the kinetic atom kinds come back as requests the row loop
-        answers from the stamped table or solves inline.
+        solves inline.
         """
         ctx = self.ctx
         window = ctx.window
@@ -1205,8 +1079,7 @@ class IntervalEvaluator:
                     raise FtlSemanticsError(f"unsupported region {region!r}")
                 return dense.discretized().clip(ctx.start, ctx.end)
 
-            # Cache the *inside* set; OUTSIDE complements on retrieval so
-            # both atom polarities share one solve.
+            # Solve the *inside* set; OUTSIDE complements it.
             post: "Callable[[IntervalSet], IntervalSet] | None" = None
             if isinstance(f, Outside):
                 start, end = ctx.start, ctx.end
@@ -1215,11 +1088,7 @@ class IntervalEvaluator:
                     return inside_set.complement(Interval(start, end))
 
                 post = complement_inside
-            return _SolveRequest(
-                partial(region_solve_key, ctx, region, obj_id),
-                solve_region,
-                post,
-            )
+            return _SolveRequest(solve_region, post)
 
         if isinstance(f, WithinSphere):
             obj_ids = [ctx.eval_term(o, env, ctx.start) for o in f.objs]
@@ -1229,9 +1098,7 @@ class IntervalEvaluator:
                 dense = when_within_sphere(f.radius, movers, window)
                 return dense.discretized().clip(ctx.start, ctx.end)
 
-            return _SolveRequest(
-                partial(sphere_solve_key, ctx, f.radius, obj_ids), solve_sphere
-            )
+            return _SolveRequest(solve_sphere)
 
         if isinstance(f, Compare):
             return self._compare_request(f, env)
@@ -1322,9 +1189,7 @@ class IntervalEvaluator:
                 dense = when_dist_at_least(m1, m2, float(bound), ctx.window)
             return dense.discretized().clip(ctx.start, ctx.end)
 
-        return _SolveRequest(
-            partial(dist_solve_key, ctx, op, float(bound), a, b), solve_dist
-        )
+        return _SolveRequest(solve_dist)
 
     def _attr_fast_path(
         self, f: Compare, env: Env, left_inv: bool, right_inv: bool

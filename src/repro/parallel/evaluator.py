@@ -52,11 +52,9 @@ _COUNTER_KEYS = (
     "kinetic_solves",
     "sampled_atom_evals",
     "pruned_instantiations",
-    "cache_hits",
-    "cache_misses",
 )
 
-_ATOM_STAT_KEYS = ("instantiations", "pruned", "solves", "cache_hits")
+_ATOM_STAT_KEYS = ("instantiations", "pruned", "solves")
 
 
 def enumerate_formula_nodes(root: Formula) -> list[Formula]:

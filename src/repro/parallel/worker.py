@@ -105,7 +105,7 @@ def _evaluate(state: dict[str, Any], spec: dict[str, Any]) -> dict[str, Any]:
         if path is not None:
             atom_stats[path] = {
                 key: stats[key]
-                for key in ("instantiations", "pruned", "solves", "cache_hits")
+                for key in ("instantiations", "pruned", "solves")
             }
     return {
         "relation": (relation.variables, dict(relation.rows())),

@@ -253,10 +253,32 @@ class IntervalSet:
         return IntervalSet((within,), self._domain).difference(self)
 
     def clip(self, lo: float, hi: float) -> "IntervalSet":
-        """Intersection with the single interval ``[lo, hi]``."""
-        return self.intersection(
-            IntervalSet((Interval(lo, hi),), self._domain)
-        )
+        """Intersection with the single interval ``[lo, hi]``.
+
+        One pass over the intervals: the set itself when it already lies
+        inside, otherwise each overlapping interval cut to the bounds.
+        A cut subsequence of a normalised set stays normalised (cutting
+        only widens the gaps), so nothing is re-normalised.
+        """
+        if not lo <= hi or lo == math.inf:
+            Interval(lo, hi)  # raises the interval's own error
+        ivs = self._intervals
+        if not ivs or (lo <= ivs[0].start and ivs[-1].end <= hi):
+            return self
+        out: list[Interval] = []
+        for iv in ivs:
+            if iv.end < lo:
+                continue
+            if iv.start > hi:
+                break
+            if lo <= iv.start and iv.end <= hi:
+                out.append(iv)
+            else:
+                out.append(Interval(max(iv.start, lo), min(iv.end, hi)))
+        clipped = IntervalSet.__new__(IntervalSet)
+        clipped._domain = self._domain
+        clipped._intervals = tuple(out)
+        return clipped
 
     def shift(self, delta: float) -> "IntervalSet":
         """Translate every interval by ``delta``."""

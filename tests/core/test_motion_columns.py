@@ -40,7 +40,7 @@ from repro.core.columns import KIND_INEXACT, KIND_LINEAR, MotionRows
 from repro.core.dynamic import DynamicAttribute
 from repro.core.history import FutureHistory
 from repro.errors import MotionError, QueryError, SchemaError
-from repro.ftl.atoms import build_class_table, motion_token
+from repro.ftl.atoms import build_class_table
 from repro.ftl.context import EvalContext
 from repro.geometry import Point
 from repro.motion.functions import (
@@ -57,6 +57,17 @@ from tests.ftl.test_mbr_tables import (
 )
 
 CLASSES = ("cars", "depots")
+
+
+def motion_token(history, object_id):
+    """An object's position rows off its class's motion columns
+    (``MotionColumns.token``), or ``None`` for an object the history
+    lacks or a history whose database moved on."""
+    try:
+        columns = history.motion_columns(history.db.get(object_id).object_class.name)
+    except (QueryError, SchemaError):
+        return None
+    return columns.token(columns.index[object_id])
 
 
 def live_triples(db, cls):

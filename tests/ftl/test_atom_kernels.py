@@ -10,8 +10,8 @@ coefficients, update times inside the window, unknown ids, 2-D and 3-D
 classes, polygons and balls — through ``_batched_rows`` on the default
 path and on the scalar reference (every row's scalar closure inline,
 ``scalar_reference`` of ``test_batch_solver``), and demands identical
-relations (endpoint types included), counters, per-atom statistics and
-cache contents, or the same first error.  The closed-form cases below
+relations (endpoint types included), counters and per-atom statistics,
+or the same first error.  The closed-form cases below
 hand-derive the answers of the attribute kernel and of gathered
 ``DIST`` / ``INSIDE`` rows, and hold interval ≡ naive on each.
 """
@@ -223,9 +223,7 @@ def exact(iset):
 
 def outcome(db, f, bindings, rows, start, horizon, scalar):
     """One side's whole record: per pass the relation rows (exact), the
-    counters, the per-atom statistics and the cache contents (exact), or
-    the first error."""
-    db.kinetic_cache.clear()
+    counters and the per-atom statistics, or the first error."""
     db.mbr_tables.clear()
     free = sorted(f.free_vars())
     passes = []
@@ -234,7 +232,7 @@ def outcome(db, f, bindings, rows, start, horizon, scalar):
         windows.append((start + 1, horizon - 1))  # a window-shifted refresh
     for begin, length in windows:
         ctx = EvalContext(FutureHistory(db, begin), length, bindings)
-        ev = IntervalEvaluator(ctx, validity={id(f): math.inf})
+        ev = IntervalEvaluator(ctx)
         try:
             with scalar_reference() if scalar else nullcontext():
                 relation = ev._batched_rows(f, free, list(rows))
@@ -247,10 +245,6 @@ def outcome(db, f, bindings, rows, start, horizon, scalar):
                 [(inst, exact(iset)) for inst, iset in relation.rows()],
                 ev.counters(),
                 {k: v for k, v in stats.items() if k != "formula"},
-                {
-                    key: (window, expire, exact(value))
-                    for key, (window, expire, value) in db.kinetic_cache._store.items()
-                },
             )
         )
     return passes

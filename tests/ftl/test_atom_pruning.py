@@ -12,7 +12,6 @@ it does, keeping the suite honest.
 
 import math
 import random
-from collections.abc import Mapping
 from dataclasses import replace
 
 import numpy as np
@@ -22,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.core import MostDatabase, ObjectClass
 from repro.core.dynamic import DynamicAttribute
-from repro.core.history import FutureHistory
+from repro.core.history import FutureHistory, epoch_token
 from repro.core.queries import ContinuousQuery
 from repro.errors import QueryError, SchemaError
 from repro.ftl import (
@@ -38,7 +37,7 @@ from repro.ftl import (
     WithinSphere,
     parse_query,
 )
-from repro.ftl.atoms import _MbrTable, overlap_join
+from repro.ftl.atoms import RoundAtoms, _MbrTable, overlap_join
 from repro.ftl.context import DEFAULT, ORACLE, EvalContext
 from repro.ftl.evaluator import IntervalEvaluator
 from repro.ftl.naive import NaiveEvaluator
@@ -105,29 +104,32 @@ PRUNED = DEFAULT
 EXHAUSTIVE = replace(DEFAULT, index_pruning=False)
 
 
-class _StampAll(Mapping):
-    """A ``validity`` mapping that stamps every node valid forever: an
-    :class:`IntervalEvaluator` given it keys its kinetic solves and
-    reuses them through ``db.kinetic_cache``, as a continuous query's
-    refresh does."""
-
-    def __getitem__(self, node_id: int) -> float:
-        return math.inf
-
-    def __iter__(self):
-        return iter(())
-
-    def __len__(self) -> int:
-        return 0
+def held_store(db):
+    """A store of solved atom rows (:class:`RoundAtoms`) for evaluations
+    outside a continuous query: like the update router's, it drops the
+    rows each commit changed at its next open."""
+    table = RoundAtoms()
+    db.on_update(
+        lambda updates: table.committed(
+            updates[0].object_id, frozenset(u.attribute for u in updates)
+        )
+    )
+    return table
 
 
-STAMP_ALL = _StampAll()
+def read_through(table, ctx):
+    """``table`` opened for one evaluation over ``ctx``'s window."""
+    return table.open(epoch_token(ctx.history), ctx.end)
 
 
-def stamped_rows(query, db, options=DEFAULT):
-    """Rows of one evaluation with every atom stamped."""
+def stamped_rows(query, db, options=DEFAULT, table=None):
+    """Rows of one evaluation reading ``table`` (a fresh store when
+    none is given)."""
     ctx = EvalContext(FutureHistory(db), HORIZON, query.bindings)
-    evaluator = IntervalEvaluator(ctx, options=options, validity=STAMP_ALL)
+    table = held_store(db) if table is None else table
+    evaluator = IntervalEvaluator(
+        ctx, options=options, atoms=read_through(table, ctx)
+    )
     return rows_of(evaluator.evaluate(query.where))
 
 
@@ -246,9 +248,9 @@ def test_continuous_queries_agree_under_updates(method, seed):
 
 
 def test_cache_invalidated_by_motion_update():
-    """An explicit motion update changes the attribute triples, hence the
-    solve keys: a stamped re-evaluation tracks the new motion instead of
-    serving the pre-update solve."""
+    """An explicit motion update commits its object, so the store drops
+    its rows: a re-evaluation through the store tracks the new motion
+    instead of serving the pre-update solve."""
     rng = random.Random(7)
     db = build_sparse_world(rng, n=4)
     query = FtlQuery(
@@ -256,13 +258,14 @@ def test_cache_invalidated_by_motion_update():
         bindings={"c": "cars"},
         where=Inside(Var("c"), "P"),
     )
+    table = held_store(db)
     plain, _ = both_modes(query, db)
-    assert stamped_rows(query, db, EXHAUSTIVE) == plain
-    assert len(db.kinetic_cache) == 4  # every car's solve is stored
+    assert stamped_rows(query, db, EXHAUSTIVE, table) == plain
+    assert table.rows == 4  # every car's solve is stored
     # Send a far-away car through the region.
     db.update_motion("c0", Point(0, 0), position=Point(0, 0))
     plain, _ = both_modes(query, db)
-    fast = stamped_rows(query, db, EXHAUSTIVE)
+    fast = stamped_rows(query, db, EXHAUSTIVE, table)
     assert plain == fast
     assert any(inst == ("c0",) for inst, _ in fast)
 
@@ -287,16 +290,17 @@ def test_counters_account_for_pruning_and_caching():
         Compare("<=", Dist(Var("c"), Var("v")), Const(4)),
     )
 
-    def run(options, validity=None):
+    def run(options, table=None):
         ctx = EvalContext(FutureHistory(db), HORIZON, bindings)
-        ev = IntervalEvaluator(ctx, options=options, validity=validity)
+        atoms = None if table is None else read_through(table, ctx)
+        ev = IntervalEvaluator(ctx, options=options, atoms=atoms)
         ev.evaluate(where)
         return ev
 
     exhaustive = run(EXHAUSTIVE)
     pruned = run(PRUNED)
     assert exhaustive.pruned_instantiations == 0
-    assert exhaustive.cache_hits == exhaustive.cache_misses == 0
+    assert exhaustive.shared_rows == 0
     assert pruned.pruned_instantiations > 0
     assert pruned.kinetic_solves < exhaustive.kinetic_solves
     counters = pruned.counters()
@@ -304,37 +308,59 @@ def test_counters_account_for_pruning_and_caching():
         "kinetic_solves",
         "sampled_atom_evals",
         "pruned_instantiations",
-        "cache_hits",
-        "cache_misses",
     }
-    # Unstamped evaluations never reuse: a second one solves again.
+    # Without a store nothing is reused: a second run solves again.
     assert run(PRUNED).kinetic_solves == pruned.kinetic_solves
-    assert len(db.kinetic_cache) == 0
-    # The same stamped evaluation twice: the second run's surviving
-    # instantiations are all hits, with zero fresh solves.
-    first = run(DEFAULT, STAMP_ALL)
-    second = run(DEFAULT, STAMP_ALL)
+    # The same evaluation twice through one store: the second run reads
+    # every row, decided or solved, with no partition and no solve.
+    table = held_store(db)
+    first = run(DEFAULT, table)
+    second = run(DEFAULT, table)
     assert first.kinetic_solves == pruned.kinetic_solves
-    assert second.kinetic_solves == 0
-    assert second.cache_hits > 0
-    assert second.cache_misses == 0
+    assert first.shared_rows == 0
+    assert second.kinetic_solves == second.pruned_instantiations == 0
     # Per-atom stats feed the drift report.
+    instantiations = 0
     for stats in second.atom_stats.values():
-        assert stats["instantiations"] == stats["pruned"] + stats["cache_hits"]
+        assert stats["pruned"] == stats["solves"] == 0
+        assert "cache_hits" not in stats
+        instantiations += stats["instantiations"]
+    assert second.shared_rows == instantiations > 0
 
 
 def test_cache_bound_is_enforced():
-    from repro.ftl.atoms import KineticSolveCache
+    """The store is bounded by its live atoms' rows: a commit drops the
+    rows naming its object (pairs included) whose atom reads what it
+    wrote, at the next open, and :meth:`RoundAtoms.retain` keeps only
+    the atoms named."""
     from repro.temporal import DISCRETE, IntervalSet
 
-    cache = KineticSolveCache(max_entries=4)
+    table = RoundAtoms()
     sets = IntervalSet.empty(DISCRETE)
+    moves = frozenset(("x_position", "y_position"))
     for i in range(10):
-        cache.put(("k", i), (0, 10), math.inf, sets)
-    assert len(cache) == 4
-    assert cache.get(("k", 0), (0, 10)) is None  # FIFO-evicted
-    assert cache.get(("k", 9), (0, 10)) is not None
-    assert cache.hits == 1 and cache.misses == 1
+        entry = table.entry(("k", i), moves)
+        table.store(entry, [((f"o{i}",), sets)], 0, 10)
+    fuel = table.entry(("fuel",), ("fuel",))
+    table.store(fuel, [(("o1",), sets)], 0, 10)
+    pairs = table.entry(("pairs",), moves)
+    table.store(pairs, [(("o0", "o1"), sets), (("o2", "o3"), sets)], 0, 10)
+    assert (len(table), table.rows) == (12, 13)
+    table.committed("o1", moves)
+    assert table.rows == 13  # dropped only when the store is next opened
+    table.open("round", 10)
+    assert (len(table), table.rows) == (12, 11)
+    assert ("o0", "o1") not in pairs and ("o2", "o3") in pairs
+    assert ("o1",) in fuel  # its atom reads no position
+    table.committed("o1", frozenset(["fuel"]))
+    table.open("round", 10)
+    assert ("o1",) not in fuel
+    table.retain([("k", 9), ("pairs",)])
+    assert (len(table), table.rows) == (2, 2)
+    table.committed("o9", moves)
+    table.committed("o3", frozenset(["y_position"]))
+    table.open("round", 10)
+    assert (len(table), table.rows) == (2, 0)
 
 
 def test_naive_read_through_matches_geometry():
@@ -351,21 +377,23 @@ def test_naive_read_through_matches_geometry():
     )
     unpruned = replace(DEFAULT, index_pruning=False)
 
+    table = held_store(db)
+
     def interval_pass():
         ctx = EvalContext(FutureHistory(db), HORIZON, bindings)
         evaluator = IntervalEvaluator(
-            ctx, options=unpruned, validity=STAMP_ALL
+            ctx, options=unpruned, atoms=read_through(table, ctx)
         )
         return evaluator, evaluator.evaluate(where)
 
     warm, _ = interval_pass()
     assert warm.kinetic_solves > 0
     reread, from_cache = interval_pass()
-    assert reread.cache_hits > 0
+    assert reread.shared_rows > 0
     assert reread.kinetic_solves == 0
     ctx = EvalContext(FutureHistory(db), HORIZON, bindings)
     naive = NaiveEvaluator(ctx)
-    assert not hasattr(naive, "cache_hits")
+    assert not hasattr(naive, "shared_rows")
     assert rows_of(from_cache) == rows_of(naive.evaluate(where))
 
 
@@ -956,17 +984,20 @@ def test_join_is_blocked_on_dense_inputs(monkeypatch):
     assert join_rows(table, table, 3.0) == broadcast_rows(table, table, 3.0)
 
 
-#: ``[(pruned, solves, hits) of the first run, ... of the warm re-run]``
-#: recorded at the parent commit (R-tree pruner) on the worlds below.
-PINNED_DENSE = [(374, 146, 0), (374, 0, 146)]
-PINNED_SPARSE = [(420, 30, 0), (420, 0, 30)]
+#: ``[(pruned, solves, rows read) of the first run, ... of the warm
+#: re-run]`` on the worlds below.  The first run's pruned and solves were
+#: recorded at the commit of the R-tree pruner; the warm re-run reads
+#: every row from the store — decided and solved alike — so it
+#: partitions and solves none.
+PINNED_DENSE = [(374, 146, 0), (0, 0, 520)]
+PINNED_SPARSE = [(420, 30, 0), (0, 0, 450)]
 
 
 def test_candidate_counters_pinned_to_the_rtree_build():
-    """``pruned_instantiations`` / ``kinetic_solves`` / ``cache_hits`` of
-    one dense and one sparse world, first run and warm (stamped) re-run,
-    exactly as the R-tree-backed pruner of the parent commit counted
-    them."""
+    """``pruned_instantiations`` / ``kinetic_solves`` / ``shared_rows``
+    of one dense and one sparse world, first run and warm re-run through
+    one store: the first run exactly as the R-tree-backed pruner
+    counted it."""
     near = Compare("<=", Dist(Var("c"), Var("v")), Const(12))
     dense_where = AndF(Eventually(Inside(Var("c"), "P")), near)
     sparse_where = Compare(">=", Dist(Var("c"), Var("v")), Const(60))
@@ -989,12 +1020,13 @@ def test_candidate_counters_pinned_to_the_rtree_build():
 
     def counters(db, where):
         out = []
+        table = held_store(db)
         for _ in range(2):
             ctx = EvalContext(FutureHistory(db), HORIZON, bindings)
-            ev = IntervalEvaluator(ctx, validity=STAMP_ALL)
+            ev = IntervalEvaluator(ctx, atoms=read_through(table, ctx))
             ev.evaluate(where)
             out.append(
-                (ev.pruned_instantiations, ev.kinetic_solves, ev.cache_hits)
+                (ev.pruned_instantiations, ev.kinetic_solves, ev.shared_rows)
             )
         return out
 

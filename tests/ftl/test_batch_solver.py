@@ -51,8 +51,9 @@ from repro.temporal import DISCRETE, IntervalSet
 
 from tests.ftl.test_atom_pruning import (
     EXHAUSTIVE as UNPRUNED,
-    STAMP_ALL,
     build_sparse_world,
+    held_store,
+    read_through,
     rows_of,
 )
 from tests.ftl.test_differential import (
@@ -78,10 +79,10 @@ def scalar_reference(db=None):
     when none is named."""
     column_rows = IntervalEvaluator._column_rows
 
-    def no_columns(self, f, free, todo, keyed):
+    def no_columns(self, f, free, todo):
         if db is None or getattr(self.ctx.history, "db", None) is db:
             return None
-        return column_rows(self, f, free, todo, keyed)
+        return column_rows(self, f, free, todo)
 
     IntervalEvaluator._column_rows = no_columns
     try:
@@ -103,11 +104,9 @@ def both_solvers(query, db, horizon=HORIZON, **kwargs):
 
 
 def run_with_counters(db, bindings, where, batch, horizon=HORIZON):
-    """(rows, counters) of one stamped interval evaluation on an empty
-    solve table, so the in-pass hits and misses are compared too."""
-    db.kinetic_cache.clear()
+    """(rows, counters) of one interval evaluation."""
     ctx = EvalContext(FutureHistory(db), horizon, bindings)
-    ev = IntervalEvaluator(ctx, validity=STAMP_ALL)
+    ev = IntervalEvaluator(ctx)
     with nullcontext() if batch else scalar_reference():
         rel = ev.evaluate(where)
     return rows_of(rel), ev.counters()
@@ -309,19 +308,10 @@ ROUTE_ATOMS = [
 
 
 def record(db, history, where, horizon=HORIZON):
-    """One stamped interval evaluation on an empty solve table: rows,
-    counters and the table's keys and entries."""
-    db.kinetic_cache.clear()
+    """One interval evaluation: rows and counters."""
     bindings = {v: _CLASS_OF[v] for v in where.free_vars()}
-    ev = IntervalEvaluator(
-        EvalContext(history, horizon, bindings), validity=STAMP_ALL
-    )
-    rel = ev.evaluate(where)
-    cache = {
-        key: (window, expire, [(iv.start, iv.end) for iv in value])
-        for key, (window, expire, value) in db.kinetic_cache._store.items()
-    }
-    return rows_of(rel), ev.counters(), cache
+    ev = IntervalEvaluator(EvalContext(history, horizon, bindings))
+    return rows_of(ev.evaluate(where)), ev.counters()
 
 
 def test_rows_the_column_path_never_takes(monkeypatch):
@@ -329,8 +319,7 @@ def test_rows_the_column_path_never_takes(monkeypatch):
     ``DIST`` and two-object ``WITHIN_SPHERE``, bounds that name a row
     variable, and a persistent query over the recorded history: the
     default evaluation runs their scalar closures inline, row for row
-    as the scalar reference does — equal tuples, counters and cache
-    keys."""
+    as the scalar reference does — equal tuples and counters."""
     requested = []
     atom_request = IntervalEvaluator._atom_request
 
@@ -509,9 +498,12 @@ def test_zero_length_window_stays_scalar():
 
 
 def test_batch_and_scalar_fill_the_same_cache_keys():
-    """A stamped batched run must leave the solve table exactly as a
-    scalar run would: a scalar rerun over a batch-warmed table is all
-    hits with zero fresh solves, and vice versa."""
+    """A store warmed by a batched run serves a scalar rerun every row,
+    with zero fresh solves and the same relation; a store warmed by the
+    scalar reference holds the rows it solved as ``None`` (the column
+    path took none), so a batched rerun reads only the rows the index
+    decided and solves every other row itself — the store never serves
+    an answer the column path did not produce."""
     rng = random.Random(5)
     db = build_world(rng)
     bindings = {"c": "cars", "v": "vans"}
@@ -520,53 +512,67 @@ def test_batch_and_scalar_fill_the_same_cache_keys():
         Compare("<=", Dist(Var("c"), Var("v")), Const(6)),
     )
 
-    def run(batch):
+    def run(batch, table):
         ctx = EvalContext(FutureHistory(db), HORIZON, bindings)
-        ev = IntervalEvaluator(ctx, validity=STAMP_ALL)
+        ev = IntervalEvaluator(ctx, atoms=read_through(table, ctx))
         with nullcontext() if batch else scalar_reference():
-            ev.evaluate(where)
-        return ev
+            rel = ev.evaluate(where)
+        return ev, rows_of(rel)
 
-    db.kinetic_cache.clear()
-    warm = run(batch=True)
-    assert warm.kinetic_solves > 0
-    reread = run(batch=False)
-    assert reread.kinetic_solves == 0
-    assert reread.cache_misses == 0
-    assert reread.cache_hits > 0
+    ctx = EvalContext(FutureHistory(db), HORIZON, bindings)
+    plain = rows_of(IntervalEvaluator(ctx).evaluate(where))
+    table = held_store(db)
+    warm, rows = run(True, table)
+    assert warm.kinetic_solves > 0 and rows == plain
+    reread, rows = run(False, table)
+    assert reread.kinetic_solves == 0 and rows == plain
+    assert reread.shared_rows > 0
 
-    db.kinetic_cache.clear()
-    warm = run(batch=False)
-    assert warm.kinetic_solves > 0
-    reread = run(batch=True)
-    assert reread.kinetic_solves == 0
-    assert reread.cache_misses == 0
-    assert reread.cache_hits > 0
+    table = held_store(db)
+    warm, rows = run(False, table)
+    assert warm.kinetic_solves > 0 and rows == plain
+    reread, rows = run(True, table)
+    assert rows == plain
+    assert reread.shared_rows == warm.pruned_instantiations
+    assert reread.kinetic_solves == warm.kinetic_solves
 
 
 def test_database_cache_bound_is_configurable():
-    """MostDatabase(kinetic_cache_size=N) bounds the shared cache, with
-    the same FIFO eviction order as the default-sized cache."""
-    from repro.ftl.atoms import DEFAULT_CACHE_ENTRIES
+    """The store has no size knob: ``MostDatabase`` takes no bound, and
+    what a continuous query's store holds is its live atoms' rows —
+    after any number of rounds of commits at most one row per
+    instantiation of each atom."""
+    with pytest.raises(TypeError):
+        MostDatabase(kinetic_cache_size=4)
+    rng = random.Random(9)
+    db = build_world(rng)
+    query = FtlQuery(
+        targets=("c",),
+        bindings={"c": "cars", "v": "vans"},
+        where=AndF(
+            Inside(Var("c"), "P"),
+            Compare("<=", Dist(Var("c"), Var("v")), Const(6)),
+        ),
+    )
+    from repro.core.queries import ContinuousQuery, UpdateRouter
 
-    db = MostDatabase(kinetic_cache_size=4)
-    cache = db.kinetic_cache
-    assert cache.max_entries == 4
-    empty = IntervalSet.empty(DISCRETE)
-    for i in range(10):
-        cache.put(("k", i), (0, 10), 10.0, empty)
-    assert len(cache) == 4
-    # FIFO: the six oldest are gone, the four newest survive.
-    assert all(cache.get(("k", i), (0, 10)) is None for i in range(6))
-    assert all(cache.get(("k", i), (0, 10)) is not None for i in range(6, 10))
-    assert MostDatabase().kinetic_cache.max_entries == DEFAULT_CACHE_ENTRIES
+    cqs = [ContinuousQuery(db, query, horizon=h) for h in (HORIZON, HORIZON - 2)]
+    cars = [o.object_id for o in db.objects_of("cars")]
+    vans = [o.object_id for o in db.objects_of("vans")]
+    bound = len(cars) + len(cars) * len(vans)
+    table = UpdateRouter.of(db).atoms
+    for step in range(6):
+        db.clock.tick()
+        db.update_motion(rng.choice(cars), Point(rng.randint(-2, 2), 1))
+        for cq in cqs:
+            cq.refresh()
+        assert len(table) == 2 and table.rows <= bound
 
 
 def test_bounded_cache_serves_the_batch_path():
-    """A tightly bounded table (more surviving stamped rows than
-    entries, so the batch itself overflows it) evicts mid-run without
-    perturbing answers — batch and scalar still agree tuple for tuple
-    with each other and with an unstamped evaluation."""
+    """A store holding rows from an earlier tick serves the batch path
+    clipped rows — batch and scalar still agree tuple for tuple with
+    each other and with an evaluation without a store."""
     query = FtlQuery(
         targets=("c", "v"),
         bindings={"c": "cars", "v": "vans"},
@@ -579,19 +585,21 @@ def test_bounded_cache_serves_the_batch_path():
     for batch in (False, True):
         rng = random.Random(21)
         db = build_world(rng)
-        # The cache is built lazily on first use, so sizing the db after
-        # world construction still applies the bound.
-        db.kinetic_cache_size = 3
-        assert db.kinetic_cache.max_entries == 3
-        ctx = EvalContext(FutureHistory(db), HORIZON, query.bindings)
-        ev = IntervalEvaluator(ctx, options=UNPRUNED, validity=STAMP_ALL)
+        table = held_store(db)
         with nullcontext() if batch else scalar_reference():
-            rel = ev.evaluate(query.where)
-        assert ev.kinetic_solves > 3
-        assert len(db.kinetic_cache) == 3
+            for horizon in (HORIZON, HORIZON - 1):
+                ctx = EvalContext(FutureHistory(db), horizon, query.bindings)
+                ev = IntervalEvaluator(
+                    ctx, options=UNPRUNED, atoms=read_through(table, ctx)
+                )
+                rel = ev.evaluate(query.where)
+                db.clock.tick()
+        assert ev.shared_rows > 0 if batch else ev.shared_rows == 0
         rows.append(rows_of(rel))
     assert rows[0] == rows[1]
-    assert rows[1] == rows_of(query.evaluate_full(FutureHistory(db), HORIZON))
+    db = build_world(random.Random(21))
+    db.clock.tick()
+    assert rows[1] == rows_of(query.evaluate_full(FutureHistory(db), HORIZON - 1))
 
 
 # ---------------------------------------------------------------------------

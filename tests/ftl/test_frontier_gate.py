@@ -21,6 +21,7 @@ fleet's, tangent and zero-velocity movers.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from repro.core.queries import ContinuousQuery
 from repro.ftl import parse_query
 from repro.ftl.ast import Compare, Const, Dist, Inside, Var
 from repro.ftl.atoms import AtomIndexPruner, build_class_table
-from repro.ftl.context import ORACLE, EvalContext
+from repro.ftl.context import DEFAULT, ORACLE, EvalContext
 from repro.ftl.evaluator import IntervalEvaluator
 from repro.ftl.relations import EMPTY_SET
 from repro.geometry import Point
@@ -198,12 +199,18 @@ def assert_boxes_match(pruner, whole, members):
             assert got.tobytes() == want.tobytes(), (oid, corner)
 
 
-def run_wall(fleet, depots, steps, log, naive):
+#: Validity horizons off: no store of solved rows, every row gated.
+UNSTORED = replace(DEFAULT, validity_horizons=False)
+
+
+def run_wall(fleet, depots, steps, log, naive, options=DEFAULT):
     db = build(fleet, depots)
     methods = ("incremental", "interval") + (("naive",) if naive else ())
     queries = {
         text: [
-            ContinuousQuery(db, parse_query(text), horizon=HORIZON, method=m)
+            ContinuousQuery(
+                db, parse_query(text), horizon=HORIZON, method=m, options=options
+            )
             for m in methods
         ]
         for text in TEXTS
@@ -275,6 +282,15 @@ def test_wall_sees_every_atom_kind_decided(monkeypatch):
 
     monkeypatch.setattr(f"{__name__}.check_frontier", kinds_of)
     counted, pruned = run_wall(fleet, depots, steps, log, naive=True)
+    assert counted == pruned > 0
+    # With validity horizons on, OUTSIDE reads its region's entry in the
+    # store of solved rows, whose rows are partitioned as the INSIDE
+    # answer; the validity-off run partitions OUTSIDE itself.
+    assert {"Inside", "Compare<=", "Compare>=", "WithinSphere"} <= kinds
+    assert "Outside" not in kinds
+    counted, pruned = run_wall(
+        fleet, depots, steps, log, naive=True, options=UNSTORED
+    )
     assert counted == pruned > 0
     want = {"Inside", "Outside", "Compare<=", "Compare>=", "WithinSphere"}
     assert want <= kinds

@@ -1,10 +1,11 @@
-"""One solve per atom per refresh round (DESIGN.md §7).
+"""One store for solved atoms (DESIGN.md §7).
 
-The continuous queries refreshed in one round — one content version at
-one clock tick — read each distinct atom's column-path rows from the
-update router's round table (:class:`~repro.ftl.atoms.RoundAtoms`):
-solved once over ``[now, E]``, ``E`` the widest live ``expires_at``,
-and clipped to each query's own window.  Held here:
+The continuous queries of a database read each distinct atom's
+column-path rows from the update router's store
+(:class:`~repro.ftl.atoms.RoundAtoms`): each row solved once over ``[s,
+E]``, ``E`` the widest live ``expires_at`` at tick ``s``, and read
+clipped to any later window inside it until a commit writes an
+attribute its atom reads on one of its objects.  Held here:
 
 * the differential wall: two to four queries over ``INSIDE`` /
   ``OUTSIDE`` / ``DIST`` / attribute atoms, with different horizons and
@@ -16,10 +17,18 @@ and clipped to each query's own window.  Held here:
 * closed forms around the window ends, a polygon's edge and corner, a
   car standing on the boundary and a ``DIST`` bound met tangentially,
   derived by hand: shared ≡ alone ≡ naive;
-* invalidation: a commit at the same tick (written directly or by an
-  update listener) or a clock tick between two refreshes forces a miss;
+* invalidation: a commit to a row's object (written directly or by an
+  update listener) forces a miss, a clock tick does not;
 * scope: a piecewise or fallback row is solved by each query, never
-  served from the table.
+  served from the store;
+* the invalidation wall: rows kept across ticks and commits to other
+  objects; rows dropped by a commit to their own object through
+  ``update_motion``, ``update_dynamic``, ``ingest_motion`` and a
+  heartbeat (and kept by a commit to an attribute their atom does not
+  read); an insert into a read class; a region redefinition; a
+  registration widening ``E``; a clock regression; query removal, with
+  the store's size bounded by its live atoms' rows over many epochs —
+  each case against the ``validity_horizons``-off twin and naive.
 """
 
 import pytest
@@ -238,14 +247,16 @@ def test_shared_round_equals_each_query_alone_and_naive(scenario):
 
 def test_the_wall_shares_rows():
     """The wall's positive control: two queries reading ``INSIDE(c, P)``
-    in one round read rows from the table, and the table holds the
-    round the queries read."""
+    read rows from the store, and the store holds the round the queries
+    read.  The second query reads all twelve rows at its registration
+    (tick 1, solved by the first query's at tick 0) and, at tick 4, the
+    two rows the first query re-solved after their cars' commits."""
     fleet = [("linear", x, 1, 1, 0, 9, -1) for x in range(-4, 8)]
     chosen = [(0, 12, 0, "incremental"), (1, 9, 1, "incremental")]
     steps = [(True, [(0, 1, 1), (5, -1, 0)])]
     log, live = play(fleet, [(0, 0, 0, 0)], chosen, [0, 1], steps)
     assert live[0].shared_rows == 0
-    assert live[1].shared_rows == 2
+    assert live[1].shared_rows == 12 + 2
     db = live[0].db
     assert round_table(db).token == epoch_token(FutureHistory(db))
     assert round_table(db).end == live[0].expires_at
@@ -409,8 +420,10 @@ def test_closed_forms_shared_alone_naive(
         assert tuples == sorted(
             (inst, iv[1], iv[3]) for inst, (_domain, ivs) in rows for iv in ivs
         )
-    # The query refreshed second read every row the first one solved.
-    assert read[refresh_order[0]] == 0
+    # The query refreshed first reads the car's row, solved at the
+    # registration tick (its object saw no commit), and the second every
+    # row the first one solved.
+    assert read[refresh_order[0]] == 1
     assert read[refresh_order[1]] == 2
 
 
@@ -430,7 +443,9 @@ def two_queries(db):
 @pytest.mark.parametrize("writer", ["update-motion", "listener"])
 def test_a_commit_between_two_refreshes_forces_a_miss(writer):
     """``c`` (x = -5 + t) turns to x-speed 2 at tick 1 after the wide
-    query refreshed: the narrow one must not read the round it left."""
+    query refreshed: the narrow one must not read ``c``'s row.  The
+    decoy's row, solved by the wide query after the decoy's commit, is
+    read unless the listener commits the decoy again."""
     db = closed_world((-5, 1), (1, 0))
     wide, narrow = two_queries(db)
     db.clock.tick()
@@ -451,16 +466,20 @@ def test_a_commit_between_two_refreshes_forces_a_miss(writer):
         assert wrote
     read = narrow.shared_rows
     narrow.refresh()
-    assert narrow.shared_rows == read
+    assert narrow.shared_rows - read == (1 if writer == "update-motion" else 0)
     # x = -4 + 2 (t - 1) >= 0 from t = 3 on.
     assert exact_rows(narrow.answer.relation) == spans((("c",), (3, 6)))
     # The next round — the same tick, the new version — is shared again.
+    read = wide.shared_rows
     wide.refresh()
-    assert wide.shared_rows == 2
+    assert wide.shared_rows - read == 2
     assert exact_rows(wide.answer.relation) == spans((("c",), (3, 7)))
 
 
-def test_a_clock_tick_between_two_refreshes_forces_a_miss():
+def test_a_clock_tick_between_two_refreshes_keeps_the_rows():
+    """A tick changes no motion: the narrow query reads, a tick after
+    the wide one refreshed, ``c``'s row held since tick 0 and the
+    decoy's solved at tick 1, each clipped to its own window."""
     db = closed_world((-5, 1), (1, 0))
     wide, narrow = two_queries(db)
     db.clock.tick()
@@ -469,15 +488,38 @@ def test_a_clock_tick_between_two_refreshes_forces_a_miss():
     db.clock.tick()
     read = narrow.shared_rows
     narrow.refresh()
-    assert narrow.shared_rows == read
+    assert narrow.shared_rows - read == 2
     assert exact_rows(narrow.answer.relation) == spans((("c",), (5, 6)))
     assert round_table(db).token == epoch_token(FutureHistory(db))
+    twin = closed_world((-5, 1), (1, 0))
+    alone = ContinuousQuery(twin, narrow.query, horizon=6, method="naive")
+    twin.clock.tick(2)
+    assert answer_tuples(narrow) == answer_tuples(alone)
+
+
+def test_a_clock_tick_between_two_refreshes_forces_a_miss():
+    """The round's index views live one content token: the view the
+    wide query built at tick 1 (partitioning the decoy's row) is not
+    read a tick later, while the rows are."""
+    db = closed_world((-5, 1), (1, 0))
+    wide, narrow = two_queries(db)
+    db.clock.tick()
+    db.update_motion(DECOY[0], Point(0, 1))
+    wide.refresh()
+    built = round_table(db).views
+    assert built
+    db.clock.tick()
+    read = narrow.shared_rows
+    narrow.refresh()
+    assert round_table(db).views is not built and not round_table(db).views
+    assert narrow.shared_rows - read == 2
+    assert exact_rows(narrow.answer.relation) == spans((("c",), (5, 6)))
 
 
 def test_piecewise_and_fallback_rows_are_never_served():
     """Inside ``P``'s box, so no partition decides them: the piecewise
     and the sinusoid car are solved by each query over its own window,
-    and held in the table as rows it does not answer."""
+    and held in the store as rows it does not answer."""
     db = closed_world((-5, 1), (1, 0))
     db.add_object(
         "cars",
@@ -501,15 +543,309 @@ def test_piecewise_and_fallback_rows_are_never_served():
     db.clock.tick()
     db.update_motion(DECOY[0], Point(0, 1))
     solves = [wide.kinetic_solves, narrow.kinetic_solves]
+    read = [wide.shared_rows, narrow.shared_rows]
     wide.refresh()
     narrow.refresh()
     (entry,) = round_table(db)._entries.values()
-    assert entry[("p",)] is None and entry[("s",)] is None
-    assert entry[("c",)] is not None
-    # The narrow query read c's and the decoy's rows and solved p and s.
-    assert narrow.shared_rows == 2
+    assert entry[("p",)][2] is None and entry[("s",)][2] is None
+    assert entry[("c",)][2] is not None
+    # The wide query read c's row (held since tick 0), the index decided
+    # the decoy's, and it solved p and s; the narrow query read c's and
+    # the decoy's rows and solved p and s.
+    assert wide.shared_rows - read[0] == 1
+    assert wide.kinetic_solves - solves[0] == 2
+    assert narrow.shared_rows - read[1] == 2
     assert narrow.kinetic_solves - solves[1] == 2
-    assert wide.kinetic_solves - solves[0] == 3
     for cq, horizon in ((wide, 10), (narrow, 6)):
         twin = ContinuousQuery(db, cq.query, horizon=horizon - 1, method="naive")
         assert answer_tuples(cq) == answer_tuples(twin)
+
+
+# ---------------------------------------------------------------------------
+# The invalidation wall: rows outlive their tick and die with what they read
+# ---------------------------------------------------------------------------
+
+#: The wall's atoms: a region (``INSIDE`` and ``OUTSIDE`` share its
+#: entry), a pair distance and a dynamic attribute.
+WALL_TEXTS = (
+    INSIDE_P,
+    TEXTS[2],
+    DIST_6,
+    TEXTS[5],
+)
+#: ``(x, y, vx, vy)`` of the cars; ``z`` is far from everything.
+WALL_CARS = {
+    "a": (-5, 1, 1, 0),
+    "b": (3, 3, 0, 0),
+    "e": (12, 2, -1, 0),
+    "z": (200, 200, 0, 0),
+}
+
+
+def wall_world():
+    db = new_db()
+    for oid, (x, y, vx, vy) in WALL_CARS.items():
+        add_car(db, oid, (x, y), (vx, vy))
+    db.add_moving_object("depots", "d", Point(0, 0), Point(0, 0))
+    return db
+
+
+def wall_queries(db, methods, options=None):
+    """Every wall text once per ``(horizon, method)`` of ``methods``."""
+    kwargs = {} if options is None else {"options": options}
+    return [
+        ContinuousQuery(db, parse_query(text), horizon=h, method=m, **kwargs)
+        for text in WALL_TEXTS
+        for h, m in methods
+    ]
+
+
+BOTH = ((10, "interval"), (6, "incremental"))
+
+
+def displayed(cq):
+    """The answer tuples as displayed at the current tick: a query the
+    validity gate let skip a commit shows its last refresh's tuples,
+    which hold from then on."""
+    now = cq.db.clock.now
+    return sorted(
+        (t.values, max(t.begin, now), t.end)
+        for t in cq.answer_tuples()
+        if t.end >= now
+    )
+
+
+def run_wall(steps, methods=BOTH):
+    """Run ``steps`` (each a function of the database) on three twin
+    worlds — the store on, ``validity_horizons`` off, naive — and after
+    each step refresh every query and hold the store's displayed answer
+    tuples to the twin's and to naive's.  Returns the store's queries
+    and their ``shared_rows`` read by each step."""
+    from dataclasses import replace
+
+    from repro.ftl.context import DEFAULT
+
+    worlds = [wall_world() for _ in range(3)]
+    shared = wall_queries(worlds[0], methods)
+    twin = wall_queries(worlds[1], methods, replace(DEFAULT, validity_horizons=False))
+    naive = wall_queries(worlds[2], [(h, "naive") for h, _m in methods])
+    reads = []
+    for step in steps:
+        before = [cq.shared_rows for cq in shared]
+        for db in worlds:
+            step(db)
+        for group in (shared, twin, naive):
+            for cq in list(group):
+                if not cq._cancelled:
+                    cq.refresh()
+        for one, other, slow in zip(shared, twin, naive):
+            if one._cancelled:
+                continue
+            assert displayed(one) == displayed(other), one.query.where
+            assert displayed(one) == displayed(slow), one.query.where
+        reads.append([cq.shared_rows - b for cq, b in zip(shared, before)])
+    return shared, reads
+
+
+def row(db, oid, kind="region"):
+    """The held row of ``oid`` in the entry of atom kind ``kind``, as the
+    next round reads the store (the rows of pending commits dropped)."""
+    UpdateRouter.of(db).round_atoms(FutureHistory(db), 0)
+    for key, entry in round_table(db)._entries.items():
+        if key[0] == kind:
+            for inst, held in entry.items():
+                if inst[0] == oid:
+                    return held
+    return None
+
+
+def tick(db):
+    db.clock.tick()
+
+
+def decoy(db):
+    """A real turn of the far car: it dirties every query over cars."""
+    db.update_motion("z", Point(0, 1 + db.clock.now))
+
+
+def test_rows_are_kept_across_ticks_and_commits_to_other_objects():
+    shared, reads = run_wall([tick, decoy, tick, decoy])
+    db = shared[0].db
+    # Solved at registration (tick 0) and read at every later tick.
+    assert row(db, "a")[:2] == (0, 10)
+    assert row(db, "z")[0] == 2  # re-solved after the decoy's last commit
+    # A tick alone dirties no query.  A turn of the decoy dirties every
+    # query over positions: the first interval query reads a, b and e's
+    # rows and re-solves z's, which every later reader of the entry
+    # reads (OUTSIDE shares INSIDE's entry; an incremental refresh
+    # recomputes z's rows only).  The fuel queries read no position.
+    by_query = [3, 1, 4, 1, 3, 1, 0, 0]
+    assert reads == [[0] * 8, by_query, [0] * 8, by_query]
+
+
+def motion_writers():
+    def motion(db):
+        db.update_motion("a", Point(0, 1))
+
+    def dynamic(db):
+        db.update_dynamic(
+            "a", "x_position", function=PiecewiseLinearFunction([(0, 1.0), (4, -1.0)])
+        )
+
+    def ingest(db):
+        db.ingest_motion("a", 1, Point(2, 0), Point(-3, 1), db.clock.now)
+
+    def beat(db):
+        now = db.clock.now
+        db.ingest_motion("a", 1, Point(1, 0), Point(-5 + now, 1), now)
+
+    return {"update-motion": motion, "update-dynamic": dynamic, "ingest": ingest, "heartbeat": beat}
+
+
+@pytest.mark.parametrize("writer", sorted(motion_writers()))
+def test_a_commit_to_its_object_drops_a_row(writer):
+    write = motion_writers()[writer]
+    shared, reads = run_wall([tick, write])
+    db = shared[0].db
+    if writer == "heartbeat":
+        # Every query skipped the heartbeat (the validity gate, or a
+        # read-set without positions), so nobody re-solved a's rows.
+        assert row(db, "a") is None and row(db, "a", "dist") is None
+    else:
+        # a's position rows were re-solved at tick 1.
+        assert row(db, "a")[0] == 1 and row(db, "a", "dist")[0] == 1
+    # b's rows are still tick 0's.
+    assert row(db, "b")[0] == 0 and row(db, "b", "dist")[0] == 0
+    # a's fuel row was not dropped: no fuel was written.
+    assert row(db, "a", "attr")[0] == 0
+
+
+def test_a_commit_to_another_attribute_keeps_the_position_rows():
+    def fuel(db):
+        db.update_dynamic("a", "fuel", value=30, function=LinearFunction(-1))
+
+    shared, reads = run_wall([tick, fuel])
+    db = shared[0].db
+    assert row(db, "a", "attr")[0] == 1
+    assert row(db, "a")[0] == 0 and row(db, "a", "dist")[0] == 0
+    assert sum(reads[1]) > 0
+
+
+def test_an_insert_into_a_read_class_solves_only_its_rows():
+    def insert(db):
+        add_car(db, "n", (2, 2), (1, 1))
+
+    shared, reads = run_wall([tick, insert])
+    db = shared[0].db
+    assert row(db, "n")[0] == 1 and row(db, "a")[0] == 0
+    assert sum(reads[1]) > 0
+
+
+def test_a_region_redefinition_misses():
+    """No public path replaces a region (``define_region`` refuses a
+    taken name), but the store keys a region by its geometry, not its
+    name: a region swapped under its name starts an entry of its own."""
+
+    def redefine(db):
+        db._regions["P"] = Polygon.rectangle(-6, 0, 9, 9)
+        db.update_motion("z", Point(0, 1))  # a commit, so every query refreshes
+
+    shared, reads = run_wall([tick, redefine], methods=((10, "interval"),))
+    db = shared[0].db
+    regions = [key for key in round_table(db)._entries if key[0] == "region"]
+    assert len(regions) == 2
+    fresh = [
+        entry
+        for key, entry in round_table(db)._entries.items()
+        if key[0] == "region" and entry[("a",)][0] == 1
+    ]
+    assert len(fresh) == 1 and fresh[0][("a",)][2] is not None
+
+
+def test_a_registration_widening_the_end_misses():
+    widened = []
+
+    def register(db):
+        widened.append(ContinuousQuery(db, parse_query(INSIDE_P), horizon=20))
+
+    shared, reads = run_wall([tick, register])
+    late = widened[0]
+    assert late.shared_rows == 0  # every row ended at 10, before 21
+    assert row(late.db, "a")[:2] == (1, 21)
+    twin = wall_world()
+    twin.clock.tick()
+    alone = ContinuousQuery(twin, late.query, horizon=20, method="naive")
+    assert answer_tuples(late) == answer_tuples(alone)
+
+
+def test_a_clock_regression_misses():
+    """A read starting before a row's window (a history anchored before
+    the tick the row was solved at) re-solves, equal to an evaluation
+    without the store and to naive."""
+    from repro.ftl.context import EvalContext
+    from repro.ftl.evaluator import IntervalEvaluator
+    from repro.ftl.naive import NaiveEvaluator
+
+    db = wall_world()
+    wall_queries(db, BOTH)
+    db.clock.tick(3)
+    db.update_motion("z", Point(0, 1))
+    for cq in UpdateRouter.of(db).queries:
+        cq.refresh()
+    assert row(db, "z")[0] == 3
+    query = parse_query(INSIDE_P)
+    history = FutureHistory(db, 1)
+    ctx = EvalContext(history, 6, query.bindings)
+    table = UpdateRouter.of(db).round_atoms(history, ctx.end)
+    early = IntervalEvaluator(ctx, atoms=table)
+    got = exact_rows(early.evaluate(query.where))
+    assert row(db, "z")[0] == 1  # re-solved from the earlier start
+    assert early.shared_rows == 3  # a, b, e: held since tick 0
+    plain = IntervalEvaluator(EvalContext(history, 6, query.bindings))
+    assert got == exact_rows(plain.evaluate(query.where))
+    slow = NaiveEvaluator(EvalContext(history, 6, query.bindings))
+    assert [
+        (inst, [(iv.start, iv.end) for iv in iset])
+        for inst, iset in exact_order(slow.evaluate(query.where))
+    ] == [
+        (inst, [(iv.start, iv.end) for iv in iset])
+        for inst, iset in exact_order(plain.evaluate(query.where))
+    ]
+
+
+def exact_order(relation):
+    return sorted(relation.rows(), key=lambda item: item[0])
+
+
+def test_query_removal_bounds_the_store():
+    """Over many epochs of commits the store holds at most one row per
+    instantiation of each live atom, loses an atom's rows when its last
+    reader goes and everything when no query is live."""
+    import random
+
+    rng = random.Random(5)
+    cars = sorted(WALL_CARS)
+
+    def churn(db):
+        db.clock.tick()
+        for oid in rng.sample(cars, 2):
+            db.update_motion(oid, Point(rng.choice((-1, 0, 1)), rng.choice((-1, 1))))
+
+    db = wall_world()
+    queries = wall_queries(db, ((30, "interval"), (24, "incremental")))
+    table = round_table(db)
+    per_atom = {"region": 4, "dist": 4, "attr": 4}
+    for _ in range(12):
+        churn(db)
+        for cq in queries:
+            cq.refresh()
+        assert len(table) == 3
+        assert table.rows <= sum(per_atom.values())
+    for cq in queries:
+        if cq.query.where != parse_query(DIST_6).where:
+            cq.cancel()
+    assert {key[0] for key in table._entries} == {"dist"}
+    assert table.rows <= per_atom["dist"]
+    for cq in queries:
+        cq.cancel()
+    assert len(table) == 0 and table.rows == 0

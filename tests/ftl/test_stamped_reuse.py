@@ -1,29 +1,28 @@
-"""Stamped solve reuse: the one rule by which a kinetic solve is reused.
+"""The one store of solved atom rows, and who may touch it.
 
-``db.kinetic_cache`` (:class:`~repro.ftl.atoms.KineticSolveCache`) holds,
-per key, the window a solve ran over, the expiry of the validity stamp
-it ran under and the answer.  Two things are pinned here:
+:class:`~repro.ftl.atoms.RoundAtoms` (``UpdateRouter.of(db).atoms``)
+holds, per distinct atom and row, the window ``[s, E]`` the row was
+solved over and its answer there.  Two things are pinned here:
 
-* the closed forms of the store — an equal window, a contained window
-  (equal to a fresh solve over it), a request ending past the stored
-  end, a request starting at or after the expiry, replacement by a
-  solve and the FIFO bound;
-* that only a stamped evaluation touches it: a cold evaluation, an
-  instantaneous query, a persistent query, a sharded evaluation, the
-  ``ORACLE`` options and a continuous query without validity horizons
-  build no key and leave the store empty — and the refresh round's
-  atom table (``UpdateRouter.atoms``, one solve per atom per round)
-  too, with a live continuous query holding the round open.
+* the closed forms of the store — an equal window returns the held
+  answer, a contained window later in time equals a fresh solve, a read
+  ending past the held end or starting before it misses, a commit to a
+  row's object drops the row, a re-solve replaces the held row, and the
+  rows of an atom no live query reads are dropped;
+* that only a continuous query with validity horizons touches it: a
+  cold evaluation, an instantaneous query, a persistent query, a
+  sharded evaluation, the ``ORACLE`` options and a continuous query
+  without validity horizons read and write no row, with a live
+  continuous query holding the router open.
 """
 
-import math
 from dataclasses import replace
 
 import pytest
 
 from repro.core import MostDatabase, ObjectClass
 from repro.core.dynamic import DynamicAttribute
-from repro.core.history import FutureHistory
+from repro.core.history import FutureHistory, epoch_token
 from repro.core.queries import (
     ContinuousQuery,
     InstantaneousQuery,
@@ -31,7 +30,7 @@ from repro.core.queries import (
     UpdateRouter,
 )
 from repro.ftl import parse_query
-from repro.ftl.atoms import KineticSolveCache
+from repro.ftl.atoms import RoundAtoms
 from repro.ftl.context import DEFAULT, ORACLE, EvalContext
 from repro.ftl.evaluator import IntervalEvaluator
 from repro.geometry import Point
@@ -40,7 +39,7 @@ from repro.parallel.evaluator import ShardedIntervalEvaluator
 from repro.spatial import Polygon
 from repro.temporal import DISCRETE, IntervalSet
 
-from tests.ftl.test_atom_pruning import STAMP_ALL, rows_of
+from tests.ftl.test_atom_pruning import held_store, rows_of
 
 
 def ticks(*pairs):
@@ -52,90 +51,133 @@ def ticks(*pairs):
 # ---------------------------------------------------------------------------
 
 
-def test_equal_window_returns_the_stored_answer():
-    cache = KineticSolveCache()
-    answer = ticks((2, 6))
-    cache.put("k", (0, 20), 15.0, answer)
-    assert cache.get("k", (0, 20)) is answer
-    assert (cache.hits, cache.misses) == (1, 0)
-
-
 def one_car():
     """``c`` at (1, 1) moving +1 along x through ``P = [0, 9]^2``: inside
-    exactly at ticks 0–8."""
+    exactly at ticks 0–8; ``d`` parked inside ``P`` for good."""
     db = MostDatabase()
     db.create_class(ObjectClass("cars", spatial_dimensions=2))
     db.define_region("P", Polygon.rectangle(0, 0, 9, 9))
     db.add_moving_object("cars", "c", Point(1, 1), Point(1, 0))
+    db.add_moving_object("cars", "d", Point(4, 4), Point(0, 0))
     return db
 
 
-def inside(db, start, horizon, validity=None):
+def inside(db, start, horizon, table=None, end=None):
+    """One evaluation of ``INSIDE(o, P)`` over ``[start, start +
+    horizon]``, reading ``table`` as a round ending at ``end`` (the
+    evaluation's own end by default)."""
     query = parse_query("RETRIEVE o FROM cars o WHERE INSIDE(o, P)")
-    ctx = EvalContext(FutureHistory(db, start), horizon, query.bindings)
-    evaluator = IntervalEvaluator(ctx, validity=validity)
+    history = FutureHistory(db, start)
+    ctx = EvalContext(history, horizon, query.bindings)
+    atoms = None
+    if table is not None:
+        atoms = table.open(epoch_token(history), ctx.end if end is None else end)
+    evaluator = IntervalEvaluator(ctx, atoms=atoms)
     return evaluator, rows_of(evaluator.evaluate(query.where))
+
+
+def held(table, oid="c"):
+    """The row of ``oid`` in the store's one entry."""
+    (entry,) = table._entries.values()
+    return entry.get((oid,))
+
+
+def test_equal_window_returns_the_stored_answer():
+    db = one_car()
+    table = held_store(db)
+    first, rows = inside(db, 0, 20, table)
+    assert first.kinetic_solves == 2 and first.shared_rows == 0
+    assert held(table) == (0, 20, ticks((0, 8)))
+    again = IntervalEvaluator(
+        EvalContext(FutureHistory(db), 20, {"o": "cars"}),
+        atoms=table.open(epoch_token(FutureHistory(db)), 20),
+    )
+    relation = again.evaluate(parse_query("RETRIEVE o FROM cars o WHERE INSIDE(o, P)").where)
+    assert (again.kinetic_solves, again.shared_rows) == (0, 2)
+    assert relation.get(("c",)) is held(table)[2]
 
 
 def test_contained_window_equals_a_fresh_solve():
     db = one_car()
-    first, rows = inside(db, 0, 20, STAMP_ALL)
-    assert rows == [(("c",), ((0, 8),))]
-    assert first.kinetic_solves == 1
-    (key, (window, expire, answer)), = db.kinetic_cache._store.items()
-    assert (window, expire, answer) == ((0, 20), math.inf, ticks((0, 8)))
-    # A later, shorter window inside the stored one: answered by clipping.
-    later, rows = inside(db, 5, 10, STAMP_ALL)
-    assert (later.kinetic_solves, later.cache_hits) == (0, 1)
+    table = held_store(db)
+    first, rows = inside(db, 0, 20, table)
+    assert ("c",) in dict(rows)
+    assert held(table) == (0, 20, ticks((0, 8)))
+    # A later, shorter window inside the held one: answered by clipping.
+    later, rows = inside(db, 5, 10, table, end=20)
+    assert (later.kinetic_solves, later.shared_rows) == (0, 2)
     fresh, fresh_rows = inside(db, 5, 10)
-    assert fresh.kinetic_solves == 1
-    assert rows == fresh_rows == [(("c",), ((5, 8),))]
-    assert db.kinetic_cache.get(key, (5, 15)) == ticks((5, 8))
-    # A hit writes nothing: the stored window is still the solved one.
-    assert [entry[0] for _key, entry in db.kinetic_cache._store.items()] == [(0, 20)]
+    assert fresh.kinetic_solves == 2
+    assert rows == fresh_rows
+    assert dict(rows)[("c",)] == ((5, 8),)
+    # A read writes nothing: the held window is still the solved one.
+    assert held(table) == (0, 20, ticks((0, 8)))
 
 
 def test_request_ending_past_the_stored_end_misses():
-    cache = KineticSolveCache()
-    cache.put("k", (0, 20), math.inf, ticks((0, 8)))
-    assert cache.get("k", (0, 21)) is None
-    assert cache.get("k", (5, 25)) is None
-    assert cache.get("k", (-1, 20)) is None  # starts before the solve
-    assert (cache.hits, cache.misses) == (0, 3)
+    db = one_car()
+    table = held_store(db)
+    inside(db, 5, 15, table)
+    assert held(table)[:2] == (5, 20)
+    # A registration widened the round: the held rows end too early.
+    wider, rows = inside(db, 5, 16, table)
+    assert (wider.kinetic_solves, wider.shared_rows) == (2, 0)
+    assert rows == inside(db, 5, 16)[1]
+    # A read starting before the held start (a clock regression) misses.
+    earlier, rows = inside(db, 2, 10, table, end=21)
+    assert (earlier.kinetic_solves, earlier.shared_rows) == (2, 0)
+    assert dict(rows)[("c",)] == ((2, 8),)
 
 
 def test_request_starting_at_or_after_the_expiry_misses():
-    cache = KineticSolveCache()
-    cache.put("k", (0, 20), 15.0, ticks((0, 8)))
-    assert cache.get("k", (15, 20)) is None
-    assert cache.get("k", (16, 18)) is None
-    assert cache.get("k", (14, 20)) == IntervalSet.empty(DISCRETE)
-    assert (cache.hits, cache.misses) == (1, 2)
+    """A row dies with its object's motion: after a commit to ``c`` its
+    row misses and re-solves, while ``d``'s row, whose object nobody
+    committed, is still read."""
+    db = one_car()
+    table = held_store(db)
+    inside(db, 0, 20, table)
+    db.clock.tick()
+    db.update_motion("c", Point(0, 1))
+    after, rows = inside(db, 1, 19, table)
+    assert (after.kinetic_solves, after.shared_rows) == (1, 1)
+    assert rows == inside(db, 1, 19)[1]
+    assert dict(rows)[("c",)] == ((1, 9),)
+    assert held(table) == (1, 20, ticks((1, 9)))
 
 
 def test_a_solve_replaces_the_older_entry():
-    cache = KineticSolveCache()
-    cache.put("k", (0, 20), 15.0, ticks((0, 8)))
-    cache.put("k", (10, 30), 40.0, ticks((12, 30)))
-    assert len(cache) == 1
-    assert cache.get("k", (0, 20)) is None  # no longer contained
-    assert cache.get("k", (12, 20)) == ticks((12, 20))
+    db = one_car()
+    table = held_store(db)
+    inside(db, 0, 10, table)
+    assert held(table) == (0, 10, ticks((0, 8)))
+    inside(db, 3, 12, table)  # ends past 10: re-solved over [3, 15]
+    assert held(table) == (3, 15, ticks((3, 8)))
+    assert len(table) == 1 and table.rows == 2
+    # Re-read over the new row's window: no solve.
+    again, _rows = inside(db, 4, 11, table)
+    assert (again.kinetic_solves, again.shared_rows) == (0, 2)
 
 
 def test_fifo_bound_counts_a_replaced_key_as_new():
-    cache = KineticSolveCache(max_entries=2)
-    cache.put("a", (0, 9), 9.0, ticks((1, 2)))
-    cache.put("b", (0, 9), 9.0, ticks((3, 4)))
-    cache.put("a", (0, 9), 9.0, ticks((5, 6)))  # re-solved: now newest
-    cache.put("c", (0, 9), 9.0, ticks((7, 8)))
-    assert [key for key, _entry in cache._store.items()] == ["a", "c"]
-    assert cache.get("b", (0, 9)) is None
-    assert cache.get("a", (0, 9)) == ticks((5, 6))
+    """The store has no size bound: the rows of an atom no live query
+    reads are dropped when the router's query set changes, and every
+    row when no query is live."""
+    db = one_car()
+    db.define_region("Q", Polygon.rectangle(20, 0, 29, 9))
+    wide = ContinuousQuery(db, parse_query("RETRIEVE o FROM cars o WHERE INSIDE(o, P)"), 20)
+    narrow = ContinuousQuery(db, parse_query("RETRIEVE o FROM cars o WHERE INSIDE(o, Q)"), 10)
+    other = ContinuousQuery(db, parse_query("RETRIEVE o FROM cars o WHERE OUTSIDE(o, P)"), 10)
+    table = UpdateRouter.of(db).atoms
+    # Each query read the store at registration: one entry for Q, one
+    # for P shared by INSIDE and OUTSIDE.
+    assert len(table) == 2 and table.rows == 4
+    narrow.cancel()
+    assert len(table) == 1 and table.rows == 2
+    other.cancel()  # ``wide`` still reads P's entry
+    assert len(table) == 1 and table.rows == 2
+    wide.cancel()
+    assert len(table) == 0 and table.rows == 0
 
-
-# ---------------------------------------------------------------------------
-# Only a stamped evaluation builds a key
-# ---------------------------------------------------------------------------
 
 TEXT = (
     "RETRIEVE c FROM cars c, vans v WHERE "
@@ -173,24 +215,14 @@ def mixed_world():
 
 
 @pytest.fixture
-def no_keys(monkeypatch):
-    """Every solve-key builder raises while the fixture is in force."""
-    import repro.ftl.atoms as atoms
-    import repro.ftl.evaluator as evaluator
+def no_store(monkeypatch):
+    """Every read and write of the store raises while in force."""
 
     def refuse(*_args, **_kwargs):
-        raise AssertionError("a solve key was built without a stamp")
+        raise AssertionError("the store was touched")
 
-    for name in (
-        "region_solve_key",
-        "sphere_solve_key",
-        "dist_solve_key",
-        "linear_motion_tokens",
-        "region_token",
-    ):
-        monkeypatch.setattr(evaluator, name, refuse)
-    monkeypatch.setattr(atoms, "motion_token", refuse)
-    monkeypatch.setattr(atoms, "_ctx_motion_token", refuse)
+    monkeypatch.setattr(RoundAtoms, "entry", refuse)
+    monkeypatch.setattr(RoundAtoms, "store", refuse)
 
 
 HORIZON = 12
@@ -198,9 +230,8 @@ HORIZON = 12
 
 def live_round(db):
     """A live continuous query ending past every window below, so the
-    router's round table is open to any evaluation wired to it.  It
-    runs without validity horizons, so it builds no key and reads no
-    table itself."""
+    router's store is open to any evaluation wired to it.  It runs
+    without validity horizons, so it reads no store itself."""
     ContinuousQuery(
         db,
         parse_query(TEXT),
@@ -210,26 +241,31 @@ def live_round(db):
 
 
 def untouched(db):
-    """Neither the stamped store nor the round table holds anything."""
-    return len(db.kinetic_cache) == 0 and len(UpdateRouter.of(db).atoms) == 0
+    """The router's store holds nothing."""
+    return len(UpdateRouter.of(db).atoms) == 0
 
 
 def test_the_mixed_world_keys_every_kind_when_stamped():
-    """The positive control of the tests below: a stamped evaluation of
-    the same query over the same world builds keys and stores solves."""
+    """The positive control of the tests below: an evaluation of the
+    same query over the same world handed a store fills an entry for
+    every atom kind and class: ``INSIDE(c, P)`` over cars and
+    ``OUTSIDE(v, P)`` over vans are two entries."""
     db = mixed_world()
     query = parse_query(TEXT)
-    ctx = EvalContext(FutureHistory(db), HORIZON, query.bindings)
-    evaluator = IntervalEvaluator(ctx, validity=STAMP_ALL)
+    history = FutureHistory(db)
+    ctx = EvalContext(history, HORIZON, query.bindings)
+    table = held_store(db).open(epoch_token(history), ctx.end)
+    evaluator = IntervalEvaluator(ctx, atoms=table)
     evaluator.evaluate(query.where)
-    assert len(db.kinetic_cache) > 0
-    kinds = {key[0] for key, _entry in db.kinetic_cache._store.items()}
-    assert kinds == {"region", "dist", "sphere"}
+    kinds = {key[0] for key in table._entries}
+    assert kinds == {"region", "dist", "sphere", "attr"}
+    assert len(table) == 5
 
 
 def test_the_mixed_world_fills_the_round_table_when_stamped():
-    """The round table's positive control: stamped continuous queries
-    over the same world, refreshed in one round, fill it and read it."""
+    """The router's positive control: continuous queries with validity
+    horizons over the same world, refreshed in one round, fill the
+    store and read it."""
     db = mixed_world()
     query = parse_query(TEXT)
     cqs = [
@@ -245,7 +281,7 @@ def test_the_mixed_world_fills_the_round_table_when_stamped():
 
 
 @pytest.mark.parametrize("options", [None, ORACLE], ids=["default", "oracle"])
-def test_cold_evaluation_builds_no_key(no_keys, options):
+def test_cold_evaluation_builds_no_key(no_store, options):
     db = mixed_world()
     live_round(db)
     query = parse_query(TEXT)
@@ -256,7 +292,7 @@ def test_cold_evaluation_builds_no_key(no_keys, options):
     assert untouched(db)
 
 
-def test_instantaneous_query_builds_no_key(no_keys):
+def test_instantaneous_query_builds_no_key(no_store):
     db = mixed_world()
     live_round(db)
     query = InstantaneousQuery(parse_query(TEXT), HORIZON)
@@ -265,7 +301,7 @@ def test_instantaneous_query_builds_no_key(no_keys):
     assert untouched(db)
 
 
-def test_persistent_query_builds_no_key(no_keys):
+def test_persistent_query_builds_no_key(no_store):
     db = mixed_world()
     live_round(db)
     persistent = PersistentQuery(db, parse_query(TEXT), HORIZON)
@@ -281,10 +317,10 @@ def test_persistent_query_builds_no_key(no_keys):
     [replace(DEFAULT, validity_horizons=False), ORACLE],
     ids=["validity-off", "oracle"],
 )
-def test_continuous_query_without_validity_builds_no_key(no_keys, options):
+def test_continuous_query_without_validity_builds_no_key(no_store, options):
     """Validity horizons off alone (the pruned column path still on)
-    builds no key and reads no round table, as ``ORACLE`` does: every
-    solve runs, the differential twin of both reuses."""
+    touches no store, as ``ORACLE`` does: every solve runs, the
+    differential twin of the store."""
     db = mixed_world()
     live_round(db)
     cq = ContinuousQuery(
@@ -300,9 +336,9 @@ def test_continuous_query_without_validity_builds_no_key(no_keys, options):
     assert untouched(db)
 
 
-def test_sharded_evaluation_builds_no_key(no_keys):
-    """The parent builds no key and the shards report no lookup (the
-    workers run the serial evaluator without stamps)."""
+def test_sharded_evaluation_builds_no_key(no_store):
+    """Neither the parent nor the shards touch a store (the workers run
+    the serial evaluator without one)."""
     db = mixed_world()
     live_round(db)
     query = parse_query(TEXT)
@@ -310,5 +346,5 @@ def test_sharded_evaluation_builds_no_key(no_keys):
     relation = sharded.evaluate()
     serial = query.evaluate_full(FutureHistory(db), HORIZON)
     assert rows_of(relation) == rows_of(serial)
-    assert sharded.counters["cache_hits"] == sharded.counters["cache_misses"] == 0
+    assert "cache_hits" not in sharded.counters
     assert untouched(db)

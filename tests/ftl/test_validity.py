@@ -46,6 +46,7 @@ from repro.motion.functions import (
     PolynomialFunction,
 )
 from repro.spatial import Polygon
+from repro.temporal import DISCRETE, IntervalSet
 
 INF = math.inf
 #: The unstamped twin: no validity analysis, so no gate and no stamps.
@@ -524,30 +525,44 @@ class TestHorizonEdgeCases:
         assert cq.valid_until == 6.0
 
     def test_window_shifted_cache_reuse(self):
-        from repro.ftl.atoms import KineticSolveCache
-        from repro.temporal import IntervalSet
-
-        cache = KineticSolveCache()
-        value = IntervalSet.span(0, 20)
-        key = ("atom", "triple")
-        cache.put(key, (0, 20), 15.0, value)
-        # Contained later window, before the stamp expiry: clipped hit.
-        assert cache.get(key, (2, 10)) == value.clip(2, 10)
-        assert cache.hits == 1
-        # Start at/beyond expiry, or window not contained: refused.
-        assert cache.get(key, (15, 18)) is None
-        assert cache.get(key, (-1, 10)) is None
-        # Different motion triple: different key, no reuse.
-        assert cache.get(("atom", "other"), (2, 10)) is None
-        assert cache.hits == 1
-
-    def test_unstamped_entries_never_shift(self):
-        """No unstamped entry exists to shift: an evaluation without
-        validity stamps writes nothing, so a stamped one after it
-        solves."""
-        from repro.core.history import FutureHistory
+        """A row the store holds over ``[0, 20]`` answers a later,
+        contained window by clipping — equal to a fresh solve — and a
+        window ending past it or starting before it re-solves."""
+        from repro.core.history import FutureHistory, epoch_token
         from repro.ftl.context import EvalContext
         from repro.ftl.evaluator import IntervalEvaluator
+
+        from tests.ftl.test_atom_pruning import held_store
+
+        db = build_db()
+        where = Inside(Var("o"), "P")
+        table = held_store(db)
+
+        def run(start, horizon, end, store=True):
+            history = FutureHistory(db, start)
+            atoms = table.open(epoch_token(history), end) if store else None
+            ev = IntervalEvaluator(EvalContext(history, horizon, BINDINGS), atoms=atoms)
+            return ev, ev.evaluate(where).get(("c0",))
+
+        first, whole = run(0, 20, 20)
+        assert (first.kinetic_solves, whole) == (1, IntervalSet.from_pairs([(0, 8)], DISCRETE))
+        # Contained later window: a clipped read, no solve.
+        later, clipped = run(2, 8, 20)
+        assert (later.kinetic_solves, later.shared_rows) == (0, 1)
+        assert clipped == whole.clip(2, 10) == run(2, 8, 10, store=False)[1]
+        # Ending past the held end, or starting before it: re-solved.
+        assert run(2, 19, 21)[0].kinetic_solves == 1
+        assert run(1, 8, 21)[0].kinetic_solves == 1
+
+    def test_unstamped_entries_never_shift(self):
+        """No evaluation without a store leaves a row to shift: it
+        writes nothing, so one through a store after it solves."""
+        from repro.core.history import FutureHistory, epoch_token
+        from repro.core.queries import UpdateRouter
+        from repro.ftl.context import EvalContext
+        from repro.ftl.evaluator import IntervalEvaluator
+
+        from tests.ftl.test_atom_pruning import held_store
 
         db = build_db()
         where = Eventually(Inside(Var("o"), "P"))
@@ -555,18 +570,20 @@ class TestHorizonEdgeCases:
         cold = IntervalEvaluator(ctx)
         cold.evaluate(where)
         assert cold.kinetic_solves == 1
-        assert len(db.kinetic_cache) == 0
+        assert len(UpdateRouter.of(db).atoms) == 0
         db.clock.tick()
-        ctx = EvalContext(FutureHistory(db), 19, BINDINGS)
-        stamped = IntervalEvaluator(ctx, validity={id(where.operand): 20.0})
-        stamped.evaluate(where)
-        assert (stamped.kinetic_solves, stamped.cache_hits) == (1, 0)
-        assert len(db.kinetic_cache) == 1
+        history = FutureHistory(db)
+        ctx = EvalContext(history, 19, BINDINGS)
+        table = held_store(db)
+        shared = IntervalEvaluator(ctx, atoms=table.open(epoch_token(history), ctx.end))
+        shared.evaluate(where)
+        assert (shared.kinetic_solves, shared.shared_rows) == (1, 0)
+        assert table.rows == 1
 
     def test_ticked_refresh_reuses_solves_by_window_shift(self):
-        """After a tick, the stamped query re-solves nothing for atoms
-        whose validity outlives the new window; the unstamped twin pays
-        the full solve again."""
+        """After a tick, the query re-solves nothing: its registration
+        filled the store, and the window slid inside the held one; the
+        validity-off twin pays the full solve again."""
         db, db2 = build_db(), build_db()
         q = "RETRIEVE o FROM cars o WHERE EVENTUALLY INSIDE(o, P)"
         stamped = ContinuousQuery(db, parse_query(q), horizon=20)
@@ -576,13 +593,16 @@ class TestHorizonEdgeCases:
         db.clock.tick()
         db2.clock.tick()
         # Force a refresh with no motion change: the window slid by one.
+        solves = [stamped.kinetic_solves, twin.kinetic_solves]
         stamped._dirty = True
         twin._dirty = True
         stamped.refresh()
         twin.refresh()
         assert stamped.current() == twin.current()
-        assert db.kinetic_cache.hits > 0
-        assert len(db2.kinetic_cache) == 0
+        assert stamped.shared_rows == 1
+        assert stamped.kinetic_solves - solves[0] == 0
+        assert twin.kinetic_solves - solves[1] == 1
+        assert twin.shared_rows == 0
 
     def test_clock_regression_update_is_never_skipped(self):
         db = build_db()

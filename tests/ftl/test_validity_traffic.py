@@ -13,18 +13,19 @@ databases fed the same stream:
   breakpoint keeps the whole query off the validity gate, so each
   heartbeat dirties it, and the refresh reuses the cars-only subtree
   whose stamp outlives the window.
-* **Window-shift reuse on the incremental path**
-  (``db.kinetic_cache.hits``): fuel and position updates land in the
-  same refresh, so the ``INSIDE`` rows of fuel-updated cars are
-  re-solved over a window that slid by one tick, and their stamped
-  solves answer by clipping.  Stamped reuse is the only reuse, so the
-  unstamped twin never touches the table.
+* **Window-shift reuse on the incremental path** (``shared_rows``):
+  fuel and position updates land in the same refresh, so the
+  ``INSIDE`` rows of fuel-updated cars are recomputed over a window
+  that slid by one tick, and the store of solved rows answers them by
+  clipping — a fuel commit writes no position, so their rows live on.
+  The validity-off twin never touches the store.
 """
 
 import random
 from dataclasses import replace
 
 from repro.core import ContinuousQuery, DynamicAttribute, MostDatabase, ObjectClass
+from repro.core.queries import UpdateRouter
 from repro.ftl import parse_query
 from repro.ftl.context import DEFAULT
 from repro.geometry import Point
@@ -146,7 +147,7 @@ def test_mixed_fuel_and_position_refresh_reuses_solves_by_window_shift():
         answers = [cq.current() for cq in queries]
         assert answers[0] == answers[1] == answers[2]
     assert stamped.incremental_refreshes == 6
-    assert stamped.db.kinetic_cache.hits > 0
-    assert unstamped.db.kinetic_cache.hits == 0
-    assert len(unstamped.db.kinetic_cache) == 0
+    assert stamped.shared_rows > 0
+    assert unstamped.shared_rows == 0
+    assert len(UpdateRouter.of(unstamped.db).atoms) == 0
     assert interval.full_evaluations == 7

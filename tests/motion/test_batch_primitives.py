@@ -337,7 +337,6 @@ def test_polygon_batch_piecewise_legs_match_scalar_solver():
         query = parse_query(f"RETRIEVE o FROM cars o WHERE INSIDE(o, R{i})")
         runs = []
         for scalar in (False, True):
-            db.kinetic_cache.clear()
             ctx = EvalContext(FutureHistory(db), WINDOW.end, query.bindings)
             evaluator = IntervalEvaluator(ctx)
             with scalar_reference() if scalar else nullcontext():

@@ -172,7 +172,7 @@ def test_far_outlier_keeps_shard_counters_serial(workers):
     assert rows_of(merge_relations(relations)) == serial_rows
     assert sum(ev.pruned_instantiations for ev in evaluators) == 7
     assert sum(ev.kinetic_solves for ev in evaluators) == 1
-    assert sum(ev.cache_hits + ev.cache_misses for ev in evaluators) == 0
+    assert sum(ev.shared_rows for ev in evaluators) == 0
 
     sharded = ShardedIntervalEvaluator(query, FutureHistory(db), HORIZON, workers)
     assert rows_of(sharded.evaluate()) == serial_rows

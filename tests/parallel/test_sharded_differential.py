@@ -157,7 +157,8 @@ def test_counter_coherence_random(seed):
     assert sharded.counters["kinetic_solves"] >= serial.counters[
         "kinetic_solves"
     ]
-    assert sharded.counters["cache_hits"] == serial.counters["cache_hits"] == 0
+    assert "cache_hits" not in sharded.counters
+    assert "cache_hits" not in serial.counters
     assert all(v >= 0 for v in sharded.counters.values())
 
 

@@ -66,7 +66,6 @@ def test_reset_memos_clears_context_state():
     assert ctx._movers and ctx._pruner is not None
     ctx.reset_memos()
     assert not ctx._movers
-    assert not ctx._motion_tokens
     assert ctx._pruner is None
 
 

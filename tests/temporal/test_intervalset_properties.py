@@ -11,9 +11,11 @@ relations, so the invariants now carry correctness weight beyond display.
 
 import math
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.errors import TemporalError
 from repro.temporal import DENSE, DISCRETE, Interval, IntervalSet
 
 domains = st.sampled_from((DISCRETE, DENSE))
@@ -156,6 +158,56 @@ def test_clip_invariant(intervals, bound, domain):
     assert_normalised(s)
     if not s.is_empty:
         assert s.earliest >= bound.start and s.latest <= bound.end
+
+
+def intersection_clip(s: IntervalSet, lo: float, hi: float) -> IntervalSet:
+    """The general form ``clip`` replaced: intersect with ``[lo, hi]``."""
+    return s.intersection(IntervalSet((Interval(lo, hi),), s.domain))
+
+
+def exact(s: IntervalSet):
+    return s.domain, [
+        (type(iv.start), iv.start, type(iv.end), iv.end) for iv in s.intervals
+    ]
+
+
+#: Endpoints of either type, bounded or not.
+endpoint = st.one_of(
+    st.integers(min_value=-35, max_value=45),
+    st.integers(min_value=-35, max_value=45).map(float),
+    st.sampled_from((-math.inf, math.inf, 2.5)),
+)
+
+
+@given(raw_intervals, st.lists(endpoint, min_size=2, max_size=2), domains, st.booleans())
+def test_clip_is_the_intersection_with_the_bounds(intervals, bounds, domain, tail):
+    """One pass equals the general intersection exactly, endpoint types
+    included: empty sets, sets inside the bounds, straddling either end,
+    disjoint from them, unbounded, in both domains."""
+    lo, hi = sorted(bounds)
+    if lo == math.inf:
+        return
+    material = list(intervals) + ([Interval(20, math.inf)] if tail else [])
+    s = make_set(material, domain)
+    clipped = s.clip(lo, hi)
+    assert exact(clipped) == exact(intersection_clip(s, lo, hi))
+    assert_normalised(clipped)
+
+
+def test_clip_cases():
+    s = IntervalSet.from_pairs([(2, 4), (6, 9), (12, math.inf)], DISCRETE)
+    assert IntervalSet.empty(DISCRETE).clip(0, 5).is_empty
+    assert s.clip(0, math.inf) is s  # already inside: the set itself
+    assert s.clip(2, math.inf) is s
+    assert s.clip(3, 7).intervals == (Interval(3, 4), Interval(6, 7))
+    assert s.clip(5, 5).is_empty  # in a gap
+    assert s.clip(-9, -1).is_empty and s.clip(10, 11).is_empty  # disjoint
+    assert s.clip(8, 100).intervals == (Interval(8, 9), Interval(12, 100))
+    mixed = IntervalSet.from_pairs([(2.0, 4)], DENSE)
+    assert exact(mixed.clip(2, 4.0)) == exact(intersection_clip(mixed, 2, 4.0))
+    for lo, hi in ((5, 4), (math.nan, 3), (math.inf, math.inf)):
+        with pytest.raises(TemporalError):  # the bounds' own interval error
+            s.clip(lo, hi)
 
 
 @given(raw_intervals, st.integers(min_value=-10, max_value=10), domains)

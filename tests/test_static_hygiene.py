@@ -312,17 +312,19 @@ STRICT_DEFS = {
         "ClassMbrTable",
         "_linear_leg_boxes",
         "build_class_table",
-        "motion_token",
-        "linear_motion_tokens",
+        "RoundAtoms",
+        "RoundAtoms.committed",
+        "RoundAtoms.open",
+        "RoundAtoms.entry",
+        "RoundAtoms.store",
+        "RoundAtoms.retain",
         "MbrTableCache",
         "AtomIndexPruner",
         "AtomIndexPruner.partition",
         "AtomIndexPruner._split",
         "KineticBatch",
-        "KineticSolveCache",
     ),
     "ftl/context.py": (
-        "EvalContext.kinetic_cache",
         "EvalContext.column_legs",
         "EvalContext.dirty_domain",
         "EvalContext.clean_domain",
@@ -334,8 +336,8 @@ STRICT_DEFS = {
         "_taken",
         "IntervalEvaluator._atom",
         "IntervalEvaluator._batched_rows",
+        "IntervalEvaluator._shared_rows",
         "IntervalEvaluator._solve_rows",
-        "IntervalEvaluator._stamp_for",
         "IntervalEvaluator._column_rows",
         "IntervalEvaluator._column_var",
         "IntervalEvaluator._constant",

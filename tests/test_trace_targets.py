@@ -60,10 +60,10 @@ def test_after_hooks_attach_to_traced_targets():
 
 
 #: Counters the benchmark still names but the evaluators no longer
-#: report: every reuse of a solve is a ``cache_hits`` since shifted and
-#: exact reuse became one stamped rule, so the tracer's missing-counter
-#: default of 0 is the true count.
-RETIRED_COUNTERS = {"cache_shift_hits"}
+#: report: the keyed solve table they counted is gone (every reuse of a
+#: solved row is a ``shared_rows`` read of the one store), so the
+#: tracer's missing-counter default of 0 is the true count.
+RETIRED_COUNTERS = {"cache_shift_hits", "cache_hits", "cache_misses"}
 
 
 def test_after_hooks_find_their_counters():
