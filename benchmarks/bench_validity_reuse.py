@@ -15,16 +15,17 @@ horizon gate (the default) and one built with
 ``validity_horizons`` off.  All values are dyadic so heartbeat
 re-anchoring is float-exact.  Answers are asserted identical epoch for
 epoch; the table reports evaluations, skips, rows read from the store
-of solved atom rows (``shared_rows``: rows solved at an earlier tick and
-read clipped to a later window) and refresh wall time.
+of solved atom rows (``shared_rows``) and refresh wall time.
 
 The second table is the "Settled" window-shift scenario: four
 ``interval`` continuous queries over a slow 300-car fleet, 40 epochs
 with three real motion changes each, seeds 1–3.  Every epoch re-
-evaluates every query, and every row whose car did not change is read
-from the store instead of being partitioned and solved again.  It
-reports the rows read per run and the median wall time of an epoch
-(tick, changes and the four refreshes), with answers held to the
+evaluates every query: a row the index decided for a car that did not
+change is read from the store instead of being partitioned again, and
+every other row is solved, since a kernel solve answers only the
+window it was solved over and the four windows end apart.  It reports
+the rows read and the solves per run and the median wall time of an
+epoch (tick, changes and the four refreshes), with answers held to the
 validity-off twin epoch for epoch.
 
 Results land in ``BENCH_validity_reuse.json`` at the repo root (archived
@@ -291,10 +292,11 @@ def test_validity_reuse_cuts_refresh_cost(record_table):
     RESULT_PATH.write_text(json.dumps(report, indent=2) + "\n")
 
     for run in report["settled"]["runs"]:
-        # The store is read on every epoch and saves solves.
+        # The store is read on every epoch (the index's verdicts: each
+        # query's window ends elsewhere, so no query reads another's
+        # kernel solve, and a solve answers no later tick).
         assert run["shared"]["shared_rows"] > 0, run
         assert run["plain"]["shared_rows"] == 0, run
-        assert run["shared"]["kinetic_solves"] < run["plain"]["kinetic_solves"], run
 
     for fleet in report["fleets"]:
         stamped, plain = fleet["stamped"], fleet["plain"]

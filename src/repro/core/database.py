@@ -539,6 +539,11 @@ class MostDatabase:
         """The update log in commit order, without copying it."""
         return iter(self._log)
 
+    def log_since(self, position: int) -> list[MostUpdate]:
+        """The records logged after the first ``position``, in commit
+        order."""
+        return self._log[position:]
+
     @property
     def version(self) -> int:
         """How many commits (logical updates) there have been: equal

@@ -296,10 +296,11 @@ class ContinuousQuery:
     (:attr:`horizon_subtrees_skipped`).  The live queries of a database
     also share one store of solved atom rows (the router's
     :meth:`UpdateRouter.round_atoms`): each distinct atom's column-path
-    row is solved once, over the widest live window, and read clipped
-    by every query at that tick and every later one
-    (:attr:`shared_rows`) until a commit writes what it was solved
-    from.  ``options.validity_horizons`` off disables all of them
+    row is solved once at a tick, over the widest live window, and read
+    by every query with that window; a row the index decides is read
+    clipped by every query at that tick and every later one
+    (:attr:`shared_rows`) until a commit to one of its objects.
+    ``options.validity_horizons`` off disables all of them
     (the differential twin of the soundness wall): no stamp and no
     store, so every solve runs.
     """
@@ -999,23 +1000,22 @@ class UpdateRouter:
 
     The router also owns the one store of solved atom rows
     (:meth:`round_atoms`): what the live queries' evaluations solve,
-    each row over the widest live end at its tick.  Every commit marks
-    the rows of what it wrote dead in O(1)
-    (:meth:`RoundAtoms.committed`); a change of the query set keeps only
-    the live queries' atoms.
+    each row over the widest live end at its tick.  The store drops the
+    rows of every object committed to since it was last opened
+    (:meth:`RoundAtoms.open`); a change of the query set keeps only the
+    live queries' atoms.
     """
 
     def __init__(self, db: MostDatabase) -> None:
         self.db = db
         self._queries: list[ContinuousQuery] = []
         self._routes: dict[
-            tuple[object, ...],
-            tuple[tuple[Dep | None, ...], _Route, frozenset[str]],
+            tuple[object, ...], tuple[tuple[Dep | None, ...], _Route]
         ] = {}
         #: The live queries' distinct ``expires_at``, ascending.
         self._ends: list[float] = []
         #: The store of solved atom rows (:meth:`round_atoms`).
-        self.atoms = RoundAtoms()
+        self.atoms = RoundAtoms(db)
         db.on_update(self._on_commit)
 
     @staticmethod
@@ -1062,14 +1062,12 @@ class UpdateRouter:
 
     def _route(
         self, cls: str | None, updates: tuple[MostUpdate, ...]
-    ) -> tuple[tuple[Dep | None, ...], _Route, frozenset[str]]:
-        """The footprints of a commit of ``cls``, every live query it
+    ) -> tuple[tuple[Dep | None, ...], _Route]:
+        """The footprints of a commit of ``cls`` and every live query it
         reaches, with the indices of the records its read-set covers
-        (possibly none) and its end's index, and the attributes it
-        writes."""
+        (possibly none) and its end's index."""
         footprints = tuple(update_footprint(u, self.db) for u in updates)
         index = {end: e for e, end in enumerate(self._ends)}
-        written = frozenset(u.attribute for u in updates)
         return footprints, [
             (
                 cq,
@@ -1079,7 +1077,7 @@ class UpdateRouter:
             )
             for cq in self._queries
             if _binds(cq, cls)
-        ], written
+        ]
 
     def _on_commit(self, updates: tuple[MostUpdate, ...]) -> None:
         if not self._queries:
@@ -1098,9 +1096,7 @@ class UpdateRouter:
         memo = self._routes.get(key)
         if memo is None:
             memo = self._routes[key] = self._route(cls, updates)
-        footprints, route, written = memo
-        # One commit is one object: the stored rows of what it wrote die.
-        self.atoms.committed(updates[0].object_id, written)
+        footprints, route = memo
         ends = self._ends
         tables: list[list[float] | None] = [None] * len(updates)
         version = db.version

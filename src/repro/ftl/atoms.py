@@ -73,6 +73,7 @@ from repro.spatial.regions import Ball
 from repro.temporal import DISCRETE, IntervalSet
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.database import MostDatabase
     from repro.core.history import History
     from repro.ftl.context import EvalContext
 
@@ -96,10 +97,12 @@ def _radius(bound: object) -> float:
     return float(bound)
 
 
-#: One row of a :class:`RoundAtoms` entry: the window ``[s, E]`` it was
-#: solved over and its answer there, or ``None`` for a row each query
-#: solves itself (the column path does not take it).
-RoundRow = tuple[int, int, IntervalSet | None]
+#: One row of a :class:`RoundAtoms` entry: the window ``[s, e]`` it was
+#: solved over, its answer there (``None`` for a row each query solves
+#: itself: the column path does not take it), and, for a kernel solve,
+#: which holds only over exactly ``[s, e]``, the round it was solved in
+#: (``0`` for an index verdict or ``None``).
+RoundRow = tuple[int, int, IntervalSet | None, int]
 #: One distinct atom's rows, by instantiation.
 RoundEntry = dict[Instantiation, RoundRow]
 
@@ -111,21 +114,26 @@ class RoundAtoms:
     An entry is keyed by a distinct atom — its kind, its resolved
     constants and its variables' classes, in ``free`` order; ``INSIDE``
     and ``OUTSIDE`` of one region share one entry holding the inside
-    answer — and holds, per row, the window ``[s, E]`` the row was
-    solved over and its answer there: a partition verdict's known
-    answer or a column-path solve, which a query reading at ``now >= s``
-    with a window ending at ``e <= E`` reads clipped to ``[now, e]``.  A
-    row the column path does not take is held as ``None``: each query
-    solves it over its own window.
+    answer — and holds, per row, the window ``[s, e]`` the row was
+    solved over and its answer there.  A partition verdict's known
+    answer (the empty set or the full span) over the round window
+    ``[s, E]`` and a ``None`` row — one the column path does not take,
+    which each query solves over its own window — are read by any
+    window inside ``[s, E]``, at that tick or a later one.  A kernel
+    solve is read only over exactly ``[s, e]``: the kernels anchor each
+    leg at the window start and probe the window ends, so a crossing
+    within rounding of a tick can land on either side of it under
+    another window (:meth:`readable`).  A solve held from the current
+    :attr:`round` also records that the round's partition left its row
+    to solve.
 
-    A row lives until an attribute its atom reads changes on one of its
-    objects — the positions for a spatial atom, the one attribute of an
-    attribute comparison — and that takes a commit: the router reports
-    each commit (:meth:`committed`, O(1)) and the next :meth:`open`
-    drops the rows it changed.  A tick keeps every row.  The router
-    also drops the entries no live query reads when its query set
-    changes (:meth:`retain`) and everything when none is live
-    (:meth:`clear`).
+    A row lives until a commit to one of its objects: :meth:`open`
+    compares the database version with the one it last saw and drops
+    the rows naming every object the log records since then, so no
+    listener order can read a row the commit changed.  A tick keeps
+    every row.  The router drops the entries no live query reads when
+    its query set changes (:meth:`retain`) and everything when none is
+    live (:meth:`clear`).
 
     The index views over a round's window live here too
     (:meth:`~repro.ftl.evaluator.IntervalEvaluator._view`): a round is
@@ -134,19 +142,22 @@ class RoundAtoms:
     tables.
     """
 
-    def __init__(self) -> None:
-        #: The round the views belong to, and its window end ``E``.
+    def __init__(self, db: "MostDatabase") -> None:
+        self.db = db
+        #: The round the views belong to, its window end ``E``, and its
+        #: serial (bumped by every :meth:`open` of another round).
         self.token: object = None
         self.end: int | None = None
+        self.round = 0
         #: Index views over the round window, by bindings and members.
         self.views: dict[tuple, AtomIndexPruner] = {}
         self._entries: dict[object, RoundEntry] = {}
-        #: ``id(entry)`` -> the attributes its atom reads.
-        self._reads: dict[int, frozenset[str]] = {}
         #: Object -> the rows naming it, ``(id(entry), row) -> entry``.
         self._named: dict[object, dict[tuple[int, Instantiation], RoundEntry]] = {}
-        #: Object -> the attributes committed since the last :meth:`open`.
-        self._dead: dict[object, frozenset[str]] = {}
+        #: The database version and log length the rows were checked at
+        #: (the first open reads the whole log: no row names it yet).
+        self._version = 0
+        self._logged = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -156,41 +167,38 @@ class RoundAtoms:
         """The rows held, over every entry."""
         return sum(len(entry) for entry in self._entries.values())
 
-    def committed(self, object_id: object, attributes: frozenset[str]) -> None:
-        """Note a commit writing ``attributes`` of ``object_id``: the
-        rows naming it whose atom reads one of them die at the next
-        :meth:`open`."""
-        written = self._dead.get(object_id)
-        if written is None or written is attributes:
-            self._dead[object_id] = attributes
-        else:
-            self._dead[object_id] = written | attributes
+    @staticmethod
+    def readable(row: RoundRow, start: int, end: int) -> bool:
+        """Whether a held row answers a read over ``[start, end]``."""
+        s, e, _value, solved_in = row
+        if solved_in:
+            return s == start and e == end
+        return s <= start and end <= e
 
     def open(self, token: object, end: int) -> "RoundAtoms":
         """The table as the round ``token`` over ``[now, end]`` reads
-        it: the rows every commit since the last open changed dropped,
-        and the views dropped when the round is another."""
+        it: the rows naming an object committed to since the last open
+        dropped, and the views dropped when the round is another."""
         if token != self.token or end != self.end:
             self.views = {}
             self.token, self.end = token, end
-        if self._dead:
-            named, reads = self._named, self._reads
-            for oid, written in self._dead.items():
-                rows = named.get(oid)
-                if not rows:
-                    continue
-                for row in [r for r in rows if not reads[r[0]].isdisjoint(written)]:
-                    rows.pop(row).pop(row[1], None)
-            self._dead = {}
+            self.round += 1
+        db = self.db
+        if db.version != self._version:
+            tail = db.log_since(self._logged)
+            self._version = db.version
+            self._logged += len(tail)
+            named = self._named
+            for oid in {u.object_id for u in tail}:
+                for (_tag, inst), entry in named.pop(oid, {}).items():
+                    entry.pop(inst, None)
         return self
 
-    def entry(self, key: object, reads: Iterable[str]) -> RoundEntry:
-        """The rows held for one distinct atom, which reads the
-        attributes ``reads`` of its objects (created empty)."""
+    def entry(self, key: object) -> RoundEntry:
+        """The rows held for one distinct atom (created empty)."""
         entry = self._entries.get(key)
         if entry is None:
             entry = self._entries[key] = {}
-            self._reads[id(entry)] = frozenset(reads)
         return entry
 
     def store(
@@ -199,12 +207,16 @@ class RoundAtoms:
         rows: "Iterable[tuple[Instantiation, IntervalSet | None]]",
         start: int,
         end: int,
+        solved: bool = False,
     ) -> None:
-        """Hold ``rows`` of ``entry``, solved over ``[start, end]``."""
+        """Hold ``rows`` of ``entry`` over ``[start, end]``: kernel
+        solves of this round when ``solved``, known answers or ``None``
+        otherwise."""
         named = self._named
         tag = id(entry)
+        solved_in = self.round if solved else 0
         for inst, value in rows:
-            entry[inst] = (start, end, value)
+            entry[inst] = (start, end, value, solved_in)
             for oid in inst:
                 slot = named.get(oid)
                 if slot is None:
@@ -215,7 +227,6 @@ class RoundAtoms:
         """Drop every entry but those of ``keys``."""
         keep = set(keys)
         self._entries = {k: e for k, e in self._entries.items() if k in keep}
-        self._reads = {id(e): self._reads[id(e)] for e in self._entries.values()}
         named: dict[object, dict[tuple[int, Instantiation], RoundEntry]] = {}
         for entry in self._entries.values():
             tag = id(entry)
@@ -229,9 +240,7 @@ class RoundAtoms:
         self.token = self.end = None
         self.views = {}
         self._entries = {}
-        self._reads = {}
         self._named = {}
-        self._dead = {}
 
 
 # ---------------------------------------------------------------------------

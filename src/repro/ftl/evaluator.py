@@ -27,7 +27,6 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.core.columns import KIND_LINEAR
-from repro.core.objects import X_POSITION, Y_POSITION, Z_POSITION
 from repro.errors import FtlSemanticsError, QueryError, ReproError, SchemaError
 from repro.ftl.ast import (
     Always,
@@ -100,9 +99,6 @@ if TYPE_CHECKING:  # pragma: no cover
     _Post = Callable[[IntervalSet], IntervalSet] | None
     #: One mover term's picked rows: leg origins and velocities.
     _Mover = tuple[np.ndarray, np.ndarray]
-
-#: The attributes a spatial atom reads of its objects.
-_POSITIONS = (X_POSITION, Y_POSITION, Z_POSITION)
 
 _CMP = {
     "=": lambda a, b: a == b,
@@ -251,8 +247,9 @@ class IntervalEvaluator:
         #: The store of solved atom rows a continuous query hands in
         #: (:class:`~repro.ftl.atoms.RoundAtoms`, DESIGN.md §7): the
         #: column-path rows of its atoms are read from it, clipped to
-        #: this window, and the rows it lacks are solved over the round
-        #: window and stored.  ``None`` for every other evaluation.
+        #: this window, and the rows it lacks are partitioned over the
+        #: round window, solved over this one and stored.  ``None`` for
+        #: every other evaluation.
         self.atoms = atoms
         #: The keys of the atoms this evaluation read through
         #: :attr:`atoms` (its query's live atoms).
@@ -602,46 +599,75 @@ class IntervalEvaluator:
     ) -> list[IntervalSet]:
         """The answers of an atom's rows read through the store.
 
-        A held row solved over ``[s, E]`` answers a read over ``[now,
-        e]`` when ``s <= now`` and ``e <= E``: it costs a lookup and a
-        clip (``solve([s, E]).clip(now, e) == solve([now, e])`` for the
-        analytic column kernels while the row's objects keep their
-        motion, and a decided row's ``EMPTY_SET`` or full span clips the
-        same way) and counts in :attr:`shared_rows`.  Any other row — not
-        held, solved before a clock regression, or over a window a
-        registration has since widened — is partitioned and solved over
-        the round window through :meth:`_gated`, with this evaluator's
-        view, counters and stamps, and stored.  ``OUTSIDE`` reads the
-        inside rows of its region's entry and complements them within
-        this window.  The rows the column path does not take are stored
-        as ``None`` and, like every such row, solved here over this
-        window (:meth:`_solve_rows`)."""
+        A held row that answers a read over this window
+        (:meth:`~repro.ftl.atoms.RoundAtoms.readable`: a partition
+        verdict held over a window containing it, a kernel solve held
+        over exactly it) costs a lookup and a clip and counts in
+        :attr:`shared_rows`.  Every other row is partitioned over the
+        round window through :meth:`_atom_gate`, with this evaluator's
+        counters and the round's view, and its verdict stored — except a
+        row solved in this round, which that partition left to solve —
+        and the rows left are solved over this window
+        (:meth:`_solve_rows`) and stored, unless that would replace this
+        round's solve over the round window.  ``OUTSIDE``
+        reads the inside rows of its region's entry and complements them
+        within this window.  The rows the column path does not take are
+        stored as ``None`` and, like every such row, solved here over
+        this window."""
         table = self.atoms
         self.round_keys.add(key)
-        entry = table.entry(key, (key[1],) if key[0] == "attr" else _POSITIONS)
+        entry = table.entry(key)
         start, end = self.ctx.start, self.ctx.end
         lacking: list[Instantiation] = []
+        # Rows solved in this round: its partition left them to solve.
+        undecided: list[Instantiation] = []
         for inst in rows:
             held = entry.get(inst)
-            if held is None or held[0] > start or held[1] < end:
+            if held is None:
                 lacking.append(inst)
-            elif held[2] is not None:
-                self.shared_rows += 1
+            elif table.readable(held, start, end):
+                if held[2] is not None:
+                    self.shared_rows += 1
+            elif held[3] == table.round:
+                undecided.append(inst)
+            else:
+                lacking.append(inst)
         outside = isinstance(f, Outside)
-        if lacking:
+        fresh: dict[Instantiation, IntervalSet | None] = {}
+        if lacking or undecided:
             gate = Inside(f.obj, f.region, f.span) if outside else f
-            own = self.ctx
-            self.ctx = self._round_context()
-            try:
-                todo, answers, known = self._gated(
-                    gate, free, lacking, stats, scalar=False
-                )
-            finally:
-                self.ctx = own
-            fresh = dict.fromkeys(lacking, known) if todo is not lacking else {}
+            todo = lacking
+            if lacking:
+                own = self.ctx
+                self.ctx = self._round_context()
+                try:
+                    split = self._atom_gate(gate, free, lacking)
+                finally:
+                    self.ctx = own
+                if split is not None:
+                    positions, decided, known = split
+                    self.pruned_instantiations += decided
+                    stats["pruned"] += decided
+                    todo = [lacking[i] for i in positions.tolist()]
+                    fresh = dict.fromkeys(lacking, known)
+            todo = todo + undecided
+            answers = self._solve_rows(gate, free, todo, stats, scalar=False)
+            solves = {i: a for i, a in zip(todo, answers) if a is not None}
             fresh.update(zip(todo, answers))
-            table.store(entry, fresh.items(), start, table.end)
-        values = [entry[inst][2] for inst in rows]
+            table.store(
+                entry,
+                [(i, a) for i, a in fresh.items() if i not in solves],
+                start,
+                table.end,
+            )
+            if end != table.end:  # a solve over the round window stays
+                wide = (start, table.end)
+                for inst in list(solves):
+                    held = entry.get(inst)
+                    if held is not None and held[3] == table.round and held[:2] == wide:
+                        del solves[inst]
+            table.store(entry, solves.items(), start, end, solved=True)
+        values = [fresh[inst] if inst in fresh else entry[inst][2] for inst in rows]
         scalar = [inst for inst, value in zip(rows, values) if value is None]
         solved = iter(self._solve_rows(f, free, scalar, stats) if scalar else ())
         within = Interval(start, end) if outside else None

@@ -178,8 +178,7 @@ def _ref_class_gate(db, update):
 
 
 class ReferenceRouter(UpdateRouter):
-    """The router's commit gate with a probe table per record (and the
-    store of solved atom rows told of every commit, as the router does)."""
+    """The router's commit gate with a probe table per record."""
 
     def _on_commit(self, updates):
         if not self._queries:
@@ -197,8 +196,7 @@ class ReferenceRouter(UpdateRouter):
         memo = self._routes.get(key)
         if memo is None:
             memo = self._routes[key] = self._route(cls, updates)
-        footprints, route, written = memo
-        self.atoms.committed(updates[0].object_id, written)
+        footprints, route = memo
         ends = self._ends
         tables = [None] * len(updates)
         version = db.version

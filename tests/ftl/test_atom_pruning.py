@@ -107,14 +107,8 @@ EXHAUSTIVE = replace(DEFAULT, index_pruning=False)
 def held_store(db):
     """A store of solved atom rows (:class:`RoundAtoms`) for evaluations
     outside a continuous query: like the update router's, it drops the
-    rows each commit changed at its next open."""
-    table = RoundAtoms()
-    db.on_update(
-        lambda updates: table.committed(
-            updates[0].object_id, frozenset(u.attribute for u in updates)
-        )
-    )
-    return table
+    rows of every object committed to at its next open."""
+    return RoundAtoms(db)
 
 
 def read_through(table, ctx):
@@ -329,36 +323,34 @@ def test_counters_account_for_pruning_and_caching():
 
 
 def test_cache_bound_is_enforced():
-    """The store is bounded by its live atoms' rows: a commit drops the
-    rows naming its object (pairs included) whose atom reads what it
-    wrote, at the next open, and :meth:`RoundAtoms.retain` keeps only
-    the atoms named."""
+    """The store is bounded by its live atoms' rows: a commit drops
+    every row naming its object (pairs included) at the next open, and
+    :meth:`RoundAtoms.retain` keeps only the atoms named."""
     from repro.temporal import DISCRETE, IntervalSet
 
-    table = RoundAtoms()
-    sets = IntervalSet.empty(DISCRETE)
-    moves = frozenset(("x_position", "y_position"))
+    db = MostDatabase()
+    db.create_class(ObjectClass("cars", spatial_dimensions=2))
     for i in range(10):
-        entry = table.entry(("k", i), moves)
-        table.store(entry, [((f"o{i}",), sets)], 0, 10)
-    fuel = table.entry(("fuel",), ("fuel",))
+        db.add_moving_object("cars", f"o{i}", Point(i, 0), Point(1, 0))
+    table = RoundAtoms(db)
+    sets = IntervalSet.empty(DISCRETE)
+    for i in range(10):
+        table.store(table.entry(("k", i)), [((f"o{i}",), sets)], 0, 10)
+    fuel = table.entry(("fuel",))
     table.store(fuel, [(("o1",), sets)], 0, 10)
-    pairs = table.entry(("pairs",), moves)
+    pairs = table.entry(("pairs",))
     table.store(pairs, [(("o0", "o1"), sets), (("o2", "o3"), sets)], 0, 10)
     assert (len(table), table.rows) == (12, 13)
-    table.committed("o1", moves)
+    db.update_motion("o1", Point(0, 1))
     assert table.rows == 13  # dropped only when the store is next opened
     table.open("round", 10)
-    assert (len(table), table.rows) == (12, 11)
+    assert (len(table), table.rows) == (12, 10)
     assert ("o0", "o1") not in pairs and ("o2", "o3") in pairs
-    assert ("o1",) in fuel  # its atom reads no position
-    table.committed("o1", frozenset(["fuel"]))
-    table.open("round", 10)
     assert ("o1",) not in fuel
     table.retain([("k", 9), ("pairs",)])
     assert (len(table), table.rows) == (2, 2)
-    table.committed("o9", moves)
-    table.committed("o3", frozenset(["y_position"]))
+    db.update_motion("o9", Point(0, 1))
+    db.update_motion("o3", Point(0, 1))
     table.open("round", 10)
     assert (len(table), table.rows) == (2, 0)
 

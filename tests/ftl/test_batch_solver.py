@@ -570,9 +570,11 @@ def test_database_cache_bound_is_configurable():
 
 
 def test_bounded_cache_serves_the_batch_path():
-    """A store holding rows from an earlier tick serves the batch path
-    clipped rows — batch and scalar still agree tuple for tuple with
-    each other and with an evaluation without a store."""
+    """A store holding rows solved over a window serves the batch path
+    those rows when the window is read again — batch and scalar still
+    agree tuple for tuple with each other and with an evaluation
+    without a store.  The rows solved at the tick before answer no
+    later window: a kernel solve is read only over its own window."""
     query = FtlQuery(
         targets=("c", "v"),
         bindings={"c": "cars", "v": "vans"},
@@ -587,14 +589,18 @@ def test_bounded_cache_serves_the_batch_path():
         db = build_world(rng)
         table = held_store(db)
         with nullcontext() if batch else scalar_reference():
-            for horizon in (HORIZON, HORIZON - 1):
+            reads = []
+            for horizon in (HORIZON, HORIZON - 1, HORIZON - 1):
                 ctx = EvalContext(FutureHistory(db), horizon, query.bindings)
                 ev = IntervalEvaluator(
                     ctx, options=UNPRUNED, atoms=read_through(table, ctx)
                 )
                 rel = ev.evaluate(query.where)
-                db.clock.tick()
-        assert ev.shared_rows > 0 if batch else ev.shared_rows == 0
+                reads.append(ev.shared_rows)
+                if horizon == HORIZON:
+                    db.clock.tick()
+        assert reads[:2] == [0, 0]
+        assert reads[2] > 0 if batch else reads[2] == 0
         rows.append(rows_of(rel))
     assert rows[0] == rows[1]
     db = build_world(random.Random(21))

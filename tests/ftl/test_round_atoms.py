@@ -2,10 +2,11 @@
 
 The continuous queries of a database read each distinct atom's
 column-path rows from the update router's store
-(:class:`~repro.ftl.atoms.RoundAtoms`): each row solved once over ``[s,
-E]``, ``E`` the widest live ``expires_at`` at tick ``s``, and read
-clipped to any later window inside it until a commit writes an
-attribute its atom reads on one of its objects.  Held here:
+(:class:`~repro.ftl.atoms.RoundAtoms`): each row held with the window
+``[s, E]`` it was solved over, ``E`` the widest live ``expires_at`` at
+tick ``s``, until a commit to one of its objects.  A row the index
+decides is read clipped by any later window inside ``[s, E]``; a kernel
+solve only by a window equal to it.  Held here:
 
 * the differential wall: two to four queries over ``INSIDE`` /
   ``OUTSIDE`` / ``DIST`` / attribute atoms, with different horizons and
@@ -17,18 +18,20 @@ attribute its atom reads on one of its objects.  Held here:
 * closed forms around the window ends, a polygon's edge and corner, a
   car standing on the boundary and a ``DIST`` bound met tangentially,
   derived by hand: shared ≡ alone ≡ naive;
-* invalidation: a commit to a row's object (written directly or by an
-  update listener) forces a miss, a clock tick does not;
+* invalidation: a commit to a row's object (written directly, by an
+  update listener, or heard by the store before the router) forces a
+  miss, a clock tick does not drop a verdict;
 * scope: a piecewise or fallback row is solved by each query, never
   served from the store;
-* the invalidation wall: rows kept across ticks and commits to other
-  objects; rows dropped by a commit to their own object through
+* the invalidation wall: verdicts kept across ticks and commits to
+  other objects; rows dropped by a commit to their own object through
   ``update_motion``, ``update_dynamic``, ``ingest_motion`` and a
-  heartbeat (and kept by a commit to an attribute their atom does not
-  read); an insert into a read class; a region redefinition; a
+  heartbeat; an insert into a read class; a region redefinition; a
   registration widening ``E``; a clock regression; query removal, with
   the store's size bounded by its live atoms' rows over many epochs —
-  each case against the ``validity_horizons``-off twin and naive.
+  each case against the ``validity_horizons``-off twin and naive;
+* speeds no binary fraction represents, crossing at every tick, against
+  the ``validity_horizons``-off twin.
 """
 
 import pytest
@@ -247,16 +250,17 @@ def test_shared_round_equals_each_query_alone_and_naive(scenario):
 
 def test_the_wall_shares_rows():
     """The wall's positive control: two queries reading ``INSIDE(c, P)``
-    read rows from the store, and the store holds the round the queries
-    read.  The second query reads all twelve rows at its registration
-    (tick 1, solved by the first query's at tick 0) and, at tick 4, the
-    two rows the first query re-solved after their cars' commits."""
+    over one window end read rows from the store, and the store holds
+    the round the queries read.  At tick 4 the second query reads the
+    two rows the first query re-solved over the same window after their
+    cars' commits; the rows solved at the registration ticks 0 and 1
+    are read by no one (a kernel solve answers its own window only)."""
     fleet = [("linear", x, 1, 1, 0, 9, -1) for x in range(-4, 8)]
-    chosen = [(0, 12, 0, "incremental"), (1, 9, 1, "incremental")]
+    chosen = [(0, 12, 0, "incremental"), (1, 11, 1, "incremental")]
     steps = [(True, [(0, 1, 1), (5, -1, 0)])]
     log, live = play(fleet, [(0, 0, 0, 0)], chosen, [0, 1], steps)
     assert live[0].shared_rows == 0
-    assert live[1].shared_rows == 12 + 2
+    assert live[1].shared_rows == 2
     db = live[0].db
     assert round_table(db).token == epoch_token(FutureHistory(db))
     assert round_table(db).end == live[0].expires_at
@@ -420,11 +424,14 @@ def test_closed_forms_shared_alone_naive(
         assert tuples == sorted(
             (inst, iv[1], iv[3]) for inst, (_domain, ivs) in rows for iv in ivs
         )
-    # The query refreshed first reads the car's row, solved at the
-    # registration tick (its object saw no commit), and the second every
-    # row the first one solved.
-    assert read[refresh_order[0]] == 1
-    assert read[refresh_order[1]] == 2
+    # The decoy's commit dropped its row: the query refreshed first has
+    # the index decide it again over the round window, and the second
+    # reads that verdict.  The car's row is a kernel solve, which
+    # answers only the window it was solved over: the wide query
+    # re-solves it at the new tick, and the narrow query, whose window
+    # ends earlier, solves its own.
+    assert read[refresh_order[0]] == 0
+    assert read[refresh_order[1]] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -444,8 +451,9 @@ def two_queries(db):
 def test_a_commit_between_two_refreshes_forces_a_miss(writer):
     """``c`` (x = -5 + t) turns to x-speed 2 at tick 1 after the wide
     query refreshed: the narrow one must not read ``c``'s row.  The
-    decoy's row, solved by the wide query after the decoy's commit, is
-    read unless the listener commits the decoy again."""
+    decoy's row, decided by the index for the wide query after the
+    decoy's commit, is read unless the listener commits the decoy
+    again."""
     db = closed_world((-5, 1), (1, 0))
     wide, narrow = two_queries(db)
     db.clock.tick()
@@ -469,17 +477,51 @@ def test_a_commit_between_two_refreshes_forces_a_miss(writer):
     assert narrow.shared_rows - read == (1 if writer == "update-motion" else 0)
     # x = -4 + 2 (t - 1) >= 0 from t = 3 on.
     assert exact_rows(narrow.answer.relation) == spans((("c",), (3, 6)))
-    # The next round — the same tick, the new version — is shared again.
+    # The next round — the same tick, the new version — reads the
+    # decoy's verdict again; ``c``'s row the narrow query solved over
+    # its own window.
     read = wide.shared_rows
     wide.refresh()
-    assert wide.shared_rows - read == 2
+    assert wide.shared_rows - read == 1
     assert exact_rows(wide.answer.relation) == spans((("c",), (3, 7)))
 
 
-def test_a_clock_tick_between_two_refreshes_keeps_the_rows():
+def test_a_listener_before_the_router_reads_no_dropped_row():
+    """A listener subscribed before the router registers a query while
+    ``c``'s commit is being heard, so the store is opened before the
+    router hears that commit: the store itself drops the rows of every
+    object the log records since it was last opened, so the new query,
+    whose window is the round's, does not read ``c``'s old row."""
+    db = closed_world((-5, 1), (1, 0))
+    late = []
+
+    def listener(updates):
+        if updates[0].object_id == "c" and not late:
+            late.append(ContinuousQuery(db, parse_query(INSIDE_P), horizon=9))
+
+    db.on_update(listener)
+    wide = ContinuousQuery(db, parse_query(INSIDE_P), horizon=10)
+    db.clock.tick()
+    db.update_motion(DECOY[0], Point(0, 1))
+    wide.refresh()
+    assert row(db, "c")[:2] == (1, 10)  # solved over the late query's window
+    db.update_motion("c", Point(2, 0))
+    (query,) = late
+    # x = -4 + 2 (t - 1) lies in [0, 9] for t in [3, 7.5]; the old row
+    # would read [5, 10].
+    assert exact_rows(query.answer.relation) == spans((("c",), (3, 7)))
+    twin = closed_world((-5, 1), (1, 0))
+    twin.clock.tick()
+    twin.update_motion("c", Point(2, 0))
+    slow = ContinuousQuery(twin, query.query, horizon=9, method="naive")
+    assert answer_tuples(query) == answer_tuples(slow)
+
+
+def test_a_clock_tick_between_two_refreshes_keeps_the_verdicts():
     """A tick changes no motion: the narrow query reads, a tick after
-    the wide one refreshed, ``c``'s row held since tick 0 and the
-    decoy's solved at tick 1, each clipped to its own window."""
+    the wide one refreshed, the decoy's row the index decided at tick 1,
+    clipped to its own window, and solves ``c``'s row again: a kernel
+    solve answers only the window it was solved over."""
     db = closed_world((-5, 1), (1, 0))
     wide, narrow = two_queries(db)
     db.clock.tick()
@@ -488,7 +530,7 @@ def test_a_clock_tick_between_two_refreshes_keeps_the_rows():
     db.clock.tick()
     read = narrow.shared_rows
     narrow.refresh()
-    assert narrow.shared_rows - read == 2
+    assert narrow.shared_rows - read == 1
     assert exact_rows(narrow.answer.relation) == spans((("c",), (5, 6)))
     assert round_table(db).token == epoch_token(FutureHistory(db))
     twin = closed_world((-5, 1), (1, 0))
@@ -500,7 +542,8 @@ def test_a_clock_tick_between_two_refreshes_keeps_the_rows():
 def test_a_clock_tick_between_two_refreshes_forces_a_miss():
     """The round's index views live one content token: the view the
     wide query built at tick 1 (partitioning the decoy's row) is not
-    read a tick later, while the rows are."""
+    read a tick later, when the narrow query builds its own to
+    partition ``c``'s row, while the decoy's verdict is read."""
     db = closed_world((-5, 1), (1, 0))
     wide, narrow = two_queries(db)
     db.clock.tick()
@@ -511,8 +554,10 @@ def test_a_clock_tick_between_two_refreshes_forces_a_miss():
     db.clock.tick()
     read = narrow.shared_rows
     narrow.refresh()
-    assert round_table(db).views is not built and not round_table(db).views
-    assert narrow.shared_rows - read == 2
+    views = round_table(db).views
+    assert views is not built
+    assert not {id(v) for v in views.values()} & {id(v) for v in built.values()}
+    assert narrow.shared_rows - read == 1
     assert exact_rows(narrow.answer.relation) == spans((("c",), (5, 6)))
 
 
@@ -549,13 +594,14 @@ def test_piecewise_and_fallback_rows_are_never_served():
     (entry,) = round_table(db)._entries.values()
     assert entry[("p",)][2] is None and entry[("s",)][2] is None
     assert entry[("c",)][2] is not None
-    # The wide query read c's row (held since tick 0), the index decided
-    # the decoy's, and it solved p and s; the narrow query read c's and
-    # the decoy's rows and solved p and s.
-    assert wide.shared_rows - read[0] == 1
-    assert wide.kinetic_solves - solves[0] == 2
-    assert narrow.shared_rows - read[1] == 2
-    assert narrow.kinetic_solves - solves[1] == 2
+    # The wide query solved c's row again (a solve from tick 0 answers
+    # only its own window), the index decided the decoy's, and it solved
+    # p and s; the narrow query read the decoy's verdict and solved c's
+    # row over its own window, and p and s.
+    assert wide.shared_rows - read[0] == 0
+    assert wide.kinetic_solves - solves[0] == 3
+    assert narrow.shared_rows - read[1] == 1
+    assert narrow.kinetic_solves - solves[1] == 3
     for cq, horizon in ((wide, 10), (narrow, 6)):
         twin = ContinuousQuery(db, cq.query, horizon=horizon - 1, method="naive")
         assert answer_tuples(cq) == answer_tuples(twin)
@@ -663,23 +709,28 @@ def tick(db):
     db.clock.tick()
 
 
-def decoy(db):
-    """A real turn of the far car: it dirties every query over cars."""
-    db.update_motion("z", Point(0, 1 + db.clock.now))
+def turn_a(db):
+    """A real turn of car ``a``: it dirties every query over positions."""
+    db.update_motion("a", Point(1 + db.clock.now, 0))
 
 
 def test_rows_are_kept_across_ticks_and_commits_to_other_objects():
-    shared, reads = run_wall([tick, decoy, tick, decoy])
+    shared, reads = run_wall([tick, turn_a, tick, turn_a])
     db = shared[0].db
-    # Solved at registration (tick 0) and read at every later tick.
-    assert row(db, "a")[:2] == (0, 10)
-    assert row(db, "z")[0] == 2  # re-solved after the decoy's last commit
-    # A tick alone dirties no query.  A turn of the decoy dirties every
-    # query over positions: the first interval query reads a, b and e's
-    # rows and re-solves z's, which every later reader of the entry
-    # reads (OUTSIDE shares INSIDE's entry; an incremental refresh
-    # recomputes z's rows only).  The fuel queries read no position.
-    by_query = [3, 1, 4, 1, 3, 1, 0, 0]
+    # The index decided z's rows at registration (tick 0): they are read
+    # at every later tick, across a's commits.
+    assert row(db, "z")[:2] == (0, 10) and row(db, "z", "dist")[:2] == (0, 10)
+    # a's rows were solved again after its last commit, at tick 2.
+    assert row(db, "a")[:2] == (2, 10) and row(db, "a", "dist")[:2] == (2, 10)
+    # A tick alone dirties no query.  A turn of a dirties every query
+    # over positions, in refresh order: the interval INSIDE query reads
+    # z's verdict and solves a, b and e again over the round window (a
+    # kernel solve answers only its own window); the interval OUTSIDE
+    # query, which shares that entry, reads all four; the DIST query
+    # reads (z, d)'s verdict.  The incremental queries, whose window
+    # ends earlier, solve a's rows over their own window, and the fuel
+    # queries read no position.
+    by_query = [1, 0, 4, 0, 1, 0, 0, 0]
     assert reads == [[0] * 8, by_query, [0] * 8, by_query]
 
 
@@ -709,26 +760,16 @@ def test_a_commit_to_its_object_drops_a_row(writer):
     db = shared[0].db
     if writer == "heartbeat":
         # Every query skipped the heartbeat (the validity gate, or a
-        # read-set without positions), so nobody re-solved a's rows.
+        # read-set without positions), so nobody solved a's rows again.
         assert row(db, "a") is None and row(db, "a", "dist") is None
     else:
-        # a's position rows were re-solved at tick 1.
+        # a's position rows were solved again at tick 1.
         assert row(db, "a")[0] == 1 and row(db, "a", "dist")[0] == 1
-    # b's rows are still tick 0's.
-    assert row(db, "b")[0] == 0 and row(db, "b", "dist")[0] == 0
-    # a's fuel row was not dropped: no fuel was written.
-    assert row(db, "a", "attr")[0] == 0
-
-
-def test_a_commit_to_another_attribute_keeps_the_position_rows():
-    def fuel(db):
-        db.update_dynamic("a", "fuel", value=30, function=LinearFunction(-1))
-
-    shared, reads = run_wall([tick, fuel])
-    db = shared[0].db
-    assert row(db, "a", "attr")[0] == 1
-    assert row(db, "a")[0] == 0 and row(db, "a", "dist")[0] == 0
-    assert sum(reads[1]) > 0
+    # z's verdicts are still tick 0's.
+    assert row(db, "z")[0] == 0 and row(db, "z", "dist")[0] == 0
+    # The commit dropped every row naming a, its fuel row too, and no
+    # query reading fuel refreshed.
+    assert row(db, "a", "attr") is None
 
 
 def test_an_insert_into_a_read_class_solves_only_its_rows():
@@ -737,8 +778,8 @@ def test_an_insert_into_a_read_class_solves_only_its_rows():
 
     shared, reads = run_wall([tick, insert])
     db = shared[0].db
-    assert row(db, "n")[0] == 1 and row(db, "a")[0] == 0
-    assert sum(reads[1]) > 0
+    assert row(db, "n")[0] == 1 and row(db, "z")[0] == 0
+    assert sum(reads[1]) > 0  # z's verdicts, at least
 
 
 def test_a_region_redefinition_misses():
@@ -799,8 +840,8 @@ def test_a_clock_regression_misses():
     table = UpdateRouter.of(db).round_atoms(history, ctx.end)
     early = IntervalEvaluator(ctx, atoms=table)
     got = exact_rows(early.evaluate(query.where))
-    assert row(db, "z")[0] == 1  # re-solved from the earlier start
-    assert early.shared_rows == 3  # a, b, e: held since tick 0
+    assert row(db, "z")[0] == 1  # decided again from the earlier start
+    assert early.shared_rows == 0  # a, b and e were solved over [3, 10]
     plain = IntervalEvaluator(EvalContext(history, 6, query.bindings))
     assert got == exact_rows(plain.evaluate(query.where))
     slow = NaiveEvaluator(EvalContext(history, 6, query.bindings))
@@ -849,3 +890,81 @@ def test_query_removal_bounds_the_store():
     for cq in queries:
         cq.cancel()
     assert len(table) == 0 and table.rows == 0
+
+
+# ---------------------------------------------------------------------------
+# Speeds no binary fraction represents
+# ---------------------------------------------------------------------------
+
+#: Each car meets an atom's boundary exactly at an integer tick, at a
+#: speed float64 does not represent: the kernels, which anchor a leg at
+#: the window start, put that crossing within rounding of the tick on
+#: either side of it depending on the window.
+SLOW = (0.1, 0.3, 0.7, 1 / 3)
+
+
+def slow_world():
+    db = new_db()
+    for v in SLOW:
+        for k in range(1, 13):
+            # Enters P across x = 0 at t = k; leaves DIST(c, d) <= 6 there.
+            add_car(db, f"e{v}/{k}", (-v * k, 1), (v, 0))
+            # Enters P across x = 9 at t = k.
+            add_car(db, f"w{v}/{k}", (9 + v * k, 2), (-v, 0))
+    add_car(db, DECOY[0], DECOY[1], (0, 0))
+    db.add_moving_object("depots", "d", Point(-6, 1), Point(0, 0))
+    return db
+
+
+def test_slow_speeds_share_only_exact_rows():
+    """INSIDE / OUTSIDE / DIST queries of different window ends and
+    subscription ticks over cars crossing at every tick, refreshed at
+    every tick: each query's displayed answer equals its
+    ``validity_horizons``-off twin's (which solves every row over its
+    own window) tuple for tuple before its last tick.  Naive is not a
+    reference here: its per-tick sampling and a closed-form solve can
+    disagree on a crossing within rounding of a tick.  The queries
+    ending at the round's end read each other's rows."""
+    from dataclasses import replace
+
+    from repro.ftl.context import DEFAULT
+
+    texts = (INSIDE_P, TEXTS[2], DIST_6)
+    #: ``(horizon, subscription tick, method)``: the first two end at
+    #: the round's end, 30, the others at ticks a car crosses at.
+    plans = (
+        (30, 0, "interval"),
+        (29, 1, "interval"),
+        (8, 0, "incremental"),
+        (9, 1, "interval"),
+    )
+    off = replace(DEFAULT, validity_horizons=False)
+    worlds = [slow_world(), slow_world()]
+    groups: list[list[ContinuousQuery]] = [[], []]
+    for step in range(14):
+        for db, group, options in zip(worlds, groups, (DEFAULT, off)):
+            if step:
+                db.clock.tick()
+                db.update_motion(DECOY[0], Point(0, step))
+            for text in texts:
+                for horizon, at, method in plans:
+                    if at == step:
+                        group.append(
+                            ContinuousQuery(
+                                db,
+                                parse_query(text),
+                                horizon=horizon,
+                                method=method,
+                                options=options,
+                            )
+                        )
+            for cq in group:
+                cq.refresh()
+        for one, other in zip(*groups):
+            # At a query's last tick every commit lies beyond its end, so
+            # the validity gate skips the decoy's, and the display is the
+            # previous tick's solve: not this wall's subject.
+            if step < one.expires_at:
+                assert displayed(one) == displayed(other), (step, one.query.where)
+    wide = [cq for cq in groups[0] if cq.expires_at == 30]
+    assert len(wide) == 6 and all(cq.shared_rows > 0 for cq in wide)

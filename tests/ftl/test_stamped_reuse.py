@@ -5,10 +5,11 @@ holds, per distinct atom and row, the window ``[s, E]`` the row was
 solved over and its answer there.  Two things are pinned here:
 
 * the closed forms of the store — an equal window returns the held
-  answer, a contained window later in time equals a fresh solve, a read
-  ending past the held end or starting before it misses, a commit to a
-  row's object drops the row, a re-solve replaces the held row, and the
-  rows of an atom no live query reads are dropped;
+  answer, a contained window later in time reads the index's verdicts
+  and equals a fresh solve, a read ending past the held end or starting
+  before it misses, a commit to a row's object drops the row, a
+  re-solve replaces the held row, and the rows of an atom no live query
+  reads are dropped;
 * that only a continuous query with validity horizons touches it: a
   cold evaluation, an instantaneous query, a persistent query, a
   sharded evaluation, the ``ORACLE`` options and a continuous query
@@ -87,7 +88,7 @@ def test_equal_window_returns_the_stored_answer():
     table = held_store(db)
     first, rows = inside(db, 0, 20, table)
     assert first.kinetic_solves == 2 and first.shared_rows == 0
-    assert held(table) == (0, 20, ticks((0, 8)))
+    assert held(table)[:3] == (0, 20, ticks((0, 8))) and held(table)[3]
     again = IntervalEvaluator(
         EvalContext(FutureHistory(db), 20, {"o": "cars"}),
         atoms=table.open(epoch_token(FutureHistory(db)), 20),
@@ -98,20 +99,25 @@ def test_equal_window_returns_the_stored_answer():
 
 
 def test_contained_window_equals_a_fresh_solve():
+    """``f`` runs far from ``P``: the index decides its row, and a later,
+    shorter window reads that verdict clipped; ``c``'s and ``d``'s rows
+    are kernel solves, which answer only the window they were solved
+    over, so that window solves them again."""
     db = one_car()
+    db.add_moving_object("cars", "f", Point(40, 1), Point(1, 0))
     table = held_store(db)
     first, rows = inside(db, 0, 20, table)
     assert ("c",) in dict(rows)
-    assert held(table) == (0, 20, ticks((0, 8)))
-    # A later, shorter window inside the held one: answered by clipping.
+    assert held(table)[:3] == (0, 20, ticks((0, 8))) and held(table)[3]
+    assert held(table, "f") == (0, 20, IntervalSet.empty(DISCRETE), 0)
     later, rows = inside(db, 5, 10, table, end=20)
-    assert (later.kinetic_solves, later.shared_rows) == (0, 2)
+    assert (later.kinetic_solves, later.shared_rows) == (2, 1)
     fresh, fresh_rows = inside(db, 5, 10)
     assert fresh.kinetic_solves == 2
     assert rows == fresh_rows
     assert dict(rows)[("c",)] == ((5, 8),)
-    # A read writes nothing: the held window is still the solved one.
-    assert held(table) == (0, 20, ticks((0, 8)))
+    # The later window's solve replaces the one no later window reads.
+    assert held(table)[:3] == (5, 15, ticks((5, 8)))
 
 
 def test_request_ending_past_the_stored_end_misses():
@@ -132,29 +138,29 @@ def test_request_ending_past_the_stored_end_misses():
 def test_request_starting_at_or_after_the_expiry_misses():
     """A row dies with its object's motion: after a commit to ``c`` its
     row misses and re-solves, while ``d``'s row, whose object nobody
-    committed, is still read."""
+    committed, is still read over the same window."""
     db = one_car()
     table = held_store(db)
     inside(db, 0, 20, table)
-    db.clock.tick()
-    db.update_motion("c", Point(0, 1))
-    after, rows = inside(db, 1, 19, table)
+    db.update_motion("c", Point(0, 2))
+    after, rows = inside(db, 0, 20, table)
     assert (after.kinetic_solves, after.shared_rows) == (1, 1)
-    assert rows == inside(db, 1, 19)[1]
-    assert dict(rows)[("c",)] == ((1, 9),)
-    assert held(table) == (1, 20, ticks((1, 9)))
+    assert rows == inside(db, 0, 20)[1]
+    # y = 1 + 2 t <= 9 up to t = 4.
+    assert dict(rows)[("c",)] == ((0, 4),)
+    assert held(table)[:3] == (0, 20, ticks((0, 4)))
 
 
 def test_a_solve_replaces_the_older_entry():
     db = one_car()
     table = held_store(db)
     inside(db, 0, 10, table)
-    assert held(table) == (0, 10, ticks((0, 8)))
+    assert held(table)[:3] == (0, 10, ticks((0, 8)))
     inside(db, 3, 12, table)  # ends past 10: re-solved over [3, 15]
-    assert held(table) == (3, 15, ticks((3, 8)))
+    assert held(table)[:3] == (3, 15, ticks((3, 8)))
     assert len(table) == 1 and table.rows == 2
     # Re-read over the new row's window: no solve.
-    again, _rows = inside(db, 4, 11, table)
+    again, _rows = inside(db, 3, 12, table)
     assert (again.kinetic_solves, again.shared_rows) == (0, 2)
 
 
@@ -169,7 +175,7 @@ def test_fifo_bound_counts_a_replaced_key_as_new():
     other = ContinuousQuery(db, parse_query("RETRIEVE o FROM cars o WHERE OUTSIDE(o, P)"), 10)
     table = UpdateRouter.of(db).atoms
     # Each query read the store at registration: one entry for Q, one
-    # for P shared by INSIDE and OUTSIDE.
+    # for P shared by INSIDE and OUTSIDE, each holding c's and d's rows.
     assert len(table) == 2 and table.rows == 4
     narrow.cancel()
     assert len(table) == 1 and table.rows == 2

@@ -75,6 +75,18 @@ def build_db() -> MostDatabase:
     return db
 
 
+def add_far_car(db: MostDatabase) -> None:
+    """``far``: moving away from ``P``, so the index decides its rows."""
+    db.add_moving_object(
+        "cars",
+        "far",
+        Point(100.0, 100.0),
+        Point(1.0, 0.0),
+        static={"price": 40.0},
+        dynamic_extra={"fuel": DynamicAttribute.linear(30.0, -1.0)},
+    )
+
+
 BINDINGS = {"o": "cars"}
 
 
@@ -525,9 +537,12 @@ class TestHorizonEdgeCases:
         assert cq.valid_until == 6.0
 
     def test_window_shifted_cache_reuse(self):
-        """A row the store holds over ``[0, 20]`` answers a later,
-        contained window by clipping — equal to a fresh solve — and a
-        window ending past it or starting before it re-solves."""
+        """A verdict the store holds over ``[0, 20]`` — ``far``'s row,
+        decided by the index — answers a later, contained window by
+        clipping, while ``c0``'s kernel solve answers only its own
+        window: the later window solves it again, equal to a fresh
+        solve.  A window ending past the held end or starting before it
+        re-solves."""
         from repro.core.history import FutureHistory, epoch_token
         from repro.ftl.context import EvalContext
         from repro.ftl.evaluator import IntervalEvaluator
@@ -535,6 +550,7 @@ class TestHorizonEdgeCases:
         from tests.ftl.test_atom_pruning import held_store
 
         db = build_db()
+        add_far_car(db)
         where = Inside(Var("o"), "P")
         table = held_store(db)
 
@@ -546,9 +562,9 @@ class TestHorizonEdgeCases:
 
         first, whole = run(0, 20, 20)
         assert (first.kinetic_solves, whole) == (1, IntervalSet.from_pairs([(0, 8)], DISCRETE))
-        # Contained later window: a clipped read, no solve.
+        # Contained later window: far's verdict read, c0 solved again.
         later, clipped = run(2, 8, 20)
-        assert (later.kinetic_solves, later.shared_rows) == (0, 1)
+        assert (later.kinetic_solves, later.shared_rows) == (1, 1)
         assert clipped == whole.clip(2, 10) == run(2, 8, 10, store=False)[1]
         # Ending past the held end, or starting before it: re-solved.
         assert run(2, 19, 21)[0].kinetic_solves == 1
@@ -581,10 +597,13 @@ class TestHorizonEdgeCases:
         assert table.rows == 1
 
     def test_ticked_refresh_reuses_solves_by_window_shift(self):
-        """After a tick, the query re-solves nothing: its registration
-        filled the store, and the window slid inside the held one; the
-        validity-off twin pays the full solve again."""
+        """After a tick, the query reads ``far``'s verdict, which its
+        registration stored, over the window slid inside the held one,
+        and solves ``c0`` again (a kernel solve answers only its own
+        window); the validity-off twin partitions both rows again."""
         db, db2 = build_db(), build_db()
+        for world in (db, db2):
+            add_far_car(world)
         q = "RETRIEVE o FROM cars o WHERE EVENTUALLY INSIDE(o, P)"
         stamped = ContinuousQuery(db, parse_query(q), horizon=20)
         twin = ContinuousQuery(
@@ -600,7 +619,7 @@ class TestHorizonEdgeCases:
         twin.refresh()
         assert stamped.current() == twin.current()
         assert stamped.shared_rows == 1
-        assert stamped.kinetic_solves - solves[0] == 0
+        assert stamped.kinetic_solves - solves[0] == 1
         assert twin.kinetic_solves - solves[1] == 1
         assert twin.shared_rows == 0
 

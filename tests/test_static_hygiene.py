@@ -313,7 +313,7 @@ STRICT_DEFS = {
         "_linear_leg_boxes",
         "build_class_table",
         "RoundAtoms",
-        "RoundAtoms.committed",
+        "RoundAtoms.readable",
         "RoundAtoms.open",
         "RoundAtoms.entry",
         "RoundAtoms.store",
